@@ -319,12 +319,7 @@ def _basis_table(ps, limit: int = 2048) -> object:
 
 def _resolution_residual(scenario: Scenario, frame) -> float:
     if frame.rep.is_finite:
-        w = frame.element_weight()
-        total = sum(
-            w * np.outer(v := frame.rep.matrices[g] @ frame.seed, np.conj(v))
-            for g in frame.rep.group.elements()
-        )
-        return float(np.linalg.norm(total - np.eye(frame.dim)))
+        return frames._finite_resolution_defect(frame.rep, frame.seed)
     twirl = reps.group_average(frame.rep, np.outer(frame.seed, np.conj(frame.seed)), "twirl", 1.0)
     return float(np.linalg.norm(twirl - np.eye(frame.dim) / frame.dim))
 
@@ -346,7 +341,7 @@ def _task_rel_obs(scenario, ps, cfg, task, rng):
     fname = task["frame"]
     g = _element(scenario, fname, task.get("orientation"), "task.orientation")
     f_s = _observable(scenario.complement_dim(fname), task["observable"], "task.observable")
-    obs = perspective.relational_observable(scenario, fname, g, f_s, cfg.tol())
+    obs = perspective.relational_observable(scenario, fname, g, f_s, cfg.tol(), check=False)
     defect = perspective.strong_dirac_defect(scenario, obs.matrix)
     checks = [_check("dirac_commutation", defect, 1e5 * cfg.tolerance * max(1.0, float(np.abs(obs.matrix).max())))]
     return {

@@ -22,9 +22,9 @@ from .perspective import (
     PhysicalSpace,
     RelObs,
     Scenario,
+    conditioning_map,
     physical_space,
     relational_observable,
-    system_projector,
 )
 from .reductions import schrodinger_map
 
@@ -68,49 +68,29 @@ def frame_change(
     g_j,
     tol: Tolerance = DEFAULT_TOL,
 ) -> FrameChange:
-    """V_{Ri->Rj}(g_i, g_j), verified isometric between the projector ranges."""
-    s = ps.scenario
-    fi = s.frame(frame_i)
-    fj = s.frame(frame_j)
-    if frame_i == frame_j:
-        # same-frame orientation change: reduce(g_j) after un-reducing from g_i
-        mi = schrodinger_map(ps, frame_i, g_i, tol)
-        mj = schrodinger_map(ps, frame_j, g_j, tol)
-        mat = mj.matrix @ mi.inverse_matrix
-        scale = {"from_volume": fi.weight_scale, "to_volume": fj.weight_scale, "same_frame": True}
-        return FrameChange(frame_i, frame_j, fi.rep.element(g_i), fj.rep.element(g_j), mat, scale)
+    """V_{Ri->Rj}(g_i, g_j) = C_j C_i^dag, verified isometric between the projector ranges."""
     if ps.dim == 0:
         raise ValueError("cannot change frames with an empty physical space")
-    phi_i = fi.orientation(fi.rep.element(g_i))
-    phi_j = fj.orientation(fj.rep.element(g_j))
-    proj = ps.basis.basis
-    # sqrt(Vol_i Vol_j) <phi_j| P_phys |phi_i> as a map between complements
-    scale = float(np.sqrt(fi.weight_scale * fj.weight_scale))
-    cond_j = np.column_stack(
-        [s.condition_vector(frame_j, phi_j, proj[:, k]) for k in range(ps.dim)]
-    )
-    inj_i = np.column_stack(
-        [
-            dagger(proj) @ s.inject_vector(frame_i, phi_i, e)
-            for e in np.eye(s.complement_dim(frame_i), dtype=complex).T
-        ]
-    )
-    mat = scale * (cond_j @ inj_i)
-    pi_dom = system_projector(s, frame_i, g_i, tol)
-    pi_cod = system_projector(s, frame_j, g_j, tol)
+    mi = schrodinger_map(ps, frame_i, g_i, tol)
+    mj = schrodinger_map(ps, frame_j, g_j, tol)
+    mat = mj.matrix @ mi.inverse_matrix
     worst = max(
-        float(np.linalg.norm(dagger(mat) @ mat - pi_dom)),
-        float(np.linalg.norm(mat @ dagger(mat) - pi_cod)),
+        float(np.linalg.norm(dagger(mat) @ mat - mi.matrix @ mi.inverse_matrix)),
+        float(np.linalg.norm(mat @ dagger(mat) - mj.matrix @ mj.inverse_matrix)),
     )
     if worst > 1e5 * tol.weighted(1.0) * max(1, mat.shape[0]):
         raise ValueError(f"frame change failed the isometry check ({worst:.3e})")
     return FrameChange(
         frame_i,
         frame_j,
-        fi.rep.element(g_i),
-        fj.rep.element(g_j),
+        mi.orientation,
+        mj.orientation,
         mat,
-        {"from_volume": fi.weight_scale, "to_volume": fj.weight_scale, "isometry_defect": worst},
+        {
+            "from_volume": mi.scale_notes["frame_volume"],
+            "to_volume": mj.scale_notes["frame_volume"],
+            "isometry_defect": worst,
+        },
     )
 
 
@@ -251,16 +231,6 @@ def relation_conditional_reorient(
 # ---------------------------------------------------------------------------
 
 
-def _matrix_units(d: int) -> list[np.ndarray]:
-    units = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            units.append(e)
-    return units
-
-
 def _generate_algebra(mats: list[np.ndarray], tol: Tolerance, max_rounds: int = 8) -> np.ndarray:
     """Orthonormal basis of the unital algebra span (vectorized operators).
 
@@ -292,48 +262,23 @@ def restricted_unit_family(
     ps: PhysicalSpace,
     frame_name: str,
     target_slot: int,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> list[np.ndarray]:
     """F_{f,frame}(e) restricted to the physical basis, f = target-slot matrix units.
 
-    Finite frames route the conditional twirl through W_g = B^dag U(g)(|phi> x 1)
-    so one batched contraction covers every matrix unit at once; Lie frames fall
-    back to per-unit twirls.
+    On invariant vectors B^dag U A U^dag B = B^dag A B, so the restricted twirl
+    of |phi(e)><phi(e)| x E_ij x 1 is C_i^dag C_j, where C_i is the target-row-i
+    block of the conditioning map C_e; one contraction covers every unit.
     """
     dims = s.dims
-    frame = s.frame(frame_name)
     slot_f = s.frame_slot(frame_name)
     rest = [i for i in range(len(dims)) if i != slot_f]
     if target_slot == slot_f:
         raise ValueError("target subsystem coincides with the frame")
-    t_pos = rest.index(target_slot)
     d_t = dims[target_slot]
-    comp_dim = s.complement_dim(frame_name)
-    if not frame.rep.is_finite:
-        out = []
-        for unit in _matrix_units(d_t):
-            ops = {target_slot: unit}
-            comp_op = np.ones((1, 1), dtype=complex)
-            for i in rest:
-                comp_op = np.kron(comp_op, ops.get(i, np.eye(dims[i], dtype=complex)))
-            f = relational_observable(
-                s, frame_name, frame.rep.identity_element(), comp_op, tol, check=False
-            )
-            out.append(ps.restrict(f.matrix))
-        return out
-    inj = np.column_stack(
-        [s.inject_vector(frame_name, frame.seed, e) for e in np.eye(comp_dim, dtype=complex).T]
-    )
-    w = np.stack(
-        [dagger(ps.basis.basis) @ (s.total_rep.matrices[g] @ inj)
-         for g in frame.rep.group.elements()]
-    )  # (|G|, n_phys, comp_dim)
-    rest_dims = [dims[i] for i in rest]
-    w = w.reshape([w.shape[0], ps.dim] + rest_dims)
-    w = np.moveaxis(w, 2 + t_pos, 2)  # (|G|, n_phys, d_t, d_rest...)
-    w = w.reshape(w.shape[0], ps.dim, d_t, -1)
-    weight = frame.weight_scale / frame.rep.group.order
-    fam = weight * np.einsum("gpir,gqjr->ijpq", w, np.conj(w), optimize=True)
+    c = conditioning_map(ps, frame_name, s.frame(frame_name).rep.identity_element())
+    c = c.reshape([dims[i] for i in rest] + [ps.dim])
+    c = np.moveaxis(c, rest.index(target_slot), 0).reshape(d_t, -1, ps.dim)
+    fam = np.einsum("irp,jrq->ijpq", np.conj(c), c, optimize=True)
     return [fam[i, j] for i in range(d_t) for j in range(d_t)]
 
 
@@ -361,18 +306,14 @@ def subsystem_relativity_report(
     slot1 = s.frame_slot(frame1)
     slot2 = s.frame_slot(frame2)
     dims = s.dims
-
-    def restricted_family(frame_name: str, target_slot: int) -> list[np.ndarray]:
-        return restricted_unit_family(s, ps, frame_name, target_slot, tol)
-
     sys_slots = [i for i in range(len(dims)) if i not in (slot1, slot2)]
     if not sys_slots:
         raise ValueError("need a system subsystem besides the two frames")
     report: dict = {"degenerate": False, "frame1": frame1, "frame2": frame2}
     sys_slot = sys_slots[0]
-    a_s_r1 = restricted_family(frame1, sys_slot)
-    a_s_r2 = restricted_family(frame2, sys_slot)
-    a_r2_r1 = restricted_family(frame1, slot2)
+    a_s_r1 = restricted_unit_family(s, ps, frame1, sys_slot)
+    a_s_r2 = restricted_unit_family(s, ps, frame2, sys_slot)
+    a_r2_r1 = restricted_unit_family(s, ps, frame1, slot2)
     # (a) commutation of the frame-2 and system observables relative to frame 1
     comm = max(
         float(np.linalg.norm(x @ y - y @ x)) for x in a_r2_r1 for y in a_s_r1

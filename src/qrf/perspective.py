@@ -6,6 +6,13 @@ kinematical one on an orthonormal basis of that subspace.  The measure
 bookkeeping of the per-frame Haar normalization then shows up as explicit
 scale constants: twirls over frame orientations carry the frame's volume
 (weight_scale), conditionings carry its square root.
+
+The one conditioning primitive is ``conditioning_map``:
+C_g = sqrt(Vol) (<phi(g)| x 1) B, with B the orthonormal physical basis.  It
+is an isometry from physical-basis coefficients onto the physical system
+subspace, so the system projector is C_g C_g^dag, the Schroedinger reduction
+is C_g, and, because B^dag U A U^dag B = B^dag A B on invariant vectors, a
+relational observable restricted to the physical space is C_g^dag f_S C_g.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ __all__ = [
     "RelObs",
     "make_scenario",
     "physical_space",
+    "conditioning_map",
     "relational_observable",
     "h_average",
     "system_projector",
@@ -185,10 +193,20 @@ class RelObs:
 
 
 def physical_space(s: Scenario, tol: Tolerance = DEFAULT_TOL) -> PhysicalSpace:
-    key = ("phys", tol.abs_tol)
+    key = ("phys", tol)
     if key not in s._cache:
         s._cache[key] = PhysicalSpace(s, reps.fixed_subspace(s.total_rep, tol))
     return s._cache[key]
+
+
+def conditioning_map(ps: PhysicalSpace, frame_name: str, g) -> np.ndarray:
+    """C_g = sqrt(Vol_frame) (<phi(g)| x 1) B, shape (complement_dim, n_phys)."""
+    s = ps.scenario
+    frame = s.frame(frame_name)
+    phi = frame.orientation(frame.rep.element(g))
+    b = ps.basis.basis.reshape(s.dims + [ps.dim])
+    c = np.tensordot(np.conj(phi), b, axes=([0], [s.frame_slot(frame_name)]))
+    return np.sqrt(frame.weight_scale) * c.reshape(s.complement_dim(frame_name), ps.dim)
 
 
 def gauge_checks(s: Scenario) -> list[np.ndarray]:
@@ -264,14 +282,9 @@ def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = 
 
 
 def system_projector(s: Scenario, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Pi_S^phys(g) = Vol_frame (<phi(g)| x 1) P_phys (|phi(g)> x 1); orthogonal projector."""
-    frame = s.frame(frame_name)
-    ps = physical_space(s, tol)
-    phi = frame.orientation(frame.rep.element(g))
-    cond = np.column_stack(
-        [s.condition_vector(frame_name, phi, ps.basis.basis[:, k]) for k in range(ps.dim)]
-    ) if ps.dim else np.zeros((s.complement_dim(frame_name), 0), dtype=complex)
-    proj = frame.weight_scale * (cond @ dagger(cond))
+    """Pi_S^phys(g) = C_g C_g^dag = Vol_frame (<phi(g)| x 1) P_phys (|phi(g)> x 1)."""
+    c = conditioning_map(physical_space(s, tol), frame_name, g)
+    proj = c @ dagger(c)
     defect = max(
         float(np.linalg.norm(proj @ proj - proj)),
         float(np.linalg.norm(proj - dagger(proj))),
@@ -297,17 +310,9 @@ def physical_system_span(s: Scenario, frame_name: str, tol: Tolerance = DEFAULT_
     frame = s.frame(frame_name)
     pi_e = system_projector(s, frame_name, frame.rep.identity_element(), tol)
     base = orthonormal_range(pi_e, tol)
-    comp = s.complement_rep(frame_name)
-    ops = list(comp.matrices) if comp.is_finite else list(comp.generators)
-    basis = base.basis
-    if basis.shape[1] == 0:
+    if base.dim == 0:
         return base
-    while True:
-        grown = np.hstack([basis] + [op @ basis for op in ops])
-        new_basis = orthonormal_range(grown, tol).basis
-        if new_basis.shape[1] == basis.shape[1]:
-            return Subspace(comp.dim, new_basis)
-        basis = new_basis
+    return reps.invariant_closure(s.complement_rep(frame_name), base.basis, tol)
 
 
 def sample_elements(group, count: int = 8) -> list:

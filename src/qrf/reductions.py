@@ -19,9 +19,9 @@ from .linalg import DEFAULT_TOL, Tolerance, as_cmatrix, as_cvector, dagger
 from .perspective import (
     PhysicalSpace,
     Scenario,
+    conditioning_map,
     relational_observable,
     sample_elements,
-    system_projector,
 )
 
 __all__ = [
@@ -99,21 +99,17 @@ def schrodinger_inverse(
     psi_s,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Map a physical system state back to the perspective-neutral space."""
-    s = ps.scenario
-    frame = s.frame(frame_name)
+    """Map a physical system state back to the perspective-neutral space: B (C_g^dag psi_S)."""
     v = as_cvector(psi_s)
-    pi = system_projector(s, frame_name, g, tol)
-    resid = float(np.linalg.norm(pi @ v - v))
+    c = conditioning_map(ps, frame_name, g)
+    coeff = dagger(c) @ v
+    resid = float(np.linalg.norm(c @ coeff - v))
     if resid > 1e4 * tol.weighted(np.linalg.norm(v)):
         raise ValueError(
             f"state lies outside the physical system subspace of frame {frame_name!r} "
             f"(projection residual {resid:.3e})"
         )
-    phi = frame.orientation(frame.rep.element(g))
-    injected = s.inject_vector(frame_name, phi, v)
-    proj = ps.basis.basis
-    return np.sqrt(frame.weight_scale) * (proj @ (dagger(proj) @ injected))
+    return ps.basis.basis @ coeff
 
 
 def schrodinger_map(
@@ -122,17 +118,10 @@ def schrodinger_map(
     g,
     tol: Tolerance = DEFAULT_TOL,
 ) -> ReductionMap:
-    """Assemble the reduction and its inverse as matrices over the physical basis."""
-    s = ps.scenario
-    frame = s.frame(frame_name)
-    fwd_cols = [schrodinger_reduce(ps, frame_name, g, ps.basis.basis[:, k]) for k in range(ps.dim)]
-    fwd = np.column_stack(fwd_cols) if ps.dim else np.zeros((s.complement_dim(frame_name), 0))
-    phi = frame.orientation(frame.rep.element(g))
-    inj = np.column_stack(
-        [s.inject_vector(frame_name, phi, np.eye(s.complement_dim(frame_name))[:, j])
-         for j in range(s.complement_dim(frame_name))]
-    )
-    inv = np.sqrt(frame.weight_scale) * (dagger(ps.basis.basis) @ inj)
+    """The reduction C_g and its inverse C_g^dag as matrices over the physical basis."""
+    frame = ps.scenario.frame(frame_name)
+    fwd = conditioning_map(ps, frame_name, g)
+    inv = dagger(fwd)
     round_trip = inv @ fwd
     if ps.dim and np.linalg.norm(round_trip - np.eye(ps.dim)) > 1e4 * tol.weighted(1.0) * ps.dim:
         raise ValueError("reduction map failed its inverse round-trip validation")

@@ -28,7 +28,6 @@ from .linalg import (
     Subspace,
     Tolerance,
     as_cmatrix,
-    as_cvector,
     canonicalize_basis,
     dagger,
     fix_phase,
@@ -540,13 +539,12 @@ def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 
 
 def invariant_closure(rep: UnitaryRep, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Smallest invariant subspace containing ``v``."""
-    vec = as_cvector(v)
-    nrm = np.linalg.norm(vec)
-    if nrm <= tol.abs_tol:
+    """Smallest invariant subspace containing ``v``: a vector, or a matrix whose columns span the start."""
+    start = np.asarray(v, dtype=complex)
+    basis = orthonormal_range(start[:, None] if start.ndim == 1 else start, tol).basis
+    if basis.shape[1] == 0:
         raise ValueError("need a nonzero vector")
     ops = list(rep.matrices) if rep.is_finite else list(rep.generators)
-    basis = (vec / nrm)[:, None]
     while True:
         grown = np.hstack([basis] + [op @ basis for op in ops])
         new_basis = orthonormal_range(grown, tol).basis

@@ -86,6 +86,7 @@ def test_same_frame_change_is_relabeling(u1_scenario):
     m1 = schrodinger_map(ps, "A", [0.3])
     m2 = schrodinger_map(ps, "A", [0.9])
     np.testing.assert_allclose(ch.matrix, m2.matrix @ m1.inverse_matrix, atol=1e-10)
+    assert ch.scale_notes["isometry_defect"] <= 1e-10
 
 
 def test_frame_change_rejects_empty_physical_space():
@@ -103,6 +104,8 @@ def test_frame_change_rejects_empty_physical_space():
     assert physical_space(s).dim == 0
     with pytest.raises(ValueError, match="empty"):
         frame_change(physical_space(s), "A", [0.0], "B", [0.0])
+    with pytest.raises(ValueError, match="empty"):
+        frame_change(physical_space(s), "A", [0.0], "A", [0.7])
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +273,34 @@ def test_subsystem_relativity_regular_scenarios(z3_regular_scenario, s3_regular_
         assert out["overlap_dim"] < min(d1, d2)
 
 
-def test_batched_restricted_family_matches_twirl_route(z3_regular_scenario, s3_regular_scenario):
-    for s in (z3_regular_scenario, s3_regular_scenario):
+def test_batched_restricted_family_matches_twirl_route(
+    z3_regular_scenario, s3_regular_scenario, u1_scenario, four_spin_scenario
+):
+    # the kinematical twirl is the oracle for the conditioning-map contraction
+    for s, fname in (
+        (z3_regular_scenario, "R1"),
+        (s3_regular_scenario, "R1"),
+        (u1_scenario, "A"),
+        (four_spin_scenario, "A"),
+    ):
         ps = physical_space(s)
-        d = s.subsystems[2][1].dim
-        fam = framechange.restricted_unit_family(s, ps, "R1", 2)
-        for i, j in ((0, 0), (0, 1), (d - 1, 1)):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            direct = ps.restrict(
-                relational_observable(s, "R1", 0, np.kron(np.eye(d), unit), check=False).matrix
-            )
-            np.testing.assert_allclose(fam[i * d + j], direct, atol=1e-10)
-        # frame-2 units relative to frame 1 as well
-        fam2 = framechange.restricted_unit_family(s, ps, "R1", 1)
-        unit = np.zeros((d, d), dtype=complex)
-        unit[1, 0] = 1.0
-        direct2 = ps.restrict(
-            relational_observable(s, "R1", 0, np.kron(unit, np.eye(d)), check=False).matrix
-        )
-        np.testing.assert_allclose(fam2[1 * d + 0], direct2, atol=1e-10)
+        dims = s.dims
+        slot_f = s.frame_slot(fname)
+        for target in (i for i in range(len(dims)) if i != slot_f):
+            d = dims[target]
+            fam = framechange.restricted_unit_family(s, ps, fname, target)
+            assert len(fam) == d * d
+            for i, j in ((0, 0), (0, 1), (d - 1, 1), (1, d - 1)):
+                comp_op = np.ones((1, 1), dtype=complex)
+                for k in range(len(dims)):
+                    if k == target:
+                        unit = np.zeros((d, d), dtype=complex)
+                        unit[i, j] = 1.0
+                        comp_op = np.kron(comp_op, unit)
+                    elif k != slot_f:
+                        comp_op = np.kron(comp_op, np.eye(dims[k]))
+                identity = s.frame(fname).rep.identity_element()
+                direct = ps.restrict(
+                    relational_observable(s, fname, identity, comp_op, check=False).matrix
+                )
+                np.testing.assert_allclose(fam[i * d + j], direct, atol=1e-10)

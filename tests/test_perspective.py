@@ -3,7 +3,7 @@ import pytest
 
 from conftest import ket3, random_hermitian, u1_basis_index
 from qrf import frames, groups, perspective, reps
-from qrf.linalg import dagger
+from qrf.linalg import Tolerance, dagger
 from qrf.perspective import (
     check_weak_homomorphism,
     conditional_inner_product_check,
@@ -39,6 +39,15 @@ def test_three_spin_physical_space(three_spin_scenario):
 
 def test_four_spin_physical_space_dim(four_spin_scenario):
     assert physical_space(four_spin_scenario).dim == 3
+
+
+def test_physical_space_cache_keys_on_the_whole_tolerance():
+    rep = reps.u1_rep([1, -1])
+    s = perspective.make_scenario(groups.u1(), [("A", rep), ("B", rep)])
+    loose = physical_space(s, Tolerance(1e-9, 1e-6))
+    tight = physical_space(s, Tolerance(1e-9, 1e-9))
+    assert loose is not tight
+    assert physical_space(s, Tolerance(1e-9, 1e-6)) is loose
 
 
 def test_zero_dimensional_physical_space_is_reported():

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import ket3, u1_basis_index
 from qrf import frames, groups, perspective, reps
+from qrf.linalg import dagger
 from qrf.perspective import physical_space, system_projector
 from qrf.reductions import (
     ThetaNotFound,
@@ -104,13 +105,30 @@ def test_schrodinger_inverse_rejects_out_of_range(u1_scenario):
         schrodinger_inverse(ps, "A", [0.0], v)
 
 
-def test_schrodinger_map_invariants(u1_scenario):
+def test_schrodinger_map_invariants(u1_scenario, s3_regular_scenario, three_spin_scenario):
     ps = physical_space(u1_scenario)
     m = schrodinger_map(ps, "A", [0.4])
     np.testing.assert_allclose(m.inverse_matrix @ m.matrix, np.eye(ps.dim), atol=1e-9)
     pi = system_projector(u1_scenario, "A", [0.4])
     np.testing.assert_allclose(m.matrix @ m.inverse_matrix, pi, atol=1e-9)
     assert m.scale_notes["frame_volume"] == 2.0
+    rng = np.random.default_rng(31)
+    for s, fname, g in (
+        (s3_regular_scenario, "R1", 4),
+        (u1_scenario, "C", [1.3]),
+        (three_spin_scenario, "A", [0.4, -0.2, 0.9]),
+    ):
+        ps = physical_space(s)
+        c = perspective.conditioning_map(ps, fname, g)
+        assert c.shape == (s.complement_dim(fname), ps.dim)
+        np.testing.assert_allclose(schrodinger_map(ps, fname, g).matrix, c, atol=1e-12)
+        np.testing.assert_allclose(dagger(c) @ c, np.eye(ps.dim), atol=1e-9)
+        np.testing.assert_allclose(c @ dagger(c), system_projector(s, fname, g), atol=1e-9)
+        coeff = rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim)
+        psi = ps.basis.basis @ (coeff / np.linalg.norm(coeff))
+        np.testing.assert_allclose(
+            schrodinger_reduce(ps, fname, g, psi), c @ (dagger(ps.basis.basis) @ psi), atol=1e-10
+        )
 
 
 # ---------------------------------------------------------------------------

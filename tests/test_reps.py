@@ -306,6 +306,9 @@ def test_invariant_closure_three_spin_conditional():
         ket3(-2, 2) - ket3(-2, 0) + ket3(0, -2) - ket3(2, -2) + ket3(2, 0) - ket3(0, 2)
     ) / np.sqrt(6)
     assert reps.invariant_closure(total, cond).dim == 3
+    # a matrix start closes the span of its columns: spin 0 plus spin 1
+    singlet = (ket3(2, -2) - ket3(0, 0) + ket3(-2, 2)) / np.sqrt(3)
+    assert reps.invariant_closure(total, np.column_stack([singlet, cond])).dim == 4
 
 
 def test_invariant_closure_contains_vector_and_is_invariant():
@@ -322,3 +325,5 @@ def test_invariant_closure_contains_vector_and_is_invariant():
 def test_invariant_closure_rejects_zero():
     with pytest.raises(ValueError):
         reps.invariant_closure(reps.spin_rep(1), np.zeros(3))
+    with pytest.raises(ValueError):
+        reps.invariant_closure(reps.spin_rep(1), np.zeros((3, 2)))

@@ -3,7 +3,8 @@
 Reports are deterministic for a fixed config, seed and version: every random
 draw goes through one seeded generator and every numeric result is emitted
 with the tolerance it was checked against.  Exit code 0 means every property
-check in every task passed.
+check in every task passed, 1 that some check failed, and 2 a config or
+runtime error.
 """
 
 from __future__ import annotations
@@ -100,6 +101,14 @@ def _validate_raw(raw: dict) -> ScenarioConfig:
     for key in ("group", "subsystems", "frames", "tasks"):
         if key not in raw:
             raise ConfigError(f"config is missing the {key!r} field")
+    if not isinstance(raw["group"], dict):
+        raise ConfigError(f"group: expected an object, got {raw['group']!r}")
+    for key in ("subsystems", "frames", "tasks"):
+        if not isinstance(raw[key], list):
+            raise ConfigError(f"{key}: expected a list, got {raw[key]!r}")
+        for i, entry in enumerate(raw[key]):
+            if not isinstance(entry, dict):
+                raise ConfigError(f"{key}[{i}]: expected an object, got {entry!r}")
     sub_names = []
     for i, sub in enumerate(raw["subsystems"]):
         if "name" not in sub or "rep" not in sub:
@@ -739,8 +748,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg.seed = args.seed
     try:
         report = run(cfg)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # exit 1 means "checks failed", so a run that cannot finish exits 2
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     text = emit(report, args.format)
     if args.out:

@@ -116,14 +116,11 @@ def reorient(s: Scenario, frame_name: str, g, obs: RelObs, tol: Tolerance = DEFA
         raise ValueError("observable was built relative to another frame")
     v_rep = ensure_lr(frame, tol)
     el = frame.rep.element(g)
-    v_full = s.embed_frame_operator(
-        frame_name, v_rep.evaluate(el), np.eye(s.complement_dim(frame_name))
-    )
     from . import groups
 
     new_orientation = groups.compose(obs.orientation, groups.inverse(el))
     return RelObs(
-        matrix=v_full @ obs.matrix @ dagger(v_full),
+        matrix=_conjugate_slot(s.dims, s.frame_slot(frame_name), v_rep.evaluate(el), obs.matrix),
         frame_name=frame_name,
         orientation=new_orientation,
         source=obs.source,
@@ -162,11 +159,19 @@ def tautological_relobs(s: Scenario, frame_name: str, g, values) -> RelObs:
     )
 
 
-def _kron_slots(dims: list[int], ops: dict[int, np.ndarray]) -> np.ndarray:
-    out = np.ones((1, 1), dtype=complex)
-    for i, d in enumerate(dims):
-        out = np.kron(out, ops.get(i, np.eye(d, dtype=complex)))
-    return out
+def _left_apply(dims: list[int], slots: tuple[int, ...], op: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(op on ``slots``, in that order, x identity elsewhere) @ m, without forming the kinematical operator."""
+    k = len(slots)
+    sub = [dims[i] for i in slots]
+    t = m.reshape(list(dims) + [m.shape[1]])
+    out = np.tensordot(op.reshape(sub + sub), t, axes=(list(range(k, 2 * k)), list(slots)))
+    return np.moveaxis(out, list(range(k)), list(slots)).reshape(m.shape)
+
+
+def _conjugate_slot(dims: list[int], slot: int, v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(v x 1) m (v x 1)^dag for v acting on one slot."""
+    vm = _left_apply(dims, (slot,), v, m)
+    return dagger(_left_apply(dims, (slot,), v, dagger(vm)))
 
 
 def relation_conditional_reorient(
@@ -207,22 +212,18 @@ def relation_conditional_reorient(
     else:
         v_rep = ensure_lr(f1, tol)
     out = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
-    base = obs.matrix
     for gp in group.elements():
-        # projector onto relative orientation g2 g'^-1: sum_g |g>1<g| x |g g'>2<g g'|
-        q = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
-        for g in group.elements():
-            p1 = np.outer(orbit1[:, g], np.conj(orbit1[:, g]))
-            gg = group.mult(g, gp)
-            p2 = np.outer(orbit2[:, gg], np.conj(orbit2[:, gg]))
-            q += _kron_slots(s.dims, {slot1: p1, slot2: p2})
+        # projector onto relative orientation g2 g'^-1 on the two frames:
+        # sum_g |g>1<g| x |g g'>2<g g'| = w w^dag, column g of w being |g>1 x |g g'>2
+        shifted = orbit2[:, [group.mult(g, gp) for g in group.elements()]]
+        w = np.einsum("ig,jg->ijg", orbit1, shifted).reshape(-1, group.order)
         if modified:
             label = group.mult(g2_el.index, group.inverse(gp))
-            out += q @ family(f1.rep.element(label))
+            target = family(f1.rep.element(label))
         else:
             k = group.mult(gp, group.mult(group.inverse(g2_el.index), g1_el.index))
-            v_full = s.embed_frame_operator(frame1, v_rep.matrices[k], np.eye(s.complement_dim(frame1)))
-            out += q @ (v_full @ base @ dagger(v_full))
+            target = _conjugate_slot(s.dims, slot1, v_rep.matrices[k], obs.matrix)
+        out += _left_apply(s.dims, (slot1, slot2), w @ dagger(w), target)
     return RelObs(matrix=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
 
 
@@ -236,16 +237,22 @@ def _generate_algebra(mats: list[np.ndarray], tol: Tolerance, max_rounds: int = 
 
     Grows the span only by products that fall measurably outside it, so
     already-closed spans cost one residual sweep instead of a giant SVD.
+    The products of a k-dim span are formed one left factor at a time, so at
+    most k of them (k d^2 entries) are held at once rather than k^2.
     """
     d = mats[0].shape[0]
     seeds = [np.eye(d, dtype=complex)] + mats
     basis = orthonormal_range(np.column_stack([m.reshape(-1) for m in seeds]), tol).basis
     for _ in range(max_rounds):
+        if basis.shape[1] == d * d:  # every d x d matrix: closed, no products needed
+            return basis
         ops = basis.T.reshape(-1, d, d)
-        prods = np.einsum("aij,bjk->abik", ops, ops, optimize=True).reshape(-1, d * d).T
-        resid = prods - basis @ (dagger(basis) @ prods)
-        norms = np.linalg.norm(resid, axis=0)
-        fresh = resid[:, norms > 1e3 * tol.weighted(1.0)]
+        fresh = []
+        for x in ops:
+            prods = (x @ ops).reshape(-1, d * d).T
+            resid = prods - basis @ (dagger(basis) @ prods)
+            fresh.append(resid[:, np.linalg.norm(resid, axis=0) > 1e3 * tol.weighted(1.0)])
+        fresh = np.hstack(fresh)
         if fresh.shape[1] == 0:
             return basis
         basis = orthonormal_range(np.hstack([basis, fresh]), tol).basis
@@ -315,9 +322,8 @@ def subsystem_relativity_report(
     a_s_r2 = restricted_unit_family(s, ps, frame2, sys_slot)
     a_r2_r1 = restricted_unit_family(s, ps, frame1, slot2)
     # (a) commutation of the frame-2 and system observables relative to frame 1
-    comm = max(
-        float(np.linalg.norm(x @ y - y @ x)) for x in a_r2_r1 for y in a_s_r1
-    )
+    ys = np.stack(a_s_r1)
+    comm = max(float(np.linalg.norm(x @ ys - ys @ x, axis=(1, 2)).max()) for x in a_r2_r1)
     report["relativized_commutant_residual"] = comm
     report["commuting_pass"] = comm <= 1e5 * tol.weighted(1.0)
     # (b), (c) distinctness of the two relativizations of the system algebra

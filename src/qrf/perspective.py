@@ -217,6 +217,14 @@ def gauge_checks(s: Scenario) -> list[np.ndarray]:
 
 
 def strong_dirac_defect(s: Scenario, op: np.ndarray) -> float:
+    """Largest ||U op - op U|| over the gauge checks.
+
+    For a permutation table this is ||op[sigma_g][:, sigma_g] - op|| per
+    element, by unitary invariance of the Frobenius norm.
+    """
+    sigma = reps.permutation_table(s.total_rep)
+    if sigma is not None:
+        return max(float(np.linalg.norm(op[np.ix_(p, p)] - op)) for p in sigma)
     worst = 0.0
     for u in gauge_checks(s):
         worst = max(worst, float(np.linalg.norm(u @ op - op @ u)))

@@ -6,6 +6,15 @@ spin-1/2 generators are the Pauli matrices themselves and weights are the
 integers 2m).  Group averaging over the Lie groups is done exactly through
 the commutant projection induced by an isotypic decomposition, never by
 quadrature.
+
+A finite rep whose every matrix is exactly a 0/1 permutation (the regular
+reps, their tensor products, and any rep assembled from them) also carries
+a permutation table sigma, U_g e_j = e_{sigma_g(j)}, computed once from the
+observed entries and cached.  The finite twirl of such a rep is the mean of
+the operand over each orbit of index pairs, O(dim^2) and independent of |G|;
+every other finite rep (sign reps, higher-dimensional irreps, tables off by
+rounding) takes the dense batched-matmul twirl, which is also the tests'
+oracle for the permutation path.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ __all__ = [
     "conjugate_rep",
     "rep_evaluate",
     "group_average",
+    "permutation_table",
     "isotypic_decompose",
     "invariant_closure",
 ]
@@ -411,7 +421,7 @@ def _finite_isotypic(rep: UnitaryRep, tol: Tolerance, seed: int) -> IsotypicDeco
     for _ in range(8):
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = (h + dagger(h)) / 2.0
-        t = _finite_twirl(rep.matrices, h)
+        t = _finite_twirl(rep, h)
         vals, vecs = np.linalg.eigh(t)
         splits = [0]
         for i in range(1, n):
@@ -479,10 +489,59 @@ def isotypic_decompose(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL, seed: int 
 # ---------------------------------------------------------------------------
 
 
-def _finite_twirl(mats: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Uniform average of U A U^dag over a finite matrix table (batched matmuls)."""
-    ua = mats @ a
-    return np.mean(ua @ np.conj(np.transpose(mats, (0, 2, 1))), axis=0)
+def permutation_table(rep: UnitaryRep) -> np.ndarray | None:
+    """(|G|, dim) table sigma with U_g e_j = e_{sigma[g, j]}, or None.
+
+    Not None only for a finite rep whose every entry is exactly 0 or 1 with a
+    single 1 in each row and column; cached on the rep.
+    """
+    if not rep.is_finite:
+        return None
+    if "perm" not in rep._iso_cache:
+        mats = rep.matrices
+        ones = mats == 1
+        exact = (
+            np.all(ones | (mats == 0))
+            and np.all(ones.sum(axis=1) == 1)
+            and np.all(ones.sum(axis=2) == 1)
+        )
+        rep._iso_cache["perm"] = np.argmax(ones, axis=1) if exact else None
+    return rep._iso_cache["perm"]
+
+
+def _pair_orbits(rep: UnitaryRep, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit label of every flat index pair (i, j) under the diagonal action, and orbit sizes.
+
+    The orbit of a pair is its image under every g, so labelling each pair by
+    the smallest flat index in that image labels orbits; labels are then
+    renumbered 0..(#orbits - 1).  Cached on the rep: dim^2 ints.
+    """
+    if "pair_orbits" not in rep._iso_cache:
+        d = rep.dim
+        low = np.full(d * d, d * d, dtype=np.int64)
+        for s in sigma:
+            np.minimum(low, (s[:, None] * d + s[None, :]).reshape(-1), out=low)
+        leaders = low == np.arange(d * d)
+        labels = (np.cumsum(leaders) - 1)[low]
+        rep._iso_cache["pair_orbits"] = (labels, np.bincount(labels))
+    return rep._iso_cache["pair_orbits"]
+
+
+def _finite_twirl(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
+    """Uniform average of U A U^dag over a finite rep.
+
+    With a permutation table, (U_g A U_g^dag)[i, j] = A[sigma_g^-1 i, sigma_g^-1 j],
+    so the average is the mean of A over each orbit of index pairs: two
+    bincounts and a gather.  Otherwise batched dense matmuls over the table.
+    """
+    sigma = permutation_table(rep)
+    if sigma is None:
+        mats = rep.matrices
+        return np.mean((mats @ a) @ np.conj(np.transpose(mats, (0, 2, 1))), axis=0)
+    labels, sizes = _pair_orbits(rep, sigma)
+    flat = a.reshape(-1)
+    mean = (np.bincount(labels, flat.real) + 1j * np.bincount(labels, flat.imag)) / sizes
+    return mean[labels].reshape(a.shape)
 
 
 def _commutant_projection(rep: UnitaryRep, a: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -527,7 +586,7 @@ def group_average(
     if a.shape != (rep.dim, rep.dim):
         raise ValueError("operand dimension does not match the representation")
     if rep.is_finite:
-        return measure_scale * _finite_twirl(rep.matrices, a)
+        return measure_scale * _finite_twirl(rep, a)
     return measure_scale * _commutant_projection(rep, a, tol)
 
 

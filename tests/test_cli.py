@@ -240,3 +240,26 @@ def test_su2_builtin_runs_and_reports_unavailable_heisenberg():
     assert "unavailable" in frames_out["A"]["heisenberg_picture"]
     assert frames_out["A"]["orientation_independent"] is False
     assert frames_out["A"]["conditional_span_dim"] == 3
+
+
+@pytest.mark.parametrize("key", ["subsystems", "frames", "tasks"])
+def test_non_object_list_entries_are_config_errors(key, tmp_path, capsys):
+    raw = {"group": {"builtin": "Z3"}, "subsystems": [], "frames": [], "tasks": []}
+    raw[key] = [3]
+    with pytest.raises(ConfigError, match=rf"{key}\[0\]: expected an object"):
+        parse_config(json.dumps(raw))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unexpected_run_exception_exits_2(tmp_path, monkeypatch, capsys):
+    def boom(cfg):
+        raise RuntimeError("boom")
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    monkeypatch.setattr(cli, "run", boom)
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: RuntimeError: boom\n"

@@ -10,7 +10,7 @@ from qrf.framechange import (
     subsystem_relativity_report,
     tautological_relobs,
 )
-from qrf.linalg import dagger
+from qrf.linalg import DEFAULT_TOL, dagger, orthonormal_range
 from qrf.perspective import physical_space, relational_observable, system_projector
 from qrf.reductions import schrodinger_map
 
@@ -253,6 +253,58 @@ def test_relation_conditional_rejects_non_regular_finite_frame():
         relation_conditional_reorient(s, "R1", 0, "R2", 0, obs)
 
 
+def _kron_slots_relation_conditional(s, frame1, g1, frame2, g2, obs, modified):
+    """Oracle: the orientation projector of every g' as a Kronecker product over every slot."""
+    f1, f2 = s.frame(frame1), s.frame(frame2)
+    group = f1.rep.group
+    orbit1, orbit2 = (
+        np.column_stack([f.rep.matrices[k] @ f.seed for k in group.elements()]) for f in (f1, f2)
+    )
+    slot1, slot2 = s.frame_slot(frame1), s.frame_slot(frame2)
+    v_rep = framechange.ensure_lr(f1)
+    out = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
+    for gp in group.elements():
+        q = np.zeros_like(out)
+        for g in group.elements():
+            gg = group.mult(g, gp)
+            ops = {
+                slot1: np.outer(orbit1[:, g], np.conj(orbit1[:, g])),
+                slot2: np.outer(orbit2[:, gg], np.conj(orbit2[:, gg])),
+            }
+            term = np.ones((1, 1), dtype=complex)
+            for i, d in enumerate(s.dims):
+                term = np.kron(term, ops.get(i, np.eye(d)))
+            q += term
+        if modified:
+            label = group.mult(g2, group.inverse(gp))
+            out += q @ relational_observable(s, frame1, label, obs.source, check=False).matrix
+        else:
+            k = group.mult(gp, group.mult(group.inverse(g2), g1))
+            v_full = s.embed_frame_operator(frame1, v_rep.matrices[k], np.eye(s.complement_dim(frame1)))
+            out += q @ v_full @ obs.matrix @ dagger(v_full)
+    return out
+
+
+@pytest.mark.parametrize("frame1, frame2", [("R1", "R2"), ("R2", "R1")])
+def test_relation_conditional_non_adjacent_frames_match_kron_oracle(frame1, frame2):
+    # frames in slots 0 and 2 with the system between them, in both orders
+    g = groups.symmetric_3()
+    reg = reps.regular_rep(g)
+    seed = np.zeros(g.order, dtype=complex)
+    seed[g.identity_index] = 1.0
+    s = perspective.make_scenario(
+        g,
+        [("R1", reg), ("S", reg), ("R2", reg)],
+        {name: (name, frames.make_frame(reg, seed, name=name)) for name in ("R1", "R2")},
+    )
+    rng = np.random.default_rng(29)
+    obs = relational_observable(s, frame1, 4, random_hermitian(rng, 36))
+    for modified in (True, False):
+        out = relation_conditional_reorient(s, frame1, 4, frame2, 2, obs, modified=modified)
+        oracle = _kron_slots_relation_conditional(s, frame1, 4, frame2, 2, obs, modified)
+        np.testing.assert_allclose(out.matrix, oracle, atol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # subsystem relativity
 # ---------------------------------------------------------------------------
@@ -304,3 +356,34 @@ def test_batched_restricted_family_matches_twirl_route(
                     relational_observable(s, fname, identity, comp_op, check=False).matrix
                 )
                 np.testing.assert_allclose(fam[i * d + j], direct, atol=1e-10)
+
+
+def _all_pairs_algebra(mats, tol, max_rounds=8):
+    """Oracle: every product of the span formed at once in each round."""
+    d = mats[0].shape[0]
+    seeds = [np.eye(d, dtype=complex)] + list(mats)
+    basis = orthonormal_range(np.column_stack([m.reshape(-1) for m in seeds]), tol).basis
+    for _ in range(max_rounds):
+        ops = basis.T.reshape(-1, d, d)
+        prods = np.einsum("aij,bjk->abik", ops, ops, optimize=True).reshape(-1, d * d).T
+        resid = prods - basis @ (dagger(basis) @ prods)
+        fresh = resid[:, np.linalg.norm(resid, axis=0) > 1e3 * tol.weighted(1.0)]
+        if fresh.shape[1] == 0:
+            return basis
+        basis = orthonormal_range(np.hstack([basis, fresh]), tol).basis
+    return basis
+
+
+def test_blocked_algebra_matches_all_pairs_products(s3_regular_scenario):
+    cases = []
+    for s in (s3_regular_scenario, regular_three_party(groups.cyclic(4))):
+        ps = physical_space(s)
+        cases += [framechange.restricted_unit_family(s, ps, f, 2) for f in ("R1", "R2")]
+    rng = np.random.default_rng(30)
+    cases.append([random_hermitian(rng, 5) for _ in range(2)])  # needs growth rounds
+    dims = []
+    for mats in cases:
+        dim = framechange._generate_algebra(mats, DEFAULT_TOL).shape[1]
+        assert dim == _all_pairs_algebra(mats, DEFAULT_TOL).shape[1]
+        dims.append(dim)
+    assert dims[-1] == 25

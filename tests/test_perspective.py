@@ -306,3 +306,17 @@ def test_scenario_validation_errors():
         perspective.make_scenario(groups.u1(), [("A", rep)], {"X": ("Nope", f)})
     with pytest.raises(ValueError, match="unique"):
         perspective.make_scenario(groups.u1(), [("A", rep), ("A", rep)])
+
+
+def test_gathered_strong_dirac_defect_matches_dense_commutators(s3_regular_scenario):
+    d4 = groups.builtin_group("D4")
+    left_right = perspective.make_scenario(
+        d4, [("L", reps.regular_rep(d4, "left")), ("R", reps.regular_rep(d4, "right"))]
+    )
+    rng = np.random.default_rng(43)
+    for s in (s3_regular_scenario, left_right):  # dims 216 and 64
+        assert reps.permutation_table(s.total_rep) is not None
+        a = rng.standard_normal((s.kin_dim, s.kin_dim)) + 1j * rng.standard_normal((s.kin_dim, s.kin_dim))
+        for op in (a, reps.group_average(s.total_rep, a, "twirl", 1.0)):
+            dense = max(float(np.linalg.norm(u @ op - op @ u)) for u in s.total_rep.matrices)
+            assert abs(perspective.strong_dirac_defect(s, op) - dense) <= 1e-12 * max(1.0, dense)

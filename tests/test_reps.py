@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ket3, random_hermitian
+from conftest import ket3, random_hermitian, regular_three_party
 from qrf import groups, reps
 from qrf.linalg import Tolerance, dagger
 
@@ -204,6 +204,58 @@ def test_twirl_commutes_with_rep_and_is_idempotent():
         h = random_hermitian(rng, rep.dim)
         th = reps.group_average(rep, h, "twirl", 1.0)
         np.testing.assert_allclose(th, dagger(th), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# permutation tables (fast path) against the dense twirl (oracle)
+# ---------------------------------------------------------------------------
+
+
+def _dense_twirl(rep, a):
+    mats = rep.matrices
+    return np.mean(mats @ a @ np.conj(np.transpose(mats, (0, 2, 1))), axis=0)
+
+
+def _s3_two_dim_irrep():
+    g = groups.symmetric_3()
+    reg = reps.regular_rep(g)
+    block = next(b for b in reps.isotypic_decompose(reg).blocks if b.irrep_dim == 2)
+    ref = block.grid[:, :, 0]
+    return reps.finite_rep(g, np.stack([dagger(ref) @ u @ ref for u in reg.matrices]))
+
+
+def test_permutation_table_of_regular_reps_and_their_products():
+    d4 = groups.builtin_group("D4")
+    left, right = reps.regular_rep(d4, "left"), reps.regular_rep(d4, "right")
+    for rep in (left, right, reps.tensor([left, right]), reps.tensor([left, left, right])):
+        sigma = reps.permutation_table(rep)
+        assert sigma is not None and sigma.shape == (d4.order, rep.dim)
+        eye = np.eye(rep.dim)
+        for g in d4.elements():
+            np.testing.assert_array_equal(rep.matrices[g], eye[:, sigma[g]])
+        assert reps.permutation_table(rep) is sigma  # cached on the rep
+
+
+def test_permutation_table_rejects_non_permutation_reps():
+    z4 = groups.cyclic(4)
+    sign = reps.finite_rep(z4, np.stack([np.diag([1.0, (-1.0) ** k]).astype(complex) for k in range(4)]))
+    perturbed = reps.regular_rep(z4).matrices.copy()
+    perturbed[1, 0, 0] += 1e-17  # a zero entry of a non-identity element
+    for rep in (sign, _s3_two_dim_irrep(), reps.finite_rep(z4, perturbed), reps.spin_rep(1)):
+        assert reps.permutation_table(rep) is None
+
+
+def test_pair_orbit_twirl_matches_dense_twirl():
+    d4 = groups.builtin_group("D4")
+    rng = np.random.default_rng(42)
+    for rep in (
+        regular_three_party(groups.symmetric_3()).total_rep,  # dim 216
+        reps.tensor([reps.regular_rep(d4, "left"), reps.regular_rep(d4, "right")]),  # dim 64
+    ):
+        assert reps.permutation_table(rep) is not None
+        a = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
+        fast = reps.group_average(rep, a, "twirl", 1.0)
+        assert np.abs(fast - _dense_twirl(rep, a)).max() <= 1e-12
 
 
 def test_project_mode_returns_scaled_projector():

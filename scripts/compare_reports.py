@@ -7,14 +7,20 @@ For every report file in either directory it prints the exit status that
 `qrf run` gives for the report (0 when no check failed, else 1), whether
 the list of check verdicts and every dimension field ("dim", "shape" and
 keys ending in "_dim" or "_dims") agree, and the largest absolute
-difference between corresponding floats.  Keys present on one side only
-are listed but do not count as a mismatch.  Exits 1 on any exit-status,
-verdict or dimension mismatch, or when a report is missing on one side.
+difference between corresponding floats.  A "basis" table is compared as
+the subspace it spans, since the choice of orthonormal basis inside a
+subspace is a convention: its line gives the largest entry of the
+difference of the two orthogonal projectors, and its amplitudes stay out of
+the float difference.  Keys present on one side only are listed but do not
+count as a mismatch.  Exits 1 on any exit-status, verdict or dimension
+mismatch, or when a report is missing on one side.
 """
 
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 
 def exit_status(report: dict) -> int:
@@ -48,11 +54,24 @@ def dim_fields(x, path: str = "", out: dict | None = None) -> dict:
     return out
 
 
+def projector(table: list) -> np.ndarray:
+    """Orthogonal projector onto the span of a basis table: one row of [re, im] pairs per vector."""
+    rows = np.asarray(table, dtype=float)
+    basis = (rows[..., 0] + 1j * rows[..., 1]).T
+    return basis @ basis.conj().T
+
+
 def float_diff(a, b, path: str, state: dict) -> None:
-    """Track the largest float difference and the paths whose structure differs."""
+    """Track the largest float difference, basis projector differences and the paths whose structure differs."""
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) | set(b)):
-            if k in a and k in b:
+            if k == "basis" and isinstance(a.get(k), list) and isinstance(b.get(k), list):
+                if len(a[k]) != len(b[k]):
+                    state["differs"].append(f"{path}/{k} (spans {len(a[k])} vs {len(b[k])} vectors)")
+                elif a[k]:
+                    gap = float(np.abs(projector(a[k]) - projector(b[k])).max())
+                    state["bases"].append((f"{path}/{k}", gap))
+            elif k in a and k in b:
                 float_diff(a[k], b[k], f"{path}/{k}", state)
             else:
                 state["differs"].append(f"{path}/{k} ({'old' if k in a else 'new'} only)")
@@ -85,12 +104,14 @@ def compare(old: dict, new: dict) -> tuple[bool, list[str], float]:
     ok &= not bad
     for k in bad:
         lines.append(f"    {k}: {do.get(k)!r} -> {dn.get(k)!r}")
-    state = {"max": 0.0, "where": "-", "differs": []}
+    state = {"max": 0.0, "where": "-", "differs": [], "bases": []}
     float_diff(old, new, "", state)
-    lines.append(f"  max |float diff| {state['max']:.3e} at {state['where']}")
+    lines.append(f"  max |float diff| {state['max']:.3e} at {state['where']} (basis tables excluded)")
+    for p, gap in state["bases"]:
+        lines.append(f"  basis subspace {p}: max |projector diff| {gap:.3e}")
     for p in state["differs"]:
         lines.append(f"    differs: {p}")
-    return ok, lines, state["max"]
+    return ok, lines, state["max"], max((gap for _, gap in state["bases"]), default=0.0)
 
 
 def main(argv: list[str]) -> int:
@@ -100,7 +121,7 @@ def main(argv: list[str]) -> int:
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
     names = sorted({p.name for p in old_dir.glob("*.json")} | {p.name for p in new_dir.glob("*.json")})
     all_ok = True
-    worst = 0.0
+    worst = worst_basis = 0.0
     for name in names:
         print(name)
         if not (old_dir / name).exists() or not (new_dir / name).exists():
@@ -109,11 +130,15 @@ def main(argv: list[str]) -> int:
             continue
         old = json.loads((old_dir / name).read_text())
         new = json.loads((new_dir / name).read_text())
-        ok, lines, diff = compare(old, new)
+        ok, lines, diff, basis_gap = compare(old, new)
         print("\n".join(lines))
         all_ok &= ok
         worst = max(worst, diff)
-    print(f"{len(names)} reports, max |float diff| {worst:.3e}: " + ("OK" if all_ok else "MISMATCH"))
+        worst_basis = max(worst_basis, basis_gap)
+    print(
+        f"{len(names)} reports, max |float diff| {worst:.3e}, "
+        f"max basis projector diff {worst_basis:.3e}: " + ("OK" if all_ok else "MISMATCH")
+    )
     return 0 if all_ok else 1
 
 

@@ -113,6 +113,8 @@ def _validate_raw(raw: dict) -> ScenarioConfig:
     for i, sub in enumerate(raw["subsystems"]):
         if "name" not in sub or "rep" not in sub:
             raise ConfigError(f"subsystems[{i}]: needs 'name' and 'rep'")
+        if not isinstance(sub["rep"], dict):
+            raise ConfigError(f"subsystems[{i}].rep: expected an object, got {sub['rep']!r}")
         sub_names.append(sub["name"])
     if len(set(sub_names)) != len(sub_names):
         raise ConfigError("subsystem names must be unique")
@@ -135,9 +137,16 @@ def _validate_raw(raw: dict) -> ScenarioConfig:
         subsystems=list(raw["subsystems"]),
         frames=list(raw["frames"]),
         tasks=list(raw["tasks"]),
-        seed=int(raw.get("seed", 0)),
-        tolerance=float(raw.get("tolerance", 1e-9)),
+        seed=_number(raw, "seed", 0, int),
+        tolerance=_number(raw, "tolerance", 1e-9, float),
     )
+
+
+def _number(raw: dict, key: str, default, kind):
+    try:
+        return kind(raw.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: expected a number, got {raw[key]!r}") from None
 
 
 def load_config(source: str) -> ScenarioConfig:
@@ -334,15 +343,10 @@ def _resolution_residual(scenario: Scenario, frame) -> float:
 
 
 def _task_phys_space(scenario, ps, cfg, task, rng):
-    checks = []
-    worst = 0.0
-    for op in perspective.gauge_checks(scenario):
-        if scenario.total_rep.is_finite:
-            resid = np.linalg.norm(op @ ps.basis.basis - ps.basis.basis)
-        else:
-            resid = np.linalg.norm(op @ ps.basis.basis)
-        worst = max(worst, float(resid))
-    checks.append(_check("physical_basis_invariance", worst, 1e4 * cfg.tolerance * max(1, ps.dim)))
+    # ||D B|| per constraint operator D: zero iff every basis vector is invariant
+    b = ps.basis.basis
+    worst = max((float(np.linalg.norm(d @ b)) for d in reps.constraints(scenario.total_rep)), default=0.0)
+    checks = [_check("physical_basis_invariance", worst, 1e4 * cfg.tolerance * max(1, ps.dim))]
     return {"dim": ps.dim, "kin_dim": scenario.kin_dim, "basis": _basis_table(ps)}, checks
 
 
@@ -736,6 +740,9 @@ def main(argv: list[str] | None = None) -> int:
             build_scenario(cfg)
         except (ConfigError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # as for run: a check that cannot finish exits 2, not 1
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
         print(f"config ok: {cfg.name}")
         return 0

@@ -11,7 +11,7 @@ representations, as is its commuting-subalgebra structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,6 @@ from .reductions import schrodinger_map
 
 __all__ = [
     "FrameChange",
-    "ReorientationMap",
     "frame_change",
     "ensure_lr",
     "reorient",
@@ -51,13 +50,6 @@ class FrameChange:
     g_to: object
     matrix: np.ndarray  # (complement_dim(to), complement_dim(from))
     scale_notes: dict
-
-
-@dataclass
-class ReorientationMap:
-    frame_name: str
-    kind: str  # "plain" | "relation_conditional"
-    parameters: dict = field(default_factory=dict)
 
 
 def frame_change(

@@ -1,9 +1,12 @@
 """Finite groups and the compact Lie groups U(1) and SU(2).
 
-Finite groups are index sets with a validated Cayley table; Lie groups are
-descriptors carrying a basis of the (anti-Hermitized) algebra.  Group
-elements are indices (finite) or real generator coordinates (Lie), with
-SU(2) composition routed through the defining spin-1/2 matrices.
+Finite groups are index sets with a validated Cayley table and a small
+generating set, found once by greedy closure; Lie groups are descriptors
+carrying a basis of the (anti-Hermitized) algebra.  The generating set is
+the finite counterpart of the algebra basis: associativity (Light's test),
+homomorphism checks and every invariance question need only the generators.
+Group elements are indices (finite) or real generator coordinates (Lie),
+with SU(2) composition routed through the defining spin-1/2 matrices.
 """
 
 from __future__ import annotations
@@ -33,9 +36,6 @@ __all__ = [
     "builtin_group",
 ]
 
-_ASSOC_FULL_LIMIT = 64
-_ASSOC_SAMPLES = 4096
-
 # Pauli matrices in the convention [s_i, s_j] = 2i eps_ijk s_k.
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -48,7 +48,9 @@ PAULI = {
 class FiniteGroup:
     """A finite group on indices 0..order-1 with a validated product table.
 
-    Compared by identity; the same table loaded twice gives distinct groups.
+    ``generators`` reaches every element by left multiplication from the
+    identity (empty for the trivial group).  Compared by identity; the same
+    table loaded twice gives distinct groups.
     """
 
     order: int
@@ -56,6 +58,7 @@ class FiniteGroup:
     identity_index: int
     name: str = "group"
     inverse_table: np.ndarray = field(repr=False, default=None)
+    generators: tuple[int, ...] = ()
 
     def mult(self, a: int, b: int) -> int:
         return int(self.product_table[a, b])
@@ -214,8 +217,27 @@ def identity_of(group: object) -> object:
     raise TypeError(f"not a group: {group!r}")
 
 
+def _greedy_generators(t: np.ndarray, identity: int) -> tuple[int, ...]:
+    """Left-multiply from the identity, adding the smallest unreached index until all are reached."""
+    reached = np.zeros(t.shape[0], dtype=bool)
+    reached[identity] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        size = 0
+        while size != reached.sum():
+            size = reached.sum()
+            reached[t[gens][:, reached].reshape(-1)] = True
+    return tuple(gens)
+
+
 def finite_group_from_table(table, name: str = "group") -> FiniteGroup:
-    """Validate a Cayley table (Latin square, identity, inverses, associativity)."""
+    """Validate a Cayley table (Latin square, identity, inverses, associativity).
+
+    Associativity is Light's exact test, (x s) y = x (s y) for all x, y and each
+    generator s: the a with (x a) y = x (a y) for all x, y contain the identity
+    and are closed under products, so they include every element reached.
+    """
     t = np.asarray(table, dtype=int)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("product table must be square")
@@ -223,35 +245,20 @@ def finite_group_from_table(table, name: str = "group") -> FiniteGroup:
     if t.min() < 0 or t.max() >= n:
         raise ValueError("table entries must be element indices")
     full = np.arange(n)
-    for i in range(n):
-        if not np.array_equal(np.sort(t[i]), full) or not np.array_equal(np.sort(t[:, i]), full):
-            raise ValueError("not a Latin square")
-    identity = None
-    for e in range(n):
-        if np.array_equal(t[e], full) and np.array_equal(t[:, e], full):
-            identity = e
-            break
-    if identity is None:
+    if np.any(np.sort(t, axis=1) != full) or np.any(np.sort(t, axis=0) != full[:, None]):
+        raise ValueError("not a Latin square")
+    ids = np.flatnonzero(np.all(t == full, axis=1) & np.all(t == full[:, None], axis=0))
+    if ids.size == 0:
         raise ValueError("no identity element")
-    inv = np.full(n, -1, dtype=int)
-    for a in range(n):
-        hits = np.flatnonzero(t[a] == identity)
-        if hits.size != 1 or t[hits[0], a] != identity:
-            raise ValueError("inverses missing or not two-sided")
-        inv[a] = hits[0]
-    if n <= _ASSOC_FULL_LIMIT:
-        # (ab)c == a(bc) for all triples, vectorized
-        ab_c = t[t, :]            # [a,b,c] -> (ab)c
-        a_bc = t[:, t]            # [a,b,c] -> a(bc)
-        if not np.array_equal(ab_c, a_bc):
+    identity = int(ids[0])
+    inv = np.argmax(t == identity, axis=1)  # the one right inverse in each row
+    if np.any(t[inv, full] != identity):
+        raise ValueError("inverses missing or not two-sided")
+    gens = _greedy_generators(t, identity)
+    for s in gens:
+        if not np.array_equal(t[t[:, s], :], t[:, t[s, :]]):  # [x, y]: (x s) y vs x (s y)
             raise ValueError("product table is not associative")
-    else:
-        rng = np.random.default_rng(0)
-        trip = rng.integers(0, n, size=(_ASSOC_SAMPLES, 3))
-        for a, b, c in trip:
-            if t[t[a, b], c] != t[a, t[b, c]]:
-                raise ValueError("product table is not associative")
-    return FiniteGroup(n, t, identity, name=name, inverse_table=inv)
+    return FiniteGroup(n, t, identity, name=name, inverse_table=inv, generators=gens)
 
 
 def load_group_table(source: str | Path, name: str | None = None) -> FiniteGroup:

@@ -2,7 +2,9 @@
 
 Every other module routes its rank/kernel/range decisions through here so
 that the whole library shares one thresholding convention and one
-deterministic phase/ordering convention for golden tests.
+deterministic phase/ordering convention for golden tests.  Fixed spaces are
+joint kernels of constraint operators (``reps.constraints`` supplies them
+for finite and Lie groups alike).
 """
 
 from __future__ import annotations
@@ -159,31 +161,23 @@ def nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return dagger(vh)[:, rank:]
 
 
-def joint_fixed_subspace(
-    ops: list[np.ndarray],
-    tol: Tolerance = DEFAULT_TOL,
-    mode: str = "unitary",
-) -> Subspace:
-    """Orthonormal basis of the joint fixed space of a family of operators.
+def joint_fixed_subspace(ops, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+    """Orthonormal basis of the joint kernel of a (k, d, d) stack of operators.
 
-    mode="unitary"    -> intersection of ker(op - 1)
-    mode="generator"  -> intersection of ker(op)
+    The kernel is restricted one operator at a time; with k = 0 it is the
+    whole space.
     """
-    if mode not in ("unitary", "generator"):
-        raise ValueError(f"unknown mode {mode!r}")
-    mats = [as_cmatrix(op) for op in ops]
-    if not mats:
-        raise ValueError("need at least one operator")
-    dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise ValueError("operators must be square and of equal dimension")
+    mats = np.asarray(ops, dtype=complex)  # a ragged list raises ValueError here
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("operators must be square and of equal dimension")
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("operators have non-finite entries")
+    dim = mats.shape[1]
     basis = np.eye(dim, dtype=complex)
     for m in mats:
         if basis.shape[1] == 0:
             break
-        target = m - np.eye(dim) if mode == "unitary" else m
-        basis = basis @ nullspace(target @ basis, tol)
+        basis = basis @ nullspace(m @ basis, tol)
     if basis.shape[1]:
         # re-orthonormalize and canonicalize after the sequential restrictions
         q, _ = np.linalg.qr(basis)

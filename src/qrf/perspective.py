@@ -209,26 +209,19 @@ def conditioning_map(ps: PhysicalSpace, frame_name: str, g) -> np.ndarray:
     return np.sqrt(frame.weight_scale) * c.reshape(s.complement_dim(frame_name), ps.dim)
 
 
-def gauge_checks(s: Scenario) -> list[np.ndarray]:
-    """Operators whose commutant defines gauge invariance (elements or generators)."""
-    if s.total_rep.is_finite:
-        return list(s.total_rep.matrices)
-    return list(s.total_rep.generators)
-
-
 def strong_dirac_defect(s: Scenario, op: np.ndarray) -> float:
-    """Largest ||U op - op U|| over the gauge checks.
+    """Largest ||D op - op D|| over the constraint operators D of the total rep.
 
-    For a permutation table this is ||op[sigma_g][:, sigma_g] - op|| per
-    element, by unitary invariance of the Frobenius norm.
+    [U_s - 1, op] = [U_s, op], so for a finite group this is the commutator
+    with each generator; with a permutation table it is
+    ||op[sigma_s][:, sigma_s] - op||, by unitary invariance of the Frobenius norm.
     """
-    sigma = reps.permutation_table(s.total_rep)
+    rep = s.total_rep
+    sigma = reps.permutation_table(rep)
     if sigma is not None:
-        return max(float(np.linalg.norm(op[np.ix_(p, p)] - op)) for p in sigma)
-    worst = 0.0
-    for u in gauge_checks(s):
-        worst = max(worst, float(np.linalg.norm(u @ op - op @ u)))
-    return worst
+        rows = sigma[list(rep.group.generators)]
+        return max((float(np.linalg.norm(op[np.ix_(p, p)] - op)) for p in rows), default=0.0)
+    return max((float(np.linalg.norm(d @ op - op @ d)) for d in reps.constraints(rep)), default=0.0)
 
 
 def relational_observable(
@@ -306,9 +299,8 @@ def orientation_independent(s: Scenario, frame_name: str, tol: Tolerance = DEFAU
     """True iff the physical system subspace does not rotate with the frame orientation."""
     frame = s.frame(frame_name)
     pi_e = system_projector(s, frame_name, frame.rep.identity_element(), tol)
-    comp = s.complement_rep(frame_name)
-    checks = comp.matrices if comp.is_finite else comp.generators
-    scale = max(1.0, max(float(np.abs(c).max()) for c in checks))
+    checks = reps.constraints(s.complement_rep(frame_name))
+    scale = max(1.0, float(np.abs(checks).max(initial=0.0)))
     thresh = 1e5 * tol.weighted(scale)
     return all(float(np.linalg.norm(c @ pi_e - pi_e @ c)) <= thresh for c in checks)
 

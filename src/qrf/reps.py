@@ -7,6 +7,12 @@ integers 2m).  Group averaging over the Lie groups is done exactly through
 the commutant projection induced by an isotypic decomposition, never by
 quadrature.
 
+Every invariance question goes through one family of constraint operators,
+``constraints(rep)``: U_s - 1 for the generators s of a finite group, K_a
+for a Lie group.  The fixed space is their joint kernel, an operator is
+gauge-invariant iff it commutes with each of them, and an invariant closure
+grows by them.
+
 A finite rep whose every matrix is exactly a 0/1 permutation (the regular
 reps, their tensor products, and any rep assembled from them) also carries
 a permutation table sigma, U_g e_j = e_{sigma_g(j)}, computed once from the
@@ -59,12 +65,11 @@ __all__ = [
     "conjugate_rep",
     "rep_evaluate",
     "group_average",
+    "constraints",
     "permutation_table",
     "isotypic_decompose",
     "invariant_closure",
 ]
-
-_HOM_FULL_LIMIT = 24
 
 
 @dataclass(eq=False)
@@ -109,7 +114,11 @@ def _check_unitary(m: np.ndarray, tol: Tolerance, what: str) -> None:
 
 
 def finite_rep(group: FiniteGroup, matrices, tol: Tolerance = DEFAULT_TOL) -> UnitaryRep:
-    """Validate a per-element matrix table as a unitary representation."""
+    """Validate a per-element matrix table as a unitary representation.
+
+    rho(e) = 1 and rho(s) rho(x) = rho(s x) for each generator s and every x
+    make it a homomorphism, since every element is a word in the generators.
+    """
     mats = np.asarray(matrices, dtype=complex)
     if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
         raise ValueError("need one square matrix per group element")
@@ -118,14 +127,11 @@ def finite_rep(group: FiniteGroup, matrices, tol: Tolerance = DEFAULT_TOL) -> Un
         raise ValueError("identity element must map to the identity matrix")
     for k in range(group.order):
         _check_unitary(mats[k], tol, f"matrix for element {k}")
-    if group.order <= _HOM_FULL_LIMIT:
-        pairs = [(a, b) for a in range(group.order) for b in range(group.order)]
-    else:
-        rng = np.random.default_rng(0)
-        pairs = [tuple(p) for p in rng.integers(0, group.order, size=(512, 2))]
-    for a, b in pairs:
-        if np.linalg.norm(mats[a] @ mats[b] - mats[group.mult(a, b)]) > 1e-7 * dim:
-            raise ValueError(f"matrix table is not a homomorphism at pair ({a}, {b})")
+    for s in group.generators:
+        defects = np.linalg.norm(mats[s] @ mats - mats[group.product_table[s]], axis=(1, 2))
+        bad = np.flatnonzero(defects > 1e-7 * dim)
+        if bad.size:
+            raise ValueError(f"matrix table is not a homomorphism at pair ({s}, {bad[0]})")
     return UnitaryRep(group=group, dim=dim, matrices=mats)
 
 
@@ -561,25 +567,17 @@ def _commutant_projection(rep: UnitaryRep, a: np.ndarray, tol: Tolerance) -> np.
 
 def group_average(
     rep: UnitaryRep,
-    operand: np.ndarray | None = None,
+    operand: np.ndarray,
     mode: str = "twirl",
     measure_scale: float = 1.0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Exact group averaging.
+    """measure_scale times the Haar-probability twirl of ``operand``.
 
-    mode="twirl": measure_scale times the Haar-probability twirl of ``operand``
-    (finite: uniform sum; Lie: commutant projection).  mode="project":
-    measure_scale times the orthogonal projector onto the joint fixed subspace.
+    Finite: uniform sum; Lie: commutant projection.
     """
     if measure_scale <= 0:
         raise ValueError("measure_scale must be positive")
-    if mode == "project":
-        if rep.is_finite:
-            sub = joint_fixed_subspace(list(rep.matrices), tol, mode="unitary")
-        else:
-            sub = joint_fixed_subspace(list(rep.generators), tol, mode="generator")
-        return measure_scale * sub.projector()
     if mode != "twirl":
         raise ValueError(f"unknown mode {mode!r}")
     a = as_cmatrix(operand)
@@ -590,20 +588,28 @@ def group_average(
     return measure_scale * _commutant_projection(rep, a, tol)
 
 
-def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Joint fixed subspace of the representation (trivial isotypic component)."""
+def constraints(rep: UnitaryRep) -> np.ndarray:
+    """(k, dim, dim) stack of U_s - 1 per finite generator s, or the Lie generators; not cached."""
     if rep.is_finite:
-        return joint_fixed_subspace(list(rep.matrices), tol, mode="unitary")
-    return joint_fixed_subspace(list(rep.generators), tol, mode="generator")
+        return rep.matrices[list(rep.group.generators)] - np.eye(rep.dim)
+    return rep.generators
+
+
+def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+    """Joint fixed subspace of the representation: the kernel of its constraints."""
+    return joint_fixed_subspace(constraints(rep), tol)
 
 
 def invariant_closure(rep: UnitaryRep, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Smallest invariant subspace containing ``v``: a vector, or a matrix whose columns span the start."""
+    """Smallest invariant subspace containing ``v``: a vector, or a matrix whose columns span the start.
+
+    Grown by the constraints, since span{v, U_s v} = span{v, (U_s - 1) v}.
+    """
     start = np.asarray(v, dtype=complex)
     basis = orthonormal_range(start[:, None] if start.ndim == 1 else start, tol).basis
     if basis.shape[1] == 0:
         raise ValueError("need a nonzero vector")
-    ops = list(rep.matrices) if rep.is_finite else list(rep.generators)
+    ops = constraints(rep)
     while True:
         grown = np.hstack([basis] + [op @ basis for op in ops])
         new_basis = orthonormal_range(grown, tol).basis

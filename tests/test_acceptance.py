@@ -259,7 +259,8 @@ def test_criterion_5_lemma_suite():
         frame_name = next(iter(s.frames))
         frame = s.frame(frame_name)
         ps = physical_space(s)
-        gauge = perspective.gauge_checks(s)
+        # every element (finite) or generator (Lie): an oracle independent of reps.constraints
+        gauge = list(s.total_rep.matrices) if s.total_rep.is_finite else list(s.total_rep.generators)
         worst_commute = 0.0
         worst_rd = 0.0
         worst_proj = 0.0

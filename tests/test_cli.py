@@ -263,3 +263,45 @@ def test_unexpected_run_exception_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run", boom)
     assert cli.main(["run", str(cfg_path)]) == 2
     assert capsys.readouterr().err == "error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("field, value", [("seed", "x"), ("tolerance", [1])])
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_non_numeric_seed_or_tolerance_is_config_error(field, value, command, tmp_path, capsys):
+    raw = small_config(**{field: value})
+    with pytest.raises(ConfigError, match=rf"{field}: expected a number"):
+        parse_config(json.dumps(raw))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: expected a number")
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_non_object_rep_is_config_error(command, tmp_path, capsys):
+    raw = {"group": {"builtin": "Z3"}, "subsystems": [{"name": "A", "rep": 3}], "frames": [], "tasks": []}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "config error: subsystems[0].rep: expected an object, got 3\n"
+
+
+def test_unexpected_check_exception_exits_2(tmp_path, monkeypatch, capsys):
+    def boom(cfg):
+        raise RuntimeError("boom")
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    monkeypatch.setattr(cli, "build_scenario", boom)
+    assert cli.main(["check", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: RuntimeError: boom\n"
+
+
+def test_s3_full_report_at_tight_tolerance(tmp_path, capsys):
+    # sequential restriction by every element admitted rounding noise as constraints here
+    out = tmp_path / "s3.json"
+    assert cli.main(["run", "finite-regular:S3", "--tol", "1e-14", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["tasks"][0]["results"]["phys_dim"] == 36
+    assert report["summary"]["checks_failed"] == 0
+    capsys.readouterr()

@@ -167,3 +167,91 @@ def test_load_group_table_json_and_text(tmp_path):
     tpath.write_text("\n".join(" ".join(str(x) for x in row) for row in table))
     g = groups.load_group_table(tpath)
     assert g.order == 3 and g.name == "z3"
+
+
+# ---------------------------------------------------------------------------
+# generating sets and Light's associativity test
+# ---------------------------------------------------------------------------
+
+_NON_ASSOCIATIVE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def _small_groups():
+    return [groups.cyclic(n) for n in range(1, 33)] + [
+        groups.symmetric_3(), groups.dihedral_4(), groups.quaternion_8()
+    ]
+
+
+def _generated(g):
+    """Subgroup generated by g.generators, closed under all pairwise products (oracle)."""
+    elems = {g.identity_index, *g.generators}
+    while True:
+        grown = elems | {g.mult(a, b) for a in elems for b in elems}
+        if grown == elems:
+            return elems
+        elems = grown
+
+
+def _all_triples_associative(table) -> bool:
+    t = np.asarray(table)
+    return bool(np.array_equal(t[t, :], t[:, t]))
+
+
+def test_generators_reach_every_element():
+    for g in _small_groups():
+        assert _generated(g) == set(g.elements()), g.name
+        assert g.identity_index not in g.generators
+    assert groups.cyclic(1).generators == ()
+    assert len(groups.cyclic(12).generators) == 1
+    assert len(groups.symmetric_3().generators) == 2
+    assert len(groups.dihedral_4().generators) == 2
+    assert len(groups.quaternion_8().generators) == 3
+
+
+def test_light_test_agrees_with_all_triples():
+    for g in _small_groups():
+        assert _all_triples_associative(g.product_table)
+    assert not _all_triples_associative(_NON_ASSOCIATIVE_LOOP)
+    with pytest.raises(ValueError, match="associative"):
+        groups.finite_group_from_table(_NON_ASSOCIATIVE_LOOP)
+    # every intercalate swap of the order-<=8 tables: Light's verdict equals the oracle's
+    checked = rejected = 0
+    for g in [groups.cyclic(n) for n in (4, 6, 8)] + [groups.symmetric_3(), groups.dihedral_4(), groups.quaternion_8()]:
+        t = g.product_table
+        n = g.order
+        for r1 in range(n):
+            for r2 in range(r1 + 1, n):
+                for c1 in range(n):
+                    for c2 in range(c1 + 1, n):
+                        if t[r1, c1] != t[r2, c2] or t[r1, c2] != t[r2, c1]:
+                            continue
+                        bad = t.copy()
+                        bad[[r1, r1, r2, r2], [c1, c2, c1, c2]] = t[[r1, r1, r2, r2], [c2, c1, c2, c1]]
+                        try:
+                            groups.finite_group_from_table(bad)
+                            accepted = True
+                        except ValueError as exc:
+                            if "associative" not in str(exc):
+                                continue  # rejected earlier (identity or inverses)
+                            accepted = False
+                        assert accepted == _all_triples_associative(bad), (g.name, r1, r2, c1, c2)
+                        checked += 1
+                        rejected += not accepted
+    assert checked >= 50 and 0 < rejected < checked
+
+
+def test_light_test_rejects_one_swapped_intercalate_at_order_400():
+    n = 400
+    idx = np.arange(n)
+    t = (idx[:, None] + idx[None, :]) % n
+    assert groups.finite_group_from_table(t).generators == (1,)
+    # t[3,5] = t[203,205] = 8 and t[3,205] = t[203,5] = 208: swap them
+    t[3, 5], t[3, 205], t[203, 5], t[203, 205] = 208, 8, 8, 208
+    with pytest.raises(ValueError, match="associative"):
+        groups.finite_group_from_table(t)

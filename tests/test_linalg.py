@@ -61,19 +61,25 @@ def test_orthonormal_range_gram_is_identity(re, im):
 
 
 def test_joint_fixed_subspace_identity_gives_whole_space():
-    sub = joint_fixed_subspace([np.eye(4)])
+    sub = joint_fixed_subspace([np.eye(4) - np.eye(4)])
     assert sub.dim == 4
 
 
+def test_joint_fixed_subspace_without_operators_is_whole_space():
+    sub = joint_fixed_subspace(np.zeros((0, 3, 3)))
+    assert sub.dim == 3
+    np.testing.assert_allclose(sub.projector(), np.eye(3), atol=1e-12)
+
+
 def test_joint_fixed_subspace_diag_sign():
-    sub = joint_fixed_subspace([np.diag([1.0, -1.0])])
+    sub = joint_fixed_subspace([np.diag([1.0, -1.0]) - np.eye(2)])
     assert sub.dim == 1
     np.testing.assert_allclose(np.abs(sub.basis[:, 0]), [1, 0], atol=1e-12)
 
 
 def test_joint_fixed_subspace_total_charge_generators():
     total = reps.tensor([reps.u1_rep([1, -1]), reps.u1_rep([1, -1]), reps.u1_rep([2, 0, -2])])
-    sub = joint_fixed_subspace(list(total.generators), mode="generator")
+    sub = joint_fixed_subspace(list(total.generators))
     assert sub.dim == 4
 
 
@@ -85,7 +91,7 @@ def test_joint_fixed_subspace_dimension_mismatch():
 def test_joint_fixed_residual_invariant():
     g = groups.cyclic(4)
     rep = reps.regular_rep(g)
-    sub = joint_fixed_subspace(list(rep.matrices))
+    sub = joint_fixed_subspace(rep.matrices - np.eye(4))
     for m in rep.matrices:
         for k in range(sub.dim):
             assert np.linalg.norm(m @ sub.basis[:, k] - sub.basis[:, k]) <= 10 * TOL.abs_tol
@@ -112,7 +118,7 @@ def test_equal_on_subspace_twirl_vs_projected_action():
     w = 1.0  # regular rep frame weight d/|G| = 1
     pi = w * sum(rep.matrices[k] for k in range(3))
     twirl = w * sum(rep.matrices[k] @ a @ rep.matrices[k].conj().T for k in range(3))
-    phys = joint_fixed_subspace(list(rep.matrices))
+    phys = joint_fixed_subspace(rep.matrices - np.eye(3))
     assert equal_on_subspace(pi @ a @ pi, twirl @ pi, phys)
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import ket3, random_hermitian, regular_three_party
-from qrf import groups, reps
-from qrf.linalg import Tolerance, dagger
+from qrf import frames, groups, perspective, reps
+from qrf.linalg import DEFAULT_TOL, Tolerance, dagger, orthonormal_range
 
 
 def test_rep_evaluate_identity():
@@ -258,13 +258,6 @@ def test_pair_orbit_twirl_matches_dense_twirl():
         assert np.abs(fast - _dense_twirl(rep, a)).max() <= 1e-12
 
 
-def test_project_mode_returns_scaled_projector():
-    g = groups.cyclic(2)
-    reg = reps.regular_rep(g)
-    p = reps.group_average(reg, None, "project", measure_scale=2.0)
-    np.testing.assert_allclose(p, np.ones((2, 2)), atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # isotypic decomposition
 # ---------------------------------------------------------------------------
@@ -379,3 +372,77 @@ def test_invariant_closure_rejects_zero():
         reps.invariant_closure(reps.spin_rep(1), np.zeros(3))
     with pytest.raises(ValueError):
         reps.invariant_closure(reps.spin_rep(1), np.zeros((3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# generator constraints against all-element oracles
+# ---------------------------------------------------------------------------
+
+
+def _irrep_three_party():
+    """S3 2-dim irrep on three parties, frame on the first: no permutation table."""
+    irrep = _s3_two_dim_irrep()
+    frame = frames.make_frame(irrep, np.array([1.0, 0.0]), name="R")
+    return perspective.make_scenario(
+        irrep.group, [("R", irrep), ("A", irrep), ("B", irrep)], {"R": ("R", frame)}
+    )
+
+
+def _constraint_scenarios():
+    out = [regular_three_party(g) for g in (groups.symmetric_3(), groups.dihedral_4(), groups.quaternion_8())]
+    return out + [_irrep_three_party()]
+
+
+def test_finite_rep_rejects_table_wrong_only_at_a_non_generator():
+    z8 = groups.cyclic(8)
+    assert z8.generators == (1,)
+    mats = reps.regular_rep(z8).matrices.copy()
+    mats[5] = mats[3]  # unitary; 5 is no product of two generators, so only rho(1) rho(4) != rho(5) shows it
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        reps.finite_rep(z8, mats)
+
+
+def test_constraints_are_generator_defects_or_lie_generators():
+    s3 = groups.symmetric_3()
+    reg = reps.regular_rep(s3)
+    d = reps.constraints(reg)
+    assert d.shape == (len(s3.generators), 6, 6)
+    np.testing.assert_array_equal(d, reg.matrices[list(s3.generators)] - np.eye(6))
+    spin = reps.spin_rep(1)
+    assert reps.constraints(spin) is spin.generators
+    assert reps.constraints(reps.regular_rep(groups.cyclic(1))).shape == (0, 1, 1)
+
+
+def test_fixed_subspace_and_closure_match_all_element_versions():
+    rng = np.random.default_rng(5)
+    for s in _constraint_scenarios():
+        rep = s.total_rep
+        all_elements = np.mean(rep.matrices, axis=0)  # projector onto the fixed space
+        fixed = reps.fixed_subspace(rep)
+        assert np.abs(fixed.projector() - all_elements).max() <= 1e-12
+        v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+        orbit = orthonormal_range(np.column_stack([u @ v for u in rep.matrices]))
+        closure = reps.invariant_closure(rep, v)
+        assert closure.dim == orbit.dim
+        assert np.abs(closure.projector() - orbit.projector()).max() <= 1e-12
+
+
+def test_dirac_defect_and_orientation_independence_match_all_element_versions():
+    rng = np.random.default_rng(6)
+    verdicts = set()
+    for s in _constraint_scenarios():
+        rep = s.total_rep
+        a = random_hermitian(rng, rep.dim)
+        for op in (a, reps.group_average(rep, a, "twirl", 1.0)):
+            full = max(float(np.linalg.norm(u @ op - op @ u)) for u in rep.matrices)
+            gen = perspective.strong_dirac_defect(s, op)
+            # generators are elements; every element is a word of at most |G| generators
+            assert full / rep.group.order - 1e-12 <= gen <= full * (1 + 1e-12) + 1e-12
+        frame_name = next(iter(s.frames))
+        comp = s.complement_rep(frame_name)
+        pi_e = perspective.system_projector(s, frame_name, s.frame(frame_name).rep.identity_element())
+        thresh = 1e5 * DEFAULT_TOL.weighted(max(1.0, float(np.abs(comp.matrices).max())))
+        full = all(float(np.linalg.norm(u @ pi_e - pi_e @ u)) <= thresh for u in comp.matrices)
+        assert perspective.orientation_independent(s, frame_name) == full
+        verdicts.add(full)
+    assert verdicts == {True, False}

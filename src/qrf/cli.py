@@ -138,7 +138,7 @@ def _validate_raw(raw: dict) -> ScenarioConfig:
         frames=list(raw["frames"]),
         tasks=list(raw["tasks"]),
         seed=_number(raw, "seed", 0, int),
-        tolerance=_number(raw, "tolerance", 1e-9, float),
+        tolerance=_tolerance(_number(raw, "tolerance", 1e-9, float), "tolerance"),
     )
 
 
@@ -147,6 +147,15 @@ def _number(raw: dict, key: str, default, kind):
         return kind(raw.get(key, default))
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected a number, got {raw[key]!r}") from None
+
+
+def _tolerance(value: float, source: str) -> float:
+    """``value`` if it is a valid Tolerance (finite, non-negative), else a ConfigError."""
+    try:
+        Tolerance(value, value)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}, got {value!r}") from None
+    return value
 
 
 def load_config(source: str) -> ScenarioConfig:
@@ -746,11 +755,14 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print(f"config ok: {cfg.name}")
         return 0
-    env_tol = os.environ.get("QRF_TOL")
-    if args.tol is not None:
-        cfg.tolerance = args.tol
-    elif env_tol is not None:
-        cfg.tolerance = float(env_tol)
+    try:
+        if args.tol is not None:
+            cfg.tolerance = _tolerance(args.tol, "--tol")
+        elif "QRF_TOL" in os.environ:
+            cfg.tolerance = _tolerance(_number(os.environ, "QRF_TOL", None, float), "QRF_TOL")
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     if args.seed is not None:
         cfg.seed = args.seed
     try:

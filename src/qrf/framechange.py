@@ -60,16 +60,20 @@ def frame_change(
     g_j,
     tol: Tolerance = DEFAULT_TOL,
 ) -> FrameChange:
-    """V_{Ri->Rj}(g_i, g_j) = C_j C_i^dag, verified isometric between the projector ranges."""
+    """V_{Ri->Rj}(g_i, g_j) = C_j C_i^dag, verified isometric between the projector ranges.
+
+    With the n_phys-sized round trips G = C^dag C, ||V^dag V - C_i C_i^dag||^2
+    = ||C_i (G_j - 1) C_i^dag||^2 = tr((G_j - 1) G_i (G_j - 1) G_i), and
+    likewise with i and j swapped for V V^dag - C_j C_j^dag.
+    """
     if ps.dim == 0:
         raise ValueError("cannot change frames with an empty physical space")
     mi = schrodinger_map(ps, frame_i, g_i, tol)
     mj = schrodinger_map(ps, frame_j, g_j, tol)
     mat = mj.matrix @ mi.inverse_matrix
-    worst = max(
-        float(np.linalg.norm(dagger(mat) @ mat - mi.matrix @ mi.inverse_matrix)),
-        float(np.linalg.norm(mat @ dagger(mat) - mj.matrix @ mj.inverse_matrix)),
-    )
+    gi, gj = mi.round_trip, mj.round_trip
+    xi, xj = gi - np.eye(ps.dim), gj - np.eye(ps.dim)
+    worst = float(np.sqrt(max(np.vdot(xj @ gi, gi @ xj).real, np.vdot(xi @ gj, gj @ xi).real, 0.0)))
     if worst > 1e5 * tol.weighted(1.0) * max(1, mat.shape[0]):
         raise ValueError(f"frame change failed the isometry check ({worst:.3e})")
     return FrameChange(

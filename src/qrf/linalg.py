@@ -36,8 +36,8 @@ class Tolerance:
     rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be non-negative")
+        if not (0 <= self.abs_tol < np.inf and 0 <= self.rel_tol < np.inf):  # also rejects NaN
+            raise ValueError("tolerances must be finite and non-negative")
 
     def weighted(self, scale: float) -> float:
         """Effective tolerance for quantities of magnitude ``scale``."""
@@ -137,28 +137,30 @@ class Subspace:
         return float(np.linalg.norm(resid)) <= tol.weighted(np.linalg.norm(v))
 
 
+def _rank(a: np.ndarray, s: np.ndarray, tol: Tolerance) -> int:
+    """Singular values above max(abs_tol * max(1, s_0), max(m, n) * eps * s_0), the SVD's rounding floor."""
+    top = s[0] if s.size else 0.0
+    cut = max(tol.abs_tol * max(1.0, top), max(a.shape) * np.finfo(float).eps * top)
+    return int(np.sum(s > cut))
+
+
 def orthonormal_range(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the column space of ``m``.
 
-    Singular directions with singular value <= abs_tol * max(1, sigma_max)
-    are dropped.
+    Singular directions at or below the cut of ``_rank`` are dropped.
     """
     a = as_cmatrix(m)
     if a.shape[1] == 0 or not np.any(a):
         return Subspace(a.shape[0], np.zeros((a.shape[0], 0), dtype=complex))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cut = tol.abs_tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cut))
-    return Subspace(a.shape[0], canonicalize_basis(u[:, :rank], tol))
+    return Subspace(a.shape[0], canonicalize_basis(u[:, : _rank(a, s, tol)], tol))
 
 
 def nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of ker(m), same threshold rule as the range."""
     a = as_cmatrix(m)
     _, s, vh = np.linalg.svd(a)
-    cut = tol.abs_tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cut))
-    return dagger(vh)[:, rank:]
+    return dagger(vh)[:, _rank(a, s, tol):]
 
 
 def joint_fixed_subspace(ops, tol: Tolerance = DEFAULT_TOL) -> Subspace:

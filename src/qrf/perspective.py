@@ -306,13 +306,12 @@ def orientation_independent(s: Scenario, frame_name: str, tol: Tolerance = DEFAU
 
 
 def physical_system_span(s: Scenario, frame_name: str, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Span of the physical system subspaces over all frame orientations."""
+    """Span of the physical system subspaces over all orientations: the closure of range(C_e C_e^dag) = range(C_e)."""
     frame = s.frame(frame_name)
-    pi_e = system_projector(s, frame_name, frame.rep.identity_element(), tol)
-    base = orthonormal_range(pi_e, tol)
-    if base.dim == 0:
-        return base
-    return reps.invariant_closure(s.complement_rep(frame_name), base.basis, tol)
+    c = conditioning_map(physical_space(s, tol), frame_name, frame.rep.identity_element())
+    if c.shape[1] == 0:
+        return orthonormal_range(c, tol)
+    return reps.invariant_closure(s.complement_rep(frame_name), c, tol)
 
 
 def sample_elements(group, count: int = 8) -> list:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import reps
 from .frames import Frame
 from .linalg import DEFAULT_TOL, Tolerance, as_cmatrix, as_cvector, dagger
 from .perspective import (
@@ -51,6 +52,7 @@ class ReductionMap:
     matrix: np.ndarray          # (complement_dim, n_phys)
     inverse_matrix: np.ndarray  # (n_phys, complement_dim)
     scale_notes: dict
+    round_trip: np.ndarray      # inverse_matrix @ matrix, (n_phys, n_phys)
 
 
 @dataclass
@@ -132,6 +134,7 @@ def schrodinger_map(
         matrix=fwd,
         inverse_matrix=inv,
         scale_notes={"frame_volume": frame.weight_scale, "isometry_scale": float(np.sqrt(frame.weight_scale))},
+        round_trip=round_trip,
     )
 
 
@@ -196,10 +199,9 @@ def multi_event_probability(
 
 
 def _u1_charge_data(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(frame.rep.generators[0])
-    charges = np.round(vals).astype(int)
-    coeff = dagger(vecs) @ frame.seed
-    return charges, vecs, coeff
+    wb = reps.weight_basis(frame.rep)
+    vecs = np.eye(frame.dim) if wb.vectors is None else wb.vectors
+    return wb.weights, vecs, dagger(vecs) @ frame.seed
 
 
 def solve_theta(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> ThetaState | ThetaNotFound:
@@ -246,9 +248,7 @@ def _solve_theta_finite(frame: Frame, tol: Tolerance) -> ThetaState | ThetaNotFo
 
 def _solve_theta_u1(frame: Frame, tol: Tolerance) -> ThetaState | ThetaNotFound:
     charges, vecs, coeff = _u1_charge_data(frame)
-    weights = {}
-    for q, c in zip(charges, coeff):
-        weights[q] = weights.get(q, 0.0) + abs(c) ** 2
+    weights = {q: float(np.sum(np.abs(coeff[charges == q]) ** 2)) for q in set(charges.tolist())}
     q_max = int(np.max(np.abs(charges)))
     best_gap = np.inf
     for k in sorted(range(-q_max, q_max + 1), key=lambda k: (abs(k), k < 0)):
@@ -271,16 +271,6 @@ def reproducing_residual(frame: Frame, theta: ThetaState, count: int = 12) -> fl
         phi = frame.orientation(g)
         worst = max(worst, abs(complex(np.vdot(phi, theta.vector)) - theta.phase_at(frame, g)))
     return worst
-
-
-def _u1_complement_charge_projectors(comp_rep) -> list[tuple[int, np.ndarray]]:
-    vals, vecs = np.linalg.eigh(comp_rep.generators[0])
-    charges = np.round(vals).astype(int)
-    out = []
-    for q in sorted(set(charges.tolist())):
-        cols = vecs[:, charges == q]
-        out.append((q, cols @ dagger(cols)))
-    return out
 
 
 def disentangler(
@@ -316,7 +306,8 @@ def disentangler(
     if theta.fourier_k is None:
         raise ValueError("U(1) frame needs a Fourier phase label")
     charges, vecs, coeff = _u1_charge_data(frame)
-    projectors = dict(_u1_complement_charge_projectors(comp))
+    wb = reps.weight_basis(comp)
+    projectors = {q: wb.back(np.diag((wb.weights == q).astype(complex))) for q in wb.sectors}
     total = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
     k = theta.fourier_k
     for i, qi in enumerate(charges):

@@ -3,9 +3,13 @@
 Finite groups carry per-element matrix tables; U(1) and SU(2) carry
 Hermitian generators in the convention [K_a, K_b] = 2i f_abc K_c (so the
 spin-1/2 generators are the Pauli matrices themselves and weights are the
-integers 2m).  Group averaging over the Lie groups is done exactly through
-the commutant projection induced by an isotypic decomposition, never by
-quadrature.
+integers 2m).
+
+Lie layers work in the weight basis of the Cartan generator (``weight_basis``).
+There isotypic blocks are index sets: charge sectors, or SU(2) ladders
+lowered from ker J_+.  The U(1) twirl is a charge mask, the SU(2) twirl (the
+exact Haar average) acts on n_w x n_w weight blocks, and the fixed space is
+the top of the weight-0 ladder.
 
 Every invariance question goes through one family of constraint operators,
 ``constraints(rep)``: U_s - 1 for the generators s of a finite group, K_a
@@ -28,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .groups import (
     FiniteElement,
@@ -45,7 +48,6 @@ from .linalg import (
     as_cmatrix,
     canonicalize_basis,
     dagger,
-    fix_phase,
     joint_fixed_subspace,
     nullspace,
     orthonormal_range,
@@ -67,6 +69,8 @@ __all__ = [
     "group_average",
     "constraints",
     "permutation_table",
+    "WeightBasis",
+    "weight_basis",
     "isotypic_decompose",
     "invariant_closure",
 ]
@@ -153,19 +157,56 @@ def lie_rep(desc: LieDescriptor, generators, tol: Tolerance = DEFAULT_TOL) -> Un
             if np.linalg.norm(comm - want) > 1e-6 * scale * scale * dim:
                 raise ValueError(f"bracket relation violated for generators ({a}, {b})")
     rep = UnitaryRep(group=desc, dim=dim, generators=gens)
-    _integer_weights(rep)  # compact groups need integral weights; fail early
+    weight_basis(rep)  # compact groups need integral weights; fail early
     return rep
 
 
-def _integer_weights(rep: UnitaryRep) -> np.ndarray:
-    """Spectrum of the distinguished diagonal generator, validated near-integer."""
-    gen = rep.generators[-1] if rep.group.kind == "SU2" else rep.generators[0]
-    vals = np.linalg.eigvalsh(gen)
-    rounded = np.round(vals)
-    if np.max(np.abs(vals - rounded)) > 1e-6:
-        name = rep.group.kind
-        raise ValueError(f"{name} weight spectrum must be integral, got {vals}")
-    return rounded.astype(int)
+def _is_diagonal(m: np.ndarray) -> bool:
+    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+
+
+@dataclass(frozen=True, eq=False)
+class WeightBasis:
+    """Integer weights of a Lie rep's Cartan generator H: H W = W diag(weights).
+
+    ``vectors`` is W, or None when H is exactly diagonal and W = 1, as for
+    every ``u1_rep``/``spin_rep`` and their tensor products; otherwise it
+    comes from one ``eigh``.  ``sectors`` maps each weight to its columns.
+    """
+
+    weights: np.ndarray  # (dim,) int
+    vectors: np.ndarray | None
+    sectors: dict
+
+    def embed(self, idx: np.ndarray, coeff: np.ndarray) -> np.ndarray:  # W[:, idx] @ coeff
+        if self.vectors is not None:
+            return self.vectors[:, idx] @ coeff
+        out = np.zeros((self.weights.size, coeff.shape[1]), dtype=complex)
+        out[idx] = coeff
+        return out
+
+    def into(self, a: np.ndarray) -> np.ndarray:  # W^dag a W
+        return a if self.vectors is None else dagger(self.vectors) @ a @ self.vectors
+
+    def back(self, a: np.ndarray) -> np.ndarray:  # W a W^dag
+        return a if self.vectors is None else self.vectors @ a @ dagger(self.vectors)
+
+
+def weight_basis(rep: UnitaryRep) -> WeightBasis:
+    """Weights of generators[-1] (the U(1) generator, or J_z of SU(2)), validated integral; cached."""
+    if "weights" not in rep._iso_cache:
+        h = rep.generators[-1]
+        if _is_diagonal(h):
+            vals, vecs = np.diagonal(h).real, None
+        else:
+            vals, vecs = np.linalg.eigh(h)
+        weights = np.round(vals)
+        if np.max(np.abs(vals - weights), initial=0.0) > 1e-6:
+            raise ValueError(f"{rep.group.kind} weight spectrum must be integral, got {vals}")
+        weights = weights.astype(int)
+        sectors = {int(w): np.flatnonzero(weights == w) for w in np.unique(weights)}
+        rep._iso_cache["weights"] = WeightBasis(weights, vecs, sectors)
+    return rep._iso_cache["weights"]
 
 
 def u1_rep(charges) -> UnitaryRep:
@@ -230,7 +271,10 @@ def rep_evaluate(rep: UnitaryRep, g) -> np.ndarray:
     if not isinstance(el, LieElement) or el.descriptor.kind != rep.group.kind:
         raise ValueError("element does not belong to this representation's group")
     k = sum(c * rep.generators[a] for a, c in enumerate(el.coords))
-    return scipy.linalg.expm(1j * k)
+    if _is_diagonal(k):
+        return np.diag(np.exp(1j * np.diagonal(k)))
+    vals, vecs = np.linalg.eigh(k)
+    return (vecs * np.exp(1j * vals)) @ dagger(vecs)
 
 
 def tensor(reps: list[UnitaryRep]) -> UnitaryRep:
@@ -297,10 +341,6 @@ class IsotypicBlock:
     def basis_matrix(self) -> np.ndarray:
         return self.grid.reshape(self.grid.shape[0], -1)
 
-    def projector(self) -> np.ndarray:
-        b = self.basis_matrix()
-        return b @ dagger(b)
-
 
 @dataclass(frozen=True)
 class IsotypicDecomposition:
@@ -308,78 +348,44 @@ class IsotypicDecomposition:
     blocks: tuple[IsotypicBlock, ...]
     seed: int | None = None  # PRNG seed used for finite-group refinement
 
-    def block(self, label: str) -> IsotypicBlock:
-        for b in self.blocks:
-            if b.label == label:
-                return b
-        raise KeyError(label)
-
     def total_dim(self) -> int:
         return sum(b.dim for b in self.blocks)
 
 
-def _raising_lowering(rep: UnitaryRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    gx, gy, gz = rep.generators
-    return (gx + 1j * gy) / 2.0, (gx - 1j * gy) / 2.0, gz
+def _ladders(rep: UnitaryRep, tol: Tolerance) -> list[tuple[int, list[np.ndarray]]]:
+    """Lie isotypic blocks as (top weight, [V_0, V_1, ...]), cached per tolerance.
 
-
-def _weight_spaces(gz: np.ndarray, tol: Tolerance) -> dict[int, np.ndarray]:
-    vals, vecs = np.linalg.eigh(gz)
-    weights = np.round(vals).astype(int)
-    out: dict[int, np.ndarray] = {}
-    for w in sorted(set(weights.tolist()), reverse=True):
-        cols = vecs[:, weights == w]
-        out[w] = canonicalize_basis(cols, tol)
-    return out
-
-
-def _su2_isotypic(rep: UnitaryRep, tol: Tolerance) -> IsotypicDecomposition:
-    """Highest-weight extraction: kernel of the raising operator per weight space,
-    then repeated lowering with per-vector normalization (ladders stay aligned)."""
-    raise_op, lower_op, gz = _raising_lowering(rep)
-    spaces = _weight_spaces(gz, tol)
-    blocks: list[IsotypicBlock] = []
-    for w in sorted(spaces, reverse=True):
-        if w < 0:
-            break
-        basis = spaces[w]
-        if basis.shape[1] == 0:
-            continue
-        # highest-weight vectors of spin j = w/2: kernel of raising within W_w
-        ker = nullspace(raise_op @ basis, tol)
-        if ker.shape[1] == 0:
-            continue
-        hw = canonicalize_basis(basis @ ker, tol)
-        d = w + 1
-        m = hw.shape[1]
-        grid = np.zeros((rep.dim, d, m), dtype=complex)
-        for k in range(m):
-            v = fix_phase(hw[:, k], tol)
-            grid[:, 0, k] = v
-            for a in range(1, d):
-                v = lower_op @ v
-                nrm = np.linalg.norm(v)
-                if nrm < tol.abs_tol:
+    V_a holds slot a of every copy on the weight-(top - 2a) columns.  U(1):
+    V_0 = 1 per charge.  SU(2): V_0 = ker J_+ on weight 2j, lowered by
+    J_- = J_+^dag for all copies at once, normalized per column (aligned).
+    """
+    key = ("ladders", tol)
+    if key in rep._iso_cache:
+        return rep._iso_cache[key]
+    wb = weight_basis(rep)
+    if rep.group.kind == "U1":
+        ladders = [(q, [np.eye(idx.size, dtype=complex)]) for q, idx in sorted(wb.sectors.items(), reverse=True)]
+    else:
+        gx, gy, _ = rep.generators
+        up = wb.into((gx + 1j * gy) / 2.0)  # maps weight w to w + 2
+        ladders = []
+        for top in sorted((w for w in wb.sectors if w >= 0), reverse=True):
+            v = canonicalize_basis(nullspace(up[np.ix_(wb.sectors.get(top + 2, []), wb.sectors[top])], tol), tol)
+            if v.shape[1] == 0:
+                continue
+            slots = [v]
+            for w in range(top, -top, -2):
+                v = dagger(up[np.ix_(wb.sectors[w], wb.sectors.get(w - 2, []))]) @ slots[-1]
+                nrm = np.linalg.norm(v, axis=0)
+                if np.any(nrm < tol.abs_tol):
                     raise ValueError("ladder terminated early; generators inconsistent")
-                v = v / nrm
-                grid[:, a, k] = v
-        label = f"{w // 2}" if w % 2 == 0 else f"{w}/2"
-        blocks.append(IsotypicBlock(label=f"j={label}", irrep_dim=d, multiplicity=m, grid=grid))
-    deco = IsotypicDecomposition(rep.dim, tuple(blocks))
-    if deco.total_dim() != rep.dim:
-        raise ValueError(
-            f"isotypic decomposition incomplete: {deco.total_dim()} of {rep.dim} dimensions"
-        )
-    return deco
-
-
-def _u1_isotypic(rep: UnitaryRep, tol: Tolerance) -> IsotypicDecomposition:
-    spaces = _weight_spaces(rep.generators[0], tol)
-    blocks = [
-        IsotypicBlock(label=f"q={w}", irrep_dim=1, multiplicity=b.shape[1], grid=b[:, None, :])
-        for w, b in spaces.items()
-    ]
-    return IsotypicDecomposition(rep.dim, tuple(blocks))
+                slots.append(v / nrm)
+            ladders.append((top, slots))
+        total = sum(len(slots) * slots[0].shape[1] for _, slots in ladders)
+        if total != rep.dim:
+            raise ValueError(f"isotypic decomposition incomplete: {total} of {rep.dim} dimensions")
+    rep._iso_cache[key] = ladders
+    return ladders
 
 
 def _commutant_dim(mats: list[np.ndarray], tol: Tolerance) -> int:
@@ -482,10 +488,14 @@ def isotypic_decompose(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL, seed: int 
         return rep._iso_cache[key]
     if rep.is_finite:
         deco = _finite_isotypic(rep, tol, seed)
-    elif rep.group.kind == "SU2":
-        deco = _su2_isotypic(rep, tol)
     else:
-        deco = _u1_isotypic(rep, tol)
+        wb = weight_basis(rep)
+        blocks = []
+        for top, slots in _ladders(rep, tol):
+            grid = np.stack([wb.embed(wb.sectors[top - 2 * a], v) for a, v in enumerate(slots)], axis=1)
+            label = f"q={top}" if rep.group.kind == "U1" else f"j={top // 2}" if top % 2 == 0 else f"j={top}/2"
+            blocks.append(IsotypicBlock(label=label, irrep_dim=len(slots), multiplicity=grid.shape[2], grid=grid))
+        deco = IsotypicDecomposition(rep.dim, tuple(blocks))
     rep._iso_cache[key] = deco
     return deco
 
@@ -550,19 +560,24 @@ def _finite_twirl(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
     return mean[labels].reshape(a.shape)
 
 
-def _commutant_projection(rep: UnitaryRep, a: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Hilbert-Schmidt-orthogonal projection onto the commutant of the rep.
+def _lie_twirl(rep: UnitaryRep, a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Haar-probability twirl of a Lie rep, in weight coordinates.
 
-    Equals the Haar average over the probability measure for connected
-    compact groups.
+    U(1): the entries with equal charges.  SU(2): the commutant projection;
+    each ladder keeps c = (1/(2j+1)) sum_a V_a^dag A_ww V_a and puts
+    V_a c V_a^dag back on the weight block w = 2j - 2a.
     """
-    deco = isotypic_decompose(rep, tol)
+    wb = weight_basis(rep)
+    a = wb.into(a)
+    if rep.group.kind == "U1":
+        return wb.back(a * (wb.weights[:, None] == wb.weights[None, :]))
+    sub = {w: np.ix_(idx, idx) for w, idx in wb.sectors.items()}
     out = np.zeros_like(a)
-    for block in deco.blocks:
-        g = block.grid
-        c = np.einsum("iam,ij,jan->mn", np.conj(g), a, g, optimize=True)
-        out += np.einsum("mn,iam,jan->ij", c / block.irrep_dim, g, np.conj(g), optimize=True)
-    return out
+    for top, slots in _ladders(rep, tol):
+        c = sum(dagger(v) @ a[sub[top - 2 * k]] @ v for k, v in enumerate(slots)) / len(slots)
+        for k, v in enumerate(slots):
+            out[sub[top - 2 * k]] += v @ c @ dagger(v)
+    return wb.back(out)
 
 
 def group_average(
@@ -574,7 +589,7 @@ def group_average(
 ) -> np.ndarray:
     """measure_scale times the Haar-probability twirl of ``operand``.
 
-    Finite: uniform sum; Lie: commutant projection.
+    Finite: uniform sum; Lie: the weight-coordinate twirl.
     """
     if measure_scale <= 0:
         raise ValueError("measure_scale must be positive")
@@ -585,7 +600,7 @@ def group_average(
         raise ValueError("operand dimension does not match the representation")
     if rep.is_finite:
         return measure_scale * _finite_twirl(rep, a)
-    return measure_scale * _commutant_projection(rep, a, tol)
+    return measure_scale * _lie_twirl(rep, a, tol)
 
 
 def constraints(rep: UnitaryRep) -> np.ndarray:
@@ -596,17 +611,33 @@ def constraints(rep: UnitaryRep) -> np.ndarray:
 
 
 def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Joint fixed subspace of the representation: the kernel of its constraints."""
-    return joint_fixed_subspace(constraints(rep), tol)
+    """Joint fixed subspace of the representation: the kernel of its constraints.
+
+    Lie: the top of the weight-0 ladder (U(1) charge 0, SU(2) spin 0).
+    """
+    if rep.is_finite:
+        return joint_fixed_subspace(constraints(rep), tol)
+    coeff = next((slots[0] for top, slots in _ladders(rep, tol) if top == 0), np.zeros((0, 0)))
+    wb = weight_basis(rep)
+    return Subspace(rep.dim, canonicalize_basis(wb.embed(wb.sectors.get(0, []), coeff), tol))
 
 
 def invariant_closure(rep: UnitaryRep, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Smallest invariant subspace containing ``v``: a vector, or a matrix whose columns span the start.
 
-    Grown by the constraints, since span{v, U_s v} = span{v, (U_s - 1) v}.
+    U(1): the sum over charge sectors q of range(P_q V).  Otherwise grown by
+    the constraints, since span{v, U_s v} = span{v, (U_s - 1) v}.
     """
     start = np.asarray(v, dtype=complex)
-    basis = orthonormal_range(start[:, None] if start.ndim == 1 else start, tol).basis
+    start = start[:, None] if start.ndim == 1 else start
+    if not rep.is_finite and rep.group.kind == "U1":
+        wb = weight_basis(rep)
+        coeff = start if wb.vectors is None else dagger(wb.vectors) @ start
+        basis = np.hstack([wb.embed(idx, orthonormal_range(coeff[idx], tol).basis) for idx in wb.sectors.values()])
+        if basis.shape[1] == 0:
+            raise ValueError("need a nonzero vector")
+        return Subspace(rep.dim, basis)
+    basis = orthonormal_range(start, tol).basis
     if basis.shape[1] == 0:
         raise ValueError("need a nonzero vector")
     ops = constraints(rep)

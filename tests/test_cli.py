@@ -305,3 +305,53 @@ def test_s3_full_report_at_tight_tolerance(tmp_path, capsys):
     assert report["tasks"][0]["results"]["phys_dim"] == 36
     assert report["summary"]["checks_failed"] == 0
     capsys.readouterr()
+
+
+_SMALL_NOMINAL = {  # builtin: (phys_dim, checks_total) at the default tolerance
+    "u1-qubit-qubit-qutrit": (4, 17),
+    "su2-three-spin1": (1, 3),
+    "su2-four-spin1": (3, 3),
+    "finite-regular:Z2": (4, 14),
+    "finite-regular:Z3": (9, 14),
+    "finite-regular:Z4": (16, 14),
+    "finite-regular:S3": (36, 14),
+}
+
+
+@pytest.mark.parametrize("tol", ["1e-15", "1e-16"])
+@pytest.mark.parametrize("name", sorted(_SMALL_NOMINAL))
+def test_small_builtins_keep_nominal_dims_below_machine_precision(name, tol, tmp_path, capsys):
+    # rank cuts are floored at max(m, n) * eps * sigma_0, so a tighter tolerance cannot drop real directions
+    out = tmp_path / "report.json"
+    assert cli.main(["run", name, "--tol", tol, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    summary = report["summary"]
+    assert (report["tasks"][0]["results"]["phys_dim"], summary["checks_total"]) == _SMALL_NOMINAL[name]
+    assert summary["checks_failed"] == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_config_error(value, tmp_path, monkeypatch, capsys):
+    raw = small_config(tolerance=value)
+    with pytest.raises(ConfigError, match="tolerance: tolerances must be finite"):
+        parse_config(json.dumps(raw))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    for command in ("run", "check"):
+        assert cli.main([command, str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: tolerance: tolerances must be finite")
+    cfg_path.write_text(json.dumps(small_config()))
+    assert cli.main(["run", str(cfg_path), "--tol", value]) == 2
+    assert capsys.readouterr().err.startswith("config error: --tol: tolerances must be finite")
+    monkeypatch.setenv("QRF_TOL", value)
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: QRF_TOL: tolerances must be finite")
+
+
+def test_non_numeric_tolerance_override_is_config_error(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    monkeypatch.setenv("QRF_TOL", "tight")
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "config error: QRF_TOL: expected a number, got 'tight'\n"

@@ -108,6 +108,30 @@ def test_frame_change_rejects_empty_physical_space():
         frame_change(physical_space(s), "A", [0.0], "A", [0.7])
 
 
+def test_isometry_defect_from_round_trips_matches_complement_products(s3_regular_scenario, monkeypatch):
+    from oracles import frame_change_defect
+    from qrf.reductions import ReductionMap
+
+    ps = physical_space(s3_regular_scenario)
+    exact = {f: schrodinger_map(ps, f, 0) for f in ("R1", "R2")}
+    rng = np.random.default_rng(12)
+    maps = []
+
+    def perturbed(ps_, frame_name, g, tol):
+        # a near-isometry, so that the defect is far above rounding noise
+        c = exact[frame_name].matrix + 1e-6 * rng.standard_normal(exact[frame_name].matrix.shape)
+        maps.append(ReductionMap("schrodinger", frame_name, g, c, dagger(c), {"frame_volume": 1.0}, dagger(c) @ c))
+        return maps[-1]
+
+    monkeypatch.setattr(framechange, "schrodinger_map", perturbed)
+    for f_from, f_to in (("R1", "R2"), ("R1", "R1"), ("R2", "R1")):
+        maps.clear()
+        got = frame_change(ps, f_from, 0, f_to, 0).scale_notes["isometry_defect"]
+        want = frame_change_defect(*maps)
+        assert want > 1e-6
+        assert abs(got - want) <= 1e-9 * want
+
+
 # ---------------------------------------------------------------------------
 # reorientations
 # ---------------------------------------------------------------------------

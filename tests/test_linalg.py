@@ -10,6 +10,7 @@ from qrf.linalg import (
     Tolerance,
     equal_on_subspace,
     joint_fixed_subspace,
+    nullspace,
     orthonormal_range,
 )
 
@@ -20,6 +21,22 @@ def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(-1e-9, 0)
     assert Tolerance().abs_tol == 1e-9
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_tolerance_rejects_non_finite_values(bad):
+    for args in ((bad, 1e-9), (1e-9, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(*args)
+
+
+def test_rank_cut_is_floored_at_rounding_noise():
+    # a rank-2 product carries singular values ~1e-16 that a zero tolerance must not count
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((40, 2)) @ rng.standard_normal((2, 30))
+    zero = Tolerance(0.0, 0.0)
+    assert orthonormal_range(m, zero).dim == 2
+    assert nullspace(m, zero).shape[1] == 28
 
 
 def test_orthonormal_range_zero_matrix():

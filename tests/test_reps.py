@@ -446,3 +446,109 @@ def test_dirac_defect_and_orientation_independence_match_all_element_versions():
         assert perspective.orientation_independent(s, frame_name) == full
         verdicts.add(full)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# weight path against the eigh / grid-einsum oracles
+# ---------------------------------------------------------------------------
+
+
+def _rotated(rep, seed):
+    """The same rep in a random basis: generators V K V^dag, so J_z is no longer diagonal."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim)))
+    v = q * (np.diag(r) / np.abs(np.diag(r)))
+    return reps.lie_rep(rep.group, v @ rep.generators @ dagger(v))
+
+
+def _weight_test_reps():
+    charge = reps.tensor([reps.u1_rep([1, -1]), reps.u1_rep([1, -1]), reps.u1_rep([2, 0, -2])])
+    spins = reps.tensor([reps.spin_rep(1), reps.spin_rep(1), reps.spin_rep(0.5), reps.spin_rep(0.5)])
+    half = reps.tensor([reps.spin_rep(1), reps.spin_rep(0.5)])  # no invariant vector
+    return [charge, spins, half, _rotated(charge, 1), _rotated(spins, 2), _rotated(reps.spin_rep(1.5), 3)]
+
+
+def test_weight_basis_is_identity_exactly_when_the_cartan_generator_is_diagonal():
+    charge, spins, half, rot_charge, rot_spins, _ = _weight_test_reps()
+    for plain, rotated in ((charge, rot_charge), (spins, rot_spins)):
+        assert reps.weight_basis(plain).vectors is None
+        wb = reps.weight_basis(rotated)
+        assert wb.vectors is not None
+        assert sorted(wb.weights.tolist()) == sorted(reps.weight_basis(plain).weights.tolist())
+        h = rotated.generators[-1]
+        np.testing.assert_allclose(h @ wb.vectors, wb.vectors * wb.weights, atol=1e-12)
+    assert reps.weight_basis(half).weights.tolist() == [3, 1, 1, -1, -1, -3]
+
+
+def test_weight_twirl_matches_grid_einsum_projection():
+    from oracles import commutant_projection
+
+    rng = np.random.default_rng(21)
+    for rep in _weight_test_reps():
+        a = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
+        fast = reps.group_average(rep, a, "twirl", 1.0)
+        assert np.abs(fast - commutant_projection(rep, a)).max() <= 1e-12
+        for k in rep.generators:
+            assert np.abs(k @ fast - fast @ k).max() <= 1e-12
+
+
+def test_weight_isotypic_blocks_match_eigh_ladders():
+    from oracles import isotypic
+
+    for rep in _weight_test_reps():
+        fast, slow = reps.isotypic_decompose(rep), isotypic(rep)
+        assert [(b.label, b.irrep_dim, b.multiplicity) for b in fast.blocks] == [
+            (b.label, b.irrep_dim, b.multiplicity) for b in slow.blocks
+        ]
+        for bf, bs in zip(fast.blocks, slow.blocks):
+            pf, ps = bf.basis_matrix() @ dagger(bf.basis_matrix()), bs.basis_matrix() @ dagger(bs.basis_matrix())
+            assert np.abs(pf - ps).max() <= 1e-12
+
+
+def test_weight_physical_projectors_match_sequential_kernels():
+    from qrf.linalg import joint_fixed_subspace
+
+    for rep in _weight_test_reps():
+        for tol in (DEFAULT_TOL, Tolerance(1e-15, 1e-15)):
+            fast, slow = reps.fixed_subspace(rep, tol), joint_fixed_subspace(rep.generators, DEFAULT_TOL)
+            assert fast.dim == slow.dim
+            assert np.abs(fast.projector() - slow.projector()).max() <= 1e-12
+    assert reps.fixed_subspace(_weight_test_reps()[1]).dim == 2  # (0 + 1 + 2) x (0 + 1) holds two singlets
+
+
+def test_u1_invariant_closure_is_the_sum_of_charge_sector_ranges():
+    from oracles import invariant_closure
+
+    rng = np.random.default_rng(22)
+    for rep in _weight_test_reps():
+        if rep.group.kind != "U1":
+            continue
+        for cols in (1, 3):
+            v = rng.standard_normal((rep.dim, cols)) * (rng.random((rep.dim, 1)) < 0.4)
+            fast, slow = reps.invariant_closure(rep, v), invariant_closure(rep, v)
+            assert fast.dim == slow.dim
+            assert np.abs(fast.projector() - slow.projector()).max() <= 1e-12
+
+
+def test_rep_evaluate_matches_scipy_expm():
+    import scipy.linalg
+
+    rng = np.random.default_rng(23)
+    for rep in _weight_test_reps() + [reps.spin_rep(2)]:
+        for _ in range(3):
+            coords = rng.uniform(-2.0, 2.0, size=rep.group.algebra_dim)
+            k = sum(c * g for c, g in zip(coords, rep.generators))
+            assert np.abs(rep.evaluate(coords) - scipy.linalg.expm(1j * k)).max() <= 1e-12
+
+
+def test_importing_the_cli_leaves_scipy_linalg_out():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, qrf.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -37,6 +38,10 @@ _KNOWN_TASKS = (
     "subsystem_relativity",
     "full_report",
 )
+
+
+# Largest kinematical dimension a config may build; one dense operator of that size is 256 MiB.
+MAX_KIN_DIM = 4096
 
 
 class ConfigError(ValueError):
@@ -232,8 +237,26 @@ def _build_seed(rep, spec, path: str) -> np.ndarray:
     return vec
 
 
+def _predicted_dim(group, spec: dict) -> int:
+    """Dimension of a rep spec, read without building it; 1 where unreadable, which the builder then reports."""
+    try:
+        if "spin_j" in spec:
+            return int(round(2 * float(spec["spin_j"]))) + 1
+        if "u1_charges" in spec:
+            return len(spec["u1_charges"])
+        return group.order if spec.get("regular") else len(spec.get("matrices", spec.get("generators"))[0])
+    except (TypeError, ValueError, KeyError, IndexError, AttributeError, OverflowError):
+        return 1
+
+
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
     group = _build_group(cfg.group_spec)
+    dims = [_predicted_dim(group, sub["rep"]) for sub in cfg.subsystems]
+    kin_dim = math.prod(max(d, 1) for d in dims)  # a non-positive dimension is the builder's error to report
+    if kin_dim > MAX_KIN_DIM:
+        raise ConfigError(
+            f"predicted kinematical dimension {kin_dim} (subsystems {dims}) exceeds MAX_KIN_DIM = {MAX_KIN_DIM}"
+        )
     subsystems = [
         (sub["name"], _build_rep(group, sub["rep"], f"subsystems[{i}].rep"))
         for i, sub in enumerate(cfg.subsystems)
@@ -767,6 +790,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg.seed = args.seed
     try:
         report = run(cfg)
+    except ConfigError as exc:  # raised by build_scenario, before any task runs
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # exit 1 means "checks failed", so a run that cannot finish exits 2
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

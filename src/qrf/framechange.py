@@ -6,7 +6,9 @@ isometries between the (possibly moving) physical system subspaces
 regardless of frame idealness.  Symmetry-induced transformations -- plain
 and relation-conditional reorientations -- act on relational observables
 instead; the relation-conditional construction is restricted to regular
-representations, as is its commuting-subalgebra structure.
+representations, as is its commuting-subalgebra structure.  Subsystem
+relativity reads the relativized algebras of ideal frames as matrix-unit
+systems from the blocks of C_e, and grows them by product sweeps otherwise.
 """
 
 from __future__ import annotations
@@ -255,9 +257,25 @@ def _generate_algebra(mats: list[np.ndarray], tol: Tolerance, max_rounds: int = 
     return basis
 
 
-def _span_overlap_dim(b1: np.ndarray, b2: np.ndarray, tol: Tolerance) -> int:
-    union = orthonormal_range(np.hstack([b1, b2]), tol).dim
-    return b1.shape[1] + b2.shape[1] - union
+def _overlap_dim(q1: np.ndarray, q2: np.ndarray, tol: Tolerance) -> int:
+    """dim(span Q1 & span Q2) = k2 - rank((1 - Q1 Q1^dag) Q2) for orthonormal Q1, Q2 (= k1 + k2 - rank[Q1 Q2]).
+
+    A rank, not a count of cosines near 1: 1 - cos is quadratic in the angle, so a
+    cut on it at the tolerance would sit below double-precision resolution.
+    """
+    return q2.shape[1] - orthonormal_range(q2 - q1 @ (dagger(q1) @ q2), tol).dim
+
+
+def _target_blocks(s: Scenario, ps: PhysicalSpace, frame_name: str, target_slot: int) -> np.ndarray:
+    """C_e of the frame as (d_t, rest, n_phys) blocks: c[i] = C_i, the target-row-i block."""
+    dims = s.dims
+    slot_f = s.frame_slot(frame_name)
+    rest = [i for i in range(len(dims)) if i != slot_f]
+    if target_slot == slot_f:
+        raise ValueError("target subsystem coincides with the frame")
+    c = conditioning_map(ps, frame_name, s.frame(frame_name).rep.identity_element())
+    c = c.reshape([dims[i] for i in rest] + [ps.dim])
+    return np.moveaxis(c, rest.index(target_slot), 0).reshape(dims[target_slot], -1, ps.dim)
 
 
 def restricted_unit_family(
@@ -272,17 +290,27 @@ def restricted_unit_family(
     of |phi(e)><phi(e)| x E_ij x 1 is C_i^dag C_j, where C_i is the target-row-i
     block of the conditioning map C_e; one contraction covers every unit.
     """
-    dims = s.dims
-    slot_f = s.frame_slot(frame_name)
-    rest = [i for i in range(len(dims)) if i != slot_f]
-    if target_slot == slot_f:
-        raise ValueError("target subsystem coincides with the frame")
-    d_t = dims[target_slot]
-    c = conditioning_map(ps, frame_name, s.frame(frame_name).rep.identity_element())
-    c = c.reshape([dims[i] for i in rest] + [ps.dim])
-    c = np.moveaxis(c, rest.index(target_slot), 0).reshape(d_t, -1, ps.dim)
+    c = _target_blocks(s, ps, frame_name, target_slot)
     fam = np.einsum("irp,jrq->ijpq", np.conj(c), c, optimize=True)
-    return [fam[i, j] for i in range(d_t) for j in range(d_t)]
+    return list(fam.reshape(-1, ps.dim, ps.dim))
+
+
+def _matrix_unit_algebra(c: np.ndarray, fam: list[np.ndarray], tol: Tolerance):
+    """(basis of span{1, F_ij}, commutation bound) if the target blocks c of C_e factorise, else None.
+
+    See ``subsystem_relativity_report`` for the block test and the bound.
+    """
+    d_t, r, n = c.shape
+    flat = c.reshape(-1, n)
+    pi = (flat @ dagger(flat)).reshape(d_t, r, d_t, r)
+    delta = float(np.linalg.norm(pi - np.einsum("ij,rs->irjs", np.eye(d_t), np.einsum("iris->rs", pi) / d_t)))
+    g = dagger(flat) @ flat
+    g_norm, defect = float(np.linalg.norm(g, 2)), float(np.linalg.norm(g - np.eye(n)))
+    if g_norm * delta > tol.weighted(1.0) or defect > tol.weighted(1.0):
+        return None
+    seeds = [np.eye(n, dtype=complex)] + fam  # _generate_algebra's first rank decision, on the same input
+    basis = orthonormal_range(np.column_stack([m.reshape(-1) for m in seeds]), tol).basis
+    return (basis, 2.0 * g_norm * (2.0 * delta + defect)) if basis.shape[1] == d_t * d_t else None
 
 
 def subsystem_relativity_report(
@@ -296,6 +324,18 @@ def subsystem_relativity_report(
     Restricted to the physical basis, reports (a) whether frame-2 and system
     observables relativized to frame 1 commute, (b) whether the two system
     subalgebras coincide, and (c) their overlap dimension.
+
+    Ideal frames make F_ij = C_i^dag C_j matrix units.  With Pi = C C^dag as
+    (d_t, r, d_t, r) blocks, P = sum_j Pi_jj / d_t, Delta = Pi - 1_t x P,
+    G = C^dag C and E = (1_t x P - 1) C = C (G - 1) - Delta C, the defects
+    F_ij F_kl - delta_jk F_il = C_i^dag (Delta_jk C_l + delta_jk E_l) and
+    1 - sum_i F_ii = 1 - G sit far below ``_generate_algebra``'s product cut
+    when ||G||_2 ||Delta||_F and ||G - 1||_F pass tol; each algebra is then
+    span{1, F_ij} with no product sweep.  For X on frame 2 and Y on the system,
+    [C^dag X C, C^dag Y C] = C^dag (X Delta Y - Y Delta X) C + C^dag X Y E -
+    E^dag X Y C, so the residual is the bound 2 ||G||_2 (2 ||Delta||_F + ||G - 1||_F).
+    Otherwise the algebras are grown by ``_generate_algebra`` and the residual
+    is the largest commutator.
     """
     ps = physical_space(s, tol)
     if ps.dim == 0:
@@ -314,18 +354,21 @@ def subsystem_relativity_report(
         raise ValueError("need a system subsystem besides the two frames")
     report: dict = {"degenerate": False, "frame1": frame1, "frame2": frame2}
     sys_slot = sys_slots[0]
-    a_s_r1 = restricted_unit_family(s, ps, frame1, sys_slot)
-    a_s_r2 = restricted_unit_family(s, ps, frame2, sys_slot)
-    a_r2_r1 = restricted_unit_family(s, ps, frame1, slot2)
+    blocks = [_target_blocks(s, ps, f, sys_slot) for f in (frame1, frame2)]
+    fams = [restricted_unit_family(s, ps, f, sys_slot) for f in (frame1, frame2)]
+    closed = [_matrix_unit_algebra(c, fam, tol) for c, fam in zip(blocks, fams)]
+    if all(x is not None for x in closed):
+        (alg1, comm), (alg2, _) = closed
+    else:
+        ys = np.stack(fams[0])
+        x_all = restricted_unit_family(s, ps, frame1, slot2)
+        comm = max(float(np.linalg.norm(x @ ys - ys @ x, axis=(1, 2)).max()) for x in x_all)
+        alg1, alg2 = (_generate_algebra(fam, tol) for fam in fams)
     # (a) commutation of the frame-2 and system observables relative to frame 1
-    ys = np.stack(a_s_r1)
-    comm = max(float(np.linalg.norm(x @ ys - ys @ x, axis=(1, 2)).max()) for x in a_r2_r1)
     report["relativized_commutant_residual"] = comm
     report["commuting_pass"] = comm <= 1e5 * tol.weighted(1.0)
     # (b), (c) distinctness of the two relativizations of the system algebra
-    alg1 = _generate_algebra(a_s_r1, tol)
-    alg2 = _generate_algebra(a_s_r2, tol)
-    overlap = _span_overlap_dim(alg1, alg2, tol)
+    overlap = _overlap_dim(alg1, alg2, tol)
     report["algebra_dims"] = (int(alg1.shape[1]), int(alg2.shape[1]))
     report["overlap_dim"] = int(overlap)
     report["coincide"] = overlap == alg1.shape[1] == alg2.shape[1]

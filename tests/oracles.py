@@ -1,16 +1,19 @@
-"""Slow exact reference paths for the Lie layers, kept only as test oracles.
+"""Slow exact reference paths, kept only as test oracles.
 
 The library reads U(1) and SU(2) reps from the weights of their Cartan
 generator.  These are the general paths it replaced: weight spaces from an
 ``eigh`` of the whole generator, highest-weight ladders lowered one vector
 at a time, the commutant projection as two grid einsums over the
 kinematical space, invariant closures grown by the generators, and the
-isometry defect of a frame change from complement-sized products.
+isometry defect of a frame change from complement-sized products.  The
+weak-homomorphism residuals, which the library reads from n_phys-sized
+restricted matrices, are formed here from kinematical products.
 """
 
 import numpy as np
 
 from qrf.linalg import DEFAULT_TOL, Subspace, canonicalize_basis, dagger, fix_phase, nullspace, orthonormal_range
+from qrf.perspective import physical_space, relational_observable, system_projector
 from qrf.reps import IsotypicBlock, IsotypicDecomposition
 
 
@@ -77,3 +80,28 @@ def frame_change_defect(mi, mj):
         float(np.linalg.norm(dagger(mat) @ mat - mi.matrix @ mi.inverse_matrix)),
         float(np.linalg.norm(mat @ dagger(mat) - mj.matrix @ mj.inverse_matrix)),
     )
+
+
+def weak_homomorphism(s, frame_name, g, a, b, tol=DEFAULT_TOL):
+    """Weak residuals max_k ||(lhs - rhs) B e_k|| and strong ||(lhs - rhs) v|| from kinematical matrices."""
+    basis = physical_space(s, tol).basis.basis
+    pi = system_projector(s, frame_name, g, tol)
+    a_p, b_p = pi @ a @ pi, pi @ b @ pi
+
+    def rel(f):
+        return relational_observable(s, frame_name, g, f, tol, check=False).matrix
+
+    f_a, f_b = rel(a_p), rel(b_p)
+    pairs = {
+        "addition": (rel(a_p + b_p), f_a + f_b),
+        "multiplication": (rel(a_p @ b_p), f_a @ f_b),
+        "combined": (rel(a_p + b_p @ a_p), f_a + f_b @ f_a),
+        "projection_equivalence": (rel(a), f_a),
+    }
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(s.kin_dim) + 1j * rng.standard_normal(s.kin_dim)
+    v /= np.linalg.norm(v)
+    weak = {name: float(np.max(np.linalg.norm((lhs - rhs) @ basis, axis=0))) for name, (lhs, rhs) in pairs.items()}
+    strong = {name: float(np.linalg.norm((lhs - rhs) @ v)) for name, (lhs, rhs) in pairs.items()}
+    weak["adjoint"] = float(np.linalg.norm(dagger(basis) @ (rel(dagger(a_p)) - dagger(f_a)) @ basis))
+    return {"weak": weak, "strong": strong}

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qrf
 from qrf import cli
 from qrf.builtins_config import builtin_names
 from qrf.cli import ConfigError, emit, load_config, parse_config, run
@@ -355,3 +360,47 @@ def test_non_numeric_tolerance_override_is_config_error(tmp_path, monkeypatch, c
     monkeypatch.setenv("QRF_TOL", "tight")
     assert cli.main(["run", str(cfg_path)]) == 2
     assert capsys.readouterr().err == "config error: QRF_TOL: expected a number, got 'tight'\n"
+
+
+_HUGE_SPIN = small_config(group={"builtin": "su2"}, subsystems=[{"name": "A", "rep": {"spin_j": 1e9}}], frames=[])
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_huge_rep_is_rejected_before_anything_is_built(command, tmp_path):
+    # under a 1 GiB address-space cap, building the 2e9-dim spin rep would end in a MemoryError
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(_HUGE_SPIN))
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from qrf.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qrf.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, command, str(cfg_path)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "config error: predicted kinematical dimension 2000000001 (subsystems [2000000001]) "
+        f"exceeds MAX_KIN_DIM = {cli.MAX_KIN_DIM}\n"
+    )
+
+
+def test_kinematical_product_above_the_limit_is_config_error():
+    subsystems = [{"name": n, "rep": {"regular": True}} for n in "ABC"]
+    raw = small_config(group={"builtin": "Z32"}, subsystems=subsystems, frames=[])
+    with pytest.raises(ConfigError, match=r"predicted kinematical dimension 32768 \(subsystems \[32, 32, 32\]\)"):
+        cli.build_scenario(parse_config(json.dumps(raw)))
+
+
+def test_predicted_dims_match_the_built_reps():
+    for name in builtin_names():
+        cfg = load_config(name)
+        s = cli.build_scenario(cfg)
+        assert [cli._predicted_dim(s.group, sub["rep"]) for sub in cfg.subsystems] == s.dims
+    explicit = [
+        ({"builtin": "u1"}, {"generators": [[[1, 0], [0, -1]]]}),
+        ({"builtin": "Z2"}, {"matrices": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}),
+    ]
+    for group, rep in explicit:
+        cfg = parse_config(json.dumps(small_config(group=group, subsystems=[{"name": "A", "rep": rep}], frames=[])))
+        assert [cli._predicted_dim(None, sub["rep"]) for sub in cfg.subsystems] == cli.build_scenario(cfg).dims == [2]

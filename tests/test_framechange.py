@@ -10,7 +10,9 @@ from qrf.framechange import (
     subsystem_relativity_report,
     tautological_relobs,
 )
-from qrf.linalg import DEFAULT_TOL, dagger, orthonormal_range
+from qrf.builtins_config import builtin_names
+from qrf.cli import build_scenario, load_config, run
+from qrf.linalg import DEFAULT_TOL, Tolerance, dagger, orthonormal_range
 from qrf.perspective import physical_space, relational_observable, system_projector
 from qrf.reductions import schrodinger_map
 
@@ -411,3 +413,109 @@ def test_blocked_algebra_matches_all_pairs_products(s3_regular_scenario):
         assert dim == _all_pairs_algebra(mats, DEFAULT_TOL).shape[1]
         dims.append(dim)
     assert dims[-1] == 25
+
+
+# ---------------------------------------------------------------------------
+# matrix-unit closure against the product sweep
+# ---------------------------------------------------------------------------
+
+
+def _stacked_commutator(xs, ys):
+    ys = np.stack(ys)
+    return max(float(np.linalg.norm(x @ ys - ys @ x, axis=(1, 2)).max()) for x in xs)
+
+
+def _union_overlap(q1, q2):
+    return q1.shape[1] + q2.shape[1] - orthonormal_range(np.hstack([q1, q2])).dim
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
+def test_matrix_unit_path_matches_product_sweep(name):
+    s = regular_three_party(groups.builtin_group(name))
+    ps = physical_space(s)
+    algebras = []
+    for frame in ("R1", "R2"):
+        targets = [i for i in range(3) if i != s.frame_slot(frame)]
+        fams = [framechange.restricted_unit_family(s, ps, frame, t) for t in targets]
+        # [x, y] for x in one target's family and y in the other's: the same pairs from either side
+        comm = _stacked_commutator(*fams)
+        for target, fam in zip(targets, fams):
+            c = framechange._target_blocks(s, ps, frame, target)
+            closed = framechange._matrix_unit_algebra(c, fam, DEFAULT_TOL)
+            assert closed is not None
+            basis, bound = closed
+            assert basis.shape[1] == framechange._generate_algebra(fam, DEFAULT_TOL).shape[1] == s.dims[target] ** 2
+            assert comm <= bound < 1e-10
+            algebras.append(basis)
+    for i, q1 in enumerate(algebras):
+        for q2 in algebras[i + 1:]:
+            assert framechange._overlap_dim(q1, q2, DEFAULT_TOL) == _union_overlap(q1, q2)
+
+
+def test_finite_builtins_take_the_matrix_unit_path(monkeypatch):
+    def product_sweep(mats, tol, max_rounds=8):
+        raise AssertionError("the product sweep ran on an ideal-frame scenario")
+
+    monkeypatch.setattr(framechange, "_generate_algebra", product_sweep)
+    for name in builtin_names():
+        if not name.startswith("finite-regular:"):
+            continue
+        cfg = load_config(name)
+        s = build_scenario(cfg)
+        order = s.group.order
+        # the arguments the full report's symmetry layer passes
+        out = subsystem_relativity_report(s, "R1", "R2", cfg.tol())
+        assert (out["algebra_dims"], out["overlap_dim"]) == ((order**2, order**2), order)
+        assert out["commuting_pass"] and out["relativized_commutant_residual"] < 1e-10
+    layer = run(load_config("finite-regular:Z3"))["tasks"][0]["results"]["symmetry_layer"]
+    assert layer["subsystem_relativity"]["algebra_dims"] == [9, 9]
+
+
+def test_u1_frames_take_the_product_sweep(monkeypatch):
+    calls = []
+    sweep = framechange._generate_algebra
+    monkeypatch.setattr(framechange, "_generate_algebra", lambda mats, tol: calls.append(len(mats)) or sweep(mats, tol))
+    cfg = load_config("u1-qubit-qubit-qutrit")
+    cfg.tasks = [{"task": "subsystem_relativity", "frame1": "A", "frame2": "B"}]
+    results = run(cfg)["tasks"][0]["results"]
+    assert (results["algebra_dims"], results["overlap_dim"]) == ([8, 8], 4)
+    assert calls == [9, 9]
+
+
+def _block_deviation(c):
+    """max(||G||_2 ||Pi - 1_t x P||_F, ||G - 1||_F) from the full Pi = C C^dag."""
+    d_t, r, n = c.shape
+    flat = c.reshape(-1, n)
+    pi = flat @ dagger(flat)
+    p = sum(pi[i * r:(i + 1) * r, i * r:(i + 1) * r] for i in range(d_t)) / d_t
+    g = dagger(flat) @ flat
+    return max(np.linalg.norm(g, 2) * np.linalg.norm(pi - np.kron(np.eye(d_t), p)), np.linalg.norm(g - np.eye(n)))
+
+
+def test_block_cut_picks_the_path_and_both_paths_agree(s3_regular_scenario):
+    s = s3_regular_scenario
+    ps = physical_space(s)
+    rng = np.random.default_rng(40)
+    c = framechange._target_blocks(s, ps, "R1", 2)
+    c = c + 1e-7 * (rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape))
+    fam = list(np.einsum("irp,jrq->ijpq", np.conj(c), c).reshape(-1, ps.dim, ps.dim))
+    dev = _block_deviation(c)
+    below, above = Tolerance(0.6 * dev, 0.6 * dev), Tolerance(0.4 * dev, 0.4 * dev)  # weighted(1) = 1.2 dev, 0.8 dev
+    closed = framechange._matrix_unit_algebra(c, fam, below)
+    assert closed is not None and framechange._matrix_unit_algebra(c, fam, above) is None
+    dims = {closed[0].shape[1]} | {framechange._generate_algebra(fam, t).shape[1] for t in (below, above)}
+    assert dims == {36}
+
+
+@pytest.mark.parametrize("planted", [0, 1, 3, 6])
+def test_overlap_dim_matches_union_rank_on_planted_subspaces(planted):
+    rng = np.random.default_rng(50 + planted)
+
+    def orth(m):
+        return np.linalg.qr(m)[0]
+
+    q1 = orth(rng.standard_normal((40, 9)) + 1j * rng.standard_normal((40, 9)))
+    shared = q1 @ (rng.standard_normal((9, planted)) + 1j * rng.standard_normal((9, planted)))
+    q2 = orth(np.hstack([shared, rng.standard_normal((40, 6 - planted)) + 1j * rng.standard_normal((40, 6 - planted))]))
+    for a, b in ((q1, q2), (q2, q1)):
+        assert framechange._overlap_dim(a, b, DEFAULT_TOL) == _union_overlap(a, b) == planted

@@ -188,6 +188,20 @@ def test_spin1_projector_is_rank_one_and_moves(three_spin_scenario):
     np.testing.assert_allclose(pi_g, u @ pi_e @ dagger(u), atol=1e-8)
 
 
+def test_system_projector_reads_idempotence_from_the_round_trip(u1_scenario, monkeypatch):
+    exact = perspective.conditioning_map
+    c0 = exact(physical_space(u1_scenario), "A", [0.2])
+    for eps in (1e-4, 1e-3):  # defects 4e-4 and 4e-3 around the 1.2e-3 threshold
+        monkeypatch.setattr(perspective, "conditioning_map", lambda ps, f, g: (1 + eps) * exact(ps, f, g))
+        proj = (1 + eps) ** 2 * c0 @ dagger(c0)
+        defect = np.linalg.norm(proj @ proj - proj)  # the complement-sized form
+        if defect < 1.2e-3:
+            np.testing.assert_allclose(system_projector(u1_scenario, "A", [0.2]), proj, atol=1e-14)
+        else:
+            with pytest.raises(ValueError, match=rf"idempotence/Hermiticity \({defect:.2e}\)"):
+                system_projector(u1_scenario, "A", [0.2])
+
+
 def test_projector_conjugation_relation(u1_scenario):
     comp = u1_scenario.complement_rep("A")
     pi_e = system_projector(u1_scenario, "A", [0.0])
@@ -261,6 +275,25 @@ def test_weak_homomorphism_weak_only_for_nonideal_frames(u1_scenario):
     assert rep["weak_pass"]
     assert rep["max_weak_residual"] < 1e-9
     assert not rep["strong_pass"]
+
+
+@pytest.mark.parametrize(
+    "fixture, frame, g",
+    [("s3_regular_scenario", "R1", 2), ("u1_scenario", "A", [0.4]), ("three_spin_scenario", "A", [0.3, -0.2, 0.5])],
+)
+def test_weak_homomorphism_matches_kinematical_oracle(fixture, frame, g, request):
+    from oracles import weak_homomorphism
+
+    s = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(16)
+    a = random_hermitian(rng, s.complement_dim(frame))
+    b = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)  # non-Hermitian
+    fast = check_weak_homomorphism(s, frame, g, a, b)
+    slow = weak_homomorphism(s, frame, g, a, b)
+    for kind in ("weak", "strong"):
+        assert set(fast[kind]) == set(slow[kind]) | ({"adjoint"} if kind == "strong" else set())
+        for name, value in slow[kind].items():
+            assert abs(fast[kind][name] - value) <= 1e-10 * max(1.0, value)
 
 
 def test_weak_homomorphism_adjoint_clause(u1_scenario):

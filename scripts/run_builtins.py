@@ -4,8 +4,8 @@
 Usage: python scripts/run_builtins.py [outdir] [--skip-big]
 
 --skip-big leaves out the order-8 regular scenarios (512-dim kinematical
-spaces), which take 3.4–4.1 s each on 2 cores; every other builtin takes
-under 1 s.
+spaces), which take 0.3–0.5 s each on 2 cores, in process; every other
+builtin takes under 0.1 s.
 """
 
 import sys

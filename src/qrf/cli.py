@@ -42,6 +42,8 @@ _KNOWN_TASKS = (
 
 # Largest kinematical dimension a config may build; one dense operator of that size is 256 MiB.
 MAX_KIN_DIM = 4096
+# Largest total rep a config may build: |G| (finite) or algebra_dim (Lie) dense kin x kin complex matrices.
+MAX_REP_BYTES = 2 * 2**30
 
 
 class ConfigError(ValueError):
@@ -257,6 +259,13 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         raise ConfigError(
             f"predicted kinematical dimension {kin_dim} (subsystems {dims}) exceeds MAX_KIN_DIM = {MAX_KIN_DIM}"
         )
+    stack = group.order if isinstance(group, groups.FiniteGroup) else group.algebra_dim
+    rep_bytes = 16 * stack * kin_dim**2
+    if rep_bytes > MAX_REP_BYTES:
+        raise ConfigError(
+            f"predicted total representation of {stack} x {kin_dim} x {kin_dim} complex entries "
+            f"({rep_bytes / 2**30:.2f} GiB) exceeds MAX_REP_BYTES = {MAX_REP_BYTES / 2**30:.0f} GiB"
+        )
     subsystems = [
         (sub["name"], _build_rep(group, sub["rep"], f"subsystems[{i}].rep"))
         for i, sub in enumerate(cfg.subsystems)
@@ -367,13 +376,6 @@ def _basis_table(ps, limit: int = 2048) -> object:
     return _jsonable(ps.basis.basis.T)
 
 
-def _resolution_residual(scenario: Scenario, frame) -> float:
-    if frame.rep.is_finite:
-        return frames._finite_resolution_defect(frame.rep, frame.seed)
-    twirl = reps.group_average(frame.rep, np.outer(frame.seed, np.conj(frame.seed)), "twirl", 1.0)
-    return float(np.linalg.norm(twirl - np.eye(frame.dim) / frame.dim))
-
-
 def _task_phys_space(scenario, ps, cfg, task, rng):
     # ||D B|| per constraint operator D: zero iff every basis vector is invariant
     b = ps.basis.basis
@@ -479,7 +481,7 @@ def _task_full_report(scenario, ps, cfg, task, rng):
         frame = scenario.frame(fname)
         entry: dict = {"subsystem": scenario.subsystems[scenario.frame_slot(fname)][0]}
         entry["volume"] = frame.weight_scale
-        resid = _resolution_residual(scenario, frame)
+        resid = frames.resolution_residual(frame.rep, frame.seed, cfg.tol())
         checks.append(_check(f"{fname}:resolution_of_identity", resid, 1e-8 * max(1, frame.dim)))
         if frame.isotropy.element_indices is not None:
             entry["isotropy_elements"] = list(frame.isotropy.element_indices)
@@ -575,15 +577,12 @@ def _trinity_residual(scenario, ps, fname, theta, rng) -> float:
 
 
 def _disentangler_residual(scenario, ps, fname, theta) -> float:
+    """max_k ||T_R B e_k - |theta> x C_e e_k / sqrt(Vol)|| over the physical basis columns."""
     frame = scenario.frame(fname)
     t_r = reductions.disentangler(scenario, fname, theta)
-    worst = 0.0
-    for k in range(ps.dim):
-        v = ps.basis.basis[:, k]
-        cond = scenario.condition_vector(fname, frame.seed, v)
-        expect = scenario.inject_vector(fname, theta.vector, cond)
-        worst = max(worst, float(np.linalg.norm(t_r @ v - expect)))
-    return worst
+    c_e = perspective.conditioning_map(ps, fname, frame.rep.identity_element())
+    expect = scenario.inject_vector(fname, theta.vector, c_e / np.sqrt(frame.weight_scale))
+    return float(np.max(np.linalg.norm(t_r @ ps.basis.basis - expect, axis=0), initial=0.0))
 
 
 def _symmetry_layer(scenario, ps, cfg, f1, f2, rng, checks) -> dict:

@@ -93,18 +93,11 @@ def frame_change(
 
 
 def ensure_lr(frame, tol: Tolerance = DEFAULT_TOL):
-    """Populate and return the frame's right action, or raise if none exists."""
-    if frame.lr is None and not frame.lr_report.get("checked"):
-        v_rep, report = frames_mod.lr_classify(frame, tol)
-        report["checked"] = True
-        frame.lr = v_rep
-        frame.lr_report = report
-    if frame.lr is None:
-        raise ValueError(
-            f"frame {frame.name!r} admits no right action, so no symmetries: "
-            + frame.lr_report.get("reason", "")
-        )
-    return frame.lr
+    """The frame's right action, or raise if none exists."""
+    v_rep, report = frames_mod.lr_classify(frame, tol)
+    if v_rep is None:
+        raise ValueError(f"frame {frame.name!r} admits no right action, so no symmetries: " + report["reason"])
+    return v_rep
 
 
 def reorient(s: Scenario, frame_name: str, g, obs: RelObs, tol: Tolerance = DEFAULT_TOL) -> RelObs:

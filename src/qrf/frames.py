@@ -4,8 +4,12 @@ A frame is a unitary representation plus a seed state whose orbit resolves
 the identity under the frame's own Haar normalization: the measure is scaled
 so the resolution constant is 1, which makes the total group volume equal
 dim(H_R) for a normalized seed (per-element weight dim/|G| for finite
-groups).  Validation is a direct weighted sum for finite groups and the
-isotypic Schmidt-uniformity criterion for U(1)/SU(2).
+groups).  The frame operators that the paper writes as integrals over
+orientations are single group averages Vol twirl(X): the resolution residual
+||Vol twirl(|phi><phi|) - 1|| and, when it exists, the right action
+V_R(g) = Vol twirl(U(g)^-1 |phi><phi|).  Finite frames are validated by the
+residual, U(1)/SU(2) frames by the isotypic Schmidt-uniformity criterion,
+whose per-block report explains a failure.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "povm_effect",
     "lr_classify",
     "build_lr_seed",
+    "resolution_residual",
 ]
 
 
@@ -56,8 +61,7 @@ class Frame:
     seed: np.ndarray
     weight_scale: float  # Vol(G) under this frame's measure = dim(H_R)
     isotropy: Subgroup
-    lr: UnitaryRep | None = None
-    lr_report: dict = field(default_factory=dict)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -83,11 +87,10 @@ class PovmEffect:
     matrix: np.ndarray
 
 
-def _finite_resolution_defect(rep: UnitaryRep, seed: np.ndarray) -> float:
-    w = rep.dim / rep.group.order
-    orbit = np.einsum("gij,j->gi", rep.matrices, seed)
-    total = w * np.einsum("gi,gj->ij", orbit, np.conj(orbit))
-    return float(np.linalg.norm(total - np.eye(rep.dim)))
+def resolution_residual(rep: UnitaryRep, seed: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
+    """||Vol twirl(|phi><phi|) - 1||_F with Vol = dim: how far the seed's orbit is from resolving 1."""
+    twirl = reps.group_average(rep, np.outer(seed, np.conj(seed)), "twirl", float(rep.dim), tol)
+    return float(np.linalg.norm(twirl - np.eye(rep.dim)))
 
 
 def _lie_block_report(rep: UnitaryRep, seed: np.ndarray, tol: Tolerance) -> list[dict]:
@@ -97,7 +100,7 @@ def _lie_block_report(rep: UnitaryRep, seed: np.ndarray, tol: Tolerance) -> list
     report = []
     for block in deco.blocks:
         d, m = block.irrep_dim, block.multiplicity
-        coeff = np.einsum("iam,i->am", np.conj(block.grid), seed)  # (d, m)
+        coeff = _block_seed_matrix(block, seed)
         gram = dagger(coeff) @ coeff
         target = (d / rep.dim) * np.eye(m)
         deviation = float(np.linalg.norm(gram - target))
@@ -122,7 +125,7 @@ def make_frame(
 ) -> Frame:
     """Validate (rep, seed) as a coherent-state frame and attach its measure.
 
-    Finite groups: direct weighted-sum resolution check.  U(1)/SU(2): every
+    Finite groups: the twirl resolution residual.  U(1)/SU(2): every
     isotypic block must satisfy multiplicity <= irrep dim and the seed must be
     Schmidt-uniform across it.
     """
@@ -134,7 +137,7 @@ def make_frame(
         raise ValueError(f"seed must be normalized, got norm {nrm}")
     vec = fix_phase(vec / nrm, tol)
     if rep.is_finite:
-        defect = _finite_resolution_defect(rep, vec)
+        defect = resolution_residual(rep, vec, tol)
         if defect > 1e-8 * rep.dim:
             raise ResolutionFails(
                 f"frame {name!r}: coherent-state sum deviates from identity by {defect:.3e}"
@@ -220,31 +223,29 @@ def _block_seed_matrix(block, seed: np.ndarray) -> np.ndarray:
     return np.einsum("iam,i->am", np.conj(block.grid), seed)  # (d, m)
 
 
-def _restricted_irrep(block, rep: UnitaryRep, g) -> np.ndarray:
-    ref = block.grid[:, :, 0]
-    return dagger(ref) @ rep.evaluate(g) @ ref
-
-
 def lr_classify(f: Frame, tol: Tolerance = DEFAULT_TOL) -> tuple[UnitaryRep | None, dict]:
-    """Decide whether the frame admits a commuting right action V_R.
+    """Decide whether the frame admits a commuting right action V_R; cached per tolerance, so treat as read-only.
 
     Exists iff every isotypic block has multiplicity equal to its irrep
     dimension and the seed is block-wise maximally entangled in the aligned
-    grid basis; the returned V_R acts by right translation on the orbit.
+    grid basis.  V_R(g)|phi(h)> = |phi(h g^-1)> and the resolution of
+    identity then give V_R(g) = Vol twirl(U(g)^-1 |phi><phi|), and its
+    derivative at the identity the generators -Vol twirl(K_a |phi><phi|).
     """
-    deco = isotypic_decompose(f.rep, tol)
+    key = ("lr", tol)
+    if key in f._cache:
+        return f._cache[key]
     report: dict = {"blocks": [], "lr_exists": True, "reason": ""}
-    pieces = []
-    for block in deco.blocks:
+    for block in isotypic_decompose(f.rep, tol).blocks:
         d, m = block.irrep_dim, block.multiplicity
         entry = {"label": block.label, "irrep_dim": d, "multiplicity": m}
+        report["blocks"].append(entry)
         if m != d:
             report["lr_exists"] = False
             report["reason"] = (
                 f"block {block.label}: multiplicity {m} != irrep dim {d}, "
                 "cannot split as irrep x conjugate-irrep"
             )
-            report["blocks"].append(entry)
             continue
         s = _block_seed_matrix(block, f.seed)  # (d, d)
         target = abs(np.trace(dagger(s) @ s)) / d
@@ -253,43 +254,19 @@ def lr_classify(f: Frame, tol: Tolerance = DEFAULT_TOL) -> tuple[UnitaryRep | No
         if dev > 1e3 * tol.weighted(1.0):
             report["lr_exists"] = False
             report["reason"] = f"block {block.label}: seed is not maximally entangled (dev {dev:.3e})"
-        report["blocks"].append(entry)
-        pieces.append((block, s))
-    if not report["lr_exists"]:
-        return None, report
-    v_rep = _build_right_action(f, deco, pieces, tol)
-    return v_rep, report
+    f._cache[key] = (_right_action(f, tol) if report["lr_exists"] else None, report)
+    return f._cache[key]
 
 
-def _lift_right_multiplier(block, r: np.ndarray) -> np.ndarray:
-    """Operator form of coefficient-matrix right multiplication M -> M r."""
-    return np.einsum("mn,ian,jam->ij", r, block.grid, np.conj(block.grid), optimize=True)
+def _right_action(f: Frame, tol: Tolerance) -> UnitaryRep:
+    proj = np.outer(f.seed, np.conj(f.seed))
 
+    def twirl(a: np.ndarray) -> np.ndarray:
+        return reps.group_average(f.rep, a, "twirl", f.weight_scale, tol)
 
-def _right_matrix(f: Frame, pieces, g) -> np.ndarray:
-    """V_R(g) = sum_blocks right-translation action in the aligned grid basis."""
-    out = np.zeros((f.dim, f.dim), dtype=complex)
-    for block, s in pieces:
-        rho = _restricted_irrep(block, f.rep, g)
-        r = np.linalg.solve(s, dagger(rho) @ s)  # S^-1 rho(g)^dag S
-        out += _lift_right_multiplier(block, r)
-    return out
-
-
-def _build_right_action(f: Frame, deco, pieces, tol: Tolerance) -> UnitaryRep:
-    group = f.rep.group
     if f.rep.is_finite:
-        mats = np.stack([_right_matrix(f, pieces, g) for g in group.elements()])
-        return reps.finite_rep(group, mats, tol)
-    # Lie case: right-action generators -S^-1 K S per block along the m-axis
-    gens = np.zeros((group.algebra_dim, f.dim, f.dim), dtype=complex)
-    for a in range(group.algebra_dim):
-        for block, s in pieces:
-            ref = block.grid[:, :, 0]
-            k = dagger(ref) @ f.rep.generators[a] @ ref
-            r = -np.linalg.solve(s, k @ s)
-            gens[a] += _lift_right_multiplier(block, (r + dagger(r)) / 2.0)
-    return reps.lie_rep(group, gens, tol)
+        return reps.finite_rep(f.group, np.stack([twirl(dagger(u) @ proj) for u in f.rep.matrices]), tol)
+    return reps.lie_rep(f.group, np.stack([-twirl(k @ proj) for k in f.rep.generators]), tol)
 
 
 def build_lr_seed(deco: reps.IsotypicDecomposition, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -89,7 +89,17 @@ class Scenario:
 
     def embed_frame_operator(self, frame_name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Operator acting as ``a`` on the frame slot and ``b`` on the complement."""
-        return _embed_pair(self.dims, self.frame_slot(frame_name), a, b)
+        return self.from_slot_first(frame_name, np.kron(as_cmatrix(a), as_cmatrix(b)))
+
+    def from_slot_first(self, frame_name: str, m: np.ndarray, n_axes: int = 2) -> np.ndarray:
+        """Reorder the first ``n_axes`` kinematical indices of ``m`` from frame-first to subsystem order."""
+        n = len(self.dims)
+        slot = self.frame_slot(frame_name)
+        order = [slot] + [i for i in range(n) if i != slot]
+        inv = list(np.argsort(order))
+        t = m.reshape([self.dims[i] for i in order] * n_axes + list(m.shape[n_axes:]))
+        axes = [k * n + i for k in range(n_axes) for i in inv] + list(range(n * n_axes, t.ndim))
+        return np.transpose(t, axes).reshape(m.shape)
 
     def condition_vector(self, frame_name: str, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """(<phi|_frame x 1) psi, keeping the complement in subsystem order."""
@@ -98,29 +108,9 @@ class Scenario:
         return np.tensordot(t, np.conj(phi), axes=([slot], [0])).reshape(-1)
 
     def inject_vector(self, frame_name: str, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
-        """(|phi>_frame x 1) chi: tensor a frame vector with a complement vector."""
-        slot = self.frame_slot(frame_name)
-        rest_dims = [d for i, d in enumerate(self.dims) if i != slot]
-        t = np.asarray(chi, dtype=complex).reshape(rest_dims)
-        full = np.tensordot(np.asarray(phi, dtype=complex), t, axes=0)  # frame axis first
-        order = _slot_first_order(len(self.dims), slot)
-        return np.transpose(full, np.argsort(order)).reshape(-1)
-
-
-def _slot_first_order(n: int, slot: int) -> list[int]:
-    return [slot] + [i for i in range(n) if i != slot]
-
-
-def _embed_pair(dims: list[int], slot: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    order = _slot_first_order(len(dims), slot)
-    perm_dims = [dims[i] for i in order]
-    full = np.kron(a, b).reshape(perm_dims + perm_dims)
-    inv = list(np.argsort(order))
-    axes = inv + [len(dims) + i for i in inv]
-    total = int(np.prod(dims))
-    return np.transpose(full, axes).reshape(total, total)
+        """(|phi>_frame x 1) chi: a frame vector tensored with a complement vector, or with each column of one."""
+        full = np.multiply.outer(np.asarray(phi, dtype=complex), np.asarray(chi, dtype=complex))
+        return self.from_slot_first(frame_name, full.reshape((self.kin_dim,) + full.shape[2:]), 1)
 
 
 def make_scenario(

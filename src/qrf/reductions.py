@@ -153,7 +153,11 @@ def conditional_probability(
     psi_phys,
     tol: Tolerance = DEFAULT_TOL,
 ) -> float:
-    """P(E when the frame is in orientation g), cross-checked gauge-invariantly."""
+    """P(E when the frame is in orientation g), cross-checked gauge-invariantly.
+
+    A value outside [0, 1] by more than rounding means a mis-scaled frame or
+    state and raises; within that band it is clamped.
+    """
     e = _check_projector(projector_e, tol)
     v = _require_physical(ps, psi_phys, "state")
     v = v / np.linalg.norm(v)
@@ -165,6 +169,9 @@ def conditional_probability(
         raise ValueError(
             f"gauge-invariance cross-check failed: {p_reduced} vs {p_invariant}"
         )
+    excess = max(-p_reduced, p_reduced - 1.0)
+    if excess > 1e4 * tol.weighted(1.0):
+        raise ValueError(f"conditional probability {p_reduced} lies outside [0, 1] by {excess:.3e}")
     return min(max(p_reduced, 0.0), 1.0)
 
 
@@ -279,45 +286,45 @@ def disentangler(
     theta: ThetaState,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
-    """T_R = sum/int w_g N(g) |phi(g)><phi(g)| x U_S(g)^dag on the kinematical space.
+    """T_R = Vol int dg N(g) |phi(g)><phi(g)| x U_S(g)^dag on the kinematical space.
 
-    U(1) frames evaluate the integral exactly through the charge algebra: the
-    only surviving terms pair frame-frequency q_i - q_j with system charge
-    k + q_i - q_j.
+    The sum is formed once as a frame-first tensor T[a, s, b, u] (frame
+    indices a, b; complement indices s, u) and reordered once to subsystem
+    order.  Finite frames contract over g in one product: w N(g) phi_g phi_g^dag
+    as a (d_R^2, |G|) matrix times U_S(g)^dag as a (|G|, c^2) matrix.  U(1)
+    frames evaluate the integral exactly through the charge algebra: in the
+    frame's weight basis (v_i, seed coefficients c_i, charges q_i) it is
+    Vol sum_ij c_i conj(c_j) v_i v_j^dag x diag[w_s = k + q_i - q_j] over the
+    complement's weights w_s, conjugated by the complement's weight basis
+    when that basis is not the identity.
     """
     frame = s.frame(frame_name)
     if theta.frame_name != frame.name:
         raise ValueError("theta state belongs to a different frame")
     comp = s.complement_rep(frame_name)
+    d, c = frame.dim, comp.dim
     if frame.rep.is_finite:
         if theta.phases is None:
             raise ValueError("finite frame needs per-element phases")
-        w = frame.element_weight()
-        total = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
-        for g in frame.rep.group.elements():
-            phi = frame.rep.matrices[g] @ frame.seed
-            u_s = comp.matrices[g]
-            total += w * theta.phases[g] * s.embed_frame_operator(
-                frame_name, np.outer(phi, np.conj(phi)), dagger(u_s)
-            )
-        return total
-    if frame.group.kind != "U1":
-        raise ValueError("disentangler supports finite-group and U(1) frames")
-    if theta.fourier_k is None:
-        raise ValueError("U(1) frame needs a Fourier phase label")
-    charges, vecs, coeff = _u1_charge_data(frame)
-    wb = reps.weight_basis(comp)
-    projectors = {q: wb.back(np.diag((wb.weights == q).astype(complex))) for q in wb.sectors}
-    total = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
-    k = theta.fourier_k
-    for i, qi in enumerate(charges):
-        for j, qj in enumerate(charges):
-            sq = k + qi - qj
-            if sq not in projectors:
-                continue
-            frame_part = (coeff[i] * np.conj(coeff[j])) * np.outer(vecs[:, i], np.conj(vecs[:, j]))
-            total += frame.weight_scale * s.embed_frame_operator(frame_name, frame_part, projectors[sq])
-    return total
+        orbit = frame.rep.matrices @ frame.seed  # (|G|, d): phi_g
+        frame_part = np.einsum("g,ga,gb->abg", frame.element_weight() * theta.phases, orbit, np.conj(orbit))
+        comp_part = np.conj(np.transpose(comp.matrices, (0, 2, 1))).reshape(-1, c * c)
+        t = (frame_part.reshape(d * d, -1) @ comp_part).reshape(d, d, c, c).transpose(0, 2, 1, 3)
+    else:
+        if frame.group.kind != "U1":
+            raise ValueError("disentangler supports finite-group and U(1) frames")
+        if theta.fourier_k is None:
+            raise ValueError("U(1) frame needs a Fourier phase label")
+        charges, vecs, coeff = _u1_charge_data(frame)
+        wb = reps.weight_basis(comp)
+        sector = wb.weights == (theta.fourier_k + charges[:, None, None] - charges[None, :, None])  # (d, d, c)
+        m = frame.weight_scale * np.outer(coeff, np.conj(coeff))[:, :, None] * sector
+        m = np.einsum("ai,ijx,bj->abx", vecs, m, np.conj(vecs))
+        t = np.zeros((d, c, d, c), dtype=complex)
+        t[:, np.arange(c), :, np.arange(c)] = np.moveaxis(m, 2, 0)  # diagonal in the complement's weights
+        if wb.vectors is not None:
+            t = np.einsum("sx,axby,ty->asbt", wb.vectors, t, np.conj(wb.vectors), optimize=True)
+    return s.from_slot_first(frame_name, t.reshape(d * c, d * c))
 
 
 def heisenberg_reduce(

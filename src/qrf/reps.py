@@ -48,6 +48,7 @@ from .linalg import (
     as_cmatrix,
     canonicalize_basis,
     dagger,
+    fix_phase,
     joint_fixed_subspace,
     nullspace,
     orthonormal_range,
@@ -388,10 +389,9 @@ def _ladders(rep: UnitaryRep, tol: Tolerance) -> list[tuple[int, list[np.ndarray
     return ladders
 
 
-def _commutant_dim(mats: list[np.ndarray], tol: Tolerance) -> int:
-    d = mats[0].shape[0]
-    rows = [np.kron(m, np.eye(d)) - np.kron(np.eye(d), m.T) for m in mats]
-    return nullspace(np.vstack(rows), tol).shape[1]
+def _commutant_dim(mats: np.ndarray) -> int:
+    """sum m^2 over the irreps of a finite unitary rep: its character norm (1/|G|) sum_g |tr rho(g)|^2 (Serre 2.3)."""
+    return int(round(float(np.mean(np.abs(np.trace(mats, axis1=1, axis2=2)) ** 2))))
 
 
 def _intertwiner(mats_a: list[np.ndarray], mats_b: list[np.ndarray], tol: Tolerance) -> np.ndarray | None:
@@ -405,16 +405,7 @@ def _intertwiner(mats_a: list[np.ndarray], mats_b: list[np.ndarray], tol: Tolera
     m = ker[:, 0].reshape(d, d)
     # Schur: M^dag M is a positive multiple of the identity; rescale to unitary
     scale = np.sqrt(np.trace(dagger(m) @ m).real / d)
-    m = m / scale
-    return m * _phase_of_first(m, tol)
-
-
-def _phase_of_first(m: np.ndarray, tol: Tolerance) -> complex:
-    flat = m.reshape(-1)
-    mags = np.abs(flat)
-    idx = int(np.argmax(mags > tol.weighted(mags.max(initial=0.0))))
-    pivot = flat[idx]
-    return abs(pivot) / pivot if abs(pivot) > 0 else 1.0
+    return fix_phase(m.reshape(-1) / scale, tol).reshape(d, d)
 
 
 def _character_key(mats: list[np.ndarray]) -> tuple:
@@ -427,7 +418,6 @@ def _finite_isotypic(rep: UnitaryRep, tol: Tolerance, seed: int) -> IsotypicDeco
     """Eigen-decomposition of the twirl of a seeded generic Hermitian matrix,
     retried until every eigenblock is certifiably irreducible (1-dim commutant)."""
     n = rep.dim
-    group = rep.group
     rng = np.random.default_rng(seed)
     last_dims: list[int] = []
     for _ in range(8):
@@ -445,8 +435,8 @@ def _finite_isotypic(rep: UnitaryRep, tol: Tolerance, seed: int) -> IsotypicDeco
         last_dims = []
         for lo, hi in zip(splits[:-1], splits[1:]):
             basis = canonicalize_basis(vecs[:, lo:hi], tol)
-            restricted = [dagger(basis) @ rep.matrices[g] @ basis for g in range(group.order)]
-            cdim = _commutant_dim(restricted, tol)
+            restricted = dagger(basis) @ rep.matrices @ basis
+            cdim = _commutant_dim(restricted)
             last_dims.append(cdim)
             if cdim != 1:
                 ok = False

@@ -8,13 +8,19 @@ kinematical space, invariant closures grown by the generators, and the
 isometry defect of a frame change from complement-sized products.  The
 weak-homomorphism residuals, which the library reads from n_phys-sized
 restricted matrices, are formed here from kinematical products.
+
+The library writes each frame operator as one group average.  Here are the
+constructions it replaced: the right action V_R lifted block by block from
+the isotypic grids, the resolution defect as an orbit sum (finite) or a
+probability-normalised twirl (Lie), the disentangler summed one Kronecker
+embedding at a time, and the commutant dimension as a Kronecker nullspace.
 """
 
 import numpy as np
 
 from qrf.linalg import DEFAULT_TOL, Subspace, canonicalize_basis, dagger, fix_phase, nullspace, orthonormal_range
 from qrf.perspective import physical_space, relational_observable, system_projector
-from qrf.reps import IsotypicBlock, IsotypicDecomposition
+from qrf.reps import IsotypicBlock, IsotypicDecomposition, group_average, isotypic_decompose, weight_basis
 
 
 def weight_spaces(gz, tol=DEFAULT_TOL):
@@ -105,3 +111,83 @@ def weak_homomorphism(s, frame_name, g, a, b, tol=DEFAULT_TOL):
     strong = {name: float(np.linalg.norm((lhs - rhs) @ v)) for name, (lhs, rhs) in pairs.items()}
     weak["adjoint"] = float(np.linalg.norm(dagger(basis) @ (rel(dagger(a_p)) - dagger(f_a)) @ basis))
     return {"weak": weak, "strong": strong}
+
+
+def right_action(frame, tol=DEFAULT_TOL):
+    """V_R matrices (finite) or generators (Lie), lifted block by block from the aligned isotypic grids.
+
+    On each block with seed matrix S, V_R(g) right-multiplies the coefficient
+    matrix by S^-1 rho(g)^dag S; a Lie generator K gives -S^-1 K S.
+    """
+    blocks = isotypic_decompose(frame.rep, tol).blocks
+    pieces = [(b, np.einsum("iam,i->am", np.conj(b.grid), frame.seed)) for b in blocks]
+
+    def lift(block, r):
+        return np.einsum("mn,ian,jam->ij", r, block.grid, np.conj(block.grid), optimize=True)
+
+    def restricted(block, op):
+        ref = block.grid[:, :, 0]
+        return dagger(ref) @ op @ ref
+
+    if frame.rep.is_finite:
+        return np.stack([
+            sum(lift(b, np.linalg.solve(s, dagger(restricted(b, u)) @ s)) for b, s in pieces)
+            for u in frame.rep.matrices
+        ])
+    out = []
+    for k in frame.rep.generators:
+        rs = [(b, -np.linalg.solve(s, restricted(b, k) @ s)) for b, s in pieces]
+        out.append(sum(lift(b, (r + dagger(r)) / 2.0) for b, r in rs))
+    return np.stack(out)
+
+
+def resolution_defect(rep, seed):
+    """Finite: ||(dim/|G|) sum_g |phi(g)><phi(g)| - 1||.  Lie: dim ||twirl(|phi><phi|) - 1/dim||, Haar probability."""
+    if rep.is_finite:
+        orbit = np.einsum("gij,j->gi", rep.matrices, seed)
+        total = rep.dim / rep.group.order * np.einsum("gi,gj->ij", orbit, np.conj(orbit))
+        return float(np.linalg.norm(total - np.eye(rep.dim)))
+    twirl = group_average(rep, np.outer(seed, np.conj(seed)), "twirl", 1.0)
+    return rep.dim * float(np.linalg.norm(twirl - np.eye(rep.dim) / rep.dim))
+
+
+def embed_pair(dims, slot, a, b):
+    """a on subsystem ``slot`` and b on the rest, from a Kronecker product with the frame factor first."""
+    order = [slot] + [i for i in range(len(dims)) if i != slot]
+    perm_dims = [dims[i] for i in order]
+    full = np.kron(a, b).reshape(perm_dims + perm_dims)
+    inv = list(np.argsort(order))
+    total = int(np.prod(dims))
+    return np.transpose(full, inv + [len(dims) + i for i in inv]).reshape(total, total)
+
+
+def disentangler(s, frame_name, theta):
+    """T_R summed one kinematical Kronecker embedding per group element (finite) or per pair of frame weights (U(1))."""
+    frame = s.frame(frame_name)
+    comp = s.complement_rep(frame_name)
+    slot = s.frame_slot(frame_name)
+    total = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
+    if frame.rep.is_finite:
+        for g in range(frame.group.order):
+            phi = frame.rep.matrices[g] @ frame.seed
+            part = frame.element_weight() * theta.phases[g] * np.outer(phi, np.conj(phi))
+            total += embed_pair(s.dims, slot, part, dagger(comp.matrices[g]))
+        return total
+    wf, wc = weight_basis(frame.rep), weight_basis(comp)
+    vecs = np.eye(frame.dim) if wf.vectors is None else wf.vectors
+    coeff = dagger(vecs) @ frame.seed
+    projectors = {q: wc.back(np.diag((wc.weights == q).astype(complex))) for q in wc.sectors}
+    for i, qi in enumerate(wf.weights):
+        for j, qj in enumerate(wf.weights):
+            sq = theta.fourier_k + qi - qj
+            if sq in projectors:
+                part = coeff[i] * np.conj(coeff[j]) * np.outer(vecs[:, i], np.conj(vecs[:, j]))
+                total += frame.weight_scale * embed_pair(s.dims, slot, part, projectors[sq])
+    return total
+
+
+def commutant_dim(mats, tol=DEFAULT_TOL):
+    """Dimension of {X : rho(g) X = X rho(g) for all g} as the nullspace of stacked Kronecker rows."""
+    d = mats[0].shape[0]
+    rows = [np.kron(m, np.eye(d)) - np.kron(np.eye(d), m.T) for m in mats]
+    return nullspace(np.vstack(rows), tol).shape[1]

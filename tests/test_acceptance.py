@@ -194,7 +194,7 @@ def test_criterion_4_resolution_of_identity():
         scenario = cli.build_scenario(cli.load_config(name))
         for fname in scenario.frames:
             frame = scenario.frame(fname)
-            worst = max(worst, cli._resolution_residual(scenario, frame) / frame.dim)
+            worst = max(worst, frames.resolution_residual(frame.rep, frame.seed) / frame.dim)
     c.check("every builtin frame resolves the identity to 1e-8", worst <= 1e-8, f"worst {worst:.2e}")
     try:
         frames.make_frame(reps.u1_rep([1, 1]), np.array([1, 0], dtype=complex))

@@ -385,6 +385,36 @@ def test_huge_rep_is_rejected_before_anything_is_built(command, tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_dense_rep_stack_above_the_byte_limit_is_rejected_before_anything_is_built(command, tmp_path):
+    # a regular Z600 passes MAX_KIN_DIM, but its (|G|, d, d) matrix table alone is 3.2 GiB
+    n = 600
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    raw = small_config(group={"table": table}, subsystems=[{"name": "A", "rep": {"regular": True}}], frames=[])
+    cfg_path = tmp_path / "z600.json"
+    cfg_path.write_text(json.dumps(raw))
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from qrf.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qrf.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, command, str(cfg_path)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "config error: predicted total representation of 600 x 600 x 600 complex entries (3.22 GiB) "
+        "exceeds MAX_REP_BYTES = 2 GiB\n"
+    )
+
+
+def test_byte_limit_admits_every_builtin_and_su2_at_the_dimension_limit():
+    assert 16 * 8 * 512**2 <= cli.MAX_REP_BYTES  # the largest builtin stack, a three-party order-8 regular rep
+    assert 16 * 3 * cli.MAX_KIN_DIM**2 <= cli.MAX_REP_BYTES
+    for name in builtin_names():
+        cli.build_scenario(load_config(name))
+
+
 def test_kinematical_product_above_the_limit_is_config_error():
     subsystems = [{"name": n, "rep": {"regular": True}} for n in "ABC"]
     raw = small_config(group={"builtin": "Z32"}, subsystems=subsystems, frames=[])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qrf import frames, groups, reps
 from qrf.frames import ResolutionFails
-from qrf.linalg import dagger
+from qrf.linalg import Tolerance, dagger
 
 
 def u1_qubit_frame():
@@ -270,3 +270,98 @@ def test_lr_commutes_even_for_u1_frames():
     v_rep, report = frames.lr_classify(f)
     assert v_rep is not None  # abelian frames always admit the right action
     np.testing.assert_allclose(np.sort(np.diag(v_rep.generators[0]).real), [-1, 1], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# frame operators as group averages, against the block-lifted and orbit-sum oracles
+# ---------------------------------------------------------------------------
+
+
+def _commutant_rotated_seed(group, seed_value):
+    """exp(iH)|e> with H twirled into the commutant of the left regular rep: another seed with a right action."""
+    reg = reps.regular_rep(group)
+    rng = np.random.default_rng(seed_value)
+    h = rng.standard_normal((group.order, group.order)) + 1j * rng.standard_normal((group.order, group.order))
+    vals, vecs = np.linalg.eigh(reps.group_average(reg, (h + dagger(h)) / 2.0))
+    return (vecs * np.exp(1j * vals)) @ dagger(vecs)[:, group.identity_index]
+
+
+def _lr_frames():
+    out = []
+    for group in (groups.dihedral_4(), groups.symmetric_3(), groups.quaternion_8(), groups.cyclic(5)):
+        out.append(ideal_frame(group))
+        out.append(frames.make_frame(reps.regular_rep(group), _commutant_rotated_seed(group, 3), name="R"))
+    for charges in ([1, -1], [2, 0, -2], [1, 0, -1]):
+        out.append(frames.make_frame(reps.u1_rep(charges), np.ones(len(charges)) / np.sqrt(len(charges))))
+    half = reps.spin_rep(0.5)
+    rep = reps.lie_rep(groups.su2(), np.stack([np.kron(k, np.eye(2)) for k in half.generators]))
+    out.append(frames.make_frame(rep, frames.build_lr_seed(reps.isotypic_decompose(rep))))
+    return out
+
+
+def test_twirl_right_action_matches_block_lift_oracle():
+    from oracles import right_action
+
+    dense = 0
+    for f in _lr_frames():
+        v_rep, report = frames.lr_classify(f)
+        assert v_rep is not None and report["lr_exists"], report["reason"]
+        mine = v_rep.matrices if f.rep.is_finite else v_rep.generators
+        assert np.abs(mine - right_action(f)).max() <= 1e-12, (f.group, f.dim)
+        dense += f.rep.is_finite and reps.permutation_table(v_rep) is None
+    assert dense == 4  # the rotated regular seeds give right actions that are not permutations
+
+
+def test_lr_classify_is_decided_once_per_frame_and_tolerance(monkeypatch):
+    f = ideal_frame(groups.symmetric_3())
+    built = []
+    original = frames._right_action
+    monkeypatch.setattr(frames, "_right_action", lambda *a: built.append(a) or original(*a))
+    first = frames.lr_classify(f)
+    assert frames.lr_classify(f) is first
+    assert len(built) == 1
+    frames.lr_classify(f, Tolerance(1e-10, 1e-10))
+    assert len(built) == 2
+
+
+def test_full_report_builds_each_right_action_once(monkeypatch):
+    from qrf import cli
+
+    built = []
+    original = frames._right_action
+    monkeypatch.setattr(frames, "_right_action", lambda f, tol: built.append(f.name) or original(f, tol))
+    report = cli.run(cli.load_config("finite-regular:S3"))
+    assert report["summary"]["checks_failed"] == 0
+    assert sorted(built) == ["R1", "R2"]
+
+
+def test_resolution_residual_matches_orbit_sum_and_probability_twirl():
+    from oracles import resolution_defect
+    from qrf import cli
+
+    seen = {"finite": 0, "lie": 0}
+    for name in cli.builtin_names():
+        s = cli.build_scenario(cli.load_config(name))
+        for fname in s.frames:
+            f = s.frame(fname)
+            new, old = frames.resolution_residual(f.rep, f.seed), resolution_defect(f.rep, f.seed)
+            if f.rep.is_finite:
+                assert new == old, (name, fname, new, old)
+            else:
+                assert abs(new - old) <= 1e-15, (name, fname, new, old)
+            seen["finite" if f.rep.is_finite else "lie"] += 1
+    assert seen == {"finite": 18, "lie": 5}
+
+
+def test_resolution_residual_matches_oracles_on_broken_seeds():
+    from oracles import resolution_defect
+
+    broken = [
+        (reps.u1_rep([1, -1]), np.array([1, 0], dtype=complex)),
+        (reps.u1_rep([1, 1]), np.array([1, 0], dtype=complex)),
+        (reps.regular_rep(groups.cyclic(3)), np.ones(3) / np.sqrt(3)),
+    ]
+    for rep, seed in broken:
+        residual = frames.resolution_residual(rep, seed)
+        assert residual > 0.5
+        assert abs(residual - resolution_defect(rep, seed)) <= 1e-12

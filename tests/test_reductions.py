@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ket3, u1_basis_index
+from conftest import ket3, regular_three_party, u1_basis_index
 from qrf import frames, groups, perspective, reps
 from qrf.linalg import dagger
 from qrf.perspective import physical_space, system_projector
@@ -172,6 +172,21 @@ def test_conditional_probability_rejects_non_projector(u1_scenario):
     kin = u1_physical_state([1.0, 0, 0, 0])
     with pytest.raises(ValueError, match="projector"):
         conditional_probability(ps, "A", [0.0], 0.5 * np.eye(6), kin)
+
+
+def test_conditional_probability_rejects_a_mis_scaled_frame():
+    # a frame volume off by x1.3 scales both sides of the cross-check alike, so only the range gives it away
+    rep_qubit, rep_qutrit = reps.u1_rep([1, -1]), reps.u1_rep([2, 0, -2])
+    f = frames.make_frame(rep_qubit, np.array([1, 1]) / np.sqrt(2), name="A")
+    f.weight_scale *= 1.3
+    s = perspective.make_scenario(
+        groups.u1(), [("A", rep_qubit), ("B", rep_qubit), ("C", rep_qutrit)], {"A": ("A", f)}
+    )
+    ps = physical_space(s)
+    kin = u1_physical_state(np.array([1, 1, 1, 1]) / 2.0)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        conditional_probability(ps, "A", [0.3], np.eye(6), kin)
+    assert conditional_probability(ps, "A", [0.3], np.zeros((6, 6)), kin) == 0.0
 
 
 def test_multi_event_reduces_to_conditional(u1_scenario):
@@ -389,3 +404,48 @@ def test_isotropy_phase_invariance_of_reduced_states():
             moved = comp.matrices[conj_h] @ red
             overlap = abs(np.vdot(moved, red)) / (np.linalg.norm(red) ** 2)
             assert overlap == pytest.approx(1.0, abs=1e-9)
+
+
+def _rotated_u1_scenario():
+    """Qubit frame and qubit partner with rotated charge bases, plus a diagonal qutrit: no weight basis is 1."""
+    rng = np.random.default_rng(5)
+
+    def rotated(charges):
+        w, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        return reps.lie_rep(groups.u1(), (w @ np.diag(charges) @ dagger(w))[None]), w
+
+    rep_a, w_a = rotated([1, -1])
+    rep_b, _ = rotated([1, -1])
+    rep_c = reps.u1_rep([2, 0, -2])
+    f = frames.make_frame(rep_a, w_a @ np.array([1, 1]) / np.sqrt(2), name="A")
+    return perspective.make_scenario(groups.u1(), [("A", rep_a), ("B", rep_b), ("C", rep_c)], {"A": ("A", f)})
+
+
+def test_slot_first_disentangler_matches_kronecker_sum_oracle(u1_scenario, s3_regular_scenario):
+    from oracles import disentangler as kronecker_sum
+    from qrf import cli
+
+    d4 = regular_three_party(groups.dihedral_4())
+    rotated = _rotated_u1_scenario()
+    assert reps.weight_basis(rotated.frame("A").rep).vectors is not None
+    assert reps.weight_basis(rotated.complement_rep("A")).vectors is not None
+    cases = [(s3_regular_scenario, f) for f in ("R1", "R2")] + [(d4, f) for f in ("R1", "R2")]
+    cases += [(u1_scenario, f) for f in ("A", "B", "C")] + [(rotated, "A")]
+    for s, fname in cases:
+        theta = solve_theta(s.frame(fname))
+        assert isinstance(theta, ThetaState)
+        t_r = disentangler(s, fname, theta)
+        assert np.abs(t_r - kronecker_sum(s, fname, theta)).max() <= 1e-12, fname
+        ps = physical_space(s)
+        assert cli._disentangler_residual(s, ps, fname, theta) <= 1e-10
+
+
+def test_inject_vector_takes_columns(u1_scenario):
+    rng = np.random.default_rng(9)
+    phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    chi = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    cols = u1_scenario.inject_vector("C", phi, chi)
+    assert cols.shape == (12, 5)
+    for k in range(5):
+        np.testing.assert_array_equal(cols[:, k], u1_scenario.inject_vector("C", phi, chi[:, k]))
+        np.testing.assert_allclose(u1_scenario.condition_vector("C", phi, cols[:, k]), np.vdot(phi, phi) * chi[:, k])

@@ -552,3 +552,23 @@ def test_importing_the_cli_leaves_scipy_linalg_out():
     code = "import sys, qrf.cli; print('scipy.linalg' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_character_norm_equals_kronecker_commutant_dimension():
+    from oracles import commutant_dim
+
+    for group, total in ((groups.symmetric_3(), 6), (groups.dihedral_4(), 8), (groups.quaternion_8(), 8)):
+        reg = reps.regular_rep(group)
+        blocks = reps.isotypic_decompose(reg).blocks
+        subspaces = [np.eye(group.order)]  # reducible: sum d^2 = |G|
+        subspaces += [b.basis_matrix() for b in blocks]  # isotypic: m^2
+        subspaces += [b.grid[:, :, 0] for b in blocks]  # irreducible: 1
+        subspaces.append(np.hstack([blocks[0].basis_matrix(), blocks[-1].basis_matrix()]))  # two inequivalent blocks
+        dims = []
+        for basis in subspaces:
+            restricted = dagger(basis) @ reg.matrices @ basis
+            dims.append(reps._commutant_dim(restricted))
+            assert dims[-1] == commutant_dim(list(restricted))
+        assert dims[0] == total
+        assert dims[len(blocks) + 1:2 * len(blocks) + 1] == [1] * len(blocks)
+        assert dims[-1] == blocks[0].multiplicity ** 2 + blocks[-1].multiplicity ** 2

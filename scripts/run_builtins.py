@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Run every builtin scenario's full report and write the JSON files.
+"""Run every builtin scenario's full report, and any given config files, and write the JSON files.
 
-Usage: python scripts/run_builtins.py [outdir] [--skip-big]
+Usage: python scripts/run_builtins.py [outdir] [CONFIG.json ...] [--skip-big]
 
---skip-big leaves out the order-8 regular scenarios (512-dim kinematical
-spaces), which take 0.3–0.5 s each on 2 cores, in process; every other
-builtin takes under 0.1 s.
+A builtin's report is written as <name with ':' replaced by '_'>.json and a
+config file's as <file stem>.json, so two runs of the same sources can be
+diffed with scripts/compare_reports.py.  --skip-big leaves out the order-8
+regular builtins (512-dim kinematical spaces).  In process on 2 cores
+(medians of 5 runs) those take 0.6-0.7 s each, finite-regular:S3 about
+0.11 s, and every other builtin under 0.05 s.
 """
 
 import sys
@@ -23,15 +26,16 @@ def main() -> int:
     outdir = Path(args[0]) if args else Path("reports")
     skip_big = "--skip-big" in sys.argv
     outdir.mkdir(parents=True, exist_ok=True)
+    builtins = builtin_names()
     failures = 0
-    for name in builtin_names():
+    for name in builtins + args[1:]:
         if skip_big and name in BIG:
             print(f"{name:28s} skipped (--skip-big)")
             continue
         t0 = time.time()
         report = cli.run(cli.load_config(name))
         text = cli.emit(report, "json")
-        path = outdir / (name.replace(":", "_") + ".json")
+        path = outdir / ((name.replace(":", "_") if name in builtins else Path(name).stem) + ".json")
         path.write_text(text)
         s = report["summary"]
         failures += s["checks_failed"]

@@ -27,19 +27,6 @@ from .reductions import ThetaState
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config", "run", "emit", "main"]
 
-_KNOWN_TASKS = (
-    "phys_space",
-    "rel_obs",
-    "reduce",
-    "probabilities",
-    "frame_change",
-    "reorient",
-    "lr_classify",
-    "subsystem_relativity",
-    "full_report",
-)
-
-
 # Largest kinematical dimension a config may build; one dense operator of that size is 256 MiB.
 MAX_KIN_DIM = 4096
 # Largest total rep a config may build: |G| (finite) or algebra_dim (Lie) dense kin x kin complex matrices.
@@ -283,21 +270,32 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     return perspective.make_scenario(group, subsystems, frame_map, cfg.tol())
 
 
+def _integral(value, path: str) -> int:
+    """``value`` as an int if it is an integral number, else a ConfigError (no truncation)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def _element(scenario: Scenario, frame_name: str, spec, path: str):
-    frame = scenario.frame(frame_name)
+    """A frame orientation: 'identity', or the one spec key its group takes ('index', 'theta' or 'su2')."""
+    rep = scenario.frame(frame_name).rep
     if spec in (None, "identity"):
-        return frame.rep.identity_element()
-    if isinstance(spec, dict):
-        if "theta" in spec:
-            return groups.lie_element(groups.u1(), [float(spec["theta"])])
-        if "su2" in spec:
-            return groups.lie_element(groups.su2(), [float(c) for c in spec["su2"]])
-        if "index" in spec:
-            k = int(spec["index"])
-            if not (frame.rep.is_finite and 0 <= k < frame.rep.group.order):
-                raise ConfigError(f"{path}: element index {k} outside the group")
-            return groups.FiniteElement(frame.rep.group, k)
-    raise ConfigError(f"{path}: orientation must be 'identity', {{'theta':x}}, {{'su2':[...]}} or {{'index':k}}")
+        return rep.identity_element()
+    key = "index" if rep.is_finite else {"U1": "theta", "SU2": "su2"}[rep.group.kind]
+    if not isinstance(spec, dict) or key not in spec:
+        raise ConfigError(f"{path}: orientation of frame {frame_name!r} must be 'identity' or {{{key!r}: ...}}")
+    if key == "index":
+        k = _integral(spec[key], f"{path}.index")
+        if not 0 <= k < rep.group.order:
+            raise ConfigError(f"{path}: element index {k} outside the group")
+        return groups.FiniteElement(rep.group, k)
+    try:
+        return groups.lie_element(rep.group, np.asarray(spec[key], dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {key} orientation {spec[key]!r}: {exc}") from None
 
 
 def _observable(dim: int, spec, path: str) -> np.ndarray:
@@ -314,10 +312,17 @@ def _observable(dim: int, spec, path: str) -> np.ndarray:
     raise ConfigError(f"{path}: observable must be an object")
 
 
+def _normalized(v: np.ndarray, path: str) -> np.ndarray:
+    nrm = np.linalg.norm(v)
+    if nrm == 0.0:
+        raise ConfigError(f"{path}: state has zero norm")
+    return v / nrm
+
+
 def _state(ps, spec, path: str) -> np.ndarray:
     if isinstance(spec, dict):
         if "basis_index" in spec:
-            k = int(spec["basis_index"])
+            k = _integral(spec["basis_index"], f"{path}.basis_index")
             if not 0 <= k < ps.dim:
                 raise ConfigError(f"{path}: basis_index {k} outside physical dimension {ps.dim}")
             return ps.basis.basis[:, k]
@@ -325,13 +330,12 @@ def _state(ps, spec, path: str) -> np.ndarray:
             c = _complex_vector(spec["coefficients"], f"{path}.coefficients")
             if c.size != ps.dim:
                 raise ConfigError(f"{path}: need {ps.dim} physical coefficients")
-            v = ps.basis.basis @ c
-            return v / np.linalg.norm(v)
+            return _normalized(ps.basis.basis @ c, path)
         if "amplitudes" in spec:
             v = _complex_vector(spec["amplitudes"], f"{path}.amplitudes")
             if v.size != ps.scenario.kin_dim:
                 raise ConfigError(f"{path}: need {ps.scenario.kin_dim} kinematical amplitudes")
-            return v / np.linalg.norm(v)
+            return _normalized(v, path)
     raise ConfigError(f"{path}: state needs 'basis_index', 'coefficients' or 'amplitudes'")
 
 
@@ -438,15 +442,20 @@ def _task_frame_change(scenario, ps, cfg, task, rng):
     }, checks
 
 
+def _reorientation_orbit(scenario, fname, g1, g, f_s, tol: Tolerance):
+    """Reorient F_{f_S}(g1) by g; return it and its distance from F_{f_S} built at the new orientation."""
+    obs = perspective.relational_observable(scenario, fname, g1, f_s, tol)
+    moved = framechange.reorient(scenario, fname, g, obs, tol)
+    direct = perspective.relational_observable(scenario, fname, moved.orientation, f_s, tol)
+    return moved, float(np.linalg.norm(moved.matrix - direct.matrix))
+
+
 def _task_reorient(scenario, ps, cfg, task, rng):
     fname = task["frame"]
     g1 = _element(scenario, fname, task.get("orientation"), "task.orientation")
     g = _element(scenario, fname, task["g"], "task.g")
     f_s = _observable(scenario.complement_dim(fname), task["observable"], "task.observable")
-    obs = perspective.relational_observable(scenario, fname, g1, f_s, cfg.tol())
-    moved = framechange.reorient(scenario, fname, g, obs, cfg.tol())
-    direct = perspective.relational_observable(scenario, fname, moved.orientation, f_s, cfg.tol())
-    resid = float(np.linalg.norm(moved.matrix - direct.matrix))
+    moved, resid = _reorientation_orbit(scenario, fname, g1, g, f_s, cfg.tol())
     checks = [_check("reorientation_orbit", resid, 1e5 * cfg.tolerance * max(1.0, float(np.abs(f_s).max())))]
     return {"frame": fname, "new_orientation": _jsonable(moved.orientation)}, checks
 
@@ -481,8 +490,7 @@ def _task_full_report(scenario, ps, cfg, task, rng):
         frame = scenario.frame(fname)
         entry: dict = {"subsystem": scenario.subsystems[scenario.frame_slot(fname)][0]}
         entry["volume"] = frame.weight_scale
-        resid = frames.resolution_residual(frame.rep, frame.seed, cfg.tol())
-        checks.append(_check(f"{fname}:resolution_of_identity", resid, 1e-8 * max(1, frame.dim)))
+        checks.append(_check(f"{fname}:resolution_of_identity", frame.resolution_residual, 1e-8 * max(1, frame.dim)))
         if frame.isotropy.element_indices is not None:
             entry["isotropy_elements"] = list(frame.isotropy.element_indices)
         else:
@@ -586,40 +594,30 @@ def _disentangler_residual(scenario, ps, fname, theta) -> float:
 
 
 def _symmetry_layer(scenario, ps, cfg, f1, f2, rng, checks) -> dict:
-    tol = cfg.tolerance
     group = scenario.frame(f1).rep.group
     out: dict = {}
-    dim_c = scenario.complement_dim(f1)
-    f_s = _random_hermitian(rng, dim_c)
+    f_s = _random_hermitian(rng, scenario.complement_dim(f1))
     g1 = groups.FiniteElement(group, 1 % group.order)
     g = groups.FiniteElement(group, (group.order - 1) % group.order)
-    obs = perspective.relational_observable(scenario, f1, g1, f_s, cfg.tol())
-    moved = framechange.reorient(scenario, f1, g, obs, cfg.tol())
-    direct = perspective.relational_observable(scenario, f1, moved.orientation, f_s, cfg.tol())
-    resid = float(np.linalg.norm(moved.matrix - direct.matrix))
+    _, resid = _reorientation_orbit(scenario, f1, g1, g, f_s, cfg.tol())
     checks.append(_check("reorient_orbit_relabeling", resid, 1e-10 * max(1.0, float(np.abs(f_s).max())) * scenario.kin_dim))
     out["reorient_residual"] = resid
-    slot2 = scenario.frame_slot(f2)
-    sys_dim = scenario.complement_dim(f1) // scenario.subsystems[slot2][1].dim
-    small = _random_hermitian(rng, sys_dim)
-    src1 = np.kron(np.eye(scenario.subsystems[slot2][1].dim), small)
-    obs1 = perspective.relational_observable(scenario, f1, g1, src1, cfg.tol())
+    # both frames are regular, so 1 x f on either frame's complement is the same matrix
+    small = _random_hermitian(rng, scenario.complement_dim(f1) // group.order)
+    src = np.kron(np.eye(group.order), small)
+    obs1 = perspective.relational_observable(scenario, f1, g1, src, cfg.tol())
     g2 = groups.FiniteElement(group, 0)
     outm = framechange.relation_conditional_reorient(scenario, f1, g1, f2, g2, obs1, True, cfg.tol())
-    slot1 = scenario.frame_slot(f1)
-    direct2 = perspective.relational_observable(
-        scenario, f2, g2, np.kron(np.eye(scenario.subsystems[slot1][1].dim), small), cfg.tol()
-    )
+    direct2 = perspective.relational_observable(scenario, f2, g2, src, cfg.tol())
     resid = float(np.linalg.norm(outm.matrix - direct2.matrix))
     checks.append(_check("relation_conditional_reorient", resid, 1e-9 * max(1.0, float(np.abs(small).max())) * scenario.kin_dim))
     out["relation_conditional_residual"] = resid
-    rel = framechange.subsystem_relativity_report(scenario, f1, f2, cfg.tol())
-    out["subsystem_relativity"] = _jsonable(rel)
-    checks.append(_check("relativized_commutation", rel["relativized_commutant_residual"], 1e5 * tol))
-    if rel["coincide"]:
-        checks.append(_check("distinct_system_subalgebras", 1.0, 0.0))
-    else:
-        checks.append(_check("distinct_system_subalgebras", 0.0, 0.5))
+    out["subsystem_relativity"], rel_checks = _task_subsystem_relativity(
+        scenario, ps, cfg, {"frame1": f1, "frame2": f2}, rng
+    )
+    checks.extend(rel_checks)
+    coincide = out["subsystem_relativity"]["coincide"]
+    checks.append(_check("distinct_system_subalgebras", float(coincide), 0.0 if coincide else 0.5))
     return out
 
 
@@ -634,6 +632,7 @@ _TASK_RUNNERS = {
     "subsystem_relativity": _task_subsystem_relativity,
     "full_report": _task_full_report,
 }
+_KNOWN_TASKS = tuple(_TASK_RUNNERS)
 
 
 def run(cfg: ScenarioConfig) -> dict:
@@ -761,46 +760,31 @@ def main(argv: list[str] | None = None) -> int:
         for name in builtin_names():
             print(name)
         return 0
-    try:
+    try:  # ConfigError is a ValueError; any other exception is a run or write that cannot finish, exit 2 as well
         cfg = load_config(args.scenario)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "check":
-        try:
+        if args.command == "check":
             build_scenario(cfg)
-        except (ConfigError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        except Exception as exc:  # as for run: a check that cannot finish exits 2, not 1
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
-        print(f"config ok: {cfg.name}")
-        return 0
-    try:
+            print(f"config ok: {cfg.name}")
+            return 0
         if args.tol is not None:
             cfg.tolerance = _tolerance(args.tol, "--tol")
         elif "QRF_TOL" in os.environ:
             cfg.tolerance = _tolerance(_number(os.environ, "QRF_TOL", None, float), "QRF_TOL")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-    try:
+        if args.seed is not None:
+            cfg.seed = args.seed
         report = run(cfg)
-    except ConfigError as exc:  # raised by build_scenario, before any task runs
+        text = emit(report, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # exit 1 means "checks failed", so a run that cannot finish exits 2
+    except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    text = emit(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if report["summary"]["checks_failed"] == 0 else 1
 
 

@@ -14,7 +14,6 @@ systems from the blocks of C_e, and grows them by product sweeps otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .perspective import (
     Scenario,
     conditioning_map,
     physical_space,
-    relational_observable,
 )
 from .reductions import schrodinger_map
 
@@ -119,18 +117,14 @@ def reorient(s: Scenario, frame_name: str, g, obs: RelObs, tol: Tolerance = DEFA
     )
 
 
-def _require_ideal(frame, tol: Tolerance) -> np.ndarray:
-    """Orbit states of an ideal (regular-representation) frame, as columns."""
+def _require_ideal(frame) -> np.ndarray:
+    """Orbit states of an ideal (regular-representation) frame, as columns; orthonormal, since for the
+    square orbit matrix O, ||O^dag O - 1|| = ||O O^dag - 1|| is the resolution residual ``make_frame`` bounds."""
     if not frame.rep.is_finite:
         raise ValueError("relation-conditional reorientations need finite regular frames")
-    group = frame.rep.group
-    if frame.dim != group.order:
+    if frame.dim != frame.rep.group.order:
         raise ValueError(f"frame {frame.name!r} is not a regular-representation frame")
-    orbit = np.column_stack([frame.rep.matrices[g] @ frame.seed for g in group.elements()])
-    gram = dagger(orbit) @ orbit
-    if np.linalg.norm(gram - np.eye(group.order)) > 1e4 * tol.weighted(1.0) * group.order:
-        raise ValueError(f"frame {frame.name!r} orientation states are not orthonormal")
-    return orbit
+    return (frame.rep.matrices @ frame.seed).T
 
 
 def tautological_relobs(s: Scenario, frame_name: str, g, values) -> RelObs:
@@ -177,42 +171,40 @@ def relation_conditional_reorient(
 ) -> RelObs:
     """Reorient frame 1 conditionally on its relation to frame 2.
 
-    The default (modified) form applies the relation-conditional orientation
-    relabeling to the whole relational-observable family, which maps every
-    relational observable relative to frame 1 -- tautological ones included --
-    to its counterpart relative to frame 2.  ``modified=False`` uses the
-    unital conjugation form instead, which fixes tautological observables.
+    The default (modified) form maps every relational observable relative to
+    frame 1 -- tautological ones included -- to its counterpart relative to
+    frame 2; ``modified=False`` is the unital conjugation form, which fixes
+    tautological observables.  Both read their targets from the right action,
+    F(h g^-1) = (V_R(g) x 1) F(h) (V_R(g) x 1)^dag: the modified target
+    F(g2 g'^-1) is ``obs.matrix`` conjugated by V_R(g' g2^-1 o), o the
+    observable's orientation, and the unital one takes g1 in place of o.  The
+    modified form evaluates an observable's own ``family`` where it has one,
+    as tautological observables do.
     """
     if frame1 == frame2:
         raise ValueError("relation-conditional reorientation needs two distinct frames")
     f1 = s.frame(frame1)
     f2 = s.frame(frame2)
-    orbit1 = _require_ideal(f1, tol)
-    orbit2 = _require_ideal(f2, tol)
+    orbit1 = _require_ideal(f1)
+    orbit2 = _require_ideal(f2)
     if obs.frame_name != frame1:
         raise ValueError("operand must be a relational observable relative to the first frame")
     group = f1.rep.group
     slot1 = s.frame_slot(frame1)
     slot2 = s.frame_slot(frame2)
-    g1_el = f1.rep.element(g1)
     g2_el = f2.rep.element(g2)
-    if modified:
-        family: Callable = obs.family or (
-            lambda h: relational_observable(s, frame1, h, obs.source, tol, check=False).matrix
-        )
-    else:
-        v_rep = ensure_lr(f1, tol)
+    anchor = f1.rep.element(obs.orientation if modified else g1).index
+    v_rep = ensure_lr(f1, tol)
     out = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
     for gp in group.elements():
         # projector onto relative orientation g2 g'^-1 on the two frames:
         # sum_g |g>1<g| x |g g'>2<g g'| = w w^dag, column g of w being |g>1 x |g g'>2
         shifted = orbit2[:, [group.mult(g, gp) for g in group.elements()]]
         w = np.einsum("ig,jg->ijg", orbit1, shifted).reshape(-1, group.order)
-        if modified:
-            label = group.mult(g2_el.index, group.inverse(gp))
-            target = family(f1.rep.element(label))
+        if modified and obs.family is not None:
+            target = obs.family(f1.rep.element(group.mult(g2_el.index, group.inverse(gp))))
         else:
-            k = group.mult(gp, group.mult(group.inverse(g2_el.index), g1_el.index))
+            k = group.mult(gp, group.mult(group.inverse(g2_el.index), anchor))
             target = _conjugate_slot(s.dims, slot1, v_rep.matrices[k], obs.matrix)
         out += _left_apply(s.dims, (slot1, slot2), w @ dagger(w), target)
     return RelObs(matrix=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)

@@ -7,9 +7,9 @@ dim(H_R) for a normalized seed (per-element weight dim/|G| for finite
 groups).  The frame operators that the paper writes as integrals over
 orientations are single group averages Vol twirl(X): the resolution residual
 ||Vol twirl(|phi><phi|) - 1|| and, when it exists, the right action
-V_R(g) = Vol twirl(U(g)^-1 |phi><phi|).  Finite frames are validated by the
-residual, U(1)/SU(2) frames by the isotypic Schmidt-uniformity criterion,
-whose per-block report explains a failure.
+V_R(g) = Vol twirl(U(g)^-1 |phi><phi|).  Every frame, finite or Lie, is
+validated by the residual; a Lie frame that fails it gets a per-block
+(multiplicity and Schmidt-uniformity) report naming the failing block.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ class Frame:
     seed: np.ndarray
     weight_scale: float  # Vol(G) under this frame's measure = dim(H_R)
     isotropy: Subgroup
+    resolution_residual: float  # ||Vol twirl(|phi><phi|) - 1||_F, at most 1e-8 dim
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -125,9 +126,9 @@ def make_frame(
 ) -> Frame:
     """Validate (rep, seed) as a coherent-state frame and attach its measure.
 
-    Finite groups: the twirl resolution residual.  U(1)/SU(2): every
-    isotypic block must satisfy multiplicity <= irrep dim and the seed must be
-    Schmidt-uniform across it.
+    The frame is valid iff its resolution residual is at most 1e-8 dim.  A Lie
+    frame that fails is diagnosed block by block: multiplicity <= irrep dim,
+    and a seed Schmidt-uniform across the block.
     """
     vec = as_cvector(seed)
     if vec.size != rep.dim:
@@ -136,34 +137,29 @@ def make_frame(
     if abs(nrm - 1.0) > 1e3 * tol.weighted(1.0):
         raise ValueError(f"seed must be normalized, got norm {nrm}")
     vec = fix_phase(vec / nrm, tol)
-    if rep.is_finite:
-        defect = resolution_residual(rep, vec, tol)
-        if defect > 1e-8 * rep.dim:
-            raise ResolutionFails(
-                f"frame {name!r}: coherent-state sum deviates from identity by {defect:.3e}"
-            )
-    else:
-        report = _lie_block_report(rep, vec, tol)
+    residual = resolution_residual(rep, vec, tol)
+    if residual > 1e-8 * rep.dim:
+        msg = f"frame {name!r}: coherent-state sum deviates from identity by {residual:.3e}"
+        report = [] if rep.is_finite else _lie_block_report(rep, vec, tol)
         bad = [r for r in report if not (r["multiplicity_ok"] and r["schmidt_ok"])]
-        if bad:
-            worst = bad[0]
-            if not worst["multiplicity_ok"]:
-                msg = (
-                    f"frame {name!r}: block {worst['label']} has irrep dim "
-                    f"{worst['irrep_dim']} < multiplicity {worst['multiplicity']}"
-                )
-            else:
-                msg = (
-                    f"frame {name!r}: seed is not Schmidt-uniform on block "
-                    f"{worst['label']} (deviation {worst['schmidt_deviation']:.3e})"
-                )
-            raise ResolutionFails(msg, report)
+        if bad and not bad[0]["multiplicity_ok"]:
+            msg = (
+                f"frame {name!r}: block {bad[0]['label']} has irrep dim "
+                f"{bad[0]['irrep_dim']} < multiplicity {bad[0]['multiplicity']}"
+            )
+        elif bad:
+            msg = (
+                f"frame {name!r}: seed is not Schmidt-uniform on block "
+                f"{bad[0]['label']} (deviation {bad[0]['schmidt_deviation']:.3e})"
+            )
+        raise ResolutionFails(msg, report)
     frame = Frame(
         name=name,
         rep=rep,
         seed=vec,
         weight_scale=float(rep.dim),
         isotropy=Subgroup(parent=rep.group),
+        resolution_residual=residual,
     )
     frame.isotropy = isotropy_group(frame, tol)
     return frame

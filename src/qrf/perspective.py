@@ -288,22 +288,23 @@ def system_projector(s: Scenario, frame_name: str, g, tol: Tolerance = DEFAULT_T
 
 
 def orientation_independent(s: Scenario, frame_name: str, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the physical system subspace does not rotate with the frame orientation."""
-    frame = s.frame(frame_name)
-    pi_e = system_projector(s, frame_name, frame.rep.identity_element(), tol)
-    checks = reps.constraints(s.complement_rep(frame_name))
-    scale = max(1.0, float(np.abs(checks).max(initial=0.0)))
-    thresh = 1e5 * tol.weighted(scale)
-    return all(float(np.linalg.norm(c @ pi_e - pi_e @ c)) <= thresh for c in checks)
+    """True iff the physical system subspace does not rotate with the frame orientation.
+
+    C_g = U_S(g) C_e and, on a valid frame, C_e^dag C_e = 1, so every range(C_g)
+    has dimension n_phys; they coincide iff range(C_e) is invariant, that is,
+    iff its invariant closure keeps dimension n_phys.
+    """
+    return physical_system_span(s, frame_name, tol).dim == physical_space(s, tol).dim
 
 
 def physical_system_span(s: Scenario, frame_name: str, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Span of the physical system subspaces over all orientations: the closure of range(C_e C_e^dag) = range(C_e)."""
-    frame = s.frame(frame_name)
-    c = conditioning_map(physical_space(s, tol), frame_name, frame.rep.identity_element())
-    if c.shape[1] == 0:
-        return orthonormal_range(c, tol)
-    return reps.invariant_closure(s.complement_rep(frame_name), c, tol)
+    """Span of the physical system subspaces over all orientations, the invariant closure of range(C_e); cached."""
+    key = ("span", frame_name, tol)
+    if key not in s._cache:
+        c = conditioning_map(physical_space(s, tol), frame_name, s.frame(frame_name).rep.identity_element())
+        comp = s.complement_rep(frame_name)
+        s._cache[key] = reps.invariant_closure(comp, c, tol) if c.shape[1] else orthonormal_range(c, tol)
+    return s._cache[key]
 
 
 def sample_elements(group, count: int = 8) -> list:

@@ -14,13 +14,21 @@ constructions it replaced: the right action V_R lifted block by block from
 the isotypic grids, the resolution defect as an orbit sum (finite) or a
 probability-normalised twirl (Lie), the disentangler summed one Kronecker
 embedding at a time, and the commutant dimension as a Kronecker nullspace.
+
+The library derives orientation independence from the dimension of the
+conditional span and reads relation-conditional targets from the right
+action.  Here are the forms they replaced: the system projector Pi_e tested
+against every complement constraint by commutators, and the modified
+relation-conditional reorientation evaluating F(g2 g'^-1) by one kinematical
+twirl per group element.
 """
 
 import numpy as np
 
 from qrf.linalg import DEFAULT_TOL, Subspace, canonicalize_basis, dagger, fix_phase, nullspace, orthonormal_range
-from qrf.perspective import physical_space, relational_observable, system_projector
-from qrf.reps import IsotypicBlock, IsotypicDecomposition, group_average, isotypic_decompose, weight_basis
+from qrf.framechange import _conjugate_slot, _left_apply, ensure_lr
+from qrf.perspective import RelObs, physical_space, relational_observable, system_projector
+from qrf.reps import IsotypicBlock, IsotypicDecomposition, constraints, group_average, isotypic_decompose, weight_basis
 
 
 def weight_spaces(gz, tol=DEFAULT_TOL):
@@ -191,3 +199,34 @@ def commutant_dim(mats, tol=DEFAULT_TOL):
     d = mats[0].shape[0]
     rows = [np.kron(m, np.eye(d)) - np.kron(np.eye(d), m.T) for m in mats]
     return nullspace(np.vstack(rows), tol).shape[1]
+
+
+def orientation_independent(s, frame_name, tol=DEFAULT_TOL):
+    """Pi_e = C_e C_e^dag commutes with every constraint operator of the complement rep."""
+    pi_e = system_projector(s, frame_name, s.frame(frame_name).rep.identity_element(), tol)
+    checks = constraints(s.complement_rep(frame_name))
+    thresh = 1e5 * tol.weighted(max(1.0, float(np.abs(checks).max(initial=0.0))))
+    return all(float(np.linalg.norm(c @ pi_e - pi_e @ c)) <= thresh for c in checks)
+
+
+def relation_conditional_reorient(s, frame1, g1, frame2, g2, obs, modified=True, tol=DEFAULT_TOL):
+    """Modified targets F(g2 g'^-1) from the observable's family or one kinematical twirl of its source each;
+    unital targets by V_R(g' g2^-1 g1) conjugation."""
+    f1, f2 = s.frame(frame1), s.frame(frame2)
+    group = f1.rep.group
+    orbit1, orbit2 = (np.column_stack([f.rep.matrices[g] @ f.seed for g in group.elements()]) for f in (f1, f2))
+    slot1, slot2 = s.frame_slot(frame1), s.frame_slot(frame2)
+    g1_el, g2_el = f1.rep.element(g1), f2.rep.element(g2)
+    family = obs.family or (lambda h: relational_observable(s, frame1, h, obs.source, tol, check=False).matrix)
+    v_rep = ensure_lr(f1, tol)
+    out = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
+    for gp in group.elements():
+        shifted = orbit2[:, [group.mult(g, gp) for g in group.elements()]]
+        w = np.einsum("ig,jg->ijg", orbit1, shifted).reshape(-1, group.order)
+        if modified:
+            target = family(f1.rep.element(group.mult(g2_el.index, group.inverse(gp))))
+        else:
+            k = group.mult(gp, group.mult(group.inverse(g2_el.index), g1_el.index))
+            target = _conjugate_slot(s.dims, slot1, v_rep.matrices[k], obs.matrix)
+        out += _left_apply(s.dims, (slot1, slot2), w @ dagger(w), target)
+    return RelObs(matrix=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)

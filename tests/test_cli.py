@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -434,3 +435,149 @@ def test_predicted_dims_match_the_built_reps():
     for group, rep in explicit:
         cfg = parse_config(json.dumps(small_config(group=group, subsystems=[{"name": "A", "rep": rep}], frames=[])))
         assert [cli._predicted_dim(None, sub["rep"]) for sub in cfg.subsystems] == cli.build_scenario(cfg).dims == [2]
+
+
+def _builtin_with_tasks(name, tasks):
+    from qrf.builtins_config import builtin_config
+
+    return dict(builtin_config(name), tasks=tasks)
+
+
+def _run_main(raw, tmp_path, *args):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out_path = tmp_path / "report.out"
+    code = cli.main(["run", str(cfg_path), "--out", str(out_path), *args])
+    return code, out_path.read_text()
+
+
+_Z3_DIAG = {"diag": [1, -1, 0.5, 0, 2, 0, -0.5, 1, 0]}
+
+
+def test_rel_obs_and_reorient_tasks_on_index_orientations(tmp_path, capsys):
+    raw = _builtin_with_tasks("finite-regular:Z3", [
+        {"task": "rel_obs", "frame": "R1", "orientation": {"index": 1}, "observable": _Z3_DIAG},
+        {"task": "reorient", "frame": "R1", "orientation": {"index": 1}, "g": {"index": 2}, "observable": _Z3_DIAG},
+    ])
+    code, text = _run_main(raw, tmp_path)
+    assert code == 0
+    rel, moved = json.loads(text)["tasks"]
+    assert sorted(rel["results"]) == ["frame", "orientation", "restricted_matrix"]
+    assert rel["results"]["orientation"] == {"index": 1}
+    assert len(rel["results"]["restricted_matrix"]) == 9  # the 9-dim physical space of three regular Z3 parties
+    assert [(c["name"], c["pass"]) for c in rel["checks"]] == [("dirac_commutation", True)]
+    assert moved["results"] == {"frame": "R1", "new_orientation": {"index": 2}}  # 1 - 2 = 2 mod 3
+    assert [(c["name"], c["pass"]) for c in moved["checks"]] == [("reorientation_orbit", True)]
+    assert moved["checks"][0]["residual"] == 0.0
+    code, table = _run_main(raw, tmp_path, "--format", "table")
+    assert code == 0
+    assert "[PASS] dirac_commutation" in table and "[PASS] reorientation_orbit" in table
+    assert "new_orientation:" in table and "checks: 2/2 passed" in table
+    capsys.readouterr()
+
+
+def test_rel_obs_and_reorient_tasks_on_su2_orientations(tmp_path, capsys):
+    obs = {"diag": [1, 0, -1, 2, 0, 0, 0.5, 0, 1]}
+    raw = _builtin_with_tasks("su2-three-spin1", [
+        {"task": "rel_obs", "frame": "A", "orientation": {"su2": [0.3, -0.2, 0.5]}, "observable": obs},
+        {"task": "reorient", "frame": "A", "orientation": {"su2": [0.3, -0.2, 0.5]}, "g": {"su2": [0.1, 0, 0]},
+         "observable": obs},
+    ])
+    code, text = _run_main(raw, tmp_path)
+    assert code == 1  # the reorient task error counts as a failed check
+    rel, moved = json.loads(text)["tasks"]
+    assert sorted(rel["results"]) == ["frame", "orientation", "restricted_matrix"]
+    assert rel["results"]["orientation"] == {"su2": [0.3, -0.2, 0.5]}
+    assert [(c["name"], c["pass"]) for c in rel["checks"]] == [("dirac_commutation", True)]
+    assert "results" not in moved and "admits no right action" in moved["error"]
+    assert json.loads(text)["summary"] == {"checks_total": 2, "checks_failed": 1}
+    code, table = _run_main(raw, tmp_path, "--format", "table")
+    assert code == 1
+    assert "[PASS] dirac_commutation" in table
+    assert "ERROR: frame 'A' admits no right action" in table
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        ({"task": "rel_obs", "frame": "R1", "orientation": {"theta": 0.3}, "observable": _Z3_DIAG},
+         "task.orientation: orientation of frame 'R1' must be 'identity' or {'index': ...}"),
+        ({"task": "rel_obs", "frame": "R1", "orientation": {"index": 1.7}, "observable": _Z3_DIAG},
+         "task.orientation.index: expected an integer, got 1.7"),
+        ({"task": "rel_obs", "frame": "R1", "orientation": {"index": 3}, "observable": _Z3_DIAG},
+         "task.orientation: element index 3 outside the group"),
+        ({"task": "reduce", "frame": "R1", "state": {"amplitudes": [0] * 27}}, "task.state: state has zero norm"),
+        ({"task": "reduce", "frame": "R1", "state": {"coefficients": [0] * 9}}, "task.state: state has zero norm"),
+        ({"task": "reduce", "frame": "R1", "state": {"basis_index": 0.5}},
+         "task.state.basis_index: expected an integer, got 0.5"),
+    ],
+)
+def test_orientation_and_state_specs_of_the_wrong_kind_are_task_errors(task, message, tmp_path, capsys):
+    raw = _builtin_with_tasks("finite-regular:Z3", [{"task": "phys_space"}, task])
+    code, text = _run_main(raw, tmp_path)
+    assert code == 1
+    phys, bad = json.loads(text)["tasks"]
+    assert phys["results"]["dim"] == 9 and all(c["pass"] for c in phys["checks"])
+    assert bad["error"] == message
+    assert capsys.readouterr().err == ""
+
+
+def test_lie_orientation_specs_are_checked_against_the_frame_group():
+    s = cli.build_scenario(load_config("su2-three-spin1"))
+    assert cli._element(s, "A", {"su2": [0, 0, 1.0]}, "o").coords == (0.0, 0.0, 1.0)
+    z3 = cli.build_scenario(load_config("finite-regular:Z3"))
+    assert cli._element(z3, "R1", {"index": 2.0}, "o").index == 2  # integral, so not truncated
+    for spec, match in [
+        ({"theta": 0.3}, r"must be 'identity' or \{'su2': ...\}"),
+        ({"su2": [1, 2]}, "expected 3 coordinates, got 2"),
+        ({"su2": "x"}, "su2 orientation 'x'"),
+        ({"su2": [0, float("nan"), 0]}, "non-finite coordinates"),
+        (3, r"must be 'identity' or \{'su2': ...\}"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            cli._element(s, "A", spec, "o")
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_check_and_run_print_the_same_line_for_a_non_unitary_rep(command, tmp_path, capsys):
+    raw = {
+        "group": {"builtin": "Z2"},
+        "subsystems": [{"name": "A", "rep": {"matrices": [[[1, 0], [0, 1]], [[2, 0], [0, 1]]]}}],
+        "frames": [],
+        "tasks": [{"task": "phys_space"}],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "config error: matrix for element 1 is not unitary\n"
+
+
+def test_unwritable_out_file_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "missing" / "report.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+
+
+def test_tilted_lie_frame_exits_2_at_build(tmp_path, capsys):
+    seed = [math.sqrt(0.5 + 1e-6), math.sqrt(0.5 - 1e-6)]
+    raw = small_config(frames=[{"name": "A", "subsystem": "A", "seed": seed}], tasks=[{"task": "full_report"}])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    for command in ("check", "run"):
+        assert cli.main([command, str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: frames[0] ('A'): frame 'A': coherent-state sum deviates from identity by 2.828e-06\n"
+        )
+
+
+def test_every_builtin_report_derives_reduced_and_span_dims_consistently():
+    seen = 0
+    for name in builtin_names():
+        results = run(load_config(name))["tasks"][0]["results"]
+        for fname, entry in results["frames"].items():
+            assert entry["reduced_space_dim"] == results["phys_dim"], (name, fname)
+            assert entry["orientation_independent"] == (entry["conditional_span_dim"] == entry["reduced_space_dim"])
+            seen += 1
+    assert seen == 23

@@ -331,6 +331,28 @@ def test_relation_conditional_non_adjacent_frames_match_kron_oracle(frame1, fram
         np.testing.assert_allclose(out.matrix, oracle, atol=1e-10)
 
 
+@pytest.mark.parametrize("group", [groups.symmetric_3(), groups.dihedral_4()], ids=["S3", "D4"])
+def test_relation_conditional_matches_twirl_family_oracle(group):
+    from oracles import relation_conditional_reorient as twirl_family
+
+    s = regular_three_party(group)
+    n = group.order
+    rng = np.random.default_rng(31)
+    observables = {
+        "identity": relational_observable(s, "R1", 0, random_hermitian(rng, n * n)),
+        "non-identity": relational_observable(s, "R1", 3, random_hermitian(rng, n * n)),
+        "reoriented": reorient(s, "R1", 2, relational_observable(s, "R1", 1, random_hermitian(rng, n * n))),
+        "tautological": tautological_relobs(s, "R1", 5, rng.standard_normal(n)),
+    }
+    g1, g2 = 1, n - 1  # the modified form reads no g1; the unital one reads no observable orientation
+    for label, obs in observables.items():
+        for modified in (True, False):
+            out = relation_conditional_reorient(s, "R1", g1, "R2", g2, obs, modified=modified)
+            ref = twirl_family(s, "R1", g1, "R2", g2, obs, modified=modified)
+            np.testing.assert_allclose(out.matrix, ref.matrix, atol=1e-10, err_msg=f"{label}, modified={modified}")
+            assert out.frame_name == "R2" and out.orientation.index == g2
+
+
 # ---------------------------------------------------------------------------
 # subsystem relativity
 # ---------------------------------------------------------------------------

@@ -365,3 +365,41 @@ def test_resolution_residual_matches_oracles_on_broken_seeds():
         residual = frames.resolution_residual(rep, seed)
         assert residual > 0.5
         assert abs(residual - resolution_defect(rep, seed)) <= 1e-12
+
+
+def _tilted_u1_seed():
+    return np.array([np.sqrt(0.5 + 1e-6), np.sqrt(0.5 - 1e-6)], dtype=complex)
+
+
+def test_every_frame_stores_the_residual_it_was_validated_by():
+    from qrf import cli
+
+    for name in ("finite-regular:S3", "u1-qubit-qubit-qutrit", "su2-three-spin1"):
+        s = cli.build_scenario(cli.load_config(name))
+        for fname in s.frames:
+            f = s.frame(fname)
+            assert f.resolution_residual == frames.resolution_residual(f.rep, f.seed)
+            assert f.resolution_residual <= 1e-8 * f.dim
+
+
+def test_tilted_lie_frame_fails_the_residual_with_no_failing_block():
+    # every block passes the Schmidt test (deviation 1e-6), but the residual 2.8e-6 is above 1e-8 dim
+    with pytest.raises(ResolutionFails) as err:
+        frames.make_frame(reps.u1_rep([1, -1]), _tilted_u1_seed(), name="A")
+    assert str(err.value) == "frame 'A': coherent-state sum deviates from identity by 2.828e-06"
+    report = err.value.block_report
+    assert [r["label"] for r in report] == ["q=1", "q=-1"]
+    assert all(r["multiplicity_ok"] and r["schmidt_ok"] for r in report)
+    assert max(r["schmidt_deviation"] for r in report) == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_block_report_runs_only_after_a_rejection(monkeypatch):
+    calls = []
+    original = frames._lie_block_report
+    monkeypatch.setattr(frames, "_lie_block_report", lambda *a: calls.append(1) or original(*a))
+    u1_qubit_frame()
+    spin1_uniform_frame()
+    assert calls == []
+    with pytest.raises(ResolutionFails):
+        frames.make_frame(reps.u1_rep([1, 1]), np.array([1, 0], dtype=complex))
+    assert calls == [1]

@@ -354,3 +354,36 @@ def test_gathered_strong_dirac_defect_matches_dense_commutators(s3_regular_scena
         for op in (a, reps.group_average(s.total_rep, a, "twirl", 1.0)):
             dense = max(float(np.linalg.norm(u @ op - op @ u)) for u in gens)
             assert abs(perspective.strong_dirac_defect(s, op) - dense) <= 1e-12 * max(1.0, dense)
+
+
+@pytest.mark.parametrize(
+    "fixture, frame, expected",
+    [
+        ("u1_scenario", "A", True),
+        ("u1_scenario", "C", True),
+        ("s3_regular_scenario", "R1", True),
+        ("three_spin_scenario", "A", False),
+        ("four_spin_scenario", "A", False),
+    ],
+)
+def test_orientation_independence_matches_commutator_oracle(fixture, frame, expected, request):
+    from oracles import orientation_independent as commutes_with_constraints
+
+    s = request.getfixturevalue(fixture)
+    assert orientation_independent(s, frame) is expected
+    assert commutes_with_constraints(s, frame) is expected
+
+
+def test_physical_system_span_is_closed_once_per_frame_and_tolerance(monkeypatch):
+    from qrf import cli
+
+    calls = []
+    original = reps.invariant_closure
+    monkeypatch.setattr(reps, "invariant_closure", lambda rep, v, tol: calls.append(1) or original(rep, v, tol))
+    s = cli.build_scenario(cli.load_config("u1-qubit-qubit-qutrit"))
+    for fname in s.frames:
+        assert orientation_independent(s, fname)
+        assert physical_system_span(s, fname) is physical_system_span(s, fname)
+    assert len(calls) == len(s.frames) == 3
+    physical_system_span(s, "A", Tolerance(1e-8, 1e-8))
+    assert len(calls) == 4

@@ -7,8 +7,8 @@ A builtin's report is written as <name with ':' replaced by '_'>.json and a
 config file's as <file stem>.json, so two runs of the same sources can be
 diffed with scripts/compare_reports.py.  --skip-big leaves out the order-8
 regular builtins (512-dim kinematical spaces).  In process on 2 cores
-(medians of 5 runs) those take 0.6-0.7 s each, finite-regular:S3 about
-0.11 s, and every other builtin under 0.05 s.
+(medians of 5 runs) those take 0.27-0.30 s each, finite-regular:S3 about
+0.05 s, and every other builtin under 0.1 s.
 """
 
 import sys

@@ -131,7 +131,7 @@ def _validate_raw(raw: dict) -> ScenarioConfig:
         subsystems=list(raw["subsystems"]),
         frames=list(raw["frames"]),
         tasks=list(raw["tasks"]),
-        seed=_number(raw, "seed", 0, int),
+        seed=_seed(raw),
         tolerance=_tolerance(_number(raw, "tolerance", 1e-9, float), "tolerance"),
     )
 
@@ -141,6 +141,14 @@ def _number(raw: dict, key: str, default, kind):
         return kind(raw.get(key, default))
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected a number, got {raw[key]!r}") from None
+
+
+def _seed(raw: dict) -> int:
+    """The config's PRNG seed: an integral number (a string that reads as one too), never truncated."""
+    value = _number(raw, "seed", 0, float)
+    if not value.is_integer():
+        raise ConfigError(f"seed: expected an integer, got {raw['seed']!r}")
+    return raw["seed"] if type(raw.get("seed")) is int else int(value)
 
 
 def _tolerance(value: float, source: str) -> float:
@@ -382,8 +390,8 @@ def _basis_table(ps, limit: int = 2048) -> object:
 
 def _task_phys_space(scenario, ps, cfg, task, rng):
     # ||D B|| per constraint operator D: zero iff every basis vector is invariant
-    b = ps.basis.basis
-    worst = max((float(np.linalg.norm(d @ b)) for d in reps.constraints(scenario.total_rep)), default=0.0)
+    moved = reps.apply_constraints(scenario.total_rep, ps.basis.basis)
+    worst = float(np.max(np.linalg.norm(moved, axis=(1, 2)), initial=0.0))
     checks = [_check("physical_basis_invariance", worst, 1e4 * cfg.tolerance * max(1, ps.dim))]
     return {"dim": ps.dim, "kin_dim": scenario.kin_dim, "basis": _basis_table(ps)}, checks
 
@@ -593,6 +601,17 @@ def _disentangler_residual(scenario, ps, fname, theta) -> float:
     return float(np.max(np.linalg.norm(t_r @ ps.basis.basis - expect, axis=0), initial=0.0))
 
 
+def _identity_on(scenario, fname, other, small) -> np.ndarray:
+    """1 on frame ``other``'s slot x ``small`` on the rest of ``fname``'s complement, in the complement's order."""
+    slot, pos = scenario.frame_slot(fname), scenario.frame_slot(other)
+    dims = [d for i, d in enumerate(scenario.dims) if i != slot]
+    pos -= pos > slot  # position of ``other`` in the complement
+    rest = [d for i, d in enumerate(dims) if i != pos]
+    t = np.multiply.outer(np.eye(dims[pos]), small.reshape(rest * 2))
+    n = len(dims)
+    return np.moveaxis(t, [0, 1], [pos, n + pos]).reshape(small.shape[0] * dims[pos], -1)
+
+
 def _symmetry_layer(scenario, ps, cfg, f1, f2, rng, checks) -> dict:
     group = scenario.frame(f1).rep.group
     out: dict = {}
@@ -602,13 +621,12 @@ def _symmetry_layer(scenario, ps, cfg, f1, f2, rng, checks) -> dict:
     _, resid = _reorientation_orbit(scenario, f1, g1, g, f_s, cfg.tol())
     checks.append(_check("reorient_orbit_relabeling", resid, 1e-10 * max(1.0, float(np.abs(f_s).max())) * scenario.kin_dim))
     out["reorient_residual"] = resid
-    # both frames are regular, so 1 x f on either frame's complement is the same matrix
+    # the same system observable relative to either frame: identity on the other frame's slot
     small = _random_hermitian(rng, scenario.complement_dim(f1) // group.order)
-    src = np.kron(np.eye(group.order), small)
-    obs1 = perspective.relational_observable(scenario, f1, g1, src, cfg.tol())
+    obs1 = perspective.relational_observable(scenario, f1, g1, _identity_on(scenario, f1, f2, small), cfg.tol())
     g2 = groups.FiniteElement(group, 0)
     outm = framechange.relation_conditional_reorient(scenario, f1, g1, f2, g2, obs1, True, cfg.tol())
-    direct2 = perspective.relational_observable(scenario, f2, g2, src, cfg.tol())
+    direct2 = perspective.relational_observable(scenario, f2, g2, _identity_on(scenario, f2, f1, small), cfg.tol())
     resid = float(np.linalg.norm(outm.matrix - direct2.matrix))
     checks.append(_check("relation_conditional_reorient", resid, 1e-9 * max(1.0, float(np.abs(small).max())) * scenario.kin_dim))
     out["relation_conditional_residual"] = resid

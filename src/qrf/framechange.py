@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames as frames_mod
+from . import reps
 from .linalg import DEFAULT_TOL, Tolerance, dagger, orthonormal_range
 from .perspective import (
     PhysicalSpace,
@@ -109,7 +110,7 @@ def reorient(s: Scenario, frame_name: str, g, obs: RelObs, tol: Tolerance = DEFA
 
     new_orientation = groups.compose(obs.orientation, groups.inverse(el))
     return RelObs(
-        matrix=_conjugate_slot(s.dims, s.frame_slot(frame_name), v_rep.evaluate(el), obs.matrix),
+        matrix=_right_conjugate(s.dims, s.frame_slot(frame_name), v_rep, el, obs.matrix),
         frame_name=frame_name,
         orientation=new_orientation,
         source=obs.source,
@@ -159,6 +160,20 @@ def _conjugate_slot(dims: list[int], slot: int, v: np.ndarray, m: np.ndarray) ->
     return dagger(_left_apply(dims, (slot,), v, dagger(vm)))
 
 
+def _right_conjugate(dims: list[int], slot: int, v_rep, g, m: np.ndarray) -> np.ndarray:
+    """(V_R(g) x 1) m (V_R(g) x 1)^dag with V_R on one slot.
+
+    When V_R is a permutation rep (the regular frames), this permutes the slot's
+    index on both sides of m: one gather, m[q][:, q] with q the inverse permutation.
+    """
+    sigma = reps.permutation_table(v_rep)
+    if sigma is None:
+        return _conjugate_slot(dims, slot, v_rep.evaluate(g), m)
+    inverse = np.argsort(sigma[v_rep.element(g).index])
+    q = np.take(np.arange(m.shape[0]).reshape(dims), inverse, axis=slot).reshape(-1)
+    return m[np.ix_(q, q)]
+
+
 def relation_conditional_reorient(
     s: Scenario,
     frame1: str,
@@ -205,7 +220,7 @@ def relation_conditional_reorient(
             target = obs.family(f1.rep.element(group.mult(g2_el.index, group.inverse(gp))))
         else:
             k = group.mult(gp, group.mult(group.inverse(g2_el.index), anchor))
-            target = _conjugate_slot(s.dims, slot1, v_rep.matrices[k], obs.matrix)
+            target = _right_conjugate(s.dims, slot1, v_rep, k, obs.matrix)
         out += _left_apply(s.dims, (slot1, slot2), w @ dagger(w), target)
     return RelObs(matrix=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
 

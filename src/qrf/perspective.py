@@ -209,8 +209,12 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray) -> float:
     rep = s.total_rep
     sigma = reps.permutation_table(rep)
     if sigma is not None:
-        rows = sigma[list(rep.group.generators)]
-        return max((float(np.linalg.norm(op[np.ix_(p, p)] - op)) for p in rows), default=0.0)
+        worst = 0.0
+        for p in sigma[list(rep.group.generators)]:
+            moved = op[np.ix_(p, p)]
+            moved -= op
+            worst = max(worst, float(np.linalg.norm(moved)))
+        return worst
     return max((float(np.linalg.norm(d @ op - op @ d)) for d in reps.constraints(rep)), default=0.0)
 
 
@@ -233,6 +237,7 @@ def relational_observable(
     phi = frame.orientation(frame.rep.element(g))
     aligned = s.embed_frame_operator(frame_name, np.outer(phi, np.conj(phi)), f_s)
     mat = group_average(s.total_rep, aligned, mode="twirl", measure_scale=frame.weight_scale, tol=tol)
+    del aligned  # a kinematical-size temporary; free it before the Dirac check allocates its own
     obs = RelObs(matrix=mat, frame_name=frame_name, orientation=frame.rep.element(g), source=f_s, scenario=s)
     if check:
         defect = strong_dirac_defect(s, mat)

@@ -17,19 +17,24 @@ for a Lie group.  The fixed space is their joint kernel, an operator is
 gauge-invariant iff it commutes with each of them, and an invariant closure
 grows by them.
 
-A finite rep whose every matrix is exactly a 0/1 permutation (the regular
-reps, their tensor products, and any rep assembled from them) also carries
-a permutation table sigma, U_g e_j = e_{sigma_g(j)}, computed once from the
-observed entries and cached.  The finite twirl of such a rep is the mean of
-the operand over each orbit of index pairs, O(dim^2) and independent of |G|;
-every other finite rep (sign reps, higher-dimensional irreps, tables off by
-rounding) takes the dense batched-matmul twirl, which is also the tests'
-oracle for the permutation path.
+A finite rep whose every matrix is exactly a 0/1 permutation is held by its
+permutation table sigma, U_g e_j = e_{sigma_g(j)}, alone.  Regular reps are
+built that way from the product table, tensor products of such reps compose
+their tables, sigma_{a x b}(i d_b + j) = sigma_a(i) d_b + sigma_b(j), and a
+rep given by dense matrices gets its table from the observed entries.  The
+dense (|G|, dim, dim) stack of a table-held rep is built only when a dense
+consumer asks for it.  With a table, the fixed space is spanned by the
+normalised indicators of the index orbits (Burnside: one per orbit), the
+twirl is the mean of the operand over each orbit of index pairs, O(dim^2)
+and independent of |G|, and the constraint operators act by gathers.  Every
+other finite rep (sign reps, higher-dimensional irreps, tables off by
+rounding) takes the dense paths, the joint kernel and the batched-matmul
+twirl, which are also the tests' oracles for the permutation paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,6 +74,7 @@ __all__ = [
     "rep_evaluate",
     "group_average",
     "constraints",
+    "apply_constraints",
     "permutation_table",
     "WeightBasis",
     "weight_basis",
@@ -77,15 +83,27 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class UnitaryRep:
-    """A unitary representation; immutable after construction by convention."""
+    """A unitary representation; immutable after construction by convention.
 
-    group: FiniteGroup | LieDescriptor
-    dim: int
-    matrices: np.ndarray | None = None    # finite: (|G|, dim, dim)
-    generators: np.ndarray | None = None  # Lie: (algebra_dim, dim, dim), Hermitian
-    _iso_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    Finite: dense ``matrices`` (|G|, dim, dim), or for an exact 0/1 permutation
+    rep only its table ``sigma`` (|G|, dim), from which ``matrices`` is built on
+    first use and cached.  Lie: Hermitian ``generators`` (algebra_dim, dim, dim).
+    """
+
+    def __init__(self, group: FiniteGroup | LieDescriptor, dim: int, matrices: np.ndarray | None = None,
+                 generators: np.ndarray | None = None, sigma: np.ndarray | None = None) -> None:
+        self.group = group
+        self.dim = dim
+        self.generators = generators
+        self._matrices = matrices
+        self._iso_cache: dict = {} if sigma is None else {"perm": sigma}
+
+    @property
+    def matrices(self) -> np.ndarray | None:
+        if self._matrices is None and self._iso_cache.get("perm") is not None:
+            self._matrices = _permutation_matrices(self._iso_cache["perm"])
+        return self._matrices
 
     @property
     def is_finite(self) -> bool:
@@ -116,6 +134,21 @@ def _check_unitary(m: np.ndarray, tol: Tolerance, what: str) -> None:
     d = m.shape[0]
     if np.linalg.norm(dagger(m) @ m - np.eye(d)) > 1e3 * tol.weighted(1.0) * d:
         raise ValueError(f"{what} is not unitary")
+
+
+def _permutation_matrices(sigma: np.ndarray) -> np.ndarray:
+    """Dense (k, dim, dim) stack whose matrix g has column j equal to e_{sigma[g, j]}."""
+    k, d = sigma.shape
+    mats = np.zeros((k, d, d), dtype=complex)
+    mats[np.arange(k)[:, None], sigma, np.arange(d)] = 1.0
+    return mats
+
+
+def _matrices_at(rep: UnitaryRep, idx: list[int]) -> np.ndarray:
+    """rep.matrices[idx] of a finite rep, built from sigma alone when the dense stack is not held."""
+    if rep._matrices is None:
+        return _permutation_matrices(rep._iso_cache["perm"][idx])
+    return rep._matrices[idx]
 
 
 def finite_rep(group: FiniteGroup, matrices, tol: Tolerance = DEFAULT_TOL) -> UnitaryRep:
@@ -241,25 +274,21 @@ def spin_rep(j: float) -> UnitaryRep:
 
 def trivial_rep(group: FiniteGroup | LieDescriptor, dim: int = 1) -> UnitaryRep:
     if isinstance(group, FiniteGroup):
-        mats = np.broadcast_to(np.eye(dim, dtype=complex), (group.order, dim, dim)).copy()
-        return finite_rep(group, mats)
+        return UnitaryRep(group=group, dim=dim, sigma=np.tile(np.arange(dim), (group.order, 1)))
     gens = np.zeros((group.algebra_dim, dim, dim), dtype=complex)
     return lie_rep(group, gens)
 
 
 def regular_rep(group: FiniteGroup, side: str = "left") -> UnitaryRep:
-    """Permutation representation on C^|G|: left |h> -> |gh>, right |h> -> |h g^-1>."""
+    """Permutation representation on C^|G|: left |h> -> |gh>, right |h> -> |h g^-1>.
+
+    Its table is read from the validated product table: sigma[g, h] = gh, or h g^-1.
+    """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=complex)
-    for g in range(n):
-        for h in range(n):
-            if side == "left":
-                mats[g, group.mult(g, h), h] = 1.0
-            else:
-                mats[g, group.mult(h, group.inverse(g)), h] = 1.0
-    return finite_rep(group, mats)
+    table = group.product_table
+    sigma = table.copy() if side == "left" else table.T[group.inverse_table]
+    return UnitaryRep(group=group, dim=group.order, sigma=sigma)
 
 
 def rep_evaluate(rep: UnitaryRep, g) -> np.ndarray:
@@ -268,7 +297,7 @@ def rep_evaluate(rep: UnitaryRep, g) -> np.ndarray:
     if rep.is_finite:
         if not isinstance(el, FiniteElement) or el.group is not rep.group:
             raise ValueError("element does not belong to this representation's group")
-        return rep.matrices[el.index]
+        return _matrices_at(rep, [el.index])[0]
     if not isinstance(el, LieElement) or el.descriptor.kind != rep.group.kind:
         raise ValueError("element does not belong to this representation's group")
     k = sum(c * rep.generators[a] for a, c in enumerate(el.coords))
@@ -279,7 +308,7 @@ def rep_evaluate(rep: UnitaryRep, g) -> np.ndarray:
 
 
 def tensor(reps: list[UnitaryRep]) -> UnitaryRep:
-    """Tensor product representation (Kronecker products / Kronecker-sum generators)."""
+    """Tensor product representation: composed permutation tables, Kronecker products, or Kronecker-sum generators."""
     if not reps:
         raise ValueError("need at least one representation")
     first = reps[0]
@@ -293,6 +322,12 @@ def tensor(reps: list[UnitaryRep]) -> UnitaryRep:
     if len(reps) == 1:
         return first
     if first.is_finite:
+        tables = [permutation_table(r) for r in reps]
+        if all(t is not None for t in tables):
+            sigma = tables[0]
+            for t in tables[1:]:
+                sigma = (sigma[:, :, None] * t.shape[1] + t[:, None, :]).reshape(first.group.order, -1)
+            return UnitaryRep(group=first.group, dim=sigma.shape[1], sigma=sigma)
         mats = reps[0].matrices
         for r in reps[1:]:
             mats = np.einsum("gij,gkl->gikjl", mats, r.matrices).reshape(
@@ -499,7 +534,8 @@ def permutation_table(rep: UnitaryRep) -> np.ndarray | None:
     """(|G|, dim) table sigma with U_g e_j = e_{sigma[g, j]}, or None.
 
     Not None only for a finite rep whose every entry is exactly 0 or 1 with a
-    single 1 in each row and column; cached on the rep.
+    single 1 in each row and column: the table a permutation rep was built
+    from, or else read once from the dense matrices and cached on the rep.
     """
     if not rep.is_finite:
         return None
@@ -520,13 +556,13 @@ def _pair_orbits(rep: UnitaryRep, sigma: np.ndarray) -> tuple[np.ndarray, np.nda
 
     The orbit of a pair is its image under every g, so labelling each pair by
     the smallest flat index in that image labels orbits; labels are then
-    renumbered 0..(#orbits - 1).  Cached on the rep: dim^2 ints.
+    renumbered 0..(#orbits - 1).  Cached on the rep: dim^2 ints.  The images
+    are formed in one (|G|, dim^2) pass, a transient half the size of the
+    dense stack that ``cli.MAX_REP_BYTES`` bounds.
     """
     if "pair_orbits" not in rep._iso_cache:
         d = rep.dim
-        low = np.full(d * d, d * d, dtype=np.int64)
-        for s in sigma:
-            np.minimum(low, (s[:, None] * d + s[None, :]).reshape(-1), out=low)
+        low = (sigma[:, :, None] * d + sigma[:, None, :]).reshape(len(sigma), -1).min(axis=0)
         leaders = low == np.arange(d * d)
         labels = (np.cumsum(leaders) - 1)[low]
         rep._iso_cache["pair_orbits"] = (labels, np.bincount(labels))
@@ -588,25 +624,45 @@ def group_average(
     a = as_cmatrix(operand)
     if a.shape != (rep.dim, rep.dim):
         raise ValueError("operand dimension does not match the representation")
-    if rep.is_finite:
-        return measure_scale * _finite_twirl(rep, a)
-    return measure_scale * _lie_twirl(rep, a, tol)
+    out = _finite_twirl(rep, a) if rep.is_finite else _lie_twirl(rep, a, tol)
+    out *= measure_scale  # in place: both twirls return a fresh array
+    return out
 
 
 def constraints(rep: UnitaryRep) -> np.ndarray:
     """(k, dim, dim) stack of U_s - 1 per finite generator s, or the Lie generators; not cached."""
     if rep.is_finite:
-        return rep.matrices[list(rep.group.generators)] - np.eye(rep.dim)
+        return _matrices_at(rep, list(rep.group.generators)) - np.eye(rep.dim)
     return rep.generators
+
+
+def apply_constraints(rep: UnitaryRep, v: np.ndarray) -> np.ndarray:
+    """``constraints(rep) @ v``, shape (k, dim, m); with a permutation table a scatter, (U_s v)[sigma_s(j)] = v[j]."""
+    sigma = permutation_table(rep)
+    if sigma is None:
+        return constraints(rep) @ v
+    rows = sigma[list(rep.group.generators)]
+    moved = np.empty((rows.shape[0],) + v.shape, dtype=np.result_type(v, complex))
+    moved[np.arange(rows.shape[0])[:, None], rows] = v
+    return moved - v
 
 
 def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Joint fixed subspace of the representation: the kernel of its constraints.
 
+    With a permutation table: the normalised indicators of the index orbits,
+    B[j, orbit(j)] = 1/sqrt(|orbit|), one column per orbit in the order of its
+    smallest index (already ``canonicalize_basis`` order); exact, no SVD.
     Lie: the top of the weight-0 ladder (U(1) charge 0, SU(2) spin 0).
     """
     if rep.is_finite:
-        return joint_fixed_subspace(constraints(rep), tol)
+        sigma = permutation_table(rep)
+        if sigma is None:
+            return joint_fixed_subspace(constraints(rep), tol)
+        leaders, orbit = np.unique(sigma.min(axis=0), return_inverse=True)  # the orbit of j is {sigma_g(j)}
+        basis = np.zeros((rep.dim, leaders.size), dtype=complex)
+        basis[np.arange(rep.dim), orbit] = 1.0 / np.sqrt(np.bincount(orbit))[orbit]
+        return Subspace(rep.dim, basis)
     coeff = next((slots[0] for top, slots in _ladders(rep, tol) if top == 0), np.zeros((0, 0)))
     wb = weight_basis(rep)
     return Subspace(rep.dim, canonicalize_basis(wb.embed(wb.sectors.get(0, []), coeff), tol))
@@ -630,9 +686,8 @@ def invariant_closure(rep: UnitaryRep, v: np.ndarray, tol: Tolerance = DEFAULT_T
     basis = orthonormal_range(start, tol).basis
     if basis.shape[1] == 0:
         raise ValueError("need a nonzero vector")
-    ops = constraints(rep)
     while True:
-        grown = np.hstack([basis] + [op @ basis for op in ops])
+        grown = np.hstack([basis, *apply_constraints(rep, basis)])
         new_basis = orthonormal_range(grown, tol).basis
         if new_basis.shape[1] == basis.shape[1]:
             return Subspace(rep.dim, new_basis)

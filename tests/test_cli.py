@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qrf
@@ -581,3 +582,73 @@ def test_every_builtin_report_derives_reduced_and_span_dims_consistently():
             assert entry["orientation_independent"] == (entry["conditional_span_dim"] == entry["reduced_space_dim"])
             seen += 1
     assert seen == 23
+
+
+@pytest.mark.parametrize("order", [["R1", "S", "R2"], ["S", "R2", "R1"]])
+def test_symmetry_layer_with_non_adjacent_frames_exits_0(order, tmp_path, capsys):
+    # the relation-conditional source puts 1 on the other frame's slot in each complement's own order
+    raw = {
+        "group": {"builtin": "Z3"},
+        "subsystems": [{"name": n, "rep": {"regular": True}} for n in order],
+        "frames": [{"name": r, "subsystem": r, "seed": "identity_ket"} for r in ("R1", "R2")],
+        "tasks": [{"task": "full_report"}],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "report.json")]) == 0
+    checks = json.loads((tmp_path / "report.json").read_text())["tasks"][0]["checks"]
+    layer = next(c for c in checks if c["name"] == "relation_conditional_reorient")
+    assert layer["pass"] and layer["residual"] <= 1e-12
+
+
+def test_identity_on_other_frame_matches_kron_in_complement_order():
+    s = cli.build_scenario(load_config("finite-regular:Z2"))  # subsystems R1, R2, S
+    small = np.arange(4.0).reshape(2, 2)
+    np.testing.assert_array_equal(cli._identity_on(s, "R1", "R2", small), np.kron(np.eye(2), small))
+    np.testing.assert_array_equal(cli._identity_on(s, "R2", "R1", small), np.kron(np.eye(2), small))
+    raw = {
+        "group": {"builtin": "Z2"},
+        "subsystems": [{"name": n, "rep": {"regular": True}} for n in ("R1", "S1", "R2", "S2")],
+        "frames": [{"name": r, "subsystem": r, "seed": "identity_ket"} for r in ("R1", "R2")],
+        "tasks": [],
+    }
+    s4 = cli.build_scenario(cli._validate_raw(raw))
+    small = np.arange(16.0).reshape(4, 4)  # on S1 x S2
+    t = small.reshape(2, 2, 2, 2)  # (S1 out, S2 out, S1 in, S2 in)
+    # complement of R1 is S1, R2, S2: small on the outer slots, 1 on the middle one
+    expect = np.einsum("abcd,BD->aBbcDd", t, np.eye(2)).reshape(8, 8)
+    np.testing.assert_array_equal(cli._identity_on(s4, "R1", "R2", small), expect)
+    # complement of R2 is R1, S1, S2: 1 first
+    np.testing.assert_array_equal(cli._identity_on(s4, "R2", "R1", small), np.kron(np.eye(2), small))
+
+
+@pytest.mark.parametrize("value", [1.7, -0.5, float("inf")])
+def test_non_integral_seed_is_config_error(value, tmp_path, capsys):
+    raw = small_config(seed=value)
+    with pytest.raises(ConfigError, match=r"seed: expected an integer"):
+        parse_config(json.dumps(raw))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main(["check", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: expected an integer")
+
+
+def test_integral_seeds_are_kept_exactly():
+    for value, want in ((3, 3), (3.0, 3), ("4", 4), (2**70, 2**70)):
+        assert parse_config(json.dumps(small_config(seed=value))).seed == want
+
+
+def test_d4_full_report_never_builds_the_dense_total_rep(monkeypatch):
+    from qrf import reps
+
+    built, shapes = [], []
+    build = cli.build_scenario
+    monkeypatch.setattr(cli, "build_scenario", lambda cfg: built.append(build(cfg)) or built[-1])
+    dense = reps._permutation_matrices
+    monkeypatch.setattr(reps, "_permutation_matrices", lambda sigma: shapes.append(sigma.shape) or dense(sigma))
+    report = run(load_config("finite-regular:D4"))
+    assert report["summary"]["checks_failed"] == 0
+    (s,) = built
+    assert s.kin_dim == 512 and reps.permutation_table(s.total_rep) is not None
+    assert s.total_rep._matrices is None
+    assert shapes and all(shape[1] < s.kin_dim for shape in shapes)  # only frame and complement stacks

@@ -311,6 +311,27 @@ def _kron_slots_relation_conditional(s, frame1, g1, frame2, g2, obs, modified):
     return out
 
 
+def test_permutation_right_action_conjugates_by_a_gather():
+    # the regular frames' V_R is a permutation rep, so the slot conjugation is a gather;
+    # the dense two-sided product is its oracle, on every slot of a three-party D4 scenario
+    g = groups.dihedral_4()
+    reg = reps.regular_rep(g)
+    seed = np.zeros(g.order, dtype=complex)
+    seed[g.identity_index] = 1.0
+    frame = frames.make_frame(reg, seed, name="R")
+    v_rep, _ = frames.lr_classify(frame)
+    assert reps.permutation_table(v_rep) is not None
+    dims = [8, 8, 8]
+    m = random_hermitian(np.random.default_rng(41), 512)
+    for slot in range(3):
+        for k in (1, 3, 6):
+            np.testing.assert_allclose(
+                framechange._right_conjugate(dims, slot, v_rep, k, m),
+                framechange._conjugate_slot(dims, slot, v_rep.matrices[k], m),
+                atol=1e-12,
+            )
+
+
 @pytest.mark.parametrize("frame1, frame2", [("R1", "R2"), ("R2", "R1")])
 def test_relation_conditional_non_adjacent_frames_match_kron_oracle(frame1, frame2):
     # frames in slots 0 and 2 with the system between them, in both orders

@@ -258,6 +258,73 @@ def test_pair_orbit_twirl_matches_dense_twirl():
         assert np.abs(fast - _dense_twirl(rep, a)).max() <= 1e-12
 
 
+def _kronecker_stack(factors):
+    """The einsum Kronecker product of the factors' dense matrices: the oracle for composed tables."""
+    mats = factors[0].matrices
+    for r in factors[1:]:
+        mats = np.einsum("gij,gkl->gikjl", mats, r.matrices).reshape(len(mats), mats.shape[1] * r.dim, -1)
+    return mats
+
+
+def test_composed_tables_match_the_kronecker_stack_exactly():
+    d4, s3 = groups.dihedral_4(), groups.symmetric_3()
+    left, right = reps.regular_rep(d4, "left"), reps.regular_rep(d4, "right")
+    for factors in ([left, right], [right, left, left], [reps.regular_rep(s3)] * 3, [reps.trivial_rep(d4, 2), left]):
+        rep = reps.tensor(factors)
+        assert rep._matrices is None  # held as a table until a dense consumer asks
+        np.testing.assert_array_equal(rep.matrices, _kronecker_stack(factors))
+        np.testing.assert_array_equal(reps.conjugate_rep(rep).matrices, rep.matrices)
+
+
+def test_tensor_with_a_non_permutation_factor_keeps_the_dense_stack():
+    irrep = _s3_two_dim_irrep()
+    reg = reps.regular_rep(irrep.group)
+    rep = reps.tensor([reg, irrep])
+    assert reps.permutation_table(rep) is None
+    np.testing.assert_allclose(rep.matrices, _kronecker_stack([reg, irrep]), atol=1e-15)
+
+
+def test_regular_reps_read_from_the_product_table_match_their_definition():
+    q8 = groups.quaternion_8()
+    for side in ("left", "right"):
+        rep = reps.regular_rep(q8, side)
+        for g in q8.elements():
+            for h in q8.elements():
+                image = q8.mult(g, h) if side == "left" else q8.mult(h, q8.inverse(g))
+                np.testing.assert_array_equal(rep.matrices[g][:, h], np.eye(8)[image])
+            np.testing.assert_array_equal(rep.evaluate(g), rep.matrices[g])
+
+
+def _orbit_basis_reps():
+    d4 = groups.dihedral_4()
+    totals = [regular_three_party(g).total_rep for g in (groups.symmetric_3(), d4, groups.quaternion_8())]
+    return totals + [reps.tensor([reps.regular_rep(d4, "left"), reps.regular_rep(d4, "right")])]
+
+
+@pytest.mark.parametrize("rep", _orbit_basis_reps(), ids=["S3", "D4", "Q8", "D4-left-right"])
+def test_orbit_indicator_basis_matches_the_joint_kernel_oracle(rep):
+    from qrf.linalg import canonicalize_basis, joint_fixed_subspace
+
+    fast = reps.fixed_subspace(rep)
+    oracle = joint_fixed_subspace(reps.constraints(rep))
+    assert fast.dim == oracle.dim
+    assert np.abs(fast.projector() - oracle.projector()).max() <= 1e-12
+    # Burnside: one column per orbit, the mean number of fixed indices
+    sigma = reps.permutation_table(rep)
+    assert fast.dim * rep.group.order == np.count_nonzero(sigma == np.arange(rep.dim))
+    np.testing.assert_array_equal(canonicalize_basis(fast.basis), fast.basis)
+    assert rep._matrices is None  # the orbit basis reads sigma only
+
+
+def test_apply_constraints_matches_the_dense_constraints():
+    rng = np.random.default_rng(12)
+    z3, s3 = (regular_three_party(g).total_rep for g in (groups.cyclic(3), groups.symmetric_3()))
+    for rep in (z3, s3, _s3_two_dim_irrep(), reps.spin_rep(1)):  # Z3's generator is no involution
+        v = rng.standard_normal((rep.dim, 3)) + 1j * rng.standard_normal((rep.dim, 3))
+        np.testing.assert_allclose(reps.apply_constraints(rep, v), reps.constraints(rep) @ v, atol=1e-14)
+    assert reps.apply_constraints(reps.regular_rep(groups.cyclic(1)), np.ones((1, 2))).shape == (0, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # isotypic decomposition
 # ---------------------------------------------------------------------------

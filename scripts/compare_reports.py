@@ -11,8 +11,10 @@ difference between corresponding floats.  A "basis" table is compared as
 the subspace it spans, since the choice of orthonormal basis inside a
 subspace is a convention: its line gives the largest entry of the
 difference of the two orthogonal projectors, and its amplitudes stay out of
-the float difference.  Keys present on one side only are listed but do not
-count as a mismatch.  Exits 1 on any exit-status, verdict or dimension
+the float difference.  A check's "tol" field is its bound, not a result:
+tol changes are counted on their own line, with the largest of them, apart
+from the largest result-float difference.  Keys present on one side only are listed
+but do not count as a mismatch.  Exits 1 on any exit-status, verdict or dimension
 mismatch, or when a report is missing on one side.
 """
 
@@ -62,7 +64,7 @@ def projector(table: list) -> np.ndarray:
 
 
 def float_diff(a, b, path: str, state: dict) -> None:
-    """Track the largest float difference, basis projector differences and the paths whose structure differs."""
+    """Track the largest float difference, check tol changes, basis projector differences and structure changes."""
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(set(a) | set(b)):
             if k == "basis" and isinstance(a.get(k), list) and isinstance(b.get(k), list):
@@ -71,6 +73,8 @@ def float_diff(a, b, path: str, state: dict) -> None:
                 elif a[k]:
                     gap = float(np.abs(projector(a[k]) - projector(b[k])).max())
                     state["bases"].append((f"{path}/{k}", gap))
+            elif k == "tol" and k in a and k in b and a[k] != b[k]:
+                state["tols"].append((abs(a[k] - b[k]), f"{path}/{k}"))
             elif k in a and k in b:
                 float_diff(a[k], b[k], f"{path}/{k}", state)
             else:
@@ -104,14 +108,16 @@ def compare(old: dict, new: dict) -> tuple[bool, list[str], float]:
     ok &= not bad
     for k in bad:
         lines.append(f"    {k}: {do.get(k)!r} -> {dn.get(k)!r}")
-    state = {"max": 0.0, "where": "-", "differs": [], "bases": []}
+    state = {"max": 0.0, "where": "-", "differs": [], "bases": [], "tols": []}
     float_diff(old, new, "", state)
-    lines.append(f"  max |float diff| {state['max']:.3e} at {state['where']} (basis tables excluded)")
+    lines.append(f"  max |float diff| {state['max']:.3e} at {state['where']} (basis tables and check tols excluded)")
+    tol_gap, tol_where = max(state["tols"], default=(0.0, "-"))
+    lines.append(f"  check tols    {len(state['tols'])} changed, max |diff| {tol_gap:.3e} at {tol_where}")
     for p, gap in state["bases"]:
         lines.append(f"  basis subspace {p}: max |projector diff| {gap:.3e}")
     for p in state["differs"]:
         lines.append(f"    differs: {p}")
-    return ok, lines, state["max"], max((gap for _, gap in state["bases"]), default=0.0)
+    return ok, lines, state["max"], max((gap for _, gap in state["bases"]), default=0.0), len(state["tols"])
 
 
 def main(argv: list[str]) -> int:
@@ -122,6 +128,7 @@ def main(argv: list[str]) -> int:
     names = sorted({p.name for p in old_dir.glob("*.json")} | {p.name for p in new_dir.glob("*.json")})
     all_ok = True
     worst = worst_basis = 0.0
+    tols = 0
     for name in names:
         print(name)
         if not (old_dir / name).exists() or not (new_dir / name).exists():
@@ -130,14 +137,15 @@ def main(argv: list[str]) -> int:
             continue
         old = json.loads((old_dir / name).read_text())
         new = json.loads((new_dir / name).read_text())
-        ok, lines, diff, basis_gap = compare(old, new)
+        ok, lines, diff, basis_gap, tol_changes = compare(old, new)
         print("\n".join(lines))
         all_ok &= ok
         worst = max(worst, diff)
         worst_basis = max(worst_basis, basis_gap)
+        tols += tol_changes
     print(
         f"{len(names)} reports, max |float diff| {worst:.3e}, "
-        f"max basis projector diff {worst_basis:.3e}: " + ("OK" if all_ok else "MISMATCH")
+        f"max basis projector diff {worst_basis:.3e}, {tols} check tols changed: " + ("OK" if all_ok else "MISMATCH")
     )
     return 0 if all_ok else 1
 

@@ -1,10 +1,10 @@
 """Scenario runner: parse JSON configs, execute tasks, emit reports.
 
 Reports are deterministic for a fixed config, seed and version: every random
-draw goes through one seeded generator and every numeric result is emitted
-with the tolerance it was checked against.  Exit code 0 means every property
-check in every task passed, 1 that some check failed, and 2 a config or
-runtime error.
+draw goes through one seeded generator.  Every check is a library ``Check``
+record, emitted with its bound as the ``tol`` field; this module holds no
+numeric bound.  Exit code 0 means every property check in every task passed,
+1 that some check failed, and 2 a config or runtime error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -378,10 +378,6 @@ def _jsonable(x):
     return str(x)
 
 
-def _check(name: str, residual: float, tol: float) -> dict:
-    return {"name": name, "residual": float(residual), "tol": tol, "pass": bool(residual <= tol)}
-
-
 def _basis_table(ps, limit: int = 2048) -> object:
     if ps.dim * ps.scenario.kin_dim > limit:
         return f"omitted ({ps.dim} x {ps.scenario.kin_dim} amplitudes)"
@@ -389,11 +385,7 @@ def _basis_table(ps, limit: int = 2048) -> object:
 
 
 def _task_phys_space(scenario, ps, cfg, task, rng):
-    # ||D B|| per constraint operator D: zero iff every basis vector is invariant
-    moved = reps.apply_constraints(scenario.total_rep, ps.basis.basis)
-    worst = float(np.max(np.linalg.norm(moved, axis=(1, 2)), initial=0.0))
-    checks = [_check("physical_basis_invariance", worst, 1e4 * cfg.tolerance * max(1, ps.dim))]
-    return {"dim": ps.dim, "kin_dim": scenario.kin_dim, "basis": _basis_table(ps)}, checks
+    return {"dim": ps.dim, "kin_dim": scenario.kin_dim, "basis": _basis_table(ps)}, [ps.invariance_check(cfg.tol())]
 
 
 def _task_rel_obs(scenario, ps, cfg, task, rng):
@@ -401,28 +393,23 @@ def _task_rel_obs(scenario, ps, cfg, task, rng):
     g = _element(scenario, fname, task.get("orientation"), "task.orientation")
     f_s = _observable(scenario.complement_dim(fname), task["observable"], "task.observable")
     obs = perspective.relational_observable(scenario, fname, g, f_s, cfg.tol(), check=False)
-    defect = perspective.strong_dirac_defect(scenario, obs.matrix)
-    checks = [_check("dirac_commutation", defect, 1e5 * cfg.tolerance * max(1.0, float(np.abs(obs.matrix).max())))]
     return {
         "frame": fname,
         "orientation": _jsonable(obs.orientation),
         "restricted_matrix": _jsonable(ps.restrict(obs.matrix)),
-    }, checks
+    }, [perspective.dirac_check(scenario, obs.matrix, cfg.tol())]
 
 
 def _task_reduce(scenario, ps, cfg, task, rng):
     fname = task["frame"]
     g = _element(scenario, fname, task.get("orientation"), "task.orientation")
     state = _state(ps, task["state"], "task.state")
-    reduced = reductions.schrodinger_reduce(ps, fname, g, state)
-    checks = [
-        _check("isometry", abs(np.linalg.norm(reduced) - np.linalg.norm(state)), 1e4 * cfg.tolerance)
-    ]
+    reduced, check = reductions.isometry_check(ps, fname, g, state, cfg.tol())
     return {
         "frame": fname,
         "orientation": _jsonable(g),
         "reduced_amplitudes": _jsonable(reduced),
-    }, checks
+    }, [check]
 
 
 def _task_probabilities(scenario, ps, cfg, task, rng):
@@ -431,8 +418,7 @@ def _task_probabilities(scenario, ps, cfg, task, rng):
     proj = _observable(scenario.complement_dim(fname), task["projector"], "task.projector")
     state = _state(ps, task["state"], "task.state")
     p = reductions.conditional_probability(ps, fname, g, proj, state, cfg.tol())
-    checks = [_check("probability_in_unit_interval", max(0.0, -p, p - 1.0), 1e4 * cfg.tolerance)]
-    return {"frame": fname, "orientation": _jsonable(g), "probability": p}, checks
+    return {"frame": fname, "orientation": _jsonable(g), "probability": p}, [reductions.unit_interval_check(p, cfg.tol())]
 
 
 def _task_frame_change(scenario, ps, cfg, task, rng):
@@ -440,22 +426,12 @@ def _task_frame_change(scenario, ps, cfg, task, rng):
     g_from = _element(scenario, f_from, task.get("g_from"), "task.g_from")
     g_to = _element(scenario, f_to, task.get("g_to"), "task.g_to")
     change = framechange.frame_change(ps, f_from, g_from, f_to, g_to, cfg.tol())
-    defect = change.scale_notes.get("isometry_defect", 0.0)
-    checks = [_check("frame_change_isometry", defect, 1e5 * cfg.tolerance * max(1, change.matrix.shape[0]))]
     return {
         "from": f_from,
         "to": f_to,
         "shape": list(change.matrix.shape),
         "scale_notes": _jsonable(change.scale_notes),
-    }, checks
-
-
-def _reorientation_orbit(scenario, fname, g1, g, f_s, tol: Tolerance):
-    """Reorient F_{f_S}(g1) by g; return it and its distance from F_{f_S} built at the new orientation."""
-    obs = perspective.relational_observable(scenario, fname, g1, f_s, tol)
-    moved = framechange.reorient(scenario, fname, g, obs, tol)
-    direct = perspective.relational_observable(scenario, fname, moved.orientation, f_s, tol)
-    return moved, float(np.linalg.norm(moved.matrix - direct.matrix))
+    }, [change.check]
 
 
 def _task_reorient(scenario, ps, cfg, task, rng):
@@ -463,9 +439,8 @@ def _task_reorient(scenario, ps, cfg, task, rng):
     g1 = _element(scenario, fname, task.get("orientation"), "task.orientation")
     g = _element(scenario, fname, task["g"], "task.g")
     f_s = _observable(scenario.complement_dim(fname), task["observable"], "task.observable")
-    moved, resid = _reorientation_orbit(scenario, fname, g1, g, f_s, cfg.tol())
-    checks = [_check("reorientation_orbit", resid, 1e5 * cfg.tolerance * max(1.0, float(np.abs(f_s).max())))]
-    return {"frame": fname, "new_orientation": _jsonable(moved.orientation)}, checks
+    moved, check = framechange.reorientation_check(scenario, fname, g1, g, f_s, cfg.tol())
+    return {"frame": fname, "new_orientation": _jsonable(moved.orientation)}, [check]
 
 
 def _task_lr_classify(scenario, ps, cfg, task, rng):
@@ -476,12 +451,8 @@ def _task_lr_classify(scenario, ps, cfg, task, rng):
 
 def _task_subsystem_relativity(scenario, ps, cfg, task, rng):
     report = framechange.subsystem_relativity_report(scenario, task["frame1"], task["frame2"], cfg.tol())
-    checks = []
-    if not report.get("degenerate"):
-        checks.append(
-            _check("relativized_commutation", report["relativized_commutant_residual"], 1e5 * cfg.tolerance)
-        )
-    return _jsonable(report), checks
+    commuting = report.pop("checks", ())[:1]  # distinctness is asked of ideal frames, in the symmetry layer
+    return _jsonable(report), list(commuting)
 
 
 def _random_hermitian(rng, dim: int) -> np.ndarray:
@@ -489,42 +460,41 @@ def _random_hermitian(rng, dim: int) -> np.ndarray:
     return (h + dagger(h)) / 2.0
 
 
+def _random_state(ps, rng) -> np.ndarray:
+    coeff = rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim)
+    return ps.basis.basis @ (coeff / np.linalg.norm(coeff))
+
+
 def _task_full_report(scenario, ps, cfg, task, rng):
-    tol = cfg.tolerance
-    checks: list[dict] = []
+    tol = cfg.tol()
+    checks = []
     out: dict = {"phys_dim": ps.dim, "kin_dim": scenario.kin_dim, "basis": _basis_table(ps)}
     frames_out = {}
     for fname in scenario.frames:
         frame = scenario.frame(fname)
         entry: dict = {"subsystem": scenario.subsystems[scenario.frame_slot(fname)][0]}
         entry["volume"] = frame.weight_scale
-        checks.append(_check(f"{fname}:resolution_of_identity", frame.resolution_residual, 1e-8 * max(1, frame.dim)))
+        checks.append(frame.resolution_check(tol))
         if frame.isotropy.element_indices is not None:
             entry["isotropy_elements"] = list(frame.isotropy.element_indices)
         else:
             entry["isotropy_algebra_dim"] = len(frame.isotropy.algebra_basis or ())
             entry["isotropy_discrete_part_unknown"] = frame.isotropy.discrete_part_unknown
-        v_rep, lr_report = frames.lr_classify(frame, cfg.tol())
+        v_rep, lr_report = frames.lr_classify(frame, tol)
         entry["lr_exists"] = v_rep is not None
         if v_rep is None:
             entry["lr_obstruction"] = lr_report["reason"]
-        entry["orientation_independent"] = perspective.orientation_independent(scenario, fname, cfg.tol())
-        pi_e = perspective.system_projector(scenario, fname, frame.rep.identity_element(), cfg.tol())
+        entry["orientation_independent"] = perspective.orientation_independent(scenario, fname, tol)
+        pi_e = perspective.system_projector(scenario, fname, frame.rep.identity_element(), tol)
         entry["reduced_space_dim"] = int(round(float(np.trace(pi_e).real)))
-        entry["conditional_span_dim"] = perspective.physical_system_span(scenario, fname, cfg.tol()).dim
+        entry["conditional_span_dim"] = perspective.physical_system_span(scenario, fname, tol).dim
         if ps.dim:
-            theta = reductions.solve_theta(frame, cfg.tol())
+            theta = reductions.solve_theta(frame, tol)
             if isinstance(theta, ThetaState):
-                entry["theta"] = {
-                    "found": True,
-                    "fourier_k": theta.fourier_k,
-                    "phases": _jsonable(theta.phases) if theta.phases is not None else None,
-                    "residual": theta.residual,
-                }
-                resid = _trinity_residual(scenario, ps, fname, theta, rng)
-                checks.append(_check(f"{fname}:trinity_heisenberg_vs_schrodinger", resid, 1e-8))
-                resid = _disentangler_residual(scenario, ps, fname, theta)
-                checks.append(_check(f"{fname}:disentangler_product_form", resid, 1e-8))
+                entry["theta"] = {"found": True, "fourier_k": theta.fourier_k, "phases": _jsonable(theta.phases),
+                                  "residual": theta.residual}
+                checks.append(reductions.trinity_check(ps, fname, theta, _random_state(ps, rng), tol))
+                checks.append(reductions.product_form_check(ps, fname, theta, tol))
             else:
                 entry["theta"] = {"found": False, "reason": theta.reason, "residual": theta.residual}
                 entry["heisenberg_picture"] = "unavailable, Schroedinger picture used"
@@ -537,37 +507,22 @@ def _task_full_report(scenario, ps, cfg, task, rng):
             a = _random_hermitian(rng, dim_c)
             b = _random_hermitian(rng, dim_c)
             frame = scenario.frame(fname)
-            hom = perspective.check_weak_homomorphism(
-                scenario, fname, frame.rep.identity_element(), a, b, cfg.tol()
-            )
+            hom = perspective.check_weak_homomorphism(scenario, fname, frame.rep.identity_element(), a, b, tol)
             out["weak_homomorphism"] = _jsonable(
                 {k: hom[k] for k in ("weak", "strong", "max_weak_residual", "max_strong_residual", "strong_pass")}
             )
-            hom_scale = max(1.0, float(np.abs(a).max()) * float(np.abs(b).max()))
-            checks.append(_check(f"{fname}:weak_homomorphism", hom["max_weak_residual"] / hom_scale, 1e-7))
-            coeff = rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim)
-            psi = ps.basis.basis @ (coeff / np.linalg.norm(coeff))
-            coeff2 = rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim)
-            chi = ps.basis.basis @ (coeff2 / np.linalg.norm(coeff2))
-            cip = perspective.conditional_inner_product_check(scenario, fname, psi, chi, None, cfg.tol())
-            out["conditional_inner_product"] = _jsonable(
-                {k: cip[k] for k in ("max_deviation", "samples")}
-            )
-            checks.append(_check(f"{fname}:conditional_inner_product", cip["max_deviation"], 1e-8))
+            checks.append(hom["weak_check"])
+            psi, chi = _random_state(ps, rng), _random_state(ps, rng)
+            cip = perspective.conditional_inner_product_check(scenario, fname, psi, chi, None, tol)
+            out["conditional_inner_product"] = _jsonable({k: cip[k] for k in ("max_deviation", "samples")})
+            checks.append(cip["check"])
         pairs = [(a, b) for a in scenario.frames for b in scenario.frames if a != b]
         changes = {}
         for f_from, f_to in pairs:
-            ch = framechange.frame_change(
-                ps,
-                f_from,
-                scenario.frame(f_from).rep.identity_element(),
-                f_to,
-                scenario.frame(f_to).rep.identity_element(),
-                cfg.tol(),
-            )
-            defect = ch.scale_notes["isometry_defect"]
-            checks.append(_check(f"frame_change:{f_from}->{f_to}", defect, 1e5 * tol * max(1, ch.matrix.shape[0])))
-            changes[f"{f_from}->{f_to}"] = {"shape": list(ch.matrix.shape), "isometry_defect": defect}
+            e_from, e_to = (scenario.frame(f).rep.identity_element() for f in (f_from, f_to))
+            ch = framechange.frame_change(ps, f_from, e_from, f_to, e_to, tol)
+            checks.append(replace(ch.check, name=f"frame_change:{f_from}->{f_to}"))
+            changes[f"{f_from}->{f_to}"] = {"shape": list(ch.matrix.shape), "isometry_defect": ch.check.residual}
         out["frame_changes"] = changes
         ideal_finite = [
             f for f in scenario.frames
@@ -576,67 +531,28 @@ def _task_full_report(scenario, ps, cfg, task, rng):
         ]
         if len(ideal_finite) >= 2 and len(scenario.subsystems) >= 3:
             f1, f2 = ideal_finite[0], ideal_finite[1]
-            out["symmetry_layer"] = _symmetry_layer(scenario, ps, cfg, f1, f2, rng, checks)
+            out["symmetry_layer"] = _symmetry_layer(scenario, tol, f1, f2, rng, checks)
     return out, checks
 
 
-def _trinity_residual(scenario, ps, fname, theta, rng) -> float:
-    coeff = rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim)
-    psi = ps.basis.basis @ (coeff / np.linalg.norm(coeff))
-    heis = reductions.heisenberg_reduce(ps, fname, theta, psi)
-    comp = scenario.complement_rep(fname)
-    worst = 0.0
-    for g in perspective.sample_elements(scenario.frame(fname).group, 8):
-        red = reductions.schrodinger_reduce(ps, fname, g, psi)
-        worst = max(worst, float(np.linalg.norm(dagger(comp.evaluate(g)) @ red - heis)))
-    return worst
-
-
-def _disentangler_residual(scenario, ps, fname, theta) -> float:
-    """max_k ||T_R B e_k - |theta> x C_e e_k / sqrt(Vol)|| over the physical basis columns."""
-    frame = scenario.frame(fname)
-    t_r = reductions.disentangler(scenario, fname, theta)
-    c_e = perspective.conditioning_map(ps, fname, frame.rep.identity_element())
-    expect = scenario.inject_vector(fname, theta.vector, c_e / np.sqrt(frame.weight_scale))
-    return float(np.max(np.linalg.norm(t_r @ ps.basis.basis - expect, axis=0), initial=0.0))
-
-
-def _identity_on(scenario, fname, other, small) -> np.ndarray:
-    """1 on frame ``other``'s slot x ``small`` on the rest of ``fname``'s complement, in the complement's order."""
-    slot, pos = scenario.frame_slot(fname), scenario.frame_slot(other)
-    dims = [d for i, d in enumerate(scenario.dims) if i != slot]
-    pos -= pos > slot  # position of ``other`` in the complement
-    rest = [d for i, d in enumerate(dims) if i != pos]
-    t = np.multiply.outer(np.eye(dims[pos]), small.reshape(rest * 2))
-    n = len(dims)
-    return np.moveaxis(t, [0, 1], [pos, n + pos]).reshape(small.shape[0] * dims[pos], -1)
-
-
-def _symmetry_layer(scenario, ps, cfg, f1, f2, rng, checks) -> dict:
+def _symmetry_layer(scenario, tol, f1, f2, rng, checks) -> dict:
     group = scenario.frame(f1).rep.group
-    out: dict = {}
     f_s = _random_hermitian(rng, scenario.complement_dim(f1))
     g1 = groups.FiniteElement(group, 1 % group.order)
     g = groups.FiniteElement(group, (group.order - 1) % group.order)
-    _, resid = _reorientation_orbit(scenario, f1, g1, g, f_s, cfg.tol())
-    checks.append(_check("reorient_orbit_relabeling", resid, 1e-10 * max(1.0, float(np.abs(f_s).max())) * scenario.kin_dim))
-    out["reorient_residual"] = resid
-    # the same system observable relative to either frame: identity on the other frame's slot
+    _, orbit = framechange.reorientation_check(scenario, f1, g1, g, f_s, tol)
+    checks.append(replace(orbit, name="reorient_orbit_relabeling"))
     small = _random_hermitian(rng, scenario.complement_dim(f1) // group.order)
-    obs1 = perspective.relational_observable(scenario, f1, g1, _identity_on(scenario, f1, f2, small), cfg.tol())
     g2 = groups.FiniteElement(group, 0)
-    outm = framechange.relation_conditional_reorient(scenario, f1, g1, f2, g2, obs1, True, cfg.tol())
-    direct2 = perspective.relational_observable(scenario, f2, g2, _identity_on(scenario, f2, f1, small), cfg.tol())
-    resid = float(np.linalg.norm(outm.matrix - direct2.matrix))
-    checks.append(_check("relation_conditional_reorient", resid, 1e-9 * max(1.0, float(np.abs(small).max())) * scenario.kin_dim))
-    out["relation_conditional_residual"] = resid
-    out["subsystem_relativity"], rel_checks = _task_subsystem_relativity(
-        scenario, ps, cfg, {"frame1": f1, "frame2": f2}, rng
-    )
-    checks.extend(rel_checks)
-    coincide = out["subsystem_relativity"]["coincide"]
-    checks.append(_check("distinct_system_subalgebras", float(coincide), 0.0 if coincide else 0.5))
-    return out
+    relation = framechange.relation_conditional_check(scenario, f1, g1, f2, g2, small, tol)
+    checks.append(relation)
+    report = framechange.subsystem_relativity_report(scenario, f1, f2, tol)
+    checks.extend(report.pop("checks"))
+    return {
+        "reorient_residual": orbit.residual,
+        "relation_conditional_residual": relation.residual,
+        "subsystem_relativity": _jsonable(report),
+    }
 
 
 _TASK_RUNNERS = {
@@ -665,18 +581,14 @@ def run(cfg: ScenarioConfig) -> dict:
         record: dict = {"task": task["task"], "params": _jsonable({k: v for k, v in task.items() if k != "task"})}
         try:
             results, checks = _TASK_RUNNERS[task["task"]](scenario, ps, cfg, task, rng)
-            record["results"] = results
-            record["checks"] = checks
-            total += len(checks)
-            failed += sum(0 if c["pass"] else 1 for c in checks)
+            record["results"], record["checks"] = results, [c.as_dict() for c in checks]
         except KeyError as exc:
             record["error"] = f"missing task parameter {exc}"
-            failed += 1
-            total += 1
         except (ConfigError, ValueError, np.linalg.LinAlgError) as exc:
             record["error"] = str(exc)
-            failed += 1
-            total += 1
+        verdicts = [c["pass"] for c in record["checks"]] if "checks" in record else [False]  # an error fails once
+        total += len(verdicts)
+        failed += verdicts.count(False)
         tasks_out.append(record)
     return {
         "tool": {"name": "qrf", "version": __version__},

@@ -19,13 +19,14 @@ import numpy as np
 
 from . import frames as frames_mod
 from . import reps
-from .linalg import DEFAULT_TOL, Tolerance, dagger, orthonormal_range
+from .linalg import DEFAULT_TOL, Check, Tolerance, dagger, orthonormal_range
 from .perspective import (
     PhysicalSpace,
     RelObs,
     Scenario,
     conditioning_map,
     physical_space,
+    relational_observable,
 )
 from .reductions import schrodinger_map
 
@@ -34,7 +35,9 @@ __all__ = [
     "frame_change",
     "ensure_lr",
     "reorient",
+    "reorientation_check",
     "relation_conditional_reorient",
+    "relation_conditional_check",
     "tautological_relobs",
     "restricted_unit_family",
     "subsystem_relativity_report",
@@ -51,6 +54,7 @@ class FrameChange:
     g_to: object
     matrix: np.ndarray  # (complement_dim(to), complement_dim(from))
     scale_notes: dict
+    check: Check  # the isometry defect
 
 
 def frame_change(
@@ -75,7 +79,8 @@ def frame_change(
     gi, gj = mi.round_trip, mj.round_trip
     xi, xj = gi - np.eye(ps.dim), gj - np.eye(ps.dim)
     worst = float(np.sqrt(max(np.vdot(xj @ gi, gi @ xj).real, np.vdot(xi @ gj, gj @ xi).real, 0.0)))
-    if worst > 1e5 * tol.weighted(1.0) * max(1, mat.shape[0]):
+    check = tol.check("frame_change_isometry", worst, 1.0, max(mat.shape))
+    if not check.passed:
         raise ValueError(f"frame change failed the isometry check ({worst:.3e})")
     return FrameChange(
         frame_i,
@@ -88,6 +93,7 @@ def frame_change(
             "to_volume": mj.scale_notes["frame_volume"],
             "isometry_defect": worst,
         },
+        check,
     )
 
 
@@ -116,6 +122,17 @@ def reorient(s: Scenario, frame_name: str, g, obs: RelObs, tol: Tolerance = DEFA
         source=obs.source,
         scenario=s,
     )
+
+
+def reorientation_check(
+    s: Scenario, frame_name: str, g1, g, f_s: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> tuple[RelObs, Check]:
+    """Reorient F_{f_S}(g1) by g; return it and the check that it is F_{f_S} built at the new orientation."""
+    obs = relational_observable(s, frame_name, g1, f_s, tol)
+    moved = reorient(s, frame_name, g, obs, tol)
+    direct = relational_observable(s, frame_name, moved.orientation, f_s, tol)
+    resid = float(np.linalg.norm(moved.matrix - direct.matrix))
+    return moved, tol.check("reorientation_orbit", resid, float(np.abs(f_s).max(initial=0.0)), s.kin_dim)
 
 
 def _require_ideal(frame) -> np.ndarray:
@@ -225,6 +242,32 @@ def relation_conditional_reorient(
     return RelObs(matrix=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
 
 
+def _identity_on(s: Scenario, frame_name: str, other: str, small: np.ndarray) -> np.ndarray:
+    """1 on frame ``other``'s slot x ``small`` on the rest of ``frame_name``'s complement, in the complement's order."""
+    slot, pos = s.frame_slot(frame_name), s.frame_slot(other)
+    dims = [d for i, d in enumerate(s.dims) if i != slot]
+    pos -= pos > slot  # position of ``other`` in the complement
+    rest = [d for i, d in enumerate(dims) if i != pos]
+    t = np.multiply.outer(np.eye(dims[pos]), small.reshape(rest * 2))
+    n = len(dims)
+    return np.moveaxis(t, [0, 1], [pos, n + pos]).reshape(small.shape[0] * dims[pos], -1)
+
+
+def relation_conditional_check(
+    s: Scenario, frame1: str, g1, frame2: str, g2, small: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> Check:
+    """The modified relation-conditional reorientation maps F_{f,R1}(g1) to F_{f,R2}(g2).
+
+    f is ``small`` on the systems besides the two frames, with the identity on
+    the other frame, so it is the same system observable relative to either.
+    """
+    obs1 = relational_observable(s, frame1, g1, _identity_on(s, frame1, frame2, small), tol)
+    moved = relation_conditional_reorient(s, frame1, g1, frame2, g2, obs1, True, tol)
+    direct = relational_observable(s, frame2, g2, _identity_on(s, frame2, frame1, small), tol)
+    resid = float(np.linalg.norm(moved.matrix - direct.matrix))
+    return tol.check("relation_conditional_reorient", resid, float(np.abs(small).max(initial=0.0)), s.kin_dim)
+
+
 # ---------------------------------------------------------------------------
 # subsystem relativity diagnostics
 # ---------------------------------------------------------------------------
@@ -323,7 +366,8 @@ def subsystem_relativity_report(
 
     Restricted to the physical basis, reports (a) whether frame-2 and system
     observables relativized to frame 1 commute, (b) whether the two system
-    subalgebras coincide, and (c) their overlap dimension.
+    subalgebras coincide, and (c) their overlap dimension.  ``checks`` holds
+    (a) as a check and (b) as the check that they do not coincide.
 
     Ideal frames make F_ij = C_i^dag C_j matrix units.  With Pi = C C^dag as
     (d_t, r, d_t, r) blocks, P = sum_j Pi_jj / d_t, Delta = Pi - 1_t x P,
@@ -365,11 +409,13 @@ def subsystem_relativity_report(
         comm = max(float(np.linalg.norm(x @ ys - ys @ x, axis=(1, 2)).max()) for x in x_all)
         alg1, alg2 = (_generate_algebra(fam, tol) for fam in fams)
     # (a) commutation of the frame-2 and system observables relative to frame 1
+    commuting = tol.check("relativized_commutation", comm, 1.0, ps.dim)
     report["relativized_commutant_residual"] = comm
-    report["commuting_pass"] = comm <= 1e5 * tol.weighted(1.0)
+    report["commuting_pass"] = commuting.passed
     # (b), (c) distinctness of the two relativizations of the system algebra
     overlap = _overlap_dim(alg1, alg2, tol)
     report["algebra_dims"] = (int(alg1.shape[1]), int(alg2.shape[1]))
     report["overlap_dim"] = int(overlap)
     report["coincide"] = overlap == alg1.shape[1] == alg2.shape[1]
+    report["checks"] = (commuting, Check("distinct_system_subalgebras", float(report["coincide"]), 0.0))
     return report

@@ -8,8 +8,9 @@ groups).  The frame operators that the paper writes as integrals over
 orientations are single group averages Vol twirl(X): the resolution residual
 ||Vol twirl(|phi><phi|) - 1|| and, when it exists, the right action
 V_R(g) = Vol twirl(U(g)^-1 |phi><phi|).  Every frame, finite or Lie, is
-validated by the residual; a Lie frame that fails it gets a per-block
-(multiplicity and Schmidt-uniformity) report naming the failing block.
+validated by the residual against ``validity_bound``, whatever the user
+tolerance; a Lie frame that fails it gets a per-block (multiplicity and
+Schmidt-uniformity) report naming the failing block.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import reps
 from .groups import Subgroup
 from .linalg import (
     DEFAULT_TOL,
+    Check,
     Tolerance,
     as_cvector,
     dagger,
@@ -41,6 +43,7 @@ __all__ = [
     "lr_classify",
     "build_lr_seed",
     "resolution_residual",
+    "validity_bound",
 ]
 
 
@@ -61,7 +64,7 @@ class Frame:
     seed: np.ndarray
     weight_scale: float  # Vol(G) under this frame's measure = dim(H_R)
     isotropy: Subgroup
-    resolution_residual: float  # ||Vol twirl(|phi><phi|) - 1||_F, at most 1e-8 dim
+    resolution_residual: float  # ||Vol twirl(|phi><phi|) - 1||_F, at most validity_bound(dim)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -81,11 +84,20 @@ class Frame:
     def orientation(self, g) -> np.ndarray:
         return orientation_state(self, g)
 
+    def resolution_check(self, tol: Tolerance = DEFAULT_TOL) -> Check:
+        """The stored resolution residual as a check."""
+        return tol.check(f"{self.name}:resolution_of_identity", self.resolution_residual, 1.0, self.dim)
+
 
 @dataclass(frozen=True)
 class PovmEffect:
     subset: tuple[int, ...]
     matrix: np.ndarray
+
+
+def validity_bound(dim: int) -> float:
+    """Largest resolution residual of a valid frame, also the theta searches' acceptance; not a user tolerance."""
+    return 1e-8 * dim
 
 
 def resolution_residual(rep: UnitaryRep, seed: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -126,7 +138,7 @@ def make_frame(
 ) -> Frame:
     """Validate (rep, seed) as a coherent-state frame and attach its measure.
 
-    The frame is valid iff its resolution residual is at most 1e-8 dim.  A Lie
+    The frame is valid iff its resolution residual is at most ``validity_bound(dim)``.  A Lie
     frame that fails is diagnosed block by block: multiplicity <= irrep dim,
     and a seed Schmidt-uniform across the block.
     """
@@ -138,7 +150,7 @@ def make_frame(
         raise ValueError(f"seed must be normalized, got norm {nrm}")
     vec = fix_phase(vec / nrm, tol)
     residual = resolution_residual(rep, vec, tol)
-    if residual > 1e-8 * rep.dim:
+    if residual > validity_bound(rep.dim):
         msg = f"frame {name!r}: coherent-state sum deviates from identity by {residual:.3e}"
         report = [] if rep.is_finite else _lie_block_report(rep, vec, tol)
         bad = [r for r in report if not (r["multiplicity_ok"] and r["schmidt_ok"])]

@@ -1,10 +1,14 @@
-"""Dense complex linear algebra with tolerance-gated rank decisions.
+"""Dense complex linear algebra with tolerance-gated rank decisions and checks.
 
 Every other module routes its rank/kernel/range decisions through here so
 that the whole library shares one thresholding convention and one
 deterministic phase/ordering convention for golden tests.  Fixed spaces are
 joint kernels of constraint operators (``reps.constraints`` supplies them
 for finite and Lie groups alike).
+
+A ``Tolerance`` moves rank cuts and the bound of every ``Check``, the one rule
+``Tolerance.bound``, floored at the rounding error n eps ||A|| of forming a
+residual (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "Check",
     "Tolerance",
     "Subspace",
     "as_cmatrix",
@@ -28,9 +33,30 @@ __all__ = [
 ]
 
 
+ROUNDING_FACTOR = 32  # the check bounds' rounding floor, in eps per dimension and unit of scale
+_EPS = float(np.finfo(float).eps)
+
+
+@dataclass(frozen=True)
+class Check:
+    """A residual of a verified identity against its bound; it passes iff residual <= bound."""
+
+    name: str
+    residual: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.bound
+
+    def as_dict(self) -> dict:
+        """The report's form of the check: its bound is the ``tol`` field."""
+        return {"name": self.name, "residual": self.residual, "tol": self.bound, "pass": self.passed}
+
+
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute / relative tolerance pair used for all rank decisions."""
+    """Absolute / relative tolerance pair used for all rank decisions and check bounds."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
@@ -42,6 +68,15 @@ class Tolerance:
     def weighted(self, scale: float) -> float:
         """Effective tolerance for quantities of magnitude ``scale``."""
         return self.abs_tol + self.rel_tol * abs(scale)
+
+    def bound(self, scale: float = 1.0, dim: int = 1) -> float:
+        """The check bound dim * max(weighted(scale), ROUNDING_FACTOR * eps * |scale|) for a residual
+        formed from operands of magnitude ``scale`` and dimension ``dim``."""
+        return max(dim, 1) * max(self.weighted(scale), ROUNDING_FACTOR * _EPS * abs(scale))
+
+    def check(self, name: str, residual: float, scale: float = 1.0, dim: int = 1) -> Check:
+        """``residual`` as a ``Check`` against ``bound(scale, dim)``."""
+        return Check(name, float(residual), self.bound(scale, dim))
 
 
 DEFAULT_TOL = Tolerance()
@@ -140,7 +175,7 @@ class Subspace:
 def _rank(a: np.ndarray, s: np.ndarray, tol: Tolerance) -> int:
     """Singular values above max(abs_tol * max(1, s_0), max(m, n) * eps * s_0), the SVD's rounding floor."""
     top = s[0] if s.size else 0.0
-    cut = max(tol.abs_tol * max(1.0, top), max(a.shape) * np.finfo(float).eps * top)
+    cut = max(tol.abs_tol * max(1.0, top), max(a.shape) * _EPS * top)
     return int(np.sum(s > cut))
 
 

@@ -26,6 +26,7 @@ from .frames import Frame
 from .groups import FiniteGroup, LieDescriptor, Subgroup
 from .linalg import (
     DEFAULT_TOL,
+    Check,
     Subspace,
     Tolerance,
     as_cmatrix,
@@ -51,7 +52,9 @@ __all__ = [
     "conditional_inner_product_check",
     "sample_elements",
     "strong_dirac_defect",
+    "dirac_check",
 ]
+PHYSICAL_GATE = Tolerance(1e-7, 1e-7)  # an input gate for states, not a user tolerance
 
 
 @dataclass
@@ -161,8 +164,18 @@ class PhysicalSpace:
     def projector(self) -> np.ndarray:
         return self.basis.projector()
 
-    def contains(self, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.basis.contains(v, tol)
+    def require(self, v: np.ndarray, label: str = "state") -> np.ndarray:
+        """``v`` as a vector if it passes ``PHYSICAL_GATE``, else a ValueError."""
+        v = as_cvector(v)
+        if not self.basis.contains(v, PHYSICAL_GATE):
+            raise ValueError(f"{label} is not in the physical subspace")
+        return v
+
+    def invariance_check(self, tol: Tolerance = DEFAULT_TOL) -> Check:
+        """Largest ||D B|| over the constraint operators D: zero iff every basis vector is invariant."""
+        moved = reps.apply_constraints(self.scenario.total_rep, self.basis.basis)
+        worst = float(np.max(np.linalg.norm(moved, axis=(1, 2)), initial=0.0))
+        return tol.check("physical_basis_invariance", worst, 1.0, self.scenario.kin_dim)
 
     def restrict(self, op: np.ndarray) -> np.ndarray:
         """Matrix of an operator in the physical basis."""
@@ -218,6 +231,11 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray) -> float:
     return max((float(np.linalg.norm(d @ op - op @ d)) for d in reps.constraints(rep)), default=0.0)
 
 
+def dirac_check(s: Scenario, op: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Check:
+    """The strong Dirac defect of a kinematical operator, at the scale of its largest entry."""
+    return tol.check("dirac_commutation", strong_dirac_defect(s, op), float(np.abs(op).max(initial=0.0)), s.kin_dim)
+
+
 def relational_observable(
     s: Scenario,
     frame_name: str,
@@ -240,10 +258,9 @@ def relational_observable(
     del aligned  # a kinematical-size temporary; free it before the Dirac check allocates its own
     obs = RelObs(matrix=mat, frame_name=frame_name, orientation=frame.rep.element(g), source=f_s, scenario=s)
     if check:
-        defect = strong_dirac_defect(s, mat)
-        scale = max(1.0, float(np.abs(mat).max()))
-        if defect > 1e5 * tol.weighted(scale):
-            raise ValueError(f"relational observable failed the Dirac commutation check ({defect:.2e})")
+        dirac = dirac_check(s, mat, tol)
+        if not dirac.passed:
+            raise ValueError(f"relational observable failed the Dirac commutation check ({dirac.residual:.2e})")
     return obs
 
 
@@ -287,7 +304,7 @@ def system_projector(s: Scenario, frame_name: str, g, tol: Tolerance = DEFAULT_T
         float(np.sqrt(max(np.vdot(x @ gram, gram @ x).real, 0.0))),  # ||Pi^2 - Pi||_F = ||C (G - 1) C^dag||_F
         float(np.linalg.norm(proj - dagger(proj))),
     )
-    if defect > 1e5 * tol.weighted(1.0) * max(1, proj.shape[0]):
+    if not tol.check("system_projector", defect, 1.0, proj.shape[0]).passed:
         raise ValueError(f"system projector failed idempotence/Hermiticity ({defect:.2e})")
     return proj
 
@@ -337,6 +354,7 @@ def check_weak_homomorphism(
     regular-representation frames.  Both sides of each clause preserve H_phys,
     so weak residuals are read from B^dag F_f B = C^dag f C and
     B^dag F_a F_b B = (B^dag F_a B)(B^dag F_b B); strong ones are matvecs.
+    ``weak_check`` and ``strong_check`` take them relative to max(1, max|a| max|b|).
     """
     a = as_cmatrix(a)
     b = as_cmatrix(b)
@@ -372,9 +390,10 @@ def check_weak_homomorphism(
     report["strong"]["adjoint"] = report["weak"]["adjoint"]
     report["max_weak_residual"] = max(report["weak"].values())
     report["max_strong_residual"] = max(report["strong"].values())
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max())) ** 2
-    report["weak_pass"] = report["max_weak_residual"] <= 1e7 * tol.weighted(scale)
-    report["strong_pass"] = report["max_strong_residual"] <= 1e7 * tol.weighted(scale)
+    scale = max(1.0, float(np.abs(a).max()) * float(np.abs(b).max()))
+    for kind, dim in (("weak", c.shape[1]), ("strong", s.kin_dim)):
+        check = tol.check(f"{frame_name}:{kind}_homomorphism", report[f"max_{kind}_residual"] / scale, 1.0, dim)
+        report[f"{kind}_check"], report[f"{kind}_pass"] = check, check.passed
     return report
 
 
@@ -389,11 +408,7 @@ def conditional_inner_product_check(
     """Check <psi|chi> = Vol_frame <psi| (|phi(g)><phi(g)| x 1) |chi> for sampled g."""
     frame = s.frame(frame_name)
     ps = physical_space(s, tol)
-    psi = as_cvector(psi)
-    chi = as_cvector(chi)
-    for v, label in ((psi, "psi"), (chi, "chi")):
-        if not ps.contains(v, Tolerance(1e-6, 1e-6)):
-            raise ValueError(f"{label} is not a physical state")
+    psi, chi = ps.require(psi, "psi"), ps.require(chi, "chi")
     if g_samples is None:
         g_samples = sample_elements(frame.group)
     expected = complex(np.vdot(psi, chi))
@@ -404,10 +419,12 @@ def conditional_inner_product_check(
             np.vdot(s.condition_vector(frame_name, phi, psi), s.condition_vector(frame_name, phi, chi))
         )
         deviations.append(abs(lhs - expected))
+    check = tol.check(f"{frame_name}:conditional_inner_product", max(deviations), 1.0, s.kin_dim)
     return {
         "frame": frame_name,
         "expected": expected,
-        "max_deviation": float(max(deviations)),
+        "max_deviation": check.residual,
         "samples": len(g_samples),
-        "pass": max(deviations) <= 1e4 * tol.weighted(1.0),
+        "check": check,
+        "pass": check.passed,
     }

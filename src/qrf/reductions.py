@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reps
-from .frames import Frame
-from .linalg import DEFAULT_TOL, Tolerance, as_cmatrix, as_cvector, dagger
+from .frames import Frame, validity_bound
+from .linalg import DEFAULT_TOL, Check, Tolerance, as_cmatrix, as_cvector, dagger
 from .perspective import (
     PhysicalSpace,
     Scenario,
@@ -30,6 +30,7 @@ __all__ = [
     "ThetaState",
     "ThetaNotFound",
     "schrodinger_reduce",
+    "isometry_check",
     "schrodinger_inverse",
     "schrodinger_map",
     "conditional_probability",
@@ -37,6 +38,9 @@ __all__ = [
     "solve_theta",
     "disentangler",
     "heisenberg_reduce",
+    "trinity_check",
+    "product_form_check",
+    "unit_interval_check",
 ]
 
 _THETA_MAX_ITER = 10_000
@@ -78,20 +82,20 @@ class ThetaNotFound:
     residual: float | None = None
 
 
-def _require_physical(ps: PhysicalSpace, psi: np.ndarray, label: str) -> np.ndarray:
-    v = as_cvector(psi)
-    if not ps.contains(v, Tolerance(1e-7, 1e-7)):
-        raise ValueError(f"{label} is not in the physical subspace")
-    return v
-
-
 def schrodinger_reduce(ps: PhysicalSpace, frame_name: str, g, psi_phys) -> np.ndarray:
     """sqrt(Vol_frame) (<phi(g)| x 1) psi_phys; an isometry on the physical space."""
     s = ps.scenario
     frame = s.frame(frame_name)
-    v = _require_physical(ps, psi_phys, "state")
+    v = ps.require(psi_phys)
     phi = frame.orientation(frame.rep.element(g))
     return np.sqrt(frame.weight_scale) * s.condition_vector(frame_name, phi, v)
+
+
+def isometry_check(ps: PhysicalSpace, frame_name: str, g, psi_phys, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, Check]:
+    """The Schroedinger reduction of a physical state, and the check that it keeps the state's norm."""
+    reduced = schrodinger_reduce(ps, frame_name, g, psi_phys)
+    norm = float(np.linalg.norm(psi_phys))
+    return reduced, tol.check("isometry", abs(np.linalg.norm(reduced) - norm), norm, reduced.size)
 
 
 def schrodinger_inverse(
@@ -125,7 +129,7 @@ def schrodinger_map(
     fwd = conditioning_map(ps, frame_name, g)
     inv = dagger(fwd)
     round_trip = inv @ fwd
-    if ps.dim and np.linalg.norm(round_trip - np.eye(ps.dim)) > 1e4 * tol.weighted(1.0) * ps.dim:
+    if not tol.check("round_trip", np.linalg.norm(round_trip - np.eye(ps.dim)), 1.0, ps.dim).passed:
         raise ValueError("reduction map failed its inverse round-trip validation")
     return ReductionMap(
         kind="schrodinger",
@@ -159,20 +163,25 @@ def conditional_probability(
     state and raises; within that band it is clamped.
     """
     e = _check_projector(projector_e, tol)
-    v = _require_physical(ps, psi_phys, "state")
+    v = ps.require(psi_phys)
     v = v / np.linalg.norm(v)
     reduced = schrodinger_reduce(ps, frame_name, g, v)
     p_reduced = float(np.real(np.vdot(reduced, e @ reduced)))
     f = relational_observable(ps.scenario, frame_name, g, e, tol, check=False)
     p_invariant = float(np.real(np.vdot(v, f.matrix @ v)))
-    if abs(p_reduced - p_invariant) > 1e5 * tol.weighted(1.0):
+    if not tol.check("gauge_invariance", abs(p_reduced - p_invariant), 1.0, ps.scenario.kin_dim).passed:
         raise ValueError(
             f"gauge-invariance cross-check failed: {p_reduced} vs {p_invariant}"
         )
-    excess = max(-p_reduced, p_reduced - 1.0)
-    if excess > 1e4 * tol.weighted(1.0):
-        raise ValueError(f"conditional probability {p_reduced} lies outside [0, 1] by {excess:.3e}")
+    in_range = unit_interval_check(p_reduced, tol)
+    if not in_range.passed:
+        raise ValueError(f"conditional probability {p_reduced} lies outside [0, 1] by {in_range.residual:.3e}")
     return min(max(p_reduced, 0.0), 1.0)
+
+
+def unit_interval_check(p: float, tol: Tolerance = DEFAULT_TOL) -> Check:
+    """How far a probability lies outside [0, 1]."""
+    return tol.check("probability_in_unit_interval", max(0.0, -p, p - 1.0))
 
 
 def multi_event_probability(
@@ -188,7 +197,7 @@ def multi_event_probability(
     e_cond, g_cond = condition
     e = _check_projector(e, tol)
     e_cond = _check_projector(e_cond, tol)
-    v = _require_physical(ps, psi_phys, "state")
+    v = ps.require(psi_phys)
     v = v / np.linalg.norm(v)
     s = ps.scenario
     f_e = relational_observable(s, frame_name, g, e, tol, check=False).matrix
@@ -216,6 +225,7 @@ def solve_theta(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> ThetaState | Thet
 
     Finite groups: fixed-point iteration N <- phase(K N) from N = 1.
     U(1): Fourier ansatz N(theta) = exp(i k theta), scanning k by |k| and sign.
+    Both accept at the frame-validity bound, whatever the tolerance.
     """
     if frame.rep.is_finite:
         return _solve_theta_finite(frame, tol)
@@ -232,7 +242,7 @@ def _solve_theta_finite(frame: Frame, tol: Tolerance) -> ThetaState | ThetaNotFo
     gram = np.einsum("gi,hi->gh", np.conj(orbit), orbit)  # <phi(g)|phi(h)>
     w = frame.element_weight()
     n = np.ones(group.order, dtype=complex)
-    thresh = 1e3 * tol.weighted(1.0)
+    thresh = validity_bound(frame.dim)
     residual = np.inf
     for _ in range(_THETA_MAX_ITER):
         k_n = w * (gram @ n)
@@ -261,7 +271,7 @@ def _solve_theta_u1(frame: Frame, tol: Tolerance) -> ThetaState | ThetaNotFound:
     for k in sorted(range(-q_max, q_max + 1), key=lambda k: (abs(k), k < 0)):
         gap = abs(frame.weight_scale * weights.get(-k, 0.0) - 1.0)
         best_gap = min(best_gap, gap)
-        if gap <= 1e3 * tol.weighted(1.0):
+        if gap <= validity_bound(frame.dim):
             mask = charges == -k
             theta_vec = frame.weight_scale * (vecs[:, mask] @ coeff[mask])
             return ThetaState(frame_name=frame.name, vector=theta_vec, fourier_k=k, residual=gap)
@@ -338,7 +348,7 @@ def heisenberg_reduce(
     """Disentangle, then condition on an arbitrary orientation (verified g-independent)."""
     s = ps.scenario
     frame = s.frame(frame_name)
-    v = _require_physical(ps, psi_phys, "state")
+    v = ps.require(psi_phys)
     t_r = disentangler(s, frame_name, theta, tol)
     tv = t_r @ v
     scale = np.sqrt(frame.weight_scale)
@@ -351,7 +361,7 @@ def heisenberg_reduce(
     worst = max(
         float(np.linalg.norm(c - candidates[0])) for c in candidates[1:]
     ) if len(candidates) > 1 else 0.0
-    if worst > 1e5 * tol.weighted(1.0):
+    if not _trinity(s, frame_name, worst, tol).passed:
         raise ValueError(
             f"Heisenberg reduction depends on the conditioning orientation ({worst:.3e}); "
             "theta state is not reproducing for this frame"
@@ -359,3 +369,31 @@ def heisenberg_reduce(
     identity = frame.rep.identity_element()
     phi_e = frame.orientation(identity)
     return scale * np.conj(theta.phase_at(frame, identity)) * s.condition_vector(frame_name, phi_e, tv)
+
+
+def _trinity(s: Scenario, frame_name: str, residual: float, tol: Tolerance) -> Check:
+    """A residual between unit-norm reduced states, on the frame's complement."""
+    return tol.check(f"{frame_name}:trinity_heisenberg_vs_schrodinger", residual, 1.0, s.complement_dim(frame_name))
+
+
+def trinity_check(ps: PhysicalSpace, frame_name: str, theta: ThetaState, psi, tol: Tolerance = DEFAULT_TOL) -> Check:
+    """max_g ||U_S(g)^dag C_g psi - psi_Heisenberg|| for a unit physical state psi: the trinity of reductions."""
+    s = ps.scenario
+    heis = heisenberg_reduce(ps, frame_name, theta, psi, tol)
+    comp = s.complement_rep(frame_name)
+    worst = 0.0
+    for g in sample_elements(s.frame(frame_name).group, 8):
+        red = schrodinger_reduce(ps, frame_name, g, psi)
+        worst = max(worst, float(np.linalg.norm(dagger(comp.evaluate(g)) @ red - heis)))
+    return _trinity(s, frame_name, worst, tol)
+
+
+def product_form_check(ps: PhysicalSpace, frame_name: str, theta: ThetaState, tol: Tolerance = DEFAULT_TOL) -> Check:
+    """max_k ||T_R B e_k - |theta> x C_e e_k / sqrt(Vol)|| over the physical basis columns."""
+    s = ps.scenario
+    frame = s.frame(frame_name)
+    t_r = disentangler(s, frame_name, theta, tol)
+    c_e = conditioning_map(ps, frame_name, frame.rep.identity_element())
+    expect = s.inject_vector(frame_name, theta.vector, c_e / np.sqrt(frame.weight_scale))
+    resid = float(np.max(np.linalg.norm(t_r @ ps.basis.basis - expect, axis=0), initial=0.0))
+    return tol.check(f"{frame_name}:disentangler_product_form", resid, 1.0, s.kin_dim)

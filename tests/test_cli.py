@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import qrf
-from qrf import cli
+from qrf import cli, framechange, perspective
 from qrf.builtins_config import builtin_names
 from qrf.cli import ConfigError, emit, load_config, parse_config, run
+from qrf.linalg import Check
 
 
 def small_config(**overrides):
@@ -325,10 +326,11 @@ _SMALL_NOMINAL = {  # builtin: (phys_dim, checks_total) at the default tolerance
 }
 
 
-@pytest.mark.parametrize("tol", ["1e-15", "1e-16"])
+@pytest.mark.parametrize("tol", ["1e-3", "1e-6", "1e-15", "1e-16"])
 @pytest.mark.parametrize("name", sorted(_SMALL_NOMINAL))
 def test_small_builtins_keep_nominal_dims_below_machine_precision(name, tol, tmp_path, capsys):
-    # rank cuts are floored at max(m, n) * eps * sigma_0, so a tighter tolerance cannot drop real directions
+    # rank cuts are floored at max(m, n) * eps * sigma_0, so a tighter tolerance cannot drop real directions;
+    # check bounds are floored at rounding and the theta searches accept at the fixed frame-validity bound
     out = tmp_path / "report.json"
     assert cli.main(["run", name, "--tol", tol, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
@@ -336,6 +338,35 @@ def test_small_builtins_keep_nominal_dims_below_machine_precision(name, tol, tmp
     assert (report["tasks"][0]["results"]["phys_dim"], summary["checks_total"]) == _SMALL_NOMINAL[name]
     assert summary["checks_failed"] == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(set(builtin_names()) - set(_SMALL_NOMINAL)))
+def test_no_builtin_fails_at_a_looser_tolerance_than_one_it_passes(name, tmp_path, capsys):
+    # the small builtins pass at every tolerance swept above; the others at the default and the loosest one
+    codes = [cli.main(["run", name, "--tol", tol, "--out", str(tmp_path / "r.json")]) for tol in ("1e-9", "1e-3")]
+    assert codes == [0, 0]
+    capsys.readouterr()
+
+
+def test_reported_check_tols_are_the_library_bounds():
+    raw = {
+        "group": {"builtin": "D4"},
+        "subsystems": [{"name": n, "rep": {"regular": True}} for n in ("R1", "R2", "S")],
+        "frames": [{"name": r, "subsystem": r, "seed": "identity_ket"} for r in ("R1", "R2")],
+        "tasks": [
+            {"task": "frame_change", "from": "R1", "to": "R2"},
+            {"task": "subsystem_relativity", "frame1": "R1", "frame2": "R2"},
+        ],
+    }
+    cfg = cli._validate_raw(raw)
+    change, relativity = (task["checks"] for task in run(cfg)["tasks"])
+    s = cli.build_scenario(cfg)
+    e = s.frame("R1").rep.identity_element()
+    record = framechange.frame_change(perspective.physical_space(s, cfg.tol()), "R1", e, "R2", e, cfg.tol()).check
+    assert change == [record.as_dict()] and record.bound == cfg.tol().bound(1.0, 64)
+    commuting, distinct = framechange.subsystem_relativity_report(s, "R1", "R2", cfg.tol())["checks"]
+    assert relativity == [commuting.as_dict()] and commuting.bound == cfg.tol().bound(1.0, 64)
+    assert distinct == Check("distinct_system_subalgebras", 0.0, 0.0) and distinct.passed
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -604,8 +635,8 @@ def test_symmetry_layer_with_non_adjacent_frames_exits_0(order, tmp_path, capsys
 def test_identity_on_other_frame_matches_kron_in_complement_order():
     s = cli.build_scenario(load_config("finite-regular:Z2"))  # subsystems R1, R2, S
     small = np.arange(4.0).reshape(2, 2)
-    np.testing.assert_array_equal(cli._identity_on(s, "R1", "R2", small), np.kron(np.eye(2), small))
-    np.testing.assert_array_equal(cli._identity_on(s, "R2", "R1", small), np.kron(np.eye(2), small))
+    np.testing.assert_array_equal(framechange._identity_on(s, "R1", "R2", small), np.kron(np.eye(2), small))
+    np.testing.assert_array_equal(framechange._identity_on(s, "R2", "R1", small), np.kron(np.eye(2), small))
     raw = {
         "group": {"builtin": "Z2"},
         "subsystems": [{"name": n, "rep": {"regular": True}} for n in ("R1", "S1", "R2", "S2")],
@@ -617,9 +648,9 @@ def test_identity_on_other_frame_matches_kron_in_complement_order():
     t = small.reshape(2, 2, 2, 2)  # (S1 out, S2 out, S1 in, S2 in)
     # complement of R1 is S1, R2, S2: small on the outer slots, 1 on the middle one
     expect = np.einsum("abcd,BD->aBbcDd", t, np.eye(2)).reshape(8, 8)
-    np.testing.assert_array_equal(cli._identity_on(s4, "R1", "R2", small), expect)
+    np.testing.assert_array_equal(framechange._identity_on(s4, "R1", "R2", small), expect)
     # complement of R2 is R1, S1, S2: 1 first
-    np.testing.assert_array_equal(cli._identity_on(s4, "R2", "R1", small), np.kron(np.eye(2), small))
+    np.testing.assert_array_equal(framechange._identity_on(s4, "R2", "R1", small), np.kron(np.eye(2), small))
 
 
 @pytest.mark.parametrize("value", [1.7, -0.5, float("inf")])

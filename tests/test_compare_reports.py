@@ -84,6 +84,8 @@ def test_other_orthonormal_basis_of_the_same_subspace_passes(tmp_path):
 def test_float_moved_by_1e_9_passes_and_is_reported(tmp_path):
     new = _report()
     new["tasks"][0]["results"]["volume"] += 1e-9
+    new["tasks"][0]["checks"][1]["tol"] = 2e-7  # a moved bound is counted apart from the result floats
     proc = _compare(tmp_path, _report(), new)
     assert proc.returncode == 0, proc.stdout
     assert "max |float diff| 1.000e-09 at /tasks[0]/results/volume" in proc.stdout
+    assert "check tols    1 changed, max |diff| 9.980e-05 at /tasks[0]/checks[1]/tol" in proc.stdout

@@ -128,7 +128,8 @@ def test_isometry_defect_from_round_trips_matches_complement_products(s3_regular
     monkeypatch.setattr(framechange, "schrodinger_map", perturbed)
     for f_from, f_to in (("R1", "R2"), ("R1", "R1"), ("R2", "R1")):
         maps.clear()
-        got = frame_change(ps, f_from, 0, f_to, 0).scale_notes["isometry_defect"]
+        # a defect near 1e-5 passes the isometry check at tolerance 1e-4 (bound 36 * 2e-4)
+        got = frame_change(ps, f_from, 0, f_to, 0, Tolerance(1e-4, 1e-4)).scale_notes["isometry_defect"]
         want = frame_change_defect(*maps)
         assert want > 1e-6
         assert abs(got - want) <= 1e-9 * want

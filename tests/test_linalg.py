@@ -6,6 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from qrf import groups, reps
 from qrf.linalg import (
+    ROUNDING_FACTOR,
+    Check,
     Subspace,
     Tolerance,
     equal_on_subspace,
@@ -28,6 +30,22 @@ def test_tolerance_rejects_non_finite_values(bad):
     for args in ((bad, 1e-9), (1e-9, bad)):
         with pytest.raises(ValueError, match="finite"):
             Tolerance(*args)
+
+
+@pytest.mark.parametrize("scale, dim", [(0.0, 1), (1e-3, 1), (1.0, 6), (40.0, 512)])
+def test_check_bound_grows_with_the_tolerance_and_never_falls_below_rounding(scale, dim):
+    floor = dim * ROUNDING_FACTOR * np.finfo(float).eps * scale
+    bounds = [Tolerance(t, t).bound(scale, dim) for t in (0.0, 1e-16, 1e-13, 1e-9, 1e-6, 1e-3, 1e-1)]
+    assert bounds == sorted(bounds)
+    assert min(bounds) == floor == Tolerance(0.0, 0.0).bound(scale, dim)
+    assert Tolerance(1e-3, 1e-3).bound(scale, dim) == dim * 1e-3 * (1 + scale)
+
+
+def test_check_record_passes_at_its_bound_and_reports_it_as_tol():
+    tol = Tolerance()
+    at, above = tol.check("c", tol.bound(2.0, 3), 2.0, 3), tol.check("c", 2 * tol.bound(2.0, 3), 2.0, 3)
+    assert at.passed and not above.passed and not Check("c", float("nan"), 1.0).passed
+    assert above.as_dict() == {"name": "c", "residual": above.residual, "tol": tol.bound(2.0, 3), "pass": False}
 
 
 def test_rank_cut_is_floored_at_rounding_noise():

@@ -14,6 +14,7 @@ from qrf.perspective import (
     relational_observable,
     system_projector,
 )
+from qrf.reductions import schrodinger_reduce
 
 
 def test_u1_physical_space_basis(u1_scenario):
@@ -191,11 +192,12 @@ def test_spin1_projector_is_rank_one_and_moves(three_spin_scenario):
 def test_system_projector_reads_idempotence_from_the_round_trip(u1_scenario, monkeypatch):
     exact = perspective.conditioning_map
     c0 = exact(physical_space(u1_scenario), "A", [0.2])
-    for eps in (1e-4, 1e-3):  # defects 4e-4 and 4e-3 around the 1.2e-3 threshold
+    threshold = Tolerance().bound(1.0, 6)  # the check bound on the 6-dim complement, 1.2e-8
+    for eps in (1e-9, 1e-8):  # defects 4e-9 and 4e-8 around the threshold
         monkeypatch.setattr(perspective, "conditioning_map", lambda ps, f, g: (1 + eps) * exact(ps, f, g))
         proj = (1 + eps) ** 2 * c0 @ dagger(c0)
         defect = np.linalg.norm(proj @ proj - proj)  # the complement-sized form
-        if defect < 1.2e-3:
+        if defect < threshold:
             np.testing.assert_allclose(system_projector(u1_scenario, "A", [0.2]), proj, atol=1e-14)
         else:
             with pytest.raises(ValueError, match=rf"idempotence/Hermiticity \({defect:.2e}\)"):
@@ -330,6 +332,25 @@ def test_conditional_inner_product_rejects_nonphysical(u1_scenario):
     ps = physical_space(u1_scenario)
     with pytest.raises(ValueError, match="physical"):
         conditional_inner_product_check(u1_scenario, "A", bad, ps.basis.basis[:, 0])
+
+
+def test_one_physical_state_gate_for_reductions_and_inner_products(u1_scenario):
+    ps = physical_space(u1_scenario)
+    b = ps.basis.basis
+    outside = np.eye(12)[:, 0] - b @ b[0].conj()
+    outside /= np.linalg.norm(outside)
+    for eps in (5e-8, 5e-7):  # around the gate, 1e-7 (1 + ||v||)
+        v = b[:, 0] + eps * outside
+        calls = (
+            lambda: schrodinger_reduce(ps, "A", [0.0], v),
+            lambda: conditional_inner_product_check(u1_scenario, "A", v, b[:, 1]),
+        )
+        for call in calls:
+            if eps < 1e-7:
+                call()
+            else:
+                with pytest.raises(ValueError, match="not in the physical subspace"):
+                    call()
 
 
 def test_scenario_validation_errors():

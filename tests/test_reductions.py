@@ -3,7 +3,7 @@ import pytest
 
 from conftest import ket3, regular_three_party, u1_basis_index
 from qrf import frames, groups, perspective, reps
-from qrf.linalg import dagger
+from qrf.linalg import DEFAULT_TOL, Tolerance, dagger
 from qrf.perspective import physical_space, system_projector
 from qrf.reductions import (
     ThetaNotFound,
@@ -250,10 +250,11 @@ def test_ideal_frame_theta_is_all_ones():
 
 
 def test_u1_qubit_frame_theta_fourier_one(u1_scenario):
-    theta = solve_theta(u1_scenario.frame("A"))
-    assert isinstance(theta, ThetaState)
-    assert theta.fourier_k == 1
-    assert reproducing_residual(u1_scenario.frame("A"), theta) < 1e-10
+    for tol in (DEFAULT_TOL, Tolerance(1e-3, 1e-3)):  # the search accepts at the frame-validity bound
+        theta = solve_theta(u1_scenario.frame("A"), tol)
+        assert isinstance(theta, ThetaState)
+        assert theta.fourier_k == 1
+        assert reproducing_residual(u1_scenario.frame("A"), theta) < 1e-10
     # |theta|^2 equals the frame volume
     assert np.linalg.norm(theta.vector) ** 2 == pytest.approx(2.0)
 
@@ -423,7 +424,7 @@ def _rotated_u1_scenario():
 
 def test_slot_first_disentangler_matches_kronecker_sum_oracle(u1_scenario, s3_regular_scenario):
     from oracles import disentangler as kronecker_sum
-    from qrf import cli
+    from qrf.reductions import product_form_check
 
     d4 = regular_three_party(groups.dihedral_4())
     rotated = _rotated_u1_scenario()
@@ -437,7 +438,7 @@ def test_slot_first_disentangler_matches_kronecker_sum_oracle(u1_scenario, s3_re
         t_r = disentangler(s, fname, theta)
         assert np.abs(t_r - kronecker_sum(s, fname, theta)).max() <= 1e-12, fname
         ps = physical_space(s)
-        assert cli._disentangler_residual(s, ps, fname, theta) <= 1e-10
+        assert product_form_check(ps, fname, theta).residual <= 1e-10
 
 
 def test_inject_vector_takes_columns(u1_scenario):

@@ -2,8 +2,9 @@
 
 Reports are deterministic for a fixed config, seed and version: every random
 draw goes through one seeded generator.  Every check is a library ``Check``
-record, emitted with its bound as the ``tol`` field; this module holds no
-numeric bound.  Exit code 0 means every property check in every task passed,
+record, emitted with its bound as the ``tol`` field; this module scales no
+bound by the tolerance (``distinct_system_subalgebras`` is a 0/1 residual
+against 0).  Exit code 0 means every property check in every task passed,
 1 that some check failed, and 2 a config or runtime error.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__, framechange, frames, groups, perspective, reductions, reps
 from .builtins_config import builtin_config, builtin_names
 from .frames import ResolutionFails
-from .linalg import Tolerance, dagger
+from .linalg import Check, Tolerance, dagger
 from .perspective import Scenario, physical_space
 from .reductions import ThetaState
 
@@ -418,7 +419,8 @@ def _task_probabilities(scenario, ps, cfg, task, rng):
     proj = _observable(scenario.complement_dim(fname), task["projector"], "task.projector")
     state = _state(ps, task["state"], "task.state")
     p = reductions.conditional_probability(ps, fname, g, proj, state, cfg.tol())
-    return {"frame": fname, "orientation": _jsonable(g), "probability": p}, [reductions.unit_interval_check(p, cfg.tol())]
+    in_range = reductions.unit_interval_check(p, cfg.tol())
+    return {"frame": fname, "orientation": _jsonable(g), "probability": p}, [in_range]
 
 
 def _task_frame_change(scenario, ps, cfg, task, rng):
@@ -451,8 +453,8 @@ def _task_lr_classify(scenario, ps, cfg, task, rng):
 
 def _task_subsystem_relativity(scenario, ps, cfg, task, rng):
     report = framechange.subsystem_relativity_report(scenario, task["frame1"], task["frame2"], cfg.tol())
-    commuting = report.pop("checks", ())[:1]  # distinctness is asked of ideal frames, in the symmetry layer
-    return _jsonable(report), list(commuting)
+    check = report.pop("check", None)  # none when both arguments name the same frame
+    return _jsonable(report), [check] if check else []
 
 
 def _random_hermitian(rng, dim: int) -> np.ndarray:
@@ -472,9 +474,8 @@ def _task_full_report(scenario, ps, cfg, task, rng):
     frames_out = {}
     for fname in scenario.frames:
         frame = scenario.frame(fname)
-        entry: dict = {"subsystem": scenario.subsystems[scenario.frame_slot(fname)][0]}
-        entry["volume"] = frame.weight_scale
-        checks.append(frame.resolution_check(tol))
+        entry: dict = {"subsystem": scenario.subsystems[scenario.frame_slot(fname)][0], "volume": frame.weight_scale}
+        checks.append(tol.check(f"{fname}:resolution_of_identity", frame.resolution_residual, 1.0, frame.dim))
         if frame.isotropy.element_indices is not None:
             entry["isotropy_elements"] = list(frame.isotropy.element_indices)
         else:
@@ -503,11 +504,9 @@ def _task_full_report(scenario, ps, cfg, task, rng):
     if ps.dim:
         fname = next(iter(scenario.frames), None)
         if fname is not None:
-            dim_c = scenario.complement_dim(fname)
-            a = _random_hermitian(rng, dim_c)
-            b = _random_hermitian(rng, dim_c)
-            frame = scenario.frame(fname)
-            hom = perspective.check_weak_homomorphism(scenario, fname, frame.rep.identity_element(), a, b, tol)
+            a, b = (_random_hermitian(rng, scenario.complement_dim(fname)) for _ in range(2))
+            e = scenario.frame(fname).rep.identity_element()
+            hom = perspective.check_weak_homomorphism(scenario, fname, e, a, b, tol)
             out["weak_homomorphism"] = _jsonable(
                 {k: hom[k] for k in ("weak", "strong", "max_weak_residual", "max_strong_residual", "strong_pass")}
             )
@@ -524,14 +523,9 @@ def _task_full_report(scenario, ps, cfg, task, rng):
             checks.append(replace(ch.check, name=f"frame_change:{f_from}->{f_to}"))
             changes[f"{f_from}->{f_to}"] = {"shape": list(ch.matrix.shape), "isometry_defect": ch.check.residual}
         out["frame_changes"] = changes
-        ideal_finite = [
-            f for f in scenario.frames
-            if scenario.frame(f).rep.is_finite
-            and scenario.frame(f).dim == scenario.frame(f).rep.group.order
-        ]
-        if len(ideal_finite) >= 2 and len(scenario.subsystems) >= 3:
-            f1, f2 = ideal_finite[0], ideal_finite[1]
-            out["symmetry_layer"] = _symmetry_layer(scenario, tol, f1, f2, rng, checks)
+        ideal = [f for f, (_, fr) in scenario.frames.items() if fr.rep.is_finite and fr.dim == fr.rep.group.order]
+        if len(ideal) >= 2 and len(scenario.subsystems) >= 3:
+            out["symmetry_layer"] = _symmetry_layer(scenario, tol, ideal[0], ideal[1], rng, checks)
     return out, checks
 
 
@@ -547,7 +541,7 @@ def _symmetry_layer(scenario, tol, f1, f2, rng, checks) -> dict:
     relation = framechange.relation_conditional_check(scenario, f1, g1, f2, g2, small, tol)
     checks.append(relation)
     report = framechange.subsystem_relativity_report(scenario, f1, f2, tol)
-    checks.extend(report.pop("checks"))
+    checks += [report.pop("check"), Check("distinct_system_subalgebras", float(report["coincide"]), 0.0)]
     return {
         "reorient_residual": orbit.residual,
         "relation_conditional_residual": relation.residual,
@@ -574,9 +568,7 @@ def run(cfg: ScenarioConfig) -> dict:
     scenario = build_scenario(cfg)
     ps = physical_space(scenario, cfg.tol())
     rng = np.random.default_rng(cfg.seed)
-    tasks_out = []
-    failed = 0
-    total = 0
+    tasks_out, failed, total = [], 0, 0
     for i, task in enumerate(cfg.tasks):
         record: dict = {"task": task["task"], "params": _jsonable({k: v for k, v in task.items() if k != "task"})}
         try:
@@ -598,7 +590,7 @@ def run(cfg: ScenarioConfig) -> dict:
             "name": cfg.name,
             "group": _jsonable(cfg.group_spec),
             "subsystems": _jsonable(cfg.subsystems),
-            "frames": _jsonable([{k: v for k, v in fr.items()} for fr in cfg.frames]),
+            "frames": _jsonable(cfg.frames),
         },
         "tasks": tasks_out,
         "summary": {"checks_total": total, "checks_failed": failed},
@@ -645,12 +637,10 @@ def emit(report: dict, format: str = "json") -> str:
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     if format != "table":
         raise ValueError(f"unknown format {format!r}")
-    lines: list[str] = []
-    lines.append(f"qrf {report['tool']['version']} scenario report: {report['scenario']['name']}")
-    lines.append(f"seed={report['seed']} tolerance={report['tolerance']}")
+    lines = [f"qrf {report['tool']['version']} scenario report: {report['scenario']['name']}",
+             f"seed={report['seed']} tolerance={report['tolerance']}"]
     for record in report["tasks"]:
-        lines.append("")
-        lines.append(f"== task: {record['task']}")
+        lines += ["", f"== task: {record['task']}"]
         if "error" in record:
             lines.append(f"  ERROR: {record['error']}")
             continue
@@ -659,8 +649,7 @@ def emit(report: dict, format: str = "json") -> str:
             status = "PASS" if c["pass"] else "FAIL"
             lines.append(f"  [{status}] {c['name']}: residual {c['residual']:.3e} (tol {c['tol']:.1e})")
     s = report["summary"]
-    lines.append("")
-    lines.append(f"checks: {s['checks_total'] - s['checks_failed']}/{s['checks_total']} passed")
+    lines += ["", f"checks: {s['checks_total'] - s['checks_failed']}/{s['checks_total']} passed"]
     return "\n".join(lines) + "\n"
 
 

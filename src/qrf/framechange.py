@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames as frames_mod
-from . import reps
+from . import groups, reps
 from .linalg import DEFAULT_TOL, Check, Tolerance, dagger, orthonormal_range
 from .perspective import (
     PhysicalSpace,
@@ -112,8 +112,6 @@ def reorient(s: Scenario, frame_name: str, g, obs: RelObs, tol: Tolerance = DEFA
         raise ValueError("observable was built relative to another frame")
     v_rep = ensure_lr(frame, tol)
     el = frame.rep.element(g)
-    from . import groups
-
     new_orientation = groups.compose(obs.orientation, groups.inverse(el))
     return RelObs(
         matrix=_right_conjugate(s.dims, s.frame_slot(frame_name), v_rep, el, obs.matrix),
@@ -215,15 +213,12 @@ def relation_conditional_reorient(
     """
     if frame1 == frame2:
         raise ValueError("relation-conditional reorientation needs two distinct frames")
-    f1 = s.frame(frame1)
-    f2 = s.frame(frame2)
-    orbit1 = _require_ideal(f1)
-    orbit2 = _require_ideal(f2)
+    f1, f2 = s.frame(frame1), s.frame(frame2)
+    orbit1, orbit2 = _require_ideal(f1), _require_ideal(f2)
     if obs.frame_name != frame1:
         raise ValueError("operand must be a relational observable relative to the first frame")
     group = f1.rep.group
-    slot1 = s.frame_slot(frame1)
-    slot2 = s.frame_slot(frame2)
+    slot1, slot2 = s.frame_slot(frame1), s.frame_slot(frame2)
     g2_el = f2.rep.element(g2)
     anchor = f1.rep.element(obs.orientation if modified else g1).index
     v_rep = ensure_lr(f1, tol)
@@ -366,8 +361,8 @@ def subsystem_relativity_report(
 
     Restricted to the physical basis, reports (a) whether frame-2 and system
     observables relativized to frame 1 commute, (b) whether the two system
-    subalgebras coincide, and (c) their overlap dimension.  ``checks`` holds
-    (a) as a check and (b) as the check that they do not coincide.
+    subalgebras coincide, and (c) their overlap dimension.  ``check`` is (a)
+    as a check.
 
     Ideal frames make F_ij = C_i^dag C_j matrix units.  With Pi = C C^dag as
     (d_t, r, d_t, r) blocks, P = sum_j Pi_jj / d_t, Delta = Pi - 1_t x P,
@@ -390,8 +385,7 @@ def subsystem_relativity_report(
             "coincide": True,
             "note": "both arguments name the same frame; subalgebras trivially coincide",
         }
-    slot1 = s.frame_slot(frame1)
-    slot2 = s.frame_slot(frame2)
+    slot1, slot2 = s.frame_slot(frame1), s.frame_slot(frame2)
     dims = s.dims
     sys_slots = [i for i in range(len(dims)) if i not in (slot1, slot2)]
     if not sys_slots:
@@ -417,5 +411,5 @@ def subsystem_relativity_report(
     report["algebra_dims"] = (int(alg1.shape[1]), int(alg2.shape[1]))
     report["overlap_dim"] = int(overlap)
     report["coincide"] = overlap == alg1.shape[1] == alg2.shape[1]
-    report["checks"] = (commuting, Check("distinct_system_subalgebras", float(report["coincide"]), 0.0))
+    report["check"] = commuting
     return report

@@ -8,9 +8,10 @@ groups).  The frame operators that the paper writes as integrals over
 orientations are single group averages Vol twirl(X): the resolution residual
 ||Vol twirl(|phi><phi|) - 1|| and, when it exists, the right action
 V_R(g) = Vol twirl(U(g)^-1 |phi><phi|).  Every frame, finite or Lie, is
-validated by the residual against ``validity_bound``, whatever the user
-tolerance; a Lie frame that fails it gets a per-block (multiplicity and
-Schmidt-uniformity) report naming the failing block.
+validated by the residual against ``validity_bound``, which is never looser
+than the report's check of that residual; a Lie frame that fails it gets a
+per-block (multiplicity and Schmidt-uniformity) report naming the failing
+block.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from . import reps
 from .groups import Subgroup
 from .linalg import (
     DEFAULT_TOL,
-    Check,
     Tolerance,
     as_cvector,
     dagger,
@@ -64,7 +64,7 @@ class Frame:
     seed: np.ndarray
     weight_scale: float  # Vol(G) under this frame's measure = dim(H_R)
     isotropy: Subgroup
-    resolution_residual: float  # ||Vol twirl(|phi><phi|) - 1||_F, at most validity_bound(dim)
+    resolution_residual: float  # ||Vol twirl(|phi><phi|) - 1||_F, at most validity_bound(dim, tol)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -84,10 +84,6 @@ class Frame:
     def orientation(self, g) -> np.ndarray:
         return orientation_state(self, g)
 
-    def resolution_check(self, tol: Tolerance = DEFAULT_TOL) -> Check:
-        """The stored resolution residual as a check."""
-        return tol.check(f"{self.name}:resolution_of_identity", self.resolution_residual, 1.0, self.dim)
-
 
 @dataclass(frozen=True)
 class PovmEffect:
@@ -95,9 +91,10 @@ class PovmEffect:
     matrix: np.ndarray
 
 
-def validity_bound(dim: int) -> float:
-    """Largest resolution residual of a valid frame, also the theta searches' acceptance; not a user tolerance."""
-    return 1e-8 * dim
+def validity_bound(dim: int, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Largest residual a frame (its resolution, of dimension ``dim``) or a theta search (dim 1) accepts:
+    1e-8 dim, but never looser than the check bound ``tol.bound(1, dim)``, so what is accepted passes its check."""
+    return min(1e-8 * dim, tol.bound(1.0, dim))
 
 
 def resolution_residual(rep: UnitaryRep, seed: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -117,16 +114,8 @@ def _lie_block_report(rep: UnitaryRep, seed: np.ndarray, tol: Tolerance) -> list
         gram = dagger(coeff) @ coeff
         target = (d / rep.dim) * np.eye(m)
         deviation = float(np.linalg.norm(gram - target))
-        report.append(
-            {
-                "label": block.label,
-                "irrep_dim": d,
-                "multiplicity": m,
-                "multiplicity_ok": m <= d,
-                "schmidt_deviation": deviation,
-                "schmidt_ok": deviation <= 1e3 * tol.weighted(1.0),
-            }
-        )
+        report.append({"label": block.label, "irrep_dim": d, "multiplicity": m, "multiplicity_ok": m <= d,
+                       "schmidt_deviation": deviation, "schmidt_ok": deviation <= 1e3 * tol.weighted(1.0)})
     return report
 
 
@@ -138,7 +127,7 @@ def make_frame(
 ) -> Frame:
     """Validate (rep, seed) as a coherent-state frame and attach its measure.
 
-    The frame is valid iff its resolution residual is at most ``validity_bound(dim)``.  A Lie
+    The frame is valid iff its resolution residual is at most ``validity_bound(dim, tol)``.  A Lie
     frame that fails is diagnosed block by block: multiplicity <= irrep dim,
     and a seed Schmidt-uniform across the block.
     """
@@ -150,7 +139,7 @@ def make_frame(
         raise ValueError(f"seed must be normalized, got norm {nrm}")
     vec = fix_phase(vec / nrm, tol)
     residual = resolution_residual(rep, vec, tol)
-    if residual > validity_bound(rep.dim):
+    if residual > validity_bound(rep.dim, tol):
         msg = f"frame {name!r}: coherent-state sum deviates from identity by {residual:.3e}"
         report = [] if rep.is_finite else _lie_block_report(rep, vec, tol)
         bad = [r for r in report if not (r["multiplicity_ok"] and r["schmidt_ok"])]
@@ -198,10 +187,8 @@ def isotropy_group(f: Frame, tol: Tolerance = DEFAULT_TOL) -> Subgroup:
         return Subgroup(parent=f.rep.group, element_indices=tuple(members))
     # kernel of c -> (1 - |phi><phi|) (sum_a c_a K_a) |phi>, over real coefficients
     comp = np.eye(f.dim) - seed_proj
-    cols = [comp @ (k @ f.seed) for k in f.rep.generators]
-    m = np.column_stack(cols)
-    real_stack = np.vstack([m.real, m.imag])
-    ker = nullspace(real_stack.astype(complex), tol)
+    m = np.column_stack([comp @ (k @ f.seed) for k in f.rep.generators])
+    ker = nullspace(np.vstack([m.real, m.imag]).astype(complex), tol)
     directions = tuple(tuple(float(x) for x in np.real(ker[:, j])) for j in range(ker.shape[1]))
     return Subgroup(parent=f.rep.group, algebra_basis=directions, discrete_part_unknown=True)
 

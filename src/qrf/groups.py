@@ -11,6 +11,7 @@ with SU(2) composition routed through the defining spin-1/2 matrices.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -167,13 +168,7 @@ def _su2_coords_from_matrix(m: np.ndarray) -> tuple[float, float, float]:
     """Invert exp(i theta n.sigma); at theta = pi the axis defaults to Z."""
     # m = cos(theta) 1 + i sin(theta) n.sigma
     ct = float(np.real(m[0, 0] + m[1, 1])) / 2.0
-    sv = np.array(
-        [
-            np.imag(m[0, 1] + m[1, 0]) / 2.0,
-            np.real(m[0, 1] - m[1, 0]) / 2.0,
-            np.imag(m[0, 0] - m[1, 1]) / 2.0,
-        ]
-    )
+    sv = np.array([np.imag(m[0, 1] + m[1, 0]), np.real(m[0, 1] - m[1, 0]), np.imag(m[0, 0] - m[1, 1])]) / 2.0
     st = float(np.linalg.norm(sv))
     theta = float(np.arctan2(st, ct))
     if st < 1e-12:
@@ -203,8 +198,6 @@ def inverse(g: object) -> object:
     if isinstance(g, FiniteElement):
         return FiniteElement(g.group, g.group.inverse(g.index))
     if isinstance(g, LieElement):
-        if g.descriptor.kind == "U1":
-            return lie_element(g.descriptor, [-g.coords[0]])
         return lie_element(g.descriptor, [-c for c in g.coords])
     raise TypeError(f"not a group element: {g!r}")
 
@@ -265,8 +258,7 @@ def load_group_table(source: str | Path, name: str | None = None) -> FiniteGroup
     """Load a Cayley table from a JSON array-of-rows or whitespace text file."""
     path = Path(source)
     text = path.read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    if text.lstrip().startswith("["):
         rows = json.loads(text)
     else:
         rows = [[int(x) for x in line.split()] for line in text.splitlines() if line.strip()]
@@ -294,10 +286,7 @@ def cosets(g: FiniteGroup, h: Subgroup, side: str = "left") -> list[frozenset[in
     for a in g.elements():
         if a in seen:
             continue
-        if side == "left":
-            cs = frozenset(g.mult(a, m) for m in members)
-        else:
-            cs = frozenset(g.mult(m, a) for m in members)
+        cs = frozenset(g.mult(a, m) if side == "left" else g.mult(m, a) for m in members)
         seen |= cs
         out.append(cs)
     return out
@@ -322,10 +311,7 @@ def _perm_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
 
 
 def symmetric_3() -> FiniteGroup:
-    import itertools
-
-    perms = sorted(itertools.permutations(range(3)))
-    return _perm_group(list(perms), "S3")
+    return _perm_group(sorted(itertools.permutations(range(3))), "S3")
 
 
 def dihedral_4() -> FiniteGroup:
@@ -338,7 +324,6 @@ def dihedral_4() -> FiniteGroup:
 def quaternion_8() -> FiniteGroup:
     # elements 1, -1, i, -i, j, -j, k, -k as pairs (axis, sign)
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    mul = {}
     base = {
         ("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
         ("i", "1"): "i", ("j", "1"): "j", ("k", "1"): "k",
@@ -350,14 +335,12 @@ def quaternion_8() -> FiniteGroup:
     def split(x: str) -> tuple[int, str]:
         return (-1, x[1:]) if x.startswith("-") else (1, x)
 
-    for a in names:
-        for b in names:
-            sa, ua = split(a)
-            sb, ub = split(b)
-            sc, uc = split(base[(ua, ub)])
-            sign = sa * sb * sc
-            mul[(a, b)] = uc if sign == 1 else "-" + uc
-    table = [[names.index(mul[(a, b)]) for b in names] for a in names]
+    def product(a: str, b: str) -> int:
+        (sa, ua), (sb, ub) = split(a), split(b)
+        sc, uc = split(base[(ua, ub)])
+        return names.index(uc if sa * sb * sc == 1 else "-" + uc)
+
+    table = [[product(a, b) for b in names] for a in names]
     return finite_group_from_table(table, name="Q8")
 
 

@@ -275,11 +275,7 @@ def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = 
     if h.element_indices is not None:
         if rep_s.dim != f_s.shape[0]:
             raise ValueError("observable does not act on the system representation")
-        out = np.zeros_like(f_s)
-        for idx in h.element_indices:
-            u = rep_s.matrices[idx]
-            out += u @ f_s @ dagger(u)
-        return out / len(h.element_indices)
+        return sum(u @ f_s @ dagger(u) for u in rep_s.matrices[list(h.element_indices)]) / len(h.element_indices)
     basis = h.algebra_basis or ()
     if len(basis) == 0:
         return f_s.copy()
@@ -354,7 +350,7 @@ def check_weak_homomorphism(
     regular-representation frames.  Both sides of each clause preserve H_phys,
     so weak residuals are read from B^dag F_f B = C^dag f C and
     B^dag F_a F_b B = (B^dag F_a B)(B^dag F_b B); strong ones are matvecs.
-    ``weak_check`` and ``strong_check`` take them relative to max(1, max|a| max|b|).
+    ``weak_check`` and ``strong_pass`` take them relative to max(1, max|a| max|b|).
     """
     a = as_cmatrix(a)
     b = as_cmatrix(b)
@@ -391,9 +387,9 @@ def check_weak_homomorphism(
     report["max_weak_residual"] = max(report["weak"].values())
     report["max_strong_residual"] = max(report["strong"].values())
     scale = max(1.0, float(np.abs(a).max()) * float(np.abs(b).max()))
-    for kind, dim in (("weak", c.shape[1]), ("strong", s.kin_dim)):
-        check = tol.check(f"{frame_name}:{kind}_homomorphism", report[f"max_{kind}_residual"] / scale, 1.0, dim)
-        report[f"{kind}_check"], report[f"{kind}_pass"] = check, check.passed
+    weak, strong = (report[f"max_{kind}_residual"] / scale for kind in ("weak", "strong"))
+    report["weak_check"] = tol.check(f"{frame_name}:weak_homomorphism", weak, 1.0, c.shape[1])
+    report["strong_pass"] = tol.check(f"{frame_name}:strong_homomorphism", strong, 1.0, s.kin_dim).passed
     return report
 
 
@@ -426,5 +422,4 @@ def conditional_inner_product_check(
         "max_deviation": check.residual,
         "samples": len(g_samples),
         "check": check,
-        "pass": check.passed,
     }

@@ -91,7 +91,9 @@ def schrodinger_reduce(ps: PhysicalSpace, frame_name: str, g, psi_phys) -> np.nd
     return np.sqrt(frame.weight_scale) * s.condition_vector(frame_name, phi, v)
 
 
-def isometry_check(ps: PhysicalSpace, frame_name: str, g, psi_phys, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, Check]:
+def isometry_check(
+    ps: PhysicalSpace, frame_name: str, g, psi_phys, tol: Tolerance = DEFAULT_TOL
+) -> tuple[np.ndarray, Check]:
     """The Schroedinger reduction of a physical state, and the check that it keeps the state's norm."""
     reduced = schrodinger_reduce(ps, frame_name, g, psi_phys)
     norm = float(np.linalg.norm(psi_phys))
@@ -225,7 +227,7 @@ def solve_theta(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> ThetaState | Thet
 
     Finite groups: fixed-point iteration N <- phase(K N) from N = 1.
     U(1): Fourier ansatz N(theta) = exp(i k theta), scanning k by |k| and sign.
-    Both accept at the frame-validity bound, whatever the tolerance.
+    Both accept a residual of at most ``validity_bound(1, tol)``, the trinity check's bound or less.
     """
     if frame.rep.is_finite:
         return _solve_theta_finite(frame, tol)
@@ -242,7 +244,7 @@ def _solve_theta_finite(frame: Frame, tol: Tolerance) -> ThetaState | ThetaNotFo
     gram = np.einsum("gi,hi->gh", np.conj(orbit), orbit)  # <phi(g)|phi(h)>
     w = frame.element_weight()
     n = np.ones(group.order, dtype=complex)
-    thresh = validity_bound(frame.dim)
+    thresh = validity_bound(1, tol)
     residual = np.inf
     for _ in range(_THETA_MAX_ITER):
         k_n = w * (gram @ n)
@@ -271,7 +273,7 @@ def _solve_theta_u1(frame: Frame, tol: Tolerance) -> ThetaState | ThetaNotFound:
     for k in sorted(range(-q_max, q_max + 1), key=lambda k: (abs(k), k < 0)):
         gap = abs(frame.weight_scale * weights.get(-k, 0.0) - 1.0)
         best_gap = min(best_gap, gap)
-        if gap <= validity_bound(frame.dim):
+        if gap <= validity_bound(1, tol):
             mask = charges == -k
             theta_vec = frame.weight_scale * (vecs[:, mask] @ coeff[mask])
             return ThetaState(frame_name=frame.name, vector=theta_vec, fourier_k=k, residual=gap)

@@ -43,6 +43,8 @@ from .groups import (
     FiniteGroup,
     LieDescriptor,
     LieElement,
+    identity_of,
+    lie_element,
     su2,
     u1,
 )
@@ -114,20 +116,16 @@ class UnitaryRep:
 
     def element(self, spec) -> FiniteElement | LieElement:
         """Wrap a raw index / coordinate array as an element of this rep's group."""
-        from . import groups
-
         if self.is_finite:
             if isinstance(spec, FiniteElement):
                 return spec
             return FiniteElement(self.group, int(spec))
         if isinstance(spec, LieElement):
             return spec
-        return groups.lie_element(self.group, np.atleast_1d(spec))
+        return lie_element(self.group, np.atleast_1d(spec))
 
     def identity_element(self):
-        from . import groups
-
-        return groups.identity_of(self.group)
+        return identity_of(self.group)
 
 
 def _check_unitary(m: np.ndarray, tol: Tolerance, what: str) -> None:
@@ -315,9 +313,7 @@ def tensor(reps: list[UnitaryRep]) -> UnitaryRep:
     for r in reps[1:]:
         if r.is_finite != first.is_finite:
             raise ValueError("cannot mix finite and Lie representations")
-        if r.is_finite and r.group is not first.group:
-            raise ValueError("representations must share the group")
-        if not r.is_finite and r.group.kind != first.group.kind:
+        if (r.group is not first.group) if r.is_finite else (r.group.kind != first.group.kind):
             raise ValueError("representations must share the group")
     if len(reps) == 1:
         return first
@@ -460,38 +456,26 @@ def _finite_isotypic(rep: UnitaryRep, tol: Tolerance, seed: int) -> IsotypicDeco
         h = (h + dagger(h)) / 2.0
         t = _finite_twirl(rep, h)
         vals, vecs = np.linalg.eigh(t)
-        splits = [0]
-        for i in range(1, n):
-            if vals[i] - vals[i - 1] > 1e-7 * max(1.0, abs(vals[-1]), abs(vals[0])):
-                splits.append(i)
-        splits.append(n)
-        copies = []
-        ok = True
-        last_dims = []
+        gaps = np.flatnonzero(np.diff(vals) > 1e-7 * np.abs(vals).max(initial=1.0)) + 1
+        splits = [0, *gaps.tolist(), n]
+        copies, last_dims = [], []
         for lo, hi in zip(splits[:-1], splits[1:]):
             basis = canonicalize_basis(vecs[:, lo:hi], tol)
-            restricted = dagger(basis) @ rep.matrices @ basis
-            cdim = _commutant_dim(restricted)
-            last_dims.append(cdim)
-            if cdim != 1:
-                ok = False
+            copies.append((basis, dagger(basis) @ rep.matrices @ basis))
+            last_dims.append(_commutant_dim(copies[-1][1]))
+            if last_dims[-1] != 1:
                 break
-            copies.append((basis, restricted))
-        if not ok:
+        if last_dims[-1] != 1:
             continue
         # group equivalent copies and align their bases through intertwiners
         classes: list[dict] = []
         for basis, restricted in copies:
-            placed = False
             for cls in classes:
-                if restricted[0].shape != cls["mats"][0].shape:
-                    continue
-                m = _intertwiner(cls["mats"], restricted, tol)
+                m = _intertwiner(cls["mats"], restricted, tol) if restricted[0].shape == cls["mats"][0].shape else None
                 if m is not None:
                     cls["members"].append(basis @ m)
-                    placed = True
                     break
-            if not placed:
+            else:
                 classes.append({"mats": restricted, "members": [basis]})
         classes.sort(key=lambda c: (c["mats"][0].shape[0], -len(c["members"]), _character_key(c["mats"])))
         blocks = []

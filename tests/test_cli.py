@@ -12,7 +12,6 @@ import qrf
 from qrf import cli, framechange, perspective
 from qrf.builtins_config import builtin_names
 from qrf.cli import ConfigError, emit, load_config, parse_config, run
-from qrf.linalg import Check
 
 
 def small_config(**overrides):
@@ -356,17 +355,18 @@ def test_reported_check_tols_are_the_library_bounds():
         "tasks": [
             {"task": "frame_change", "from": "R1", "to": "R2"},
             {"task": "subsystem_relativity", "frame1": "R1", "frame2": "R2"},
+            {"task": "subsystem_relativity", "frame1": "R1", "frame2": "R1"},
         ],
     }
     cfg = cli._validate_raw(raw)
-    change, relativity = (task["checks"] for task in run(cfg)["tasks"])
+    change, relativity, same = (task["checks"] for task in run(cfg)["tasks"])
+    assert same == []  # one frame named twice: a degenerate report without checks
     s = cli.build_scenario(cfg)
     e = s.frame("R1").rep.identity_element()
     record = framechange.frame_change(perspective.physical_space(s, cfg.tol()), "R1", e, "R2", e, cfg.tol()).check
     assert change == [record.as_dict()] and record.bound == cfg.tol().bound(1.0, 64)
-    commuting, distinct = framechange.subsystem_relativity_report(s, "R1", "R2", cfg.tol())["checks"]
+    commuting = framechange.subsystem_relativity_report(s, "R1", "R2", cfg.tol())["check"]
     assert relativity == [commuting.as_dict()] and commuting.bound == cfg.tol().bound(1.0, 64)
-    assert distinct == Check("distinct_system_subalgebras", 0.0, 0.0) and distinct.passed
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -630,6 +630,7 @@ def test_symmetry_layer_with_non_adjacent_frames_exits_0(order, tmp_path, capsys
     checks = json.loads((tmp_path / "report.json").read_text())["tasks"][0]["checks"]
     layer = next(c for c in checks if c["name"] == "relation_conditional_reorient")
     assert layer["pass"] and layer["residual"] <= 1e-12
+    assert {"name": "distinct_system_subalgebras", "residual": 0.0, "tol": 0.0, "pass": True} in checks
 
 
 def test_identity_on_other_frame_matches_kron_in_complement_order():

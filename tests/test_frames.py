@@ -74,6 +74,22 @@ def test_finite_resolution_checked_directly():
     assert f.element_weight() == pytest.approx(0.5)
 
 
+def test_frame_accepted_only_where_its_resolution_check_passes():
+    # a Z3 regular seed off by 1.5e-8 has resolution residual 1.8e-8, between 2e-9 dim and 1e-8 dim
+    group = groups.cyclic(3)
+    rep = reps.regular_rep(group)
+    seed = np.eye(3)[group.identity_index] + 1.5e-8 * np.array([0.3, -1.0, 0.5])
+    seed /= np.linalg.norm(seed)
+    residual = frames.resolution_residual(rep, seed)
+    assert Tolerance().bound(1.0, 3) < residual < 1e-8 * 3
+    with pytest.raises(ResolutionFails):
+        frames.make_frame(rep, seed)  # the default check bound, 6e-9, is tighter than 1e-8 dim
+    loose = Tolerance(1e-6, 1e-6)
+    f = frames.make_frame(rep, seed, tol=loose)
+    assert f.resolution_residual <= frames.validity_bound(3, loose) == 1e-8 * 3 <= loose.bound(1.0, 3)
+    assert frames.validity_bound(3) == Tolerance().bound(1.0, 3)
+
+
 def test_orientation_state_at_identity_is_seed():
     f = spin1_uniform_frame()
     np.testing.assert_allclose(f.orientation([0, 0, 0]), f.seed, atol=1e-12)

@@ -265,7 +265,7 @@ def test_weak_homomorphism_strong_for_ideal_frames(z3_regular_scenario):
     a = random_hermitian(rng, 9)
     b = random_hermitian(rng, 9)
     rep = check_weak_homomorphism(z3_regular_scenario, "R1", 0, a, b)
-    assert rep["weak_pass"]
+    assert rep["weak_check"].passed
     assert rep["max_strong_residual"] < 1e-9
 
 
@@ -274,7 +274,7 @@ def test_weak_homomorphism_weak_only_for_nonideal_frames(u1_scenario):
     a = random_hermitian(rng, 6)
     b = random_hermitian(rng, 6)
     rep = check_weak_homomorphism(u1_scenario, "A", [0.0], a, b)
-    assert rep["weak_pass"]
+    assert rep["weak_check"].passed
     assert rep["max_weak_residual"] < 1e-9
     assert not rep["strong_pass"]
 
@@ -309,9 +309,9 @@ def test_conditional_inner_product_unit_and_orthogonal(u1_scenario):
     ps = physical_space(u1_scenario)
     b = ps.basis.basis
     same = conditional_inner_product_check(u1_scenario, "A", b[:, 0], b[:, 0])
-    assert same["pass"] and abs(same["expected"] - 1) < 1e-12
+    assert same["check"].passed and abs(same["expected"] - 1) < 1e-12
     orth = conditional_inner_product_check(u1_scenario, "A", b[:, 0], b[:, 1])
-    assert orth["pass"] and abs(orth["expected"]) < 1e-12
+    assert orth["check"].passed and abs(orth["expected"]) < 1e-12
 
 
 def test_conditional_inner_product_random_superposition_s3(s3_regular_scenario):

@@ -17,6 +17,7 @@ from qrf.reductions import (
     schrodinger_map,
     schrodinger_reduce,
     solve_theta,
+    trinity_check,
 )
 
 
@@ -274,6 +275,21 @@ def test_theta_not_found_for_stuck_kernel():
     out = solve_theta(f)
     assert isinstance(out, ThetaNotFound)
     assert out.residual is not None and out.residual > 1e-6
+
+
+def test_theta_accepted_only_where_the_trinity_check_passes():
+    # a Z3 regular seed off by 4e-9 is a valid frame whose theta residual, 4e-9, is also its trinity residual
+    group = groups.cyclic(3)
+    reg = reps.regular_rep(group)
+    seed = np.eye(3)[group.identity_index] + 4e-9 * np.array([0.3, -1.0, 0.5])
+    f = frames.make_frame(reg, seed / np.linalg.norm(seed), name="R1")
+    s = perspective.make_scenario(group, [("R1", reg), ("S", reg)], {"R1": ("R1", f)})
+    assert isinstance(solve_theta(f), ThetaNotFound)  # above the default unit bound, 2e-9
+    loose = Tolerance(1e-6, 1e-6)
+    theta = solve_theta(f, loose)
+    assert isinstance(theta, ThetaState) and 3e-9 < theta.residual <= frames.validity_bound(1, loose) == 1e-8
+    ps = physical_space(s, loose)
+    assert trinity_check(ps, "R1", theta, ps.basis.basis[:, 0], loose).passed
 
 
 def test_theta_not_found_for_su2(three_spin_scenario):

@@ -97,6 +97,11 @@ def validity_bound(dim: int, tol: Tolerance = DEFAULT_TOL) -> float:
     return min(1e-8 * dim, tol.bound(1.0, dim))
 
 
+def _input_gate(tol: Tolerance, dim: int = 1) -> float:
+    """A frame input gate, 1e3 tol.weighted(1), floored at the rounding bound of a dim-sized check."""
+    return max(1e3 * tol.weighted(1.0), tol.bound(1.0, dim))
+
+
 def resolution_residual(rep: UnitaryRep, seed: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
     """||Vol twirl(|phi><phi|) - 1||_F with Vol = dim: how far the seed's orbit is from resolving 1."""
     twirl = reps.group_average(rep, np.outer(seed, np.conj(seed)), "twirl", float(rep.dim), tol)
@@ -115,7 +120,7 @@ def _lie_block_report(rep: UnitaryRep, seed: np.ndarray, tol: Tolerance) -> list
         target = (d / rep.dim) * np.eye(m)
         deviation = float(np.linalg.norm(gram - target))
         report.append({"label": block.label, "irrep_dim": d, "multiplicity": m, "multiplicity_ok": m <= d,
-                       "schmidt_deviation": deviation, "schmidt_ok": deviation <= 1e3 * tol.weighted(1.0)})
+                       "schmidt_deviation": deviation, "schmidt_ok": deviation <= _input_gate(tol, m)})
     return report
 
 
@@ -135,7 +140,7 @@ def make_frame(
     if vec.size != rep.dim:
         raise ValueError("seed dimension does not match the representation")
     nrm = float(np.linalg.norm(vec))
-    if abs(nrm - 1.0) > 1e3 * tol.weighted(1.0):
+    if abs(nrm - 1.0) > _input_gate(tol):
         raise ValueError(f"seed must be normalized, got norm {nrm}")
     vec = fix_phase(vec / nrm, tol)
     residual = resolution_residual(rep, vec, tol)
@@ -246,7 +251,7 @@ def lr_classify(f: Frame, tol: Tolerance = DEFAULT_TOL) -> tuple[UnitaryRep | No
         target = abs(np.trace(dagger(s) @ s)) / d
         dev = float(np.linalg.norm(dagger(s) @ s - target * np.eye(d)))
         entry["max_entangled_deviation"] = dev
-        if dev > 1e3 * tol.weighted(1.0):
+        if dev > _input_gate(tol, d):
             report["lr_exists"] = False
             report["reason"] = f"block {block.label}: seed is not maximally entangled (dev {dev:.3e})"
     f._cache[key] = (_right_action(f, tol) if report["lr_exists"] else None, report)

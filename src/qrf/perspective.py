@@ -13,6 +13,8 @@ is an isometry from physical-basis coefficients onto the physical system
 subspace, so the system projector is C_g C_g^dag, the Schroedinger reduction
 is C_g, and, because B^dag U A U^dag B = B^dag A B on invariant vectors, a
 relational observable restricted to the physical space is C_g^dag f_S C_g.
+A Lie relational observable is built on its weight blocks, read from
+|phi><phi| and f_S, and the homomorphism check applies them to vectors.
 """
 
 from __future__ import annotations
@@ -218,6 +220,7 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray) -> float:
     [U_s - 1, op] = [U_s, op], so for a finite group this is the commutator
     with each generator; with a permutation table it is
     ||op[sigma_s][:, sigma_s] - op||, by unitary invariance of the Frobenius norm.
+    An exactly diagonal Cartan generator K is commuted entrywise.
     """
     rep = s.total_rep
     sigma = reps.permutation_table(rep)
@@ -228,7 +231,11 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray) -> float:
             moved -= op
             worst = max(worst, float(np.linalg.norm(moved)))
         return worst
-    return max((float(np.linalg.norm(d @ op - op @ d)) for d in reps.constraints(rep)), default=0.0)
+    gens, worst = reps.constraints(rep), 0.0
+    if not rep.is_finite and reps.weight_basis(rep).vectors is None:  # K = gens[-1] is exactly diagonal
+        k = np.diagonal(gens[-1])  # [K, op]_ij = (k_i - k_j) op_ij
+        gens, worst = gens[:-1], float(np.linalg.norm((k[:, None] - k[None, :]) * op))
+    return max([worst] + [float(np.linalg.norm(d @ op - op @ d)) for d in gens])
 
 
 def dirac_check(s: Scenario, op: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Check:
@@ -252,16 +259,33 @@ def relational_observable(
         raise ValueError(
             f"system observable must act on the {comp_dim}-dim complement of frame {frame_name!r}"
         )
-    phi = frame.orientation(frame.rep.element(g))
-    aligned = s.embed_frame_operator(frame_name, np.outer(phi, np.conj(phi)), f_s)
-    mat = group_average(s.total_rep, aligned, mode="twirl", measure_scale=frame.weight_scale, tol=tol)
-    del aligned  # a kinematical-size temporary; free it before the Dirac check allocates its own
+    mat = _twirled(s, frame_name, g, f_s, tol)
+    mat = mat if s.total_rep.is_finite else mat.dense()
     obs = RelObs(matrix=mat, frame_name=frame_name, orientation=frame.rep.element(g), source=f_s, scenario=s)
     if check:
         dirac = dirac_check(s, mat, tol)
         if not dirac.passed:
             raise ValueError(f"relational observable failed the Dirac commutation check ({dirac.residual:.2e})")
     return obs
+
+
+def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -> np.ndarray | reps.WeightBlocks:
+    """Vol twirl(E x f_S), E = |phi(g)><phi(g)|: dense for a finite group, weight blocks for a Lie group.
+    With W = 1 (an exactly diagonal Cartan generator) the aligned operand's blocks are read entrywise,
+    A_ww[i, j] = E[r_i, r_j] f_S[c_i, c_j], with r_i and c_i the frame and complement indices of i."""
+    rep, frame = s.total_rep, s.frame(frame_name)
+    phi = frame.orientation(frame.rep.element(g))
+    proj = np.outer(phi, np.conj(phi))
+    if rep.is_finite:
+        return group_average(rep, s.embed_frame_operator(frame_name, proj, f_s), "twirl", frame.weight_scale, tol)
+    wb = reps.weight_basis(rep)
+    if wb.vectors is None:
+        r, c = np.divmod(s.from_slot_first(frame_name, np.arange(s.kin_dim), 1), s.complement_dim(frame_name))
+        aligned = reps.WeightBlocks(wb, {w: proj[np.ix_(r[i], r[i])] * f_s[np.ix_(c[i], c[i])]
+                                         for w, i in wb.sectors.items()})
+    else:
+        aligned = reps.WeightBlocks.of(wb, s.embed_frame_operator(frame_name, proj, f_s))
+    return reps.lie_twirl(rep, aligned, tol, frame.weight_scale)
 
 
 def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -349,7 +373,8 @@ def check_weak_homomorphism(
     fixed random kinematical vector; strong equality is expected only for
     regular-representation frames.  Both sides of each clause preserve H_phys,
     so weak residuals are read from B^dag F_f B = C^dag f C and
-    B^dag F_a F_b B = (B^dag F_a B)(B^dag F_b B); strong ones are matvecs.
+    B^dag F_a F_b B = (B^dag F_a B)(B^dag F_b B); strong ones are matvecs,
+    which a Lie frame applies block by block without forming any F_f.
     ``weak_check`` and ``strong_pass`` take them relative to max(1, max|a| max|b|).
     """
     a = as_cmatrix(a)
@@ -360,7 +385,7 @@ def check_weak_homomorphism(
     b_p = pi @ b @ pi
 
     def rel(f):
-        return relational_observable(s, frame_name, g, f, tol, check=False).matrix
+        return _twirled(s, frame_name, g, f, tol)
 
     def restricted(f):
         return dagger(c) @ f @ c
@@ -371,14 +396,15 @@ def check_weak_homomorphism(
     r_a, r_b = restricted(a_p), restricted(b_p)
     f_a, f_b = rel(a_p), rel(b_p)
     fa_v, fb_v = f_a @ v, f_b @ v
-    clauses = {  # name: (source of the left side, right side on B, right side on v)
-        "addition": (a_p + b_p, r_a + r_b, fa_v + fb_v),
-        "multiplication": (a_p @ b_p, r_a @ r_b, f_a @ fb_v),
-        "combined": (a_p + b_p @ a_p, r_a + r_b @ r_a, fa_v + f_b @ fa_v),
-        "projection_equivalence": (a, r_a, fa_v),
-    }
+    clauses = (  # name, source of the left side (built when its clause runs), right side on B, right side on v
+        ("addition", lambda: a_p + b_p, r_a + r_b, fa_v + fb_v),
+        ("multiplication", lambda: a_p @ b_p, r_a @ r_b, f_a @ fb_v),
+        ("combined", lambda: a_p + b_p @ a_p, r_a + r_b @ r_a, fa_v + f_b @ fa_v),
+        ("projection_equivalence", lambda: a, r_a, fa_v),
+    )
     report: dict = {"frame": frame_name, "weak": {}, "strong": {}}
-    for name, (src, weak_rhs, strong_rhs) in clauses.items():
+    for name, source, weak_rhs, strong_rhs in clauses:
+        src = source()
         report["weak"][name] = float(np.max(np.linalg.norm(restricted(src) - weak_rhs, axis=0), initial=0.0))
         report["strong"][name] = float(np.linalg.norm(rel(src) @ v - strong_rhs))
     # adjoint clause on the restricted matrices

@@ -7,9 +7,9 @@ integers 2m).
 
 Lie layers work in the weight basis of the Cartan generator (``weight_basis``).
 There isotypic blocks are index sets: charge sectors, or SU(2) ladders
-lowered from ker J_+.  The U(1) twirl is a charge mask, the SU(2) twirl (the
-exact Haar average) acts on n_w x n_w weight blocks, and the fixed space is
-the top of the weight-0 ladder.
+lowered from ker J_+.  Twirls are block-diagonal in the weights (Schur), so
+``lie_twirl`` keeps each U(1) charge block and projects each SU(2) weight
+block onto its ladders, as ``WeightBlocks``; the fixed space is the top of the weight-0 ladder.
 
 Every invariance question goes through one family of constraint operators,
 ``constraints(rep)``: U_s - 1 for the generators s of a finite group, K_a
@@ -80,6 +80,8 @@ __all__ = [
     "permutation_table",
     "WeightBasis",
     "weight_basis",
+    "WeightBlocks",
+    "lie_twirl",
     "isotypic_decompose",
     "invariant_closure",
 ]
@@ -570,24 +572,50 @@ def _finite_twirl(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
     return mean[labels].reshape(a.shape)
 
 
-def _lie_twirl(rep: UnitaryRep, a: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Haar-probability twirl of a Lie rep, in weight coordinates.
+@dataclass(frozen=True, eq=False)
+class WeightBlocks:
+    """An operator block-diagonal in a Lie rep's weights: ``blocks[w]`` acts on ``basis.sectors[w]`` in weight
+    coordinates.  ``@ v`` applies W (+)_w B_w W^dag v without building it; ``dense()`` builds it."""
 
-    U(1): the entries with equal charges.  SU(2): the commutant projection;
-    each ladder keeps c = (1/(2j+1)) sum_a V_a^dag A_ww V_a and puts
-    V_a c V_a^dag back on the weight block w = 2j - 2a.
+    basis: WeightBasis
+    blocks: dict
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        wb = self.basis
+        x = v if wb.vectors is None else dagger(wb.vectors) @ v
+        out = np.zeros(x.shape, dtype=complex)
+        for w, idx in wb.sectors.items():
+            out[idx] = self.blocks[w] @ x[idx]
+        return out if wb.vectors is None else wb.vectors @ out
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.basis.weights.size,) * 2, dtype=complex)
+        for w, idx in self.basis.sectors.items():
+            out[np.ix_(idx, idx)] = self.blocks[w]
+        return self.basis.back(out)
+
+    @staticmethod
+    def of(wb: WeightBasis, a: np.ndarray) -> WeightBlocks:
+        """The diagonal weight blocks of W^dag A W; the twirl discards the rest."""
+        a = wb.into(a)
+        return WeightBlocks(wb, {w: a[np.ix_(idx, idx)] for w, idx in wb.sectors.items()})
+
+
+def lie_twirl(rep: UnitaryRep, a: WeightBlocks, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0) -> WeightBlocks:
+    """``scale`` times the Haar-probability twirl of a Lie rep, on weight blocks (Schur: it is block-diagonal).
+
+    U(1): each charge block as it is.  SU(2): the commutant projection; each
+    ladder keeps c = (1/(2j+1)) sum_k V_k^dag A_ww V_k and puts V_k c V_k^dag
+    back on the weight block w = 2j - 2k.
     """
-    wb = weight_basis(rep)
-    a = wb.into(a)
-    if rep.group.kind == "U1":
-        return wb.back(a * (wb.weights[:, None] == wb.weights[None, :]))
-    sub = {w: np.ix_(idx, idx) for w, idx in wb.sectors.items()}
-    out = np.zeros_like(a)
-    for top, slots in _ladders(rep, tol):
-        c = sum(dagger(v) @ a[sub[top - 2 * k]] @ v for k, v in enumerate(slots)) / len(slots)
-        for k, v in enumerate(slots):
-            out[sub[top - 2 * k]] += v @ c @ dagger(v)
-    return wb.back(out)
+    out = a.blocks
+    if rep.group.kind == "SU2":
+        out = {w: np.zeros_like(b) for w, b in a.blocks.items()}
+        for top, slots in _ladders(rep, tol):
+            c = sum(dagger(v) @ a.blocks[top - 2 * k] @ v for k, v in enumerate(slots)) / len(slots)
+            for k, v in enumerate(slots):
+                out[top - 2 * k] += v @ c @ dagger(v)
+    return WeightBlocks(a.basis, {w: scale * b for w, b in out.items()})
 
 
 def group_average(
@@ -599,7 +627,7 @@ def group_average(
 ) -> np.ndarray:
     """measure_scale times the Haar-probability twirl of ``operand``.
 
-    Finite: uniform sum; Lie: the weight-coordinate twirl.
+    Finite: uniform sum; Lie: ``lie_twirl`` of the operand's weight blocks, densified.
     """
     if measure_scale <= 0:
         raise ValueError("measure_scale must be positive")
@@ -608,7 +636,7 @@ def group_average(
     a = as_cmatrix(operand)
     if a.shape != (rep.dim, rep.dim):
         raise ValueError("operand dimension does not match the representation")
-    out = _finite_twirl(rep, a) if rep.is_finite else _lie_twirl(rep, a, tol)
+    out = _finite_twirl(rep, a) if rep.is_finite else lie_twirl(rep, WeightBlocks.of(weight_basis(rep), a), tol).dense()
     out *= measure_scale  # in place: both twirls return a fresh array
     return out
 

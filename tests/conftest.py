@@ -40,6 +40,33 @@ def u1_scenario():
     )
 
 
+def rotated_lie_rep(rep, seed):
+    """The same rep in a random basis: generators V K V^dag, so J_z is no longer diagonal."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim)))
+    v = q * (np.diag(r) / np.abs(np.diag(r)))
+    return reps.lie_rep(rep.group, v @ rep.generators @ v.conj().T)
+
+
+@pytest.fixture(scope="session")
+def rotated_u1_scenario():
+    """u1_scenario with the qubit A and the qutrit C in random bases, so the total charge is not diagonal;
+    the frame sits on the qubit B, in the second slot."""
+    rep_qubit = reps.u1_rep([1, -1])
+    f_b = frames.make_frame(rep_qubit, np.array([1, 1]) / np.sqrt(2), name="B")
+    rotated = [rotated_lie_rep(rep_qubit, 5), rep_qubit, rotated_lie_rep(reps.u1_rep([2, 0, -2]), 6)]
+    return perspective.make_scenario(groups.u1(), list(zip("ABC", rotated)), {"B": ("B", f_b)})
+
+
+@pytest.fixture(scope="session")
+def u1_six_qubit_scenario():
+    """Six charge +-1 qubits (kinematical dim 64, physical dim 20), uniform frames on the first two."""
+    rep_qubit = reps.u1_rep([1, -1])
+    names = [f"Q{k}" for k in range(6)]
+    fs = {n: (n, frames.make_frame(rep_qubit, np.array([1, 1]) / np.sqrt(2), name=n)) for n in names[:2]}
+    return perspective.make_scenario(groups.u1(), [(n, rep_qubit) for n in names], fs)
+
+
 @pytest.fixture(scope="session")
 def three_spin_scenario():
     rep1 = reps.spin_rep(1)

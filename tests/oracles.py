@@ -7,7 +7,15 @@ at a time, the commutant projection as two grid einsums over the
 kinematical space, invariant closures grown by the generators, and the
 isometry defect of a frame change from complement-sized products.  The
 weak-homomorphism residuals, which the library reads from n_phys-sized
-restricted matrices, are formed here from kinematical products.
+restricted matrices and block matvecs, are formed here from kinematical
+products.
+
+The library twirls Lie operators on their weight blocks and reads the
+blocks of a relational observable's aligned operand entrywise.  Here are
+the dense forms it replaced: the twirl as a charge mask or a ladder
+projection on the whole kinematical matrix, the relational observable as
+that twirl of the formed |phi><phi| x f_S, and the Dirac defect from
+commutator matmuls with every constraint operator.
 
 The library writes each frame operator as one group average.  Here are the
 constructions it replaced: the right action V_R lifted block by block from
@@ -28,7 +36,15 @@ import numpy as np
 from qrf.linalg import DEFAULT_TOL, Subspace, canonicalize_basis, dagger, fix_phase, nullspace, orthonormal_range
 from qrf.framechange import _conjugate_slot, _left_apply, ensure_lr
 from qrf.perspective import RelObs, physical_space, relational_observable, system_projector
-from qrf.reps import IsotypicBlock, IsotypicDecomposition, constraints, group_average, isotypic_decompose, weight_basis
+from qrf.reps import (
+    IsotypicBlock,
+    IsotypicDecomposition,
+    _ladders,
+    constraints,
+    group_average,
+    isotypic_decompose,
+    weight_basis,
+)
 
 
 def weight_spaces(gz, tol=DEFAULT_TOL):
@@ -76,6 +92,37 @@ def commutant_projection(rep, a, tol=DEFAULT_TOL):
     return out
 
 
+def lie_mask_twirl(rep, a, tol=DEFAULT_TOL):
+    """Haar twirl on the whole matrix in weight coordinates: the charge mask (U(1)) or, per SU(2) ladder,
+    c = mean_k V_k^dag A_ww V_k written back as V_k c V_k^dag on the dense weight blocks."""
+    wb = weight_basis(rep)
+    a = wb.into(a)
+    if rep.group.kind == "U1":
+        return wb.back(a * (wb.weights[:, None] == wb.weights[None, :]))
+    sub = {w: np.ix_(idx, idx) for w, idx in wb.sectors.items()}
+    out = np.zeros_like(a)
+    for top, slots in _ladders(rep, tol):
+        c = sum(dagger(v) @ a[sub[top - 2 * k]] @ v for k, v in enumerate(slots)) / len(slots)
+        for k, v in enumerate(slots):
+            out[sub[top - 2 * k]] += v @ c @ dagger(v)
+    return wb.back(out)
+
+
+def dense_relational_observable(s, frame_name, g, f_s, tol=DEFAULT_TOL):
+    """Vol twirl(|phi(g)><phi(g)| x f_S) of the formed kinematical operand."""
+    frame = s.frame(frame_name)
+    phi = frame.orientation(frame.rep.element(g))
+    aligned = s.embed_frame_operator(frame_name, np.outer(phi, np.conj(phi)), f_s)
+    if s.total_rep.is_finite:
+        return group_average(s.total_rep, aligned, "twirl", frame.weight_scale, tol)
+    return frame.weight_scale * lie_mask_twirl(s.total_rep, aligned, tol)
+
+
+def strong_dirac_defect(s, op):
+    """Largest ||D op - op D|| over the constraint operators, from two matmuls each."""
+    return max(float(np.linalg.norm(d @ op - op @ d)) for d in constraints(s.total_rep))
+
+
 def invariant_closure(rep, v, tol=DEFAULT_TOL):
     """Grow span(v) by the generators until it stops growing."""
     start = np.asarray(v, dtype=complex)
@@ -103,7 +150,7 @@ def weak_homomorphism(s, frame_name, g, a, b, tol=DEFAULT_TOL):
     a_p, b_p = pi @ a @ pi, pi @ b @ pi
 
     def rel(f):
-        return relational_observable(s, frame_name, g, f, tol, check=False).matrix
+        return dense_relational_observable(s, frame_name, g, f, tol)
 
     f_a, f_b = rel(a_p), rel(b_p)
     pairs = {

@@ -325,11 +325,12 @@ _SMALL_NOMINAL = {  # builtin: (phys_dim, checks_total) at the default tolerance
 }
 
 
-@pytest.mark.parametrize("tol", ["1e-3", "1e-6", "1e-15", "1e-16"])
+@pytest.mark.parametrize("tol", ["1e-3", "1e-6", "1e-15", "1e-16", "0"])
 @pytest.mark.parametrize("name", sorted(_SMALL_NOMINAL))
 def test_small_builtins_keep_nominal_dims_below_machine_precision(name, tol, tmp_path, capsys):
     # rank cuts are floored at max(m, n) * eps * sigma_0, so a tighter tolerance cannot drop real directions;
-    # check bounds are floored at rounding and the theta searches accept at the fixed frame-validity bound
+    # check bounds and the frame input gates are floored at rounding, and the theta searches accept at the
+    # fixed frame-validity bound, so even a zero tolerance keeps the nominal dimensions
     out = tmp_path / "report.json"
     assert cli.main(["run", name, "--tol", tol, "--out", str(out)]) == 0
     report = json.loads(out.read_text())

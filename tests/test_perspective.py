@@ -281,7 +281,14 @@ def test_weak_homomorphism_weak_only_for_nonideal_frames(u1_scenario):
 
 @pytest.mark.parametrize(
     "fixture, frame, g",
-    [("s3_regular_scenario", "R1", 2), ("u1_scenario", "A", [0.4]), ("three_spin_scenario", "A", [0.3, -0.2, 0.5])],
+    [
+        ("s3_regular_scenario", "R1", 2),
+        ("u1_scenario", "A", [0.4]),
+        ("three_spin_scenario", "A", [0.3, -0.2, 0.5]),
+        ("four_spin_scenario", "A", [-0.7, 0.1, 1.2]),
+        ("u1_six_qubit_scenario", "Q1", [0.9]),
+        ("rotated_u1_scenario", "B", [2.0]),
+    ],
 )
 def test_weak_homomorphism_matches_kinematical_oracle(fixture, frame, g, request):
     from oracles import weak_homomorphism
@@ -296,6 +303,58 @@ def test_weak_homomorphism_matches_kinematical_oracle(fixture, frame, g, request
         assert set(fast[kind]) == set(slow[kind]) | ({"adjoint"} if kind == "strong" else set())
         for name, value in slow[kind].items():
             assert abs(fast[kind][name] - value) <= 1e-10 * max(1.0, value)
+
+
+@pytest.mark.parametrize(
+    "fixture, frame", [("u1_six_qubit_scenario", "Q0"), ("three_spin_scenario", "A"), ("four_spin_scenario", "A")]
+)
+def test_lie_homomorphism_check_forms_no_kinematical_operator(fixture, frame, request, monkeypatch):
+    s = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(17)
+    a, b = (random_hermitian(rng, s.complement_dim(frame)) for _ in range(2))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a kinematical operator was formed")
+
+    monkeypatch.setattr(perspective.Scenario, "embed_frame_operator", forbidden)
+    monkeypatch.setattr(reps, "group_average", forbidden)
+    monkeypatch.setattr(perspective, "group_average", forbidden)
+    report = check_weak_homomorphism(s, frame, s.frame(frame).rep.identity_element(), a, b)
+    assert report["weak_check"].passed
+
+
+@pytest.mark.parametrize(
+    "fixture, frame, g",
+    [
+        ("u1_scenario", "B", [0.4]),  # the u1-qubit-qubit-qutrit builtin, frame in the second slot
+        ("u1_scenario", "C", [1.3]),
+        ("three_spin_scenario", "A", [0.3, -0.2, 0.5]),
+        ("four_spin_scenario", "A", [-0.7, 0.1, 1.2]),
+        ("rotated_u1_scenario", "B", [2.0]),  # non-diagonal total charge: blocks sliced from the formed operand
+    ],
+)
+def test_block_relational_observable_matches_dense_construction(fixture, frame, g, request):
+    from oracles import dense_relational_observable
+
+    s = request.getfixturevalue(fixture)
+    f_s = random_hermitian(np.random.default_rng(18), s.complement_dim(frame))
+    lib = relational_observable(s, frame, g, f_s).matrix
+    dense = dense_relational_observable(s, frame, g, f_s)
+    if reps.weight_basis(s.total_rep).vectors is None:  # the same products, summed in the same order
+        assert np.array_equal(lib, dense)
+    assert np.abs(lib - dense).max() <= 1e-12 * max(1.0, float(np.abs(dense).max()))
+
+
+@pytest.mark.parametrize("fixture", ["u1_scenario", "three_spin_scenario", "rotated_u1_scenario"])
+def test_strong_dirac_defect_matches_commutator_matmuls(fixture, request):
+    from oracles import strong_dirac_defect
+
+    s = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((s.kin_dim, s.kin_dim)) + 1j * rng.standard_normal((s.kin_dim, s.kin_dim))
+    for op in (a, reps.group_average(s.total_rep, a, "twirl", 1.0)):
+        oracle = strong_dirac_defect(s, op)
+        assert abs(perspective.strong_dirac_defect(s, op) - oracle) <= 1e-12 * max(1.0, oracle)
 
 
 def test_weak_homomorphism_adjoint_clause(u1_scenario):

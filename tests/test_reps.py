@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ket3, random_hermitian, regular_three_party
+from conftest import ket3, random_hermitian, regular_three_party, rotated_lie_rep
 from qrf import frames, groups, perspective, reps
 from qrf.linalg import DEFAULT_TOL, Tolerance, dagger, orthonormal_range
 
@@ -520,19 +520,12 @@ def test_dirac_defect_and_orientation_independence_match_all_element_versions():
 # ---------------------------------------------------------------------------
 
 
-def _rotated(rep, seed):
-    """The same rep in a random basis: generators V K V^dag, so J_z is no longer diagonal."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim)))
-    v = q * (np.diag(r) / np.abs(np.diag(r)))
-    return reps.lie_rep(rep.group, v @ rep.generators @ dagger(v))
-
-
 def _weight_test_reps():
     charge = reps.tensor([reps.u1_rep([1, -1]), reps.u1_rep([1, -1]), reps.u1_rep([2, 0, -2])])
     spins = reps.tensor([reps.spin_rep(1), reps.spin_rep(1), reps.spin_rep(0.5), reps.spin_rep(0.5)])
     half = reps.tensor([reps.spin_rep(1), reps.spin_rep(0.5)])  # no invariant vector
-    return [charge, spins, half, _rotated(charge, 1), _rotated(spins, 2), _rotated(reps.spin_rep(1.5), 3)]
+    rotated = [rotated_lie_rep(charge, 1), rotated_lie_rep(spins, 2), rotated_lie_rep(reps.spin_rep(1.5), 3)]
+    return [charge, spins, half, *rotated]
 
 
 def test_weight_basis_is_identity_exactly_when_the_cartan_generator_is_diagonal():
@@ -547,16 +540,33 @@ def test_weight_basis_is_identity_exactly_when_the_cartan_generator_is_diagonal(
     assert reps.weight_basis(half).weights.tolist() == [3, 1, 1, -1, -1, -3]
 
 
+def _large_weight_test_reps():
+    """U(1) with 9 charge-+-1 qubits (dim 512), SU(2) with five spin-1 parties (243) and nine spin-1/2 (512)."""
+    qubits = reps.tensor([reps.u1_rep([1, -1])] * 9)
+    spin1 = reps.tensor([reps.spin_rep(1)] * 5)
+    half = reps.tensor([reps.spin_rep(0.5)] * 9)
+    return [qubits, spin1, half]
+
+
 def test_weight_twirl_matches_grid_einsum_projection():
-    from oracles import commutant_projection
+    """The block twirl against the commutant projection and the dense mask twirl it replaced."""
+    from oracles import commutant_projection, lie_mask_twirl
 
     rng = np.random.default_rng(21)
-    for rep in _weight_test_reps():
+    for rep in _weight_test_reps() + _large_weight_test_reps():
         a = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
         fast = reps.group_average(rep, a, "twirl", 1.0)
         assert np.abs(fast - commutant_projection(rep, a)).max() <= 1e-12
         for k in rep.generators:
             assert np.abs(k @ fast - fast @ k).max() <= 1e-12
+        wb = reps.weight_basis(rep)
+        blocks = reps.lie_twirl(rep, reps.WeightBlocks.of(wb, a), scale=2.5)
+        mask = 2.5 * lie_mask_twirl(rep, a)
+        if wb.vectors is None:  # the same products in the same order, scaled before or after the scatter
+            assert np.array_equal(blocks.dense(), mask)
+        assert np.abs(blocks.dense() - mask).max() <= 1e-12
+        v = rng.standard_normal((rep.dim, 2)) + 1j * rng.standard_normal((rep.dim, 2))
+        assert np.abs(blocks @ v - mask @ v).max() <= 1e-11
 
 
 def test_weight_isotypic_blocks_match_eigh_ladders():

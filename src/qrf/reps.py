@@ -9,7 +9,8 @@ Lie layers work in the weight basis of the Cartan generator (``weight_basis``).
 There isotypic blocks are index sets: charge sectors, or SU(2) ladders
 lowered from ker J_+.  Twirls are block-diagonal in the weights (Schur), so
 ``lie_twirl`` keeps each U(1) charge block and projects each SU(2) weight
-block onto its ladders, as ``WeightBlocks``; the fixed space is the top of the weight-0 ladder.
+block onto its ladders, as ``WeightBlocks``; the fixed space is the top of
+the weight-0 ladder.
 
 Every invariance question goes through one family of constraint operators,
 ``constraints(rep)``: U_s - 1 for the generators s of a finite group, K_a

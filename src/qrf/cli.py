@@ -121,11 +121,16 @@ def _validate_raw(raw: dict) -> ScenarioConfig:
                 f"frames[{i}]: frame {fr['name']!r} references unknown subsystem "
                 f"{fr['subsystem']!r} (have: {', '.join(sub_names)})"
             )
+    frame_names = [fr["name"] for fr in raw["frames"]]
     for i, task in enumerate(raw["tasks"]):
         if "task" not in task or task["task"] not in _KNOWN_TASKS:
             raise ConfigError(
                 f"tasks[{i}]: unknown task {task.get('task')!r} (known: {', '.join(_KNOWN_TASKS)})"
             )
+        for key in ("frame", "from", "to", "frame1", "frame2"):
+            if key in task and task[key] not in frame_names:
+                have = ", ".join(map(str, frame_names)) or "none"
+                raise ConfigError(f"tasks[{i}]: unknown frame {task[key]!r} (have: {have})")
     return ScenarioConfig(
         name=raw.get("name", "scenario"),
         group_spec=raw["group"],

@@ -334,9 +334,11 @@ def restricted_unit_family(
 
 
 def _matrix_unit_algebra(c: np.ndarray, fam: list[np.ndarray], tol: Tolerance):
-    """(basis of span{1, F_ij}, commutation bound) if the target blocks c of C_e factorise, else None.
+    """(orthonormal basis of span{1, F_ij}, commutation bound) if the target blocks c of C_e factorise, else None.
 
-    See ``subsystem_relativity_report`` for the block test and the bound.
+    See ``subsystem_relativity_report`` for the block test and the bound.  When
+    it passes, <F_ij, F_kl> = delta_ik delta_jl n/d_t up to the Delta it bounds
+    and sum_i F_ii = G holds 1, so the vec(F_ij) sqrt(d_t/n) are that basis.
     """
     d_t, r, n = c.shape
     flat = c.reshape(-1, n)
@@ -346,9 +348,8 @@ def _matrix_unit_algebra(c: np.ndarray, fam: list[np.ndarray], tol: Tolerance):
     g_norm, defect = float(np.linalg.norm(g, 2)), float(np.linalg.norm(g - np.eye(n)))
     if g_norm * delta > tol.weighted(1.0) or defect > tol.weighted(1.0):
         return None
-    seeds = [np.eye(n, dtype=complex)] + fam  # _generate_algebra's first rank decision, on the same input
-    basis = orthonormal_range(np.column_stack([m.reshape(-1) for m in seeds]), tol).basis
-    return (basis, 2.0 * g_norm * (2.0 * delta + defect)) if basis.shape[1] == d_t * d_t else None
+    basis = np.column_stack([m.reshape(-1) for m in fam]) * np.sqrt(d_t / n)
+    return basis, 2.0 * g_norm * (2.0 * delta + defect)
 
 
 def subsystem_relativity_report(

@@ -7,9 +7,11 @@ bookkeeping of the per-frame Haar normalization then shows up as explicit
 scale constants: twirls over frame orientations carry the frame's volume
 (weight_scale), conditionings carry its square root.
 
-The one conditioning primitive is ``conditioning_map``:
-C_g = sqrt(Vol) (<phi(g)| x 1) B, with B the orthonormal physical basis.  It
-is an isometry from physical-basis coefficients onto the physical system
+The one conditioning primitive is the contraction (<phi| x 1) of
+``Scenario.condition_vector``, on a kinematical vector or on each column of
+a matrix; its adjoint (|phi> x 1) is ``inject_vector``.  On the orthonormal
+physical basis B it gives ``conditioning_map``, C_g = sqrt(Vol) (<phi(g)| x 1) B,
+an isometry from physical-basis coefficients onto the physical system
 subspace, so the system projector is C_g C_g^dag, the Schroedinger reduction
 is C_g, and, because B^dag U A U^dag B = B^dag A B on invariant vectors, a
 relational observable restricted to the physical space is C_g^dag f_S C_g.
@@ -107,10 +109,12 @@ class Scenario:
         return np.transpose(t, axes).reshape(m.shape)
 
     def condition_vector(self, frame_name: str, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """(<phi|_frame x 1) psi, keeping the complement in subsystem order."""
-        slot = self.frame_slot(frame_name)
-        t = np.asarray(psi, dtype=complex).reshape(self.dims)
-        return np.tensordot(t, np.conj(phi), axes=([slot], [0])).reshape(-1)
+        """(<phi|_frame x 1) psi for a kinematical vector, or for each column of a matrix; the complement
+        stays in subsystem order.  This contraction and its adjoint ``inject_vector`` carry every reduction."""
+        psi = np.asarray(psi, dtype=complex)
+        t = psi.reshape(self.dims + list(psi.shape[1:]))
+        c = np.tensordot(np.conj(phi), t, axes=([0], [self.frame_slot(frame_name)]))
+        return c.reshape((-1,) + psi.shape[1:])
 
     def inject_vector(self, frame_name: str, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
         """(|phi>_frame x 1) chi: a frame vector tensored with a complement vector, or with each column of one."""
@@ -209,9 +213,7 @@ def conditioning_map(ps: PhysicalSpace, frame_name: str, g) -> np.ndarray:
     s = ps.scenario
     frame = s.frame(frame_name)
     phi = frame.orientation(frame.rep.element(g))
-    b = ps.basis.basis.reshape(s.dims + [ps.dim])
-    c = np.tensordot(np.conj(phi), b, axes=([0], [s.frame_slot(frame_name)]))
-    return np.sqrt(frame.weight_scale) * c.reshape(s.complement_dim(frame_name), ps.dim)
+    return np.sqrt(frame.weight_scale) * s.condition_vector(frame_name, phi, ps.basis.basis)
 
 
 def strong_dirac_defect(s: Scenario, op: np.ndarray) -> float:

@@ -1,11 +1,14 @@
 """Jumping into a frame perspective.
 
+Every reduction is built from the conditioning contraction (<phi| x 1),
+``Scenario.condition_vector``, and its adjoint, ``inject_vector``.
 Schroedinger reduction conditions gauge-invariant states on a frame
 orientation; with the sqrt(Vol) scale attached it is an isometry from the
 physical space onto the physical system subspace.  The Heisenberg route
-first disentangles the frame into a reproducing-phase state |theta> and is
-available whenever such phases exist (always for ideal frames, by Fourier
-scan for U(1); SU(2) frames report NotFound).
+first disentangles the frame into a reproducing-phase state |theta>, applying
+T_R term by term through the same pair, and is available whenever such phases
+exist (N = 1 for ideal frames, by Fourier scan for U(1); SU(2) frames report
+NotFound).
 """
 
 from __future__ import annotations
@@ -42,9 +45,6 @@ __all__ = [
     "product_form_check",
     "unit_interval_check",
 ]
-
-_THETA_MAX_ITER = 10_000
-
 
 @dataclass
 class ReductionMap:
@@ -225,7 +225,7 @@ def _u1_charge_data(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def solve_theta(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> ThetaState | ThetaNotFound:
     """Search for reproducing phases N(g) for the frame's coherent-state kernel.
 
-    Finite groups: fixed-point iteration N <- phase(K N) from N = 1.
+    Finite groups: N = 1, the only phases the fixed-point iteration N <- phase(K N) reaches from N = 1.
     U(1): Fourier ansatz N(theta) = exp(i k theta), scanning k by |k| and sign.
     Both accept a residual of at most ``validity_bound(1, tol)``, the trinity check's bound or less.
     """
@@ -239,26 +239,16 @@ def solve_theta(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> ThetaState | Thet
 
 
 def _solve_theta_finite(frame: Frame, tol: Tolerance) -> ThetaState | ThetaNotFound:
-    group = frame.rep.group
+    """N = 1 if it reproduces K(g, h) = w <phi(g)|phi(h)>.  K 1 = Vol ||P_triv phi||^2 1 for every seed,
+    so the iteration N <- phase(K N) from N = 1 stops at its first step, accepted or not."""
     orbit = np.einsum("gij,j->gi", frame.rep.matrices, frame.seed)
     gram = np.einsum("gi,hi->gh", np.conj(orbit), orbit)  # <phi(g)|phi(h)>
     w = frame.element_weight()
-    n = np.ones(group.order, dtype=complex)
-    thresh = validity_bound(1, tol)
-    residual = np.inf
-    for _ in range(_THETA_MAX_ITER):
-        k_n = w * (gram @ n)
-        residual = float(np.max(np.abs(k_n - n)))
-        if residual <= thresh:
-            break
-        mags = np.abs(k_n)
-        new = np.where(mags > 1e-12, k_n / np.where(mags > 1e-12, mags, 1.0), n)
-        if np.max(np.abs(new - n)) <= 1e-15:
-            break  # stalled
-        n = new
-    if residual > thresh:
+    n = np.ones(frame.rep.group.order, dtype=complex)
+    residual = float(np.max(np.abs(w * (gram @ n) - n)))
+    if residual > validity_bound(1, tol):
         return ThetaNotFound(
-            reason="fixed-point iteration did not reach a unit-modulus solution",
+            reason="N = 1 does not reproduce the coherent-state kernel; no other phases are searched",
             residual=residual,
         )
     theta_vec = w * np.einsum("g,gi->i", n, orbit)
@@ -296,47 +286,48 @@ def disentangler(
     s: Scenario,
     frame_name: str,
     theta: ThetaState,
+    m: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
-    """T_R = Vol int dg N(g) |phi(g)><phi(g)| x U_S(g)^dag on the kinematical space.
+    """T_R m for a kinematical vector or matrix m; T_R = Vol int dg N(g) |phi(g)><phi(g)| x U_S(g)^dag is never formed.
 
-    The sum is formed once as a frame-first tensor T[a, s, b, u] (frame
-    indices a, b; complement indices s, u) and reordered once to subsystem
-    order.  Finite frames contract over g in one product: w N(g) phi_g phi_g^dag
-    as a (d_R^2, |G|) matrix times U_S(g)^dag as a (|G|, c^2) matrix.  U(1)
-    frames evaluate the integral exactly through the charge algebra: in the
-    frame's weight basis (v_i, seed coefficients c_i, charges q_i) it is
-    Vol sum_ij c_i conj(c_j) v_i v_j^dag x diag[w_s = k + q_i - q_j] over the
-    complement's weights w_s, conjugated by the complement's weight basis
-    when that basis is not the identity.
+    Each term acts as (|a><b| x X) m = inject(a, X condition(b, m)).  Finite
+    frames sum w N(g) |phi_g><phi_g| x U_S(g)^dag over g.  U(1) frames evaluate
+    the integral exactly through the charge algebra: in the frame's weight basis
+    (v_i, seed coefficients c_i, charges q_i) it is Vol sum_ij c_i conj(c_j)
+    |v_i><v_j| x P_{k + q_i - q_j}, with P_q the complement's charge-q
+    projector, a mask in its weight coordinates.
     """
     frame = s.frame(frame_name)
     if theta.frame_name != frame.name:
         raise ValueError("theta state belongs to a different frame")
     comp = s.complement_rep(frame_name)
-    d, c = frame.dim, comp.dim
+    m = np.asarray(m, dtype=complex)
     if frame.rep.is_finite:
         if theta.phases is None:
             raise ValueError("finite frame needs per-element phases")
         orbit = frame.rep.matrices @ frame.seed  # (|G|, d): phi_g
-        frame_part = np.einsum("g,ga,gb->abg", frame.element_weight() * theta.phases, orbit, np.conj(orbit))
-        comp_part = np.conj(np.transpose(comp.matrices, (0, 2, 1))).reshape(-1, c * c)
-        t = (frame_part.reshape(d * d, -1) @ comp_part).reshape(d, d, c, c).transpose(0, 2, 1, 3)
-    else:
-        if frame.group.kind != "U1":
-            raise ValueError("disentangler supports finite-group and U(1) frames")
-        if theta.fourier_k is None:
-            raise ValueError("U(1) frame needs a Fourier phase label")
-        charges, vecs, coeff = _u1_charge_data(frame)
-        wb = reps.weight_basis(comp)
-        sector = wb.weights == (theta.fourier_k + charges[:, None, None] - charges[None, :, None])  # (d, d, c)
-        m = frame.weight_scale * np.outer(coeff, np.conj(coeff))[:, :, None] * sector
-        m = np.einsum("ai,ijx,bj->abx", vecs, m, np.conj(vecs))
-        t = np.zeros((d, c, d, c), dtype=complex)
-        t[:, np.arange(c), :, np.arange(c)] = np.moveaxis(m, 2, 0)  # diagonal in the complement's weights
-        if wb.vectors is not None:
-            t = np.einsum("sx,axby,ty->asbt", wb.vectors, t, np.conj(wb.vectors), optimize=True)
-    return s.from_slot_first(frame_name, t.reshape(d * c, d * c))
+        return sum(
+            wn * s.inject_vector(frame_name, phi, dagger(comp.evaluate(g)) @ s.condition_vector(frame_name, phi, m))
+            for g, (wn, phi) in enumerate(zip(frame.element_weight() * theta.phases, orbit))
+        )
+    if frame.group.kind != "U1":
+        raise ValueError("disentangler supports finite-group and U(1) frames")
+    if theta.fourier_k is None:
+        raise ValueError("U(1) frame needs a Fourier phase label")
+    charges, vecs, coeff = _u1_charge_data(frame)
+    wb = reps.weight_basis(comp)
+    w, cols = wb.vectors, m[:, None] if m.ndim == 1 else m
+    conditioned = [s.condition_vector(frame_name, v, cols) for v in vecs.T]  # to complement weight coordinates
+    conditioned = conditioned if w is None else [dagger(w) @ x for x in conditioned]
+    out = 0
+    for i, qi in enumerate(charges):
+        chi = sum(
+            coeff[i] * np.conj(coeff[j]) * (wb.weights == theta.fourier_k + qi - qj)[:, None] * x
+            for j, (qj, x) in enumerate(zip(charges, conditioned))
+        )
+        out = out + s.inject_vector(frame_name, vecs[:, i], chi if w is None else w @ chi)
+    return (frame.weight_scale * out).reshape(m.shape)
 
 
 def heisenberg_reduce(
@@ -345,17 +336,15 @@ def heisenberg_reduce(
     theta: ThetaState,
     psi_phys,
     tol: Tolerance = DEFAULT_TOL,
-    orientation_samples: int = 8,
 ) -> np.ndarray:
     """Disentangle, then condition on an arbitrary orientation (verified g-independent)."""
     s = ps.scenario
     frame = s.frame(frame_name)
     v = ps.require(psi_phys)
-    t_r = disentangler(s, frame_name, theta, tol)
-    tv = t_r @ v
+    tv = disentangler(s, frame_name, theta, v, tol)
     scale = np.sqrt(frame.weight_scale)
     candidates = []
-    for g in sample_elements(frame.group, orientation_samples):
+    for g in sample_elements(frame.group, 8):
         phi = frame.orientation(g)
         candidates.append(
             scale * np.conj(theta.phase_at(frame, g)) * s.condition_vector(frame_name, phi, tv)
@@ -394,8 +383,8 @@ def product_form_check(ps: PhysicalSpace, frame_name: str, theta: ThetaState, to
     """max_k ||T_R B e_k - |theta> x C_e e_k / sqrt(Vol)|| over the physical basis columns."""
     s = ps.scenario
     frame = s.frame(frame_name)
-    t_r = disentangler(s, frame_name, theta, tol)
     c_e = conditioning_map(ps, frame_name, frame.rep.identity_element())
     expect = s.inject_vector(frame_name, theta.vector, c_e / np.sqrt(frame.weight_scale))
-    resid = float(np.max(np.linalg.norm(t_r @ ps.basis.basis - expect, axis=0), initial=0.0))
+    applied = disentangler(s, frame_name, theta, ps.basis.basis, tol)
+    resid = float(np.max(np.linalg.norm(applied - expect, axis=0), initial=0.0))
     return tol.check(f"{frame_name}:disentangler_product_form", resid, 1.0, s.kin_dim)

@@ -20,8 +20,12 @@ commutator matmuls with every constraint operator.
 The library writes each frame operator as one group average.  Here are the
 constructions it replaced: the right action V_R lifted block by block from
 the isotypic grids, the resolution defect as an orbit sum (finite) or a
-probability-normalised twirl (Lie), the disentangler summed one Kronecker
-embedding at a time, and the commutant dimension as a Kronecker nullspace.
+probability-normalised twirl (Lie), and the commutant dimension as a
+Kronecker nullspace.  The library applies the disentangler T_R term by term
+through the conditioning contraction and never forms it; here it is the
+dense kinematical matrix, summed one Kronecker embedding at a time.  The
+library reads the orthonormal basis of a matrix-unit algebra span{1, F_ij}
+from its block test; here it comes from an SVD of the stacked operators.
 
 The library derives orientation independence from the dimension of the
 conditional span and reads relation-conditional targets from the right
@@ -239,6 +243,12 @@ def disentangler(s, frame_name, theta):
                 part = coeff[i] * np.conj(coeff[j]) * np.outer(vecs[:, i], np.conj(vecs[:, j]))
                 total += frame.weight_scale * embed_pair(s.dims, slot, part, projectors[sq])
     return total
+
+
+def matrix_unit_basis(fam, tol=DEFAULT_TOL):
+    """Orthonormal basis of span{1, F_ij} from an SVD of the vectorised operators."""
+    seeds = [np.eye(fam[0].shape[0], dtype=complex)] + list(fam)
+    return orthonormal_range(np.column_stack([m.reshape(-1) for m in seeds]), tol).basis
 
 
 def commutant_dim(mats, tol=DEFAULT_TOL):

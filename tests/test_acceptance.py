@@ -359,7 +359,7 @@ def test_criterion_6_trinity(u1_scenario, z3_regular_scenario, s3_regular_scenar
                 for g in sample_elements(frame.group, 8)
             )
             c.check(f"{name}:{fname} Heisenberg = rotated Schroedinger over 8 g", worst <= 1e-8, f"{worst:.2e}")
-            t_r = reductions.disentangler(s, fname, theta)
+            t_r = reductions.disentangler(s, fname, theta, np.eye(s.kin_dim))
             worst_prod = 0.0
             for k in range(ps.dim):
                 v = ps.basis.basis[:, k]

@@ -102,6 +102,21 @@ def test_empty_task_list_gives_header_only_report():
     assert report["scenario"]["name"] == "test-scenario"
 
 
+@pytest.mark.parametrize("key", ["frame", "from", "to", "frame1", "frame2"])
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_unknown_task_frame_is_config_error(key, command, tmp_path, capsys):
+    task = {"frame": {"task": "rel_obs"}, "from": {"task": "frame_change", "to": "A"},
+            "to": {"task": "frame_change", "from": "A"}, "frame1": {"task": "subsystem_relativity", "frame2": "A"},
+            "frame2": {"task": "subsystem_relativity", "frame1": "A"}}[key]
+    raw = small_config(tasks=[{"task": "phys_space"}, {**task, key: "Q"}])
+    with pytest.raises(ConfigError, match=r"tasks\[1\]: unknown frame 'Q' \(have: A\)"):
+        parse_config(json.dumps(raw))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "config error: tasks[1]: unknown frame 'Q' (have: A)\n"
+
+
 def test_missing_task_parameter_is_collected():
     report = run(parse_config(json.dumps(small_config(tasks=[{"task": "rel_obs"}]))))
     assert "missing task parameter" in report["tasks"][0]["error"]
@@ -685,3 +700,16 @@ def test_d4_full_report_never_builds_the_dense_total_rep(monkeypatch):
     assert s.kin_dim == 512 and reps.permutation_table(s.total_rep) is not None
     assert s.total_rep._matrices is None
     assert shapes and all(shape[1] < s.kin_dim for shape in shapes)  # only frame and complement stacks
+
+
+def test_d4_full_report_never_densifies_a_complement_rep(monkeypatch):
+    from qrf import reps
+
+    built = []
+    build = cli.build_scenario
+    monkeypatch.setattr(cli, "build_scenario", lambda cfg: built.append(build(cfg)) or built[-1])
+    assert run(load_config("finite-regular:D4"))["summary"]["checks_failed"] == 0
+    (s,) = built
+    for fname in s.frames:
+        comp = s.complement_rep(fname)
+        assert reps.permutation_table(comp) is not None and comp._matrices is None, fname

@@ -496,6 +496,22 @@ def test_matrix_unit_path_matches_product_sweep(name):
             assert framechange._overlap_dim(q1, q2, DEFAULT_TOL) == _union_overlap(q1, q2)
 
 
+@pytest.mark.parametrize("name", ["S3", "Z6", "D4", "Q8"])
+def test_matrix_unit_basis_spans_the_svd_basis(name):
+    from oracles import matrix_unit_basis
+
+    s = regular_three_party(groups.builtin_group(name))
+    ps = physical_space(s)
+    for frame in ("R1", "R2"):
+        fam = framechange.restricted_unit_family(s, ps, frame, 2)
+        basis, _ = framechange._matrix_unit_algebra(framechange._target_blocks(s, ps, frame, 2), fam, DEFAULT_TOL)
+        svd = matrix_unit_basis(fam)
+        assert basis.shape == svd.shape == (ps.dim**2, s.dims[2] ** 2)
+        # ||P_a - P_b||_2 = ||(1 - P_a) Q_b||_2 for orthonormal Q_a, Q_b of equal rank
+        for qa, qb in ((basis, svd), (svd, basis)):
+            assert np.linalg.norm(qb - qa @ (dagger(qa) @ qb), 2) <= 1e-12
+
+
 def test_finite_builtins_take_the_matrix_unit_path(monkeypatch):
     def product_sweep(mats, tol, max_rounds=8):
         raise AssertionError("the product sweep ran on an ideal-frame scenario")

@@ -306,7 +306,7 @@ def test_disentangler_product_form_finite():
     s = perspective.make_scenario(g, [("R", reg), ("S", rsys)], {"R": ("R", f)})
     ps = physical_space(s)
     theta = solve_theta(f)
-    t_r = disentangler(s, "R", theta)
+    t_r = disentangler(s, "R", theta, np.eye(s.kin_dim))
     for k in range(ps.dim):
         v = ps.basis.basis[:, k]
         cond = s.condition_vector("R", f.seed, v)
@@ -323,7 +323,7 @@ def test_disentangler_product_form_u1(u1_scenario):
     ps = physical_space(u1_scenario)
     f = u1_scenario.frame("A")
     theta = solve_theta(f)
-    t_r = disentangler(u1_scenario, "A", theta)
+    t_r = disentangler(u1_scenario, "A", theta, np.eye(u1_scenario.kin_dim))
     for k in range(ps.dim):
         v = ps.basis.basis[:, k]
         cond = u1_scenario.condition_vector("A", f.seed, v)
@@ -451,7 +451,7 @@ def test_slot_first_disentangler_matches_kronecker_sum_oracle(u1_scenario, s3_re
     for s, fname in cases:
         theta = solve_theta(s.frame(fname))
         assert isinstance(theta, ThetaState)
-        t_r = disentangler(s, fname, theta)
+        t_r = disentangler(s, fname, theta, np.eye(s.kin_dim))
         assert np.abs(t_r - kronecker_sum(s, fname, theta)).max() <= 1e-12, fname
         ps = physical_space(s)
         assert product_form_check(ps, fname, theta).residual <= 1e-10
@@ -466,3 +466,18 @@ def test_inject_vector_takes_columns(u1_scenario):
     for k in range(5):
         np.testing.assert_array_equal(cols[:, k], u1_scenario.inject_vector("C", phi, chi[:, k]))
         np.testing.assert_allclose(u1_scenario.condition_vector("C", phi, cols[:, k]), np.vdot(phi, phi) * chi[:, k])
+
+
+def test_disentangler_and_conditioning_act_on_matrices_column_by_column(u1_scenario, s3_regular_scenario):
+    rng = np.random.default_rng(12)
+    cases = [(s3_regular_scenario, f) for f in ("R1", "R2")] + [(u1_scenario, f) for f in ("A", "B", "C")]
+    cases += [(_rotated_u1_scenario(), "A")]
+    for s, fname in cases:
+        theta = solve_theta(s.frame(fname))
+        m = rng.standard_normal((s.kin_dim, 3)) + 1j * rng.standard_normal((s.kin_dim, 3))
+        phi = rng.standard_normal(s.frame(fname).dim) + 1j * rng.standard_normal(s.frame(fname).dim)
+        applied, conditioned = disentangler(s, fname, theta, m), s.condition_vector(fname, phi, m)
+        assert applied.shape == m.shape and conditioned.shape == (s.complement_dim(fname), 3)
+        for k in range(3):
+            np.testing.assert_allclose(applied[:, k], disentangler(s, fname, theta, m[:, k]), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(conditioned[:, k], s.condition_vector(fname, phi, m[:, k]), rtol=0, atol=1e-14)

@@ -18,31 +18,6 @@ _U1_EXAMPLE = {
     "tasks": [{"task": "full_report"}],
 }
 
-_SU2_THREE = {
-    "name": "su2-three-spin1",
-    "group": {"builtin": "su2"},
-    "subsystems": [
-        {"name": "A", "rep": {"spin_j": 1}},
-        {"name": "B", "rep": {"spin_j": 1}},
-        {"name": "C", "rep": {"spin_j": 1}},
-    ],
-    "frames": [{"name": "A", "subsystem": "A", "seed": "uniform"}],
-    "tasks": [{"task": "full_report"}],
-}
-
-_SU2_FOUR = {
-    "name": "su2-four-spin1",
-    "group": {"builtin": "su2"},
-    "subsystems": [
-        {"name": "A", "rep": {"spin_j": 1}},
-        {"name": "B", "rep": {"spin_j": 1}},
-        {"name": "C", "rep": {"spin_j": 1}},
-        {"name": "D", "rep": {"spin_j": 1}},
-    ],
-    "frames": [{"name": "A", "subsystem": "A", "seed": "uniform"}],
-    "tasks": [{"task": "full_report"}],
-}
-
 _FINITE_REGULAR_GROUPS = ("Z2", "Z3", "Z4", "Z5", "Z6", "Z8", "S3", "D4", "Q8")
 
 
@@ -63,6 +38,16 @@ def _finite_regular(group_name: str) -> dict:
     }
 
 
+def _su2_spin1(parties: int) -> dict:
+    return {
+        "name": f"su2-{('three', 'four')[parties - 3]}-spin1",
+        "group": {"builtin": "su2"},
+        "subsystems": [{"name": n, "rep": {"spin_j": 1}} for n in "ABCD"[:parties]],
+        "frames": [{"name": "A", "subsystem": "A", "seed": "uniform"}],
+        "tasks": [{"task": "full_report"}],
+    }
+
+
 def builtin_names() -> list[str]:
     return (
         ["u1-qubit-qubit-qutrit", "su2-three-spin1", "su2-four-spin1"]
@@ -74,9 +59,9 @@ def builtin_config(name: str) -> dict:
     if name == "u1-qubit-qubit-qutrit":
         return _U1_EXAMPLE
     if name == "su2-three-spin1":
-        return _SU2_THREE
+        return _su2_spin1(3)
     if name == "su2-four-spin1":
-        return _SU2_FOUR
+        return _su2_spin1(4)
     if name.startswith("finite-regular:"):
         group_name = name.split(":", 1)[1].upper()
         if group_name in _FINITE_REGULAR_GROUPS or (

@@ -5,6 +5,9 @@ generating set, found once by greedy closure; Lie groups are descriptors
 carrying a basis of the (anti-Hermitized) algebra.  The generating set is
 the finite counterpart of the algebra basis: associativity (Light's test),
 homomorphism checks and every invariance question need only the generators.
+The builtin S3, D4 and Q8 are lists of matrices closed under products
+(permutation matrices; +-1, +-i, +-j, +-k in SU(2)), and one helper reads
+their Cayley tables, with the elements in list order.
 Group elements are indices (finite) or real generator coordinates (Lie),
 with SU(2) composition routed through the defining spin-1/2 matrices.
 """
@@ -300,48 +303,29 @@ def cyclic(n: int) -> FiniteGroup:
     return finite_group_from_table(table, name=f"Z{n}")
 
 
-def _perm_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.zeros((n, n), dtype=int)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[k]] for k in range(len(p)))]
+def _matrix_group(mats: list[np.ndarray], name: str) -> FiniteGroup:
+    """The group of a list of matrices closed under products, its elements in list order."""
+    index = {(m + 0).tobytes(): k for k, m in enumerate(mats)}  # + 0 turns -0.0 into 0.0
+    table = [[index[(a @ b + 0).tobytes()] for b in mats] for a in mats]
     return finite_group_from_table(table, name=name)
 
 
 def symmetric_3() -> FiniteGroup:
-    return _perm_group(sorted(itertools.permutations(range(3))), "S3")
+    # permutation matrices P e_k = e_{p[k]}, so P_p P_q is the matrix of k -> p[q[k]]
+    return _matrix_group([np.eye(3, dtype=int)[:, p] for p in sorted(itertools.permutations(range(3)))], "S3")
 
 
 def dihedral_4() -> FiniteGroup:
-    # symmetries of the square acting on vertex labels 0..3
-    rots = [tuple((k + r) % 4 for k in range(4)) for r in range(4)]
-    refl = [tuple((r - k) % 4 for k in range(4)) for r in range(4)]
-    return _perm_group(rots + refl, "D4")
+    # symmetries of the square acting on vertex labels 0..3, as permutation matrices
+    rots = [[(k + r) % 4 for k in range(4)] for r in range(4)]
+    refl = [[(r - k) % 4 for k in range(4)] for r in range(4)]
+    return _matrix_group([np.eye(4, dtype=int)[:, p] for p in rots + refl], "D4")
 
 
 def quaternion_8() -> FiniteGroup:
-    # elements 1, -1, i, -i, j, -j, k, -k as pairs (axis, sign)
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {
-        ("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
-        ("i", "1"): "i", ("j", "1"): "j", ("k", "1"): "k",
-        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-    }
-
-    def split(x: str) -> tuple[int, str]:
-        return (-1, x[1:]) if x.startswith("-") else (1, x)
-
-    def product(a: str, b: str) -> int:
-        (sa, ua), (sb, ub) = split(a), split(b)
-        sc, uc = split(base[(ua, ub)])
-        return names.index(uc if sa * sb * sc == 1 else "-" + uc)
-
-    table = [[product(a, b) for b in names] for a in names]
-    return finite_group_from_table(table, name="Q8")
+    # 1, -1, i, -i, j, -j, k, -k as SU(2) matrices, with k = ij
+    one, i, j = np.eye(2, dtype=complex), -1j * PAULI["X"], -1j * PAULI["Y"]
+    return _matrix_group([s * u for u in (one, i, j, i @ j) for s in (1, -1)], "Q8")
 
 
 _BUILTIN_FACTORIES = {

@@ -3,7 +3,8 @@
 Finite groups carry per-element matrix tables; U(1) and SU(2) carry
 Hermitian generators in the convention [K_a, K_b] = 2i f_abc K_c (so the
 spin-1/2 generators are the Pauli matrices themselves and weights are the
-integers 2m).
+integers 2m).  ``tensor`` folds one pair rule, ``_tensor2``, over the factors:
+composed tables, per-element Kronecker products, or generators K x 1 + 1 x K'.
 
 Lie layers work in the weight basis of the Cartan generator (``weight_basis``).
 There isotypic blocks are index sets: charge sectors, or SU(2) ladders
@@ -20,10 +21,10 @@ grows by them.
 
 A finite rep whose every matrix is exactly a 0/1 permutation is held by its
 permutation table sigma, U_g e_j = e_{sigma_g(j)}, alone.  Regular reps are
-built that way from the product table, tensor products of such reps compose
-their tables, sigma_{a x b}(i d_b + j) = sigma_a(i) d_b + sigma_b(j), and a
-rep given by dense matrices gets its table from the observed entries.  The
-dense (|G|, dim, dim) stack of a table-held rep is built only when a dense
+built that way from the product table, the pair rule composes two tables,
+sigma_{a x b}(i d_b + j) = sigma_a(i) d_b + sigma_b(j), and a rep given by
+dense matrices gets its table from the observed entries.  The dense
+(|G|, dim, dim) stack of a table-held rep is built only when a dense
 consumer asks for it.  With a table, the fixed space is spanned by the
 normalised indicators of the index orbits (Burnside: one per orbit), the
 twirl is the mean of the operand over each orbit of index pairs, O(dim^2)
@@ -35,6 +36,7 @@ twirl, which are also the tests' oracles for the permutation paths.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,8 +310,24 @@ def rep_evaluate(rep: UnitaryRep, g) -> np.ndarray:
     return (vecs * np.exp(1j * vals)) @ dagger(vecs)
 
 
+def _tensor2(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
+    """The pair rule: composed permutation tables, per-element Kronecker products, or K x 1 + 1 x K'."""
+    d = a.dim * b.dim
+    if a.is_finite:
+        sa, sb = permutation_table(a), permutation_table(b)
+        if sa is not None and sb is not None:
+            return UnitaryRep(group=a.group, dim=d, sigma=(sa[:, :, None] * b.dim + sb[:, None, :]).reshape(len(sa), d))
+        mats = np.einsum("gij,gkl->gikjl", a.matrices, b.matrices).reshape(len(a.matrices), d, d)
+        return UnitaryRep(group=a.group, dim=d, matrices=mats)
+    gens = np.empty((a.group.algebra_dim, d, d), dtype=complex)
+    for g, x, y in zip(gens, a.generators, b.generators):
+        g[:] = np.kron(x, np.eye(b.dim))
+        g += np.kron(np.eye(a.dim), y)
+    return UnitaryRep(group=a.group, dim=d, generators=gens)
+
+
 def tensor(reps: list[UnitaryRep]) -> UnitaryRep:
-    """Tensor product representation: composed permutation tables, Kronecker products, or Kronecker-sum generators."""
+    """Tensor product representation: the pair rule ``_tensor2`` folded over the factors in order."""
     if not reps:
         raise ValueError("need at least one representation")
     first = reps[0]
@@ -318,30 +336,7 @@ def tensor(reps: list[UnitaryRep]) -> UnitaryRep:
             raise ValueError("cannot mix finite and Lie representations")
         if (r.group is not first.group) if r.is_finite else (r.group.kind != first.group.kind):
             raise ValueError("representations must share the group")
-    if len(reps) == 1:
-        return first
-    if first.is_finite:
-        tables = [permutation_table(r) for r in reps]
-        if all(t is not None for t in tables):
-            sigma = tables[0]
-            for t in tables[1:]:
-                sigma = (sigma[:, :, None] * t.shape[1] + t[:, None, :]).reshape(first.group.order, -1)
-            return UnitaryRep(group=first.group, dim=sigma.shape[1], sigma=sigma)
-        mats = reps[0].matrices
-        for r in reps[1:]:
-            mats = np.einsum("gij,gkl->gikjl", mats, r.matrices).reshape(
-                first.group.order, mats.shape[1] * r.dim, mats.shape[1] * r.dim
-            )
-        return UnitaryRep(group=first.group, dim=mats.shape[1], matrices=mats)
-    dims = [r.dim for r in reps]
-    total = int(np.prod(dims))
-    gens = np.zeros((first.group.algebra_dim, total, total), dtype=complex)
-    for a in range(first.group.algebra_dim):
-        for i, r in enumerate(reps):
-            left = int(np.prod(dims[:i])) if i else 1
-            right = int(np.prod(dims[i + 1:])) if i + 1 < len(reps) else 1
-            gens[a] += np.kron(np.kron(np.eye(left), r.generators[a]), np.eye(right))
-    return UnitaryRep(group=first.group, dim=total, generators=gens)
+    return functools.reduce(_tensor2, reps)
 
 
 def conjugate_rep(rep: UnitaryRep) -> UnitaryRep:
@@ -538,19 +533,18 @@ def permutation_table(rep: UnitaryRep) -> np.ndarray | None:
     return rep._iso_cache["perm"]
 
 
-def _pair_orbits(rep: UnitaryRep, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_orbits(rep: UnitaryRep) -> tuple[np.ndarray, np.ndarray]:
     """Orbit label of every flat index pair (i, j) under the diagonal action, and orbit sizes.
 
-    The orbit of a pair is its image under every g, so labelling each pair by
-    the smallest flat index in that image labels orbits; labels are then
-    renumbered 0..(#orbits - 1).  Cached on the rep: dim^2 ints.  The images
-    are formed in one (|G|, dim^2) pass, a transient half the size of the
-    dense stack that ``cli.MAX_REP_BYTES`` bounds.
+    The images of the pairs are the table of the tensor square, ``_tensor2(rep, rep)``;
+    labelling each pair by the smallest flat index in its image labels orbits,
+    and labels are then renumbered 0..(#orbits - 1).  Cached on the rep: dim^2
+    ints.  The (|G|, dim^2) table is a transient half the size of the dense
+    stack that ``cli.MAX_REP_BYTES`` bounds.
     """
     if "pair_orbits" not in rep._iso_cache:
-        d = rep.dim
-        low = (sigma[:, :, None] * d + sigma[:, None, :]).reshape(len(sigma), -1).min(axis=0)
-        leaders = low == np.arange(d * d)
+        low = permutation_table(_tensor2(rep, rep)).min(axis=0)
+        leaders = low == np.arange(low.size)
         labels = (np.cumsum(leaders) - 1)[low]
         rep._iso_cache["pair_orbits"] = (labels, np.bincount(labels))
     return rep._iso_cache["pair_orbits"]
@@ -567,7 +561,7 @@ def _finite_twirl(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
     if sigma is None:
         mats = rep.matrices
         return np.mean((mats @ a) @ np.conj(np.transpose(mats, (0, 2, 1))), axis=0)
-    labels, sizes = _pair_orbits(rep, sigma)
+    labels, sizes = _pair_orbits(rep)
     flat = a.reshape(-1)
     mean = (np.bincount(labels, flat.real) + 1j * np.bincount(labels, flat.imag)) / sizes
     return mean[labels].reshape(a.shape)

@@ -33,10 +33,22 @@ action.  Here are the forms they replaced: the system projector Pi_e tested
 against every complement constraint by commutators, and the modified
 relation-conditional reorientation evaluating F(g2 g'^-1) by one kinematical
 twirl per group element.
+
+The library forms every tensor product by folding one pair rule and reads
+each builtin S3, D4 and Q8 from a list of matrices closed under products.
+Here are the paths they replaced: composed permutation tables, the einsum
+Kronecker stack and the per-factor Kronecker-sum generators, each a loop
+over all factors; the pair images of a permutation rep in one formula; the
+permutation groups composed as index tuples; and Q8 from its literal
+multiplication rules.  The two spin-1 builtin configs are kept as the
+literals they were written as.
 """
+
+import itertools
 
 import numpy as np
 
+from qrf.groups import finite_group_from_table
 from qrf.linalg import DEFAULT_TOL, Subspace, canonicalize_basis, dagger, fix_phase, nullspace, orthonormal_range
 from qrf.framechange import _conjugate_slot, _left_apply, ensure_lr
 from qrf.perspective import RelObs, physical_space, relational_observable, system_projector
@@ -287,3 +299,104 @@ def relation_conditional_reorient(s, frame1, g1, frame2, g2, obs, modified=True,
             target = _conjugate_slot(s.dims, slot1, v_rep.matrices[k], obs.matrix)
         out += _left_apply(s.dims, (slot1, slot2), w @ dagger(w), target)
     return RelObs(matrix=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
+
+
+def composed_tables(tables):
+    """Permutation table of a tensor product, sigma(i d_b + j) = sigma_a(i) d_b + sigma_b(j), over all factors."""
+    sigma = tables[0]
+    for t in tables[1:]:
+        sigma = (sigma[:, :, None] * t.shape[1] + t[:, None, :]).reshape(len(sigma), -1)
+    return sigma
+
+
+def kronecker_stack(factors):
+    """The einsum Kronecker product of the factors' dense matrices, one element at a time."""
+    mats = factors[0].matrices
+    for r in factors[1:]:
+        mats = np.einsum("gij,gkl->gikjl", mats, r.matrices).reshape(len(mats), mats.shape[1] * r.dim, -1)
+    return mats
+
+
+def kronecker_sum_generators(factors):
+    """Generators of a tensor product, summed one np.kron(np.kron(1_left, K), 1_right) per factor."""
+    dims = [r.dim for r in factors]
+    total = int(np.prod(dims))
+    gens = np.zeros((factors[0].group.algebra_dim, total, total), dtype=complex)
+    for a in range(len(gens)):
+        for i, r in enumerate(factors):
+            left, right = int(np.prod(dims[:i])), int(np.prod(dims[i + 1:]))
+            gens[a] += np.kron(np.kron(np.eye(left), r.generators[a]), np.eye(right))
+    return gens
+
+
+def pair_orbit_labels(sigma):
+    """Orbit labels of the flat index pairs, from their images formed in one (|G|, dim^2) pass."""
+    d = sigma.shape[1]
+    low = (sigma[:, :, None] * d + sigma[:, None, :]).reshape(len(sigma), -1).min(axis=0)
+    leaders = low == np.arange(d * d)
+    return (np.cumsum(leaders) - 1)[low]
+
+
+def perm_group(perms, name):
+    """The group of a list of permutation tuples, composed as (p q)[k] = p[q[k]], in list order."""
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[k]] for k in range(len(p)))] for q in perms] for p in perms]
+    return finite_group_from_table(table, name=name)
+
+
+def symmetric_3():
+    return perm_group(sorted(itertools.permutations(range(3))), "S3")
+
+
+def dihedral_4():
+    rots = [tuple((k + r) % 4 for k in range(4)) for r in range(4)]
+    refl = [tuple((r - k) % 4 for k in range(4)) for r in range(4)]
+    return perm_group(rots + refl, "D4")
+
+
+def quaternion_8():
+    """Q8 on 1, -1, i, -i, j, -j, k, -k from the literal products of the units."""
+    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    base = {
+        ("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
+        ("i", "1"): "i", ("j", "1"): "j", ("k", "1"): "k",
+        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
+        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
+        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
+    }
+
+    def split(x):
+        return (-1, x[1:]) if x.startswith("-") else (1, x)
+
+    def product(a, b):
+        (sa, ua), (sb, ub) = split(a), split(b)
+        sc, uc = split(base[(ua, ub)])
+        return names.index(uc if sa * sb * sc == 1 else "-" + uc)
+
+    return finite_group_from_table([[product(a, b) for b in names] for a in names], name="Q8")
+
+
+SU2_THREE = {
+    "name": "su2-three-spin1",
+    "group": {"builtin": "su2"},
+    "subsystems": [
+        {"name": "A", "rep": {"spin_j": 1}},
+        {"name": "B", "rep": {"spin_j": 1}},
+        {"name": "C", "rep": {"spin_j": 1}},
+    ],
+    "frames": [{"name": "A", "subsystem": "A", "seed": "uniform"}],
+    "tasks": [{"task": "full_report"}],
+}
+
+SU2_FOUR = {
+    "name": "su2-four-spin1",
+    "group": {"builtin": "su2"},
+    "subsystems": [
+        {"name": "A", "rep": {"spin_j": 1}},
+        {"name": "B", "rep": {"spin_j": 1}},
+        {"name": "C", "rep": {"spin_j": 1}},
+        {"name": "D", "rep": {"spin_j": 1}},
+    ],
+    "frames": [{"name": "A", "subsystem": "A", "seed": "uniform"}],
+    "tasks": [{"task": "full_report"}],
+}

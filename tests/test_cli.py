@@ -145,6 +145,37 @@ def test_reduce_and_probability_tasks():
     assert 0.0 <= p <= 1.0
 
 
+def test_spin1_builtin_configs_match_their_literals():
+    from oracles import SU2_FOUR, SU2_THREE
+
+    from qrf.builtins_config import builtin_config
+
+    assert builtin_config("su2-three-spin1") == SU2_THREE
+    assert builtin_config("su2-four-spin1") == SU2_FOUR
+
+
+def test_one_subsystem_lie_frame_has_a_trivial_complement(tmp_path, capsys):
+    raw = small_config(
+        subsystems=[{"name": "C", "rep": {"u1_charges": [2, 0, -2]}}],
+        frames=[{"name": "C", "subsystem": "C", "seed": "uniform"}],
+        tasks=[{"task": "full_report"}],
+    )
+    comp = cli.build_scenario(parse_config(json.dumps(raw))).complement_rep("C")
+    assert comp.dim == 1 and not comp.generators.any()
+    code, text = _run_main(raw, tmp_path)
+    assert code == 0
+    assert json.loads(text)["summary"] == {"checks_total": 5, "checks_failed": 0}
+    capsys.readouterr()
+
+
+def test_table_format_lists_the_lr_blocks(tmp_path, capsys):
+    code, table = _run_main(small_config(tasks=[{"task": "lr_classify", "frame": "A"}]), tmp_path, "--format", "table")
+    assert code == 0
+    assert "blocks:\n        [0]:\n          label: q=1\n" in table
+    assert "[1]:\n          label: q=-1\n" in table
+    capsys.readouterr()
+
+
 def test_frame_change_and_lr_tasks():
     raw = small_config(
         frames=[

@@ -48,6 +48,15 @@ def test_builtin_groups_axioms(maker):
         assert g.mult(g.inverse(a), a) == g.identity_index
 
 
+@pytest.mark.parametrize("name", ["symmetric_3", "dihedral_4", "quaternion_8"])
+def test_matrix_closures_match_the_permutation_and_quaternion_tables(name):
+    import oracles
+
+    g, want = getattr(groups, name)(), getattr(oracles, name)()
+    assert np.array_equal(g.product_table, want.product_table)
+    assert (g.identity_index, g.generators, g.name) == (want.identity_index, want.generators, want.name)
+
+
 def test_builtin_group_lookup():
     assert groups.builtin_group("Z6").order == 6
     assert groups.builtin_group("q8").name == "Q8"

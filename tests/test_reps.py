@@ -258,30 +258,68 @@ def test_pair_orbit_twirl_matches_dense_twirl():
         assert np.abs(fast - _dense_twirl(rep, a)).max() <= 1e-12
 
 
-def _kronecker_stack(factors):
-    """The einsum Kronecker product of the factors' dense matrices: the oracle for composed tables."""
-    mats = factors[0].matrices
-    for r in factors[1:]:
-        mats = np.einsum("gij,gkl->gikjl", mats, r.matrices).reshape(len(mats), mats.shape[1] * r.dim, -1)
-    return mats
-
-
 def test_composed_tables_match_the_kronecker_stack_exactly():
+    from oracles import kronecker_stack
+
     d4, s3 = groups.dihedral_4(), groups.symmetric_3()
     left, right = reps.regular_rep(d4, "left"), reps.regular_rep(d4, "right")
     for factors in ([left, right], [right, left, left], [reps.regular_rep(s3)] * 3, [reps.trivial_rep(d4, 2), left]):
         rep = reps.tensor(factors)
         assert rep._matrices is None  # held as a table until a dense consumer asks
-        np.testing.assert_array_equal(rep.matrices, _kronecker_stack(factors))
+        np.testing.assert_array_equal(rep.matrices, kronecker_stack(factors))
         np.testing.assert_array_equal(reps.conjugate_rep(rep).matrices, rep.matrices)
 
 
 def test_tensor_with_a_non_permutation_factor_keeps_the_dense_stack():
+    from oracles import kronecker_stack
+
     irrep = _s3_two_dim_irrep()
     reg = reps.regular_rep(irrep.group)
     rep = reps.tensor([reg, irrep])
     assert reps.permutation_table(rep) is None
-    np.testing.assert_allclose(rep.matrices, _kronecker_stack([reg, irrep]), atol=1e-15)
+    np.testing.assert_allclose(rep.matrices, kronecker_stack([reg, irrep]), atol=1e-15)
+
+
+def test_pair_rule_matches_the_per_kind_tensor_loops():
+    from oracles import composed_tables, kronecker_stack, kronecker_sum_generators
+
+    qubit, spin1 = reps.u1_rep([1, -1]), reps.spin_rep(1)
+    for factors in (
+        [qubit] * 8 + [reps.u1_rep([2, 0, -2])],
+        [spin1] * 5,
+        [reps.spin_rep(0.5), spin1, reps.spin_rep(1.5)],
+        [spin1, rotated_lie_rep(reps.spin_rep(0.5), 3), spin1],
+    ):
+        assert np.array_equal(reps.tensor(factors).generators, kronecker_sum_generators(factors))
+    reg = reps.regular_rep(groups.dihedral_4())
+    cube = reps.tensor([reg] * 3)
+    assert cube._matrices is None
+    assert np.array_equal(reps.permutation_table(cube), composed_tables([reps.permutation_table(reg)] * 3))
+    z4 = groups.cyclic(4)
+    sign = reps.finite_rep(z4, [[[(-1.0) ** k]] for k in range(4)])
+    irrep = _s3_two_dim_irrep()
+    for factors in ([sign, reps.regular_rep(z4)], [irrep, irrep]):
+        assert np.array_equal(reps.tensor(factors).matrices, kronecker_stack(factors))
+
+
+def test_pair_orbits_match_the_one_pass_image_formula():
+    from oracles import pair_orbit_labels
+
+    d4 = groups.dihedral_4()
+    rep = reps.tensor([reps.regular_rep(d4)] * 3)
+    labels, sizes = reps._pair_orbits(rep)
+    assert np.array_equal(labels, pair_orbit_labels(reps.permutation_table(rep)))
+    assert sizes.sum() == rep.dim**2
+
+
+def test_group_average_rejects_bad_inputs():
+    rep = reps.regular_rep(groups.cyclic(3))
+    with pytest.raises(ValueError, match="measure_scale must be positive"):
+        reps.group_average(rep, np.eye(3), measure_scale=0.0)
+    with pytest.raises(ValueError, match="unknown mode 'sum'"):
+        reps.group_average(rep, np.eye(3), mode="sum")
+    with pytest.raises(ValueError, match="operand dimension does not match"):
+        reps.group_average(rep, np.eye(4))
 
 
 def test_regular_reps_read_from_the_product_table_match_their_definition():

@@ -30,7 +30,8 @@ __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config", "run"
 
 # Largest kinematical dimension a config may build; one dense operator of that size is 256 MiB.
 MAX_KIN_DIM = 4096
-# Largest total rep a config may build: |G| (finite) or algebra_dim (Lie) dense kin x kin complex matrices.
+# Largest total rep a finite-group config may build: |G| dense kin x kin complex matrices.  A Lie
+# config never binds it under MAX_KIN_DIM (16 * 3 * 4096^2 bytes is 768 MiB).
 MAX_REP_BYTES = 2 * 2**30
 
 
@@ -260,11 +261,10 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         raise ConfigError(
             f"predicted kinematical dimension {kin_dim} (subsystems {dims}) exceeds MAX_KIN_DIM = {MAX_KIN_DIM}"
         )
-    stack = group.order if isinstance(group, groups.FiniteGroup) else group.algebra_dim
-    rep_bytes = 16 * stack * kin_dim**2
+    rep_bytes = 16 * group.order * kin_dim**2 if isinstance(group, groups.FiniteGroup) else 0
     if rep_bytes > MAX_REP_BYTES:
         raise ConfigError(
-            f"predicted total representation of {stack} x {kin_dim} x {kin_dim} complex entries "
+            f"predicted total representation of {group.order} x {kin_dim} x {kin_dim} complex entries "
             f"({rep_bytes / 2**30:.2f} GiB) exceeds MAX_REP_BYTES = {MAX_REP_BYTES / 2**30:.0f} GiB"
         )
     subsystems = [

@@ -222,7 +222,8 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray) -> float:
     [U_s - 1, op] = [U_s, op], so for a finite group this is the commutator
     with each generator; with a permutation table it is
     ||op[sigma_s][:, sigma_s] - op||, by unitary invariance of the Frobenius norm.
-    An exactly diagonal Cartan generator K is commuted entrywise.
+    An exactly diagonal Cartan generator K is commuted entrywise, read from the
+    charges of a charge-held U(1) rep.
     """
     rep = s.total_rep
     sigma = reps.permutation_table(rep)
@@ -233,6 +234,9 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray) -> float:
             moved -= op
             worst = max(worst, float(np.linalg.norm(moved)))
         return worst
+    if rep.charges is not None:  # [K, op]_ij = (q_i - q_j) op_ij
+        q = rep.charges
+        return float(np.linalg.norm((q[:, None] - q[None, :]) * op))
     gens, worst = reps.constraints(rep), 0.0
     if not rep.is_finite and reps.weight_basis(rep).vectors is None:  # K = gens[-1] is exactly diagonal
         k = np.diagonal(gens[-1])  # [K, op]_ij = (k_i - k_j) op_ij
@@ -294,8 +298,9 @@ def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = 
     """Average of a system observable over the frame's isotropy group.
 
     Finite subgroups average directly; a one-dimensional isotropy algebra keeps
-    the eigenvalue-block-diagonal part of f_S with respect to its generator; the
-    full su(2) algebra falls back to the system twirl.
+    the eigenvalue-block-diagonal part of f_S with respect to its generator
+    (for a charge-held rep c q, read in the charge basis); the full su(2)
+    algebra falls back to the system twirl.
     """
     f_s = as_cmatrix(f_s)
     if h.element_indices is not None:
@@ -306,11 +311,12 @@ def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = 
     if len(basis) == 0:
         return f_s.copy()
     if len(basis) == 1:
-        k = sum(c * rep_s.generators[a] for a, c in enumerate(basis[0]))
-        vals, vecs = np.linalg.eigh(k)
-        fb = dagger(vecs) @ f_s @ vecs
+        if rep_s.charges is not None:
+            vals, vecs = basis[0][0] * rep_s.charges, None
+        else:
+            vals, vecs = np.linalg.eigh(sum(c * rep_s.generators[a] for a, c in enumerate(basis[0])))
         keep = np.abs(vals[:, None] - vals[None, :]) <= 1e3 * tol.weighted(max(1.0, np.abs(vals).max()))
-        return vecs @ (fb * keep) @ dagger(vecs)
+        return f_s * keep if vecs is None else vecs @ ((dagger(vecs) @ f_s @ vecs) * keep) @ dagger(vecs)
     if len(basis) == 3 and isinstance(h.parent, LieDescriptor) and h.parent.kind == "SU2":
         return group_average(rep_s, f_s, mode="twirl", measure_scale=1.0, tol=tol)
     raise ValueError(f"unsupported isotropy type: algebra dimension {len(basis)}")

@@ -4,7 +4,11 @@ Finite groups carry per-element matrix tables; U(1) and SU(2) carry
 Hermitian generators in the convention [K_a, K_b] = 2i f_abc K_c (so the
 spin-1/2 generators are the Pauli matrices themselves and weights are the
 integers 2m).  ``tensor`` folds one pair rule, ``_tensor2``, over the factors:
-composed tables, per-element Kronecker products, or generators K x 1 + 1 x K'.
+composed tables, per-element Kronecker products, summed charges, or generators
+K x 1 + 1 x K'.  A U(1) rep whose generator is exactly diagonal and integral
+is held by its charge vector q alone, like a permutation rep by its table:
+its weights are q, U(theta) = diag(exp(i theta q)), K v = q v and
+[K, A]_ij = (q_i - q_j) A_ij, so no dense generator is built unless asked for.
 
 Lie layers work in the weight basis of the Cartan generator (``weight_basis``).
 There isotypic blocks are index sets: charge sectors, or SU(2) ladders
@@ -95,14 +99,19 @@ class UnitaryRep:
 
     Finite: dense ``matrices`` (|G|, dim, dim), or for an exact 0/1 permutation
     rep only its table ``sigma`` (|G|, dim), from which ``matrices`` is built on
-    first use and cached.  Lie: Hermitian ``generators`` (algebra_dim, dim, dim).
+    first use and cached.  Lie: Hermitian ``generators`` (algebra_dim, dim, dim),
+    or for a U(1) rep with an exactly diagonal, exactly integral generator only
+    its integer ``charges`` (dim,), from which ``generators`` is built on first
+    use and cached.
     """
 
     def __init__(self, group: FiniteGroup | LieDescriptor, dim: int, matrices: np.ndarray | None = None,
-                 generators: np.ndarray | None = None, sigma: np.ndarray | None = None) -> None:
+                 generators: np.ndarray | None = None, sigma: np.ndarray | None = None,
+                 charges: np.ndarray | None = None) -> None:
         self.group = group
         self.dim = dim
-        self.generators = generators
+        self.charges = charges
+        self._generators = generators
         self._matrices = matrices
         self._iso_cache: dict = {} if sigma is None else {"perm": sigma}
 
@@ -111,6 +120,12 @@ class UnitaryRep:
         if self._matrices is None and self._iso_cache.get("perm") is not None:
             self._matrices = _permutation_matrices(self._iso_cache["perm"])
         return self._matrices
+
+    @property
+    def generators(self) -> np.ndarray | None:
+        if self._generators is None and self.charges is not None:
+            self._generators = np.diag(self.charges.astype(complex))[None]
+        return self._generators
 
     @property
     def is_finite(self) -> bool:
@@ -193,6 +208,9 @@ def lie_rep(desc: LieDescriptor, generators, tol: Tolerance = DEFAULT_TOL) -> Un
             want = 2j * sum(f[a, b, c] * gens[c] for c in range(desc.algebra_dim))
             if np.linalg.norm(comm - want) > 1e-6 * scale * scale * dim:
                 raise ValueError(f"bracket relation violated for generators ({a}, {b})")
+    q = np.diagonal(gens[-1])
+    if desc.kind == "U1" and _is_diagonal(gens[-1]) and np.array_equal(q, np.round(q.real)):
+        return UnitaryRep(group=desc, dim=dim, charges=q.real.astype(int))
     rep = UnitaryRep(group=desc, dim=dim, generators=gens)
     weight_basis(rep)  # compact groups need integral weights; fail early
     return rep
@@ -208,7 +226,8 @@ class WeightBasis:
 
     ``vectors`` is W, or None when H is exactly diagonal and W = 1, as for
     every ``u1_rep``/``spin_rep`` and their tensor products; otherwise it
-    comes from one ``eigh``.  ``sectors`` maps each weight to its columns.
+    comes from one ``eigh``.  A charge-held rep's weights are its charges.
+    ``sectors`` maps each weight to its columns.
     """
 
     weights: np.ndarray  # (dim,) int
@@ -232,8 +251,9 @@ class WeightBasis:
 def weight_basis(rep: UnitaryRep) -> WeightBasis:
     """Weights of generators[-1] (the U(1) generator, or J_z of SU(2)), validated integral; cached."""
     if "weights" not in rep._iso_cache:
-        h = rep.generators[-1]
-        if _is_diagonal(h):
+        if rep.charges is not None:
+            vals, vecs = rep.charges, None
+        elif _is_diagonal(h := rep.generators[-1]):
             vals, vecs = np.diagonal(h).real, None
         else:
             vals, vecs = np.linalg.eigh(h)
@@ -303,6 +323,8 @@ def rep_evaluate(rep: UnitaryRep, g) -> np.ndarray:
         return _matrices_at(rep, [el.index])[0]
     if not isinstance(el, LieElement) or el.descriptor.kind != rep.group.kind:
         raise ValueError("element does not belong to this representation's group")
+    if rep.charges is not None:
+        return np.diag(np.exp(1j * (el.coords[0] * rep.charges)))
     k = sum(c * rep.generators[a] for a, c in enumerate(el.coords))
     if _is_diagonal(k):
         return np.diag(np.exp(1j * np.diagonal(k)))
@@ -311,7 +333,8 @@ def rep_evaluate(rep: UnitaryRep, g) -> np.ndarray:
 
 
 def _tensor2(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
-    """The pair rule: composed permutation tables, per-element Kronecker products, or K x 1 + 1 x K'."""
+    """The pair rule: composed permutation tables, per-element Kronecker products, summed charges
+    q_{a x b}(i d_b + j) = q_a(i) + q_b(j), or K x 1 + 1 x K'."""
     d = a.dim * b.dim
     if a.is_finite:
         sa, sb = permutation_table(a), permutation_table(b)
@@ -319,6 +342,8 @@ def _tensor2(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
             return UnitaryRep(group=a.group, dim=d, sigma=(sa[:, :, None] * b.dim + sb[:, None, :]).reshape(len(sa), d))
         mats = np.einsum("gij,gkl->gikjl", a.matrices, b.matrices).reshape(len(a.matrices), d, d)
         return UnitaryRep(group=a.group, dim=d, matrices=mats)
+    if a.charges is not None and b.charges is not None:
+        return UnitaryRep(group=a.group, dim=d, charges=(a.charges[:, None] + b.charges[None, :]).reshape(d))
     gens = np.empty((a.group.algebra_dim, d, d), dtype=complex)
     for g, x, y in zip(gens, a.generators, b.generators):
         g[:] = np.kron(x, np.eye(b.dim))
@@ -340,9 +365,11 @@ def tensor(reps: list[UnitaryRep]) -> UnitaryRep:
 
 
 def conjugate_rep(rep: UnitaryRep) -> UnitaryRep:
-    """Entrywise-conjugate representation (Lie: generators K -> -K^T)."""
+    """Entrywise-conjugate representation (Lie: generators K -> -K^T, charges q -> -q)."""
     if rep.is_finite:
         return UnitaryRep(group=rep.group, dim=rep.dim, matrices=np.conj(rep.matrices))
+    if rep.charges is not None:
+        return UnitaryRep(group=rep.group, dim=rep.dim, charges=-rep.charges)
     return UnitaryRep(group=rep.group, dim=rep.dim, generators=-np.transpose(rep.generators, (0, 2, 1)))
 
 
@@ -383,37 +410,34 @@ class IsotypicDecomposition:
 
 
 def _ladders(rep: UnitaryRep, tol: Tolerance) -> list[tuple[int, list[np.ndarray]]]:
-    """Lie isotypic blocks as (top weight, [V_0, V_1, ...]), cached per tolerance.
+    """SU(2) isotypic blocks as (top weight, [V_0, V_1, ...]), cached per tolerance.
 
-    V_a holds slot a of every copy on the weight-(top - 2a) columns.  U(1):
-    V_0 = 1 per charge.  SU(2): V_0 = ker J_+ on weight 2j, lowered by
-    J_- = J_+^dag for all copies at once, normalized per column (aligned).
+    V_a holds slot a of every copy on the weight-(top - 2a) columns: V_0 = ker J_+
+    on weight 2j, lowered by J_- = J_+^dag for all copies at once, normalized
+    per column (aligned).
     """
     key = ("ladders", tol)
     if key in rep._iso_cache:
         return rep._iso_cache[key]
     wb = weight_basis(rep)
-    if rep.group.kind == "U1":
-        ladders = [(q, [np.eye(idx.size, dtype=complex)]) for q, idx in sorted(wb.sectors.items(), reverse=True)]
-    else:
-        gx, gy, _ = rep.generators
-        up = wb.into((gx + 1j * gy) / 2.0)  # maps weight w to w + 2
-        ladders = []
-        for top in sorted((w for w in wb.sectors if w >= 0), reverse=True):
-            v = canonicalize_basis(nullspace(up[np.ix_(wb.sectors.get(top + 2, []), wb.sectors[top])], tol), tol)
-            if v.shape[1] == 0:
-                continue
-            slots = [v]
-            for w in range(top, -top, -2):
-                v = dagger(up[np.ix_(wb.sectors[w], wb.sectors.get(w - 2, []))]) @ slots[-1]
-                nrm = np.linalg.norm(v, axis=0)
-                if np.any(nrm < tol.abs_tol):
-                    raise ValueError("ladder terminated early; generators inconsistent")
-                slots.append(v / nrm)
-            ladders.append((top, slots))
-        total = sum(len(slots) * slots[0].shape[1] for _, slots in ladders)
-        if total != rep.dim:
-            raise ValueError(f"isotypic decomposition incomplete: {total} of {rep.dim} dimensions")
+    gx, gy, _ = rep.generators
+    up = wb.into((gx + 1j * gy) / 2.0)  # maps weight w to w + 2
+    ladders = []
+    for top in sorted((w for w in wb.sectors if w >= 0), reverse=True):
+        v = canonicalize_basis(nullspace(up[np.ix_(wb.sectors.get(top + 2, []), wb.sectors[top])], tol), tol)
+        if v.shape[1] == 0:
+            continue
+        slots = [v]
+        for w in range(top, -top, -2):
+            v = dagger(up[np.ix_(wb.sectors[w], wb.sectors.get(w - 2, []))]) @ slots[-1]
+            nrm = np.linalg.norm(v, axis=0)
+            if np.any(nrm < tol.abs_tol):
+                raise ValueError("ladder terminated early; generators inconsistent")
+            slots.append(v / nrm)
+        ladders.append((top, slots))
+    total = sum(len(slots) * slots[0].shape[1] for _, slots in ladders)
+    if total != rep.dim:
+        raise ValueError(f"isotypic decomposition incomplete: {total} of {rep.dim} dimensions")
     rep._iso_cache[key] = ladders
     return ladders
 
@@ -498,9 +522,12 @@ def isotypic_decompose(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL, seed: int 
     else:
         wb = weight_basis(rep)
         blocks = []
-        for top, slots in _ladders(rep, tol):
+        u1 = rep.group.kind == "U1"  # one block per charge sector, V_0 = 1
+        ladders = ([(q, [np.eye(i.size, dtype=complex)]) for q, i in sorted(wb.sectors.items(), reverse=True)]
+                   if u1 else _ladders(rep, tol))
+        for top, slots in ladders:
             grid = np.stack([wb.embed(wb.sectors[top - 2 * a], v) for a, v in enumerate(slots)], axis=1)
-            label = f"q={top}" if rep.group.kind == "U1" else f"j={top // 2}" if top % 2 == 0 else f"j={top}/2"
+            label = f"q={top}" if u1 else f"j={top // 2}" if top % 2 == 0 else f"j={top}/2"
             blocks.append(IsotypicBlock(label=label, irrep_dim=len(slots), multiplicity=grid.shape[2], grid=grid))
         deco = IsotypicDecomposition(rep.dim, tuple(blocks))
     rep._iso_cache[key] = deco
@@ -637,14 +664,17 @@ def group_average(
 
 
 def constraints(rep: UnitaryRep) -> np.ndarray:
-    """(k, dim, dim) stack of U_s - 1 per finite generator s, or the Lie generators; not cached."""
+    """(k, dim, dim) stack of U_s - 1 per finite generator s, or the Lie generators; dense, not cached."""
     if rep.is_finite:
         return _matrices_at(rep, list(rep.group.generators)) - np.eye(rep.dim)
     return rep.generators
 
 
 def apply_constraints(rep: UnitaryRep, v: np.ndarray) -> np.ndarray:
-    """``constraints(rep) @ v``, shape (k, dim, m); with a permutation table a scatter, (U_s v)[sigma_s(j)] = v[j]."""
+    """``constraints(rep) @ v``, shape (k, dim, m); with a permutation table a scatter, (U_s v)[sigma_s(j)] = v[j],
+    with charges a row scaling, (K v)[j] = q_j v[j]."""
+    if rep.charges is not None:
+        return (rep.charges.reshape(-1, *[1] * (np.ndim(v) - 1)) * np.asarray(v, dtype=complex))[None]
     sigma = permutation_table(rep)
     if sigma is None:
         return constraints(rep) @ v
@@ -660,7 +690,7 @@ def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     With a permutation table: the normalised indicators of the index orbits,
     B[j, orbit(j)] = 1/sqrt(|orbit|), one column per orbit in the order of its
     smallest index (already ``canonicalize_basis`` order); exact, no SVD.
-    Lie: the top of the weight-0 ladder (U(1) charge 0, SU(2) spin 0).
+    Lie: the top of the weight-0 ladder (U(1): the charge-0 columns, SU(2): spin 0).
     """
     if rep.is_finite:
         sigma = permutation_table(rep)
@@ -670,9 +700,11 @@ def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace:
         basis = np.zeros((rep.dim, leaders.size), dtype=complex)
         basis[np.arange(rep.dim), orbit] = 1.0 / np.sqrt(np.bincount(orbit))[orbit]
         return Subspace(rep.dim, basis)
-    coeff = next((slots[0] for top, slots in _ladders(rep, tol) if top == 0), np.zeros((0, 0)))
     wb = weight_basis(rep)
-    return Subspace(rep.dim, canonicalize_basis(wb.embed(wb.sectors.get(0, []), coeff), tol))
+    idx = wb.sectors.get(0, [])
+    coeff = (np.eye(len(idx), dtype=complex) if rep.group.kind == "U1"
+             else next((slots[0] for top, slots in _ladders(rep, tol) if top == 0), np.zeros((0, 0))))
+    return Subspace(rep.dim, canonicalize_basis(wb.embed(idx, coeff), tol))
 
 
 def invariant_closure(rep: UnitaryRep, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:

@@ -41,7 +41,9 @@ Kronecker stack and the per-factor Kronecker-sum generators, each a loop
 over all factors; the pair images of a permutation rep in one formula; the
 permutation groups composed as index tuples; and Q8 from its literal
 multiplication rules.  The two spin-1 builtin configs are kept as the
-literals they were written as.
+literals they were written as.  The library holds a U(1) rep whose
+generator is exactly diagonal and integral by its charge vector; here is the
+same rep held by its dense generator, which takes the general Lie paths.
 """
 
 import itertools
@@ -55,6 +57,7 @@ from qrf.perspective import RelObs, physical_space, relational_observable, syste
 from qrf.reps import (
     IsotypicBlock,
     IsotypicDecomposition,
+    UnitaryRep,
     _ladders,
     constraints,
     group_average,
@@ -327,6 +330,11 @@ def kronecker_sum_generators(factors):
             left, right = int(np.prod(dims[:i])), int(np.prod(dims[i + 1:]))
             gens[a] += np.kron(np.kron(np.eye(left), r.generators[a]), np.eye(right))
     return gens
+
+
+def dense_u1_twin(rep):
+    """A charge-held U(1) rep held instead by its dense diagonal generator."""
+    return UnitaryRep(rep.group, rep.dim, generators=np.diag(rep.charges.astype(complex))[None])
 
 
 def pair_orbit_labels(sigma):

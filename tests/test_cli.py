@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -493,6 +494,45 @@ def test_byte_limit_admits_every_builtin_and_su2_at_the_dimension_limit():
     assert 16 * 3 * cli.MAX_KIN_DIM**2 <= cli.MAX_REP_BYTES
     for name in builtin_names():
         cli.build_scenario(load_config(name))
+
+
+def _u1_qubits(n):
+    """n charge +-1 qubits, uniform frames on the first two, one full report."""
+    subsystems = [{"name": f"Q{k}", "rep": {"u1_charges": [1, -1]}} for k in range(n)]
+    fs = [{"name": f"Q{k}", "subsystem": f"Q{k}", "seed": "uniform"} for k in range(2)]
+    return parse_config(json.dumps(small_config(subsystems=subsystems, frames=fs, tasks=[{"task": "full_report"}])))
+
+
+def test_u1_full_report_builds_no_kinematical_generator(monkeypatch):
+    built = []
+    build = cli.build_scenario
+    monkeypatch.setattr(cli, "build_scenario", lambda cfg: built.append(build(cfg)) or built[-1])
+    assert run(_u1_qubits(8))["summary"]["checks_failed"] == 0
+    s = built[0]
+    assert s.total_rep._generators is None
+    assert all(s.complement_rep(f)._generators is None for f in s.frames)
+
+
+def test_u1_scenario_set_up_traces_under_one_mib():
+    cfg = _u1_qubits(10)
+    cli.build_scenario(_u1_qubits(2))  # the first build's lazy numpy imports are not the scenario's
+    tracemalloc.start()
+    try:
+        cli.build_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_diagonal_integral_generator_spec_is_held_by_its_charges():
+    def rep_of(generators):
+        raw = small_config(subsystems=[{"name": "A", "rep": {"generators": generators}}], frames=[])
+        return cli.build_scenario(parse_config(json.dumps(raw))).subsystems[0][1]
+
+    rep = rep_of([[[1, 0], [0, -1]]])
+    assert rep._generators is None and np.array_equal(rep.charges, [1, -1])
+    assert rep_of([[[0, 1], [1, 0]]]).charges is None
 
 
 def test_kinematical_product_above_the_limit_is_config_error():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,24 @@ def test_h_average_u1_direction_keeps_charge_blocks():
     np.testing.assert_allclose(h_average(avg, h, rep), avg, atol=1e-12)
     kz = rep.generators[2]
     assert np.linalg.norm(kz @ avg - avg @ kz) < 1e-12
+
+
+def test_charge_held_dirac_defect_and_h_average_equal_the_dense_oracles():
+    from oracles import dense_u1_twin
+
+    qubit = reps.u1_rep([1, -1])
+    frame = frames.make_frame(qubit, np.array([1, 1]) / np.sqrt(2), name="Q0")
+    s = perspective.make_scenario(groups.u1(), [(f"Q{k}", qubit) for k in range(6)], {"Q0": ("Q0", frame)})
+    comp = s.complement_rep("Q0")
+    dense_total, dense_comp = dense_u1_twin(s.total_rep), dense_u1_twin(comp)
+    twin = dataclasses.replace(s, total_rep=dense_total, _cache={})
+    rng = np.random.default_rng(12)
+    f_s = random_hermitian(rng, comp.dim)
+    for op in (random_hermitian(rng, s.kin_dim), perspective.relational_observable(s, "Q0", [0.4], f_s).matrix):
+        assert perspective.strong_dirac_defect(s, op) == perspective.strong_dirac_defect(twin, op)
+    h = groups.Subgroup(parent=groups.u1(), algebra_basis=((1.0,),))
+    assert np.array_equal(h_average(f_s, h, comp), h_average(f_s, h, dense_comp))
+    assert s.total_rep._generators is None and comp._generators is None
 
 
 def test_h_average_rejects_unsupported_type():

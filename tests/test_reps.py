@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,42 @@ def test_u1_qubit_rep_phases():
 
 
 def test_u1_rep_requires_integer_charges():
-    with pytest.raises(ValueError, match="integral"):
+    message = re.escape("U1 weight spectrum must be integral, got [ 0.5 -0.5]")
+    with pytest.raises(ValueError, match=message):
         reps.u1_rep([0.5, -0.5])
+    with pytest.raises(ValueError, match=message):
+        reps.lie_rep(groups.u1(), [np.diag([0.5, -0.5])])
+
+
+def test_u1_reps_are_held_by_their_charges_exactly_when_diagonal_and_integral():
+    qubit = reps.u1_rep([1, -1])
+    spec = reps.lie_rep(groups.u1(), [[[2, 0, 0], [0, 0, 0], [0, 0, -2]]])
+    for rep, charges in ((qubit, [1, -1]), (spec, [2, 0, -2]), (reps.trivial_rep(groups.u1(), 2), [0, 0])):
+        assert rep._generators is None and np.array_equal(rep.charges, charges)
+    rotated = rotated_lie_rep(qubit, 5)
+    near = reps.lie_rep(groups.u1(), [np.diag([1 + 1e-9, -1.0])])
+    for dense in (rotated, near, reps.spin_rep(1)):
+        assert dense.charges is None and dense._generators is not None
+    assert reps.weight_basis(near).weights.tolist() == [1, -1]
+
+
+def test_charge_held_paths_equal_the_dense_oracles_exactly():
+    from oracles import dense_u1_twin
+
+    rep = reps.tensor([reps.u1_rep([1, -1])] * 6 + [reps.u1_rep([2, 0, -2]), reps.u1_rep([3])])
+    dense = dense_u1_twin(rep)
+    assert np.array_equal(reps.conjugate_rep(rep).generators, reps.conjugate_rep(dense).generators)
+    for theta in (0.0, 0.731, -2.9, np.pi):
+        assert np.array_equal(rep.evaluate([theta]), dense.evaluate([theta]))
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal((rep.dim, 3)) + 1j * rng.standard_normal((rep.dim, 3))
+    for x in (v, v[:, 0], v.real):
+        assert np.array_equal(reps.apply_constraints(rep, x), reps.apply_constraints(dense, x))
+    wb, wd = reps.weight_basis(rep), reps.weight_basis(dense)
+    assert wb.vectors is None and wd.vectors is None and np.array_equal(wb.weights, wd.weights)
+    assert wb.sectors.keys() == wd.sectors.keys()
+    assert all(np.array_equal(wb.sectors[w], wd.sectors[w]) for w in wb.sectors)
+    assert rep.charges is not None and rep._generators is None
 
 
 def test_finite_rep_validation_catches_bad_table():
@@ -286,6 +322,7 @@ def test_pair_rule_matches_the_per_kind_tensor_loops():
     qubit, spin1 = reps.u1_rep([1, -1]), reps.spin_rep(1)
     for factors in (
         [qubit] * 8 + [reps.u1_rep([2, 0, -2])],
+        [qubit, rotated_lie_rep(qubit, 3), reps.u1_rep([3])],
         [spin1] * 5,
         [reps.spin_rep(0.5), spin1, reps.spin_rep(1.5)],
         [spin1, rotated_lie_rep(reps.spin_rep(0.5), 3), spin1],

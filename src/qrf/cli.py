@@ -50,7 +50,7 @@ class ScenarioConfig:
     tolerance: float = 1e-9
 
     def tol(self) -> Tolerance:
-        return Tolerance(self.tolerance, self.tolerance)
+        return Tolerance(self.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def _seed(raw: dict) -> int:
 def _tolerance(value: float, source: str) -> float:
     """``value`` if it is a valid Tolerance (finite, non-negative), else a ConfigError."""
     try:
-        Tolerance(value, value)
+        Tolerance(value)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}, got {value!r}") from None
     return value

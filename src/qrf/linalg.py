@@ -27,9 +27,7 @@ __all__ = [
     "orthonormal_range",
     "nullspace",
     "joint_fixed_subspace",
-    "equal_on_subspace",
     "dagger",
-    "frobenius",
 ]
 
 
@@ -56,18 +54,17 @@ class Check:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute / relative tolerance pair used for all rank decisions and check bounds."""
+    """The one tolerance t of all rank decisions and check bounds, with equal absolute and relative parts."""
 
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
+    t: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (0 <= self.abs_tol < np.inf and 0 <= self.rel_tol < np.inf):  # also rejects NaN
+        if not 0 <= self.t < np.inf:  # also rejects NaN
             raise ValueError("tolerances must be finite and non-negative")
 
     def weighted(self, scale: float) -> float:
-        """Effective tolerance for quantities of magnitude ``scale``."""
-        return self.abs_tol + self.rel_tol * abs(scale)
+        """Effective tolerance t + t |scale| for quantities of magnitude ``scale``."""
+        return self.t + self.t * abs(scale)
 
     def bound(self, scale: float = 1.0, dim: int = 1) -> float:
         """The check bound dim * max(weighted(scale), ROUNDING_FACTOR * eps * |scale|) for a residual
@@ -103,10 +100,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(m)).T
 
 
-def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
-
-
 def fix_phase(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Rotate the global phase so the first significant component is real > 0."""
     v = np.asarray(v, dtype=complex)
@@ -138,7 +131,7 @@ def canonicalize_basis(basis: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.nd
     """
     if basis.shape[1] == 0:
         return basis
-    cluster = max(tol.abs_tol, 1e-6)
+    cluster = max(tol.t, 1e-6)
     cols = [fix_phase(basis[:, j], tol) for j in range(basis.shape[1])]
     cols.sort(key=lambda c: _order_key(c, cluster))
     return np.column_stack(cols)
@@ -156,7 +149,7 @@ class Subspace:
         if b.shape[0] != self.ambient_dim:
             raise ValueError("basis rows do not match ambient dimension")
         gram = dagger(b) @ b
-        if b.shape[1] and frobenius(gram - np.eye(b.shape[1])) > 1e-7:
+        if b.shape[1] and np.linalg.norm(gram - np.eye(b.shape[1])) > 1e-7:
             raise ValueError("basis is not orthonormal")
 
     @property
@@ -173,9 +166,9 @@ class Subspace:
 
 
 def _rank(a: np.ndarray, s: np.ndarray, tol: Tolerance) -> int:
-    """Singular values above max(abs_tol * max(1, s_0), max(m, n) * eps * s_0), the SVD's rounding floor."""
+    """Singular values above max(t * max(1, s_0), max(m, n) * eps * s_0), the SVD's rounding floor."""
     top = s[0] if s.size else 0.0
-    cut = max(tol.abs_tol * max(1.0, top), max(a.shape) * _EPS * top)
+    cut = max(tol.t * max(1.0, top), max(a.shape) * _EPS * top)
     return int(np.sum(s > cut))
 
 
@@ -220,21 +213,3 @@ def joint_fixed_subspace(ops, tol: Tolerance = DEFAULT_TOL) -> Subspace:
         q, _ = np.linalg.qr(basis)
         basis = canonicalize_basis(q[:, : basis.shape[1]], tol)
     return Subspace(dim, basis)
-
-
-def equal_on_subspace(
-    a: np.ndarray,
-    b: np.ndarray,
-    s: Subspace,
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
-    """Weak equality: ||(a - b) v|| <= tol for every basis vector v of ``s``."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape != b.shape or a.shape[1] != s.ambient_dim:
-        raise ValueError("operator dimensions do not match the subspace")
-    if s.dim == 0:
-        return True
-    scale = max(np.abs(a).max(), np.abs(b).max(), 1.0)
-    resid = (a - b) @ s.basis
-    return float(np.max(np.linalg.norm(resid, axis=0))) <= tol.weighted(scale)

@@ -431,7 +431,7 @@ def _ladders(rep: UnitaryRep, tol: Tolerance) -> list[tuple[int, list[np.ndarray
         for w in range(top, -top, -2):
             v = dagger(up[np.ix_(wb.sectors[w], wb.sectors.get(w - 2, []))]) @ slots[-1]
             nrm = np.linalg.norm(v, axis=0)
-            if np.any(nrm < tol.abs_tol):
+            if np.any(nrm < tol.t):
                 raise ValueError("ladder terminated early; generators inconsistent")
             slots.append(v / nrm)
         ladders.append((top, slots))
@@ -514,7 +514,7 @@ def _finite_isotypic(rep: UnitaryRep, tol: Tolerance, seed: int) -> IsotypicDeco
 
 
 def isotypic_decompose(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> IsotypicDecomposition:
-    key = ("iso", tol.abs_tol, tol.rel_tol, seed)
+    key = ("iso", tol.t, seed)
     if key in rep._iso_cache:
         return rep._iso_cache[key]
     if rep.is_finite:

@@ -7,8 +7,9 @@ at a time, the commutant projection as two grid einsums over the
 kinematical space, invariant closures grown by the generators, and the
 isometry defect of a frame change from complement-sized products.  The
 weak-homomorphism residuals, which the library reads from n_phys-sized
-restricted matrices and block matvecs, are formed here from kinematical
-products.
+restrictions B^dag F B (a weight-block F on its weight-0 block) and block
+matvecs, are formed here from kinematical products, and the definition
+clause compares B^dag F_a B with Vol B^dag (|phi><phi| x a) B.
 
 The library twirls Lie operators on their weight blocks and reads the
 blocks of a relational observable's aligned operand entrywise.  Here are
@@ -163,7 +164,8 @@ def frame_change_defect(mi, mj):
 
 
 def weak_homomorphism(s, frame_name, g, a, b, tol=DEFAULT_TOL):
-    """Weak residuals max_k ||(lhs - rhs) B e_k|| and strong ||(lhs - rhs) v|| from kinematical matrices."""
+    """Weak residuals max_k ||(lhs - rhs) B e_k|| and strong ||(lhs - rhs) v|| from kinematical matrices;
+    the definition clause compares B^dag F_a B with Vol B^dag (|phi(g)><phi(g)| x a) B = C_g^dag a C_g."""
     basis = physical_space(s, tol).basis.basis
     pi = system_projector(s, frame_name, g, tol)
     a_p, b_p = pi @ a @ pi, pi @ b @ pi
@@ -184,6 +186,9 @@ def weak_homomorphism(s, frame_name, g, a, b, tol=DEFAULT_TOL):
     weak = {name: float(np.max(np.linalg.norm((lhs - rhs) @ basis, axis=0))) for name, (lhs, rhs) in pairs.items()}
     strong = {name: float(np.linalg.norm((lhs - rhs) @ v)) for name, (lhs, rhs) in pairs.items()}
     weak["adjoint"] = float(np.linalg.norm(dagger(basis) @ (rel(dagger(a_p)) - dagger(f_a)) @ basis))
+    phi = s.frame(frame_name).orientation(s.frame(frame_name).rep.element(g))
+    conditioned = s.frame(frame_name).weight_scale * s.embed_frame_operator(frame_name, np.outer(phi, np.conj(phi)), a)
+    weak["definition"] = float(np.max(np.linalg.norm(dagger(basis) @ (f_a - conditioned) @ basis, axis=0)))
     return {"weak": weak, "strong": strong}
 
 

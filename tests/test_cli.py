@@ -96,6 +96,23 @@ def test_full_reports_pass_for_builtin_scenarios():
         assert report["summary"]["checks_total"] > 0
 
 
+PINNED = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(set(PINNED) & set(builtin_names())))
+def test_builtin_reports_keep_their_benchmark_pins(name):
+    # the benchmark refuses a report whose shape differs from its pin; this fails first
+    report = run(load_config(name))
+    results, pin = report["tasks"][0]["results"], PINNED[name]
+    assert report["summary"]["checks_total"] == pin["checks_total"]
+    assert (results["kin_dim"], results["phys_dim"]) == (pin["kin_dim"], pin["phys_dim"])
+    dims = ("reduced_space_dim", "conditional_span_dim")
+    assert {f: {k: entry[k] for k in dims} for f, entry in results["frames"].items()} == pin["frames"]
+    layer = results.get("symmetry_layer")
+    shape = None if layer is None else {k: layer["subsystem_relativity"][k] for k in ("algebra_dims", "overlap_dim")}
+    assert shape == pin["symmetry_layer"]
+
+
 def test_empty_task_list_gives_header_only_report():
     report = run(parse_config(json.dumps(small_config(tasks=[]))))
     assert report["tasks"] == []

@@ -129,7 +129,7 @@ def test_isometry_defect_from_round_trips_matches_complement_products(s3_regular
     for f_from, f_to in (("R1", "R2"), ("R1", "R1"), ("R2", "R1")):
         maps.clear()
         # a defect near 1e-5 passes the isometry check at tolerance 1e-4 (bound 36 * 2e-4)
-        got = frame_change(ps, f_from, 0, f_to, 0, Tolerance(1e-4, 1e-4)).scale_notes["isometry_defect"]
+        got = frame_change(ps, f_from, 0, f_to, 0, Tolerance(1e-4)).scale_notes["isometry_defect"]
         want = frame_change_defect(*maps)
         assert want > 1e-6
         assert abs(got - want) <= 1e-9 * want
@@ -560,7 +560,7 @@ def test_block_cut_picks_the_path_and_both_paths_agree(s3_regular_scenario):
     c = c + 1e-7 * (rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape))
     fam = list(np.einsum("irp,jrq->ijpq", np.conj(c), c).reshape(-1, ps.dim, ps.dim))
     dev = _block_deviation(c)
-    below, above = Tolerance(0.6 * dev, 0.6 * dev), Tolerance(0.4 * dev, 0.4 * dev)  # weighted(1) = 1.2 dev, 0.8 dev
+    below, above = Tolerance(0.6 * dev), Tolerance(0.4 * dev)  # weighted(1) = 1.2 dev, 0.8 dev
     closed = framechange._matrix_unit_algebra(c, fam, below)
     assert closed is not None and framechange._matrix_unit_algebra(c, fam, above) is None
     dims = {closed[0].shape[1]} | {framechange._generate_algebra(fam, t).shape[1] for t in (below, above)}

@@ -84,7 +84,7 @@ def test_frame_accepted_only_where_its_resolution_check_passes():
     assert Tolerance().bound(1.0, 3) < residual < 1e-8 * 3
     with pytest.raises(ResolutionFails):
         frames.make_frame(rep, seed)  # the default check bound, 6e-9, is tighter than 1e-8 dim
-    loose = Tolerance(1e-6, 1e-6)
+    loose = Tolerance(1e-6)
     f = frames.make_frame(rep, seed, tol=loose)
     assert f.resolution_residual <= frames.validity_bound(3, loose) == 1e-8 * 3 <= loose.bound(1.0, 3)
     assert frames.validity_bound(3) == Tolerance().bound(1.0, 3)
@@ -336,7 +336,7 @@ def test_lr_classify_is_decided_once_per_frame_and_tolerance(monkeypatch):
     first = frames.lr_classify(f)
     assert frames.lr_classify(f) is first
     assert len(built) == 1
-    frames.lr_classify(f, Tolerance(1e-10, 1e-10))
+    frames.lr_classify(f, Tolerance(1e-10))
     assert len(built) == 2
 
 

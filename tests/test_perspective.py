@@ -1,10 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from conftest import ket3, random_hermitian, u1_basis_index
-from qrf import frames, groups, perspective, reps
+from qrf import cli, frames, groups, perspective, reps
 from qrf.linalg import Tolerance, dagger
 from qrf.perspective import (
     check_weak_homomorphism,
@@ -47,10 +48,10 @@ def test_four_spin_physical_space_dim(four_spin_scenario):
 def test_physical_space_cache_keys_on_the_whole_tolerance():
     rep = reps.u1_rep([1, -1])
     s = perspective.make_scenario(groups.u1(), [("A", rep), ("B", rep)])
-    loose = physical_space(s, Tolerance(1e-9, 1e-6))
-    tight = physical_space(s, Tolerance(1e-9, 1e-9))
+    loose = physical_space(s, Tolerance(1e-6))
+    tight = physical_space(s, Tolerance(1e-9))
     assert loose is not tight
-    assert physical_space(s, Tolerance(1e-9, 1e-6)) is loose
+    assert physical_space(s, Tolerance(1e-6)) is loose
 
 
 def test_zero_dimensional_physical_space_is_reported():
@@ -377,6 +378,67 @@ def test_strong_dirac_defect_matches_commutator_matmuls(fixture, request):
         assert abs(perspective.strong_dirac_defect(s, op) - oracle) <= 1e-12 * max(1.0, oracle)
 
 
+@pytest.mark.parametrize("fixture, frame", [("u1_scenario", "B"), ("four_spin_scenario", "A"), ("rotated_u1_scenario", "B")])
+def test_restriction_of_weight_blocks_reads_the_weight_zero_block(fixture, frame, request):
+    s = request.getfixturevalue(fixture)
+    f_s = random_hermitian(np.random.default_rng(21), s.complement_dim(frame))
+    blocks = perspective._twirled(s, frame, s.frame(frame).rep.identity_element(), f_s, Tolerance())
+    ps = physical_space(s)
+    dense = ps.restrict(blocks.dense())
+    assert np.abs(ps.restrict(blocks) - dense).max() <= 1e-13 * max(1.0, float(np.abs(dense).max()))
+
+
+@pytest.mark.parametrize(
+    "fixture, frame", [("s3_regular_scenario", "R1"), ("u1_scenario", "A"), ("four_spin_scenario", "A")]
+)
+def test_homomorphism_check_builds_no_system_projector(fixture, frame, request, monkeypatch):
+    s = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(20)
+    a, b = (random_hermitian(rng, s.complement_dim(frame)) for _ in range(2))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the complement-sized system projector was built")
+
+    monkeypatch.setattr(perspective, "system_projector", forbidden)
+    report = check_weak_homomorphism(s, frame, s.frame(frame).rep.identity_element(), a, b)
+    assert report["weak_check"].passed and report["weak"]["definition"] <= 1e-12
+
+
+def _affine(op, scale, shift):
+    """scale F + shift 1, on a dense operator or on each weight block."""
+    if isinstance(op, reps.WeightBlocks):
+        return reps.WeightBlocks(op.basis, {w: scale * b + shift * np.eye(len(b)) for w, b in op.blocks.items()})
+    return scale * op + shift * np.eye(len(op))
+
+
+def _failed_weak_homomorphism(name, tmp_path):
+    """Exit status of `qrf run name` and whether a weak homomorphism check failed in its report."""
+    out = tmp_path / "report.json"
+    status = cli.main(["run", name, "--out", str(out)])
+    checks = json.loads(out.read_text())["tasks"][0]["checks"]
+    return status, any(c["name"].endswith(":weak_homomorphism") and not c["pass"] for c in checks)
+
+
+@pytest.mark.parametrize("name", ["finite-regular:S3", "u1-qubit-qubit-qutrit", "su2-four-spin1"])
+@pytest.mark.parametrize("scale, shift", [(3.0, 1.0), (2.0, 0.0)], ids=["3F+1", "2F"])
+def test_builtin_report_fails_on_a_wrong_relational_observable(name, scale, shift, monkeypatch, tmp_path):
+    real = perspective._twirled
+    monkeypatch.setattr(perspective, "_twirled", lambda *args: _affine(real(*args), scale, shift))
+    assert _failed_weak_homomorphism(name, tmp_path) == (1, True)
+
+
+@pytest.mark.parametrize("name, h", [("u1-qubit-qubit-qutrit", [0.7]), ("su2-four-spin1", [0.3, -0.2, 0.5])])
+def test_builtin_report_fails_on_a_relational_observable_at_a_shifted_orientation(name, h, monkeypatch, tmp_path):
+    real = perspective._twirled
+
+    def shifted(s, frame_name, g, f_s, tol):
+        rep = s.frame(frame_name).rep
+        return real(s, frame_name, groups.compose(rep.element(g), rep.element(h)), f_s, tol)
+
+    monkeypatch.setattr(perspective, "_twirled", shifted)
+    assert _failed_weak_homomorphism(name, tmp_path) == (1, True)
+
+
 def test_weak_homomorphism_adjoint_clause(u1_scenario):
     rng = np.random.default_rng(15)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))  # non-Hermitian
@@ -485,5 +547,5 @@ def test_physical_system_span_is_closed_once_per_frame_and_tolerance(monkeypatch
         assert orientation_independent(s, fname)
         assert physical_system_span(s, fname) is physical_system_span(s, fname)
     assert len(calls) == len(s.frames) == 3
-    physical_system_span(s, "A", Tolerance(1e-8, 1e-8))
+    physical_system_span(s, "A", Tolerance(1e-8))
     assert len(calls) == 4

@@ -251,7 +251,7 @@ def test_ideal_frame_theta_is_all_ones():
 
 
 def test_u1_qubit_frame_theta_fourier_one(u1_scenario):
-    for tol in (DEFAULT_TOL, Tolerance(1e-3, 1e-3)):  # the search accepts at the frame-validity bound
+    for tol in (DEFAULT_TOL, Tolerance(1e-3)):  # the search accepts at the frame-validity bound
         theta = solve_theta(u1_scenario.frame("A"), tol)
         assert isinstance(theta, ThetaState)
         assert theta.fourier_k == 1
@@ -285,7 +285,7 @@ def test_theta_accepted_only_where_the_trinity_check_passes():
     f = frames.make_frame(reg, seed / np.linalg.norm(seed), name="R1")
     s = perspective.make_scenario(group, [("R1", reg), ("S", reg)], {"R1": ("R1", f)})
     assert isinstance(solve_theta(f), ThetaNotFound)  # above the default unit bound, 2e-9
-    loose = Tolerance(1e-6, 1e-6)
+    loose = Tolerance(1e-6)
     theta = solve_theta(f, loose)
     assert isinstance(theta, ThetaState) and 3e-9 < theta.residual <= frames.validity_bound(1, loose) == 1e-8
     ps = physical_space(s, loose)

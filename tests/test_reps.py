@@ -503,7 +503,7 @@ def test_invariant_closure_contains_vector_and_is_invariant():
     rng = np.random.default_rng(5)
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     sub = reps.invariant_closure(rep, v)
-    assert sub.contains(v / np.linalg.norm(v), Tolerance(1e-8, 1e-8))
+    assert sub.contains(v / np.linalg.norm(v), Tolerance(1e-8))
     p = sub.projector()
     for m in rep.matrices:
         assert np.linalg.norm(m @ p - p @ m) < 1e-8
@@ -661,7 +661,7 @@ def test_weight_physical_projectors_match_sequential_kernels():
     from qrf.linalg import joint_fixed_subspace
 
     for rep in _weight_test_reps():
-        for tol in (DEFAULT_TOL, Tolerance(1e-15, 1e-15)):
+        for tol in (DEFAULT_TOL, Tolerance(1e-15)):
             fast, slow = reps.fixed_subspace(rep, tol), joint_fixed_subspace(rep.generators, DEFAULT_TOL)
             assert fast.dim == slow.dim
             assert np.abs(fast.projector() - slow.projector()).max() <= 1e-12

@@ -6,9 +6,9 @@ isometries between the (possibly moving) physical system subspaces
 regardless of frame idealness.  Symmetry-induced transformations -- plain
 and relation-conditional reorientations -- act on relational observables
 instead; the relation-conditional construction is restricted to regular
-representations, as is its commuting-subalgebra structure.  Subsystem
-relativity reads the relativized algebras of ideal frames as matrix-unit
-systems from the blocks of C_e, and grows them by product sweeps otherwise.
+representations, as is its commuting-subalgebra structure.  Subsystem relativity reads the
+relativized algebras of ideal frames as matrix-unit systems from the blocks of C_e and compares
+them by a cross Gram of those blocks; it grows them by product sweeps otherwise.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import numpy as np
 
 from . import frames as frames_mod
 from . import groups, reps
-from .linalg import DEFAULT_TOL, Check, Tolerance, dagger, orthonormal_range
+from .linalg import DEFAULT_TOL, Check, Tolerance, _rank, dagger, orthonormal_range
 from .perspective import (
     PhysicalSpace,
     RelObs,
     Scenario,
-    conditioning_map,
     physical_space,
     relational_observable,
 )
@@ -311,7 +310,9 @@ def _target_blocks(s: Scenario, ps: PhysicalSpace, frame_name: str, target_slot:
     rest = [i for i in range(len(dims)) if i != slot_f]
     if target_slot == slot_f:
         raise ValueError("target subsystem coincides with the frame")
-    c = conditioning_map(ps, frame_name, s.frame(frame_name).rep.identity_element())
+    frame = s.frame(frame_name)  # C_e = sqrt(Vol) (<phi(e)| x 1) B per leading block, with no transposed copy of B
+    b = ps.basis.basis.reshape(int(np.prod(dims[:slot_f])), dims[slot_f], -1)
+    c = np.sqrt(frame.weight_scale) * (np.conj(frame.orientation(frame.rep.identity_element())) @ b)
     c = c.reshape([dims[i] for i in rest] + [ps.dim])
     return np.moveaxis(c, rest.index(target_slot), 0).reshape(dims[target_slot], -1, ps.dim)
 
@@ -333,12 +334,11 @@ def restricted_unit_family(
     return list(fam.reshape(-1, ps.dim, ps.dim))
 
 
-def _matrix_unit_algebra(c: np.ndarray, fam: list[np.ndarray], tol: Tolerance):
-    """(orthonormal basis of span{1, F_ij}, commutation bound) if the target blocks c of C_e factorise, else None.
+def _matrix_unit_algebra(c: np.ndarray, tol: Tolerance) -> float | None:
+    """The commutation bound if the target blocks c of C_e factorise, else None.
 
-    See ``subsystem_relativity_report`` for the block test and the bound.  When
-    it passes, <F_ij, F_kl> = delta_ik delta_jl n/d_t up to the Delta it bounds
-    and sum_i F_ii = G holds 1, so the vec(F_ij) sqrt(d_t/n) are that basis.
+    See ``subsystem_relativity_report`` for the block test and the bound.  When it passes, the
+    vec(F_ij) sqrt(d_t/n) are an orthonormal basis of span{1, F_ij} up to the Delta it bounds.
     """
     d_t, r, n = c.shape
     flat = c.reshape(-1, n)
@@ -348,8 +348,25 @@ def _matrix_unit_algebra(c: np.ndarray, fam: list[np.ndarray], tol: Tolerance):
     g_norm, defect = float(np.linalg.norm(g, 2)), float(np.linalg.norm(g - np.eye(n)))
     if g_norm * delta > tol.weighted(1.0) or defect > tol.weighted(1.0):
         return None
-    basis = np.column_stack([m.reshape(-1) for m in fam]) * np.sqrt(d_t / n)
-    return basis, 2.0 * g_norm * (2.0 * delta + defect)
+    return 2.0 * g_norm * (2.0 * delta + defect)
+
+
+def _block_overlap_dim(c1: np.ndarray, c2: np.ndarray, tol: Tolerance) -> int:
+    """``_overlap_dim`` of the frames' bases vec(F_ij) sqrt(d_t/n), from the cross Gram of their target blocks."""
+    d_t, _, n = c1.shape
+    m = np.einsum("irp,kqp->ikrq", c1, np.conj(c2), optimize=True)
+    gram = np.einsum("ikrq,jlrq->ijkl", m, np.conj(m), optimize=True).reshape(d_t**2, d_t**2) * (d_t / n)
+    _, cos, vh = np.linalg.svd(gram)
+    sines = np.sqrt(np.maximum(1.0 - cos**2, 0.0))
+    near = np.flatnonzero(sines <= 1e-4)  # above it, sqrt(1 - c^2) errs by about eps / sine <= 2.2e-12
+    def rows_of(c, x, rows):  # rows of sum_kl x_kl C_k^dag C_l = C^dag (x x 1) C
+        return dagger(c[:, :, rows].reshape(-1, rows.size)) @ (x.reshape(d_t, d_t) @ c.reshape(d_t, -1)).reshape(-1, n)
+    r = np.zeros((0, near.size), dtype=complex)  # the residuals' R factor, stacked 2^18 entries at a time
+    for rows in np.array_split(np.arange(n), -(-near.size * n * n // 2**18)) if near.size else ():
+        block = [rows_of(c2, x, rows) - rows_of(c1, gram @ x, rows) for x in np.conj(vh[near])]
+        r = np.linalg.qr(np.vstack([r, np.stack(block, axis=-1).reshape(-1, near.size)]), mode="r")
+    sines[near] = np.linalg.svd(r, compute_uv=False) * np.sqrt(d_t / n)
+    return d_t**2 - _rank((n * n, d_t**2), np.sort(sines)[::-1], tol)
 
 
 def subsystem_relativity_report(
@@ -374,8 +391,11 @@ def subsystem_relativity_report(
     span{1, F_ij} with no product sweep.  For X on frame 2 and Y on the system,
     [C^dag X C, C^dag Y C] = C^dag (X Delta Y - Y Delta X) C + C^dag X Y E -
     E^dag X Y C, so the residual is the bound 2 ||G||_2 (2 ||Delta||_F + ||G - 1||_F).
-    Otherwise the algebras are grown by ``_generate_algebra`` and the residual
-    is the largest commutator.
+    The overlap needs no n^2-sized basis: the cosines of the principal angles are the singular values
+    of the cross Gram <F1_ij, F2_kl> d_t/n = tr(M_ik M_jl^dag) d_t/n, M_ik = C1_i C2_k^dag (Bjorck &
+    Golub, Math. Comp. 27, 1973).  Sines above 1e-4 are sqrt(1 - c^2); the rest, which a cosine squares
+    away, are the singular values of the residuals sum_kl x_kl F2_kl - sum_ij (G x)_ij F1_ij of their
+    right singular vectors x.  Otherwise the algebras are grown and the residual is the largest commutator.
     """
     ps = physical_space(s, tol)
     if ps.dim == 0:
@@ -391,26 +411,26 @@ def subsystem_relativity_report(
     sys_slots = [i for i in range(len(dims)) if i not in (slot1, slot2)]
     if not sys_slots:
         raise ValueError("need a system subsystem besides the two frames")
-    report: dict = {"degenerate": False, "frame1": frame1, "frame2": frame2}
     sys_slot = sys_slots[0]
     blocks = [_target_blocks(s, ps, f, sys_slot) for f in (frame1, frame2)]
-    fams = [restricted_unit_family(s, ps, f, sys_slot) for f in (frame1, frame2)]
-    closed = [_matrix_unit_algebra(c, fam, tol) for c, fam in zip(blocks, fams)]
-    if all(x is not None for x in closed):
-        (alg1, comm), (alg2, _) = closed
+    comm, closed2 = (_matrix_unit_algebra(c, tol) for c in blocks)
+    if comm is not None and closed2 is not None:
+        alg_dims = (dims[sys_slot] ** 2,) * 2
+        overlap = _block_overlap_dim(*blocks, tol)
     else:
+        fams = [restricted_unit_family(s, ps, f, sys_slot) for f in (frame1, frame2)]
         ys = np.stack(fams[0])
         x_all = restricted_unit_family(s, ps, frame1, slot2)
         comm = max(float(np.linalg.norm(x @ ys - ys @ x, axis=(1, 2)).max()) for x in x_all)
         alg1, alg2 = (_generate_algebra(fam, tol) for fam in fams)
-    # (a) commutation of the frame-2 and system observables relative to frame 1
+        alg_dims = (int(alg1.shape[1]), int(alg2.shape[1]))
+        overlap = _overlap_dim(alg1, alg2, tol)
     commuting = tol.check("relativized_commutation", comm, 1.0, ps.dim)
-    report["relativized_commutant_residual"] = comm
-    report["commuting_pass"] = commuting.passed
-    # (b), (c) distinctness of the two relativizations of the system algebra
-    overlap = _overlap_dim(alg1, alg2, tol)
-    report["algebra_dims"] = (int(alg1.shape[1]), int(alg2.shape[1]))
-    report["overlap_dim"] = int(overlap)
-    report["coincide"] = overlap == alg1.shape[1] == alg2.shape[1]
-    report["check"] = commuting
-    return report
+    return {
+        "degenerate": False, "frame1": frame1, "frame2": frame2,
+        # (a) commutation of the frame-2 and system observables relative to frame 1
+        "relativized_commutant_residual": comm, "commuting_pass": commuting.passed,
+        # (b), (c) distinctness of the two relativizations of the system algebra
+        "algebra_dims": alg_dims, "overlap_dim": int(overlap), "coincide": overlap == alg_dims[0] == alg_dims[1],
+        "check": commuting,
+    }

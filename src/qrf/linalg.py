@@ -165,10 +165,10 @@ class Subspace:
         return float(np.linalg.norm(resid)) <= tol.weighted(np.linalg.norm(v))
 
 
-def _rank(a: np.ndarray, s: np.ndarray, tol: Tolerance) -> int:
-    """Singular values above max(t * max(1, s_0), max(m, n) * eps * s_0), the SVD's rounding floor."""
+def _rank(shape: tuple, s: np.ndarray, tol: Tolerance) -> int:
+    """Descending singular values s of an m x n matrix above max(t max(1, s_0), max(m, n) eps s_0)."""
     top = s[0] if s.size else 0.0
-    cut = max(tol.t * max(1.0, top), max(a.shape) * _EPS * top)
+    cut = max(tol.t * max(1.0, top), max(shape) * _EPS * top)
     return int(np.sum(s > cut))
 
 
@@ -181,14 +181,14 @@ def orthonormal_range(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     if a.shape[1] == 0 or not np.any(a):
         return Subspace(a.shape[0], np.zeros((a.shape[0], 0), dtype=complex))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return Subspace(a.shape[0], canonicalize_basis(u[:, : _rank(a, s, tol)], tol))
+    return Subspace(a.shape[0], canonicalize_basis(u[:, : _rank(a.shape, s, tol)], tol))
 
 
 def nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of ker(m), same threshold rule as the range."""
     a = as_cmatrix(m)
     _, s, vh = np.linalg.svd(a)
-    return dagger(vh)[:, _rank(a, s, tol):]
+    return dagger(vh)[:, _rank(a.shape, s, tol):]
 
 
 def joint_fixed_subspace(ops, tol: Tolerance = DEFAULT_TOL) -> Subspace:

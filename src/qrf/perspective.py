@@ -117,7 +117,7 @@ class Scenario:
         psi = np.asarray(psi, dtype=complex)
         t = psi.reshape(self.dims + list(psi.shape[1:]))
         c = np.tensordot(np.conj(phi), t, axes=([0], [self.frame_slot(frame_name)]))
-        return c.reshape((-1,) + psi.shape[1:])
+        return c.reshape((self.complement_dim(frame_name),) + psi.shape[1:])
 
     def inject_vector(self, frame_name: str, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
         """(|phi>_frame x 1) chi: a frame vector tensored with a complement vector, or with each column of one."""

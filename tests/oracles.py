@@ -25,8 +25,10 @@ probability-normalised twirl (Lie), and the commutant dimension as a
 Kronecker nullspace.  The library applies the disentangler T_R term by term
 through the conditioning contraction and never forms it; here it is the
 dense kinematical matrix, summed one Kronecker embedding at a time.  The
-library reads the orthonormal basis of a matrix-unit algebra span{1, F_ij}
-from its block test; here it comes from an SVD of the stacked operators.
+library reads the overlap of two matrix-unit algebras span{1, F_ij} from a
+cross Gram of their target blocks; here each algebra's orthonormal basis is
+the stacked vec(F_ij) sqrt(d_t/n) that the block test certifies, or an SVD of
+the stacked operators.
 
 The library derives orientation independence from the dimension of the
 conditional span and reads relation-conditional targets from the right
@@ -263,6 +265,12 @@ def disentangler(s, frame_name, theta):
                 part = coeff[i] * np.conj(coeff[j]) * np.outer(vecs[:, i], np.conj(vecs[:, j]))
                 total += frame.weight_scale * embed_pair(s.dims, slot, part, projectors[sq])
     return total
+
+
+def matrix_unit_stack(fam):
+    """The block-certified orthonormal basis vec(F_ij) sqrt(d_t/n) of span{1, F_ij}, as n^2 x d_t^2 columns."""
+    n = fam[0].shape[0]
+    return np.column_stack([m.reshape(-1) for m in fam]) * np.sqrt(np.sqrt(len(fam)) / n)
 
 
 def matrix_unit_basis(fam, tol=DEFAULT_TOL):

@@ -186,6 +186,20 @@ def test_one_subsystem_lie_frame_has_a_trivial_complement(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_full_report_says_the_physical_space_is_empty(tmp_path, capsys):
+    # charges 2 and 1 never sum to 0, so no kinematical vector is invariant
+    raw = small_config(
+        subsystems=[{"name": "A", "rep": {"u1_charges": [2]}}, {"name": "B", "rep": {"u1_charges": [1]}}],
+        tasks=[{"task": "full_report"}],
+    )
+    code, text = _run_main(raw, tmp_path)
+    task = json.loads(text)["tasks"][0]
+    assert code == 0 and "error" not in task
+    assert task["results"]["phys_dim"] == 0 and task["results"]["frames"]["A"]["reduced_space_dim"] == 0
+    assert [c["pass"] for c in task["checks"]] == [True]
+    capsys.readouterr()
+
+
 def test_table_format_lists_the_lr_blocks(tmp_path, capsys):
     code, table = _run_main(small_config(tasks=[{"task": "lr_classify", "frame": "A"}]), tmp_path, "--format", "table")
     assert code == 0

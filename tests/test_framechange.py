@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -475,6 +477,8 @@ def _union_overlap(q1, q2):
 
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
 def test_matrix_unit_path_matches_product_sweep(name):
+    from oracles import matrix_unit_stack
+
     s = regular_three_party(groups.builtin_group(name))
     ps = physical_space(s)
     algebras = []
@@ -485,9 +489,9 @@ def test_matrix_unit_path_matches_product_sweep(name):
         comm = _stacked_commutator(*fams)
         for target, fam in zip(targets, fams):
             c = framechange._target_blocks(s, ps, frame, target)
-            closed = framechange._matrix_unit_algebra(c, fam, DEFAULT_TOL)
-            assert closed is not None
-            basis, bound = closed
+            bound = framechange._matrix_unit_algebra(c, DEFAULT_TOL)
+            assert bound is not None
+            basis = matrix_unit_stack(fam)
             assert basis.shape[1] == framechange._generate_algebra(fam, DEFAULT_TOL).shape[1] == s.dims[target] ** 2
             assert comm <= bound < 1e-10
             algebras.append(basis)
@@ -498,13 +502,14 @@ def test_matrix_unit_path_matches_product_sweep(name):
 
 @pytest.mark.parametrize("name", ["S3", "Z6", "D4", "Q8"])
 def test_matrix_unit_basis_spans_the_svd_basis(name):
-    from oracles import matrix_unit_basis
+    from oracles import matrix_unit_basis, matrix_unit_stack
 
     s = regular_three_party(groups.builtin_group(name))
     ps = physical_space(s)
     for frame in ("R1", "R2"):
         fam = framechange.restricted_unit_family(s, ps, frame, 2)
-        basis, _ = framechange._matrix_unit_algebra(framechange._target_blocks(s, ps, frame, 2), fam, DEFAULT_TOL)
+        assert framechange._matrix_unit_algebra(framechange._target_blocks(s, ps, frame, 2), DEFAULT_TOL) is not None
+        basis = matrix_unit_stack(fam)
         svd = matrix_unit_basis(fam)
         assert basis.shape == svd.shape == (ps.dim**2, s.dims[2] ** 2)
         # ||P_a - P_b||_2 = ||(1 - P_a) Q_b||_2 for orthonormal Q_a, Q_b of equal rank
@@ -553,6 +558,8 @@ def _block_deviation(c):
 
 
 def test_block_cut_picks_the_path_and_both_paths_agree(s3_regular_scenario):
+    from oracles import matrix_unit_stack
+
     s = s3_regular_scenario
     ps = physical_space(s)
     rng = np.random.default_rng(40)
@@ -561,10 +568,100 @@ def test_block_cut_picks_the_path_and_both_paths_agree(s3_regular_scenario):
     fam = list(np.einsum("irp,jrq->ijpq", np.conj(c), c).reshape(-1, ps.dim, ps.dim))
     dev = _block_deviation(c)
     below, above = Tolerance(0.6 * dev), Tolerance(0.4 * dev)  # weighted(1) = 1.2 dev, 0.8 dev
-    closed = framechange._matrix_unit_algebra(c, fam, below)
-    assert closed is not None and framechange._matrix_unit_algebra(c, fam, above) is None
-    dims = {closed[0].shape[1]} | {framechange._generate_algebra(fam, t).shape[1] for t in (below, above)}
+    closed = framechange._matrix_unit_algebra(c, below)
+    assert closed is not None and framechange._matrix_unit_algebra(c, above) is None
+    dims = {matrix_unit_stack(fam).shape[1]} | {framechange._generate_algebra(fam, t).shape[1] for t in (below, above)}
     assert dims == {36}
+
+
+# ---------------------------------------------------------------------------
+# the cross-Gram overlap of two matrix-unit algebras
+# ---------------------------------------------------------------------------
+
+_REGULAR = [n.split(":")[1] for n in builtin_names() if n.startswith("finite-regular:")] + ["Z7", "Z10"]
+
+
+def _unit_stack(c):
+    """The oracle basis vec(F_ij) sqrt(d_t/n) of target blocks c, F_ij = C_i^dag C_j."""
+    from oracles import matrix_unit_stack
+
+    return matrix_unit_stack(list(np.einsum("irp,jrq->ijpq", np.conj(c), c).reshape(-1, c.shape[2], c.shape[2])))
+
+
+def _random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("name", _REGULAR)
+def test_gram_overlap_matches_the_stacked_residual_rank(name):
+    s = regular_three_party(groups.builtin_group(name))
+    ps = physical_space(s)
+    blocks = {f: framechange._target_blocks(s, ps, f, 2) for f in ("R1", "R2")}
+    for a, b in (("R1", "R2"), ("R2", "R1")):
+        stacked = framechange._overlap_dim(_unit_stack(blocks[a]), _unit_stack(blocks[b]), DEFAULT_TOL)
+        assert framechange._block_overlap_dim(blocks[a], blocks[b], DEFAULT_TOL) == stacked == s.group.order
+
+
+@pytest.mark.parametrize("eps, expected", [(1e-8, 1), (1e-12, 8)])
+def test_gram_overlap_resolves_a_planted_small_angle(eps, expected):
+    s = regular_three_party(groups.builtin_group("D4"))
+    ps = physical_space(s)
+    rng = np.random.default_rng(60)
+    w, v = np.linalg.eigh(random_hermitian(rng, ps.dim))
+    u = (v * np.exp(1j * eps * w / np.abs(w).max())) @ dagger(v)  # exp(i eps H), ||H||_2 = 1
+    c1, c2 = framechange._target_blocks(s, ps, "R1", 2), framechange._target_blocks(s, ps, "R2", 2) @ u
+    q1, q2 = _unit_stack(c1), _unit_stack(c2)
+    assert framechange._overlap_dim(q1, q2, DEFAULT_TOL) == expected
+    assert framechange._block_overlap_dim(c1, c2, DEFAULT_TOL) == expected
+    # a cosine of 1 - 5e-17 rounds to 1, so a bare count of cosines cannot see the 1e-8 sines
+    assert np.sum(np.linalg.svd(dagger(q1) @ q2, compute_uv=False) > 1 - 1e-12) == 8
+    # unitaries on the target index leave both algebras unchanged but mix the Gram's near-1 singular vectors
+    for _ in range(3):
+        r1, r2 = (np.einsum("ij,jrp->irp", _random_unitary(rng, 8), c) for c in (c1, c2))
+        assert framechange._block_overlap_dim(r1, r2, DEFAULT_TOL) == expected
+
+
+def test_finite_reports_form_no_stacked_algebra(monkeypatch):
+    def stacked(*args, **kwargs):
+        raise AssertionError("an ideal-frame report reached the stacked-algebra route")
+
+    monkeypatch.setattr(framechange, "restricted_unit_family", stacked)
+    monkeypatch.setattr(framechange, "_overlap_dim", stacked)
+    for name in builtin_names():
+        if name.startswith("finite-regular:"):
+            out = run(load_config(name))
+            layer = out["tasks"][0]["results"]["symmetry_layer"]["subsystem_relativity"]
+            assert out["summary"]["checks_failed"] == 0
+            assert layer["overlap_dim"] == groups.builtin_group(name.split(":")[1]).order
+
+
+def _relativity_peak(s):
+    physical_space(s)
+    tracemalloc.start()
+    try:
+        out = subsystem_relativity_report(s, "R1", "R2")
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_relativity_step_holds_no_algebra_stack():
+    out, peak = _relativity_peak(regular_three_party(groups.builtin_group("D4")))
+    assert (out["algebra_dims"], out["overlap_dim"]) == ((64, 64), 8)
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.slow
+def test_four_party_relativity_step_holds_no_algebra_stack():
+    group = groups.builtin_group("D4")
+    reg = reps.regular_rep(group)
+    seed = np.eye(group.order, dtype=complex)[group.identity_index]
+    fr = {f: (f, frames.make_frame(reg, seed, name=f)) for f in ("R1", "R2")}
+    s = perspective.make_scenario(group, [(n, reg) for n in ("R1", "R2", "S", "T")], fr)
+    out, peak = _relativity_peak(s)
+    assert (out["algebra_dims"], out["overlap_dim"]) == ((64, 64), 8)
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("planted", [0, 1, 3, 6])

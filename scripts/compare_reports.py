@@ -3,9 +3,9 @@
 
 Usage: python scripts/compare_reports.py OLD_DIR NEW_DIR
 
-For every report file in either directory it prints the exit status that
-`qrf run` gives for the report (0 when no check failed, else 1), whether
-the list of check verdicts and every dimension field ("dim", "shape" and
+For every report file in either directory it prints whether the two files
+are byte-identical, the exit status that `qrf run` gives for the report
+(0 when no check failed, else 1), whether the list of check verdicts and every dimension field ("dim", "shape" and
 keys ending in "_dim" or "_dims") agree, and the largest absolute
 difference between corresponding floats.  A "basis" table is compared as
 the subspace it spans, since the choice of orthonormal basis inside a
@@ -15,7 +15,8 @@ the float difference.  A check's "tol" field is its bound, not a result:
 tol changes are counted on their own line, with the largest of them, apart
 from the largest result-float difference.  Keys present on one side only are listed
 but do not count as a mismatch.  Exits 1 on any exit-status, verdict or dimension
-mismatch, or when a report is missing on one side.
+mismatch, or when a report is missing on one side.  The summary line counts the
+byte-identical pairs; bytes that differ are not a mismatch.
 """
 
 import json
@@ -128,23 +129,25 @@ def main(argv: list[str]) -> int:
     names = sorted({p.name for p in old_dir.glob("*.json")} | {p.name for p in new_dir.glob("*.json")})
     all_ok = True
     worst = worst_basis = 0.0
-    tols = 0
+    tols = identical = 0
     for name in names:
         print(name)
         if not (old_dir / name).exists() or not (new_dir / name).exists():
             print(f"  missing in {'OLD_DIR' if not (old_dir / name).exists() else 'NEW_DIR'}   MISMATCH")
             all_ok = False
             continue
-        old = json.loads((old_dir / name).read_text())
-        new = json.loads((new_dir / name).read_text())
-        ok, lines, diff, basis_gap, tol_changes = compare(old, new)
+        old_bytes, new_bytes = (old_dir / name).read_bytes(), (new_dir / name).read_bytes()
+        same = old_bytes == new_bytes
+        identical += same
+        print("  bytes         " + ("identical" if same else "differ"))
+        ok, lines, diff, basis_gap, tol_changes = compare(json.loads(old_bytes), json.loads(new_bytes))
         print("\n".join(lines))
         all_ok &= ok
         worst = max(worst, diff)
         worst_basis = max(worst_basis, basis_gap)
         tols += tol_changes
     print(
-        f"{len(names)} reports, max |float diff| {worst:.3e}, "
+        f"{len(names)} reports, {identical} byte-identical, max |float diff| {worst:.3e}, "
         f"max basis projector diff {worst_basis:.3e}, {tols} check tols changed: " + ("OK" if all_ok else "MISMATCH")
     )
     return 0 if all_ok else 1

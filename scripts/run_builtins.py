@@ -5,8 +5,8 @@ Usage: python scripts/run_builtins.py [outdir] [CONFIG.json ...] [--skip-big] [-
 
 A builtin's report is written as <name with ':' replaced by '_'>.json and a
 config file's as <file stem>.json, so two runs of the same sources can be
-diffed with scripts/compare_reports.py, and checked for byte identity with
-`cmp` on each pair of files.  --bench-configs also writes the benchmark's
+diffed with scripts/compare_reports.py, which also says which pairs are
+byte-identical.  --bench-configs also writes the benchmark's
 generated configs (the 7 that perfbench/workloads.py defines beside the
 builtins) into <outdir>/configs with `workloads.write_configs` and runs them,
 so the 12 builtins and the 7 benchmark configs are one command.

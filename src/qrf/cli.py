@@ -491,8 +491,8 @@ def _task_full_report(scenario, ps, cfg, task, rng):
         if v_rep is None:
             entry["lr_obstruction"] = lr_report["reason"]
         entry["orientation_independent"] = perspective.orientation_independent(scenario, fname, tol)
-        pi_e = perspective.system_projector(scenario, fname, frame.rep.identity_element(), tol)
-        entry["reduced_space_dim"] = int(round(float(np.trace(pi_e).real)))
+        _, gram = perspective.system_round_trip(scenario, fname, frame.rep.identity_element(), tol)
+        entry["reduced_space_dim"] = int(round(float(np.trace(gram).real)))
         entry["conditional_span_dim"] = perspective.physical_system_span(scenario, fname, tol).dim
         if ps.dim:
             theta = reductions.solve_theta(frame, tol)

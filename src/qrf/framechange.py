@@ -6,7 +6,8 @@ isometries between the (possibly moving) physical system subspaces
 regardless of frame idealness.  Symmetry-induced transformations -- plain
 and relation-conditional reorientations -- act on relational observables
 instead; the relation-conditional construction is restricted to regular
-representations, as is its commuting-subalgebra structure.  Subsystem relativity reads the
+representations, as is its commuting-subalgebra structure, and selects rows in the frames'
+orbit coordinates to apply its relative-orientation projectors.  Subsystem relativity reads the
 relativized algebras of ideal frames as matrix-unit systems from the blocks of C_e and compares
 them by a cross Gram of those blocks; it grows them by product sweeps otherwise.
 """
@@ -24,8 +25,11 @@ from .perspective import (
     PhysicalSpace,
     RelObs,
     Scenario,
+    conditioning_map,
+    embed_on_slot,
     physical_space,
     relational_observable,
+    slot_view,
 )
 from .reductions import schrodinger_map
 
@@ -159,19 +163,10 @@ def tautological_relobs(s: Scenario, frame_name: str, g, values) -> RelObs:
     )
 
 
-def _left_apply(dims: list[int], slots: tuple[int, ...], op: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(op on ``slots``, in that order, x identity elsewhere) @ m, without forming the kinematical operator."""
-    k = len(slots)
-    sub = [dims[i] for i in slots]
-    t = m.reshape(list(dims) + [m.shape[1]])
-    out = np.tensordot(op.reshape(sub + sub), t, axes=(list(range(k, 2 * k)), list(slots)))
-    return np.moveaxis(out, list(range(k)), list(slots)).reshape(m.shape)
-
-
 def _conjugate_slot(dims: list[int], slot: int, v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(v x 1) m (v x 1)^dag for v acting on one slot."""
-    vm = _left_apply(dims, (slot,), v, m)
-    return dagger(_left_apply(dims, (slot,), v, dagger(vm)))
+    """(v x 1) m (v x 1)^dag for v on one slot: v on the rows, then conj(v) on the columns, read over (rows, dims)."""
+    vm = (v @ slot_view(m, dims, slot)).reshape(m.shape)
+    return (np.conj(v) @ slot_view(vm, [m.shape[0]] + list(dims), slot + 1)).reshape(m.shape)
 
 
 def _right_conjugate(dims: list[int], slot: int, v_rep, g, m: np.ndarray) -> np.ndarray:
@@ -183,8 +178,7 @@ def _right_conjugate(dims: list[int], slot: int, v_rep, g, m: np.ndarray) -> np.
     sigma = reps.permutation_table(v_rep)
     if sigma is None:
         return _conjugate_slot(dims, slot, v_rep.evaluate(g), m)
-    inverse = np.argsort(sigma[v_rep.element(g).index])
-    q = np.take(np.arange(m.shape[0]).reshape(dims), inverse, axis=slot).reshape(-1)
+    q = slot_view(np.arange(m.shape[0]), dims, slot)[:, np.argsort(sigma[v_rep.element(g).index])].reshape(-1)
     return m[np.ix_(q, q)]
 
 
@@ -208,7 +202,9 @@ def relation_conditional_reorient(
     F(g2 g'^-1) is ``obs.matrix`` conjugated by V_R(g' g2^-1 o), o the
     observable's orientation, and the unital one takes g1 in place of o.  The
     modified form evaluates an observable's own ``family`` where it has one,
-    as tautological observables do.
+    as tautological observables do.  The projector onto relative orientation g'
+    keeps, in the frames' orbit coordinates (O1 x O2)^dag, the rows with orbit
+    labels b = a g'; these partition the rows, so the sum is rotated back once.
     """
     if frame1 == frame2:
         raise ValueError("relation-conditional reorientation needs two distinct frames")
@@ -221,18 +217,20 @@ def relation_conditional_reorient(
     g2_el = f2.rep.element(g2)
     anchor = f1.rep.element(obs.orientation if modified else g1).index
     v_rep = ensure_lr(f1, tol)
+    labels = np.unravel_index(np.arange(s.kin_dim), s.dims)  # each row's index on every slot: its orbit labels
     out = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
     for gp in group.elements():
-        # projector onto relative orientation g2 g'^-1 on the two frames:
-        # sum_g |g>1<g| x |g g'>2<g g'| = w w^dag, column g of w being |g>1 x |g g'>2
-        shifted = orbit2[:, [group.mult(g, gp) for g in group.elements()]]
-        w = np.einsum("ig,jg->ijg", orbit1, shifted).reshape(-1, group.order)
         if modified and obs.family is not None:
-            target = obs.family(f1.rep.element(group.mult(g2_el.index, group.inverse(gp))))
+            rotated = obs.family(f1.rep.element(group.mult(g2_el.index, group.inverse(gp))))
         else:
             k = group.mult(gp, group.mult(group.inverse(g2_el.index), anchor))
-            target = _right_conjugate(s.dims, slot1, v_rep, k, obs.matrix)
-        out += _left_apply(s.dims, (slot1, slot2), w @ dagger(w), target)
+            rotated = _right_conjugate(s.dims, slot1, v_rep, k, obs.matrix)
+        for slot, orbit in ((slot1, orbit1), (slot2, orbit2)):  # rebinding keeps two kin^2 arrays live besides out
+            rotated = (dagger(orbit) @ slot_view(rotated, s.dims, slot)).reshape(out.shape)
+        keep = labels[slot2] == group.product_table[labels[slot1], gp]
+        out[keep] = rotated[keep]
+    for slot, orbit in ((slot1, orbit1), (slot2, orbit2)):
+        out = (orbit @ slot_view(out, s.dims, slot)).reshape(out.shape)
     return RelObs(matrix=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
 
 
@@ -241,10 +239,7 @@ def _identity_on(s: Scenario, frame_name: str, other: str, small: np.ndarray) ->
     slot, pos = s.frame_slot(frame_name), s.frame_slot(other)
     dims = [d for i, d in enumerate(s.dims) if i != slot]
     pos -= pos > slot  # position of ``other`` in the complement
-    rest = [d for i, d in enumerate(dims) if i != pos]
-    t = np.multiply.outer(np.eye(dims[pos]), small.reshape(rest * 2))
-    n = len(dims)
-    return np.moveaxis(t, [0, 1], [pos, n + pos]).reshape(small.shape[0] * dims[pos], -1)
+    return embed_on_slot(dims, pos, np.eye(dims[pos]), small)
 
 
 def relation_conditional_check(
@@ -305,16 +300,13 @@ def _overlap_dim(q1: np.ndarray, q2: np.ndarray, tol: Tolerance) -> int:
 
 def _target_blocks(s: Scenario, ps: PhysicalSpace, frame_name: str, target_slot: int) -> np.ndarray:
     """C_e of the frame as (d_t, rest, n_phys) blocks: c[i] = C_i, the target-row-i block."""
-    dims = s.dims
     slot_f = s.frame_slot(frame_name)
-    rest = [i for i in range(len(dims)) if i != slot_f]
     if target_slot == slot_f:
         raise ValueError("target subsystem coincides with the frame")
-    frame = s.frame(frame_name)  # C_e = sqrt(Vol) (<phi(e)| x 1) B per leading block, with no transposed copy of B
-    b = ps.basis.basis.reshape(int(np.prod(dims[:slot_f])), dims[slot_f], -1)
-    c = np.sqrt(frame.weight_scale) * (np.conj(frame.orientation(frame.rep.identity_element())) @ b)
-    c = c.reshape([dims[i] for i in rest] + [ps.dim])
-    return np.moveaxis(c, rest.index(target_slot), 0).reshape(dims[target_slot], -1, ps.dim)
+    c = conditioning_map(ps, frame_name, s.frame(frame_name).rep.identity_element())
+    d_t = s.dims[target_slot]
+    view = slot_view(c, [d for i, d in enumerate(s.dims) if i != slot_f], target_slot - (target_slot > slot_f))
+    return np.moveaxis(view, 1, 0).reshape(d_t, c.shape[0] // d_t, ps.dim)
 
 
 def restricted_unit_family(
@@ -343,7 +335,8 @@ def _matrix_unit_algebra(c: np.ndarray, tol: Tolerance) -> float | None:
     d_t, r, n = c.shape
     flat = c.reshape(-1, n)
     pi = (flat @ dagger(flat)).reshape(d_t, r, d_t, r)
-    delta = float(np.linalg.norm(pi - np.einsum("ij,rs->irjs", np.eye(d_t), np.einsum("iris->rs", pi) / d_t)))
+    pi[range(d_t), :, range(d_t), :] -= np.einsum("iris->rs", pi) / d_t  # Delta = Pi - 1_t x P, in place
+    delta = float(np.linalg.norm(pi))
     g = dagger(flat) @ flat
     g_norm, defect = float(np.linalg.norm(g, 2)), float(np.linalg.norm(g - np.eye(n)))
     if g_norm * delta > tol.weighted(1.0) or defect > tol.weighted(1.0):

@@ -7,7 +7,10 @@ bookkeeping of the per-frame Haar normalization then shows up as explicit
 scale constants: twirls over frame orientations carry the frame's volume
 (weight_scale), conditionings carry its square root.
 
-The one conditioning primitive is the contraction (<phi| x 1) of
+An operator on one subsystem slot is one batched matmul on ``slot_view``, the
+copy-free (lead, d_slot, rest) reshape of a kinematical axis; a on the slot and
+b on the rest is one broadcast product, ``embed_on_slot``.  The one conditioning
+primitive is the contraction (<phi| x 1) of
 ``Scenario.condition_vector``, on a kinematical vector or on each column of
 a matrix; its adjoint (|phi> x 1) is ``inject_vector``.  On the orthonormal
 physical basis B it gives ``conditioning_map``, C_g = sqrt(Vol) (<phi(g)| x 1) B,
@@ -24,6 +27,7 @@ block, where every physical vector lies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +57,7 @@ __all__ = [
     "relational_observable",
     "h_average",
     "system_projector",
+    "system_round_trip",
     "orientation_independent",
     "physical_system_span",
     "check_weak_homomorphism",
@@ -99,30 +104,34 @@ class Scenario:
 
     def embed_frame_operator(self, frame_name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Operator acting as ``a`` on the frame slot and ``b`` on the complement."""
-        return self.from_slot_first(frame_name, np.kron(as_cmatrix(a), as_cmatrix(b)))
-
-    def from_slot_first(self, frame_name: str, m: np.ndarray, n_axes: int = 2) -> np.ndarray:
-        """Reorder the first ``n_axes`` kinematical indices of ``m`` from frame-first to subsystem order."""
-        n = len(self.dims)
-        slot = self.frame_slot(frame_name)
-        order = [slot] + [i for i in range(n) if i != slot]
-        inv = list(np.argsort(order))
-        t = m.reshape([self.dims[i] for i in order] * n_axes + list(m.shape[n_axes:]))
-        axes = [k * n + i for k in range(n_axes) for i in inv] + list(range(n * n_axes, t.ndim))
-        return np.transpose(t, axes).reshape(m.shape)
+        return embed_on_slot(self.dims, self.frame_slot(frame_name), as_cmatrix(a), as_cmatrix(b))
 
     def condition_vector(self, frame_name: str, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """(<phi|_frame x 1) psi for a kinematical vector, or for each column of a matrix; the complement
         stays in subsystem order.  This contraction and its adjoint ``inject_vector`` carry every reduction."""
         psi = np.asarray(psi, dtype=complex)
-        t = psi.reshape(self.dims + list(psi.shape[1:]))
-        c = np.tensordot(np.conj(phi), t, axes=([0], [self.frame_slot(frame_name)]))
+        c = np.conj(phi) @ slot_view(psi, self.dims, self.frame_slot(frame_name))
         return c.reshape((self.complement_dim(frame_name),) + psi.shape[1:])
 
     def inject_vector(self, frame_name: str, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
         """(|phi>_frame x 1) chi: a frame vector tensored with a complement vector, or with each column of one."""
-        full = np.multiply.outer(np.asarray(phi, dtype=complex), np.asarray(chi, dtype=complex))
-        return self.from_slot_first(frame_name, full.reshape((self.kin_dim,) + full.shape[2:]), 1)
+        chi, slot = np.asarray(chi, dtype=complex), self.frame_slot(frame_name)  # the complement, a slot of size 1
+        full = np.asarray(phi, dtype=complex)[:, None] @ slot_view(chi, self.dims[:slot] + [1], slot)
+        return full.reshape((self.kin_dim,) + chi.shape[1:])
+
+
+def slot_view(m: np.ndarray, dims: list[int], slot: int) -> np.ndarray:
+    """m as (lead, dims[slot], rest), its leading index a flat index over ``dims``: a reshape that copies
+    nothing.  Its sizes are explicit, so an array with no columns reshapes too."""
+    lead = math.prod(dims[:slot])
+    return m.reshape(lead, dims[slot], m.size // (lead * dims[slot]))
+
+
+def embed_on_slot(dims: list[int], slot: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a`` on subsystem ``slot`` x ``b`` on the others, in subsystem order: one broadcast product."""
+    lead, d = math.prod(dims[:slot]), dims[slot]
+    rest, n = b.shape[0] // lead, b.shape[0] * d
+    return (a.reshape(1, d, 1, 1, d, 1) * b.reshape(lead, 1, rest, lead, 1, rest)).reshape(n, n)
 
 
 def make_scenario(
@@ -294,7 +303,9 @@ def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -
         return group_average(rep, s.embed_frame_operator(frame_name, proj, f_s), "twirl", frame.weight_scale, tol)
     wb = reps.weight_basis(rep)
     if wb.vectors is None:
-        r, c = np.divmod(s.from_slot_first(frame_name, np.arange(s.kin_dim), 1), s.complement_dim(frame_name))
+        shape = slot_view(np.arange(s.kin_dim), s.dims, s.frame_slot(frame_name)).shape
+        lo, r, hi = np.unravel_index(np.arange(s.kin_dim), shape)
+        c = lo * shape[2] + hi
         aligned = reps.WeightBlocks(wb, {w: proj[np.ix_(r[i], r[i])] * f_s[np.ix_(c[i], c[i])]
                                          for w, i in wb.sectors.items()})
     else:
@@ -332,17 +343,24 @@ def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = 
 
 def system_projector(s: Scenario, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Pi_S^phys(g) = C_g C_g^dag = Vol_frame (<phi(g)| x 1) P_phys (|phi(g)> x 1)."""
-    c = conditioning_map(physical_space(s, tol), frame_name, g)
-    gram = dagger(c) @ c
-    x = gram - np.eye(gram.shape[0])
+    c, _ = system_round_trip(s, frame_name, g, tol)
     proj = c @ dagger(c)
-    defect = max(
-        float(np.sqrt(max(np.vdot(x @ gram, gram @ x).real, 0.0))),  # ||Pi^2 - Pi||_F = ||C (G - 1) C^dag||_F
-        float(np.linalg.norm(proj - dagger(proj))),
-    )
+    defect = float(np.linalg.norm(proj - dagger(proj)))
     if not tol.check("system_projector", defect, 1.0, proj.shape[0]).passed:
         raise ValueError(f"system projector failed idempotence/Hermiticity ({defect:.2e})")
     return proj
+
+
+def system_round_trip(s: Scenario, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """C_g and G = C_g^dag C_g, once Pi = C_g C_g^dag passes ``system_projector``'s idempotence gate, which reads
+    only G: ||Pi^2 - Pi||_F = ||C (G - 1) C^dag||_F.  tr G = tr Pi is the physical system subspace's dimension."""
+    c = conditioning_map(physical_space(s, tol), frame_name, g)
+    gram = dagger(c) @ c
+    x = gram - np.eye(gram.shape[0])
+    defect = float(np.sqrt(max(np.vdot(x @ gram, gram @ x).real, 0.0)))
+    if not tol.check("system_projector", defect, 1.0, c.shape[0]).passed:
+        raise ValueError(f"system projector failed idempotence/Hermiticity ({defect:.2e})")
+    return c, gram
 
 
 def orientation_independent(s: Scenario, frame_name: str, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -47,6 +47,16 @@ multiplication rules.  The two spin-1 builtin configs are kept as the
 literals they were written as.  The library holds a U(1) rep whose
 generator is exactly diagonal and integral by its charge vector; here is the
 same rep held by its dense generator, which takes the general Lie paths.
+
+The library applies every operator on one subsystem slot as a batched
+matmul on the copy-free (lead, d, rest) view of the kinematical index, and
+the relative-orientation projector of a relation-conditional reorientation
+as a row selection in the frames' orbit coordinates.  Here are the forms
+they replaced, which share no slot code with the library: the conditioning
+contraction and the left application of a one- or two-slot operator as a
+tensordot, a slot embedding as a Kronecker product reordered by a transpose,
+a slot conjugation as products with that embedding, and each projector
+w w^dag formed and applied to its target.
 """
 
 import itertools
@@ -55,8 +65,8 @@ import numpy as np
 
 from qrf.groups import finite_group_from_table
 from qrf.linalg import DEFAULT_TOL, Subspace, canonicalize_basis, dagger, fix_phase, nullspace, orthonormal_range
-from qrf.framechange import _conjugate_slot, _left_apply, ensure_lr
-from qrf.perspective import RelObs, physical_space, relational_observable, system_projector
+from qrf.framechange import ensure_lr
+from qrf.perspective import RelObs, physical_space, relational_observable
 from qrf.reps import (
     IsotypicBlock,
     IsotypicDecomposition,
@@ -134,7 +144,7 @@ def dense_relational_observable(s, frame_name, g, f_s, tol=DEFAULT_TOL):
     """Vol twirl(|phi(g)><phi(g)| x f_S) of the formed kinematical operand."""
     frame = s.frame(frame_name)
     phi = frame.orientation(frame.rep.element(g))
-    aligned = s.embed_frame_operator(frame_name, np.outer(phi, np.conj(phi)), f_s)
+    aligned = embed_pair(s.dims, s.frame_slot(frame_name), np.outer(phi, np.conj(phi)), f_s)
     if s.total_rep.is_finite:
         return group_average(s.total_rep, aligned, "twirl", frame.weight_scale, tol)
     return frame.weight_scale * lie_mask_twirl(s.total_rep, aligned, tol)
@@ -188,10 +198,26 @@ def weak_homomorphism(s, frame_name, g, a, b, tol=DEFAULT_TOL):
     weak = {name: float(np.max(np.linalg.norm((lhs - rhs) @ basis, axis=0))) for name, (lhs, rhs) in pairs.items()}
     strong = {name: float(np.linalg.norm((lhs - rhs) @ v)) for name, (lhs, rhs) in pairs.items()}
     weak["adjoint"] = float(np.linalg.norm(dagger(basis) @ (rel(dagger(a_p)) - dagger(f_a)) @ basis))
-    phi = s.frame(frame_name).orientation(s.frame(frame_name).rep.element(g))
-    conditioned = s.frame(frame_name).weight_scale * s.embed_frame_operator(frame_name, np.outer(phi, np.conj(phi)), a)
+    frame = s.frame(frame_name)
+    phi = frame.orientation(frame.rep.element(g))
+    conditioned = frame.weight_scale * embed_pair(s.dims, s.frame_slot(frame_name), np.outer(phi, np.conj(phi)), a)
     weak["definition"] = float(np.max(np.linalg.norm(dagger(basis) @ (f_a - conditioned) @ basis, axis=0)))
     return {"weak": weak, "strong": strong}
+
+
+def condition(s, frame_name, phi, psi):
+    """(<phi|_frame x 1) psi by one tensordot over the frame's axis, the complement in subsystem order."""
+    t = psi.reshape(s.dims + list(psi.shape[1:]))
+    c = np.tensordot(np.conj(phi), t, axes=([0], [s.frame_slot(frame_name)]))
+    return c.reshape((s.complement_dim(frame_name),) + psi.shape[1:])
+
+
+def system_projector(s, frame_name, g, tol=DEFAULT_TOL):
+    """Pi_S^phys(g) = C_g C_g^dag, with C_g = sqrt(Vol) (<phi(g)| x 1) B from the tensordot contraction."""
+    frame = s.frame(frame_name)
+    phi = frame.orientation(frame.rep.element(g))
+    c = np.sqrt(frame.weight_scale) * condition(s, frame_name, phi, physical_space(s, tol).basis.basis)
+    return c @ dagger(c)
 
 
 def right_action(frame, tol=DEFAULT_TOL):
@@ -294,9 +320,19 @@ def orientation_independent(s, frame_name, tol=DEFAULT_TOL):
     return all(float(np.linalg.norm(c @ pi_e - pi_e @ c)) <= thresh for c in checks)
 
 
+def left_apply(dims, slots, op, m):
+    """(op on ``slots``, in that order, x identity elsewhere) @ m by one tensordot over the slot axes."""
+    k = len(slots)
+    sub = [dims[i] for i in slots]
+    t = m.reshape(list(dims) + [m.shape[1]])
+    out = np.tensordot(op.reshape(sub + sub), t, axes=(list(range(k, 2 * k)), list(slots)))
+    return np.moveaxis(out, list(range(k)), list(slots)).reshape(m.shape)
+
+
 def relation_conditional_reorient(s, frame1, g1, frame2, g2, obs, modified=True, tol=DEFAULT_TOL):
     """Modified targets F(g2 g'^-1) from the observable's family or one kinematical twirl of its source each;
-    unital targets by V_R(g' g2^-1 g1) conjugation."""
+    unital targets by V_R(g' g2^-1 g1) conjugation, formed as a Kronecker embedding; each relative-orientation
+    projector w w^dag applied to its target by a two-slot tensordot."""
     f1, f2 = s.frame(frame1), s.frame(frame2)
     group = f1.rep.group
     orbit1, orbit2 = (np.column_stack([f.rep.matrices[g] @ f.seed for g in group.elements()]) for f in (f1, f2))
@@ -312,8 +348,9 @@ def relation_conditional_reorient(s, frame1, g1, frame2, g2, obs, modified=True,
             target = family(f1.rep.element(group.mult(g2_el.index, group.inverse(gp))))
         else:
             k = group.mult(gp, group.mult(group.inverse(g2_el.index), g1_el.index))
-            target = _conjugate_slot(s.dims, slot1, v_rep.matrices[k], obs.matrix)
-        out += _left_apply(s.dims, (slot1, slot2), w @ dagger(w), target)
+            v_full = embed_pair(s.dims, slot1, v_rep.matrices[k], np.eye(s.complement_dim(frame1)))
+            target = v_full @ obs.matrix @ dagger(v_full)
+        out += left_apply(s.dims, (slot1, slot2), w @ dagger(w), target)
     return RelObs(matrix=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
 
 

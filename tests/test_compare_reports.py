@@ -89,3 +89,20 @@ def test_float_moved_by_1e_9_passes_and_is_reported(tmp_path):
     assert proc.returncode == 0, proc.stdout
     assert "max |float diff| 1.000e-09 at /tasks[0]/results/volume" in proc.stdout
     assert "check tols    1 changed, max |diff| 9.980e-05 at /tasks[0]/checks[1]/tol" in proc.stdout
+
+
+def test_byte_identity_is_printed_per_pair_and_counted(tmp_path):
+    new = _report()
+    new["tasks"][0]["results"]["volume"] += 1e-12
+    for side, reports in (("old", (_report(), _report())), ("new", (_report(), new))):
+        (tmp_path / side).mkdir()
+        for name, report in zip(("a.json", "b.json"), reports):
+            (tmp_path / side / name).write_text(json.dumps(report))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), str(tmp_path / "old"), str(tmp_path / "new")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout
+    blocks = proc.stdout.split("b.json")
+    assert "bytes         identical" in blocks[0] and "bytes         differ" in blocks[1]
+    assert proc.stdout.splitlines()[-1].startswith("2 reports, 1 byte-identical, ")

@@ -377,6 +377,28 @@ def test_relation_conditional_matches_twirl_family_oracle(group):
             assert out.frame_name == "R2" and out.orientation.index == g2
 
 
+@pytest.mark.parametrize("frame1, frame2", [("R1", "R2"), ("R2", "R1")])
+def test_relation_conditional_orbit_rows_match_the_oracle_off_the_identity_seed(frame1, frame2):
+    # build_lr_seed makes the orbit matrix O a dense unitary, so the row selection runs in rotated coordinates
+    from oracles import relation_conditional_reorient as oracle
+
+    g = groups.symmetric_3()
+    reg = reps.regular_rep(g)
+    seed = frames.build_lr_seed(reps.isotypic_decompose(reg))
+    fr = {name: frames.make_frame(reg, seed, name=name) for name in ("R1", "R2")}
+    s = perspective.make_scenario(
+        g, [("R1", reg), ("S", reg), ("R2", reg)], {name: (name, f) for name, f in fr.items()}
+    )
+    orbit = framechange._require_ideal(fr["R1"])
+    assert np.count_nonzero(np.abs(orbit) > 1e-12) > g.order  # not a permutation matrix
+    rng = np.random.default_rng(37)
+    obs = relational_observable(s, frame1, 4, random_hermitian(rng, 36))
+    for modified in (True, False):
+        out = relation_conditional_reorient(s, frame1, 4, frame2, 2, obs, modified=modified)
+        ref = oracle(s, frame1, 4, frame2, 2, obs, modified=modified)
+        np.testing.assert_allclose(out.matrix, ref.matrix, rtol=0, atol=1e-13, err_msg=f"modified={modified}")
+
+
 # ---------------------------------------------------------------------------
 # subsystem relativity
 # ---------------------------------------------------------------------------

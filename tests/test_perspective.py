@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import ket3, random_hermitian, u1_basis_index
-from qrf import cli, frames, groups, perspective, reps
+from qrf import cli, framechange, frames, groups, perspective, reps
 from qrf.linalg import Tolerance, dagger
 from qrf.perspective import (
     check_weak_homomorphism,
@@ -267,6 +269,48 @@ def test_four_spin_conditionals_confined_to_matching_spin_block(four_spin_scenar
         cond = s.condition_vector("A", frame.orientation(g), psi)
         cond = dagger(vecs) @ (cond / np.linalg.norm(cond))
         assert np.linalg.norm(cond[~inside]) < 1e-9
+
+
+def test_conditioning_map_copies_no_kinematical_basis():
+    # the frame's slot is read on a reshape view of B, so no frame position transposes a copy of it
+    s = cli.build_scenario(cli.load_config("finite-regular:D4"))
+    ps = physical_space(s)
+    for name in s.frames:
+        e = s.frame(name).rep.identity_element()
+        tracemalloc.start()
+        perspective.conditioning_map(ps, name, e)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < ps.basis.basis.nbytes / 2, (name, peak)
+
+
+def _slot_scenario(dims):
+    """A scenario over subsystems of the given dims with a frame name for each slot; slot arithmetic reads
+    nothing else."""
+    g = groups.cyclic(2)
+    subsystems = tuple(
+        (f"S{i}", reps.finite_rep(g, np.stack([np.eye(d), np.diag((-1.0) ** np.arange(d))]).astype(complex)))
+        for i, d in enumerate(dims)
+    )
+    return perspective.Scenario(g, subsystems, {f"S{i}": (i, None) for i in range(len(dims))}, None, math.prod(dims))
+
+
+@pytest.mark.parametrize("dims", [[2, 3, 4], [3, 2, 2, 3]])
+def test_slot_embeddings_equal_the_kronecker_oracle(dims):
+    from oracles import embed_pair
+
+    s = _slot_scenario(dims)
+    rng = np.random.default_rng(17)
+    for slot, d in enumerate(dims):
+        comp = s.kin_dim // d
+        a, b = random_hermitian(rng, d), random_hermitian(rng, comp)
+        assert np.array_equal(s.embed_frame_operator(f"S{slot}", a, b), embed_pair(dims, slot, a, b))
+        rest = [x for i, x in enumerate(dims) if i != slot]
+        for other in (i for i in range(len(dims)) if i != slot):
+            pos = other - (other > slot)
+            small = random_hermitian(rng, comp // rest[pos])
+            expect = embed_pair(rest, pos, np.eye(rest[pos]), small)
+            assert np.array_equal(framechange._identity_on(s, f"S{slot}", f"S{other}", small), expect)
 
 
 # ---------------------------------------------------------------------------

@@ -402,8 +402,8 @@ def _task_rel_obs(scenario, ps, cfg, task, rng):
     return {
         "frame": fname,
         "orientation": _jsonable(obs.orientation),
-        "restricted_matrix": _jsonable(ps.restrict(obs.matrix)),
-    }, [perspective.dirac_check(scenario, obs.matrix, cfg.tol())]
+        "restricted_matrix": _jsonable(ps.restrict(obs.op)),
+    }, [perspective.dirac_check(scenario, obs.op, cfg.tol())]
 
 
 def _task_reduce(scenario, ps, cfg, task, rng):

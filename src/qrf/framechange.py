@@ -117,7 +117,7 @@ def reorient(s: Scenario, frame_name: str, g, obs: RelObs, tol: Tolerance = DEFA
     el = frame.rep.element(g)
     new_orientation = groups.compose(obs.orientation, groups.inverse(el))
     return RelObs(
-        matrix=_right_conjugate(s.dims, s.frame_slot(frame_name), v_rep, el, obs.matrix),
+        op=_right_conjugate(s.dims, s.frame_slot(frame_name), v_rep, el, obs.matrix),
         frame_name=frame_name,
         orientation=new_orientation,
         source=obs.source,
@@ -154,7 +154,7 @@ def tautological_relobs(s: Scenario, frame_name: str, g, values) -> RelObs:
         raise ValueError("need one value per group element of a finite frame")
     el = frame.rep.element(g)
     return RelObs(
-        matrix=complex(vals[el.index]) * np.eye(s.kin_dim, dtype=complex),
+        op=complex(vals[el.index]) * np.eye(s.kin_dim, dtype=complex),
         frame_name=frame_name,
         orientation=el,
         source=np.diag(vals),
@@ -231,7 +231,7 @@ def relation_conditional_reorient(
         out[keep] = rotated[keep]
     for slot, orbit in ((slot1, orbit1), (slot2, orbit2)):
         out = (orbit @ slot_view(out, s.dims, slot)).reshape(out.shape)
-    return RelObs(matrix=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
+    return RelObs(op=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
 
 
 def _identity_on(s: Scenario, frame_name: str, other: str, small: np.ndarray) -> np.ndarray:

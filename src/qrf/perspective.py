@@ -20,13 +20,15 @@ is C_g, and, because B^dag U A U^dag B = B^dag A B on invariant vectors, a
 relational observable restricted to the physical space is C_g^dag f_S C_g.
 ``PhysicalSpace.restrict`` is the one restriction, B^dag F B; the homomorphism
 check reads every clause through it and ties it to C_g^dag f_S C_g.  A Lie
-relational observable is built on its weight blocks, read from |phi><phi| and
-f_S; the check applies them to vectors and restricts them on the weight-0
-block, where every physical vector lies.
+relational observable is built and kept on its weight blocks, read from
+|phi><phi| and f_S: checks and probabilities apply them to vectors, restrict
+them on the weight-0 block, where every physical vector lies, and commute a
+charge-held U(1) rep's blocks one by one; ``RelObs.matrix`` densifies them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -208,14 +210,20 @@ class PhysicalSpace:
 
 @dataclass
 class RelObs:
-    """Relational Dirac observable: frame-orientation-conditional twirl of f_S."""
+    """Relational Dirac observable: frame-orientation-conditional twirl of f_S.  ``op`` is a dense array for a
+    finite frame and ``reps.WeightBlocks`` for a Lie frame, which ``dirac_check``, ``PhysicalSpace.restrict`` and
+    ``op @ v`` read as blocks; the dense kin x kin ``matrix`` is built on first access (``op`` itself if dense)."""
 
-    matrix: np.ndarray
+    op: np.ndarray | reps.WeightBlocks
     frame_name: str
     orientation: object
     source: np.ndarray
     scenario: Scenario
     family: object = None  # optional orientation -> matrix evaluator
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return self.op.dense() if isinstance(self.op, reps.WeightBlocks) else self.op
 
 
 def physical_space(s: Scenario, tol: Tolerance = DEFAULT_TOL) -> PhysicalSpace:
@@ -233,16 +241,24 @@ def conditioning_map(ps: PhysicalSpace, frame_name: str, g) -> np.ndarray:
     return np.sqrt(frame.weight_scale) * s.condition_vector(frame_name, phi, ps.basis.basis)
 
 
-def strong_dirac_defect(s: Scenario, op: np.ndarray) -> float:
+def strong_dirac_defect(s: Scenario, op: np.ndarray | reps.WeightBlocks) -> float:
     """Largest ||D op - op D|| over the constraint operators D of the total rep.
 
     [U_s - 1, op] = [U_s, op], so for a finite group this is the commutator
     with each generator; with a permutation table it is
     ||op[sigma_s][:, sigma_s] - op||, by unitary invariance of the Frobenius norm.
     An exactly diagonal Cartan generator K is commuted entrywise, read from the
-    charges of a charge-held U(1) rep.
+    charges of a charge-held U(1) rep, on weight blocks block by block: they hold
+    every entry that can be nonzero.  Other Lie reps' weight blocks are densified.
     """
     rep = s.total_rep
+    if rep.charges is not None:  # [K, op]_ij = (q_i - q_j) op_ij
+        q = rep.charges
+        if not isinstance(op, reps.WeightBlocks):
+            return float(np.linalg.norm((q[:, None] - q[None, :]) * op))
+        return float(np.linalg.norm([np.linalg.norm((q[i, None] - q[None, i]) * op.blocks[w])
+                                     for w, i in op.basis.sectors.items()]))
+    op = op.dense() if isinstance(op, reps.WeightBlocks) else op
     sigma = reps.permutation_table(rep)
     if sigma is not None:
         worst = 0.0
@@ -251,9 +267,6 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray) -> float:
             moved -= op
             worst = max(worst, float(np.linalg.norm(moved)))
         return worst
-    if rep.charges is not None:  # [K, op]_ij = (q_i - q_j) op_ij
-        q = rep.charges
-        return float(np.linalg.norm((q[:, None] - q[None, :]) * op))
     gens, worst = reps.constraints(rep), 0.0
     if not rep.is_finite and reps.weight_basis(rep).vectors is None:  # K = gens[-1] is exactly diagonal
         k = np.diagonal(gens[-1])  # [K, op]_ij = (k_i - k_j) op_ij
@@ -261,9 +274,13 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray) -> float:
     return max([worst] + [float(np.linalg.norm(d @ op - op @ d)) for d in gens])
 
 
-def dirac_check(s: Scenario, op: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Check:
-    """The strong Dirac defect of a kinematical operator, at the scale of its largest entry."""
-    return tol.check("dirac_commutation", strong_dirac_defect(s, op), float(np.abs(op).max(initial=0.0)), s.kin_dim)
+def dirac_check(s: Scenario, op: np.ndarray | reps.WeightBlocks, tol: Tolerance = DEFAULT_TOL) -> Check:
+    """The strong Dirac defect of a kinematical operator, at the scale of its largest entry.  Weight blocks of a
+    charge-held U(1) rep are read block by block; those of any other Lie rep are densified first."""
+    op = op.dense() if isinstance(op, reps.WeightBlocks) and s.total_rep.charges is None else op
+    blocks = op.blocks.values() if isinstance(op, reps.WeightBlocks) else [op]
+    scale = max(float(np.abs(b).max(initial=0.0)) for b in blocks)
+    return tol.check("dirac_commutation", strong_dirac_defect(s, op), scale, s.kin_dim)
 
 
 def relational_observable(
@@ -282,11 +299,10 @@ def relational_observable(
         raise ValueError(
             f"system observable must act on the {comp_dim}-dim complement of frame {frame_name!r}"
         )
-    mat = _twirled(s, frame_name, g, f_s, tol)
-    mat = mat if s.total_rep.is_finite else mat.dense()
-    obs = RelObs(matrix=mat, frame_name=frame_name, orientation=frame.rep.element(g), source=f_s, scenario=s)
+    op = _twirled(s, frame_name, g, f_s, tol)
+    obs = RelObs(op=op, frame_name=frame_name, orientation=frame.rep.element(g), source=f_s, scenario=s)
     if check:
-        dirac = dirac_check(s, mat, tol)
+        dirac = dirac_check(s, op, tol)
         if not dirac.passed:
             raise ValueError(f"relational observable failed the Dirac commutation check ({dirac.residual:.2e})")
     return obs
@@ -295,7 +311,8 @@ def relational_observable(
 def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -> np.ndarray | reps.WeightBlocks:
     """Vol twirl(E x f_S), E = |phi(g)><phi(g)|: dense for a finite group, weight blocks for a Lie group.
     With W = 1 (an exactly diagonal Cartan generator) the aligned operand's blocks are read entrywise,
-    A_ww[i, j] = E[r_i, r_j] f_S[c_i, c_j], with r_i and c_i the frame and complement indices of i."""
+    A_ww[i, j] = E[r_i, r_j] f_S[c_i, c_j], with r_i and c_i the frame and complement indices of i, on index
+    grids cached per frame."""
     rep, frame = s.total_rep, s.frame(frame_name)
     phi = frame.orientation(frame.rep.element(g))
     proj = np.outer(phi, np.conj(phi))
@@ -303,11 +320,13 @@ def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -
         return group_average(rep, s.embed_frame_operator(frame_name, proj, f_s), "twirl", frame.weight_scale, tol)
     wb = reps.weight_basis(rep)
     if wb.vectors is None:
-        shape = slot_view(np.arange(s.kin_dim), s.dims, s.frame_slot(frame_name)).shape
-        lo, r, hi = np.unravel_index(np.arange(s.kin_dim), shape)
-        c = lo * shape[2] + hi
-        aligned = reps.WeightBlocks(wb, {w: proj[np.ix_(r[i], r[i])] * f_s[np.ix_(c[i], c[i])]
-                                         for w, i in wb.sectors.items()})
+        key = ("twirl_grids", frame_name)
+        if key not in s._cache:
+            shape = slot_view(np.arange(s.kin_dim), s.dims, s.frame_slot(frame_name)).shape
+            lo, r, hi = np.unravel_index(np.arange(s.kin_dim), shape)
+            c = lo * shape[2] + hi
+            s._cache[key] = [(w, np.ix_(r[i], r[i]), np.ix_(c[i], c[i])) for w, i in wb.sectors.items()]
+        aligned = reps.WeightBlocks(wb, {w: proj[ir] * f_s[ic] for w, ir, ic in s._cache[key]})
     else:
         aligned = reps.WeightBlocks.of(wb, s.embed_frame_operator(frame_name, proj, f_s))
     return reps.lie_twirl(rep, aligned, tol, frame.weight_scale)

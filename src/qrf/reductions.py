@@ -167,11 +167,12 @@ def conditional_probability(
     e = _check_projector(projector_e, tol)
     v = ps.require(psi_phys)
     v = v / np.linalg.norm(v)
-    reduced = schrodinger_reduce(ps, frame_name, g, v)
+    s, frame = ps.scenario, ps.scenario.frame(frame_name)
+    reduced = np.sqrt(frame.weight_scale) * s.condition_vector(frame_name, frame.orientation(frame.rep.element(g)), v)
     p_reduced = float(np.real(np.vdot(reduced, e @ reduced)))
-    f = relational_observable(ps.scenario, frame_name, g, e, tol, check=False)
-    p_invariant = float(np.real(np.vdot(v, f.matrix @ v)))
-    if not tol.check("gauge_invariance", abs(p_reduced - p_invariant), 1.0, ps.scenario.kin_dim).passed:
+    f = relational_observable(s, frame_name, g, e, tol, check=False)
+    p_invariant = float(np.real(np.vdot(v, f.op @ v)))
+    if not tol.check("gauge_invariance", abs(p_reduced - p_invariant), 1.0, s.kin_dim).passed:
         raise ValueError(
             f"gauge-invariance cross-check failed: {p_reduced} vs {p_invariant}"
         )
@@ -202,8 +203,8 @@ def multi_event_probability(
     v = ps.require(psi_phys)
     v = v / np.linalg.norm(v)
     s = ps.scenario
-    f_e = relational_observable(s, frame_name, g, e, tol, check=False).matrix
-    f_c = relational_observable(s, frame_name, g_cond, e_cond, tol, check=False).matrix
+    f_e = relational_observable(s, frame_name, g, e, tol, check=False).op
+    f_c = relational_observable(s, frame_name, g_cond, e_cond, tol, check=False).op
     denom = float(np.real(np.vdot(v, f_c @ v)))
     if denom <= 1e4 * tol.weighted(1.0):
         raise ValueError("conditioning event has (numerically) zero probability")

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from qrf import frames, groups, perspective, reps
+from qrf import cli, frames, groups, perspective, reps
 
 
 def ket3(*labels):
@@ -13,6 +15,18 @@ def ket3(*labels):
     v = np.zeros(3 ** len(labels), dtype=complex)
     v[pos] = 1.0
     return v
+
+
+def u1_qubits_config(n):
+    """The u1-n-qubits config: n charge +-1 qubits, uniform frames on the first two, one full report."""
+    names = [f"Q{k}" for k in range(n)]
+    return cli.parse_config(json.dumps({
+        "name": f"u1-{n}-qubits",
+        "group": {"builtin": "u1"},
+        "subsystems": [{"name": q, "rep": {"u1_charges": [1, -1]}} for q in names],
+        "frames": [{"name": q, "subsystem": q, "seed": "uniform"} for q in names[:2]],
+        "tasks": [{"task": "full_report"}],
+    }))
 
 
 def u1_basis_index(*charges):

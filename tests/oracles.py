@@ -351,7 +351,7 @@ def relation_conditional_reorient(s, frame1, g1, frame2, g2, obs, modified=True,
             v_full = embed_pair(s.dims, slot1, v_rep.matrices[k], np.eye(s.complement_dim(frame1)))
             target = v_full @ obs.matrix @ dagger(v_full)
         out += left_apply(s.dims, (slot1, slot2), w @ dagger(w), target)
-    return RelObs(matrix=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
+    return RelObs(op=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
 
 
 def composed_tables(tables):

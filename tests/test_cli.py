@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import u1_qubits_config
 import qrf
 from qrf import cli, framechange, perspective
 from qrf.builtins_config import builtin_names
@@ -527,26 +528,19 @@ def test_byte_limit_admits_every_builtin_and_su2_at_the_dimension_limit():
         cli.build_scenario(load_config(name))
 
 
-def _u1_qubits(n):
-    """n charge +-1 qubits, uniform frames on the first two, one full report."""
-    subsystems = [{"name": f"Q{k}", "rep": {"u1_charges": [1, -1]}} for k in range(n)]
-    fs = [{"name": f"Q{k}", "subsystem": f"Q{k}", "seed": "uniform"} for k in range(2)]
-    return parse_config(json.dumps(small_config(subsystems=subsystems, frames=fs, tasks=[{"task": "full_report"}])))
-
-
 def test_u1_full_report_builds_no_kinematical_generator(monkeypatch):
     built = []
     build = cli.build_scenario
     monkeypatch.setattr(cli, "build_scenario", lambda cfg: built.append(build(cfg)) or built[-1])
-    assert run(_u1_qubits(8))["summary"]["checks_failed"] == 0
+    assert run(u1_qubits_config(8))["summary"]["checks_failed"] == 0
     s = built[0]
     assert s.total_rep._generators is None
     assert all(s.complement_rep(f)._generators is None for f in s.frames)
 
 
 def test_u1_scenario_set_up_traces_under_one_mib():
-    cfg = _u1_qubits(10)
-    cli.build_scenario(_u1_qubits(2))  # the first build's lazy numpy imports are not the scenario's
+    cfg = u1_qubits_config(10)
+    cli.build_scenario(u1_qubits_config(2))  # the first build's lazy numpy imports are not the scenario's
     tracemalloc.start()
     try:
         cli.build_scenario(cfg)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ket3, random_hermitian, u1_basis_index
+from conftest import ket3, random_hermitian, u1_basis_index, u1_qubits_config
 from qrf import cli, framechange, frames, groups, perspective, reps
 from qrf.linalg import Tolerance, dagger
 from qrf.perspective import (
@@ -593,3 +593,74 @@ def test_physical_system_span_is_closed_once_per_frame_and_tolerance(monkeypatch
     assert len(calls) == len(s.frames) == 3
     physical_system_span(s, "A", Tolerance(1e-8))
     assert len(calls) == 4
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_warm_u1_relational_observable_and_probability_never_densify(monkeypatch):
+    from qrf import reductions
+
+    cfg = u1_qubits_config(8)
+    s, tol = cli.build_scenario(cfg), cfg.tol()
+    ps = physical_space(s, tol)
+    rng = np.random.default_rng(19)
+    comp = s.complement_dim("Q0")
+    f_s = random_hermitian(rng, comp)
+    q, _ = np.linalg.qr(rng.standard_normal((comp, comp // 2)) + 1j * rng.standard_normal((comp, comp // 2)))
+    c = rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim)
+    psi = ps.basis.basis @ (c / np.linalg.norm(c))
+
+    def rel_obs():
+        return relational_observable(s, "Q0", [0.4], f_s, tol, check=True)
+
+    def probability():
+        return reductions.conditional_probability(ps, "Q0", [0.4], q @ dagger(q), psi, tol)
+
+    rel_obs(), probability()  # warm: the weight basis, the physical space and the index grids are cached
+    assert s.kin_dim == 256  # one kin x kin complex array is 1 MiB
+    with monkeypatch.context() as m:
+        m.setattr(reps.WeightBlocks, "dense", lambda self: pytest.fail("a kinematical array was densified"))
+        obs, peak_obs = _traced_peak(rel_obs)
+        _, peak_p = _traced_peak(probability)
+    assert peak_obs < 2**20 and peak_p < 2**20
+    assert "matrix" not in obs.__dict__
+    assert np.array_equal(obs.matrix, obs.op.dense()) and obs.matrix is obs.matrix
+
+
+@pytest.mark.parametrize("fixture, frame", [("u1_scenario", "B"), ("rotated_u1_scenario", "B"),
+                                            ("four_spin_scenario", "A"), ("s3_regular_scenario", "R1")])
+def test_lazy_matrix_is_the_densified_twirl(fixture, frame, request):
+    from oracles import dense_relational_observable
+
+    s = request.getfixturevalue(fixture)
+    f_s = random_hermitian(np.random.default_rng(23), s.complement_dim(frame))
+    g = s.frame(frame).rep.identity_element()
+    obs = relational_observable(s, frame, g, f_s)
+    twirled = perspective._twirled(s, frame, g, f_s, perspective.DEFAULT_TOL)
+    if s.total_rep.is_finite:
+        assert obs.matrix is obs.op
+        assert np.array_equal(obs.matrix, twirled)
+    else:
+        assert isinstance(obs.op, reps.WeightBlocks) and "matrix" not in obs.__dict__
+        assert np.array_equal(obs.matrix, twirled.dense())
+    np.testing.assert_allclose(obs.matrix, dense_relational_observable(s, frame, g, f_s), atol=1e-12)
+
+
+@pytest.mark.parametrize("source", ["u1-qubit-qubit-qutrit", "u1-8-qubits", "su2-four-spin1"])
+def test_block_dirac_check_is_the_dense_one(source):
+    cfg = u1_qubits_config(8) if source == "u1-8-qubits" else cli.load_config(source)
+    s = cli.build_scenario(cfg)
+    rng = np.random.default_rng(29)
+    for frame in s.frames:
+        f_s = random_hermitian(rng, s.complement_dim(frame))
+        obs = relational_observable(s, frame, s.frame(frame).rep.identity_element(), f_s, check=False)
+        blocks, dense = perspective.dirac_check(s, obs.op), perspective.dirac_check(s, obs.matrix)
+        assert (blocks.residual, blocks.bound) == (dense.residual, dense.bound)  # the bound carries the scale
+        assert perspective.strong_dirac_defect(s, obs.op) == perspective.strong_dirac_defect(s, obs.matrix)

@@ -481,3 +481,25 @@ def test_disentangler_and_conditioning_act_on_matrices_column_by_column(u1_scena
         for k in range(3):
             np.testing.assert_allclose(applied[:, k], disentangler(s, fname, theta, m[:, k]), rtol=0, atol=1e-14)
             np.testing.assert_allclose(conditioned[:, k], s.condition_vector(fname, phi, m[:, k]), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "fixture, frame, g", [("u1_scenario", "B", [0.4]), ("four_spin_scenario", "A", [0.3, -0.2, 0.5])]
+)
+def test_probabilities_on_weight_blocks_match_the_dense_observable(fixture, frame, g, request):
+    s = request.getfixturevalue(fixture)
+    ps = physical_space(s)
+    rng = np.random.default_rng(31)
+    comp = s.complement_dim(frame)
+    q_e, q_c = (np.linalg.qr(rng.standard_normal((comp, k)))[0] for k in (comp // 2, comp - 1))
+    e, e_cond = q_e @ dagger(q_e), q_c @ dagger(q_c)
+    c = rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim)
+    v = ps.basis.basis @ (c / np.linalg.norm(c))
+    f_e = perspective.relational_observable(s, frame, g, e, check=False)
+    f_c = perspective.relational_observable(s, frame, [0.1] * len(g), e_cond, check=False)
+    assert isinstance(f_e.op, reps.WeightBlocks)
+    dense = float(np.real(np.vdot(v, f_e.matrix @ v)))
+    assert abs(conditional_probability(ps, frame, g, e, v) - dense) <= 1e-14
+    num = float(np.real(np.vdot(v, f_c.matrix @ (f_e.matrix @ (f_c.matrix @ v)))))
+    p = multi_event_probability(ps, frame, (e, g), (e_cond, [0.1] * len(g)), v)
+    assert abs(p - num / float(np.real(np.vdot(v, f_c.matrix @ v)))) <= 1e-14

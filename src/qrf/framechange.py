@@ -1,13 +1,12 @@
 """Frame transformations.
 
-Gauge-induced coordinate changes route one frame's conditional description
-through the perspective-neutral space into another frame's, and are
-isometries between the (possibly moving) physical system subspaces
-regardless of frame idealness.  Symmetry-induced transformations -- plain
-and relation-conditional reorientations -- act on relational observables
-instead; the relation-conditional construction is restricted to regular
-representations, as is its commuting-subalgebra structure, and selects rows in the frames'
-orbit coordinates to apply its relative-orientation projectors.  Subsystem relativity reads the
+Gauge-induced coordinate changes route one frame's conditional description through the
+perspective-neutral space into another frame's, and are isometries between the (possibly moving)
+physical system subspaces regardless of frame idealness.  Symmetry-induced transformations --
+plain and relation-conditional reorientations -- act on relational observables instead; the
+relation-conditional construction is restricted to regular representations, as is its
+commuting-subalgebra structure, and runs in the frames' orbit coordinates, where a reorientation
+relabels orbits and a relative-orientation projector keeps rows.  Subsystem relativity reads the
 relativized algebras of ideal frames as matrix-unit systems from the blocks of C_e and compares
 them by a cross Gram of those blocks; it grows them by product sweeps otherwise.
 """
@@ -78,26 +77,16 @@ def frame_change(
         raise ValueError("cannot change frames with an empty physical space")
     mi = schrodinger_map(ps, frame_i, g_i, tol)
     mj = schrodinger_map(ps, frame_j, g_j, tol)
-    mat = mj.matrix @ mi.inverse_matrix
+    mat = mj.matrix @ dagger(mi.matrix)
     gi, gj = mi.round_trip, mj.round_trip
     xi, xj = gi - np.eye(ps.dim), gj - np.eye(ps.dim)
     worst = float(np.sqrt(max(np.vdot(xj @ gi, gi @ xj).real, np.vdot(xi @ gj, gj @ xi).real, 0.0)))
     check = tol.check("frame_change_isometry", worst, 1.0, max(mat.shape))
     if not check.passed:
         raise ValueError(f"frame change failed the isometry check ({worst:.3e})")
-    return FrameChange(
-        frame_i,
-        frame_j,
-        mi.orientation,
-        mj.orientation,
-        mat,
-        {
-            "from_volume": mi.scale_notes["frame_volume"],
-            "to_volume": mj.scale_notes["frame_volume"],
-            "isometry_defect": worst,
-        },
-        check,
-    )
+    volumes = [ps.scenario.frame(f).weight_scale for f in (frame_i, frame_j)]
+    notes = {"from_volume": volumes[0], "to_volume": volumes[1], "isometry_defect": worst}
+    return FrameChange(frame_i, frame_j, mi.orientation, mj.orientation, mat, notes, check)
 
 
 def ensure_lr(frame, tol: Tolerance = DEFAULT_TOL):
@@ -199,12 +188,15 @@ def relation_conditional_reorient(
     frame 2; ``modified=False`` is the unital conjugation form, which fixes
     tautological observables.  Both read their targets from the right action,
     F(h g^-1) = (V_R(g) x 1) F(h) (V_R(g) x 1)^dag: the modified target
-    F(g2 g'^-1) is ``obs.matrix`` conjugated by V_R(g' g2^-1 o), o the
-    observable's orientation, and the unital one takes g1 in place of o.  The
-    modified form evaluates an observable's own ``family`` where it has one,
-    as tautological observables do.  The projector onto relative orientation g'
-    keeps, in the frames' orbit coordinates (O1 x O2)^dag, the rows with orbit
-    labels b = a g'; these partition the rows, so the sum is rotated back once.
+    F(g2 g'^-1) is ``obs.matrix`` conjugated by V_R(k), k = g' g2^-1 o, o the
+    observable's orientation, and the unital one takes g1 in place of o.  In the
+    frames' orbit coordinates, m = (O1 x O2)^dag M (O1 x O2), V_R(k)|phi(h)> =
+    |phi(h k^-1)> relabels frame 1's orbit label, so a target is m[q][:, q] with
+    q taking label h to h k; V_R itself is never evaluated.  The modified form
+    rotates an observable's own ``family`` where it has one, as tautological
+    observables do.  The projector onto relative orientation g' keeps the rows
+    with orbit labels b = a g'; these partition the rows, so the sum is rotated
+    back once.
     """
     if frame1 == frame2:
         raise ValueError("relation-conditional reorientation needs two distinct frames")
@@ -212,25 +204,36 @@ def relation_conditional_reorient(
     orbit1, orbit2 = _require_ideal(f1), _require_ideal(f2)
     if obs.frame_name != frame1:
         raise ValueError("operand must be a relational observable relative to the first frame")
+    ensure_lr(f1, tol)
     group = f1.rep.group
     slot1, slot2 = s.frame_slot(frame1), s.frame_slot(frame2)
     g2_el = f2.rep.element(g2)
     anchor = f1.rep.element(obs.orientation if modified else g1).index
-    v_rep = ensure_lr(f1, tol)
+
+    def to_orbits(a):  # (O1 x O2)^dag a (O1 x O2), one slot and side at a time; rebinding a frees each step's input
+        for slot, orbit in ((slot1, orbit1), (slot2, orbit2)):
+            a = (dagger(orbit) @ slot_view(a, s.dims, slot)).reshape(a.shape)
+        for slot, orbit in ((slot1, orbit1), (slot2, orbit2)):
+            a = (orbit.T @ slot_view(a, [s.kin_dim] + s.dims, slot + 1)).reshape(a.shape)
+        return a
+
+    family = obs.family if modified else None
+    m = None if family is not None else to_orbits(obs.matrix)
     labels = np.unravel_index(np.arange(s.kin_dim), s.dims)  # each row's index on every slot: its orbit labels
     out = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
     for gp in group.elements():
-        if modified and obs.family is not None:
-            rotated = obs.family(f1.rep.element(group.mult(g2_el.index, group.inverse(gp))))
+        keep = labels[slot2] == group.product_table[labels[slot1], gp]
+        if family is not None:
+            out[keep] = to_orbits(family(f1.rep.element(group.mult(g2_el.index, group.inverse(gp)))))[keep]
         else:
             k = group.mult(gp, group.mult(group.inverse(g2_el.index), anchor))
-            rotated = _right_conjugate(s.dims, slot1, v_rep, k, obs.matrix)
-        for slot, orbit in ((slot1, orbit1), (slot2, orbit2)):  # rebinding keeps two kin^2 arrays live besides out
-            rotated = (dagger(orbit) @ slot_view(rotated, s.dims, slot)).reshape(out.shape)
-        keep = labels[slot2] == group.product_table[labels[slot1], gp]
-        out[keep] = rotated[keep]
+            q = slot_view(np.arange(s.kin_dim), s.dims, slot1)[:, group.product_table[:, k]].reshape(-1)
+            out[keep] = m[np.ix_(q[keep], q)]
+    del m  # out is rotated back here, not in a helper whose caller would keep it alive: two kin^2 arrays at a time
     for slot, orbit in ((slot1, orbit1), (slot2, orbit2)):
         out = (orbit @ slot_view(out, s.dims, slot)).reshape(out.shape)
+    for slot, orbit in ((slot1, orbit1), (slot2, orbit2)):
+        out = (np.conj(orbit) @ slot_view(out, [s.kin_dim] + s.dims, slot + 1)).reshape(out.shape)
     return RelObs(op=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
 
 

@@ -199,13 +199,14 @@ class PhysicalSpace:
 
     def restrict(self, op: np.ndarray | reps.WeightBlocks) -> np.ndarray:
         """Matrix B^dag op B of an operator in the physical basis.  Physical vectors have weight 0, so
-        weight blocks are read on their weight-0 block alone: x^dag op_0 x, with x = (W^dag B)[sector 0]."""
+        weight blocks are read on their weight-0 block alone: x^dag op_0 x, with x = (W^dag B)[sector 0].
+        A rep with no weight-0 sector has an empty physical space, and the matrix is 0 x 0."""
         b = self.basis.basis
         if not isinstance(op, reps.WeightBlocks):
             return dagger(b) @ (as_cmatrix(op) @ b)
         wb = op.basis
-        x = (b if wb.vectors is None else dagger(wb.vectors) @ b)[wb.sectors[0]]
-        return dagger(x) @ op.blocks[0] @ x
+        x = (b if wb.vectors is None else dagger(wb.vectors) @ b)[wb.sectors.get(0, [])]
+        return dagger(x) @ op.blocks.get(0, np.zeros((0, 0))) @ x
 
 
 @dataclass

@@ -50,13 +50,10 @@ __all__ = [
 class ReductionMap:
     """Rectangular matrix from physical-basis coefficients to the system factor."""
 
-    kind: str  # "schrodinger" | "heisenberg"
     frame_name: str
     orientation: object
-    matrix: np.ndarray          # (complement_dim, n_phys)
-    inverse_matrix: np.ndarray  # (n_phys, complement_dim)
-    scale_notes: dict
-    round_trip: np.ndarray      # inverse_matrix @ matrix, (n_phys, n_phys)
+    matrix: np.ndarray      # C_g, (complement_dim, n_phys); its inverse on the system subspace is C_g^dag
+    round_trip: np.ndarray  # C_g^dag C_g, (n_phys, n_phys)
 
 
 @dataclass
@@ -126,22 +123,12 @@ def schrodinger_map(
     g,
     tol: Tolerance = DEFAULT_TOL,
 ) -> ReductionMap:
-    """The reduction C_g and its inverse C_g^dag as matrices over the physical basis."""
-    frame = ps.scenario.frame(frame_name)
+    """The reduction C_g as a matrix over the physical basis; its inverse is C_g^dag, checked by the round trip."""
     fwd = conditioning_map(ps, frame_name, g)
-    inv = dagger(fwd)
-    round_trip = inv @ fwd
+    round_trip = dagger(fwd) @ fwd
     if not tol.check("round_trip", np.linalg.norm(round_trip - np.eye(ps.dim)), 1.0, ps.dim).passed:
         raise ValueError("reduction map failed its inverse round-trip validation")
-    return ReductionMap(
-        kind="schrodinger",
-        frame_name=frame_name,
-        orientation=frame.rep.element(g),
-        matrix=fwd,
-        inverse_matrix=inv,
-        scale_notes={"frame_volume": frame.weight_scale, "isometry_scale": float(np.sqrt(frame.weight_scale))},
-        round_trip=round_trip,
-    )
+    return ReductionMap(frame_name, ps.scenario.frame(frame_name).rep.element(g), fwd, round_trip)
 
 
 def _check_projector(e: np.ndarray, tol: Tolerance) -> np.ndarray:

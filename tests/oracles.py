@@ -168,10 +168,10 @@ def invariant_closure(rep, v, tol=DEFAULT_TOL):
 
 def frame_change_defect(mi, mj):
     """max(||V^dag V - C_i C_i^dag||, ||V V^dag - C_j C_j^dag||) from four complement-sized products."""
-    mat = mj.matrix @ mi.inverse_matrix
+    mat = mj.matrix @ dagger(mi.matrix)
     return max(
-        float(np.linalg.norm(dagger(mat) @ mat - mi.matrix @ mi.inverse_matrix)),
-        float(np.linalg.norm(mat @ dagger(mat) - mj.matrix @ mj.inverse_matrix)),
+        float(np.linalg.norm(dagger(mat) @ mat - mi.matrix @ dagger(mi.matrix))),
+        float(np.linalg.norm(mat @ dagger(mat) - mj.matrix @ dagger(mj.matrix))),
     )
 
 

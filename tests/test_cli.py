@@ -809,3 +809,81 @@ def test_d4_full_report_never_densifies_a_complement_rep(monkeypatch):
     for fname in s.frames:
         comp = s.complement_rep(fname)
         assert reps.permutation_table(comp) is not None and comp._matrices is None, fname
+
+
+@pytest.mark.parametrize("group, reps_, obs", [
+    ("u1", [{"u1_charges": [2, 1]}, {"u1_charges": [1, 3]}], [1, -1]),
+    ("su2", [{"spin_j": 0.5}, {"spin_j": 1}], [1, 0, -1]),
+], ids=["u1", "su2"])
+def test_rel_obs_without_weight_zero_states_restricts_to_an_empty_matrix(group, reps_, obs):
+    # no weight-0 state means no physical state: the restriction is 0 x 0, not a missing weight block
+    raw = small_config(
+        group={"builtin": group},
+        subsystems=[{"name": n, "rep": r} for n, r in zip("AB", reps_)],
+        tasks=[{"task": "rel_obs", "frame": "A", "observable": {"diag": obs}}],
+    )
+    task = run(parse_config(json.dumps(raw)))["tasks"][0]
+    assert "error" not in task
+    assert task["results"]["restricted_matrix"] == []
+    assert [(c["name"], c["pass"]) for c in task["checks"]] == [("dirac_commutation", True)]
+
+
+_Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize("text", [json.dumps(_Z3_TABLE), "0 1 2\n1 2 0\n\n2 0 1\n"], ids=["json", "text"])
+def test_table_file_group_gives_the_inline_table_report(text, tmp_path, capsys):
+    table_path = tmp_path / "z3.table"
+    table_path.write_text(text)
+    reports = []
+    for group in ({"table": _Z3_TABLE}, {"table_file": str(table_path)}):
+        code, out = _run_main(_builtin_with_tasks("finite-regular:Z3", [{"task": "full_report"}]) | {"group": group}, tmp_path)
+        assert code == 0
+        reports.append(json.loads(out))
+        assert reports[-1]["scenario"].pop("group") == group
+    assert reports[0] == reports[1]
+    missing = _builtin_with_tasks("finite-regular:Z3", []) | {"group": {"table_file": str(tmp_path / "none.json")}}
+    assert _run_main(missing, tmp_path)[0] == 2 and "FileNotFoundError" in capsys.readouterr().err
+
+
+def test_matrix_observables_match_their_diagonal_and_library_forms():
+    diag = [1, -1, 0.5, 0, 2, -0.5]
+    rng = np.random.default_rng(46)
+    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    h = h + h.conj().T
+    specs = [{"diag": diag}, {"matrix": np.diag(diag).tolist()}, {"matrix": [[[z.real, z.imag] for z in row] for row in h]}]
+    cfg = _builtin_with_tasks("u1-qubit-qubit-qutrit", [
+        {"task": "rel_obs", "frame": "A", "orientation": {"theta": 0.4}, "observable": spec} for spec in specs
+    ])
+    tasks = run(parse_config(json.dumps(cfg)))["tasks"]
+    assert all(c["pass"] for t in tasks for c in t["checks"])
+    assert tasks[0]["results"] == tasks[1]["results"] and tasks[0]["checks"] == tasks[1]["checks"]
+    s = cli.build_scenario(parse_config(json.dumps(cfg)))
+    want = perspective.physical_space(s).restrict(perspective.relational_observable(s, "A", [0.4], h).op)
+    got = np.array(tasks[2]["results"]["restricted_matrix"], dtype=float)
+    np.testing.assert_allclose(got[..., 0] + 1j * got[..., 1], want, rtol=0, atol=1e-12)
+
+
+def test_coefficient_and_amplitude_states_match_the_basis_index():
+    # unnormalized coefficients and amplitudes are normalized; both name the same physical state as basis_index 1
+    cfg = parse_config(json.dumps(_builtin_with_tasks("u1-qubit-qubit-qutrit", [])))
+    ps = perspective.physical_space(cli.build_scenario(cfg))
+    states = [{"basis_index": 1}, {"coefficients": [0, [0, 2], 0, 0]},
+              {"amplitudes": [[3 * z.real, 3 * z.imag] for z in ps.basis.basis[:, 1]]}]
+    tasks = [t for state in states for t in (
+        {"task": "reduce", "frame": "B", "orientation": {"theta": 0.7}, "state": state},
+        {"task": "probabilities", "frame": "B", "orientation": {"theta": 0.7},
+         "projector": {"diag": [1, 0, 0, 1, 0, 0]}, "state": state},
+    )]
+    out = run(parse_config(json.dumps(_builtin_with_tasks("u1-qubit-qubit-qutrit", tasks))))["tasks"]
+    assert all("error" not in t and all(c["pass"] for c in t["checks"]) for t in out)
+
+    def amplitudes(task):  # [re, im] pairs
+        a = np.array(task["results"]["reduced_amplitudes"], dtype=float)
+        return a[:, 0] + 1j * a[:, 1]
+
+    ref = amplitudes(out[0])
+    np.testing.assert_allclose(amplitudes(out[2]), 1j * ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(amplitudes(out[4]), ref, rtol=0, atol=1e-12)
+    for k in (3, 5):
+        assert abs(out[k]["results"]["probability"] - out[1]["results"]["probability"]) <= 1e-12

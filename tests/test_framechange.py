@@ -89,7 +89,7 @@ def test_same_frame_change_is_relabeling(u1_scenario):
     ch = frame_change(ps, "A", [0.3], "A", [0.9])
     m1 = schrodinger_map(ps, "A", [0.3])
     m2 = schrodinger_map(ps, "A", [0.9])
-    np.testing.assert_allclose(ch.matrix, m2.matrix @ m1.inverse_matrix, atol=1e-10)
+    np.testing.assert_allclose(ch.matrix, m2.matrix @ dagger(m1.matrix), atol=1e-10)
     assert ch.scale_notes["isometry_defect"] <= 1e-10
 
 
@@ -124,7 +124,7 @@ def test_isometry_defect_from_round_trips_matches_complement_products(s3_regular
     def perturbed(ps_, frame_name, g, tol):
         # a near-isometry, so that the defect is far above rounding noise
         c = exact[frame_name].matrix + 1e-6 * rng.standard_normal(exact[frame_name].matrix.shape)
-        maps.append(ReductionMap("schrodinger", frame_name, g, c, dagger(c), {"frame_volume": 1.0}, dagger(c) @ c))
+        maps.append(ReductionMap(frame_name, g, c, dagger(c) @ c))
         return maps[-1]
 
     monkeypatch.setattr(framechange, "schrodinger_map", perturbed)
@@ -282,6 +282,15 @@ def test_relation_conditional_rejects_non_regular_finite_frame():
         relation_conditional_reorient(s, "R1", 0, "R2", 0, obs)
 
 
+def _forbid_right_conjugation(monkeypatch):
+    """In the orbit coordinates V_R(k) relabels frame 1's orbit label, so no target is a V_R conjugate."""
+
+    def conjugate(*args):
+        raise AssertionError("relation_conditional_reorient conjugated by V_R")
+
+    monkeypatch.setattr(framechange, "_right_conjugate", conjugate)
+
+
 def _kron_slots_relation_conditional(s, frame1, g1, frame2, g2, obs, modified):
     """Oracle: the orientation projector of every g' as a Kronecker product over every slot."""
     f1, f2 = s.frame(frame1), s.frame(frame2)
@@ -336,7 +345,7 @@ def test_permutation_right_action_conjugates_by_a_gather():
 
 
 @pytest.mark.parametrize("frame1, frame2", [("R1", "R2"), ("R2", "R1")])
-def test_relation_conditional_non_adjacent_frames_match_kron_oracle(frame1, frame2):
+def test_relation_conditional_non_adjacent_frames_match_kron_oracle(frame1, frame2, monkeypatch):
     # frames in slots 0 and 2 with the system between them, in both orders
     g = groups.symmetric_3()
     reg = reps.regular_rep(g)
@@ -349,6 +358,7 @@ def test_relation_conditional_non_adjacent_frames_match_kron_oracle(frame1, fram
     )
     rng = np.random.default_rng(29)
     obs = relational_observable(s, frame1, 4, random_hermitian(rng, 36))
+    _forbid_right_conjugation(monkeypatch)
     for modified in (True, False):
         out = relation_conditional_reorient(s, frame1, 4, frame2, 2, obs, modified=modified)
         oracle = _kron_slots_relation_conditional(s, frame1, 4, frame2, 2, obs, modified)
@@ -356,7 +366,7 @@ def test_relation_conditional_non_adjacent_frames_match_kron_oracle(frame1, fram
 
 
 @pytest.mark.parametrize("group", [groups.symmetric_3(), groups.dihedral_4()], ids=["S3", "D4"])
-def test_relation_conditional_matches_twirl_family_oracle(group):
+def test_relation_conditional_matches_twirl_family_oracle(group, monkeypatch):
     from oracles import relation_conditional_reorient as twirl_family
 
     s = regular_three_party(group)
@@ -369,6 +379,7 @@ def test_relation_conditional_matches_twirl_family_oracle(group):
         "tautological": tautological_relobs(s, "R1", 5, rng.standard_normal(n)),
     }
     g1, g2 = 1, n - 1  # the modified form reads no g1; the unital one reads no observable orientation
+    _forbid_right_conjugation(monkeypatch)
     for label, obs in observables.items():
         for modified in (True, False):
             out = relation_conditional_reorient(s, "R1", g1, "R2", g2, obs, modified=modified)
@@ -378,7 +389,7 @@ def test_relation_conditional_matches_twirl_family_oracle(group):
 
 
 @pytest.mark.parametrize("frame1, frame2", [("R1", "R2"), ("R2", "R1")])
-def test_relation_conditional_orbit_rows_match_the_oracle_off_the_identity_seed(frame1, frame2):
+def test_relation_conditional_orbit_rows_match_the_oracle_off_the_identity_seed(frame1, frame2, monkeypatch):
     # build_lr_seed makes the orbit matrix O a dense unitary, so the row selection runs in rotated coordinates
     from oracles import relation_conditional_reorient as oracle
 
@@ -393,10 +404,47 @@ def test_relation_conditional_orbit_rows_match_the_oracle_off_the_identity_seed(
     assert np.count_nonzero(np.abs(orbit) > 1e-12) > g.order  # not a permutation matrix
     rng = np.random.default_rng(37)
     obs = relational_observable(s, frame1, 4, random_hermitian(rng, 36))
+    _forbid_right_conjugation(monkeypatch)
     for modified in (True, False):
         out = relation_conditional_reorient(s, frame1, 4, frame2, 2, obs, modified=modified)
         ref = oracle(s, frame1, 4, frame2, 2, obs, modified=modified)
         np.testing.assert_allclose(out.matrix, ref.matrix, rtol=0, atol=1e-13, err_msg=f"modified={modified}")
+
+
+def _traced_reorientations(monkeypatch) -> list:
+    """Wrap relation_conditional_reorient so each call appends its tracemalloc peak, in kin^2 complex entries."""
+    peaks, inner = [], framechange.relation_conditional_reorient
+
+    def traced(s, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return inner(s, *args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] / (16 * s.kin_dim**2))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(framechange, "relation_conditional_reorient", traced)
+    return peaks
+
+
+def _regular_parties(name, parties):
+    group = groups.builtin_group(name)
+    reg = reps.regular_rep(group)
+    seed = np.eye(group.order, dtype=complex)[group.identity_index]
+    fr = {f: (f, frames.make_frame(reg, seed, name=f)) for f in ("R1", "R2")}
+    return perspective.make_scenario(group, [(n, reg) for n in ("R1", "R2", "S", "T")[:parties]], fr)
+
+
+@pytest.mark.parametrize("name, parties", [("D4", 3), ("S3", 3), ("Z4", 4)])
+def test_relation_conditional_reorient_holds_two_kinematical_operators(name, parties, monkeypatch):
+    # the operand's orbit form m and the output, besides one |G|-th of a target; a third kin^2 array reads 3.0
+    s = _regular_parties(name, parties)
+    small = random_hermitian(np.random.default_rng(44), s.complement_dim("R1") // s.dims[1])
+    peaks = _traced_reorientations(monkeypatch)
+    assert framechange.relation_conditional_check(s, "R1", 1, "R2", 2, small).passed
+    obs = relational_observable(s, "R1", 1, framechange._identity_on(s, "R1", "R2", small))
+    framechange.relation_conditional_reorient(s, "R1", 1, "R2", 2, obs, modified=False)
+    assert len(peaks) == 2 and max(peaks) < 2.5, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -675,15 +723,14 @@ def test_relativity_step_holds_no_algebra_stack():
 
 
 @pytest.mark.slow
-def test_four_party_relativity_step_holds_no_algebra_stack():
-    group = groups.builtin_group("D4")
-    reg = reps.regular_rep(group)
-    seed = np.eye(group.order, dtype=complex)[group.identity_index]
-    fr = {f: (f, frames.make_frame(reg, seed, name=f)) for f in ("R1", "R2")}
-    s = perspective.make_scenario(group, [(n, reg) for n in ("R1", "R2", "S", "T")], fr)
+def test_four_party_relativity_step_holds_no_algebra_stack(monkeypatch):
+    s = _regular_parties("D4", 4)
     out, peak = _relativity_peak(s)
     assert (out["algebra_dims"], out["overlap_dim"]) == ((64, 64), 8)
     assert peak < 32 * 2**20
+    peaks = _traced_reorientations(monkeypatch)
+    assert framechange.relation_conditional_check(s, "R1", 0, "R2", 0, random_hermitian(np.random.default_rng(45), 64)).passed
+    assert len(peaks) == 1 and peaks[0] < 2.5, peaks
 
 
 @pytest.mark.parametrize("planted", [0, 1, 3, 6])

@@ -109,10 +109,11 @@ def test_schrodinger_inverse_rejects_out_of_range(u1_scenario):
 def test_schrodinger_map_invariants(u1_scenario, s3_regular_scenario, three_spin_scenario):
     ps = physical_space(u1_scenario)
     m = schrodinger_map(ps, "A", [0.4])
-    np.testing.assert_allclose(m.inverse_matrix @ m.matrix, np.eye(ps.dim), atol=1e-9)
+    np.testing.assert_allclose(dagger(m.matrix) @ m.matrix, np.eye(ps.dim), atol=1e-9)
+    np.testing.assert_allclose(m.round_trip, dagger(m.matrix) @ m.matrix, atol=1e-12)
     pi = system_projector(u1_scenario, "A", [0.4])
-    np.testing.assert_allclose(m.matrix @ m.inverse_matrix, pi, atol=1e-9)
-    assert m.scale_notes["frame_volume"] == 2.0
+    np.testing.assert_allclose(m.matrix @ dagger(m.matrix), pi, atol=1e-9)
+    assert u1_scenario.frame("A").weight_scale == 2.0
     rng = np.random.default_rng(31)
     for s, fname, g in (
         (s3_regular_scenario, "R1", 4),

@@ -390,14 +390,21 @@ def _basis_table(ps, limit: int = 2048) -> object:
     return _jsonable(ps.basis.basis.T)
 
 
+def _param(task: dict, key: str):
+    """A task's parameter, or a ConfigError naming it; a KeyError from the library is left to ``main``."""
+    if key not in task:
+        raise ConfigError(f"missing task parameter {key!r}")
+    return task[key]
+
+
 def _task_phys_space(scenario, ps, cfg, task, rng):
     return {"dim": ps.dim, "kin_dim": scenario.kin_dim, "basis": _basis_table(ps)}, [ps.invariance_check(cfg.tol())]
 
 
 def _task_rel_obs(scenario, ps, cfg, task, rng):
-    fname = task["frame"]
+    fname = _param(task, "frame")
     g = _element(scenario, fname, task.get("orientation"), "task.orientation")
-    f_s = _observable(scenario.complement_dim(fname), task["observable"], "task.observable")
+    f_s = _observable(scenario.complement_dim(fname), _param(task, "observable"), "task.observable")
     obs = perspective.relational_observable(scenario, fname, g, f_s, cfg.tol(), check=False)
     return {
         "frame": fname,
@@ -407,9 +414,9 @@ def _task_rel_obs(scenario, ps, cfg, task, rng):
 
 
 def _task_reduce(scenario, ps, cfg, task, rng):
-    fname = task["frame"]
+    fname = _param(task, "frame")
     g = _element(scenario, fname, task.get("orientation"), "task.orientation")
-    state = _state(ps, task["state"], "task.state")
+    state = _state(ps, _param(task, "state"), "task.state")
     reduced, check = reductions.isometry_check(ps, fname, g, state, cfg.tol())
     return {
         "frame": fname,
@@ -419,17 +426,17 @@ def _task_reduce(scenario, ps, cfg, task, rng):
 
 
 def _task_probabilities(scenario, ps, cfg, task, rng):
-    fname = task["frame"]
+    fname = _param(task, "frame")
     g = _element(scenario, fname, task.get("orientation"), "task.orientation")
-    proj = _observable(scenario.complement_dim(fname), task["projector"], "task.projector")
-    state = _state(ps, task["state"], "task.state")
+    proj = _observable(scenario.complement_dim(fname), _param(task, "projector"), "task.projector")
+    state = _state(ps, _param(task, "state"), "task.state")
     p = reductions.conditional_probability(ps, fname, g, proj, state, cfg.tol())
     in_range = reductions.unit_interval_check(p, cfg.tol())
     return {"frame": fname, "orientation": _jsonable(g), "probability": p}, [in_range]
 
 
 def _task_frame_change(scenario, ps, cfg, task, rng):
-    f_from, f_to = task["from"], task["to"]
+    f_from, f_to = _param(task, "from"), _param(task, "to")
     g_from = _element(scenario, f_from, task.get("g_from"), "task.g_from")
     g_to = _element(scenario, f_to, task.get("g_to"), "task.g_to")
     change = framechange.frame_change(ps, f_from, g_from, f_to, g_to, cfg.tol())
@@ -442,22 +449,23 @@ def _task_frame_change(scenario, ps, cfg, task, rng):
 
 
 def _task_reorient(scenario, ps, cfg, task, rng):
-    fname = task["frame"]
+    fname = _param(task, "frame")
     g1 = _element(scenario, fname, task.get("orientation"), "task.orientation")
-    g = _element(scenario, fname, task["g"], "task.g")
-    f_s = _observable(scenario.complement_dim(fname), task["observable"], "task.observable")
+    g = _element(scenario, fname, _param(task, "g"), "task.g")
+    f_s = _observable(scenario.complement_dim(fname), _param(task, "observable"), "task.observable")
     moved, check = framechange.reorientation_check(scenario, fname, g1, g, f_s, cfg.tol())
     return {"frame": fname, "new_orientation": _jsonable(moved.orientation)}, [check]
 
 
 def _task_lr_classify(scenario, ps, cfg, task, rng):
-    frame = scenario.frame(task["frame"])
-    v_rep, report = frames.lr_classify(frame, cfg.tol())
-    return {"frame": task["frame"], "lr_exists": v_rep is not None, "report": _jsonable(report)}, []
+    fname = _param(task, "frame")
+    v_rep, report = frames.lr_classify(scenario.frame(fname), cfg.tol())
+    return {"frame": fname, "lr_exists": v_rep is not None, "report": _jsonable(report)}, []
 
 
 def _task_subsystem_relativity(scenario, ps, cfg, task, rng):
-    report = framechange.subsystem_relativity_report(scenario, task["frame1"], task["frame2"], cfg.tol())
+    f1, f2 = _param(task, "frame1"), _param(task, "frame2")
+    report = framechange.subsystem_relativity_report(scenario, f1, f2, cfg.tol())
     check = report.pop("check", None)  # none when both arguments name the same frame
     return _jsonable(report), [check] if check else []
 
@@ -491,7 +499,7 @@ def _task_full_report(scenario, ps, cfg, task, rng):
         if v_rep is None:
             entry["lr_obstruction"] = lr_report["reason"]
         entry["orientation_independent"] = perspective.orientation_independent(scenario, fname, tol)
-        _, gram = perspective.system_round_trip(scenario, fname, frame.rep.identity_element(), tol)
+        gram = perspective.schrodinger_map(ps, fname, frame.rep.identity_element(), tol).round_trip
         entry["reduced_space_dim"] = int(round(float(np.trace(gram).real)))
         entry["conditional_span_dim"] = perspective.physical_system_span(scenario, fname, tol).dim
         if ps.dim:
@@ -546,7 +554,9 @@ def _symmetry_layer(scenario, tol, f1, f2, rng, checks) -> dict:
     relation = framechange.relation_conditional_check(scenario, f1, g1, f2, g2, small, tol)
     checks.append(relation)
     report = framechange.subsystem_relativity_report(scenario, f1, f2, tol)
-    checks += [report.pop("check"), Check("distinct_system_subalgebras", float(report["coincide"]), 0.0)]
+    checks.append(report.pop("check"))
+    if max(report["algebra_dims"]) > 1:  # a one-dimensional system: both algebras are the scalars, which coincide
+        checks.append(Check("distinct_system_subalgebras", float(report["coincide"]), 0.0))
     return {
         "reorient_residual": orbit.residual,
         "relation_conditional_residual": relation.residual,
@@ -579,8 +589,6 @@ def run(cfg: ScenarioConfig) -> dict:
         try:
             results, checks = _TASK_RUNNERS[task["task"]](scenario, ps, cfg, task, rng)
             record["results"], record["checks"] = results, [c.as_dict() for c in checks]
-        except KeyError as exc:
-            record["error"] = f"missing task parameter {exc}"
         except (ConfigError, ValueError, np.linalg.LinAlgError) as exc:
             record["error"] = str(exc)
         verdicts = [c["pass"] for c in record["checks"]] if "checks" in record else [False]  # an error fails once

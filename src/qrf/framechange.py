@@ -28,9 +28,9 @@ from .perspective import (
     embed_on_slot,
     physical_space,
     relational_observable,
+    schrodinger_map,
     slot_view,
 )
-from .reductions import schrodinger_map
 
 __all__ = [
     "FrameChange",
@@ -255,6 +255,7 @@ def relation_conditional_check(
     """
     obs1 = relational_observable(s, frame1, g1, _identity_on(s, frame1, frame2, small), tol)
     moved = relation_conditional_reorient(s, frame1, g1, frame2, g2, obs1, True, tol)
+    del obs1  # the direct observable's construction then holds ``moved`` beside it, not the operand too
     direct = relational_observable(s, frame2, g2, _identity_on(s, frame2, frame1, small), tol)
     resid = float(np.linalg.norm(moved.matrix - direct.matrix))
     return tol.check("relation_conditional_reorient", resid, float(np.abs(small).max(initial=0.0)), s.kin_dim)

@@ -10,20 +10,23 @@ scale constants: twirls over frame orientations carry the frame's volume
 An operator on one subsystem slot is one batched matmul on ``slot_view``, the
 copy-free (lead, d_slot, rest) reshape of a kinematical axis; a on the slot and
 b on the rest is one broadcast product, ``embed_on_slot``.  The one conditioning
-primitive is the contraction (<phi| x 1) of
-``Scenario.condition_vector``, on a kinematical vector or on each column of
-a matrix; its adjoint (|phi> x 1) is ``inject_vector``.  On the orthonormal
-physical basis B it gives ``conditioning_map``, C_g = sqrt(Vol) (<phi(g)| x 1) B,
-an isometry from physical-basis coefficients onto the physical system
-subspace, so the system projector is C_g C_g^dag, the Schroedinger reduction
-is C_g, and, because B^dag U A U^dag B = B^dag A B on invariant vectors, a
-relational observable restricted to the physical space is C_g^dag f_S C_g.
-``PhysicalSpace.restrict`` is the one restriction, B^dag F B; the homomorphism
-check reads every clause through it and ties it to C_g^dag f_S C_g.  A Lie
-relational observable is built and kept on its weight blocks, read from
-|phi><phi| and f_S: checks and probabilities apply them to vectors, restrict
-them on the weight-0 block, where every physical vector lies, and commute a
-charge-held U(1) rep's blocks one by one; ``RelObs.matrix`` densifies them.
+primitive is the contraction (<phi| x 1) of ``Scenario.condition_vector``, on a
+kinematical vector or on each column of a matrix; its adjoint (|phi> x 1) is
+``inject_vector``.  ``condition_on`` is the one place a reduction scales it by
+sqrt(Vol) at an orientation g.  On the orthonormal physical basis B it gives
+``conditioning_map``, C_g = sqrt(Vol) (<phi(g)| x 1) B, an isometry from
+physical-basis coefficients onto the physical system subspace.
+``schrodinger_map`` holds the one round-trip gate, ||C_g^dag C_g - 1||_F <=
+``tol.bound(1, n_phys)``: the system projector is C_g C_g^dag of the gated map,
+the Schroedinger reduction is C_g, and, because B^dag U A U^dag B = B^dag A B on
+invariant vectors, a relational observable restricted to the physical space is
+C_g^dag f_S C_g.  ``PhysicalSpace.restrict`` is the one restriction, B^dag F B;
+the homomorphism check reads every clause through it and ties it to
+C_g^dag f_S C_g.  A Lie relational observable is built and kept on its weight
+blocks, read from |phi><phi| and f_S: checks and probabilities apply them to
+vectors, restrict them on the weight-0 block, where every physical vector lies,
+and commute a charge-held U(1) rep's blocks one by one; ``RelObs.matrix``
+densifies them.
 """
 
 from __future__ import annotations
@@ -55,11 +58,13 @@ __all__ = [
     "RelObs",
     "make_scenario",
     "physical_space",
+    "condition_on",
     "conditioning_map",
+    "ReductionMap",
+    "schrodinger_map",
     "relational_observable",
     "h_average",
     "system_projector",
-    "system_round_trip",
     "orientation_independent",
     "physical_system_span",
     "check_weak_homomorphism",
@@ -234,12 +239,38 @@ def physical_space(s: Scenario, tol: Tolerance = DEFAULT_TOL) -> PhysicalSpace:
     return s._cache[key]
 
 
-def conditioning_map(ps: PhysicalSpace, frame_name: str, g) -> np.ndarray:
-    """C_g = sqrt(Vol_frame) (<phi(g)| x 1) B, shape (complement_dim, n_phys)."""
-    s = ps.scenario
+def condition_on(s: Scenario, frame_name: str, g, x: np.ndarray) -> np.ndarray:
+    """sqrt(Vol_frame) (<phi(g)| x 1) x for a kinematical vector, or for each column of a matrix: the one place a
+    reduction evaluates the orientation state and its scale."""
     frame = s.frame(frame_name)
     phi = frame.orientation(frame.rep.element(g))
-    return np.sqrt(frame.weight_scale) * s.condition_vector(frame_name, phi, ps.basis.basis)
+    return np.sqrt(frame.weight_scale) * s.condition_vector(frame_name, phi, x)
+
+
+def conditioning_map(ps: PhysicalSpace, frame_name: str, g) -> np.ndarray:
+    """C_g = sqrt(Vol_frame) (<phi(g)| x 1) B, shape (complement_dim, n_phys)."""
+    return condition_on(ps.scenario, frame_name, g, ps.basis.basis)
+
+
+@dataclass
+class ReductionMap:
+    """Rectangular matrix from physical-basis coefficients to the system factor."""
+
+    frame_name: str
+    orientation: object
+    matrix: np.ndarray      # C_g, (complement_dim, n_phys); its inverse on the system subspace is C_g^dag
+    round_trip: np.ndarray  # C_g^dag C_g, (n_phys, n_phys)
+
+
+def schrodinger_map(ps: PhysicalSpace, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> ReductionMap:
+    """C_g with its round trip G = C_g^dag C_g, gated by ||G - 1||_F <= ``tol.bound(1, n_phys)``: the one round-trip
+    gate.  It bounds Pi = C_g C_g^dag too: ||Pi^2 - Pi||_F = ||C (G - 1) C^dag||_F <= ||G||_2 ||G - 1||_F."""
+    c = conditioning_map(ps, frame_name, g)
+    gram = dagger(c) @ c
+    defect = float(np.linalg.norm(gram - np.eye(ps.dim)))
+    if not tol.check("round_trip", defect, 1.0, ps.dim).passed:
+        raise ValueError(f"reduction map failed its round trip C^dag C = 1 ({defect:.2e})")
+    return ReductionMap(frame_name, ps.scenario.frame(frame_name).rep.element(g), c, gram)
 
 
 def strong_dirac_defect(s: Scenario, op: np.ndarray | reps.WeightBlocks) -> float:
@@ -362,25 +393,9 @@ def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = 
 
 
 def system_projector(s: Scenario, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Pi_S^phys(g) = C_g C_g^dag = Vol_frame (<phi(g)| x 1) P_phys (|phi(g)> x 1)."""
-    c, _ = system_round_trip(s, frame_name, g, tol)
-    proj = c @ dagger(c)
-    defect = float(np.linalg.norm(proj - dagger(proj)))
-    if not tol.check("system_projector", defect, 1.0, proj.shape[0]).passed:
-        raise ValueError(f"system projector failed idempotence/Hermiticity ({defect:.2e})")
-    return proj
-
-
-def system_round_trip(s: Scenario, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """C_g and G = C_g^dag C_g, once Pi = C_g C_g^dag passes ``system_projector``'s idempotence gate, which reads
-    only G: ||Pi^2 - Pi||_F = ||C (G - 1) C^dag||_F.  tr G = tr Pi is the physical system subspace's dimension."""
-    c = conditioning_map(physical_space(s, tol), frame_name, g)
-    gram = dagger(c) @ c
-    x = gram - np.eye(gram.shape[0])
-    defect = float(np.sqrt(max(np.vdot(x @ gram, gram @ x).real, 0.0)))
-    if not tol.check("system_projector", defect, 1.0, c.shape[0]).passed:
-        raise ValueError(f"system projector failed idempotence/Hermiticity ({defect:.2e})")
-    return c, gram
+    """Pi_S^phys(g) = C_g C_g^dag = Vol_frame (<phi(g)| x 1) P_phys (|phi(g)> x 1), from the gated map."""
+    c = schrodinger_map(physical_space(s, tol), frame_name, g, tol).matrix
+    return c @ dagger(c)
 
 
 def orientation_independent(s: Scenario, frame_name: str, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -489,11 +504,8 @@ def conditional_inner_product_check(
     expected = complex(np.vdot(psi, chi))
     deviations = []
     for g in g_samples:
-        phi = frame.orientation(frame.rep.element(g))
-        lhs = frame.weight_scale * complex(
-            np.vdot(s.condition_vector(frame_name, phi, psi), s.condition_vector(frame_name, phi, chi))
-        )
-        deviations.append(abs(lhs - expected))
+        c = condition_on(s, frame_name, g, np.column_stack([psi, chi]))
+        deviations.append(abs(complex(np.vdot(c[:, 0], c[:, 1])) - expected))
     check = tol.check(f"{frame_name}:conditional_inner_product", max(deviations), 1.0, s.kin_dim)
     return {
         "frame": frame_name,

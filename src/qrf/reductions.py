@@ -3,8 +3,11 @@
 Every reduction is built from the conditioning contraction (<phi| x 1),
 ``Scenario.condition_vector``, and its adjoint, ``inject_vector``.
 Schroedinger reduction conditions gauge-invariant states on a frame
-orientation; with the sqrt(Vol) scale attached it is an isometry from the
-physical space onto the physical system subspace.  The Heisenberg route
+orientation through ``perspective.condition_on``, the one place the sqrt(Vol)
+scale is attached; it is then an isometry from the physical space onto the
+physical system subspace.  ``ReductionMap`` and ``schrodinger_map``, the map
+C_g with the one round-trip gate ||C_g^dag C_g - 1||_F <= ``tol.bound(1, n_phys)``,
+are re-exported from ``perspective``.  The Heisenberg route
 first disentangles the frame into a reproducing-phase state |theta>, applying
 T_R term by term through the same pair, and is available whenever such phases
 exist (N = 1 for ideal frames, by Fourier scan for U(1); SU(2) frames report
@@ -22,10 +25,13 @@ from .frames import Frame, validity_bound
 from .linalg import DEFAULT_TOL, Check, Tolerance, as_cmatrix, as_cvector, dagger
 from .perspective import (
     PhysicalSpace,
+    ReductionMap,
     Scenario,
+    condition_on,
     conditioning_map,
     relational_observable,
     sample_elements,
+    schrodinger_map,
 )
 
 __all__ = [
@@ -45,16 +51,6 @@ __all__ = [
     "product_form_check",
     "unit_interval_check",
 ]
-
-@dataclass
-class ReductionMap:
-    """Rectangular matrix from physical-basis coefficients to the system factor."""
-
-    frame_name: str
-    orientation: object
-    matrix: np.ndarray      # C_g, (complement_dim, n_phys); its inverse on the system subspace is C_g^dag
-    round_trip: np.ndarray  # C_g^dag C_g, (n_phys, n_phys)
-
 
 @dataclass
 class ThetaState:
@@ -81,11 +77,7 @@ class ThetaNotFound:
 
 def schrodinger_reduce(ps: PhysicalSpace, frame_name: str, g, psi_phys) -> np.ndarray:
     """sqrt(Vol_frame) (<phi(g)| x 1) psi_phys; an isometry on the physical space."""
-    s = ps.scenario
-    frame = s.frame(frame_name)
-    v = ps.require(psi_phys)
-    phi = frame.orientation(frame.rep.element(g))
-    return np.sqrt(frame.weight_scale) * s.condition_vector(frame_name, phi, v)
+    return condition_on(ps.scenario, frame_name, g, ps.require(psi_phys))
 
 
 def isometry_check(
@@ -117,20 +109,6 @@ def schrodinger_inverse(
     return ps.basis.basis @ coeff
 
 
-def schrodinger_map(
-    ps: PhysicalSpace,
-    frame_name: str,
-    g,
-    tol: Tolerance = DEFAULT_TOL,
-) -> ReductionMap:
-    """The reduction C_g as a matrix over the physical basis; its inverse is C_g^dag, checked by the round trip."""
-    fwd = conditioning_map(ps, frame_name, g)
-    round_trip = dagger(fwd) @ fwd
-    if not tol.check("round_trip", np.linalg.norm(round_trip - np.eye(ps.dim)), 1.0, ps.dim).passed:
-        raise ValueError("reduction map failed its inverse round-trip validation")
-    return ReductionMap(frame_name, ps.scenario.frame(frame_name).rep.element(g), fwd, round_trip)
-
-
 def _check_projector(e: np.ndarray, tol: Tolerance) -> np.ndarray:
     e = as_cmatrix(e)
     if np.linalg.norm(e - dagger(e)) > 1e4 * tol.weighted(1.0) or np.linalg.norm(e @ e - e) > 1e4 * tol.weighted(1.0):
@@ -154,8 +132,8 @@ def conditional_probability(
     e = _check_projector(projector_e, tol)
     v = ps.require(psi_phys)
     v = v / np.linalg.norm(v)
-    s, frame = ps.scenario, ps.scenario.frame(frame_name)
-    reduced = np.sqrt(frame.weight_scale) * s.condition_vector(frame_name, frame.orientation(frame.rep.element(g)), v)
+    s = ps.scenario
+    reduced = condition_on(s, frame_name, g, v)
     p_reduced = float(np.real(np.vdot(reduced, e @ reduced)))
     f = relational_observable(s, frame_name, g, e, tol, check=False)
     p_invariant = float(np.real(np.vdot(v, f.op @ v)))
@@ -330,24 +308,16 @@ def heisenberg_reduce(
     frame = s.frame(frame_name)
     v = ps.require(psi_phys)
     tv = disentangler(s, frame_name, theta, v, tol)
-    scale = np.sqrt(frame.weight_scale)
-    candidates = []
-    for g in sample_elements(frame.group, 8):
-        phi = frame.orientation(g)
-        candidates.append(
-            scale * np.conj(theta.phase_at(frame, g)) * s.condition_vector(frame_name, phi, tv)
-        )
-    worst = max(
-        float(np.linalg.norm(c - candidates[0])) for c in candidates[1:]
-    ) if len(candidates) > 1 else 0.0
+    candidates = [np.conj(theta.phase_at(frame, g)) * condition_on(s, frame_name, g, tv)
+                  for g in sample_elements(frame.group, 8)]
+    worst = max((float(np.linalg.norm(c - candidates[0])) for c in candidates[1:]), default=0.0)
     if not _trinity(s, frame_name, worst, tol).passed:
         raise ValueError(
             f"Heisenberg reduction depends on the conditioning orientation ({worst:.3e}); "
             "theta state is not reproducing for this frame"
         )
     identity = frame.rep.identity_element()
-    phi_e = frame.orientation(identity)
-    return scale * np.conj(theta.phase_at(frame, identity)) * s.condition_vector(frame_name, phi_e, tv)
+    return np.conj(theta.phase_at(frame, identity)) * condition_on(s, frame_name, identity, tv)
 
 
 def _trinity(s: Scenario, frame_name: str, residual: float, tol: Tolerance) -> Check:

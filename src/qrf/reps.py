@@ -703,7 +703,7 @@ def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     wb = weight_basis(rep)
     idx = wb.sectors.get(0, [])
     coeff = (np.eye(len(idx), dtype=complex) if rep.group.kind == "U1"
-             else next((slots[0] for top, slots in _ladders(rep, tol) if top == 0), np.zeros((0, 0))))
+             else next((slots[0] for top, slots in _ladders(rep, tol) if top == 0), np.zeros((len(idx), 0))))
     return Subspace(rep.dim, canonicalize_basis(wb.embed(idx, coeff), tol))
 
 

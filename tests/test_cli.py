@@ -887,3 +887,41 @@ def test_coefficient_and_amplitude_states_match_the_basis_index():
     np.testing.assert_allclose(amplitudes(out[4]), ref, rtol=0, atol=1e-12)
     for k in (3, 5):
         assert abs(out[k]["results"]["probability"] - out[1]["results"]["probability"]) <= 1e-12
+
+
+def test_library_key_error_exits_through_main(tmp_path, monkeypatch, capsys):
+    # a KeyError raised inside the library is a runtime fault, not a missing task parameter
+    def broken(*args, **kwargs):
+        raise KeyError("inner")
+
+    monkeypatch.setattr(cli.reductions, "isometry_check", broken)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(tasks=[{"task": "reduce", "frame": "A", "state": {"basis_index": 0}}])))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert "error: KeyError: 'inner'" in capsys.readouterr().err
+
+
+def test_su2_weight_zero_sector_without_a_singlet_gives_an_empty_physical_space(tmp_path):
+    # spin-3/2 x spin-1/2 has m = 0 states but no j = 0 state: the fixed space has no columns
+    subsystems = [{"name": "A", "rep": {"spin_j": 1.5}}, {"name": "B", "rep": {"spin_j": 0.5}}]
+    code, out = _run_main(small_config(group={"builtin": "su2"}, subsystems=subsystems,
+                                       tasks=[{"task": "full_report"}]), tmp_path)
+    assert code == 0
+    assert json.loads(out)["tasks"][0]["results"]["phys_dim"] == 0
+
+
+@pytest.mark.parametrize("frames_on", ["AC", "AB"])
+def test_symmetry_layer_with_a_one_dimensional_system_passes(frames_on, tmp_path):
+    # regular Z3 frames and a trivial system: both relativized system algebras are the scalars
+    trivial = {"matrices": [[[1]], [[1]], [[1]]]}
+    raw = small_config(
+        group={"builtin": "Z3"},
+        subsystems=[{"name": n, "rep": {"regular": True} if n in frames_on else trivial} for n in "ABC"],
+        frames=[{"name": n, "subsystem": n, "seed": "identity_ket"} for n in frames_on],
+        tasks=[{"task": "full_report"}],
+    )
+    code, out = _run_main(raw, tmp_path)
+    assert code == 0
+    task = json.loads(out)["tasks"][0]
+    assert task["results"]["symmetry_layer"]["subsystem_relativity"]["algebra_dims"] == [1, 1]
+    assert "distinct_system_subalgebras" not in [c["name"] for c in task["checks"]]

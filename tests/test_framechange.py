@@ -447,6 +447,22 @@ def test_relation_conditional_reorient_holds_two_kinematical_operators(name, par
     assert len(peaks) == 2 and max(peaks) < 2.5, peaks
 
 
+@pytest.mark.parametrize("name", ["D4", "S3"])
+def test_relation_conditional_check_frees_its_operand(name):
+    # warm (caches built): the direct observable's construction, about 3.05 kin^2, beside ``moved``; the operand
+    # kept alive as well reads 5.07 (D4) and 5.24 (S3)
+    s = _regular_parties(name, 3)
+    small = random_hermitian(np.random.default_rng(44), s.complement_dim("R1") // s.dims[1])
+    assert framechange.relation_conditional_check(s, "R1", 1, "R2", 2, small).passed
+    tracemalloc.start()
+    try:
+        assert framechange.relation_conditional_check(s, "R1", 1, "R2", 2, small).passed
+        peak = tracemalloc.get_traced_memory()[1] / (16 * s.kin_dim**2)
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5, peak
+
+
 # ---------------------------------------------------------------------------
 # subsystem relativity
 # ---------------------------------------------------------------------------

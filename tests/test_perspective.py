@@ -213,17 +213,20 @@ def test_spin1_projector_is_rank_one_and_moves(three_spin_scenario):
 
 
 def test_system_projector_reads_idempotence_from_the_round_trip(u1_scenario, monkeypatch):
+    # the one round-trip gate, ||G - 1||_F <= bound(1, n_phys), which bounds ||Pi^2 - Pi||_F <= ||G||_2 ||G - 1||_F
     exact = perspective.conditioning_map
-    c0 = exact(physical_space(u1_scenario), "A", [0.2])
-    threshold = Tolerance().bound(1.0, 6)  # the check bound on the 6-dim complement, 1.2e-8
-    for eps in (1e-9, 1e-8):  # defects 4e-9 and 4e-8 around the threshold
+    ps = physical_space(u1_scenario)
+    c0 = exact(ps, "A", [0.2])
+    threshold = Tolerance().bound(1.0, ps.dim)  # the gate bound on the 4-dim physical space, 8e-9
+    for eps, passes in ((1e-9, True), (1e-8, False)):  # defects 4e-9 and 4e-8 around the threshold
         monkeypatch.setattr(perspective, "conditioning_map", lambda ps, f, g: (1 + eps) * exact(ps, f, g))
-        proj = (1 + eps) ** 2 * c0 @ dagger(c0)
-        defect = np.linalg.norm(proj @ proj - proj)  # the complement-sized form
-        if defect < threshold:
-            np.testing.assert_allclose(system_projector(u1_scenario, "A", [0.2]), proj, atol=1e-14)
+        c = (1 + eps) * c0
+        defect = np.linalg.norm(dagger(c) @ c - np.eye(ps.dim))
+        assert (defect < threshold) == passes, defect
+        if passes:
+            np.testing.assert_allclose(system_projector(u1_scenario, "A", [0.2]), c @ dagger(c), atol=1e-14)
         else:
-            with pytest.raises(ValueError, match=rf"idempotence/Hermiticity \({defect:.2e}\)"):
+            with pytest.raises(ValueError, match=rf"round trip C\^dag C = 1 \({defect:.2e}\)"):
                 system_projector(u1_scenario, "A", [0.2])
 
 

@@ -2,7 +2,9 @@
 
 Gauge-induced coordinate changes route one frame's conditional description through the
 perspective-neutral space into another frame's, and are isometries between the (possibly moving)
-physical system subspaces regardless of frame idealness.  Symmetry-induced transformations --
+physical system subspaces regardless of frame idealness.  V = C_j C_i^dag is a phased scatter when
+both conditioning maps are held by index and weight (U(1) frames, identity-ket finite frames), and a
+dense product otherwise.  Symmetry-induced transformations --
 plain and relation-conditional reorientations -- act on relational observables instead; the
 relation-conditional construction is restricted to regular representations, as is its
 commuting-subalgebra structure, and runs in the frames' orbit coordinates, where a reorientation
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import frames as frames_mod
 from . import groups, reps
-from .linalg import DEFAULT_TOL, Check, Tolerance, _rank, dagger, orthonormal_range
+from .linalg import DEFAULT_TOL, Check, Monomial, Tolerance, _rank, dagger, orthonormal_range
 from .perspective import (
     PhysicalSpace,
     RelObs,
@@ -71,16 +73,23 @@ def frame_change(
 
     With the n_phys-sized round trips G = C^dag C, ||V^dag V - C_i C_i^dag||^2
     = ||C_i (G_j - 1) C_i^dag||^2 = tr((G_j - 1) G_i (G_j - 1) G_i), and
-    likewise with i and j swapped for V V^dag - C_j C_j^dag.
+    likewise with i and j swapped for V V^dag - C_j C_j^dag.  When both maps are
+    monomials, V is a phased scatter and the G are diagonal: the trace is
+    sum_k ((g_j,k - 1) g_i,k)^2.
     """
     if ps.dim == 0:
         raise ValueError("cannot change frames with an empty physical space")
     mi = schrodinger_map(ps, frame_i, g_i, tol)
     mj = schrodinger_map(ps, frame_j, g_j, tol)
-    mat = mj.matrix @ dagger(mi.matrix)
-    gi, gj = mi.round_trip, mj.round_trip
-    xi, xj = gi - np.eye(ps.dim), gj - np.eye(ps.dim)
-    worst = float(np.sqrt(max(np.vdot(xj @ gi, gi @ xj).real, np.vdot(xi @ gj, gj @ xi).real, 0.0)))
+    mat = mj.operator @ dagger(mi.operator)
+    if isinstance(mat, Monomial):
+        gi, gj = mi.monomial.gram(), mj.monomial.gram()
+        worst = float(np.sqrt(max(np.sum(((gj - 1.0) * gi) ** 2), np.sum(((gi - 1.0) * gj) ** 2))))
+        mat = mat.dense()
+    else:
+        gi, gj = mi.round_trip, mj.round_trip
+        xi, xj = gi - np.eye(ps.dim), gj - np.eye(ps.dim)
+        worst = float(np.sqrt(max(np.vdot(xj @ gi, gi @ xj).real, np.vdot(xi @ gj, gj @ xi).real, 0.0)))
     check = tol.check("frame_change_isometry", worst, 1.0, max(mat.shape))
     if not check.passed:
         raise ValueError(f"frame change failed the isometry check ({worst:.3e})")

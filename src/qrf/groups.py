@@ -30,6 +30,7 @@ __all__ = [
     "finite_group_from_table",
     "load_group_table",
     "cosets",
+    "characters",
     "lie_element",
     "u1",
     "su2",
@@ -293,6 +294,31 @@ def cosets(g: FiniteGroup, h: Subgroup, side: str = "left") -> list[frozenset[in
         seen |= cs
         out.append(cs)
     return out
+
+
+def characters(g: FiniteGroup):
+    """The one-dimensional characters of g, each as its values on the elements, the trivial one (exact ones)
+    first.  A character sends each generator s to a root of unity of s's order; each such assignment is extended
+    by left multiplication from the identity and kept if it is multiplicative on the whole product table."""
+    t, e = g.product_table, g.identity_index
+    orders = []
+    for s in g.generators:
+        k, x = 1, s
+        while x != e:
+            k, x = k + 1, t[s, x]
+        orders.append(k)
+    for powers in itertools.product(*(range(k) for k in orders)):
+        roots = [np.exp(2j * np.pi * p / k) if p else 1.0 for p, k in zip(powers, orders)]
+        chi = np.zeros(g.order, dtype=complex)
+        chi[e], frontier = 1.0, [e]
+        while frontier:
+            x = frontier.pop()
+            for s, z in zip(g.generators, roots):
+                if chi[t[s, x]] == 0:
+                    chi[t[s, x]] = z * chi[x]
+                    frontier.append(t[s, x])
+        if np.max(np.abs(chi[t] - chi[:, None] * chi[None, :])) <= 1e-9:  # a miss is |1 - root| >= 2 sin(pi/|G|)
+            yield chi
 
 
 def cyclic(n: int) -> FiniteGroup:

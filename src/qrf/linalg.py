@@ -28,6 +28,7 @@ __all__ = [
     "nullspace",
     "joint_fixed_subspace",
     "dagger",
+    "Monomial",
 ]
 
 
@@ -96,8 +97,69 @@ def as_cvector(v: np.ndarray) -> np.ndarray:
     return a
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
+def dagger(m):
+    if isinstance(m, Monomial):
+        return m.dagger()
     return np.conj(np.asarray(m)).T
+
+
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """A matrix with at most one nonzero per row and per column, held by index and weight: its entry
+    (rows[k], cols[k]) is weights[k] and every other entry is 0.  Its products with arrays are gathers
+    and scatters into dense arrays, in the association of the dense products that they replace; the
+    product of two monomials is a monomial."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    shape: tuple[int, int]
+    __array_ufunc__ = None  # ndarray @ Monomial defers to __rmatmul__
+
+    @classmethod
+    def of(cls, m: np.ndarray) -> Monomial | None:
+        """``m`` by index and weight if its entries have at most one nonzero per row and per column, else None;
+        read from the observed entries, as ``reps.permutation_table`` reads a permutation."""
+        flat = np.flatnonzero(m != 0)
+        if flat.size > min(m.shape):
+            return None
+        rows, cols = np.divmod(flat, m.shape[1])  # in row-major order: a repeated row repeats its neighbour
+        if np.any(rows[1:] == rows[:-1]) or np.any(np.bincount(cols) > 1):
+            return None
+        return cls(rows, cols, m.reshape(-1)[flat], m.shape)
+
+    def dagger(self) -> Monomial:
+        return Monomial(self.cols, self.rows, np.conj(self.weights), self.shape[::-1])
+
+    def gram(self) -> np.ndarray:
+        """The diagonal of M^dag M, the only entries it can have."""
+        g = np.zeros(self.shape[1])
+        g[self.cols] = (np.conj(self.weights) * self.weights).real
+        return g
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.weights.dtype)
+        out[self.rows, self.cols] = self.weights
+        return out
+
+    def __matmul__(self, x):
+        if isinstance(x, Monomial):  # a monomial again: the entries whose column of M meets a row of x
+            at = np.full(self.shape[1], -1)
+            at[self.cols] = np.arange(self.cols.size)
+            k = at[x.rows]
+            keep = k >= 0
+            k = k[keep]
+            return Monomial(self.rows[k], x.cols[keep], self.weights[k] * x.weights[keep], (self.shape[0], x.shape[1]))
+        x = np.asarray(x)
+        out = np.zeros((self.shape[0],) + x.shape[1:], dtype=np.result_type(self.weights, x))
+        out[self.rows] = self.weights.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.cols]
+        return out
+
+    def __rmatmul__(self, x):
+        x = np.asarray(x)
+        out = np.zeros(x.shape[:-1] + (self.shape[1],), dtype=np.result_type(self.weights, x))
+        out[..., self.cols] = x[..., self.rows] * self.weights
+        return out
 
 
 def fix_phase(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -20,7 +20,13 @@ physical-basis coefficients onto the physical system subspace.
 ``tol.bound(1, n_phys)``: the system projector is C_g C_g^dag of the gated map,
 the Schroedinger reduction is C_g, and, because B^dag U A U^dag B = B^dag A B on
 invariant vectors, a relational observable restricted to the physical space is
-C_g^dag f_S C_g.  ``PhysicalSpace.restrict`` is the one restriction, B^dag F B;
+C_g^dag f_S C_g.  C_g is held by index and weight (``linalg.Monomial``) when its
+entries have at most one nonzero per row and per column: every orientation of a
+frame on a charge-held U(1) rep, and of an identity-ket frame on a table-held
+finite rep.  There ``schrodinger_map``'s round trip is the diagonal |w|^2, and
+the projector and the homomorphism check's C^dag a C and C c C^dag are gathers
+and scatters; SU(2) frames and other finite seeds keep the dense C_g.
+``PhysicalSpace.restrict`` is the one restriction, B^dag F B;
 the homomorphism check reads every clause through it and ties it to
 C_g^dag f_S C_g.  A Lie relational observable is built and kept on its weight
 blocks, read from |phi><phi| and f_S: checks and probabilities apply them to
@@ -43,6 +49,7 @@ from .groups import FiniteGroup, LieDescriptor, Subgroup
 from .linalg import (
     DEFAULT_TOL,
     Check,
+    Monomial,
     Subspace,
     Tolerance,
     as_cmatrix,
@@ -260,17 +267,29 @@ class ReductionMap:
     orientation: object
     matrix: np.ndarray      # C_g, (complement_dim, n_phys); its inverse on the system subspace is C_g^dag
     round_trip: np.ndarray  # C_g^dag C_g, (n_phys, n_phys)
+    monomial: Monomial | None = None  # C_g by index and weight, if it has that form
+
+    @property
+    def operator(self) -> np.ndarray | Monomial:
+        """C_g as its products should read it: the monomial if there is one."""
+        return self.matrix if self.monomial is None else self.monomial
 
 
 def schrodinger_map(ps: PhysicalSpace, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> ReductionMap:
     """C_g with its round trip G = C_g^dag C_g, gated by ||G - 1||_F <= ``tol.bound(1, n_phys)``: the one round-trip
-    gate.  It bounds Pi = C_g C_g^dag too: ||Pi^2 - Pi||_F = ||C (G - 1) C^dag||_F <= ||G||_2 ||G - 1||_F."""
+    gate.  It bounds Pi = C_g C_g^dag too: ||Pi^2 - Pi||_F = ||C (G - 1) C^dag||_F <= ||G||_2 ||G - 1||_F.
+    A monomial C_g has the diagonal G = |w|^2."""
     c = conditioning_map(ps, frame_name, g)
-    gram = dagger(c) @ c
-    defect = float(np.linalg.norm(gram - np.eye(ps.dim)))
+    mono = Monomial.of(c)
+    if mono is None:
+        gram = dagger(c) @ c
+        defect = float(np.linalg.norm(gram - np.eye(ps.dim)))
+    else:
+        diag = mono.gram()
+        gram, defect = np.diag(diag), float(np.linalg.norm(diag - 1.0))
     if not tol.check("round_trip", defect, 1.0, ps.dim).passed:
         raise ValueError(f"reduction map failed its round trip C^dag C = 1 ({defect:.2e})")
-    return ReductionMap(frame_name, ps.scenario.frame(frame_name).rep.element(g), c, gram)
+    return ReductionMap(frame_name, ps.scenario.frame(frame_name).rep.element(g), c, gram, mono)
 
 
 def strong_dirac_defect(s: Scenario, op: np.ndarray | reps.WeightBlocks) -> float:
@@ -394,8 +413,9 @@ def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = 
 
 def system_projector(s: Scenario, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Pi_S^phys(g) = C_g C_g^dag = Vol_frame (<phi(g)| x 1) P_phys (|phi(g)> x 1), from the gated map."""
-    c = schrodinger_map(physical_space(s, tol), frame_name, g, tol).matrix
-    return c @ dagger(c)
+    c = schrodinger_map(physical_space(s, tol), frame_name, g, tol).operator
+    pi = c @ dagger(c)
+    return pi.dense() if isinstance(pi, Monomial) else pi
 
 
 def orientation_independent(s: Scenario, frame_name: str, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -450,6 +470,7 @@ def check_weak_homomorphism(
     b = as_cmatrix(b)
     ps = physical_space(s, tol)
     c = conditioning_map(ps, frame_name, g)
+    c = Monomial.of(c) or c  # by index and weight if it can be: the products below are then gathers and scatters
     c_a = dagger(c) @ a @ c  # what the definition clause ties B^dag F_a B to
     a_p, b_p = c @ c_a @ dagger(c), c @ (dagger(c) @ b @ c) @ dagger(c)  # no complement-sized Pi = C C^dag
 

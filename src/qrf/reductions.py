@@ -7,11 +7,13 @@ orientation through ``perspective.condition_on``, the one place the sqrt(Vol)
 scale is attached; it is then an isometry from the physical space onto the
 physical system subspace.  ``ReductionMap`` and ``schrodinger_map``, the map
 C_g with the one round-trip gate ||C_g^dag C_g - 1||_F <= ``tol.bound(1, n_phys)``,
-are re-exported from ``perspective``.  The Heisenberg route
+are re-exported from ``perspective``; ``schrodinger_inverse`` reads C_g^dag v
+and C_g x as a gather and a scatter when C_g is held by index and weight
+(``linalg.Monomial``).  The Heisenberg route
 first disentangles the frame into a reproducing-phase state |theta>, applying
 T_R term by term through the same pair, and is available whenever such phases
-exist (N = 1 for ideal frames, by Fourier scan for U(1); SU(2) frames report
-NotFound).
+exist (N = 1 or another one-dimensional character for finite groups, by
+Fourier scan for U(1); SU(2) frames report NotFound).
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import reps
+from . import groups, reps
 from .frames import Frame, validity_bound
-from .linalg import DEFAULT_TOL, Check, Tolerance, as_cmatrix, as_cvector, dagger
+from .linalg import DEFAULT_TOL, Check, Monomial, Tolerance, as_cmatrix, as_cvector, dagger
 from .perspective import (
     PhysicalSpace,
     ReductionMap,
@@ -96,9 +98,11 @@ def schrodinger_inverse(
     psi_s,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Map a physical system state back to the perspective-neutral space: B (C_g^dag psi_S)."""
+    """Map a physical system state back to the perspective-neutral space: B (C_g^dag psi_S); C_g^dag psi_S and
+    C_g x are a gather and a scatter when C_g is a monomial."""
     v = as_cvector(psi_s)
     c = conditioning_map(ps, frame_name, g)
+    c = Monomial.of(c) or c
     coeff = dagger(c) @ v
     resid = float(np.linalg.norm(c @ coeff - v))
     if resid > 1e4 * tol.weighted(np.linalg.norm(v)):
@@ -191,7 +195,7 @@ def _u1_charge_data(frame: Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def solve_theta(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> ThetaState | ThetaNotFound:
     """Search for reproducing phases N(g) for the frame's coherent-state kernel.
 
-    Finite groups: N = 1, the only phases the fixed-point iteration N <- phase(K N) reaches from N = 1.
+    Finite groups: N = 1, then the other one-dimensional characters of the group.
     U(1): Fourier ansatz N(theta) = exp(i k theta), scanning k by |k| and sign.
     Both accept a residual of at most ``validity_bound(1, tol)``, the trinity check's bound or less.
     """
@@ -205,20 +209,20 @@ def solve_theta(frame: Frame, tol: Tolerance = DEFAULT_TOL) -> ThetaState | Thet
 
 
 def _solve_theta_finite(frame: Frame, tol: Tolerance) -> ThetaState | ThetaNotFound:
-    """N = 1 if it reproduces K(g, h) = w <phi(g)|phi(h)>.  K 1 = Vol ||P_triv phi||^2 1 for every seed,
-    so the iteration N <- phase(K N) from N = 1 stops at its first step, accepted or not."""
+    """N = 1, then each other one-dimensional character, if it reproduces K(g, h) = w <phi(g)|phi(h)>.  K is a
+    convolution on G, so every character chi is an eigenvector of it, with eigenvalue w sum_u <phi|U(u) phi> chi(u),
+    and reproduces K exactly when that is 1.  N = 1 is the fixed point N <- phase(K N) reaches from N = 1."""
     orbit = np.einsum("gij,j->gi", frame.rep.matrices, frame.seed)
     gram = np.einsum("gi,hi->gh", np.conj(orbit), orbit)  # <phi(g)|phi(h)>
     w = frame.element_weight()
-    n = np.ones(frame.rep.group.order, dtype=complex)
-    residual = float(np.max(np.abs(w * (gram @ n) - n)))
-    if residual > validity_bound(1, tol):
-        return ThetaNotFound(
-            reason="N = 1 does not reproduce the coherent-state kernel; no other phases are searched",
-            residual=residual,
-        )
-    theta_vec = w * np.einsum("g,gi->i", n, orbit)
-    return ThetaState(frame_name=frame.name, vector=theta_vec, phases=n, residual=residual)
+    best = np.inf
+    for n in groups.characters(frame.rep.group):
+        residual = float(np.max(np.abs(w * (gram @ n) - n)))
+        if residual <= validity_bound(1, tol):
+            theta_vec = w * np.einsum("g,gi->i", n, orbit)
+            return ThetaState(frame_name=frame.name, vector=theta_vec, phases=n, residual=residual)
+        best = min(best, residual)
+    return ThetaNotFound(reason="no one-dimensional character reproduces the coherent-state kernel", residual=best)
 
 
 def _solve_theta_u1(frame: Frame, tol: Tolerance) -> ThetaState | ThetaNotFound:

@@ -57,6 +57,14 @@ contraction and the left application of a one- or two-slot operator as a
 tensordot, a slot embedding as a Kronecker product reordered by a transpose,
 a slot conjugation as products with that embedding, and each projector
 w w^dag formed and applied to its target.
+
+The library holds a conditioning map C_g with at most one nonzero per row
+and per column (a charge-held U(1) rep, or a table-held finite rep with a
+one-hot seed) by index and weight, and forms its products as gathers and
+scatters.  Here are the dense matmuls they replaced: the round trip
+C^dag C, C^dag a C, C x C^dag, the projector C C^dag, C^dag v and C x, and
+a frame change C_j C_i^dag with its isometry defect read from the dense
+round trips.
 """
 
 import itertools
@@ -173,6 +181,26 @@ def frame_change_defect(mi, mj):
         float(np.linalg.norm(dagger(mat) @ mat - mi.matrix @ dagger(mi.matrix))),
         float(np.linalg.norm(mat @ dagger(mat) - mj.matrix @ dagger(mj.matrix))),
     )
+
+
+def dense_map_products(c, a, x, v):
+    """The products of a conditioning map C as dense matmuls, keyed by what they form."""
+    return {
+        "round_trip": dagger(c) @ c,
+        "sandwich": dagger(c) @ a @ c,
+        "scatter": c @ x @ dagger(c),
+        "projector": c @ dagger(c),
+        "adjoint": dagger(c) @ v,
+        "apply": c @ x,
+    }
+
+
+def dense_frame_change(ci, cj):
+    """C_j C_i^dag, and sqrt(max(tr(X_j G_i X_j G_i), tr(X_i G_j X_i G_j))) from the dense round trips G = C^dag C,
+    X = G - 1."""
+    gi, gj = dagger(ci) @ ci, dagger(cj) @ cj
+    xi, xj = gi - np.eye(len(gi)), gj - np.eye(len(gj))
+    return cj @ dagger(ci), float(np.sqrt(max(np.vdot(xj @ gi, gi @ xj).real, np.vdot(xi @ gj, gj @ xi).real, 0.0)))
 
 
 def weak_homomorphism(s, frame_name, g, a, b, tol=DEFAULT_TOL):

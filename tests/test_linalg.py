@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qrf import groups, reps
+from oracles import dense_map_products
 from qrf.linalg import (
     ROUNDING_FACTOR,
     Check,
+    Monomial,
     Tolerance,
+    dagger,
     joint_fixed_subspace,
     nullspace,
     orthonormal_range,
@@ -142,3 +145,74 @@ def test_equal_on_subspace_twirl_vs_projected_action():
     assert phys.dim == 1
     residual = np.linalg.norm((pi @ a @ pi - twirl @ pi) @ phys.basis, axis=0)
     assert residual.max() <= TOL.weighted(max(np.abs(pi @ a @ pi).max(), np.abs(twirl @ pi).max(), 1.0))
+
+
+@st.composite
+def monomial_matrices(draw, real=False):
+    """A matrix with at most one nonzero per row and per column, possibly with all-zero rows and columns."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = draw(st.permutations(range(m)))[: min(m, n)]
+    cols = draw(st.permutations(range(n)))[: len(rows)]
+    keep = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    part = st.floats(-2, 2, allow_nan=False).filter(lambda x: x != 0)
+    out = np.zeros((m, n), dtype=complex)
+    for r, c, k in zip(rows, cols, keep):
+        if k:
+            out[r, c] = complex(draw(part), 0.0 if real else draw(part))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(c=monomial_matrices(), seed=st.integers(0, 2**16))
+def test_monomial_products_match_the_dense_products(c, seed):
+    mono = Monomial.of(c)
+    assert np.array_equal(mono.dense(), c)
+    rng = np.random.default_rng(seed)
+    m, n = c.shape
+    a, x = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in (m, n))
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    want = dense_map_products(c, a, x, v)
+    got = {
+        "round_trip": np.diag(mono.gram()),
+        "sandwich": dagger(mono) @ a @ mono,
+        "scatter": mono @ x @ dagger(mono),
+        "projector": (mono @ dagger(mono)).dense(),
+        "adjoint": dagger(mono) @ v,
+        "apply": mono @ x,
+    }
+    for key, dense in want.items():
+        assert got[key].shape == dense.shape, key
+        np.testing.assert_allclose(got[key], dense, rtol=1e-14, atol=1e-14 * np.abs(dense).max(initial=0.0), err_msg=key)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(c=monomial_matrices(real=True), seed=st.integers(0, 2**16))
+def test_monomial_products_with_real_weights_are_bit_equal(c, seed):
+    # each entry of a dense product has one nonzero term, and with real weights no fused multiply-add rounds it
+    mono = Monomial.of(c)
+    rng = np.random.default_rng(seed)
+    m, n = c.shape
+    a, x = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in (m, n))
+    want = dense_map_products(c, a, x, np.zeros(m))
+    assert np.array_equal(dagger(mono) @ a @ mono, want["sandwich"])
+    assert np.array_equal(mono @ x @ dagger(mono), want["scatter"])
+    assert np.array_equal((mono @ dagger(mono)).dense(), want["projector"])
+    assert np.array_equal(np.diag(mono.gram()), want["round_trip"])
+
+
+def test_monomial_product_of_two_monomials_is_the_dense_product():
+    ci = np.zeros((4, 3), dtype=complex)
+    ci[[2, 0, 3], [0, 1, 2]] = [1j, -2.0, 0.5]
+    cj = np.zeros((5, 3), dtype=complex)
+    cj[[4, 1], [0, 2]] = [3.0, 1 - 1j]  # column 1 of C_j is zero
+    got = Monomial.of(cj) @ dagger(Monomial.of(ci))
+    assert isinstance(got, Monomial) and got.shape == (5, 4)
+    np.testing.assert_array_equal(got.dense(), cj @ dagger(ci))
+
+
+@pytest.mark.parametrize("entries", [[(0, 0), (0, 1)], [(0, 0), (1, 0)]])
+def test_two_nonzeros_in_a_row_or_column_are_not_a_monomial(entries):
+    m = np.zeros((3, 3))
+    for rc in entries:
+        m[rc] = 1.0
+    assert Monomial.of(m) is None

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import ket3, random_hermitian, u1_basis_index, u1_qubits_config
-from qrf import cli, framechange, frames, groups, perspective, reps
-from qrf.linalg import Tolerance, dagger
+from qrf import cli, framechange, frames, groups, perspective, reductions, reps
+from qrf.linalg import Monomial, Tolerance, dagger
 from qrf.perspective import (
     check_weak_homomorphism,
     conditional_inner_product_check,
@@ -667,3 +667,92 @@ def test_block_dirac_check_is_the_dense_one(source):
         blocks, dense = perspective.dirac_check(s, obs.op), perspective.dirac_check(s, obs.matrix)
         assert (blocks.residual, blocks.bound) == (dense.residual, dense.bound)  # the bound carries the scale
         assert perspective.strong_dirac_defect(s, obs.op) == perspective.strong_dirac_defect(s, obs.matrix)
+
+
+class _DenseProductsRaise(np.ndarray):
+    """A conditioning map whose matrix products raise: a reader that multiplies C_g as a dense array fails."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("dense product of a conditioning map")
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def _random_orientation(rep, rng):
+    if rep.is_finite:
+        return rep.element(int(rng.integers(1, rep.group.order)))
+    return rep.element(rng.uniform(-np.pi, np.pi, size=rep.generators.shape[0]))
+
+
+def _map_readers(s, ps, f1, g1, f2, g2, a, b, psi_s):
+    ch = framechange.frame_change(ps, f1, g1, f2, g2)
+    hom = check_weak_homomorphism(s, f1, g1, a, b)
+    return {
+        "round_trip": perspective.schrodinger_map(ps, f1, g1).round_trip,
+        "projector": system_projector(s, f1, g1),
+        "frame_change": ch.matrix,
+        "isometry_defect": ch.scale_notes["isometry_defect"],
+        "inverse": reductions.schrodinger_inverse(ps, f1, g1, psi_s),
+        "weak": [hom["weak"][k] for k in sorted(hom["weak"])] + [hom["weak_check"].passed],
+        "strong": [hom["strong"][k] for k in sorted(hom["strong"])],
+    }
+
+
+@pytest.mark.parametrize("source", ["u1-8-qubits", "u1-qubit-qubit-qutrit", "finite-regular:S3", "finite-regular:D4"])
+def test_conditioning_map_readers_take_the_gathers(source, monkeypatch):
+    # with every dense product of C_g raising, the readers still run, and agree with the dense products
+    from oracles import dense_frame_change, dense_map_products
+
+    cfg = u1_qubits_config(8) if source == "u1-8-qubits" else cli.load_config(source)
+    s = cli.build_scenario(cfg)
+    ps = physical_space(s)
+    rng = np.random.default_rng(41)
+    f1, f2 = list(s.frames)[:2]
+    g1, g2 = _random_orientation(s.frame(f1).rep, rng), _random_orientation(s.frame(f2).rep, rng)
+    a, b = (random_hermitian(rng, s.complement_dim(f1)) for _ in range(2))
+    c1, c2 = perspective.conditioning_map(ps, f1, g1), perspective.conditioning_map(ps, f2, g2)
+    psi_s = c1 @ (rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim))
+    with monkeypatch.context() as m:
+        m.setattr(Monomial, "of", classmethod(lambda cls, c: None))  # the twin: every reader on its dense branch
+        dense = _map_readers(s, ps, f1, g1, f2, g2, a, b, psi_s)
+    exact = perspective.conditioning_map
+    monkeypatch.setattr(perspective, "conditioning_map", lambda *args: exact(*args).view(_DenseProductsRaise))
+    monkeypatch.setattr(reductions, "conditioning_map", perspective.conditioning_map)
+    assert perspective.schrodinger_map(ps, f1, g1).monomial is not None
+    with pytest.raises(AssertionError, match="dense product"):
+        perspective.conditioning_map(ps, f1, g1) @ np.eye(ps.dim)
+    got = _map_readers(s, ps, f1, g1, f2, g2, a, b, psi_s)
+    oracle = dense_map_products(c1, a, np.eye(ps.dim), psi_s)
+    want_change, want_defect = dense_frame_change(c1, c2)
+    real_weights = s.total_rep.is_finite  # complex weights round differently under a fused multiply-add
+    for key, value in got.items():
+        if real_weights:
+            assert np.array_equal(value, dense[key]), key
+        else:
+            np.testing.assert_allclose(value, dense[key], rtol=1e-14, atol=1e-14, err_msg=key)
+    assert got["weak"][-1]
+    for value, want in ((got["round_trip"], oracle["round_trip"]), (got["projector"], oracle["projector"]),
+                        (got["frame_change"], want_change)):
+        assert np.array_equal(value, want) if real_weights else np.allclose(value, want, rtol=1e-14, atol=1e-15)
+    assert abs(got["isometry_defect"] - want_defect) <= 1e-15
+
+
+@pytest.mark.parametrize("case", ["su2-three-spin1", "random-seed Z3"])
+def test_dense_conditioning_maps_keep_the_dense_products(case):
+    if case == "su2-three-spin1":
+        s = cli.build_scenario(cli.load_config(case))
+    else:  # a covariant seed U e_e, U a unitary in the right-regular algebra: a valid frame with no zero amplitude
+        z3 = groups.cyclic(3)
+        reg = reps.regular_rep(z3)
+        h = np.tensordot([0.3, 1.1 - 0.4j, 1.1 + 0.4j], reps.regular_rep(z3, "right").matrices, 1)  # Hermitian
+        vals, vecs = np.linalg.eigh(h)
+        seed = (vecs * np.exp(1j * vals)) @ vecs.conj()[0]
+        frame = frames.make_frame(reg, seed, name="R")
+        s = perspective.make_scenario(z3, [("R", reg), ("S", reg)], {"R": ("R", frame)})
+    ps = physical_space(s)
+    f = next(iter(s.frames))
+    g = _random_orientation(s.frame(f).rep, np.random.default_rng(2))
+    m = perspective.schrodinger_map(ps, f, g)
+    assert m.monomial is None and m.operator is m.matrix
+    assert np.count_nonzero(m.matrix, axis=0).max() > 1
+    np.testing.assert_allclose(system_projector(s, f, g), m.matrix @ dagger(m.matrix), atol=1e-15)

@@ -1,0 +1,238 @@
+"""Random-scenario differential tests.
+
+Small configs are drawn over three families: a builtin finite group with
+regular and one-dimensional reps, U(1) with charges in [-2, 2], and SU(2)
+with spins up to 3/2; 2-4 parties, 1-3 frames, kinematical dimension at
+most 256, and tolerances 1e-6, 1e-9 or 1e-12.  A frame seed is uniform, the
+identity ket, a random unit vector, a covariant random seed (one that
+frame validation accepts), or, for U(1), uniform with one coefficient set
+to zero, which gives every conditioning map an all-zero column.
+
+Two properties:
+- ``cli.run`` either raises ``ConfigError`` or returns a report in which
+  every check passes;
+- every conditioning map that is a monomial forms the same products as the
+  dense matmuls of ``oracles``, and so does ``frame_change``.
+
+Tier-1 draws a few derandomised examples; the ``slow`` run draws more.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import dense_frame_change, dense_map_products
+from qrf import cli, groups, reps
+from qrf.framechange import frame_change
+from qrf.linalg import Monomial
+from qrf.perspective import conditioning_map, physical_space, slot_view
+
+MAX_KIN = 256
+FINITE = ("Z2", "Z3", "Z4", "S3", "D4", "Q8")
+
+
+def _amplitudes(v):
+    return [[float(z.real), float(z.imag)] for z in v]
+
+
+def _unit(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def _covariant_seed(family, rep_spec, group, rng):
+    """A random seed that frame validation accepts: U e_e for a random unitary U in the right-regular algebra
+    (it commutes with the left action), random phases at uniform weight for U(1), any unit vector for a spin."""
+    if family == "finite":
+        if not rep_spec.get("regular"):
+            return [[1.0, 0.0]]
+        right = reps.regular_rep(group, "right").matrices
+        h = np.tensordot(rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order), right, axes=1)
+        vals, vecs = np.linalg.eigh(h + h.conj().T)
+        return _amplitudes((vecs * np.exp(1j * vals)) @ vecs.conj()[group.identity_index])
+    d = _dim(group, rep_spec)
+    if family == "u1":
+        return _amplitudes(np.exp(2j * np.pi * rng.random(d)) / np.sqrt(d))
+    return _amplitudes(_unit(rng, d))
+
+
+def _dim(group, spec):
+    if "u1_charges" in spec:
+        return len(spec["u1_charges"])
+    if "spin_j" in spec:
+        return int(round(2 * spec["spin_j"])) + 1
+    return group.order if spec.get("regular") else 1
+
+
+@st.composite
+def configs(draw):
+    family = draw(st.sampled_from(["finite", "u1", "su2"]))
+    parties = draw(st.integers(2, 4))
+    group = None
+    if family == "finite":
+        name = draw(st.sampled_from(FINITE))
+        group = groups.builtin_group(name)
+        chars = list(groups.characters(group))
+        one_dim = st.sampled_from(chars).map(lambda chi: {"matrices": [[_amplitudes([z])] for z in chi]})
+        rep = st.one_of(st.just({"regular": True}), one_dim)
+        group_spec = {"builtin": name}
+    elif family == "u1":
+        rep = st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(lambda q: {"u1_charges": q})
+        group_spec = {"builtin": "u1"}
+    else:
+        rep = st.sampled_from([0, 0.5, 1, 1.5]).map(lambda j: {"spin_j": j})
+        group_spec = {"builtin": "su2"}
+    specs = draw(st.lists(rep, min_size=parties, max_size=parties))
+    dims = [_dim(group, spec) for spec in specs]
+    if math.prod(dims) > MAX_KIN:  # drop parties from the end until the kinematical space fits
+        while len(specs) > 2 and math.prod(dims) > MAX_KIN:
+            specs, dims = specs[:-1], dims[:-1]
+    names = "ABCD"[: len(specs)]
+    slots = draw(st.permutations(range(len(specs))))[: draw(st.integers(1, min(3, len(specs))))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    frames = []
+    for slot in slots:
+        kind = draw(st.sampled_from(["uniform", "identity_ket", "random", "covariant", "zero"]))
+        if kind in ("uniform", "identity_ket"):
+            seed = kind
+        elif kind == "random":
+            seed = _amplitudes(_unit(rng, dims[slot]))
+        elif kind == "covariant" or family != "u1" or dims[slot] < 2:
+            seed = _covariant_seed(family, specs[slot], group, rng)
+        else:
+            v = np.ones(dims[slot]) / np.sqrt(dims[slot] - 1)
+            v[rng.integers(dims[slot])] = 0.0
+            seed = _amplitudes(v)
+        frames.append({"name": names[slot], "subsystem": names[slot], "seed": seed})
+    return {
+        "name": "random",
+        "group": group_spec,
+        "subsystems": [{"name": n, "rep": spec} for n, spec in zip(names, specs)],
+        "frames": frames,
+        "tasks": [{"task": "full_report"}],
+        "tolerance": draw(st.sampled_from([1e-6, 1e-9, 1e-12])),
+    }
+
+
+# The two faults the first random draws found, kept as named examples.
+SU2_WEIGHT_ZERO_WITHOUT_SINGLET = {
+    "name": "su2-weight-zero-without-singlet",
+    "group": {"builtin": "su2"},
+    "subsystems": [{"name": "A", "rep": {"spin_j": 1.5}}, {"name": "B", "rep": {"spin_j": 0.5}}],
+    "frames": [{"name": "A", "subsystem": "A", "seed": "uniform"}],
+    "tasks": [{"task": "full_report"}],
+}
+ONE_DIMENSIONAL_SYSTEM = {
+    "name": "one-dimensional-system",
+    "group": {"builtin": "Z3"},
+    "subsystems": [{"name": "A", "rep": {"regular": True}}, {"name": "B", "rep": {"matrices": [[[1]], [[1]], [[1]]]}},
+                   {"name": "C", "rep": {"regular": True}}],
+    "frames": [{"name": n, "subsystem": n, "seed": "identity_ket"} for n in "AC"],
+    "tasks": [{"task": "full_report"}],
+}
+
+
+def _seed_vector(rep, spec):
+    if spec == "uniform":
+        return np.ones(rep.dim) / np.sqrt(rep.dim)
+    if spec == "identity_ket":
+        return np.eye(rep.dim)[rep.group.identity_index] if rep.is_finite and rep.dim == rep.group.order else None
+    return np.array([complex(*z) for z in spec])
+
+
+def _orientation(rep, rng):
+    if rep.is_finite:
+        return rep.element(int(rng.integers(rep.group.order)))
+    return rep.element(rng.uniform(-np.pi, np.pi, size=rep.generators.shape[0]))
+
+
+def _close(got, want, what):
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max(initial=0.0), err_msg=what)
+
+
+def check_config(raw) -> dict:
+    """Both properties on one config; returns whether it was rejected, and how many conditioning maps took each
+    path and had an all-zero column."""
+    cfg = cli.parse_config(json.dumps(raw))
+    try:
+        report = cli.run(cfg)
+    except cli.ConfigError:
+        report = None
+    if report is not None:
+        assert all("error" not in t for t in report["tasks"]), report["tasks"]
+        assert report["summary"]["checks_failed"] == 0, [c for t in report["tasks"] for c in t["checks"]]
+    # every seed conditions the physical basis, whether or not it makes a valid frame
+    bare = cli.build_scenario(cli.parse_config(json.dumps({**raw, "frames": []})))
+    b = physical_space(bare, cfg.tol()).basis.basis
+    names = [sub["name"] for sub in raw["subsystems"]]
+    rng = np.random.default_rng(3)
+    paths = {"rejected": int(report is None), "monomial": 0, "dense": 0, "zero_column": 0}
+    for fr in raw["frames"]:
+        slot = names.index(fr["subsystem"])
+        rep = bare.subsystems[slot][1]
+        seed = _seed_vector(rep, fr["seed"])
+        if seed is None:
+            continue
+        phi = rep.evaluate(_orientation(rep, rng)) @ seed
+        c = (np.conj(phi) @ slot_view(b, bare.dims, slot)).reshape(bare.kin_dim // rep.dim, b.shape[1])
+        mono = Monomial.of(c)
+        paths["dense" if mono is None else "monomial"] += 1
+        if mono is None:
+            continue
+        paths["zero_column"] += int(not np.all(np.any(c, axis=0)))
+        m, n = c.shape
+        a, x = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in (m, n))
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        want = dense_map_products(c, a, x, v)
+        _close(np.diag(mono.gram()), want["round_trip"], "round_trip")
+        _close(mono.dagger() @ a @ mono, want["sandwich"], "sandwich")
+        _close(mono @ x @ mono.dagger(), want["scatter"], "scatter")
+        _close((mono @ mono.dagger()).dense(), want["projector"], "projector")
+        _close(mono.dagger() @ v, want["adjoint"], "adjoint")
+        _close(mono @ x, want["apply"], "apply")
+    if report is not None:
+        s = cli.build_scenario(cfg)
+        ps = physical_space(s, cfg.tol())
+        if ps.dim:
+            for f_from in s.frames:
+                for f_to in s.frames:
+                    g_from, g_to = _orientation(s.frame(f_from).rep, rng), _orientation(s.frame(f_to).rep, rng)
+                    ch = frame_change(ps, f_from, g_from, f_to, g_to, cfg.tol())
+                    c_from, c_to = (conditioning_map(ps, f, g) for f, g in ((f_from, g_from), (f_to, g_to)))
+                    mat, defect = dense_frame_change(c_from, c_to)
+                    _close(ch.matrix, mat, f"{f_from}->{f_to}")
+                    assert abs(ch.scale_notes["isometry_defect"] - defect) <= 1e-14
+    return paths
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(raw=configs())
+@example(raw=SU2_WEIGHT_ZERO_WITHOUT_SINGLET)
+@example(raw=ONE_DIMENSIONAL_SYSTEM)
+def test_random_scenarios_pass_or_are_rejected_and_gathers_match_the_dense_products(raw):
+    check_config(raw)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(raw=configs())
+def test_random_scenarios_many(raw):
+    check_config(raw)
+
+
+def test_the_draws_reach_both_paths_and_every_outcome():
+    # the strategy reaches monomial and dense maps, accepted and rejected frames, and zero columns
+    seen = {"rejected": 0, "monomial": 0, "dense": 0, "zero_column": 0}
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(raw=configs())
+    def tally(raw):
+        for key, count in check_config(raw).items():
+            seen[key] += count
+
+    tally()
+    assert all(seen.values()), seen

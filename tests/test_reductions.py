@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -267,15 +269,33 @@ def test_u1_qutrit_frame_theta_trivial_phase(u1_scenario):
     assert reproducing_residual(u1_scenario.frame("C"), theta) < 1e-10
 
 
-def test_theta_not_found_for_stuck_kernel():
-    # frame without a trivial-charge component: the iteration from N = 1 stalls
+def test_theta_from_a_character_where_n_equals_1_fails():
+    # a frame without a trivial-charge component: N = 1 gives residual 1, the character chi_1(k) = i^k reproduces K
     g = groups.cyclic(4)
     mats = np.stack([np.diag([1j ** k, (-1j) ** k]) for k in range(4)])
     rep = reps.finite_rep(g, mats)
     f = frames.make_frame(rep, np.array([1, 1]) / np.sqrt(2), name="R")
     out = solve_theta(f)
+    assert isinstance(out, ThetaState)
+    np.testing.assert_allclose(out.phases, 1j ** np.arange(4), atol=1e-15)
+    assert out.residual <= 1e-15
+    assert reproducing_residual(f, out) <= 1e-15
+    s = perspective.make_scenario(g, [("R", rep), ("S", rep)], {"R": ("R", f)})
+    ps = physical_space(s)
+    assert ps.dim == 2
+    assert trinity_check(ps, "R", out, ps.basis.basis[:, 0]).residual <= 1e-14
+
+
+def test_theta_not_found_when_no_character_reproduces_the_kernel():
+    # the S3 2-dim irrep with seed (1, 0): the trivial and the sign character both give residual 1
+    s3 = groups.symmetric_3()
+    plane = np.array([[1, -1, 0], [1, 1, -2]]).T / np.sqrt([2.0, 6.0])  # orthogonal to (1, 1, 1)
+    perms = [np.eye(3)[:, p] for p in sorted(itertools.permutations(range(3)))]  # the builtin's element order
+    rep = reps.finite_rep(s3, np.stack([plane.T @ p @ plane for p in perms]))
+    assert len(list(groups.characters(s3))) == 2
+    out = solve_theta(frames.make_frame(rep, np.array([1.0, 0.0]), name="R"))
     assert isinstance(out, ThetaNotFound)
-    assert out.residual is not None and out.residual > 1e-6
+    assert out.residual == pytest.approx(1.0, abs=1e-12)
 
 
 def test_theta_accepted_only_where_the_trinity_check_passes():

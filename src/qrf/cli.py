@@ -11,6 +11,7 @@ against 0).  Exit code 0 means every property check in every task passed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from . import __version__, framechange, frames, groups, perspective, reductions,
 from .builtins_config import builtin_config, builtin_names
 from .frames import ResolutionFails
 from .linalg import Check, Tolerance, dagger
-from .perspective import Scenario, physical_space
+from .perspective import Scenario
 from .reductions import ThetaState
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config", "run", "emit", "main"]
@@ -37,6 +38,17 @@ MAX_REP_BYTES = 2 * 2**30
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """A ValueError of the group, rep, frame and scenario constructors as a ConfigError with the same message."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -189,10 +201,7 @@ def _build_group(spec: dict):
             return groups.u1()
         if name == "su2":
             return groups.su2()
-        try:
-            return groups.builtin_group(spec["builtin"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return groups.builtin_group(spec["builtin"])
     if "table" in spec:
         return groups.finite_group_from_table(spec["table"])
     if "table_file" in spec:
@@ -253,6 +262,7 @@ def _predicted_dim(group, spec: dict) -> int:
         return 1
 
 
+@_config_errors()
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
     group = _build_group(cfg.group_spec)
     dims = [_predicted_dim(group, sub["rep"]) for sub in cfg.subsystems]
@@ -581,7 +591,7 @@ _KNOWN_TASKS = tuple(_TASK_RUNNERS)
 def run(cfg: ScenarioConfig) -> dict:
     """Execute the config's tasks in order; task errors are reported per task."""
     scenario = build_scenario(cfg)
-    ps = physical_space(scenario, cfg.tol())
+    ps = perspective.physical_space(scenario, cfg.tol())
     rng = np.random.default_rng(cfg.seed)
     tasks_out, failed, total = [], 0, 0
     for i, task in enumerate(cfg.tasks):
@@ -692,7 +702,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in builtin_names():
             print(name)
         return 0
-    try:  # ConfigError is a ValueError; any other exception is a run or write that cannot finish, exit 2 as well
+    try:  # any exception other than a ConfigError is a run or write that cannot finish, exit 2 as well
         cfg = load_config(args.scenario)
         if args.command == "check":
             build_scenario(cfg)
@@ -711,7 +721,7 @@ def main(argv: list[str] | None = None) -> int:
                 handle.write(text)
         else:
             sys.stdout.write(text)
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import frames as frames_mod
 from . import groups, reps
-from .linalg import DEFAULT_TOL, Check, Monomial, Tolerance, _rank, dagger, orthonormal_range
+from .linalg import DEFAULT_TOL, Check, Monomial, Tolerance, _rank, dagger, densify, orthonormal_range
 from .perspective import (
     PhysicalSpace,
     RelObs,
@@ -83,7 +83,7 @@ def frame_change(
     mj = schrodinger_map(ps, frame_j, g_j, tol)
     mat = mj.operator @ dagger(mi.operator)
     if isinstance(mat, Monomial):
-        gi, gj = mi.monomial.gram(), mj.monomial.gram()
+        gi, gj = mi.operator.gram(), mj.operator.gram()
         worst = float(np.sqrt(max(np.sum(((gj - 1.0) * gi) ** 2), np.sum(((gi - 1.0) * gj) ** 2))))
         mat = mat.dense()
     else:
@@ -316,7 +316,7 @@ def _target_blocks(s: Scenario, ps: PhysicalSpace, frame_name: str, target_slot:
     slot_f = s.frame_slot(frame_name)
     if target_slot == slot_f:
         raise ValueError("target subsystem coincides with the frame")
-    c = conditioning_map(ps, frame_name, s.frame(frame_name).rep.identity_element())
+    c = densify(conditioning_map(ps, frame_name, s.frame(frame_name).rep.identity_element()))
     d_t = s.dims[target_slot]
     view = slot_view(c, [d for i, d in enumerate(s.dims) if i != slot_f], target_slot - (target_slot > slot_f))
     return np.moveaxis(view, 1, 0).reshape(d_t, c.shape[0] // d_t, ps.dim)

@@ -28,6 +28,7 @@ __all__ = [
     "nullspace",
     "joint_fixed_subspace",
     "dagger",
+    "densify",
     "Monomial",
 ]
 
@@ -103,6 +104,11 @@ def dagger(m):
     return np.conj(np.asarray(m)).T
 
 
+def densify(m) -> np.ndarray:
+    """``m`` as a dense array: a ``Monomial`` is scattered into one, an array is returned as it is."""
+    return m.dense() if isinstance(m, Monomial) else m
+
+
 @dataclass(frozen=True, eq=False)
 class Monomial:
     """A matrix with at most one nonzero per row and per column, held by index and weight: its entry
@@ -115,18 +121,6 @@ class Monomial:
     weights: np.ndarray
     shape: tuple[int, int]
     __array_ufunc__ = None  # ndarray @ Monomial defers to __rmatmul__
-
-    @classmethod
-    def of(cls, m: np.ndarray) -> Monomial | None:
-        """``m`` by index and weight if its entries have at most one nonzero per row and per column, else None;
-        read from the observed entries, as ``reps.permutation_table`` reads a permutation."""
-        flat = np.flatnonzero(m != 0)
-        if flat.size > min(m.shape):
-            return None
-        rows, cols = np.divmod(flat, m.shape[1])  # in row-major order: a repeated row repeats its neighbour
-        if np.any(rows[1:] == rows[:-1]) or np.any(np.bincount(cols) > 1):
-            return None
-        return cls(rows, cols, m.reshape(-1)[flat], m.shape)
 
     def dagger(self) -> Monomial:
         return Monomial(self.cols, self.rows, np.conj(self.weights), self.shape[::-1])

@@ -12,20 +12,28 @@ copy-free (lead, d_slot, rest) reshape of a kinematical axis; a on the slot and
 b on the rest is one broadcast product, ``embed_on_slot``.  The one conditioning
 primitive is the contraction (<phi| x 1) of ``Scenario.condition_vector``, on a
 kinematical vector or on each column of a matrix; its adjoint (|phi> x 1) is
-``inject_vector``.  ``condition_on`` is the one place a reduction scales it by
-sqrt(Vol) at an orientation g.  On the orthonormal physical basis B it gives
+``inject_vector``.  A reduction scales it by sqrt(Vol) at an orientation g in
+``condition_on``, from the one evaluation of phi(g) and its scale.  On the
+orthonormal physical basis B it gives
 ``conditioning_map``, C_g = sqrt(Vol) (<phi(g)| x 1) B, an isometry from
 physical-basis coefficients onto the physical system subspace.
 ``schrodinger_map`` holds the one round-trip gate, ||C_g^dag C_g - 1||_F <=
 ``tol.bound(1, n_phys)``: the system projector is C_g C_g^dag of the gated map,
 the Schroedinger reduction is C_g, and, because B^dag U A U^dag B = B^dag A B on
 invariant vectors, a relational observable restricted to the physical space is
-C_g^dag f_S C_g.  C_g is held by index and weight (``linalg.Monomial``) when its
-entries have at most one nonzero per row and per column: every orientation of a
+C_g^dag f_S C_g.  ``PhysicalSpace.labels`` holds B's row labels (row, column,
+entry) when no kinematical row meets two columns of B, built on first use: B is
+one-hot for a charge-held U(1) rep, and its columns are orbit indicators for a
+table-held finite rep.  ``conditioning_map`` then reads C_g from the labels and
+phi(g) in O(nnz B), and returns it by index and weight (``linalg.Monomial``)
+when its nonzero terms meet no row and no column twice: every orientation of a
 frame on a charge-held U(1) rep, and of an identity-ket frame on a table-held
 finite rep.  There ``schrodinger_map``'s round trip is the diagonal |w|^2, and
 the projector and the homomorphism check's C^dag a C and C c C^dag are gathers
-and scatters; SU(2) frames and other finite seeds keep the dense C_g.
+and scatters; ``PhysicalSpace.require`` projects a state by a gather and a
+scatter on the labels.  SU(2) frames and other finite seeds keep the dense
+contraction; ``physical_system_span``, ``product_form_check`` and the
+relativity step's target blocks densify C_e.
 ``PhysicalSpace.restrict`` is the one restriction, B^dag F B;
 the homomorphism check reads every clause through it and ties it to
 C_g^dag f_S C_g.  A Lie relational observable is built and kept on its weight
@@ -55,6 +63,7 @@ from .linalg import (
     as_cmatrix,
     as_cvector,
     dagger,
+    densify,
     orthonormal_range,
 )
 from .reps import UnitaryRep, group_average, tensor
@@ -81,6 +90,7 @@ __all__ = [
     "dirac_check",
 ]
 PHYSICAL_GATE = Tolerance(1e-7)  # an input gate for states, not a user tolerance
+DIRAC_BLOCK = 2**14  # entries per row block of the permutation Dirac defect
 
 
 @dataclass
@@ -196,10 +206,29 @@ class PhysicalSpace:
     def projector(self) -> np.ndarray:
         return self.basis.projector()
 
+    @functools.cached_property
+    def labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """B's row labels (row, column, entry) over its nonzero rows, when no kinematical row meets two columns of
+        B, else None; read from B's observed entries on first use.  B is one-hot for a charge-held U(1) rep, and
+        its columns are orbit indicators for a table-held finite rep."""
+        b = self.basis.basis
+        rows, cols = np.nonzero(b)  # in row-major order: a repeated row repeats its neighbour
+        return None if np.any(rows[1:] == rows[:-1]) else (rows, cols, b[rows, cols])
+
     def require(self, v: np.ndarray, label: str = "state") -> np.ndarray:
-        """``v`` as a vector if it passes ``PHYSICAL_GATE``, else a ValueError."""
+        """``v`` as a vector if it passes ``PHYSICAL_GATE``, else a ValueError.  With row labels the projection
+        B B^dag v is a gather and a scatter."""
         v = as_cvector(v)
-        if not self.basis.contains(v, PHYSICAL_GATE):
+        if self.labels is None:
+            inside = self.basis.contains(v, PHYSICAL_GATE)
+        else:
+            rows, cols, vals = self.labels
+            x = np.conj(vals) * v[rows]
+            coeff = np.bincount(cols, x.real, self.dim) + 1j * np.bincount(cols, x.imag, self.dim)  # B^dag v
+            resid = v.copy()
+            resid[rows] -= vals * coeff[cols]
+            inside = float(np.linalg.norm(resid)) <= PHYSICAL_GATE.weighted(np.linalg.norm(v))
+        if not inside:
             raise ValueError(f"{label} is not in the physical subspace")
         return v
 
@@ -246,33 +275,56 @@ def physical_space(s: Scenario, tol: Tolerance = DEFAULT_TOL) -> PhysicalSpace:
     return s._cache[key]
 
 
-def condition_on(s: Scenario, frame_name: str, g, x: np.ndarray) -> np.ndarray:
-    """sqrt(Vol_frame) (<phi(g)| x 1) x for a kinematical vector, or for each column of a matrix: the one place a
-    reduction evaluates the orientation state and its scale."""
+def _oriented(s: Scenario, frame_name: str, g) -> tuple[float, np.ndarray]:
+    """sqrt(Vol_frame) and phi(g): the one place a reduction evaluates the orientation state and its scale."""
     frame = s.frame(frame_name)
-    phi = frame.orientation(frame.rep.element(g))
-    return np.sqrt(frame.weight_scale) * s.condition_vector(frame_name, phi, x)
+    return np.sqrt(frame.weight_scale), frame.orientation(frame.rep.element(g))
 
 
-def conditioning_map(ps: PhysicalSpace, frame_name: str, g) -> np.ndarray:
-    """C_g = sqrt(Vol_frame) (<phi(g)| x 1) B, shape (complement_dim, n_phys)."""
-    return condition_on(ps.scenario, frame_name, g, ps.basis.basis)
+def condition_on(s: Scenario, frame_name: str, g, x: np.ndarray) -> np.ndarray:
+    """sqrt(Vol_frame) (<phi(g)| x 1) x for a kinematical vector, or for each column of a matrix."""
+    scale, phi = _oriented(s, frame_name, g)
+    return scale * s.condition_vector(frame_name, phi, x)
+
+
+def conditioning_map(ps: PhysicalSpace, frame_name: str, g) -> np.ndarray | Monomial:
+    """C_g = sqrt(Vol_frame) (<phi(g)| x 1) B, shape (complement_dim, n_phys).
+
+    With B's row labels, labelled row r = (lead, a, rest) adds sqrt(Vol) conj(phi[a]) B[r] to the entry (complement
+    index of r, column of r).  When the nonzero terms meet no row and no column of C_g twice, C_g is those terms, a
+    ``Monomial`` read in O(nnz B); otherwise it is the dense contraction."""
+    s = ps.scenario
+    if ps.labels is not None:
+        rows, cols, vals = ps.labels
+        scale, phi = _oriented(s, frame_name, g)
+        lead, d, rest = slot_view(np.empty(s.kin_dim), s.dims, s.frame_slot(frame_name)).shape
+        q, hi = np.divmod(rows, rest)
+        lo, a = np.divmod(q, d)
+        w = scale * (np.conj(phi)[a] * vals)
+        keep = np.flatnonzero(w)
+        out_rows, out_cols, shape = lo[keep] * rest + hi[keep], cols[keep], (lead * rest, ps.dim)
+        if _distinct(out_rows, shape[0]) and _distinct(out_cols, shape[1]):
+            return Monomial(out_rows, out_cols, w[keep], shape)
+    return condition_on(s, frame_name, g, ps.basis.basis)
+
+
+def _distinct(idx: np.ndarray, n: int) -> bool:
+    return bool(np.bincount(idx, minlength=n).max(initial=0) <= 1)
 
 
 @dataclass
 class ReductionMap:
-    """Rectangular matrix from physical-basis coefficients to the system factor."""
+    """Rectangular map from physical-basis coefficients to the system factor."""
 
     frame_name: str
     orientation: object
-    matrix: np.ndarray      # C_g, (complement_dim, n_phys); its inverse on the system subspace is C_g^dag
+    operator: np.ndarray | Monomial  # C_g as held, (complement_dim, n_phys); its inverse on the range is C_g^dag
     round_trip: np.ndarray  # C_g^dag C_g, (n_phys, n_phys)
-    monomial: Monomial | None = None  # C_g by index and weight, if it has that form
 
-    @property
-    def operator(self) -> np.ndarray | Monomial:
-        """C_g as its products should read it: the monomial if there is one."""
-        return self.matrix if self.monomial is None else self.monomial
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """C_g as a dense array."""
+        return densify(self.operator)
 
 
 def schrodinger_map(ps: PhysicalSpace, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> ReductionMap:
@@ -280,16 +332,15 @@ def schrodinger_map(ps: PhysicalSpace, frame_name: str, g, tol: Tolerance = DEFA
     gate.  It bounds Pi = C_g C_g^dag too: ||Pi^2 - Pi||_F = ||C (G - 1) C^dag||_F <= ||G||_2 ||G - 1||_F.
     A monomial C_g has the diagonal G = |w|^2."""
     c = conditioning_map(ps, frame_name, g)
-    mono = Monomial.of(c)
-    if mono is None:
+    if isinstance(c, Monomial):
+        diag = c.gram()
+        gram, defect = np.diag(diag), float(np.linalg.norm(diag - 1.0))
+    else:
         gram = dagger(c) @ c
         defect = float(np.linalg.norm(gram - np.eye(ps.dim)))
-    else:
-        diag = mono.gram()
-        gram, defect = np.diag(diag), float(np.linalg.norm(diag - 1.0))
     if not tol.check("round_trip", defect, 1.0, ps.dim).passed:
         raise ValueError(f"reduction map failed its round trip C^dag C = 1 ({defect:.2e})")
-    return ReductionMap(frame_name, ps.scenario.frame(frame_name).rep.element(g), c, gram, mono)
+    return ReductionMap(frame_name, ps.scenario.frame(frame_name).rep.element(g), c, gram)
 
 
 def strong_dirac_defect(s: Scenario, op: np.ndarray | reps.WeightBlocks) -> float:
@@ -297,7 +348,7 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray | reps.WeightBlocks) -> floa
 
     [U_s - 1, op] = [U_s, op], so for a finite group this is the commutator
     with each generator; with a permutation table it is
-    ||op[sigma_s][:, sigma_s] - op||, by unitary invariance of the Frobenius norm.
+    ||op[sigma_s][:, sigma_s] - op||, by unitary invariance of the Frobenius norm, summed over row blocks.
     An exactly diagonal Cartan generator K is commuted entrywise, read from the
     charges of a charge-held U(1) rep, on weight blocks block by block: they hold
     every entry that can be nonzero.  Other Lie reps' weight blocks are densified.
@@ -311,12 +362,15 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray | reps.WeightBlocks) -> floa
                                      for w, i in op.basis.sectors.items()]))
     op = op.dense() if isinstance(op, reps.WeightBlocks) else op
     sigma = reps.permutation_table(rep)
-    if sigma is not None:
-        worst = 0.0
+    if sigma is not None:  # row blocks of op[sigma_s][:, sigma_s] - op, each a cache-sized gather
+        step, worst = max(1, DIRAC_BLOCK // rep.dim), 0.0
         for p in sigma[list(rep.group.generators)]:
-            moved = op[np.ix_(p, p)]
-            moved -= op
-            worst = max(worst, float(np.linalg.norm(moved)))
+            sq = 0.0
+            for r in range(0, rep.dim, step):
+                moved = op[p[r:r + step]].take(p, 1)
+                moved -= op[r:r + step]
+                sq += np.vdot(moved, moved).real
+            worst = max(worst, math.sqrt(sq))
         return worst
     gens, worst = reps.constraints(rep), 0.0
     if not rep.is_finite and reps.weight_basis(rep).vectors is None:  # K = gens[-1] is exactly diagonal
@@ -362,8 +416,8 @@ def relational_observable(
 def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -> np.ndarray | reps.WeightBlocks:
     """Vol twirl(E x f_S), E = |phi(g)><phi(g)|: dense for a finite group, weight blocks for a Lie group.
     With W = 1 (an exactly diagonal Cartan generator) the aligned operand's blocks are read entrywise,
-    A_ww[i, j] = E[r_i, r_j] f_S[c_i, c_j], with r_i and c_i the frame and complement indices of i, on index
-    grids cached per frame."""
+    A_ww[i, j] = E[r_i, r_j] f_S[c_i, c_j], with r_i and c_i the frame and complement indices of i: each block is
+    gathered by 1-D takes on index arrays cached per frame, O(kin) entries in all."""
     rep, frame = s.total_rep, s.frame(frame_name)
     phi = frame.orientation(frame.rep.element(g))
     proj = np.outer(phi, np.conj(phi))
@@ -371,13 +425,15 @@ def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -
         return group_average(rep, s.embed_frame_operator(frame_name, proj, f_s), "twirl", frame.weight_scale, tol)
     wb = reps.weight_basis(rep)
     if wb.vectors is None:
-        key = ("twirl_grids", frame_name)
+        f_s = np.ascontiguousarray(f_s)  # a take on a strided array would copy all of it, block by block
+        key = ("twirl_index", frame_name)
         if key not in s._cache:
             shape = slot_view(np.arange(s.kin_dim), s.dims, s.frame_slot(frame_name)).shape
             lo, r, hi = np.unravel_index(np.arange(s.kin_dim), shape)
             c = lo * shape[2] + hi
-            s._cache[key] = [(w, np.ix_(r[i], r[i]), np.ix_(c[i], c[i])) for w, i in wb.sectors.items()]
-        aligned = reps.WeightBlocks(wb, {w: proj[ir] * f_s[ic] for w, ir, ic in s._cache[key]})
+            s._cache[key] = [(w, r[i], c[i]) for w, i in wb.sectors.items()]
+        aligned = reps.WeightBlocks(wb, {w: proj.take(r, 0).take(r, 1) * f_s.take(c, 0).take(c, 1)
+                                         for w, r, c in s._cache[key]})
     else:
         aligned = reps.WeightBlocks.of(wb, s.embed_frame_operator(frame_name, proj, f_s))
     return reps.lie_twirl(rep, aligned, tol, frame.weight_scale)
@@ -414,8 +470,7 @@ def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = 
 def system_projector(s: Scenario, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Pi_S^phys(g) = C_g C_g^dag = Vol_frame (<phi(g)| x 1) P_phys (|phi(g)> x 1), from the gated map."""
     c = schrodinger_map(physical_space(s, tol), frame_name, g, tol).operator
-    pi = c @ dagger(c)
-    return pi.dense() if isinstance(pi, Monomial) else pi
+    return densify(c @ dagger(c))
 
 
 def orientation_independent(s: Scenario, frame_name: str, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -432,7 +487,7 @@ def physical_system_span(s: Scenario, frame_name: str, tol: Tolerance = DEFAULT_
     """Span of the physical system subspaces over all orientations, the invariant closure of range(C_e); cached."""
     key = ("span", frame_name, tol)
     if key not in s._cache:
-        c = conditioning_map(physical_space(s, tol), frame_name, s.frame(frame_name).rep.identity_element())
+        c = densify(conditioning_map(physical_space(s, tol), frame_name, s.frame(frame_name).rep.identity_element()))
         comp = s.complement_rep(frame_name)
         s._cache[key] = reps.invariant_closure(comp, c, tol) if c.shape[1] else orthonormal_range(c, tol)
     return s._cache[key]
@@ -469,8 +524,7 @@ def check_weak_homomorphism(
     a = as_cmatrix(a)
     b = as_cmatrix(b)
     ps = physical_space(s, tol)
-    c = conditioning_map(ps, frame_name, g)
-    c = Monomial.of(c) or c  # by index and weight if it can be: the products below are then gathers and scatters
+    c = conditioning_map(ps, frame_name, g)  # a monomial makes the products below gathers and scatters
     c_a = dagger(c) @ a @ c  # what the definition clause ties B^dag F_a B to
     a_p, b_p = c @ c_a @ dagger(c), c @ (dagger(c) @ b @ c) @ dagger(c)  # no complement-sized Pi = C C^dag
 
@@ -496,6 +550,8 @@ def check_weak_homomorphism(
         f = rel(source())
         report["weak"][name] = float(np.max(np.linalg.norm(ps.restrict(f) - weak_rhs, axis=0), initial=0.0))
         report["strong"][name] = float(np.linalg.norm(f @ v - strong_rhs))
+        del f  # the next clause builds its observable without this one alive
+    del b_p  # and the adjoint clause reads a_p alone
     report["weak"]["adjoint"] = float(np.linalg.norm(ps.restrict(rel(dagger(a_p))) - dagger(r_a)))
     report["strong"]["adjoint"] = report["weak"]["adjoint"]
     report["weak"]["definition"] = float(np.max(np.linalg.norm(r_a - c_a, axis=0), initial=0.0))

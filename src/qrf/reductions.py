@@ -3,13 +3,15 @@
 Every reduction is built from the conditioning contraction (<phi| x 1),
 ``Scenario.condition_vector``, and its adjoint, ``inject_vector``.
 Schroedinger reduction conditions gauge-invariant states on a frame
-orientation through ``perspective.condition_on``, the one place the sqrt(Vol)
-scale is attached; it is then an isometry from the physical space onto the
+orientation through ``perspective.condition_on``, which attaches the sqrt(Vol)
+scale; it is then an isometry from the physical space onto the
 physical system subspace.  ``ReductionMap`` and ``schrodinger_map``, the map
 C_g with the one round-trip gate ||C_g^dag C_g - 1||_F <= ``tol.bound(1, n_phys)``,
-are re-exported from ``perspective``; ``schrodinger_inverse`` reads C_g^dag v
-and C_g x as a gather and a scatter when C_g is held by index and weight
-(``linalg.Monomial``).  The Heisenberg route
+are re-exported from ``perspective``.  C_g is read from the physical basis's
+row labels, by index and weight (``linalg.Monomial``), when it has at most one
+nonzero per row and per column; ``schrodinger_inverse`` then reads C_g^dag v
+and C_g x as a gather and a scatter, and the state gate of every reduction is
+a gather and a scatter on the same labels.  The Heisenberg route
 first disentangles the frame into a reproducing-phase state |theta>, applying
 T_R term by term through the same pair, and is available whenever such phases
 exist (N = 1 or another one-dimensional character for finite groups, by
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import groups, reps
 from .frames import Frame, validity_bound
-from .linalg import DEFAULT_TOL, Check, Monomial, Tolerance, as_cmatrix, as_cvector, dagger
+from .linalg import DEFAULT_TOL, Check, Tolerance, as_cmatrix, as_cvector, dagger, densify
 from .perspective import (
     PhysicalSpace,
     ReductionMap,
@@ -102,7 +104,6 @@ def schrodinger_inverse(
     C_g x are a gather and a scatter when C_g is a monomial."""
     v = as_cvector(psi_s)
     c = conditioning_map(ps, frame_name, g)
-    c = Monomial.of(c) or c
     coeff = dagger(c) @ v
     resid = float(np.linalg.norm(c @ coeff - v))
     if resid > 1e4 * tol.weighted(np.linalg.norm(v)):
@@ -345,7 +346,7 @@ def product_form_check(ps: PhysicalSpace, frame_name: str, theta: ThetaState, to
     """max_k ||T_R B e_k - |theta> x C_e e_k / sqrt(Vol)|| over the physical basis columns."""
     s = ps.scenario
     frame = s.frame(frame_name)
-    c_e = conditioning_map(ps, frame_name, frame.rep.identity_element())
+    c_e = densify(conditioning_map(ps, frame_name, frame.rep.identity_element()))
     expect = s.inject_vector(frame_name, theta.vector, c_e / np.sqrt(frame.weight_scale))
     applied = disentangler(s, frame_name, theta, ps.basis.basis, tol)
     resid = float(np.max(np.linalg.norm(applied - expect, axis=0), initial=0.0))

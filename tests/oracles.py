@@ -64,7 +64,11 @@ one-hot seed) by index and weight, and forms its products as gathers and
 scatters.  Here are the dense matmuls they replaced: the round trip
 C^dag C, C^dag a C, C x C^dag, the projector C C^dag, C^dag v and C x, and
 a frame change C_j C_i^dag with its isometry defect read from the dense
-round trips.
+round trips.  The library reads such a C_g from the row labels of B; here
+a dense matrix is read as a monomial from its observed entries, and C_g is
+the tensordot contraction of ``condition``.  The library gathers each
+weight block of a W = 1 twirl operand by 1-D takes; here each is one
+``np.ix_`` grid gather.
 """
 
 import itertools
@@ -72,17 +76,28 @@ import itertools
 import numpy as np
 
 from qrf.groups import finite_group_from_table
-from qrf.linalg import DEFAULT_TOL, Subspace, canonicalize_basis, dagger, fix_phase, nullspace, orthonormal_range
+from qrf.linalg import (
+    DEFAULT_TOL,
+    Monomial,
+    Subspace,
+    canonicalize_basis,
+    dagger,
+    fix_phase,
+    nullspace,
+    orthonormal_range,
+)
 from qrf.framechange import ensure_lr
-from qrf.perspective import RelObs, physical_space, relational_observable
+from qrf.perspective import RelObs, physical_space, relational_observable, slot_view
 from qrf.reps import (
     IsotypicBlock,
     IsotypicDecomposition,
     UnitaryRep,
+    WeightBlocks,
     _ladders,
     constraints,
     group_average,
     isotypic_decompose,
+    lie_twirl,
     weight_basis,
 )
 
@@ -181,6 +196,31 @@ def frame_change_defect(mi, mj):
         float(np.linalg.norm(dagger(mat) @ mat - mi.matrix @ dagger(mi.matrix))),
         float(np.linalg.norm(mat @ dagger(mat) - mj.matrix @ dagger(mj.matrix))),
     )
+
+
+def monomial_of(m):
+    """``m`` as a ``Monomial`` if its entries have at most one nonzero per row and per column, else None: read from
+    the dense observed entries, in row-major order."""
+    flat = np.flatnonzero(m != 0)
+    if flat.size > min(m.shape):
+        return None
+    rows, cols = np.divmod(flat, m.shape[1])  # in row-major order: a repeated row repeats its neighbour
+    if np.any(rows[1:] == rows[:-1]) or np.any(np.bincount(cols) > 1):
+        return None
+    return Monomial(rows, cols, m.reshape(-1)[flat], m.shape)
+
+
+def grid_twirl(s, frame_name, g, f_s, tol=DEFAULT_TOL):
+    """The W = 1 relational observable with each aligned weight block E[r][:, r] * f_S[c][:, c] gathered on one
+    ``np.ix_`` grid pair, r and c the frame and complement indices of the block's kinematical indices."""
+    rep, frame = s.total_rep, s.frame(frame_name)
+    phi = frame.orientation(frame.rep.element(g))
+    proj, wb = np.outer(phi, np.conj(phi)), weight_basis(rep)
+    shape = slot_view(np.arange(s.kin_dim), s.dims, s.frame_slot(frame_name)).shape
+    lo, r, hi = np.unravel_index(np.arange(s.kin_dim), shape)
+    c = lo * shape[2] + hi
+    blocks = {w: proj[np.ix_(r[i], r[i])] * f_s[np.ix_(c[i], c[i])] for w, i in wb.sectors.items()}
+    return lie_twirl(rep, WeightBlocks(wb, blocks), tol, frame.weight_scale)
 
 
 def dense_map_products(c, a, x, v):

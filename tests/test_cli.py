@@ -351,6 +351,18 @@ def test_unexpected_run_exception_exits_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: RuntimeError: boom\n"
 
 
+def test_library_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    # only a ConfigError reads as "config error"; a ValueError raised inside the library is a runtime error
+    def boom(scenario, tol):
+        raise ValueError("boom")
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    monkeypatch.setattr(perspective, "physical_space", boom)
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: ValueError: boom\n"
+
+
 @pytest.mark.parametrize("field, value", [("seed", "x"), ("tolerance", [1])])
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_non_numeric_seed_or_tolerance_is_config_error(field, value, command, tmp_path, capsys):

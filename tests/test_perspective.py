@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ket3, random_hermitian, u1_basis_index, u1_qubits_config
 from qrf import cli, framechange, frames, groups, perspective, reductions, reps
-from qrf.linalg import Monomial, Tolerance, dagger
+from qrf.linalg import Monomial, Tolerance, dagger, densify
 from qrf.perspective import (
     check_weak_homomorphism,
     conditional_inner_product_check,
@@ -214,13 +214,20 @@ def test_spin1_projector_is_rank_one_and_moves(three_spin_scenario):
 
 def test_system_projector_reads_idempotence_from_the_round_trip(u1_scenario, monkeypatch):
     # the one round-trip gate, ||G - 1||_F <= bound(1, n_phys), which bounds ||Pi^2 - Pi||_F <= ||G||_2 ||G - 1||_F
+    # the map is held by index and weight, so the held weights are scaled
     exact = perspective.conditioning_map
     ps = physical_space(u1_scenario)
     c0 = exact(ps, "A", [0.2])
+    assert isinstance(c0, Monomial)
     threshold = Tolerance().bound(1.0, ps.dim)  # the gate bound on the 4-dim physical space, 8e-9
     for eps, passes in ((1e-9, True), (1e-8, False)):  # defects 4e-9 and 4e-8 around the threshold
-        monkeypatch.setattr(perspective, "conditioning_map", lambda ps, f, g: (1 + eps) * exact(ps, f, g))
-        c = (1 + eps) * c0
+
+        def scaled(ps, f, g, eps=eps):
+            m = exact(ps, f, g)
+            return Monomial(m.rows, m.cols, (1 + eps) * m.weights, m.shape)
+
+        monkeypatch.setattr(perspective, "conditioning_map", scaled)
+        c = (1 + eps) * c0.dense()
         defect = np.linalg.norm(dagger(c) @ c - np.eye(ps.dim))
         assert (defect < threshold) == passes, defect
         if passes:
@@ -669,15 +676,6 @@ def test_block_dirac_check_is_the_dense_one(source):
         assert perspective.strong_dirac_defect(s, obs.op) == perspective.strong_dirac_defect(s, obs.matrix)
 
 
-class _DenseProductsRaise(np.ndarray):
-    """A conditioning map whose matrix products raise: a reader that multiplies C_g as a dense array fails."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            raise AssertionError("dense product of a conditioning map")
-        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
-
-
 def _random_orientation(rep, rng):
     if rep.is_finite:
         return rep.element(int(rng.integers(1, rep.group.order)))
@@ -700,28 +698,29 @@ def _map_readers(s, ps, f1, g1, f2, g2, a, b, psi_s):
 
 @pytest.mark.parametrize("source", ["u1-8-qubits", "u1-qubit-qubit-qutrit", "finite-regular:S3", "finite-regular:D4"])
 def test_conditioning_map_readers_take_the_gathers(source, monkeypatch):
-    # with every dense product of C_g raising, the readers still run, and agree with the dense products
-    from oracles import dense_frame_change, dense_map_products
+    # C_g is read from B's row labels as a monomial, and the readers agree with their dense branch on the densified
+    # map and with the dense products
+    from oracles import condition, dense_frame_change, dense_map_products
 
     cfg = u1_qubits_config(8) if source == "u1-8-qubits" else cli.load_config(source)
     s = cli.build_scenario(cfg)
     ps = physical_space(s)
+    assert ps.labels is not None
     rng = np.random.default_rng(41)
     f1, f2 = list(s.frames)[:2]
     g1, g2 = _random_orientation(s.frame(f1).rep, rng), _random_orientation(s.frame(f2).rep, rng)
     a, b = (random_hermitian(rng, s.complement_dim(f1)) for _ in range(2))
-    c1, c2 = perspective.conditioning_map(ps, f1, g1), perspective.conditioning_map(ps, f2, g2)
+    held = perspective.conditioning_map(ps, f1, g1)
+    assert isinstance(held, Monomial) and isinstance(perspective.schrodinger_map(ps, f1, g1).operator, Monomial)
+    c1, c2 = (np.sqrt(s.frame(f).weight_scale) * condition(s, f, s.frame(f).orientation(g), ps.basis.basis)
+              for f, g in ((f1, g1), (f2, g2)))
+    assert np.array_equal(held.dense(), c1)
     psi_s = c1 @ (rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim))
-    with monkeypatch.context() as m:
-        m.setattr(Monomial, "of", classmethod(lambda cls, c: None))  # the twin: every reader on its dense branch
-        dense = _map_readers(s, ps, f1, g1, f2, g2, a, b, psi_s)
-    exact = perspective.conditioning_map
-    monkeypatch.setattr(perspective, "conditioning_map", lambda *args: exact(*args).view(_DenseProductsRaise))
-    monkeypatch.setattr(reductions, "conditioning_map", perspective.conditioning_map)
-    assert perspective.schrodinger_map(ps, f1, g1).monomial is not None
-    with pytest.raises(AssertionError, match="dense product"):
-        perspective.conditioning_map(ps, f1, g1) @ np.eye(ps.dim)
     got = _map_readers(s, ps, f1, g1, f2, g2, a, b, psi_s)
+    exact = perspective.conditioning_map
+    monkeypatch.setattr(perspective, "conditioning_map", lambda *args: densify(exact(*args)))  # the dense twin
+    monkeypatch.setattr(reductions, "conditioning_map", perspective.conditioning_map)
+    dense = _map_readers(s, ps, f1, g1, f2, g2, a, b, psi_s)
     oracle = dense_map_products(c1, a, np.eye(ps.dim), psi_s)
     want_change, want_defect = dense_frame_change(c1, c2)
     real_weights = s.total_rep.is_finite  # complex weights round differently under a fused multiply-add
@@ -753,6 +752,60 @@ def test_dense_conditioning_maps_keep_the_dense_products(case):
     f = next(iter(s.frames))
     g = _random_orientation(s.frame(f).rep, np.random.default_rng(2))
     m = perspective.schrodinger_map(ps, f, g)
-    assert m.monomial is None and m.operator is m.matrix
+    assert not isinstance(m.operator, Monomial) and m.operator is m.matrix
     assert np.count_nonzero(m.matrix, axis=0).max() > 1
     np.testing.assert_allclose(system_projector(s, f, g), m.matrix @ dagger(m.matrix), atol=1e-15)
+
+
+@pytest.mark.parametrize("source", ["u1-8-qubits", "finite-regular:S3"])
+def test_warm_queries_form_no_dense_conditioning_map(source, monkeypatch):
+    # a warm frame change, reduction and conditional probability never condition the (kin, n_phys) basis: C_g is
+    # read from B's row labels, and only physical states are conditioned
+    cfg = u1_qubits_config(8) if source == "u1-8-qubits" else cli.load_config(source)
+    s = cli.build_scenario(cfg)
+    ps = physical_space(s)
+    rng = np.random.default_rng(53)
+    f1, f2 = list(s.frames)[:2]
+    g1, g2, g3 = (_random_orientation(s.frame(f).rep, rng) for f in (f1, f2, f1))
+    coeff = rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim)
+    psi = ps.basis.basis @ (coeff / np.linalg.norm(coeff))
+    q, _ = np.linalg.qr(rng.standard_normal((s.complement_dim(f1), 3)))
+    proj = q @ q.T
+
+    def queries():
+        framechange.frame_change(ps, f1, g1, f2, g2)
+        framechange.frame_change(ps, f1, g1, f1, g3)
+        reductions.schrodinger_reduce(ps, f1, g1, psi)
+        reductions.conditional_probability(ps, f1, g1, proj, psi)
+
+    queries()  # warm: the labels and the twirl indices are cached
+    shapes = []
+    exact = perspective.Scenario.condition_vector
+
+    def recording(self, frame_name, phi, x):
+        shapes.append(np.shape(x))
+        return exact(self, frame_name, phi, x)
+
+    monkeypatch.setattr(perspective.Scenario, "condition_vector", recording)
+    queries()
+    assert shapes and all(len(shape) == 1 for shape in shapes), shapes
+
+
+@pytest.mark.parametrize("source", ["u1-8-qubits", "u1-qubit-qubit-qutrit"])
+def test_twirl_blocks_by_takes_equal_the_grid_gathers(source):
+    # each W = 1 weight block of the aligned operand is gathered by 1-D takes, bit-equal to the np.ix_ grid gather,
+    # from index arrays of O(kin) entries in all
+    from oracles import grid_twirl
+
+    cfg = u1_qubits_config(8) if source == "u1-8-qubits" else cli.load_config(source)
+    s = cli.build_scenario(cfg)
+    assert reps.weight_basis(s.total_rep).vectors is None
+    rng = np.random.default_rng(59)
+    for frame in s.frames:
+        g = _random_orientation(s.frame(frame).rep, rng)
+        f_s = random_hermitian(rng, s.complement_dim(frame))
+        got = relational_observable(s, frame, g, f_s, check=False).op
+        want = grid_twirl(s, frame, g, f_s)
+        assert got.blocks.keys() == want.blocks.keys()
+        assert all(np.array_equal(got.blocks[w], want.blocks[w]) for w in want.blocks), frame
+        assert sum(r.size + c.size for _, r, c in s._cache[("twirl_index", frame)]) == 2 * s.kin_dim

@@ -8,11 +8,15 @@ identity ket, a random unit vector, a covariant random seed (one that
 frame validation accepts), or, for U(1), uniform with one coefficient set
 to zero, which gives every conditioning map an all-zero column.
 
-Two properties:
+The properties, with every drawn frame attached, valid or not:
 - ``cli.run`` either raises ``ConfigError`` or returns a report in which
   every check passes;
+- every conditioning map read from the physical basis's row labels equals
+  the ``oracles.condition`` contraction bit for bit, and a dense one equals
+  it to rounding;
 - every conditioning map that is a monomial forms the same products as the
-  dense matmuls of ``oracles``, and so does ``frame_change``.
+  dense matmuls of ``oracles``, and so does ``frame_change`` on valid frames;
+- every relational observable equals ``oracles.dense_relational_observable``.
 
 Tier-1 draws a few derandomised examples; the ``slow`` run draws more.
 """
@@ -25,11 +29,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_frame_change, dense_map_products
-from qrf import cli, groups, reps
+from oracles import condition, dense_frame_change, dense_map_products, dense_relational_observable
+from qrf import cli, frames, groups, perspective, reps
 from qrf.framechange import frame_change
-from qrf.linalg import Monomial
-from qrf.perspective import conditioning_map, physical_space, slot_view
+from qrf.linalg import Monomial, dagger
+from qrf.perspective import conditioning_map, physical_space, relational_observable
 
 MAX_KIN = 256
 FINITE = ("Z2", "Z3", "Z4", "S3", "D4", "Q8")
@@ -154,9 +158,23 @@ def _close(got, want, what):
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max(initial=0.0), err_msg=what)
 
 
+def _unvalidated(bare, raw, rng):
+    """The drawn frames, valid or not, attached without validation to a copy of the frameless scenario ``bare``."""
+    subsystems = dict(bare.subsystems)
+    attached = {}
+    for fr in raw["frames"]:
+        rep = subsystems[fr["subsystem"]]
+        seed = _seed_vector(rep, fr["seed"])
+        if seed is not None:
+            frame = frames.Frame(fr["name"], rep, seed / np.linalg.norm(seed), float(rep.dim),
+                                 groups.Subgroup(parent=rep.group), float("nan"))
+            attached[fr["name"]] = (fr["subsystem"], frame)
+    return perspective.make_scenario(bare.group, list(bare.subsystems), attached)
+
+
 def check_config(raw) -> dict:
-    """Both properties on one config; returns whether it was rejected, and how many conditioning maps took each
-    path and had an all-zero column."""
+    """The properties on one config; returns whether it was rejected, how many conditioning maps were read from
+    the row labels and how many densely, and how many of the label-read ones had an all-zero column."""
     cfg = cli.parse_config(json.dumps(raw))
     try:
         report = cli.run(cfg)
@@ -166,46 +184,47 @@ def check_config(raw) -> dict:
         assert all("error" not in t for t in report["tasks"]), report["tasks"]
         assert report["summary"]["checks_failed"] == 0, [c for t in report["tasks"] for c in t["checks"]]
     # every seed conditions the physical basis, whether or not it makes a valid frame
-    bare = cli.build_scenario(cli.parse_config(json.dumps({**raw, "frames": []})))
-    b = physical_space(bare, cfg.tol()).basis.basis
-    names = [sub["name"] for sub in raw["subsystems"]]
     rng = np.random.default_rng(3)
-    paths = {"rejected": int(report is None), "monomial": 0, "dense": 0, "zero_column": 0}
-    for fr in raw["frames"]:
-        slot = names.index(fr["subsystem"])
-        rep = bare.subsystems[slot][1]
-        seed = _seed_vector(rep, fr["seed"])
-        if seed is None:
+    s = _unvalidated(cli.build_scenario(cli.parse_config(json.dumps({**raw, "frames": []}))), raw, rng)
+    ps = physical_space(s, cfg.tol())
+    paths = {"rejected": int(report is None), "labels": 0, "dense": 0, "zero_column": 0}
+    maps = {}
+    for f in s.frames:
+        frame = s.frame(f)
+        g = _orientation(frame.rep, rng)
+        want = np.sqrt(frame.weight_scale) * condition(s, f, frame.orientation(g), ps.basis.basis)
+        c = conditioning_map(ps, f, g)
+        if isinstance(c, Monomial):  # read from the labels: one term per entry, as in the contraction
+            assert np.array_equal(c.dense(), want), f
+        else:  # the same contraction by another matmul
+            _close(c, want, f"conditioning map of {f}")
+        maps[f] = (g, want)
+        f_s = rng.standard_normal((want.shape[0],) * 2) + 1j * rng.standard_normal((want.shape[0],) * 2)
+        f_s = f_s + dagger(f_s)
+        obs = relational_observable(s, f, g, f_s, cfg.tol(), check=False)
+        _close(obs.matrix, dense_relational_observable(s, f, g, f_s, cfg.tol()), f"relational observable of {f}")
+        if not isinstance(c, Monomial):
+            paths["dense"] += 1
             continue
-        phi = rep.evaluate(_orientation(rep, rng)) @ seed
-        c = (np.conj(phi) @ slot_view(b, bare.dims, slot)).reshape(bare.kin_dim // rep.dim, b.shape[1])
-        mono = Monomial.of(c)
-        paths["dense" if mono is None else "monomial"] += 1
-        if mono is None:
-            continue
-        paths["zero_column"] += int(not np.all(np.any(c, axis=0)))
+        paths["labels"] += 1
+        paths["zero_column"] += int(not np.all(np.any(want, axis=0)))
         m, n = c.shape
         a, x = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in (m, n))
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        want = dense_map_products(c, a, x, v)
-        _close(np.diag(mono.gram()), want["round_trip"], "round_trip")
-        _close(mono.dagger() @ a @ mono, want["sandwich"], "sandwich")
-        _close(mono @ x @ mono.dagger(), want["scatter"], "scatter")
-        _close((mono @ mono.dagger()).dense(), want["projector"], "projector")
-        _close(mono.dagger() @ v, want["adjoint"], "adjoint")
-        _close(mono @ x, want["apply"], "apply")
-    if report is not None:
-        s = cli.build_scenario(cfg)
-        ps = physical_space(s, cfg.tol())
-        if ps.dim:
-            for f_from in s.frames:
-                for f_to in s.frames:
-                    g_from, g_to = _orientation(s.frame(f_from).rep, rng), _orientation(s.frame(f_to).rep, rng)
-                    ch = frame_change(ps, f_from, g_from, f_to, g_to, cfg.tol())
-                    c_from, c_to = (conditioning_map(ps, f, g) for f, g in ((f_from, g_from), (f_to, g_to)))
-                    mat, defect = dense_frame_change(c_from, c_to)
-                    _close(ch.matrix, mat, f"{f_from}->{f_to}")
-                    assert abs(ch.scale_notes["isometry_defect"] - defect) <= 1e-14
+        dense = dense_map_products(want, a, x, v)
+        _close(np.diag(c.gram()), dense["round_trip"], "round_trip")
+        _close(c.dagger() @ a @ c, dense["sandwich"], "sandwich")
+        _close(c @ x @ c.dagger(), dense["scatter"], "scatter")
+        _close((c @ c.dagger()).dense(), dense["projector"], "projector")
+        _close(c.dagger() @ v, dense["adjoint"], "adjoint")
+        _close(c @ x, dense["apply"], "apply")
+    if report is not None and ps.dim:  # the drawn frames are valid: every frame change passes its checks
+        for f_from, (g_from, c_from) in maps.items():
+            for f_to, (g_to, c_to) in maps.items():
+                ch = frame_change(ps, f_from, g_from, f_to, g_to, cfg.tol())
+                mat, defect = dense_frame_change(c_from, c_to)
+                _close(ch.matrix, mat, f"{f_from}->{f_to}")
+                assert abs(ch.scale_notes["isometry_defect"] - defect) <= 1e-14
     return paths
 
 
@@ -225,8 +244,8 @@ def test_random_scenarios_many(raw):
 
 
 def test_the_draws_reach_both_paths_and_every_outcome():
-    # the strategy reaches monomial and dense maps, accepted and rejected frames, and zero columns
-    seen = {"rejected": 0, "monomial": 0, "dense": 0, "zero_column": 0}
+    # the strategy reaches label-read and dense maps, accepted and rejected frames, and zero columns
+    seen = {"rejected": 0, "labels": 0, "dense": 0, "zero_column": 0}
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(raw=configs())

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ket3, regular_three_party, u1_basis_index
 from qrf import frames, groups, perspective, reps
-from qrf.linalg import DEFAULT_TOL, Tolerance, dagger
+from qrf.linalg import DEFAULT_TOL, Tolerance, dagger, densify
 from qrf.perspective import physical_space, system_projector
 from qrf.reductions import (
     ThetaNotFound,
@@ -123,7 +123,7 @@ def test_schrodinger_map_invariants(u1_scenario, s3_regular_scenario, three_spin
         (three_spin_scenario, "A", [0.4, -0.2, 0.9]),
     ):
         ps = physical_space(s)
-        c = perspective.conditioning_map(ps, fname, g)
+        c = densify(perspective.conditioning_map(ps, fname, g))
         assert c.shape == (s.complement_dim(fname), ps.dim)
         np.testing.assert_allclose(schrodinger_map(ps, fname, g).matrix, c, atol=1e-12)
         np.testing.assert_allclose(dagger(c) @ c, np.eye(ps.dim), atol=1e-9)

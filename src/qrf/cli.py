@@ -187,7 +187,11 @@ def load_config(source: str) -> ScenarioConfig:
         pass
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as handle:
-            return parse_config(handle.read())
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
+        return parse_config(text)
     raise ConfigError(
         f"{source!r} is neither a builtin scenario nor an existing config file; "
         f"builtins: {', '.join(builtin_names())}"

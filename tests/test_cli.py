@@ -67,6 +67,15 @@ def test_invalid_json_error():
         parse_config("{not json")
 
 
+def test_non_utf8_config_file_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"group": "\xff"}')
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(str(cfg_path))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config is not valid UTF-8: ")
+
+
 def test_bad_observable_dimension_rejected():
     raw = small_config(
         tasks=[{"task": "rel_obs", "frame": "A", "orientation": {"theta": 0.0},

@@ -676,6 +676,21 @@ def test_block_dirac_check_is_the_dense_one(source):
         assert perspective.strong_dirac_defect(s, obs.op) == perspective.strong_dirac_defect(s, obs.matrix)
 
 
+class _DenseRaises(Monomial):
+    """A held conditioning map that cannot be densified: a reader that forms the dense C_g fails.  Its adjoint is one
+    too, and the products that readers form from it are plain monomials or arrays."""
+
+    @classmethod
+    def held(cls, c: Monomial) -> "_DenseRaises":
+        return cls(c.rows, c.cols, c.weights, c.shape)
+
+    def dense(self):
+        raise AssertionError("dense conditioning map")
+
+    def dagger(self):
+        return _DenseRaises(self.cols, self.rows, np.conj(self.weights), self.shape[::-1])
+
+
 def _random_orientation(rep, rng):
     if rep.is_finite:
         return rep.element(int(rng.integers(1, rep.group.order)))
@@ -698,8 +713,8 @@ def _map_readers(s, ps, f1, g1, f2, g2, a, b, psi_s):
 
 @pytest.mark.parametrize("source", ["u1-8-qubits", "u1-qubit-qubit-qutrit", "finite-regular:S3", "finite-regular:D4"])
 def test_conditioning_map_readers_take_the_gathers(source, monkeypatch):
-    # C_g is read from B's row labels as a monomial, and the readers agree with their dense branch on the densified
-    # map and with the dense products
+    # C_g is read from B's row labels as a monomial; the readers run without densifying it, and agree with their dense
+    # branch on the densified map and with the dense products
     from oracles import condition, dense_frame_change, dense_map_products
 
     cfg = u1_qubits_config(8) if source == "u1-8-qubits" else cli.load_config(source)
@@ -716,8 +731,13 @@ def test_conditioning_map_readers_take_the_gathers(source, monkeypatch):
               for f, g in ((f1, g1), (f2, g2)))
     assert np.array_equal(held.dense(), c1)
     psi_s = c1 @ (rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim))
-    got = _map_readers(s, ps, f1, g1, f2, g2, a, b, psi_s)
     exact = perspective.conditioning_map
+    with monkeypatch.context() as m:  # every reader runs with a held C_g that raises when densified
+        m.setattr(perspective, "conditioning_map", lambda *args: _DenseRaises.held(exact(*args)))
+        m.setattr(reductions, "conditioning_map", perspective.conditioning_map)
+        with pytest.raises(AssertionError, match="dense conditioning map"):
+            densify(dagger(perspective.conditioning_map(ps, f1, g1)))
+        got = _map_readers(s, ps, f1, g1, f2, g2, a, b, psi_s)
     monkeypatch.setattr(perspective, "conditioning_map", lambda *args: densify(exact(*args)))  # the dense twin
     monkeypatch.setattr(reductions, "conditioning_map", perspective.conditioning_map)
     dense = _map_readers(s, ps, f1, g1, f2, g2, a, b, psi_s)

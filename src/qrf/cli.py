@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, framechange, frames, groups, perspective, reductions, reps
 from .builtins_config import builtin_config, builtin_names
 from .frames import ResolutionFails
-from .linalg import Check, Tolerance, dagger
+from .linalg import Check, Monomial, Tolerance, dagger
 from .perspective import Scenario
 from .reductions import ThetaState
 
@@ -513,8 +513,8 @@ def _task_full_report(scenario, ps, cfg, task, rng):
         if v_rep is None:
             entry["lr_obstruction"] = lr_report["reason"]
         entry["orientation_independent"] = perspective.orientation_independent(scenario, fname, tol)
-        gram = perspective.schrodinger_map(ps, fname, frame.rep.identity_element(), tol).round_trip
-        entry["reduced_space_dim"] = int(round(float(np.trace(gram).real)))
+        c = perspective.schrodinger_map(ps, fname, frame.rep.identity_element(), tol)  # tr(C^dag C) = ||C||_F^2
+        entry["reduced_space_dim"] = round(float(np.linalg.norm(c.weights if isinstance(c, Monomial) else c)) ** 2)
         entry["conditional_span_dim"] = perspective.physical_system_span(scenario, fname, tol).dim
         if ps.dim:
             theta = reductions.solve_theta(frame, tol)

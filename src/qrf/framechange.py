@@ -79,23 +79,23 @@ def frame_change(
     """
     if ps.dim == 0:
         raise ValueError("cannot change frames with an empty physical space")
-    mi = schrodinger_map(ps, frame_i, g_i, tol)
-    mj = schrodinger_map(ps, frame_j, g_j, tol)
-    mat = mj.operator @ dagger(mi.operator)
+    ci = schrodinger_map(ps, frame_i, g_i, tol)
+    cj = schrodinger_map(ps, frame_j, g_j, tol)
+    mat = cj @ dagger(ci)
     if isinstance(mat, Monomial):
-        gi, gj = mi.operator.gram(), mj.operator.gram()
+        gi, gj = ci.gram(), cj.gram()
         worst = float(np.sqrt(max(np.sum(((gj - 1.0) * gi) ** 2), np.sum(((gi - 1.0) * gj) ** 2))))
         mat = mat.dense()
-    else:
-        gi, gj = mi.round_trip, mj.round_trip
+    else:  # a monomial's round trip is a monomial, densified here
+        gi, gj = (densify(dagger(c) @ c) for c in (ci, cj))
         xi, xj = gi - np.eye(ps.dim), gj - np.eye(ps.dim)
         worst = float(np.sqrt(max(np.vdot(xj @ gi, gi @ xj).real, np.vdot(xi @ gj, gj @ xi).real, 0.0)))
     check = tol.check("frame_change_isometry", worst, 1.0, max(mat.shape))
     if not check.passed:
         raise ValueError(f"frame change failed the isometry check ({worst:.3e})")
-    volumes = [ps.scenario.frame(f).weight_scale for f in (frame_i, frame_j)]
-    notes = {"from_volume": volumes[0], "to_volume": volumes[1], "isometry_defect": worst}
-    return FrameChange(frame_i, frame_j, mi.orientation, mj.orientation, mat, notes, check)
+    fi, fj = ps.scenario.frame(frame_i), ps.scenario.frame(frame_j)
+    notes = {"from_volume": fi.weight_scale, "to_volume": fj.weight_scale, "isometry_defect": worst}
+    return FrameChange(frame_i, frame_j, fi.rep.element(g_i), fj.rep.element(g_j), mat, notes, check)
 
 
 def ensure_lr(frame, tol: Tolerance = DEFAULT_TOL):

@@ -17,18 +17,19 @@ kinematical vector or on each column of a matrix; its adjoint (|phi> x 1) is
 orthonormal physical basis B it gives
 ``conditioning_map``, C_g = sqrt(Vol) (<phi(g)| x 1) B, an isometry from
 physical-basis coefficients onto the physical system subspace.
-``schrodinger_map`` holds the one round-trip gate, ||C_g^dag C_g - 1||_F <=
-``tol.bound(1, n_phys)``: the system projector is C_g C_g^dag of the gated map,
-the Schroedinger reduction is C_g, and, because B^dag U A U^dag B = B^dag A B on
-invariant vectors, a relational observable restricted to the physical space is
-C_g^dag f_S C_g.  ``PhysicalSpace.labels`` holds B's row labels (row, column,
-entry) when no kinematical row meets two columns of B, built on first use: B is
+``schrodinger_map`` returns C_g as it is held, behind the one round-trip gate
+||C_g^dag C_g - 1||_F <= ``tol.bound(1, n_phys)``: the system projector is
+C_g C_g^dag of the gated map, the Schroedinger reduction is C_g, and, because
+B^dag U A U^dag B = B^dag A B on invariant vectors, a relational observable
+restricted to the physical space is C_g^dag f_S C_g.
+``PhysicalSpace.labels`` holds B's row labels (row, column, entry) when no
+kinematical row meets two columns of B, built on first use: B is
 one-hot for a charge-held U(1) rep, and its columns are orbit indicators for a
 table-held finite rep.  ``conditioning_map`` then reads C_g from the labels and
 phi(g) in O(nnz B), and returns it by index and weight (``linalg.Monomial``)
 when its nonzero terms meet no row and no column twice: every orientation of a
 frame on a charge-held U(1) rep, and of an identity-ket frame on a table-held
-finite rep.  There ``schrodinger_map``'s round trip is the diagonal |w|^2, and
+finite rep.  There the gate reads the diagonal round trip |w|^2, and
 the projector and the homomorphism check's C^dag a C and C c C^dag are gathers
 and scatters; ``PhysicalSpace.require`` projects a state by a gather and a
 scatter on the labels.  SU(2) frames and other finite seeds keep the dense
@@ -39,8 +40,8 @@ the homomorphism check reads every clause through it and ties it to
 C_g^dag f_S C_g.  A Lie relational observable is built and kept on its weight
 blocks, read from |phi><phi| and f_S: checks and probabilities apply them to
 vectors, restrict them on the weight-0 block, where every physical vector lies,
-and commute a charge-held U(1) rep's blocks one by one; ``RelObs.matrix``
-densifies them.
+and read a charge-held U(1) rep's blocks as commuting with its charges by
+construction; ``RelObs.matrix`` densifies them.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ __all__ = [
     "physical_space",
     "condition_on",
     "conditioning_map",
-    "ReductionMap",
     "schrodinger_map",
     "relational_observable",
     "h_average",
@@ -312,35 +312,15 @@ def _distinct(idx: np.ndarray, n: int) -> bool:
     return bool(np.bincount(idx, minlength=n).max(initial=0) <= 1)
 
 
-@dataclass
-class ReductionMap:
-    """Rectangular map from physical-basis coefficients to the system factor."""
-
-    frame_name: str
-    orientation: object
-    operator: np.ndarray | Monomial  # C_g as held, (complement_dim, n_phys); its inverse on the range is C_g^dag
-    round_trip: np.ndarray  # C_g^dag C_g, (n_phys, n_phys)
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """C_g as a dense array."""
-        return densify(self.operator)
-
-
-def schrodinger_map(ps: PhysicalSpace, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> ReductionMap:
-    """C_g with its round trip G = C_g^dag C_g, gated by ||G - 1||_F <= ``tol.bound(1, n_phys)``: the one round-trip
-    gate.  It bounds Pi = C_g C_g^dag too: ||Pi^2 - Pi||_F = ||C (G - 1) C^dag||_F <= ||G||_2 ||G - 1||_F.
-    A monomial C_g has the diagonal G = |w|^2."""
+def schrodinger_map(ps: PhysicalSpace, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | Monomial:
+    """C_g as ``conditioning_map`` holds it, gated by ||G - 1||_F <= ``tol.bound(1, n_phys)``, G = C_g^dag C_g:
+    the one round-trip gate.  It bounds Pi = C_g C_g^dag too: ||Pi^2 - Pi||_F = ||C (G - 1) C^dag||_F
+    <= ||G||_2 ||G - 1||_F.  A monomial C_g has the diagonal G = |w|^2, read as its diagonal alone."""
     c = conditioning_map(ps, frame_name, g)
-    if isinstance(c, Monomial):
-        diag = c.gram()
-        gram, defect = np.diag(diag), float(np.linalg.norm(diag - 1.0))
-    else:
-        gram = dagger(c) @ c
-        defect = float(np.linalg.norm(gram - np.eye(ps.dim)))
+    defect = float(np.linalg.norm(c.gram() - 1.0 if isinstance(c, Monomial) else dagger(c) @ c - np.eye(ps.dim)))
     if not tol.check("round_trip", defect, 1.0, ps.dim).passed:
         raise ValueError(f"reduction map failed its round trip C^dag C = 1 ({defect:.2e})")
-    return ReductionMap(frame_name, ps.scenario.frame(frame_name).rep.element(g), c, gram)
+    return c
 
 
 def strong_dirac_defect(s: Scenario, op: np.ndarray | reps.WeightBlocks) -> float:
@@ -350,16 +330,16 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray | reps.WeightBlocks) -> floa
     with each generator; with a permutation table it is
     ||op[sigma_s][:, sigma_s] - op||, by unitary invariance of the Frobenius norm, summed over row blocks.
     An exactly diagonal Cartan generator K is commuted entrywise, read from the
-    charges of a charge-held U(1) rep, on weight blocks block by block: they hold
-    every entry that can be nonzero.  Other Lie reps' weight blocks are densified.
+    charges of a charge-held U(1) rep.  Weight blocks of such a rep read exactly 0:
+    each block lies in one charge sector, where K is a multiple of 1.  Other Lie
+    reps' weight blocks are densified.
     """
     rep = s.total_rep
     if rep.charges is not None:  # [K, op]_ij = (q_i - q_j) op_ij
+        if isinstance(op, reps.WeightBlocks):
+            return 0.0
         q = rep.charges
-        if not isinstance(op, reps.WeightBlocks):
-            return float(np.linalg.norm((q[:, None] - q[None, :]) * op))
-        return float(np.linalg.norm([np.linalg.norm((q[i, None] - q[None, i]) * op.blocks[w])
-                                     for w, i in op.basis.sectors.items()]))
+        return float(np.linalg.norm((q[:, None] - q[None, :]) * op))
     op = op.dense() if isinstance(op, reps.WeightBlocks) else op
     sigma = reps.permutation_table(rep)
     if sigma is not None:  # row blocks of op[sigma_s][:, sigma_s] - op, each a cache-sized gather
@@ -381,7 +361,8 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray | reps.WeightBlocks) -> floa
 
 def dirac_check(s: Scenario, op: np.ndarray | reps.WeightBlocks, tol: Tolerance = DEFAULT_TOL) -> Check:
     """The strong Dirac defect of a kinematical operator, at the scale of its largest entry.  Weight blocks of a
-    charge-held U(1) rep are read block by block; those of any other Lie rep are densified first."""
+    charge-held U(1) rep give the scale block by block and the defect 0; those of any other Lie rep are densified
+    first."""
     op = op.dense() if isinstance(op, reps.WeightBlocks) and s.total_rep.charges is None else op
     blocks = op.blocks.values() if isinstance(op, reps.WeightBlocks) else [op]
     scale = max(float(np.abs(b).max(initial=0.0)) for b in blocks)
@@ -469,7 +450,7 @@ def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = 
 
 def system_projector(s: Scenario, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Pi_S^phys(g) = C_g C_g^dag = Vol_frame (<phi(g)| x 1) P_phys (|phi(g)> x 1), from the gated map."""
-    c = schrodinger_map(physical_space(s, tol), frame_name, g, tol).operator
+    c = schrodinger_map(physical_space(s, tol), frame_name, g, tol)
     return densify(c @ dagger(c))
 
 

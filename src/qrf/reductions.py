@@ -5,9 +5,9 @@ Every reduction is built from the conditioning contraction (<phi| x 1),
 Schroedinger reduction conditions gauge-invariant states on a frame
 orientation through ``perspective.condition_on``, which attaches the sqrt(Vol)
 scale; it is then an isometry from the physical space onto the
-physical system subspace.  ``ReductionMap`` and ``schrodinger_map``, the map
-C_g with the one round-trip gate ||C_g^dag C_g - 1||_F <= ``tol.bound(1, n_phys)``,
-are re-exported from ``perspective``.  C_g is read from the physical basis's
+physical system subspace.  ``schrodinger_map``, C_g as it is held behind the
+one round-trip gate ||C_g^dag C_g - 1||_F <= ``tol.bound(1, n_phys)``, is
+re-exported from ``perspective``.  C_g is read from the physical basis's
 row labels, by index and weight (``linalg.Monomial``), when it has at most one
 nonzero per row and per column; ``schrodinger_inverse`` then reads C_g^dag v
 and C_g x as a gather and a scatter, and the state gate of every reduction is
@@ -29,7 +29,6 @@ from .frames import Frame, validity_bound
 from .linalg import DEFAULT_TOL, Check, Tolerance, as_cmatrix, as_cvector, dagger, densify
 from .perspective import (
     PhysicalSpace,
-    ReductionMap,
     Scenario,
     condition_on,
     conditioning_map,
@@ -39,7 +38,6 @@ from .perspective import (
 )
 
 __all__ = [
-    "ReductionMap",
     "ThetaState",
     "ThetaNotFound",
     "schrodinger_reduce",

@@ -178,6 +178,8 @@ def finite_rep(group: FiniteGroup, matrices, tol: Tolerance = DEFAULT_TOL) -> Un
     mats = np.asarray(matrices, dtype=complex)
     if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
         raise ValueError("need one square matrix per group element")
+    if not np.all(np.isfinite(mats)):  # NaN fails no comparison below
+        raise ValueError("matrix table has non-finite entries")
     dim = mats.shape[1]
     if not np.allclose(mats[group.identity_index], np.eye(dim), atol=1e-8):
         raise ValueError("identity element must map to the identity matrix")
@@ -196,6 +198,8 @@ def lie_rep(desc: LieDescriptor, generators, tol: Tolerance = DEFAULT_TOL) -> Un
     gens = np.asarray(generators, dtype=complex)
     if gens.ndim != 3 or gens.shape[0] != desc.algebra_dim or gens.shape[1] != gens.shape[2]:
         raise ValueError("need one square generator per algebra basis element")
+    if not np.all(np.isfinite(gens)):  # NaN fails no comparison below
+        raise ValueError("generators have non-finite entries")
     dim = gens.shape[1]
     scale = max(1.0, max(np.abs(g).max() for g in gens))
     for a in range(desc.algebra_dim):

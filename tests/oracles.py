@@ -189,12 +189,13 @@ def invariant_closure(rep, v, tol=DEFAULT_TOL):
         basis = grown
 
 
-def frame_change_defect(mi, mj):
-    """max(||V^dag V - C_i C_i^dag||, ||V V^dag - C_j C_j^dag||) from four complement-sized products."""
-    mat = mj.matrix @ dagger(mi.matrix)
+def frame_change_defect(ci, cj):
+    """max(||V^dag V - C_i C_i^dag||, ||V V^dag - C_j C_j^dag||), V = C_j C_i^dag, from four complement-sized
+    products of the dense maps."""
+    mat = cj @ dagger(ci)
     return max(
-        float(np.linalg.norm(dagger(mat) @ mat - mi.matrix @ dagger(mi.matrix))),
-        float(np.linalg.norm(mat @ dagger(mat) - mj.matrix @ dagger(mj.matrix))),
+        float(np.linalg.norm(dagger(mat) @ mat - ci @ dagger(ci))),
+        float(np.linalg.norm(mat @ dagger(mat) - cj @ dagger(cj))),
     )
 
 

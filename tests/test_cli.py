@@ -496,6 +496,63 @@ def test_non_numeric_tolerance_override_is_config_error(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == "config error: QRF_TOL: expected a number, got 'tight'\n"
 
 
+def _rep_config(group, rep):
+    return small_config(group=group, subsystems=[{"name": "A", "rep": rep}], frames=[])
+
+
+def _seed_config(seed):
+    return small_config(frames=[{"name": "A", "subsystem": "A", "seed": seed}])
+
+
+_CONFIG_ERRORS = {  # case: (config text, message); every one is found by parse_config or build_scenario
+    "not an object": ("[1]", "config must be a JSON object"),
+    "no group": ("{}", "config is missing the 'group' field"),
+    "group not an object": (small_config(group=3), "group: expected an object, got 3"),
+    "subsystems not a list": (small_config(subsystems=3), "subsystems: expected a list, got 3"),
+    "subsystem without rep": (small_config(subsystems=[{"name": "A"}]), "subsystems[0]: needs 'name' and 'rep'"),
+    "duplicate subsystems": (small_config(subsystems=[{"name": "A", "rep": {"u1_charges": [1, -1]}}] * 2),
+                             "subsystem names must be unique"),
+    "frame without seed": (small_config(frames=[{"name": "A", "subsystem": "A"}]),
+                           "frames[0]: needs 'name', 'subsystem' and 'seed'"),
+    "unknown frame subsystem": (small_config(frames=[{"name": "A", "subsystem": "Q", "seed": "uniform"}]),
+                                "frames[0]: frame 'A' references unknown subsystem 'Q' (have: A, B, C)"),
+    "empty group spec": (small_config(group={}), "group spec needs 'builtin', 'table' or 'table_file'"),
+    "spin_j on u1": (_rep_config({"builtin": "u1"}, {"spin_j": 1}),
+                     "subsystems[0].rep: spin_j representations need the su2 group"),
+    "u1_charges on Z3": (_rep_config({"builtin": "Z3"}, {"u1_charges": [1, -1]}),
+                         "subsystems[0].rep: u1_charges representations need the u1 group"),
+    "regular on u1": (_rep_config({"builtin": "u1"}, {"regular": True}),
+                      "subsystems[0].rep: regular representations need a finite group"),
+    "matrices on u1": (_rep_config({"builtin": "u1"}, {"matrices": [[[1]]]}),
+                       "subsystems[0].rep: per-element matrices need a finite group"),
+    "generators on Z3": (_rep_config({"builtin": "Z3"}, {"generators": [[[1]]]}),
+                         "subsystems[0].rep: generators need a Lie group"),
+    "unknown rep": (_rep_config({"builtin": "u1"}, {"spin": 1}),
+                    "subsystems[0].rep: unknown representation spec {'spin': 1}"),
+    "seed too long": (_seed_config([1, 0, 0]), "frames[0].seed: seed has 3 amplitudes, representation needs 2"),
+    "seed entry": (_seed_config(["x", 1]), "frames[0].seed[0]: expected a number or [re, im] pair, got 'x'"),
+    "seed not a list": (_seed_config(3), "frames[0].seed: expected a list of amplitudes"),
+    "ragged matrix": (_rep_config({"builtin": "Z2"}, {"matrices": [[[1, 0], [0]], [[1, 0], [0, 1]]]}),
+                      "subsystems[0].rep.matrices[0]: rows have inconsistent lengths"),
+    "rep bytes": (small_config(group={"builtin": "Z16"}, frames=[],
+                               subsystems=[{"name": n, "rep": {"regular": True}} for n in "ABC"]),
+                  "predicted total representation of 16 x 4096 x 4096 complex entries (4.00 GiB) "
+                  f"exceeds MAX_REP_BYTES = {cli.MAX_REP_BYTES / 2**30:.0f} GiB"),
+    "infinite charge": (json.dumps(small_config(subsystems=[{"name": "A", "rep": {"u1_charges": ["INF", -1]}}]))
+                        .replace('"INF"', "1e400"), "generators have non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("case", list(_CONFIG_ERRORS))
+def test_config_mistakes_exit_2_with_their_message(case, command, tmp_path, capsys):
+    raw, message = _CONFIG_ERRORS[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 _HUGE_SPIN = small_config(group={"builtin": "su2"}, subsystems=[{"name": "A", "rep": {"spin_j": 1e9}}], frames=[])
 
 

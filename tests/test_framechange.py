@@ -14,7 +14,7 @@ from qrf.framechange import (
 )
 from qrf.builtins_config import builtin_names
 from qrf.cli import build_scenario, load_config, run
-from qrf.linalg import DEFAULT_TOL, Tolerance, dagger, orthonormal_range
+from qrf.linalg import DEFAULT_TOL, Tolerance, dagger, densify, orthonormal_range
 from qrf.perspective import physical_space, relational_observable, system_projector
 from qrf.reductions import schrodinger_map
 
@@ -87,10 +87,11 @@ def test_frame_change_state_transport(u1_scenario):
 def test_same_frame_change_is_relabeling(u1_scenario):
     ps = physical_space(u1_scenario)
     ch = frame_change(ps, "A", [0.3], "A", [0.9])
-    m1 = schrodinger_map(ps, "A", [0.3])
-    m2 = schrodinger_map(ps, "A", [0.9])
-    np.testing.assert_allclose(ch.matrix, m2.matrix @ dagger(m1.matrix), atol=1e-10)
+    m1 = densify(schrodinger_map(ps, "A", [0.3]))
+    m2 = densify(schrodinger_map(ps, "A", [0.9]))
+    np.testing.assert_allclose(ch.matrix, m2 @ dagger(m1), atol=1e-10)
     assert ch.scale_notes["isometry_defect"] <= 1e-10
+    assert (ch.g_from.coords, ch.g_to.coords) == ((0.3,), (0.9,))
 
 
 def test_frame_change_rejects_empty_physical_space():
@@ -114,17 +115,15 @@ def test_frame_change_rejects_empty_physical_space():
 
 def test_isometry_defect_from_round_trips_matches_complement_products(s3_regular_scenario, monkeypatch):
     from oracles import frame_change_defect
-    from qrf.reductions import ReductionMap
 
     ps = physical_space(s3_regular_scenario)
-    exact = {f: schrodinger_map(ps, f, 0) for f in ("R1", "R2")}
+    exact = {f: densify(schrodinger_map(ps, f, 0)) for f in ("R1", "R2")}
     rng = np.random.default_rng(12)
     maps = []
 
     def perturbed(ps_, frame_name, g, tol):
         # a near-isometry, so that the defect is far above rounding noise
-        c = exact[frame_name].matrix + 1e-6 * rng.standard_normal(exact[frame_name].matrix.shape)
-        maps.append(ReductionMap(frame_name, g, c, dagger(c) @ c))
+        maps.append(exact[frame_name] + 1e-6 * rng.standard_normal(exact[frame_name].shape))
         return maps[-1]
 
     monkeypatch.setattr(framechange, "schrodinger_map", perturbed)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ket3, regular_three_party, u1_basis_index
 from qrf import frames, groups, perspective, reps
-from qrf.linalg import DEFAULT_TOL, Tolerance, dagger, densify
+from qrf.linalg import DEFAULT_TOL, Monomial, Tolerance, dagger, densify
 from qrf.perspective import physical_space, system_projector
 from qrf.reductions import (
     ThetaNotFound,
@@ -110,11 +110,13 @@ def test_schrodinger_inverse_rejects_out_of_range(u1_scenario):
 
 def test_schrodinger_map_invariants(u1_scenario, s3_regular_scenario, three_spin_scenario):
     ps = physical_space(u1_scenario)
-    m = schrodinger_map(ps, "A", [0.4])
-    np.testing.assert_allclose(dagger(m.matrix) @ m.matrix, np.eye(ps.dim), atol=1e-9)
-    np.testing.assert_allclose(m.round_trip, dagger(m.matrix) @ m.matrix, atol=1e-12)
+    held = schrodinger_map(ps, "A", [0.4])
+    assert isinstance(held, Monomial)  # its round trip is the diagonal G = |w|^2
+    m = densify(held)
+    np.testing.assert_allclose(dagger(m) @ m, np.eye(ps.dim), atol=1e-9)
+    np.testing.assert_allclose(np.diag(held.gram()), dagger(m) @ m, atol=1e-12)
     pi = system_projector(u1_scenario, "A", [0.4])
-    np.testing.assert_allclose(m.matrix @ dagger(m.matrix), pi, atol=1e-9)
+    np.testing.assert_allclose(m @ dagger(m), pi, atol=1e-9)
     assert u1_scenario.frame("A").weight_scale == 2.0
     rng = np.random.default_rng(31)
     for s, fname, g in (
@@ -125,7 +127,7 @@ def test_schrodinger_map_invariants(u1_scenario, s3_regular_scenario, three_spin
         ps = physical_space(s)
         c = densify(perspective.conditioning_map(ps, fname, g))
         assert c.shape == (s.complement_dim(fname), ps.dim)
-        np.testing.assert_allclose(schrodinger_map(ps, fname, g).matrix, c, atol=1e-12)
+        np.testing.assert_allclose(densify(schrodinger_map(ps, fname, g)), c, atol=1e-12)
         np.testing.assert_allclose(dagger(c) @ c, np.eye(ps.dim), atol=1e-9)
         np.testing.assert_allclose(c @ dagger(c), system_projector(s, fname, g), atol=1e-9)
         coeff = rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim)
@@ -395,11 +397,11 @@ def test_heisenberg_observable_evolution_matches_reduced_relational(u1_scenario)
     for th in (0.0, 0.9, 2.4):
         u = comp.evaluate([th])
         heis_obs = pi_e @ u.conj().T @ f_s @ u @ pi_e
-        m = schrodinger_map(ps, "A", [th])
+        m = densify(schrodinger_map(ps, "A", [th]))
         f_rel = perspective.relational_observable(u1_scenario, "A", [th], f_s, check=False)
         # Heisenberg reduction of F_f(th) acts as the projected evolved observable
-        lhs = heis_obs @ (u.conj().T @ m.matrix)
-        rhs = u.conj().T @ m.matrix @ ps.restrict(f_rel.matrix)
+        lhs = heis_obs @ (u.conj().T @ m)
+        rhs = u.conj().T @ m @ ps.restrict(f_rel.matrix)
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
 

@@ -78,6 +78,19 @@ def test_finite_rep_validation_catches_bad_table():
         reps.finite_rep(g, mats)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reps_reject_non_finite_entries(bad):
+    # a NaN fails every comparison of the unitarity, Hermiticity and bracket checks, so each is refused up front
+    mats = np.stack([np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)])
+    mats[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="matrix table has non-finite entries"):
+        reps.finite_rep(groups.cyclic(2), mats)
+    with pytest.raises(ValueError, match="generators have non-finite entries"):
+        reps.lie_rep(groups.u1(), [np.diag([bad, 1.0])])
+    with pytest.raises(ValueError, match="generators have non-finite entries"):
+        reps.u1_rep([bad, 1])
+
+
 def test_tensor_of_trivial_reps_is_trivial():
     g = groups.cyclic(3)
     t = reps.tensor([reps.trivial_rep(g), reps.trivial_rep(g)])
@@ -468,6 +481,26 @@ def test_isotypic_finite_deterministic():
     for b1, b2 in zip(d1.blocks, d2.blocks):
         assert b1.label == b2.label
         np.testing.assert_allclose(b1.grid, b2.grid, atol=1e-12)
+
+
+def test_isotypic_retry_after_a_degenerate_draw_gives_the_same_decomposition(monkeypatch):
+    # a first twirl with one eigenvalue leaves a reducible block, so the refinement draws again
+    exact, calls = reps._finite_twirl, []
+
+    def degenerate_first(rep, a):
+        calls.append(a)
+        return np.zeros_like(a) if len(calls) == 1 else exact(rep, a)
+
+    want = reps.isotypic_decompose(reps.regular_rep(groups.symmetric_3()))
+    monkeypatch.setattr(reps, "_finite_twirl", degenerate_first)
+    got = reps.isotypic_decompose(reps.regular_rep(groups.symmetric_3()))
+    assert len(calls) == 2
+    assert (got.ambient_dim, got.seed) == (want.ambient_dim, want.seed)
+    assert [(b.label, b.irrep_dim, b.multiplicity) for b in got.blocks] == [
+        (b.label, b.irrep_dim, b.multiplicity) for b in want.blocks]
+    for b_got, b_want in zip(got.blocks, want.blocks):  # the copies depend on the draw, the components do not
+        p_got, p_want = (b.basis_matrix() @ dagger(b.basis_matrix()) for b in (b_got, b_want))
+        np.testing.assert_allclose(p_got, p_want, atol=1e-10)
 
 
 def test_u1_isotypic_charge_blocks():

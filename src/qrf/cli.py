@@ -1,11 +1,13 @@
-"""Scenario runner: parse JSON configs, execute tasks, emit reports.
+"""Scenario runner: parse and admit JSON configs, dispatch tasks, emit reports.
 
-Reports are deterministic for a fixed config, seed and version: every random
-draw goes through one seeded generator.  Every check is a library ``Check``
-record, emitted with its bound as the ``tol`` field; this module scales no
-bound by the tolerance (``distinct_system_subalgebras`` is a 0/1 residual
-against 0).  Exit code 0 means every property check in every task passed,
-1 that some check failed, and 2 a config or runtime error.
+The physics of each task is library code; the full report is ``qrf.report``.
+Task runners return library values, and ``run`` turns the assembled report
+into JSON values once.  Reports are deterministic for a fixed config, seed
+and version: every random draw goes through one seeded generator.  Every
+check is a library ``Check`` record, emitted with its bound as the ``tol``
+field; this module scales no bound by the tolerance.  Exit code 0 means every
+property check in every task passed, 1 that some check failed, and 2 a config
+or runtime error.
 """
 
 from __future__ import annotations
@@ -16,16 +18,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, framechange, frames, groups, perspective, reductions, reps
 from .builtins_config import builtin_config, builtin_names
-from .frames import ResolutionFails
-from .linalg import Check, Monomial, Tolerance, dagger
+from .linalg import Tolerance
 from .perspective import Scenario
-from .reductions import ThetaState
+from .report import basis_table, full_report
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config", "run", "emit", "main"]
 
@@ -41,14 +42,15 @@ class ConfigError(ValueError):
 
 
 @contextlib.contextmanager
-def _config_errors():
-    """A ValueError of the group, rep, frame and scenario constructors as a ConfigError with the same message."""
+def _config_errors(path: str = ""):
+    """A ValueError of the group, rep, frame and scenario constructors as a ConfigError with the same message,
+    after ``path: `` when one is given; a ConfigError passes through as it is."""
     try:
         yield
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 @dataclass
@@ -281,20 +283,17 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             f"predicted total representation of {group.order} x {kin_dim} x {kin_dim} complex entries "
             f"({rep_bytes / 2**30:.2f} GiB) exceeds MAX_REP_BYTES = {MAX_REP_BYTES / 2**30:.0f} GiB"
         )
-    subsystems = [
-        (sub["name"], _build_rep(group, sub["rep"], f"subsystems[{i}].rep"))
-        for i, sub in enumerate(cfg.subsystems)
-    ]
+    subsystems = []
+    for i, sub in enumerate(cfg.subsystems):
+        with _config_errors(f"subsystems[{i}].rep"):
+            subsystems.append((sub["name"], _build_rep(group, sub["rep"], f"subsystems[{i}].rep")))
     by_name = dict(subsystems)
     frame_map = {}
     for i, fr in enumerate(cfg.frames):
         rep = by_name[fr["subsystem"]]
         seed = _build_seed(rep, fr["seed"], f"frames[{i}].seed")
-        try:
-            frame = frames.make_frame(rep, seed, name=fr["name"], tol=cfg.tol())
-        except ResolutionFails as exc:
-            raise ConfigError(f"frames[{i}] ({fr['name']!r}): {exc}") from exc
-        frame_map[fr["name"]] = (fr["subsystem"], frame)
+        with _config_errors(f"frames[{i}] ({fr['name']!r})"):
+            frame_map[fr["name"]] = (fr["subsystem"], frames.make_frame(rep, seed, name=fr["name"], tol=cfg.tol()))
     return perspective.make_scenario(group, subsystems, frame_map, cfg.tol())
 
 
@@ -398,12 +397,6 @@ def _jsonable(x):
     return str(x)
 
 
-def _basis_table(ps, limit: int = 2048) -> object:
-    if ps.dim * ps.scenario.kin_dim > limit:
-        return f"omitted ({ps.dim} x {ps.scenario.kin_dim} amplitudes)"
-    return _jsonable(ps.basis.basis.T)
-
-
 def _param(task: dict, key: str):
     """A task's parameter, or a ConfigError naming it; a KeyError from the library is left to ``main``."""
     if key not in task:
@@ -412,7 +405,7 @@ def _param(task: dict, key: str):
 
 
 def _task_phys_space(scenario, ps, cfg, task, rng):
-    return {"dim": ps.dim, "kin_dim": scenario.kin_dim, "basis": _basis_table(ps)}, [ps.invariance_check(cfg.tol())]
+    return {"dim": ps.dim, "kin_dim": scenario.kin_dim, "basis": basis_table(ps)}, [ps.invariance_check(cfg.tol())]
 
 
 def _task_rel_obs(scenario, ps, cfg, task, rng):
@@ -422,8 +415,8 @@ def _task_rel_obs(scenario, ps, cfg, task, rng):
     obs = perspective.relational_observable(scenario, fname, g, f_s, cfg.tol(), check=False)
     return {
         "frame": fname,
-        "orientation": _jsonable(obs.orientation),
-        "restricted_matrix": _jsonable(ps.restrict(obs.op)),
+        "orientation": obs.orientation,
+        "restricted_matrix": ps.restrict(obs.op),
     }, [perspective.dirac_check(scenario, obs.op, cfg.tol())]
 
 
@@ -432,11 +425,7 @@ def _task_reduce(scenario, ps, cfg, task, rng):
     g = _element(scenario, fname, task.get("orientation"), "task.orientation")
     state = _state(ps, _param(task, "state"), "task.state")
     reduced, check = reductions.isometry_check(ps, fname, g, state, cfg.tol())
-    return {
-        "frame": fname,
-        "orientation": _jsonable(g),
-        "reduced_amplitudes": _jsonable(reduced),
-    }, [check]
+    return {"frame": fname, "orientation": g, "reduced_amplitudes": reduced}, [check]
 
 
 def _task_probabilities(scenario, ps, cfg, task, rng):
@@ -446,7 +435,7 @@ def _task_probabilities(scenario, ps, cfg, task, rng):
     state = _state(ps, _param(task, "state"), "task.state")
     p = reductions.conditional_probability(ps, fname, g, proj, state, cfg.tol())
     in_range = reductions.unit_interval_check(p, cfg.tol())
-    return {"frame": fname, "orientation": _jsonable(g), "probability": p}, [in_range]
+    return {"frame": fname, "orientation": g, "probability": p}, [in_range]
 
 
 def _task_frame_change(scenario, ps, cfg, task, rng):
@@ -454,12 +443,7 @@ def _task_frame_change(scenario, ps, cfg, task, rng):
     g_from = _element(scenario, f_from, task.get("g_from"), "task.g_from")
     g_to = _element(scenario, f_to, task.get("g_to"), "task.g_to")
     change = framechange.frame_change(ps, f_from, g_from, f_to, g_to, cfg.tol())
-    return {
-        "from": f_from,
-        "to": f_to,
-        "shape": list(change.matrix.shape),
-        "scale_notes": _jsonable(change.scale_notes),
-    }, [change.check]
+    return {"from": f_from, "to": f_to, "shape": change.matrix.shape, "scale_notes": change.scale_notes}, [change.check]
 
 
 def _task_reorient(scenario, ps, cfg, task, rng):
@@ -468,114 +452,20 @@ def _task_reorient(scenario, ps, cfg, task, rng):
     g = _element(scenario, fname, _param(task, "g"), "task.g")
     f_s = _observable(scenario.complement_dim(fname), _param(task, "observable"), "task.observable")
     moved, check = framechange.reorientation_check(scenario, fname, g1, g, f_s, cfg.tol())
-    return {"frame": fname, "new_orientation": _jsonable(moved.orientation)}, [check]
+    return {"frame": fname, "new_orientation": moved.orientation}, [check]
 
 
 def _task_lr_classify(scenario, ps, cfg, task, rng):
     fname = _param(task, "frame")
     v_rep, report = frames.lr_classify(scenario.frame(fname), cfg.tol())
-    return {"frame": fname, "lr_exists": v_rep is not None, "report": _jsonable(report)}, []
+    return {"frame": fname, "lr_exists": v_rep is not None, "report": report}, []
 
 
 def _task_subsystem_relativity(scenario, ps, cfg, task, rng):
     f1, f2 = _param(task, "frame1"), _param(task, "frame2")
     report = framechange.subsystem_relativity_report(scenario, f1, f2, cfg.tol())
     check = report.pop("check", None)  # none when both arguments name the same frame
-    return _jsonable(report), [check] if check else []
-
-
-def _random_hermitian(rng, dim: int) -> np.ndarray:
-    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (h + dagger(h)) / 2.0
-
-
-def _random_state(ps, rng) -> np.ndarray:
-    coeff = rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim)
-    return ps.basis.basis @ (coeff / np.linalg.norm(coeff))
-
-
-def _task_full_report(scenario, ps, cfg, task, rng):
-    tol = cfg.tol()
-    checks = []
-    out: dict = {"phys_dim": ps.dim, "kin_dim": scenario.kin_dim, "basis": _basis_table(ps)}
-    frames_out = {}
-    for fname in scenario.frames:
-        frame = scenario.frame(fname)
-        entry: dict = {"subsystem": scenario.subsystems[scenario.frame_slot(fname)][0], "volume": frame.weight_scale}
-        checks.append(tol.check(f"{fname}:resolution_of_identity", frame.resolution_residual, 1.0, frame.dim))
-        if frame.isotropy.element_indices is not None:
-            entry["isotropy_elements"] = list(frame.isotropy.element_indices)
-        else:
-            entry["isotropy_algebra_dim"] = len(frame.isotropy.algebra_basis or ())
-            entry["isotropy_discrete_part_unknown"] = frame.isotropy.discrete_part_unknown
-        v_rep, lr_report = frames.lr_classify(frame, tol)
-        entry["lr_exists"] = v_rep is not None
-        if v_rep is None:
-            entry["lr_obstruction"] = lr_report["reason"]
-        entry["orientation_independent"] = perspective.orientation_independent(scenario, fname, tol)
-        c = perspective.schrodinger_map(ps, fname, frame.rep.identity_element(), tol)  # tr(C^dag C) = ||C||_F^2
-        entry["reduced_space_dim"] = round(float(np.linalg.norm(c.weights if isinstance(c, Monomial) else c)) ** 2)
-        entry["conditional_span_dim"] = perspective.physical_system_span(scenario, fname, tol).dim
-        if ps.dim:
-            theta = reductions.solve_theta(frame, tol)
-            if isinstance(theta, ThetaState):
-                entry["theta"] = {"found": True, "fourier_k": theta.fourier_k, "phases": _jsonable(theta.phases),
-                                  "residual": theta.residual}
-                checks.append(reductions.trinity_check(ps, fname, theta, _random_state(ps, rng), tol))
-                checks.append(reductions.product_form_check(ps, fname, theta, tol))
-            else:
-                entry["theta"] = {"found": False, "reason": theta.reason, "residual": theta.residual}
-                entry["heisenberg_picture"] = "unavailable, Schroedinger picture used"
-        frames_out[fname] = entry
-    out["frames"] = frames_out
-    if ps.dim:
-        fname = next(iter(scenario.frames), None)
-        if fname is not None:
-            a, b = (_random_hermitian(rng, scenario.complement_dim(fname)) for _ in range(2))
-            e = scenario.frame(fname).rep.identity_element()
-            hom = perspective.check_weak_homomorphism(scenario, fname, e, a, b, tol)
-            out["weak_homomorphism"] = _jsonable(
-                {k: hom[k] for k in ("weak", "strong", "max_weak_residual", "max_strong_residual", "strong_pass")}
-            )
-            checks.append(hom["weak_check"])
-            psi, chi = _random_state(ps, rng), _random_state(ps, rng)
-            cip = perspective.conditional_inner_product_check(scenario, fname, psi, chi, None, tol)
-            out["conditional_inner_product"] = _jsonable({k: cip[k] for k in ("max_deviation", "samples")})
-            checks.append(cip["check"])
-        pairs = [(a, b) for a in scenario.frames for b in scenario.frames if a != b]
-        changes = {}
-        for f_from, f_to in pairs:
-            e_from, e_to = (scenario.frame(f).rep.identity_element() for f in (f_from, f_to))
-            ch = framechange.frame_change(ps, f_from, e_from, f_to, e_to, tol)
-            checks.append(replace(ch.check, name=f"frame_change:{f_from}->{f_to}"))
-            changes[f"{f_from}->{f_to}"] = {"shape": list(ch.matrix.shape), "isometry_defect": ch.check.residual}
-        out["frame_changes"] = changes
-        ideal = [f for f, (_, fr) in scenario.frames.items() if fr.rep.is_finite and fr.dim == fr.rep.group.order]
-        if len(ideal) >= 2 and len(scenario.subsystems) >= 3:
-            out["symmetry_layer"] = _symmetry_layer(scenario, tol, ideal[0], ideal[1], rng, checks)
-    return out, checks
-
-
-def _symmetry_layer(scenario, tol, f1, f2, rng, checks) -> dict:
-    group = scenario.frame(f1).rep.group
-    f_s = _random_hermitian(rng, scenario.complement_dim(f1))
-    g1 = groups.FiniteElement(group, 1 % group.order)
-    g = groups.FiniteElement(group, (group.order - 1) % group.order)
-    _, orbit = framechange.reorientation_check(scenario, f1, g1, g, f_s, tol)
-    checks.append(replace(orbit, name="reorient_orbit_relabeling"))
-    small = _random_hermitian(rng, scenario.complement_dim(f1) // group.order)
-    g2 = groups.FiniteElement(group, 0)
-    relation = framechange.relation_conditional_check(scenario, f1, g1, f2, g2, small, tol)
-    checks.append(relation)
-    report = framechange.subsystem_relativity_report(scenario, f1, f2, tol)
-    checks.append(report.pop("check"))
-    if max(report["algebra_dims"]) > 1:  # a one-dimensional system: both algebras are the scalars, which coincide
-        checks.append(Check("distinct_system_subalgebras", float(report["coincide"]), 0.0))
-    return {
-        "reorient_residual": orbit.residual,
-        "relation_conditional_residual": relation.residual,
-        "subsystem_relativity": _jsonable(report),
-    }
+    return report, [check] if check else []
 
 
 _TASK_RUNNERS = {
@@ -587,7 +477,7 @@ _TASK_RUNNERS = {
     "reorient": _task_reorient,
     "lr_classify": _task_lr_classify,
     "subsystem_relativity": _task_subsystem_relativity,
-    "full_report": _task_full_report,
+    "full_report": lambda scenario, ps, cfg, task, rng: full_report(scenario, ps, cfg.tol(), rng),
 }
 _KNOWN_TASKS = tuple(_TASK_RUNNERS)
 
@@ -599,7 +489,7 @@ def run(cfg: ScenarioConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     tasks_out, failed, total = [], 0, 0
     for i, task in enumerate(cfg.tasks):
-        record: dict = {"task": task["task"], "params": _jsonable({k: v for k, v in task.items() if k != "task"})}
+        record: dict = {"task": task["task"], "params": {k: v for k, v in task.items() if k != "task"}}
         try:
             results, checks = _TASK_RUNNERS[task["task"]](scenario, ps, cfg, task, rng)
             record["results"], record["checks"] = results, [c.as_dict() for c in checks]
@@ -609,19 +499,14 @@ def run(cfg: ScenarioConfig) -> dict:
         total += len(verdicts)
         failed += verdicts.count(False)
         tasks_out.append(record)
-    return {
+    return _jsonable({
         "tool": {"name": "qrf", "version": __version__},
         "seed": cfg.seed,
         "tolerance": cfg.tolerance,
-        "scenario": {
-            "name": cfg.name,
-            "group": _jsonable(cfg.group_spec),
-            "subsystems": _jsonable(cfg.subsystems),
-            "frames": _jsonable(cfg.frames),
-        },
+        "scenario": {"name": cfg.name, "group": cfg.group_spec, "subsystems": cfg.subsystems, "frames": cfg.frames},
         "tasks": tasks_out,
         "summary": {"checks_total": total, "checks_failed": failed},
-    }
+    })
 
 
 # ---------------------------------------------------------------------------

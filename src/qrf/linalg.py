@@ -28,6 +28,7 @@ __all__ = [
     "nullspace",
     "joint_fixed_subspace",
     "dagger",
+    "random_hermitian",
     "densify",
     "Monomial",
 ]
@@ -102,6 +103,12 @@ def dagger(m):
     if isinstance(m, Monomial):
         return m.dagger()
     return np.conj(np.asarray(m)).T
+
+
+def random_hermitian(rng, dim: int) -> np.ndarray:
+    """(h + h^dag) / 2 for h with standard normal real and imaginary parts, drawn from ``rng``."""
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (h + dagger(h)) / 2.0
 
 
 def densify(m) -> np.ndarray:

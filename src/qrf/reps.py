@@ -66,6 +66,7 @@ from .linalg import (
     joint_fixed_subspace,
     nullspace,
     orthonormal_range,
+    random_hermitian,
 )
 
 __all__ = [
@@ -478,9 +479,7 @@ def _finite_isotypic(rep: UnitaryRep, tol: Tolerance, seed: int) -> IsotypicDeco
     rng = np.random.default_rng(seed)
     last_dims: list[int] = []
     for _ in range(8):
-        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (h + dagger(h)) / 2.0
-        t = _finite_twirl(rep, h)
+        t = _finite_twirl(rep, random_hermitian(rng, n))
         vals, vecs = np.linalg.eigh(t)
         gaps = np.flatnonzero(np.diff(vals) > 1e-7 * np.abs(vals).max(initial=1.0)) + 1
         splits = [0, *gaps.tolist(), n]

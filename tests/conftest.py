@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qrf import cli, frames, groups, perspective, reps
+from qrf.linalg import random_hermitian  # noqa: F401 (the tests' random Hermitian draw)
 
 
 def ket3(*labels):
@@ -126,7 +127,3 @@ def z3_regular_scenario():
 def s3_regular_scenario():
     return regular_three_party(groups.symmetric_3())
 
-
-def random_hermitian(rng, dim):
-    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (h + h.conj().T) / 2.0

@@ -14,6 +14,7 @@ import qrf
 from qrf import cli, framechange, perspective
 from qrf.builtins_config import builtin_names
 from qrf.cli import ConfigError, emit, load_config, parse_config, run
+from qrf.report import full_report
 
 
 def small_config(**overrides):
@@ -539,7 +540,15 @@ _CONFIG_ERRORS = {  # case: (config text, message); every one is found by parse_
                   "predicted total representation of 16 x 4096 x 4096 complex entries (4.00 GiB) "
                   f"exceeds MAX_REP_BYTES = {cli.MAX_REP_BYTES / 2**30:.0f} GiB"),
     "infinite charge": (json.dumps(small_config(subsystems=[{"name": "A", "rep": {"u1_charges": ["INF", -1]}}]))
-                        .replace('"INF"', "1e400"), "generators have non-finite entries"),
+                        .replace('"INF"', "1e400"), "subsystems[0].rep: generators have non-finite entries"),
+    "second rep fails": (json.dumps(small_config(subsystems=[{"name": "A", "rep": {"u1_charges": [1, -1]}},
+                                                             {"name": "B", "rep": {"u1_charges": ["INF", -1]}}]))
+                         .replace('"INF"', "1e400"), "subsystems[1].rep: generators have non-finite entries"),
+    "unnormalized seed": (_seed_config([2, 0]), "frames[0] ('A'): seed must be normalized, got norm 2.0"),
+    "matrix not a list": (_rep_config({"builtin": "Z2"}, {"matrices": [3, [[1]]]}),
+                          "subsystems[0].rep.matrices[0]: expected a matrix as a list of rows"),
+    "unknown task": (small_config(tasks=[{"task": "nope"}]),
+                     f"tasks[0]: unknown task 'nope' (known: {', '.join(cli._KNOWN_TASKS)})"),
 }
 
 
@@ -733,6 +742,17 @@ def test_rel_obs_and_reorient_tasks_on_su2_orientations(tmp_path, capsys):
         ({"task": "reduce", "frame": "R1", "state": {"coefficients": [0] * 9}}, "task.state: state has zero norm"),
         ({"task": "reduce", "frame": "R1", "state": {"basis_index": 0.5}},
          "task.state.basis_index: expected an integer, got 0.5"),
+        ({"task": "reduce", "frame": "R1", "state": {"basis_index": 9}},
+         "task.state: basis_index 9 outside physical dimension 9"),
+        ({"task": "reduce", "frame": "R1", "state": {"coefficients": [1] * 8}},
+         "task.state: need 9 physical coefficients"),
+        ({"task": "reduce", "frame": "R1", "state": {"amplitudes": [1] * 26}},
+         "task.state: need 27 kinematical amplitudes"),
+        ({"task": "reduce", "frame": "R1", "state": {}},
+         "task.state: state needs 'basis_index', 'coefficients' or 'amplitudes'"),
+        ({"task": "rel_obs", "frame": "R1", "observable": {"trace": 1}},
+         "task.observable: observable needs 'matrix' or 'diag'"),
+        ({"task": "rel_obs", "frame": "R1", "observable": [1]}, "task.observable: observable must be an object"),
     ],
 )
 def test_orientation_and_state_specs_of_the_wrong_kind_are_task_errors(task, message, tmp_path, capsys):
@@ -772,7 +792,7 @@ def test_check_and_run_print_the_same_line_for_a_non_unitary_rep(command, tmp_pa
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     assert cli.main([command, str(cfg_path)]) == 2
-    assert capsys.readouterr().err == "config error: matrix for element 1 is not unitary\n"
+    assert capsys.readouterr().err == "config error: subsystems[0].rep: matrix for element 1 is not unitary\n"
 
 
 def test_unwritable_out_file_exits_2(tmp_path, capsys):
@@ -803,6 +823,38 @@ def test_every_builtin_report_derives_reduced_and_span_dims_consistently():
             assert entry["orientation_independent"] == (entry["conditional_span_dim"] == entry["reduced_space_dim"])
             seen += 1
     assert seen == 23
+
+
+_EVERY_TASK = [
+    {"task": "phys_space"},
+    {"task": "rel_obs", "frame": "R1", "orientation": {"index": 1}, "observable": _Z3_DIAG},
+    {"task": "reduce", "frame": "R1", "orientation": {"index": 2}, "state": {"basis_index": 1}},
+    {"task": "probabilities", "frame": "R1", "projector": {"diag": [1] + [0] * 8}, "state": {"basis_index": 1}},
+    {"task": "frame_change", "from": "R1", "to": "R2", "g_to": {"index": 1}},
+    {"task": "reorient", "frame": "R1", "g": {"index": 2}, "observable": _Z3_DIAG},
+    {"task": "lr_classify", "frame": "R2"},
+    {"task": "subsystem_relativity", "frame1": "R1", "frame2": "R2"},
+    {"task": "full_report"},
+]
+
+
+@pytest.mark.parametrize("name", ["finite-regular:Z3", "u1-qubit-qubit-qutrit", "su2-three-spin1"])
+def test_the_full_report_task_is_the_library_report_converted_once(name):
+    cfg = load_config(name)
+    out = run(cfg)
+    s = cli.build_scenario(cfg)
+    ps = perspective.physical_space(s, cfg.tol())
+    fields, checks = full_report(s, ps, cfg.tol(), np.random.default_rng(cfg.seed))
+    assert [t["task"] for t in out["tasks"]] == ["full_report"]
+    assert cli._jsonable(fields) == out["tasks"][0]["results"]
+    assert cli._jsonable([c.as_dict() for c in checks]) == out["tasks"][0]["checks"]
+    assert cli._jsonable(out) == out
+
+
+def test_a_report_of_every_task_is_converted_once():
+    report = run(parse_config(json.dumps(_builtin_with_tasks("finite-regular:Z3", _EVERY_TASK))))
+    assert report["summary"] == {"checks_total": 21, "checks_failed": 0}
+    assert cli._jsonable(report) == report
 
 
 @pytest.mark.parametrize("order", [["R1", "S", "R2"], ["S", "R2", "R1"]])

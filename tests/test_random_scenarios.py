@@ -16,7 +16,13 @@ The properties, with every drawn frame attached, valid or not:
   it to rounding;
 - every conditioning map that is a monomial forms the same products as the
   dense matmuls of ``oracles``, and so does ``frame_change`` on valid frames;
-- every relational observable equals ``oracles.dense_relational_observable``.
+- every relational observable equals ``oracles.dense_relational_observable``;
+- on valid frames, ``check_weak_homomorphism`` matches ``oracles.weak_homomorphism``,
+  and a frame whose C_e is a monomial has a physical system span of dimension
+  n_phys;
+- on two valid ideal frames among three or more parties,
+  ``relation_conditional_reorient`` matches ``oracles.relation_conditional_reorient``
+  in its modified and its unital form.
 
 Tier-1 draws a few derandomised examples; the ``slow`` run draws more.
 """
@@ -29,11 +35,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import condition, dense_frame_change, dense_map_products, dense_relational_observable
 from qrf import cli, frames, groups, perspective, reps
-from qrf.framechange import frame_change
-from qrf.linalg import Monomial, dagger
-from qrf.perspective import conditioning_map, physical_space, relational_observable
+from qrf.framechange import frame_change, relation_conditional_reorient
+from qrf.linalg import Monomial, dagger, random_hermitian
+from qrf.perspective import (
+    check_weak_homomorphism,
+    conditioning_map,
+    physical_space,
+    physical_system_span,
+    relational_observable,
+)
 
 MAX_KIN = 256
 FINITE = ("Z2", "Z3", "Z4", "S3", "D4", "Q8")
@@ -174,7 +187,8 @@ def _unvalidated(bare, raw, rng):
 
 def check_config(raw) -> dict:
     """The properties on one config; returns whether it was rejected, how many conditioning maps were read from
-    the row labels and how many densely, and how many of the label-read ones had an all-zero column."""
+    the row labels and how many densely, how many of the label-read ones had an all-zero column, and how many
+    homomorphism, monomial-span and relation-conditional comparisons ran."""
     cfg = cli.parse_config(json.dumps(raw))
     try:
         report = cli.run(cfg)
@@ -187,7 +201,8 @@ def check_config(raw) -> dict:
     rng = np.random.default_rng(3)
     s = _unvalidated(cli.build_scenario(cli.parse_config(json.dumps({**raw, "frames": []}))), raw, rng)
     ps = physical_space(s, cfg.tol())
-    paths = {"rejected": int(report is None), "labels": 0, "dense": 0, "zero_column": 0}
+    paths = {"rejected": int(report is None), "labels": 0, "dense": 0, "zero_column": 0, "homomorphism": 0,
+             "monomial_span": 0, "relation_conditional": 0}
     maps = {}
     for f in s.frames:
         frame = s.frame(f)
@@ -225,6 +240,29 @@ def check_config(raw) -> dict:
                 mat, defect = dense_frame_change(c_from, c_to)
                 _close(ch.matrix, mat, f"{f_from}->{f_to}")
                 assert abs(ch.scale_notes["isometry_defect"] - defect) <= 1e-14
+        for f, (g, _) in maps.items():
+            a = random_hermitian(rng, s.complement_dim(f))
+            b = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)  # non-Hermitian
+            fast = check_weak_homomorphism(s, f, g, a, b, cfg.tol())
+            slow = oracles.weak_homomorphism(s, f, g, a, b, cfg.tol())
+            for kind in ("weak", "strong"):
+                for name, value in slow[kind].items():
+                    assert abs(fast[kind][name] - value) <= 1e-10 * max(1.0, value), (f, kind, name)
+            paths["homomorphism"] += 1
+        ideal = [f for f in maps if s.frame(f).rep.is_finite and s.frame(f).dim == s.frame(f).rep.group.order]
+        if len(ideal) >= 2 and len(s.subsystems) >= 3:
+            (f1, (g1, _)), (f2, (g2, _)) = ((f, maps[f]) for f in ideal[:2])
+            obs = relational_observable(s, f1, g1, random_hermitian(rng, s.complement_dim(f1)), cfg.tol())
+            for modified in (True, False):
+                got = relation_conditional_reorient(s, f1, g1, f2, g2, obs, modified, cfg.tol())
+                want = oracles.relation_conditional_reorient(s, f1, g1, f2, g2, obs, modified, cfg.tol())
+                _close(got.matrix, want.matrix, f"{f1}->{f2}, modified={modified}")
+            paths["relation_conditional"] += 1
+    if report is not None:  # a valid frame with a monomial C_e: range(C_e) is invariant, so it is the whole span
+        for f in s.frames:
+            if isinstance(conditioning_map(ps, f, s.frame(f).rep.identity_element()), Monomial):
+                assert physical_system_span(s, f, cfg.tol()).dim == ps.dim, f
+                paths["monomial_span"] += 1
     return paths
 
 
@@ -244,11 +282,13 @@ def test_random_scenarios_many(raw):
 
 
 def test_the_draws_reach_both_paths_and_every_outcome():
-    # the strategy reaches label-read and dense maps, accepted and rejected frames, and zero columns
-    seen = {"rejected": 0, "labels": 0, "dense": 0, "zero_column": 0}
+    # the strategy reaches label-read and dense maps, accepted and rejected frames, zero columns and every oracle
+    seen = dict.fromkeys(["rejected", "labels", "dense", "zero_column", "homomorphism", "monomial_span",
+                          "relation_conditional"], 0)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(raw=configs())
+    @example(raw=ONE_DIMENSIONAL_SYSTEM)  # two ideal frames among three parties, which few draws reach
     def tally(raw):
         for key, count in check_config(raw).items():
             seen[key] += count

@@ -382,6 +382,8 @@ def _jsonable(x):
         if np.iscomplexobj(x):
             return [_jsonable(v) for v in x.tolist()]
         return x.tolist()
+    if isinstance(x, np.bool_):
+        return bool(x)
     if isinstance(x, (np.integer,)):
         return int(x)
     if isinstance(x, (np.floating,)):
@@ -394,7 +396,7 @@ def _jsonable(x):
         if x.descriptor.kind == "U1":
             return {"theta": x.coords[0]}
         return {"su2": list(x.coords)}
-    return str(x)
+    raise TypeError(f"no JSON form for a report value of type {type(x).__name__}")
 
 
 def _param(task: dict, key: str):

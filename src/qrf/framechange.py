@@ -5,7 +5,8 @@ perspective-neutral space into another frame's, and are isometries between the (
 physical system subspaces regardless of frame idealness.  V = C_j C_i^dag is a phased scatter when
 both conditioning maps are held by index and weight (U(1) frames, identity-ket finite frames), and a
 dense product otherwise.  Symmetry-induced transformations --
-plain and relation-conditional reorientations -- act on relational observables instead; the
+plain and relation-conditional reorientations -- act on relational observables instead (a plain
+reorientation relabels the pair-orbit means of a held finite observable); the
 relation-conditional construction is restricted to regular representations, as is its
 commuting-subalgebra structure, and runs in the frames' orbit coordinates, where a reorientation
 relabels orbits and a relative-orientation projector keeps rows.  Subsystem relativity reads the
@@ -15,6 +16,7 @@ them by a cross Gram of those blocks; it grows them by product sweeps otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +109,7 @@ def ensure_lr(frame, tol: Tolerance = DEFAULT_TOL):
 
 
 def reorient(s: Scenario, frame_name: str, g, obs: RelObs, tol: Tolerance = DEFAULT_TOL) -> RelObs:
-    """Frame reorientation by g: conjugation with V_R(g) x 1, shifting the orbit label."""
+    """Frame reorientation by g: conjugation with V_R(g) x 1, shifting the orbit label; orbit means stay held."""
     frame = s.frame(frame_name)
     if obs.frame_name != frame_name:
         raise ValueError("observable was built relative to another frame")
@@ -115,7 +117,8 @@ def reorient(s: Scenario, frame_name: str, g, obs: RelObs, tol: Tolerance = DEFA
     el = frame.rep.element(g)
     new_orientation = groups.compose(obs.orientation, groups.inverse(el))
     return RelObs(
-        op=_right_conjugate(s.dims, s.frame_slot(frame_name), v_rep, el, obs.matrix),
+        op=_right_conjugate(s.dims, s.frame_slot(frame_name), v_rep, el,
+                            obs.op if isinstance(obs.op, reps.OrbitMeans) else obs.matrix),
         frame_name=frame_name,
         orientation=new_orientation,
         source=obs.source,
@@ -130,8 +133,18 @@ def reorientation_check(
     obs = relational_observable(s, frame_name, g1, f_s, tol)
     moved = reorient(s, frame_name, g, obs, tol)
     direct = relational_observable(s, frame_name, moved.orientation, f_s, tol)
-    resid = float(np.linalg.norm(moved.matrix - direct.matrix))
+    resid = _distance(moved, direct)
     return moved, tol.check("reorientation_orbit", resid, float(np.abs(f_s).max(initial=0.0)), s.kin_dim)
+
+
+def _distance(moved: RelObs, direct: RelObs) -> float:
+    """||F_moved - F_direct||_F.  A held ``direct`` is densified into the array that takes the difference, so no
+    third kin x kin array is formed; y - x = -(x - y) exactly, so the norm has the bits of the plain difference."""
+    if isinstance(direct.op, np.ndarray):
+        return float(np.linalg.norm(moved.matrix - direct.op))
+    diff = direct.op.dense()
+    diff -= moved.matrix
+    return float(np.linalg.norm(diff))
 
 
 def _require_ideal(frame) -> np.ndarray:
@@ -167,17 +180,19 @@ def _conjugate_slot(dims: list[int], slot: int, v: np.ndarray, m: np.ndarray) ->
     return (np.conj(v) @ slot_view(vm, [m.shape[0]] + list(dims), slot + 1)).reshape(m.shape)
 
 
-def _right_conjugate(dims: list[int], slot: int, v_rep, g, m: np.ndarray) -> np.ndarray:
+def _right_conjugate(dims: list[int], slot: int, v_rep, g, m: np.ndarray | reps.OrbitMeans):
     """(V_R(g) x 1) m (V_R(g) x 1)^dag with V_R on one slot.
 
     When V_R is a permutation rep (the regular frames), this permutes the slot's
     index on both sides of m: one gather, m[q][:, q] with q the inverse permutation.
+    V_R commutes with the frame's left action, so q maps pair orbits to pair orbits, and orbit means are
+    relabelled, one read per orbit; otherwise they are densified.
     """
     sigma = reps.permutation_table(v_rep)
     if sigma is None:
-        return _conjugate_slot(dims, slot, v_rep.evaluate(g), m)
-    q = slot_view(np.arange(m.shape[0]), dims, slot)[:, np.argsort(sigma[v_rep.element(g).index])].reshape(-1)
-    return m[np.ix_(q, q)]
+        return _conjugate_slot(dims, slot, v_rep.evaluate(g), m if isinstance(m, np.ndarray) else m.dense())
+    q = slot_view(np.arange(math.prod(dims)), dims, slot)[:, np.argsort(sigma[v_rep.element(g).index])].reshape(-1)
+    return m.conjugated(q) if isinstance(m, reps.OrbitMeans) else m[np.ix_(q, q)]
 
 
 def relation_conditional_reorient(
@@ -227,7 +242,7 @@ def relation_conditional_reorient(
         return a
 
     family = obs.family if modified else None
-    m = None if family is not None else to_orbits(obs.matrix)
+    m = None if family is not None else to_orbits(obs.op if isinstance(obs.op, np.ndarray) else obs.op.dense())
     labels = np.unravel_index(np.arange(s.kin_dim), s.dims)  # each row's index on every slot: its orbit labels
     out = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
     for gp in group.elements():
@@ -266,7 +281,7 @@ def relation_conditional_check(
     moved = relation_conditional_reorient(s, frame1, g1, frame2, g2, obs1, True, tol)
     del obs1  # the direct observable's construction then holds ``moved`` beside it, not the operand too
     direct = relational_observable(s, frame2, g2, _identity_on(s, frame2, frame1, small), tol)
-    resid = float(np.linalg.norm(moved.matrix - direct.matrix))
+    resid = _distance(moved, direct)
     return tol.check("relation_conditional_reorient", resid, float(np.abs(small).max(initial=0.0)), s.kin_dim)
 
 

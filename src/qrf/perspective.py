@@ -37,7 +37,14 @@ contraction; ``physical_system_span``, ``product_form_check`` and the
 relativity step's target blocks densify C_e.
 ``PhysicalSpace.restrict`` is the one restriction, B^dag F B;
 the homomorphism check reads every clause through it and ties it to
-C_g^dag f_S C_g.  A Lie relational observable is built and kept on its weight
+C_g^dag f_S C_g.  A finite relational observable on a table-held rep is held by
+its pair-orbit means (``reps.OrbitMeans``).  On an ideal frame, whose rep acts
+regularly, every pair orbit has one member whose first index sits at frame index
+r0, so the means are |G| gathers of f_S and one group matmul, with no kinematical
+operand or twirl; other table-held frames take the means of the formed operand.
+Their Dirac defect is 0 by construction, the check's scale is the largest mean, a
+reorientation relabels them, and ``restrict`` and the homomorphism check densify
+each once.  A Lie relational observable is built and kept on its weight
 blocks, read from |phi><phi| and f_S: checks and probabilities apply them to
 vectors, restrict them on the weight-0 block, where every physical vector lies,
 and read a charge-held U(1) rep's blocks as commuting with its charges by
@@ -89,6 +96,7 @@ __all__ = [
     "strong_dirac_defect",
     "dirac_check",
 ]
+Operator = np.ndarray | reps.OrbitMeans | reps.WeightBlocks  # a kinematical operator, as relational observables hold it
 PHYSICAL_GATE = Tolerance(1e-7)  # an input gate for states, not a user tolerance
 DIRAC_BLOCK = 2**14  # entries per row block of the permutation Dirac defect
 
@@ -238,13 +246,13 @@ class PhysicalSpace:
         worst = float(np.max(np.linalg.norm(moved, axis=(1, 2)), initial=0.0))
         return tol.check("physical_basis_invariance", worst, 1.0, self.scenario.kin_dim)
 
-    def restrict(self, op: np.ndarray | reps.WeightBlocks) -> np.ndarray:
-        """Matrix B^dag op B of an operator in the physical basis.  Physical vectors have weight 0, so
-        weight blocks are read on their weight-0 block alone: x^dag op_0 x, with x = (W^dag B)[sector 0].
-        A rep with no weight-0 sector has an empty physical space, and the matrix is 0 x 0."""
+    def restrict(self, op: Operator) -> np.ndarray:
+        """Matrix B^dag op B of an operator in the physical basis; orbit means are densified once.  Physical
+        vectors have weight 0, so weight blocks are read on their weight-0 block alone: x^dag op_0 x, with
+        x = (W^dag B)[sector 0].  A rep with no weight-0 sector has an empty physical space, and the matrix is 0 x 0."""
         b = self.basis.basis
         if not isinstance(op, reps.WeightBlocks):
-            return dagger(b) @ (as_cmatrix(op) @ b)
+            return dagger(b) @ ((op.dense() if isinstance(op, reps.OrbitMeans) else as_cmatrix(op)) @ b)
         wb = op.basis
         x = (b if wb.vectors is None else dagger(wb.vectors) @ b)[wb.sectors.get(0, [])]
         return dagger(x) @ op.blocks.get(0, np.zeros((0, 0))) @ x
@@ -252,11 +260,13 @@ class PhysicalSpace:
 
 @dataclass
 class RelObs:
-    """Relational Dirac observable: frame-orientation-conditional twirl of f_S.  ``op`` is a dense array for a
-    finite frame and ``reps.WeightBlocks`` for a Lie frame, which ``dirac_check``, ``PhysicalSpace.restrict`` and
-    ``op @ v`` read as blocks; the dense kin x kin ``matrix`` is built on first access (``op`` itself if dense)."""
+    """Relational Dirac observable: frame-orientation-conditional twirl of f_S.  ``op`` is ``reps.OrbitMeans``
+    on a table-held finite rep (one mean per orbit of index pairs), a dense array on any other finite rep, and
+    ``reps.WeightBlocks`` for a Lie frame; ``dirac_check`` reads the held forms as they are, ``op @ v`` applies
+    them and ``PhysicalSpace.restrict`` restricts them.  The dense kin x kin ``matrix`` is built on first access
+    (``op`` itself if dense)."""
 
-    op: np.ndarray | reps.WeightBlocks
+    op: Operator
     frame_name: str
     orientation: object
     source: np.ndarray
@@ -265,7 +275,7 @@ class RelObs:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return self.op.dense() if isinstance(self.op, reps.WeightBlocks) else self.op
+        return self.op if isinstance(self.op, np.ndarray) else self.op.dense()
 
 
 def physical_space(s: Scenario, tol: Tolerance = DEFAULT_TOL) -> PhysicalSpace:
@@ -323,12 +333,13 @@ def schrodinger_map(ps: PhysicalSpace, frame_name: str, g, tol: Tolerance = DEFA
     return c
 
 
-def strong_dirac_defect(s: Scenario, op: np.ndarray | reps.WeightBlocks) -> float:
+def strong_dirac_defect(s: Scenario, op: Operator) -> float:
     """Largest ||D op - op D|| over the constraint operators D of the total rep.
 
     [U_s - 1, op] = [U_s, op], so for a finite group this is the commutator
     with each generator; with a permutation table it is
     ||op[sigma_s][:, sigma_s] - op||, by unitary invariance of the Frobenius norm, summed over row blocks.
+    Orbit means on the total rep read exactly 0: their labels are invariant under sigma_s.
     An exactly diagonal Cartan generator K is commuted entrywise, read from the
     charges of a charge-held U(1) rep.  Weight blocks of such a rep read exactly 0:
     each block lies in one charge sector, where K is a multiple of 1.  Other Lie
@@ -340,7 +351,9 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray | reps.WeightBlocks) -> floa
             return 0.0
         q = rep.charges
         return float(np.linalg.norm((q[:, None] - q[None, :]) * op))
-    op = op.dense() if isinstance(op, reps.WeightBlocks) else op
+    if isinstance(op, reps.OrbitMeans) and op.rep is rep:
+        return 0.0
+    op = op if isinstance(op, np.ndarray) else op.dense()
     sigma = reps.permutation_table(rep)
     if sigma is not None:  # row blocks of op[sigma_s][:, sigma_s] - op, each a cache-sized gather
         step, worst = max(1, DIRAC_BLOCK // rep.dim), 0.0
@@ -359,12 +372,13 @@ def strong_dirac_defect(s: Scenario, op: np.ndarray | reps.WeightBlocks) -> floa
     return max([worst] + [float(np.linalg.norm(d @ op - op @ d)) for d in gens])
 
 
-def dirac_check(s: Scenario, op: np.ndarray | reps.WeightBlocks, tol: Tolerance = DEFAULT_TOL) -> Check:
-    """The strong Dirac defect of a kinematical operator, at the scale of its largest entry.  Weight blocks of a
-    charge-held U(1) rep give the scale block by block and the defect 0; those of any other Lie rep are densified
-    first."""
+def dirac_check(s: Scenario, op: Operator, tol: Tolerance = DEFAULT_TOL) -> Check:
+    """The strong Dirac defect of a kinematical operator, at the scale of its largest entry.  Orbit means give
+    the scale from the means, every one an entry, and weight blocks of a charge-held U(1) rep block by block;
+    both read the defect 0.  Weight blocks of any other Lie rep are densified first."""
     op = op.dense() if isinstance(op, reps.WeightBlocks) and s.total_rep.charges is None else op
-    blocks = op.blocks.values() if isinstance(op, reps.WeightBlocks) else [op]
+    blocks = (op.blocks.values() if isinstance(op, reps.WeightBlocks)
+              else [op.means] if isinstance(op, reps.OrbitMeans) else [op])
     scale = max(float(np.abs(b).max(initial=0.0)) for b in blocks)
     return tol.check("dirac_commutation", strong_dirac_defect(s, op), scale, s.kin_dim)
 
@@ -394,16 +408,35 @@ def relational_observable(
     return obs
 
 
-def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -> np.ndarray | reps.WeightBlocks:
-    """Vol twirl(E x f_S), E = |phi(g)><phi(g)|: dense for a finite group, weight blocks for a Lie group.
-    With W = 1 (an exactly diagonal Cartan generator) the aligned operand's blocks are read entrywise,
-    A_ww[i, j] = E[r_i, r_j] f_S[c_i, c_j], with r_i and c_i the frame and complement indices of i: each block is
-    gathered by 1-D takes on index arrays cached per frame, O(kin) entries in all."""
+def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -> Operator:
+    """Vol twirl(E x f_S), E = |phi(g)><phi(g)|: orbit means on a table-held finite rep, dense on any other
+    finite rep, weight blocks for a Lie group.
+
+    On an ideal frame (``_regular_index``) the group acts freely on index pairs, so each pair orbit has one member
+    ((r0, c~), (r', c')) with frame index r0, and its mean is
+    (1/|G|) sum_k E[sigma_k r0, sigma_k r'] f_S[sigma_k c~, sigma_k c']: |G| gathers of f_S and one
+    (d_R x |G|)(|G| x comp^2) matmul, scattered into label order.  Other table-held frames take the means of the
+    formed operand by bincount.  With W = 1 (an exactly diagonal Cartan generator) the aligned operand's blocks
+    are read entrywise, A_ww[i, j] = E[r_i, r_j] f_S[c_i, c_j], with r_i and c_i the frame and complement indices
+    of i: each block is gathered by 1-D takes on index arrays cached per frame, O(kin) entries in all."""
     rep, frame = s.total_rep, s.frame(frame_name)
     phi = frame.orientation(frame.rep.element(g))
     proj = np.outer(phi, np.conj(phi))
     if rep.is_finite:
-        return group_average(rep, s.embed_frame_operator(frame_name, proj, f_s), "twirl", frame.weight_scale, tol)
+        index = _regular_index(s, frame_name)
+        if index is not None:
+            sigma_r, f_take, scatter = index
+            moved = np.ascontiguousarray(f_s).reshape(-1).take(f_take)  # row k: f_S[sigma_k c~, sigma_k c']
+            m = (phi[sigma_r[:, :1]] * np.conj(phi[sigma_r])).T @ moved  # E[sigma_k r0, sigma_k r'] over (r', k)
+            m /= len(sigma_r)  # the orbit size |G|, then Vol: the bits of the bincount mean, scaled
+            means = np.empty(scatter.size, dtype=complex)
+            means[scatter] = m.reshape(-1)
+        elif reps.permutation_table(rep) is not None:
+            means = reps._orbit_means(rep, s.embed_frame_operator(frame_name, proj, f_s))
+        else:
+            return group_average(rep, s.embed_frame_operator(frame_name, proj, f_s), "twirl", frame.weight_scale, tol)
+        means *= frame.weight_scale
+        return reps.OrbitMeans(rep, means)
     wb = reps.weight_basis(rep)
     if wb.vectors is None:
         f_s = np.ascontiguousarray(f_s)  # a take on a strided array would copy all of it, block by block
@@ -418,6 +451,31 @@ def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -
     else:
         aligned = reps.WeightBlocks.of(wb, s.embed_frame_operator(frame_name, proj, f_s))
     return reps.lie_twirl(rep, aligned, tol, frame.weight_scale)
+
+
+def _regular_index(s: Scenario, frame_name: str) -> tuple[np.ndarray, ...] | None:
+    """Gather and scatter indices of the ideal-frame twirl, cached per frame, or None unless the frame's rep and
+    the complement's are permutation tables and the frame's acts regularly (dim = |G|, transitive on index 0).
+
+    With the frame on r and the complement on c, r0 = 0: the frame's table sigma_k(r') over (k, r'), ``f_take``,
+    the flat index of (sigma_k c~, sigma_k c') over (k, (c~, c')), and ``scatter``, the ``_pair_orbits`` label of
+    ((r0, c~), (r', c')) over (r', c~, c'): each orbit once."""
+    key = ("regular_index", frame_name)
+    if key not in s._cache:
+        index = None
+        sigma_r = reps.permutation_table(s.frame(frame_name).rep)
+        sigma_c = reps.permutation_table(s.complement_rep(frame_name))
+        order = s.total_rep.group.order
+        if sigma_r is not None and sigma_c is not None and sigma_r.shape[1] == order \
+                and np.array_equal(np.sort(sigma_r[:, 0]), np.arange(order)):
+            comp, kin = sigma_c.shape[1], s.kin_dim
+            f_take = (sigma_c[:, :, None] * comp + sigma_c[:, None, :]).reshape(order, comp * comp)
+            at = slot_view(np.arange(kin), s.dims, s.frame_slot(frame_name))  # (lead, r, rest): kin index of (r, c)
+            at = at.transpose(1, 0, 2).reshape(order, comp)
+            pairs = at[0][None, :, None] * kin + at[:, None, :]  # ((r0, c~), (r', c')) over (r', c~, c')
+            index = (sigma_r, f_take, reps._pair_orbits(s.total_rep)[0][pairs.reshape(-1)])
+        s._cache[key] = index
+    return s._cache[key]
 
 
 def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -509,8 +567,9 @@ def check_weak_homomorphism(
     c_a = dagger(c) @ a @ c  # what the definition clause ties B^dag F_a B to
     a_p, b_p = c @ c_a @ dagger(c), c @ (dagger(c) @ b @ c) @ dagger(c)  # no complement-sized Pi = C C^dag
 
-    def rel(f):
-        return _twirled(s, frame_name, g, f, tol)
+    def rel(f):  # orbit means densified once: each is restricted and applied to v
+        op = _twirled(s, frame_name, g, f, tol)
+        return op.dense() if isinstance(op, reps.OrbitMeans) else op
 
     rng = np.random.default_rng(11)
     v = rng.standard_normal(s.kin_dim) + 1j * rng.standard_normal(s.kin_dim)

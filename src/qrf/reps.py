@@ -36,6 +36,14 @@ and independent of |G|, and the constraint operators act by gathers.  Every
 other finite rep (sign reps, higher-dimensional irreps, tables off by
 rounding) takes the dense paths, the joint kernel and the batched-matmul
 twirl, which are also the tests' oracles for the permutation paths.
+
+A G-invariant operator on a table-held rep is fixed by one number per orbit
+of index pairs, and ``OrbitMeans`` holds it so, the finite counterpart of
+``WeightBlocks``: entry (i, j) is ``means[label(i, j)]`` with the labels of
+``_pair_orbits``.  Under a free action (a regular factor) that is dim^2/|G|
+numbers.  ``dense()`` gathers the full matrix, ``@ v`` applies it, and a
+conjugation by an index permutation that commutes with the action relabels
+the means, one read per orbit at the image of its leader pair.
 """
 
 from __future__ import annotations
@@ -89,6 +97,7 @@ __all__ = [
     "WeightBasis",
     "weight_basis",
     "WeightBlocks",
+    "OrbitMeans",
     "lie_twirl",
     "isotypic_decompose",
     "invariant_closure",
@@ -577,7 +586,15 @@ def _pair_orbits(rep: UnitaryRep) -> tuple[np.ndarray, np.ndarray]:
         leaders = low == np.arange(low.size)
         labels = (np.cumsum(leaders) - 1)[low]
         rep._iso_cache["pair_orbits"] = (labels, np.bincount(labels))
+        rep._iso_cache["pair_leaders"] = np.flatnonzero(leaders)  # orbit k's smallest flat pair, in label order
     return rep._iso_cache["pair_orbits"]
+
+
+def _orbit_means(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
+    """The mean of ``a`` over each orbit of index pairs of a table-held rep, in label order: two bincounts."""
+    labels, sizes = _pair_orbits(rep)
+    flat = a.reshape(-1)
+    return (np.bincount(labels, flat.real) + 1j * np.bincount(labels, flat.imag)) / sizes
 
 
 def _finite_twirl(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
@@ -591,10 +608,30 @@ def _finite_twirl(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
     if sigma is None:
         mats = rep.matrices
         return np.mean((mats @ a) @ np.conj(np.transpose(mats, (0, 2, 1))), axis=0)
-    labels, sizes = _pair_orbits(rep)
-    flat = a.reshape(-1)
-    mean = (np.bincount(labels, flat.real) + 1j * np.bincount(labels, flat.imag)) / sizes
-    return mean[labels].reshape(a.shape)
+    return _orbit_means(rep, a)[_pair_orbits(rep)[0]].reshape(a.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitMeans:
+    """A G-invariant operator on a table-held finite rep, held by one mean per orbit of index pairs: its entry
+    (i, j) is ``means[label(i, j)]``, with the labels of ``_pair_orbits``.  ``dense()`` gathers the matrix and
+    ``@ v`` applies it to a vector or to each column of a matrix."""
+
+    rep: UnitaryRep
+    means: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        return self.means[_pair_orbits(self.rep)[0]].reshape(self.rep.dim, self.rep.dim)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.dense() @ v
+
+    def conjugated(self, q: np.ndarray) -> OrbitMeans:
+        """The operator ``dense()[q][:, q]`` for an index permutation q that commutes with the rep's action, so
+        that it maps pair orbits to pair orbits: each orbit's mean is read at the image of its leader pair."""
+        labels, _ = _pair_orbits(self.rep)
+        i, j = np.divmod(self.rep._iso_cache["pair_leaders"], self.rep.dim)
+        return OrbitMeans(self.rep, self.means[labels[q[i] * self.rep.dim + q[j]]])
 
 
 @dataclass(frozen=True, eq=False)

@@ -857,6 +857,18 @@ def test_a_report_of_every_task_is_converted_once():
     assert cli._jsonable(report) == report
 
 
+def test_jsonable_maps_numpy_bools_to_bools():
+    out = cli._jsonable({"pass": np.bool_(True), "flags": [np.False_]})
+    assert out == {"pass": True, "flags": [False]}
+    assert type(out["pass"]) is bool and type(out["flags"][0]) is bool
+    assert json.dumps(out) == '{"pass": true, "flags": [false]}'
+
+
+def test_jsonable_rejects_a_value_it_has_no_form_for():
+    with pytest.raises(TypeError, match="set"):
+        cli._jsonable({"checks": [{1, 2}]})
+
+
 @pytest.mark.parametrize("order", [["R1", "S", "R2"], ["S", "R2", "R1"]])
 def test_symmetry_layer_with_non_adjacent_frames_exits_0(order, tmp_path, capsys):
     # the relation-conditional source puts 1 on the other frame's slot in each complement's own order

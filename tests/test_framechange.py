@@ -448,8 +448,8 @@ def test_relation_conditional_reorient_holds_two_kinematical_operators(name, par
 
 @pytest.mark.parametrize("name", ["D4", "S3"])
 def test_relation_conditional_check_frees_its_operand(name):
-    # warm (caches built): the direct observable's construction, about 3.05 kin^2, beside ``moved``; the operand
-    # kept alive as well reads 5.07 (D4) and 5.24 (S3)
+    # warm (caches built): 2.30 (D4) and 2.55 (S3) kin^2, the reorientation's two arrays and one |G|-th of a target,
+    # then ``moved`` beside the difference; the operand and the direct observable are held as orbit means
     s = _regular_parties(name, 3)
     small = random_hermitian(np.random.default_rng(44), s.complement_dim("R1") // s.dims[1])
     assert framechange.relation_conditional_check(s, "R1", 1, "R2", 2, small).passed

@@ -470,9 +470,14 @@ def test_homomorphism_check_builds_no_system_projector(fixture, frame, request, 
 
 
 def _affine(op, scale, shift):
-    """scale F + shift 1, on a dense operator or on each weight block."""
+    """scale F + shift 1, on a dense operator, on each weight block, or on orbit means, where 1 is 1 on the orbits
+    of the diagonal pairs (i, i) and 0 elsewhere."""
     if isinstance(op, reps.WeightBlocks):
         return reps.WeightBlocks(op.basis, {w: scale * b + shift * np.eye(len(b)) for w, b in op.blocks.items()})
+    if isinstance(op, reps.OrbitMeans):
+        means = scale * op.means
+        means[np.unique(reps._pair_orbits(op.rep)[0][:: op.rep.dim + 1])] += shift
+        return reps.OrbitMeans(op.rep, means)
     return scale * op + shift * np.eye(len(op))
 
 
@@ -666,8 +671,8 @@ def test_lazy_matrix_is_the_densified_twirl(fixture, frame, request):
     obs = relational_observable(s, frame, g, f_s)
     twirled = perspective._twirled(s, frame, g, f_s, perspective.DEFAULT_TOL)
     if s.total_rep.is_finite:
-        assert obs.matrix is obs.op
-        assert np.array_equal(obs.matrix, twirled)
+        assert isinstance(obs.op, reps.OrbitMeans) and "matrix" not in obs.__dict__
+        assert np.array_equal(obs.matrix, twirled.dense()) and obs.matrix is obs.matrix
     else:
         assert isinstance(obs.op, reps.WeightBlocks) and "matrix" not in obs.__dict__
         assert np.array_equal(obs.matrix, twirled.dense())
@@ -845,3 +850,56 @@ def test_twirl_blocks_by_takes_equal_the_grid_gathers(source):
         assert got.blocks.keys() == want.blocks.keys()
         assert all(np.array_equal(got.blocks[w], want.blocks[w]) for w in want.blocks), frame
         assert sum(r.size + c.size for _, r, c in s._cache[("twirl_index", frame)]) == 2 * s.kin_dim
+
+
+_FINITE_SOURCES = [n for n in cli.builtin_names() if n.startswith("finite-regular:")] + ["finite-regular:Z7"]
+
+
+@pytest.mark.parametrize("source", _FINITE_SOURCES)
+def test_orbit_means_equal_the_dense_twirl_bit_for_bit(source):
+    # every ideal frame, every orientation: the held means gather to exactly the formed operand's twirl
+    from oracles import embed_pair
+
+    s = cli.build_scenario(cli.load_config(source))
+    rng = np.random.default_rng(61)
+    for name in s.frames:
+        frame = s.frame(name)
+        assert perspective._regular_index(s, name) is not None
+        f_s = random_hermitian(rng, s.complement_dim(name))
+        for g in frame.group.elements():
+            held = perspective._twirled(s, name, g, f_s, perspective.DEFAULT_TOL)
+            phi = frame.orientation(frame.rep.element(g))
+            operand = embed_pair(s.dims, s.frame_slot(name), np.outer(phi, np.conj(phi)), f_s)
+            dense = reps.group_average(s.total_rep, operand, "twirl", frame.weight_scale)
+            assert isinstance(held, reps.OrbitMeans) and np.array_equal(held.dense(), dense), (name, g)
+            assert perspective.strong_dirac_defect(s, dense) == 0.0
+            assert perspective.dirac_check(s, held) == perspective.dirac_check(s, dense)
+
+
+@pytest.mark.parametrize("source", ["finite-regular:S3", "finite-regular:Z5"])
+def test_ideal_frame_queries_form_no_kinematical_operand(source, monkeypatch):
+    s = cli.build_scenario(cli.load_config(source))
+    ps = physical_space(s)
+    rng = np.random.default_rng(62)
+    for name in s.frames:
+        framechange.ensure_lr(s.frame(name))  # the right action is a twirl, built once per frame and cached
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a kinematical operand was formed or twirled")
+
+    monkeypatch.setattr(perspective.Scenario, "embed_frame_operator", forbidden)
+    for module in (reps, perspective):
+        monkeypatch.setattr(module, "group_average", forbidden)
+    monkeypatch.setattr(reps, "_finite_twirl", forbidden)
+    for name in s.frames:
+        comp = s.complement_dim(name)
+        f_s = random_hermitian(rng, comp)
+        q = np.linalg.qr(rng.standard_normal((comp, comp // 2)))[0]
+        psi = ps.basis.basis @ np.ones(ps.dim) / math.sqrt(ps.dim)
+        obs = relational_observable(s, name, 1, f_s, check=True)
+        assert isinstance(obs.op, reps.OrbitMeans)
+        assert 0.0 <= reductions.conditional_probability(ps, name, 2, q @ dagger(q), psi) <= 1.0
+        moved = framechange.reorient(s, name, 3, obs)
+        assert isinstance(moved.op, reps.OrbitMeans)
+        direct = relational_observable(s, name, moved.orientation, f_s)
+        assert np.array_equal(moved.op.means, direct.op.means)

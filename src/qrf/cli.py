@@ -28,7 +28,7 @@ from .linalg import Tolerance
 from .perspective import Scenario
 from .report import basis_table, full_report
 
-__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config", "run", "emit", "main"]
+__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config", "parse_tasks", "run", "emit", "main"]
 
 # Largest kinematical dimension a config may build; one dense operator of that size is 256 MiB.
 MAX_KIN_DIM = 4096
@@ -90,8 +90,7 @@ def _complex_matrix(x, path: str) -> np.ndarray:
     if not isinstance(x, (list, tuple)) or not x:
         raise ConfigError(f"{path}: expected a matrix as a list of rows")
     rows = [_complex_vector(r, f"{path}[{i}]") for i, r in enumerate(x)]
-    width = {len(r) for r in rows}
-    if len(width) != 1:
+    if len({len(r) for r in rows}) != 1:
         raise ConfigError(f"{path}: rows have inconsistent lengths")
     return np.vstack(rows)
 
@@ -142,10 +141,14 @@ def _validate_raw(raw: dict) -> ScenarioConfig:
             raise ConfigError(
                 f"tasks[{i}]: unknown task {task.get('task')!r} (known: {', '.join(_KNOWN_TASKS)})"
             )
-        for key in ("frame", "from", "to", "frame1", "frame2"):
-            if key in task and task[key] not in frame_names:
+        params = _TASKS[task["task"]][1]
+        for key, value in task.items():
+            if key != "task" and key not in params:
+                reads = ", ".join(params) or "no parameters"
+                raise ConfigError(f"tasks[{i}].{key}: unknown parameter of {task['task']} (it reads: {reads})")
+            if key != "task" and params[key][0] is _frame and value not in frame_names:
                 have = ", ".join(map(str, frame_names)) or "none"
-                raise ConfigError(f"tasks[{i}]: unknown frame {task[key]!r} (have: {have})")
+                raise ConfigError(f"tasks[{i}]: unknown frame {value!r} (have: {have})")
     return ScenarioConfig(
         name=raw.get("name", "scenario"),
         group_spec=raw["group"],
@@ -325,45 +328,75 @@ def _element(scenario: Scenario, frame_name: str, spec, path: str):
         raise ConfigError(f"{path}: {key} orientation {spec[key]!r}: {exc}") from None
 
 
-def _observable(dim: int, spec, path: str) -> np.ndarray:
-    if isinstance(spec, dict):
-        if "matrix" in spec:
-            m = _complex_matrix(spec["matrix"], f"{path}.matrix")
-        elif "diag" in spec:
-            m = np.diag(_complex_vector(spec["diag"], f"{path}.diag"))
-        else:
-            raise ConfigError(f"{path}: observable needs 'matrix' or 'diag'")
-        if m.shape != (dim, dim):
-            raise ConfigError(f"{path}: observable is {m.shape}, expected ({dim}, {dim})")
-        return m
-    raise ConfigError(f"{path}: observable must be an object")
+def _frame(s, tol, name, path, args) -> str:
+    return name  # _validate_raw has checked it against the config's frames
 
 
-def _normalized(v: np.ndarray, path: str) -> np.ndarray:
+def _orientation(frame_key: str):
+    """The parser of an orientation of the frame that parameter ``frame_key`` names."""
+    return lambda s, tol, spec, path, args: _element(s, args[frame_key], spec, path)
+
+
+def _observable(s, tol, spec, path, args) -> np.ndarray:
+    """An operator on the complement of the task's frame: {'matrix': rows} or {'diag': entries}."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: observable must be an object")
+    if "matrix" in spec:
+        m = _complex_matrix(spec["matrix"], f"{path}.matrix")
+    elif "diag" in spec:
+        m = np.diag(_complex_vector(spec["diag"], f"{path}.diag"))
+    else:
+        raise ConfigError(f"{path}: observable needs 'matrix' or 'diag'")
+    dim = s.complement_dim(args["frame"])
+    if m.shape != (dim, dim):
+        raise ConfigError(f"{path}: observable is {m.shape}, expected ({dim}, {dim})")
+    return m
+
+
+def _projector(s, tol, spec, path, args) -> np.ndarray:
+    with _config_errors(path):
+        return reductions._check_projector(_observable(s, tol, spec, path, args), tol)
+
+
+def _state(s, tol, spec, path, args) -> np.ndarray:
+    """A kinematical state: a physical basis column, or normalized physical coefficients or amplitudes."""
+    if not isinstance(spec, dict) or not {"basis_index", "coefficients", "amplitudes"} & spec.keys():
+        raise ConfigError(f"{path}: state needs 'basis_index', 'coefficients' or 'amplitudes'")
+    ps = perspective.physical_space(s, tol)  # cached on the scenario, so ``run`` builds it once
+    if "basis_index" in spec:
+        k = _integral(spec["basis_index"], f"{path}.basis_index")
+        if not 0 <= k < ps.dim:
+            raise ConfigError(f"{path}: basis_index {k} outside physical dimension {ps.dim}")
+        return ps.basis.basis[:, k]
+    if "coefficients" in spec:
+        v = _complex_vector(spec["coefficients"], f"{path}.coefficients")
+        if v.size != ps.dim:
+            raise ConfigError(f"{path}: need {ps.dim} physical coefficients")
+        v = ps.basis.basis @ v
+    else:
+        v = _complex_vector(spec["amplitudes"], f"{path}.amplitudes")
+        if v.size != s.kin_dim:
+            raise ConfigError(f"{path}: need {s.kin_dim} kinematical amplitudes")
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
         raise ConfigError(f"{path}: state has zero norm")
     return v / nrm
 
 
-def _state(ps, spec, path: str) -> np.ndarray:
-    if isinstance(spec, dict):
-        if "basis_index" in spec:
-            k = _integral(spec["basis_index"], f"{path}.basis_index")
-            if not 0 <= k < ps.dim:
-                raise ConfigError(f"{path}: basis_index {k} outside physical dimension {ps.dim}")
-            return ps.basis.basis[:, k]
-        if "coefficients" in spec:
-            c = _complex_vector(spec["coefficients"], f"{path}.coefficients")
-            if c.size != ps.dim:
-                raise ConfigError(f"{path}: need {ps.dim} physical coefficients")
-            return _normalized(ps.basis.basis @ c, path)
-        if "amplitudes" in spec:
-            v = _complex_vector(spec["amplitudes"], f"{path}.amplitudes")
-            if v.size != ps.scenario.kin_dim:
-                raise ConfigError(f"{path}: need {ps.scenario.kin_dim} kinematical amplitudes")
-            return _normalized(v, path)
-    raise ConfigError(f"{path}: state needs 'basis_index', 'coefficients' or 'amplitudes'")
+def parse_tasks(cfg: ScenarioConfig, scenario: Scenario) -> list[dict]:
+    """Every task's parameters in its ``_TASKS`` order, each parser taking (scenario, tol, spec, path, args) with
+    ``args`` the parameters parsed before it.  ``qrf check`` and ``run`` both call this before any task runs, so a
+    parameter mistake is a ConfigError ``tasks[i].<param>: <message>`` from both."""
+    tol, parsed = cfg.tol(), []
+    for i, task in enumerate(cfg.tasks):
+        args: dict = {}
+        for key, (parse, default) in _TASKS[task["task"]][1].items():
+            path = f"tasks[{i}].{key}"
+            if key not in task and default is None:
+                raise ConfigError(f"{path}: missing required parameter")
+            args[key] = parse(scenario, tol, task.get(key, default), path, args)
+        parsed.append(args)
+    return parsed
 
 
 # ---------------------------------------------------------------------------
@@ -376,126 +409,94 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, complex) or isinstance(x, np.complexfloating):
+    if isinstance(x, (complex, np.complexfloating)):
         return [float(np.real(x)), float(np.imag(x))]
     if isinstance(x, np.ndarray):
-        if np.iscomplexobj(x):
-            return [_jsonable(v) for v in x.tolist()]
-        return x.tolist()
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
+        return _jsonable(x.tolist()) if np.iscomplexobj(x) else x.tolist()
+    if isinstance(x, (np.bool_, np.integer, np.floating)):
+        return x.item()
     if isinstance(x, (bool, int, float, str)) or x is None:
         return x
     if isinstance(x, groups.FiniteElement):
         return {"index": x.index}
     if isinstance(x, groups.LieElement):
-        if x.descriptor.kind == "U1":
-            return {"theta": x.coords[0]}
-        return {"su2": list(x.coords)}
+        return {"theta": x.coords[0]} if x.descriptor.kind == "U1" else {"su2": list(x.coords)}
     raise TypeError(f"no JSON form for a report value of type {type(x).__name__}")
 
 
-def _param(task: dict, key: str):
-    """A task's parameter, or a ConfigError naming it; a KeyError from the library is left to ``main``."""
-    if key not in task:
-        raise ConfigError(f"missing task parameter {key!r}")
-    return task[key]
+def _task_phys_space(scenario, ps, tol, rng):
+    return {"dim": ps.dim, "kin_dim": scenario.kin_dim, "basis": basis_table(ps)}, [ps.invariance_check(tol)]
 
 
-def _task_phys_space(scenario, ps, cfg, task, rng):
-    return {"dim": ps.dim, "kin_dim": scenario.kin_dim, "basis": basis_table(ps)}, [ps.invariance_check(cfg.tol())]
+def _task_rel_obs(scenario, ps, tol, rng, frame, orientation, observable):
+    obs = perspective.relational_observable(scenario, frame, orientation, observable, tol, check=False)
+    results = {"frame": frame, "orientation": obs.orientation, "restricted_matrix": ps.restrict(obs.op)}
+    return results, [perspective.dirac_check(scenario, obs.op, tol)]
 
 
-def _task_rel_obs(scenario, ps, cfg, task, rng):
-    fname = _param(task, "frame")
-    g = _element(scenario, fname, task.get("orientation"), "task.orientation")
-    f_s = _observable(scenario.complement_dim(fname), _param(task, "observable"), "task.observable")
-    obs = perspective.relational_observable(scenario, fname, g, f_s, cfg.tol(), check=False)
-    return {
-        "frame": fname,
-        "orientation": obs.orientation,
-        "restricted_matrix": ps.restrict(obs.op),
-    }, [perspective.dirac_check(scenario, obs.op, cfg.tol())]
+def _task_reduce(scenario, ps, tol, rng, frame, orientation, state):
+    reduced, check = reductions.isometry_check(ps, frame, orientation, state, tol)
+    return {"frame": frame, "orientation": orientation, "reduced_amplitudes": reduced}, [check]
 
 
-def _task_reduce(scenario, ps, cfg, task, rng):
-    fname = _param(task, "frame")
-    g = _element(scenario, fname, task.get("orientation"), "task.orientation")
-    state = _state(ps, _param(task, "state"), "task.state")
-    reduced, check = reductions.isometry_check(ps, fname, g, state, cfg.tol())
-    return {"frame": fname, "orientation": g, "reduced_amplitudes": reduced}, [check]
+def _task_probabilities(scenario, ps, tol, rng, frame, orientation, projector, state):
+    p = reductions.conditional_probability(ps, frame, orientation, projector, state, tol)
+    return {"frame": frame, "orientation": orientation, "probability": p}, [reductions.unit_interval_check(p, tol)]
 
 
-def _task_probabilities(scenario, ps, cfg, task, rng):
-    fname = _param(task, "frame")
-    g = _element(scenario, fname, task.get("orientation"), "task.orientation")
-    proj = _observable(scenario.complement_dim(fname), _param(task, "projector"), "task.projector")
-    state = _state(ps, _param(task, "state"), "task.state")
-    p = reductions.conditional_probability(ps, fname, g, proj, state, cfg.tol())
-    in_range = reductions.unit_interval_check(p, cfg.tol())
-    return {"frame": fname, "orientation": g, "probability": p}, [in_range]
-
-
-def _task_frame_change(scenario, ps, cfg, task, rng):
-    f_from, f_to = _param(task, "from"), _param(task, "to")
-    g_from = _element(scenario, f_from, task.get("g_from"), "task.g_from")
-    g_to = _element(scenario, f_to, task.get("g_to"), "task.g_to")
-    change = framechange.frame_change(ps, f_from, g_from, f_to, g_to, cfg.tol())
+def _task_frame_change(scenario, ps, tol, rng, f_from, f_to, g_from, g_to):
+    change = framechange.frame_change(ps, f_from, g_from, f_to, g_to, tol)
     return {"from": f_from, "to": f_to, "shape": change.matrix.shape, "scale_notes": change.scale_notes}, [change.check]
 
 
-def _task_reorient(scenario, ps, cfg, task, rng):
-    fname = _param(task, "frame")
-    g1 = _element(scenario, fname, task.get("orientation"), "task.orientation")
-    g = _element(scenario, fname, _param(task, "g"), "task.g")
-    f_s = _observable(scenario.complement_dim(fname), _param(task, "observable"), "task.observable")
-    moved, check = framechange.reorientation_check(scenario, fname, g1, g, f_s, cfg.tol())
-    return {"frame": fname, "new_orientation": moved.orientation}, [check]
+def _task_reorient(scenario, ps, tol, rng, frame, orientation, g, observable):
+    moved, check = framechange.reorientation_check(scenario, frame, orientation, g, observable, tol)
+    return {"frame": frame, "new_orientation": moved.orientation}, [check]
 
 
-def _task_lr_classify(scenario, ps, cfg, task, rng):
-    fname = _param(task, "frame")
-    v_rep, report = frames.lr_classify(scenario.frame(fname), cfg.tol())
-    return {"frame": fname, "lr_exists": v_rep is not None, "report": report}, []
+def _task_lr_classify(scenario, ps, tol, rng, frame):
+    v_rep, report = frames.lr_classify(scenario.frame(frame), tol)
+    return {"frame": frame, "lr_exists": v_rep is not None, "report": report}, []
 
 
-def _task_subsystem_relativity(scenario, ps, cfg, task, rng):
-    f1, f2 = _param(task, "frame1"), _param(task, "frame2")
-    report = framechange.subsystem_relativity_report(scenario, f1, f2, cfg.tol())
-    check = report.pop("check", None)  # none when both arguments name the same frame
-    return report, [check] if check else []
+def _task_subsystem_relativity(scenario, ps, tol, rng, frame1, frame2):
+    report = framechange.subsystem_relativity_report(scenario, frame1, frame2, tol)
+    return report, [report.pop("check")] if "check" in report else []  # none when both name the same frame
 
 
-_TASK_RUNNERS = {
-    "phys_space": _task_phys_space,
-    "rel_obs": _task_rel_obs,
-    "reduce": _task_reduce,
-    "probabilities": _task_probabilities,
-    "frame_change": _task_frame_change,
-    "reorient": _task_reorient,
-    "lr_classify": _task_lr_classify,
-    "subsystem_relativity": _task_subsystem_relativity,
-    "full_report": lambda scenario, ps, cfg, task, rng: full_report(scenario, ps, cfg.tol(), rng),
+# Each task's runner and the parameters it reads, in the order they are parsed and passed to the runner after
+# (scenario, ps, tol, rng), each as (parser, default spec); a default of None makes the parameter required.
+_FRAME, _AT = (_frame, None), (_orientation("frame"), "identity")
+_TASKS = {
+    "phys_space": (_task_phys_space, {}),
+    "rel_obs": (_task_rel_obs, {"frame": _FRAME, "orientation": _AT, "observable": (_observable, None)}),
+    "reduce": (_task_reduce, {"frame": _FRAME, "orientation": _AT, "state": (_state, None)}),
+    "probabilities": (_task_probabilities, {"frame": _FRAME, "orientation": _AT, "projector": (_projector, None),
+                                            "state": (_state, None)}),
+    "frame_change": (_task_frame_change, {"from": _FRAME, "to": _FRAME, "g_from": (_orientation("from"), "identity"),
+                                          "g_to": (_orientation("to"), "identity")}),
+    "reorient": (_task_reorient, {"frame": _FRAME, "orientation": _AT, "g": (_orientation("frame"), None),
+                                  "observable": (_observable, None)}),
+    "lr_classify": (_task_lr_classify, {"frame": _FRAME}),
+    "subsystem_relativity": (_task_subsystem_relativity, {"frame1": _FRAME, "frame2": _FRAME}),
+    "full_report": (full_report, {}),
 }
-_KNOWN_TASKS = tuple(_TASK_RUNNERS)
+_KNOWN_TASKS = tuple(_TASKS)
 
 
 def run(cfg: ScenarioConfig) -> dict:
-    """Execute the config's tasks in order; task errors are reported per task."""
-    scenario = build_scenario(cfg)
-    ps = perspective.physical_space(scenario, cfg.tol())
+    """Parse every task's parameters, then execute the tasks in order; library rejections are reported per task."""
+    scenario, tol = build_scenario(cfg), cfg.tol()
+    parsed = parse_tasks(cfg, scenario)
+    ps = perspective.physical_space(scenario, tol)
     rng = np.random.default_rng(cfg.seed)
     tasks_out, failed, total = [], 0, 0
-    for i, task in enumerate(cfg.tasks):
+    for task, args in zip(cfg.tasks, parsed):
         record: dict = {"task": task["task"], "params": {k: v for k, v in task.items() if k != "task"}}
         try:
-            results, checks = _TASK_RUNNERS[task["task"]](scenario, ps, cfg, task, rng)
+            results, checks = _TASKS[task["task"]][0](scenario, ps, tol, rng, *args.values())
             record["results"], record["checks"] = results, [c.as_dict() for c in checks]
-        except (ConfigError, ValueError, np.linalg.LinAlgError) as exc:
+        except (ValueError, np.linalg.LinAlgError) as exc:
             record["error"] = str(exc)
         verdicts = [c["pass"] for c in record["checks"]] if "checks" in record else [False]  # an error fails once
         total += len(verdicts)
@@ -527,9 +528,8 @@ def _emit_table_value(value, indent: int, lines: list[str], key: str) -> None:
         lines.append(f"{pad}{key}:")
         for k, v in value.items():
             _emit_table_value(v, indent + 1, lines, k)
-    elif isinstance(value, list) and value and isinstance(value[0], list) and value and all(
-        isinstance(x, (int, float)) for x in value[0]
-    ) and len(value[0]) == 2:
+    elif isinstance(value, list) and value and isinstance(value[0], list) and len(value[0]) == 2 and all(
+            isinstance(x, (int, float)) for x in value[0]):
         lines.append(f"{pad}{key}: [{', '.join(_fmt_complex(v) for v in value)}]")
     elif isinstance(value, list) and value and isinstance(value[0], dict):
         lines.append(f"{pad}{key}:")
@@ -595,14 +595,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:  # any exception other than a ConfigError is a run or write that cannot finish, exit 2 as well
         cfg = load_config(args.scenario)
-        if args.command == "check":
-            build_scenario(cfg)
-            print(f"config ok: {cfg.name}")
-            return 0
-        if args.tol is not None:
+        if getattr(args, "tol", None) is not None:  # check has no --tol but reads QRF_TOL like run
             cfg.tolerance = _tolerance(args.tol, "--tol")
         elif "QRF_TOL" in os.environ:
             cfg.tolerance = _tolerance(_number(os.environ, "QRF_TOL", None, float), "QRF_TOL")
+        if args.command == "check":
+            parse_tasks(cfg, build_scenario(cfg))
+            print(f"config ok: {cfg.name}")
+            return 0
         if args.seed is not None:
             cfg.seed = args.seed
         report = run(cfg)

@@ -13,7 +13,7 @@ from conftest import u1_qubits_config
 import qrf
 from qrf import cli, framechange, perspective
 from qrf.builtins_config import builtin_names
-from qrf.cli import ConfigError, emit, load_config, parse_config, run
+from qrf.cli import ConfigError, emit, load_config, parse_config, parse_tasks, run
 from qrf.report import full_report
 
 
@@ -77,27 +77,71 @@ def test_non_utf8_config_file_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: config is not valid UTF-8: ")
 
 
-def test_bad_observable_dimension_rejected():
+def _assert_config_error_from_both(raw, message, tmp_path, capsys):
+    """``qrf check`` and ``qrf run`` both exit 2 with the one line ``config error: <message>``; run prints no report."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    for command in ("check", "run"):
+        assert cli.main([command, str(cfg_path)]) == 2, command
+        assert tuple(capsys.readouterr()) == ("", f"config error: {message}\n"), command
+
+
+def test_bad_observable_dimension_rejected(tmp_path, capsys):
     raw = small_config(
         tasks=[{"task": "rel_obs", "frame": "A", "orientation": {"theta": 0.0},
                 "observable": {"diag": [1, 0]}}]
     )
-    report = run(parse_config(json.dumps(raw)))
-    assert report["summary"]["checks_failed"] == 1
-    assert "expected (6, 6)" in report["tasks"][0]["error"]
+    cfg = parse_config(json.dumps(raw))
+    with pytest.raises(ConfigError, match=r"^tasks\[0\]\.observable: observable is \(2, 2\), expected \(6, 6\)$"):
+        parse_tasks(cfg, cli.build_scenario(cfg))
+    _assert_config_error_from_both(raw, "tasks[0].observable: observable is (2, 2), expected (6, 6)", tmp_path, capsys)
 
 
 def test_run_collects_task_errors_and_continues():
-    raw = small_config(
-        tasks=[
-            {"task": "rel_obs", "frame": "A", "orientation": {"theta": 0.0},
-             "observable": {"diag": [1, 0]}},
-            {"task": "phys_space"},
-        ]
-    )
+    # a frame without a right action is a library rejection: the task records it and the next task still runs
+    raw = _builtin_with_tasks("su2-three-spin1", [
+        {"task": "reorient", "frame": "A", "g": {"su2": [0.1, 0, 0]}, "observable": {"diag": [1, 0, -1] * 3}},
+        {"task": "phys_space"},
+    ])
     report = run(parse_config(json.dumps(raw)))
-    assert "error" in report["tasks"][0]
-    assert report["tasks"][1]["results"]["dim"] == 4
+    assert "admits no right action" in report["tasks"][0]["error"]
+    assert report["tasks"][1]["results"]["dim"] == 1
+    assert report["summary"] == {"checks_total": 2, "checks_failed": 1}
+
+
+def test_check_and_run_reject_each_task_parameter_mistake_before_any_task_runs(tmp_path, capsys):
+    # two regular Z3 parties: the frame's complement is 3-dim and its orientations are the indices 0..2
+    raw = {
+        "group": {"builtin": "Z3"},
+        "subsystems": [{"name": n, "rep": {"regular": True}} for n in ("R", "S")],
+        "frames": [{"name": "R", "subsystem": "R", "seed": "identity_ket"}],
+        "tasks": [
+            {"task": "rel_obs", "frame": "R", "observable": {"diag": [1, 0]}},
+            {"task": "reduce", "frame": "R", "orientation": {"index": 7}, "state": {"basis_index": 0}},
+            {"task": "reorient", "frame": "R", "observable": {"diag": [1, 0, 0]}},
+        ],
+    }
+    _assert_config_error_from_both(raw, "tasks[0].observable: observable is (2, 2), expected (3, 3)", tmp_path, capsys)
+    raw["tasks"][0]["observable"] = {"diag": [1, 0, 0]}
+    _assert_config_error_from_both(raw, "tasks[1].orientation: element index 7 outside the group", tmp_path, capsys)
+    raw["tasks"][1]["orientation"] = {"index": 2}
+    _assert_config_error_from_both(raw, "tasks[2].g: missing required parameter", tmp_path, capsys)
+    raw["tasks"][2]["g"] = {"index": 1}
+    code, text = _run_main(raw, tmp_path)
+    assert code == 0 and json.loads(text)["summary"] == {"checks_total": 3, "checks_failed": 0}
+    capsys.readouterr()
+
+
+def test_a_task_key_the_task_does_not_read_is_config_error(tmp_path, capsys):
+    tasks = [{"task": "rel_obs", "frame": "A", "orientaton": {"theta": 0.3}, "observable": {"diag": [1] * 6}}]
+    message = "tasks[0].orientaton: unknown parameter of rel_obs (it reads: frame, orientation, observable)"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(small_config(tasks=tasks)))
+    assert str(exc.value) == message
+    _assert_config_error_from_both(small_config(tasks=tasks), message, tmp_path, capsys)
+    message = "tasks[1].frame: unknown parameter of phys_space (it reads: no parameters)"
+    _assert_config_error_from_both(small_config(tasks=[{"task": "lr_classify", "frame": "A"},
+                                                       {"task": "phys_space", "frame": "A"}]), message, tmp_path, capsys)
 
 
 def test_full_reports_pass_for_builtin_scenarios():
@@ -146,9 +190,11 @@ def test_unknown_task_frame_is_config_error(key, command, tmp_path, capsys):
     assert capsys.readouterr().err == "config error: tasks[1]: unknown frame 'Q' (have: A)\n"
 
 
-def test_missing_task_parameter_is_collected():
-    report = run(parse_config(json.dumps(small_config(tasks=[{"task": "rel_obs"}]))))
-    assert "missing task parameter" in report["tasks"][0]["error"]
+def test_missing_task_parameter_is_config_error(tmp_path, capsys):
+    message = "tasks[0].frame: missing required parameter"
+    _assert_config_error_from_both(small_config(tasks=[{"task": "rel_obs"}]), message, tmp_path, capsys)
+    message = "tasks[0].observable: missing required parameter"
+    _assert_config_error_from_both(small_config(tasks=[{"task": "rel_obs", "frame": "A"}]), message, tmp_path, capsys)
 
 
 def test_phys_space_task_results():
@@ -303,15 +349,13 @@ def test_main_seed_override(tmp_path, capsys):
 
 
 def test_failed_checks_give_nonzero_exit(tmp_path, capsys):
-    # an unsatisfiable task: probability projector that is not a projector
-    raw = small_config(
-        tasks=[{"task": "probabilities", "frame": "A", "orientation": {"theta": 0.0},
-                "projector": {"diag": [0.5, 0, 0, 0, 0, 0]}, "state": {"basis_index": 0}}]
-    )
+    # a state of total charge 4 is not physical: the library rejects the task, which fails once
+    raw = small_config(tasks=[{"task": "reduce", "frame": "A", "state": {"amplitudes": [1] + [0] * 11}}])
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
+    assert cli.main(["check", str(cfg_path)]) == 0
     assert cli.main(["run", str(cfg_path)]) == 1
-    capsys.readouterr()
+    assert '"error": "state is not in the physical subspace"' in capsys.readouterr().out
 
 
 def test_explicit_matrix_rep_and_group_table():
@@ -487,6 +531,18 @@ def test_non_finite_tolerance_is_config_error(value, tmp_path, monkeypatch, caps
     monkeypatch.setenv("QRF_TOL", value)
     assert cli.main(["run", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: QRF_TOL: tolerances must be finite")
+
+
+def test_check_parses_task_parameters_at_the_qrf_tol_tolerance(tmp_path, monkeypatch, capsys):
+    # the projector gate is 1e4 t (1 + 1): a 1e-6 defect passes at the default t = 1e-9, not at t = 1e-12
+    task = {"task": "probabilities", "frame": "A", "projector": {"diag": [1 + 1e-6] + [0] * 5}, "state": {"basis_index": 0}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(tasks=[task])))
+    assert cli.main(["check", str(cfg_path)]) == 0
+    monkeypatch.setenv("QRF_TOL", "1e-12")
+    for command in ("check", "run"):
+        assert cli.main([command, str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "config error: tasks[0].projector: expected a Hermitian idempotent projector\n"
 
 
 def test_non_numeric_tolerance_override_is_config_error(tmp_path, monkeypatch, capsys):
@@ -753,16 +809,18 @@ def test_rel_obs_and_reorient_tasks_on_su2_orientations(tmp_path, capsys):
         ({"task": "rel_obs", "frame": "R1", "observable": {"trace": 1}},
          "task.observable: observable needs 'matrix' or 'diag'"),
         ({"task": "rel_obs", "frame": "R1", "observable": [1]}, "task.observable: observable must be an object"),
+        ({"task": "probabilities", "frame": "R1", "projector": {"diag": [0.5] + [0] * 8}, "state": {"basis_index": 0}},
+         "task.projector: expected a Hermitian idempotent projector"),
+        ({"task": "reorient", "frame": "R1", "g": {"su2": [0, 0, 1]}, "observable": _Z3_DIAG},
+         "task.g: orientation of frame 'R1' must be 'identity' or {'index': ...}"),
+        ({"task": "frame_change", "from": "R1", "to": "R2", "g_to": "x"},
+         "task.g_to: orientation of frame 'R2' must be 'identity' or {'index': ...}"),
     ],
 )
 def test_orientation_and_state_specs_of_the_wrong_kind_are_task_errors(task, message, tmp_path, capsys):
+    # each message is given at the task's own path, task.<param>; both commands print it at tasks[1].<param>
     raw = _builtin_with_tasks("finite-regular:Z3", [{"task": "phys_space"}, task])
-    code, text = _run_main(raw, tmp_path)
-    assert code == 1
-    phys, bad = json.loads(text)["tasks"]
-    assert phys["results"]["dim"] == 9 and all(c["pass"] for c in phys["checks"])
-    assert bad["error"] == message
-    assert capsys.readouterr().err == ""
+    _assert_config_error_from_both(raw, message.replace("task.", "tasks[1].", 1), tmp_path, capsys)
 
 
 def test_lie_orientation_specs_are_checked_against_the_frame_group():
@@ -867,6 +925,18 @@ def test_jsonable_maps_numpy_bools_to_bools():
 def test_jsonable_rejects_a_value_it_has_no_form_for():
     with pytest.raises(TypeError, match="set"):
         cli._jsonable({"checks": [{1, 2}]})
+
+
+def test_jsonable_maps_real_arrays_and_numpy_scalars_to_python_values():
+    out = cli._jsonable({"m": np.arange(4.0).reshape(2, 2), "n": np.int64(3), "x": np.float32(0.5), "y": np.float64(0.25)})
+    assert out == {"m": [[0.0, 1.0], [2.0, 3.0]], "n": 3, "x": 0.5, "y": 0.25}
+    assert [type(out[k]) for k in "nxy"] == [int, float, float]
+    assert json.dumps(out) == '{"m": [[0.0, 1.0], [2.0, 3.0]], "n": 3, "x": 0.5, "y": 0.25}'
+
+
+def test_emit_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit(run(parse_config(json.dumps(small_config(tasks=[])))), "xml")
 
 
 @pytest.mark.parametrize("order", [["R1", "S", "R2"], ["S", "R2", "R1"]])

@@ -175,6 +175,22 @@ def test_reorient_commutes_with_gauge(s3_regular_scenario):
             assert np.linalg.norm(v_full @ u - u @ v_full) < 1e-10
 
 
+def test_reorientation_check_on_a_frame_without_a_permutation_table():
+    # a regular Z3 rep with one zero entry moved by 1e-17 has no permutation table, so both observables are dense
+    z3 = groups.cyclic(3)
+    mats = reps.regular_rep(z3).matrices.copy()
+    mats[1, 0, 0] += 1e-17
+    rep = reps.finite_rep(z3, mats)
+    assert reps.permutation_table(rep) is None
+    frame = frames.make_frame(rep, np.eye(3, dtype=complex)[z3.identity_index], name="R")
+    s = perspective.make_scenario(z3, [("R", rep), ("S", reps.regular_rep(z3))], {"R": ("R", frame)})
+    f_s = random_hermitian(np.random.default_rng(47), 3)
+    moved, check = framechange.reorientation_check(s, "R", 1, 2, f_s)
+    direct = relational_observable(s, "R", moved.orientation, f_s)
+    assert isinstance(direct.op, np.ndarray) and check.passed
+    assert check.residual == np.linalg.norm(moved.matrix - direct.matrix)
+
+
 def test_reorient_requires_lr(three_spin_scenario):
     rng = np.random.default_rng(24)
     f_s = random_hermitian(rng, 9)

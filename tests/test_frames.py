@@ -206,6 +206,23 @@ def test_regular_frame_right_action_is_right_regular():
     np.testing.assert_allclose(v_rep.matrices, rr.matrices, atol=1e-9)
 
 
+@pytest.mark.parametrize("name", ["S3", "D4"])
+def test_covariant_regular_frames_pass_the_maximal_entanglement_gate(name):
+    # seed U e_e with U a random unitary of the right-regular algebra: the frame is valid, and every block of its
+    # seed stays below the gate whose failure is lr_classify's "not maximally entangled" branch
+    group, tol = groups.builtin_group(name), Tolerance()
+    right = reps.regular_rep(group, "right").matrices
+    rng = np.random.default_rng(48)
+    for _ in range(4):
+        h = np.tensordot(rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order), right, axes=1)
+        vals, vecs = np.linalg.eigh(h + dagger(h))
+        seed = (vecs * np.exp(1j * vals)) @ dagger(vecs)[:, group.identity_index]
+        v_rep, report = frames.lr_classify(frames.make_frame(reps.regular_rep(group), seed, name="R", tol=tol), tol)
+        assert v_rep is not None and report["lr_exists"]
+        for block in report["blocks"]:
+            assert block["max_entangled_deviation"] < frames._input_gate(tol, block["irrep_dim"]), block
+
+
 def test_spin1_frame_has_no_lr():
     v_rep, report = frames.lr_classify(spin1_uniform_frame())
     assert v_rep is None

@@ -9,7 +9,8 @@ plain and relation-conditional reorientations -- act on relational observables i
 reorientation relabels the pair-orbit means of a held finite observable); the
 relation-conditional construction is restricted to regular representations, as is its
 commuting-subalgebra structure, and runs in the frames' orbit coordinates, where a reorientation
-relabels orbits and a relative-orientation projector keeps rows.  Subsystem relativity reads the
+relabels orbits and a relative-orientation projector keeps rows; with basis-ket seeds it relabels
+held pair-orbit means, row by row.  Subsystem relativity reads the
 relativized algebras of ideal frames as matrix-unit systems from the blocks of C_e and compares
 them by a cross Gram of those blocks; it grows them by product sweeps otherwise.
 """
@@ -138,10 +139,13 @@ def reorientation_check(
 
 
 def _distance(moved: RelObs, direct: RelObs) -> float:
-    """||F_moved - F_direct||_F.  A held ``direct`` is densified into the array that takes the difference, so no
-    third kin x kin array is formed; y - x = -(x - y) exactly, so the norm has the bits of the plain difference."""
+    """||F_moved - F_direct||_F.  Two sets of orbit means are subtracted and the difference gathered once; a held
+    ``direct`` is densified into the array that takes the difference, so no third kin x kin array is formed.
+    y - x = -(x - y) exactly, so the norm has the bits of the plain difference."""
     if isinstance(direct.op, np.ndarray):
         return float(np.linalg.norm(moved.matrix - direct.op))
+    if isinstance(moved.op, reps.OrbitMeans) and isinstance(direct.op, reps.OrbitMeans):
+        return float(np.linalg.norm(reps.OrbitMeans(direct.op.rep, direct.op.means - moved.op.means).dense()))
     diff = direct.op.dense()
     diff -= moved.matrix
     return float(np.linalg.norm(diff))
@@ -220,7 +224,11 @@ def relation_conditional_reorient(
     rotates an observable's own ``family`` where it has one, as tautological
     observables do.  The projector onto relative orientation g' keeps the rows
     with orbit labels b = a g'; these partition the rows, so the sum is rotated
-    back once.
+    back once.  When the operand is held as orbit means and has no family to
+    rotate, and both orbit matrices are exact permutations (identity-ket and
+    other basis-ket seeds), the output is held too: it is invariant, every
+    entry is a copy of an operand entry, and each orbit's mean is read at its
+    leader pair through the relabelling of that pair's row (``_held_targets``).
     """
     if frame1 == frame2:
         raise ValueError("relation-conditional reorientation needs two distinct frames")
@@ -234,6 +242,13 @@ def relation_conditional_reorient(
     g2_el = f2.rep.element(g2)
     anchor = f1.rep.element(obs.orientation if modified else g1).index
 
+    shift = group.mult(group.inverse(g2_el.index), anchor)  # a target's k is g' shift
+    family = obs.family if modified else None
+    perms = [reps._exact_permutation(orbit) for orbit in (orbit1, orbit2)]
+    if family is None and isinstance(obs.op, reps.OrbitMeans) and all(p is not None for p in perms):
+        op = _held_targets(s.dims, (slot1, slot2), perms, group, shift, obs.op)
+        return RelObs(op=op, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
+
     def to_orbits(a):  # (O1 x O2)^dag a (O1 x O2), one slot and side at a time; rebinding a frees each step's input
         for slot, orbit in ((slot1, orbit1), (slot2, orbit2)):
             a = (dagger(orbit) @ slot_view(a, s.dims, slot)).reshape(a.shape)
@@ -241,7 +256,6 @@ def relation_conditional_reorient(
             a = (orbit.T @ slot_view(a, [s.kin_dim] + s.dims, slot + 1)).reshape(a.shape)
         return a
 
-    family = obs.family if modified else None
     m = None if family is not None else to_orbits(obs.op if isinstance(obs.op, np.ndarray) else obs.op.dense())
     labels = np.unravel_index(np.arange(s.kin_dim), s.dims)  # each row's index on every slot: its orbit labels
     out = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
@@ -250,7 +264,7 @@ def relation_conditional_reorient(
         if family is not None:
             out[keep] = to_orbits(family(f1.rep.element(group.mult(g2_el.index, group.inverse(gp)))))[keep]
         else:
-            k = group.mult(gp, group.mult(group.inverse(g2_el.index), anchor))
+            k = group.mult(gp, shift)
             q = slot_view(np.arange(s.kin_dim), s.dims, slot1)[:, group.product_table[:, k]].reshape(-1)
             out[keep] = m[np.ix_(q[keep], q)]
     del m  # out is rotated back here, not in a helper whose caller would keep it alive: two kin^2 arrays at a time
@@ -259,6 +273,27 @@ def relation_conditional_reorient(
     for slot, orbit in ((slot1, orbit1), (slot2, orbit2)):
         out = (np.conj(orbit) @ slot_view(out, [s.kin_dim] + s.dims, slot + 1)).reshape(out.shape)
     return RelObs(op=out, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
+
+
+def _held_targets(dims: list[int], slots: tuple[int, int], perms: list[np.ndarray], group, shift: int,
+                  m: reps.OrbitMeans) -> reps.OrbitMeans:
+    """The relation-conditional sum as orbit means, when the orbit matrices are the permutations O e_h = e_{p[h]}.
+
+    Entry (i, j) of the sum is m's entry at (r(i), r(j)), where r relabels frame 1's index c by p1[p1^-1[c] k],
+    k = g' ``shift``, and g' = a^-1 b is row i's relative orientation, a and b its orbit labels on the two frames;
+    read at each leader pair, one read per orbit.
+    """
+    (slot1, slot2), (p1, p2), table = slots, perms, group.product_table
+    inv1, inv2 = np.argsort(p1), np.argsort(p2)
+    (stride1, stride2), (d1, d2) = (math.prod(dims[slot + 1:]) for slot in slots), (dims[slot1], dims[slot2])
+    rows, cols = m.leaders()
+    k = table[table[group.inverse_table[inv1[rows // stride1 % d1]], inv2[rows // stride2 % d2]], shift]
+
+    def relabelled(x):  # x with its frame-1 index c replaced by p1[p1^-1[c] k]
+        c = x // stride1 % d1
+        return x + (p1[table[inv1[c], k]] - c) * stride1
+
+    return m.read(relabelled(rows), relabelled(cols))
 
 
 def _identity_on(s: Scenario, frame_name: str, other: str, small: np.ndarray) -> np.ndarray:

@@ -44,7 +44,8 @@ r0, so the means are |G| gathers of f_S and one group matmul, with no kinematica
 operand or twirl; other table-held frames take the means of the formed operand.
 Their Dirac defect is 0 by construction, the check's scale is the largest mean, a
 reorientation relabels them, and ``restrict`` and the homomorphism check densify
-each once.  A Lie relational observable is built and kept on its weight
+them one at a time, so no two are kin x kin arrays at once.  A Lie relational
+observable is built and kept on its weight
 blocks, read from |phi><phi| and f_S: checks and probabilities apply them to
 vectors, restrict them on the weight-0 block, where every physical vector lies,
 and read a charge-held U(1) rep's blocks as commuting with its charges by
@@ -251,8 +252,9 @@ class PhysicalSpace:
         vectors have weight 0, so weight blocks are read on their weight-0 block alone: x^dag op_0 x, with
         x = (W^dag B)[sector 0].  A rep with no weight-0 sector has an empty physical space, and the matrix is 0 x 0."""
         b = self.basis.basis
-        if not isinstance(op, reps.WeightBlocks):
-            return dagger(b) @ ((op.dense() if isinstance(op, reps.OrbitMeans) else as_cmatrix(op)) @ b)
+        if not isinstance(op, reps.WeightBlocks):  # F B first, so that gathered means are freed before B^dag is formed
+            fb = (op.dense() if isinstance(op, reps.OrbitMeans) else as_cmatrix(op)) @ b
+            return dagger(b) @ fb
         wb = op.basis
         x = (b if wb.vectors is None else dagger(wb.vectors) @ b)[wb.sectors.get(0, [])]
         return dagger(x) @ op.blocks.get(0, np.zeros((0, 0))) @ x
@@ -567,18 +569,24 @@ def check_weak_homomorphism(
     c_a = dagger(c) @ a @ c  # what the definition clause ties B^dag F_a B to
     a_p, b_p = c @ c_a @ dagger(c), c @ (dagger(c) @ b @ c) @ dagger(c)  # no complement-sized Pi = C C^dag
 
-    def rel(f):  # orbit means densified once: each is restricted and applied to v
-        op = _twirled(s, frame_name, g, f, tol)
+    def rel(f):  # held as built
+        return _twirled(s, frame_name, g, f, tol)
+
+    def dense(op):  # orbit means gathered, so that at most one relational observable is a kin x kin array
         return op.dense() if isinstance(op, reps.OrbitMeans) else op
 
     rng = np.random.default_rng(11)
     v = rng.standard_normal(s.kin_dim) + 1j * rng.standard_normal(s.kin_dim)
     v /= np.linalg.norm(v)
-    f_a, f_b = rel(a_p), rel(b_p)
-    r_a, r_b = ps.restrict(f_a), ps.restrict(f_b)
-    fa_v, fb_v = f_a @ v, f_b @ v
-    fab_v, fba_v = f_a @ fb_v, f_b @ fa_v
-    del f_a, f_b  # the clause loop then holds one relational observable at a time
+    held_a, held_b = rel(a_p), rel(b_p)
+    f = dense(held_a)
+    r_a, fa_v = ps.restrict(f), f @ v
+    del f  # F_b's matrix is then formed without F_a's alive
+    f = dense(held_b)
+    r_b, fb_v, fba_v = ps.restrict(f), f @ v, f @ fa_v
+    del f
+    fab_v = dense(held_a) @ fb_v  # F_a gathered a second time
+    del held_a, held_b  # weight blocks, or dense arrays off the table path, are not kept through the clause loop
     clauses = (  # name, source of the left side (built when its clause runs), right side on B, right side on v
         ("addition", lambda: a_p + b_p, r_a + r_b, fa_v + fb_v),
         ("multiplication", lambda: a_p @ b_p, r_a @ r_b, fab_v),
@@ -587,7 +595,7 @@ def check_weak_homomorphism(
     )
     report: dict = {"frame": frame_name, "weak": {}, "strong": {}}
     for name, source, weak_rhs, strong_rhs in clauses:
-        f = rel(source())
+        f = dense(rel(source()))
         report["weak"][name] = float(np.max(np.linalg.norm(ps.restrict(f) - weak_rhs, axis=0), initial=0.0))
         report["strong"][name] = float(np.linalg.norm(f @ v - strong_rhs))
         del f  # the next clause builds its observable without this one alive

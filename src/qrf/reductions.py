@@ -113,8 +113,11 @@ def schrodinger_inverse(
 
 
 def _check_projector(e: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """``e`` if its Hermiticity and idempotence residuals pass 1e4 tol.weighted(1), floored at the rounding
+    bound of a dim-sized check as the frame input gates are, so a rounded projector passes at tolerance 0."""
     e = as_cmatrix(e)
-    if np.linalg.norm(e - dagger(e)) > 1e4 * tol.weighted(1.0) or np.linalg.norm(e @ e - e) > 1e4 * tol.weighted(1.0):
+    gate = max(1e4 * tol.weighted(1.0), tol.bound(1.0, e.shape[0]))
+    if np.linalg.norm(e - dagger(e)) > gate or np.linalg.norm(e @ e - e) > gate:
         raise ValueError("expected a Hermitian idempotent projector")
     return e
 

@@ -32,7 +32,9 @@ dense matrices gets its table from the observed entries.  The dense
 consumer asks for it.  With a table, the fixed space is spanned by the
 normalised indicators of the index orbits (Burnside: one per orbit), the
 twirl is the mean of the operand over each orbit of index pairs, O(dim^2)
-and independent of |G|, and the constraint operators act by gathers.  Every
+and independent of |G| once the pair labels are cached, and the constraint
+operators act by gathers.  The labels are a running minimum over blocks of
+the table's rows, never a (|G|, dim^2) table of a large rep.  Every
 other finite rep (sign reps, higher-dimensional irreps, tables off by
 rounding) takes the dense paths, the joint kernel and the batched-matmul
 twirl, which are also the tests' oracles for the permutation paths.
@@ -43,7 +45,9 @@ of index pairs, and ``OrbitMeans`` holds it so, the finite counterpart of
 ``_pair_orbits``.  Under a free action (a regular factor) that is dim^2/|G|
 numbers.  ``dense()`` gathers the full matrix, ``@ v`` applies it, and a
 conjugation by an index permutation that commutes with the action relabels
-the means, one read per orbit at the image of its leader pair.
+the means, one read per orbit at the image of its leader pair; ``read``
+takes any invariant operator whose leader entries are known entries of this
+one, such as a relabelling that depends on the row.
 """
 
 from __future__ import annotations
@@ -551,40 +555,55 @@ def isotypic_decompose(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL, seed: int 
 # ---------------------------------------------------------------------------
 
 
+# Pair images per block of the ``_pair_orbits`` minimum: one row of a 512-dim table, most of a 216-dim one.  Not one
+# row throughout: freeing a small table's block raises glibc malloc's dynamic mmap and trim thresholds, without which
+# every kin^2 gather of a warm S3 query is mapped and faulted in afresh (a reorientation query: 0.79 ms, not 0.43).
+PAIR_BLOCK = 2**18
+
+
+def _exact_permutation(mats: np.ndarray) -> np.ndarray | None:
+    """p with m e_j = e_{p[j]} for each matrix m of a stack (..., d, d) whose every entry is exactly 0 or 1 with
+    a single 1 in each row and column, or None if any matrix is not such a permutation matrix."""
+    ones = mats == 1
+    exact = np.all(ones | (mats == 0)) and np.all(ones.sum(axis=-2) == 1) and np.all(ones.sum(axis=-1) == 1)
+    return np.argmax(ones, axis=-2) if exact else None
+
+
 def permutation_table(rep: UnitaryRep) -> np.ndarray | None:
     """(|G|, dim) table sigma with U_g e_j = e_{sigma[g, j]}, or None.
 
-    Not None only for a finite rep whose every entry is exactly 0 or 1 with a
-    single 1 in each row and column: the table a permutation rep was built
-    from, or else read once from the dense matrices and cached on the rep.
+    Not None only for a finite rep whose every matrix is an exact permutation
+    matrix: the table a permutation rep was built from, or else read once from
+    the dense matrices and cached on the rep.
     """
     if not rep.is_finite:
         return None
     if "perm" not in rep._iso_cache:
-        mats = rep.matrices
-        ones = mats == 1
-        exact = (
-            np.all(ones | (mats == 0))
-            and np.all(ones.sum(axis=1) == 1)
-            and np.all(ones.sum(axis=2) == 1)
-        )
-        rep._iso_cache["perm"] = np.argmax(ones, axis=1) if exact else None
+        rep._iso_cache["perm"] = _exact_permutation(rep.matrices)
     return rep._iso_cache["perm"]
 
 
 def _pair_orbits(rep: UnitaryRep) -> tuple[np.ndarray, np.ndarray]:
     """Orbit label of every flat index pair (i, j) under the diagonal action, and orbit sizes.
 
-    The images of the pairs are the table of the tensor square, ``_tensor2(rep, rep)``;
-    labelling each pair by the smallest flat index in its image labels orbits,
-    and labels are then renumbered 0..(#orbits - 1).  Cached on the rep: dim^2
-    ints.  The (|G|, dim^2) table is a transient half the size of the dense
-    stack that ``cli.MAX_REP_BYTES`` bounds.
+    Each pair is labelled by the smallest flat index sigma_g(i) dim + sigma_g(j) of its images, a running
+    minimum over blocks of the rep's table rows, at most ``PAIR_BLOCK`` images or one row at a time, and labels
+    are then renumbered 0..(#orbits - 1) in the order of their leaders, the smallest pair of each orbit.  Cached
+    on the rep: dim^2 ints.  Acting freely or not, a dim^2 >= ``PAIR_BLOCK`` table forms one row of images at a
+    time, never the (|G|, dim^2) table.
     """
     if "pair_orbits" not in rep._iso_cache:
-        low = permutation_table(_tensor2(rep, rep)).min(axis=0)
+        sigma, d = permutation_table(rep), rep.dim
+        step = max(1, PAIR_BLOCK // (d * d))
+        low = np.full(d * d, d * d)
+        for k in range(0, len(sigma), step):
+            rows = sigma[k:k + step]
+            for image in (rows[:, :, None] * d + rows[:, None, :]).reshape(len(rows), -1):
+                np.minimum(low, image, out=low)
         leaders = low == np.arange(low.size)
-        labels = (np.cumsum(leaders) - 1)[low]
+        rank = np.cumsum(leaders)
+        rank -= 1
+        labels = rank[low]
         rep._iso_cache["pair_orbits"] = (labels, np.bincount(labels))
         rep._iso_cache["pair_leaders"] = np.flatnonzero(leaders)  # orbit k's smallest flat pair, in label order
     return rep._iso_cache["pair_orbits"]
@@ -626,12 +645,22 @@ class OrbitMeans:
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.dense() @ v
 
+    def leaders(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column of each orbit's leader pair, its smallest flat pair, in label order."""
+        _pair_orbits(self.rep)
+        return np.divmod(self.rep._iso_cache["pair_leaders"], self.rep.dim)
+
+    def read(self, rows: np.ndarray, cols: np.ndarray) -> OrbitMeans:
+        """Orbit means whose orbit k is this operator's entry (rows[k], cols[k]): an invariant operator held so
+        when it is known to equal these entries at the ``leaders``, one read per orbit."""
+        labels, _ = _pair_orbits(self.rep)
+        return OrbitMeans(self.rep, self.means[labels[rows * self.rep.dim + cols]])
+
     def conjugated(self, q: np.ndarray) -> OrbitMeans:
         """The operator ``dense()[q][:, q]`` for an index permutation q that commutes with the rep's action, so
         that it maps pair orbits to pair orbits: each orbit's mean is read at the image of its leader pair."""
-        labels, _ = _pair_orbits(self.rep)
-        i, j = np.divmod(self.rep._iso_cache["pair_leaders"], self.rep.dim)
-        return OrbitMeans(self.rep, self.means[labels[q[i] * self.rep.dim + q[j]]])
+        i, j = self.leaders()
+        return self.read(q[i], q[j])
 
 
 @dataclass(frozen=True, eq=False)

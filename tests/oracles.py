@@ -457,11 +457,12 @@ def dense_u1_twin(rep):
 
 
 def pair_orbit_labels(sigma):
-    """Orbit labels of the flat index pairs, from their images formed in one (|G|, dim^2) pass."""
+    """Orbit labels of the flat index pairs, the orbit sizes and each orbit's smallest pair, from the pairs'
+    images formed in one (|G|, dim^2) pass: the distinct smallest images, counted and ranked by np.unique."""
     d = sigma.shape[1]
     low = (sigma[:, :, None] * d + sigma[:, None, :]).reshape(len(sigma), -1).min(axis=0)
-    leaders = low == np.arange(d * d)
-    return (np.cumsum(leaders) - 1)[low]
+    leaders, labels, sizes = np.unique(low, return_inverse=True, return_counts=True)
+    return labels, sizes, leaders
 
 
 def perm_group(perms, name):

@@ -545,6 +545,18 @@ def test_check_parses_task_parameters_at_the_qrf_tol_tolerance(tmp_path, monkeyp
         assert capsys.readouterr().err == "config error: tasks[0].projector: expected a Hermitian idempotent projector\n"
 
 
+def test_run_at_tol_zero_accepts_a_rounded_projector(tmp_path, capsys):
+    # the rank-1 projector onto (1, ..., 1)/sqrt(6) on A's 6-dim complement is idempotent only up to rounding
+    v = np.ones(6) / np.sqrt(6)
+    task = {"task": "probabilities", "frame": "A", "projector": {"matrix": np.outer(v, v).tolist()},
+            "state": {"basis_index": 0}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(tasks=[task])))
+    assert cli.main(["run", str(cfg_path), "--tol", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "error" not in report["tasks"][0] and 0.0 <= report["tasks"][0]["results"]["probability"] <= 1.0
+
+
 def test_non_numeric_tolerance_override_is_config_error(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config()))
@@ -1008,6 +1020,20 @@ def test_d4_full_report_never_builds_the_dense_total_rep(monkeypatch):
     assert s.kin_dim == 512 and reps.permutation_table(s.total_rep) is not None
     assert s.total_rep._matrices is None
     assert shapes and all(shape[1] < s.kin_dim for shape in shapes)  # only frame and complement stacks
+
+
+def test_d4_full_report_holds_at_most_one_kinematical_square_array_at_a_time():
+    # one kin x kin complex array is 4 MiB at kin 512; the (|G|, kin^2) int64 pair-image table alone is 16 MiB
+    run(load_config("finite-regular:Z2"))  # numpy's lazy imports are not the report's
+    cfg = load_config("finite-regular:D4")
+    tracemalloc.start()
+    try:
+        report = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["summary"]["checks_failed"] == 0 and report["tasks"][0]["results"]["kin_dim"] == 512
+    assert peak <= 3 * 16 * 512**2, peak / 2**20
 
 
 def test_d4_full_report_never_densifies_a_complement_rep(monkeypatch):

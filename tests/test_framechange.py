@@ -426,6 +426,34 @@ def test_relation_conditional_orbit_rows_match_the_oracle_off_the_identity_seed(
         np.testing.assert_allclose(out.matrix, ref.matrix, rtol=0, atol=1e-13, err_msg=f"modified={modified}")
 
 
+@pytest.mark.parametrize("name", ["Z3", "S3", "D4"])
+@pytest.mark.parametrize("ket", ["identity", "other"])
+def test_held_relation_conditional_reorient_equals_the_dense_orbit_path(name, ket):
+    # basis-ket seeds make both orbit matrices exact permutations; "other" seeds R1 by the last basis ket and R2
+    # by ket 1, whose orbits are non-identity permutations, with R1 between S and R2
+    from oracles import relation_conditional_reorient as oracle
+
+    group = groups.builtin_group(name)
+    n, reg = group.order, reps.regular_rep(group)
+    kets = {"R1": group.identity_index, "R2": group.identity_index} if ket == "identity" else {"R1": n - 1, "R2": 1}
+    fr = {f: (f, frames.make_frame(reg, np.eye(n, dtype=complex)[k], name=f)) for f, k in kets.items()}
+    order = ("R1", "R2", "S") if ket == "identity" else ("S", "R1", "R2")
+    s = perspective.make_scenario(group, [(f, reg) for f in order], fr)
+    if ket == "other":
+        assert not any(np.array_equal(framechange._require_ideal(s.frame(f)), np.eye(n)) for f in kets)
+    rng = np.random.default_rng(45)
+    obs = relational_observable(s, "R1", 1 % n, random_hermitian(rng, n * n))
+    dense_operand = perspective.RelObs(obs.matrix, "R1", obs.orientation, obs.source, s)
+    for modified in (True, False):
+        held = relation_conditional_reorient(s, "R1", 2 % n, "R2", n - 1, obs, modified=modified)
+        dense = relation_conditional_reorient(s, "R1", 2 % n, "R2", n - 1, dense_operand, modified=modified)
+        assert isinstance(held.op, reps.OrbitMeans) and isinstance(dense.op, np.ndarray)
+        np.testing.assert_array_equal(held.op.dense(), dense.op, err_msg=f"modified={modified}")
+        ref = oracle(s, "R1", 2 % n, "R2", n - 1, obs, modified=modified)
+        np.testing.assert_allclose(held.matrix, ref.matrix, rtol=0, atol=1e-12, err_msg=f"modified={modified}")
+        assert held.frame_name == "R2" and held.orientation.index == n - 1
+
+
 def _traced_reorientations(monkeypatch) -> list:
     """Wrap relation_conditional_reorient so each call appends its tracemalloc peak, in kin^2 complex entries."""
     peaks, inner = [], framechange.relation_conditional_reorient
@@ -452,20 +480,25 @@ def _regular_parties(name, parties):
 
 @pytest.mark.parametrize("name, parties", [("D4", 3), ("S3", 3), ("Z4", 4)])
 def test_relation_conditional_reorient_holds_two_kinematical_operators(name, parties, monkeypatch):
-    # the operand's orbit form m and the output, besides one |G|-th of a target; a third kin^2 array reads 3.0
+    # a held operand on identity-ket frames is relabelled as orbit means through index arrays of kin^2/|G|
+    # entries, about four complex ones' worth at once (0.51 kin^2 on D4, 1.01 on Z4); a dense operand takes the
+    # orbit-coordinate path: its orbit form m and the output, besides one |G|-th of a target (a third kin^2 array
+    # reads 3.0)
     s = _regular_parties(name, parties)
     small = random_hermitian(np.random.default_rng(44), s.complement_dim("R1") // s.dims[1])
     peaks = _traced_reorientations(monkeypatch)
     assert framechange.relation_conditional_check(s, "R1", 1, "R2", 2, small).passed
     obs = relational_observable(s, "R1", 1, framechange._identity_on(s, "R1", "R2", small))
     framechange.relation_conditional_reorient(s, "R1", 1, "R2", 2, obs, modified=False)
-    assert len(peaks) == 2 and max(peaks) < 2.5, peaks
+    dense = perspective.RelObs(obs.matrix, "R1", obs.orientation, obs.source, s)
+    framechange.relation_conditional_reorient(s, "R1", 1, "R2", 2, dense, modified=False)
+    assert len(peaks) == 3 and max(peaks[:2]) < 6 / s.group.order and peaks[2] < 2.5, peaks
 
 
 @pytest.mark.parametrize("name", ["D4", "S3"])
 def test_relation_conditional_check_frees_its_operand(name):
-    # warm (caches built): 2.30 (D4) and 2.55 (S3) kin^2, the reorientation's two arrays and one |G|-th of a target,
-    # then ``moved`` beside the difference; the operand and the direct observable are held as orbit means
+    # warm (caches built): 1.41 (D4) and 1.56 (S3) kin^2, the one gathered difference of the held ``moved`` and
+    # direct observable, beside their means; the dense orbit-coordinate path's two kin^2 arrays read 2.30 and 2.55
     s = _regular_parties(name, 3)
     small = random_hermitian(np.random.default_rng(44), s.complement_dim("R1") // s.dims[1])
     assert framechange.relation_conditional_check(s, "R1", 1, "R2", 2, small).passed
@@ -475,7 +508,7 @@ def test_relation_conditional_check_frees_its_operand(name):
         peak = tracemalloc.get_traced_memory()[1] / (16 * s.kin_dim**2)
     finally:
         tracemalloc.stop()
-    assert peak < 4.5, peak
+    assert peak < 2.0, peak
 
 
 # ---------------------------------------------------------------------------

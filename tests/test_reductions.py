@@ -180,6 +180,21 @@ def test_conditional_probability_rejects_non_projector(u1_scenario):
         conditional_probability(ps, "A", [0.0], 0.5 * np.eye(6), kin)
 
 
+def test_projector_gate_passes_a_rounded_projector_at_tolerance_zero():
+    # the projector onto (1, ..., 1)/sqrt(6) has ||e e - e||_F = 3.3e-16 in floating point; the gate is floored at
+    # the rounding bound of a 6-dim check, 6 * 32 eps = 4.3e-14, so tolerance 0 does not reject it
+    from qrf.reductions import _check_projector
+
+    v = np.ones(6) / np.sqrt(6)
+    e = np.outer(v, v)
+    assert np.linalg.norm(e @ e - e) > 0
+    np.testing.assert_array_equal(_check_projector(e, Tolerance(0.0)), e)
+    with pytest.raises(ValueError, match="projector"):
+        _check_projector(e + 1e-12 * np.eye(6), Tolerance(0.0))
+    assert Tolerance(0.0).bound(1.0, 6) < 1e-12 < 1e4 * DEFAULT_TOL.weighted(1.0)
+    _check_projector(e + 1e-12 * np.eye(6), DEFAULT_TOL)  # the default gate is unchanged
+
+
 def test_conditional_probability_rejects_a_mis_scaled_frame():
     # a frame volume off by x1.3 scales both sides of the cross-check alike, so only the range gives it away
     rep_qubit, rep_qutrit = reps.u1_rep([1, -1]), reps.u1_rep([2, 0, -2])

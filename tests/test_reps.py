@@ -352,14 +352,35 @@ def test_pair_rule_matches_the_per_kind_tensor_loops():
         assert np.array_equal(reps.tensor(factors).matrices, kronecker_stack(factors))
 
 
+def _points_rep():
+    """S3 permuting 3 points: a table that does not act freely (each point has a stabiliser of order 2)."""
+    import itertools
+
+    from oracles import symmetric_3
+
+    perms = sorted(itertools.permutations(range(3)))
+    return reps.finite_rep(symmetric_3(), np.stack([np.eye(3)[:, list(p)] for p in perms]))
+
+
 def test_pair_orbits_match_the_one_pass_image_formula():
     from oracles import pair_orbit_labels
 
-    d4 = groups.dihedral_4()
-    rep = reps.tensor([reps.regular_rep(d4)] * 3)
-    labels, sizes = reps._pair_orbits(rep)
-    assert np.array_equal(labels, pair_orbit_labels(reps.permutation_table(rep)))
-    assert sizes.sum() == rep.dim**2
+    d4, z4, points = groups.dihedral_4(), groups.cyclic(4), _points_rep()
+    cases = {
+        "D4^3": reps.tensor([reps.regular_rep(d4)] * 3),
+        "points": points,
+        "points^2": reps.tensor([points, points]),
+        "points x regular": reps.tensor([points, reps.regular_rep(points.group, "right")]),
+        "trivial x D4": reps.tensor([reps.trivial_rep(d4, 2), reps.regular_rep(d4)]),
+        **{f"Z{n}^3": reps.tensor([reps.regular_rep(groups.cyclic(n))] * 3) for n in (2, 5, 7)},
+        "Z4 left x right": reps.tensor([reps.regular_rep(z4, "left"), reps.regular_rep(z4, "right")]),
+    }
+    for name, rep in cases.items():
+        labels, sizes = reps._pair_orbits(rep)
+        want = pair_orbit_labels(reps.permutation_table(rep))
+        for got, ref in zip((labels, sizes, rep._iso_cache["pair_leaders"]), want):
+            assert np.array_equal(got, ref), name
+    assert np.unique(reps._pair_orbits(cases["points^2"])[1]).size > 1  # orbits of unequal sizes: not free
 
 
 def test_group_average_rejects_bad_inputs():

@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""Run the tier-1 tests under a line tracer and print the statements of src/qrf that never ran.
+"""Run the tier-1 tests, or reports, under a line tracer and print the statements of src/qrf that never ran.
 
 Usage: python scripts/uncovered.py [PYTEST_ARG ...]
+       python scripts/uncovered.py --reports [SOURCE ...]
 
 Needs only the standard library (and pytest): ``sys.settrace`` is started
 before qrf is imported, with a local tracer only on frames whose code lies
 under src/qrf, and the tests run in this process through ``pytest.main``
 (default arguments: the tests directory, so the ``not slow`` selection of
-pyproject.toml applies).  A statement ran when any line of it, outside the
+pyproject.toml applies).  With --reports, ``cli.run`` runs each SOURCE (a
+builtin name or a config file) in this process instead; the default sources
+are the 12 builtins and the benchmark's generated configs
+(``run_builtins.bench_configs``, written to a temporary directory), the
+reports of ``scripts/run_builtins.py --bench-configs``, and the exit code is 1
+when a report has a failed check.  A statement ran when any line of it, outside the
 statements nested in it, raised a line event.  Function and class
 definitions, imports, docstrings and ``try`` headers are not counted.
 Subprocesses that the tests start are not traced.  Exits with pytest's code.
@@ -15,6 +21,7 @@ Subprocesses that the tests start are not traced.  Exits with pytest's code.
 
 import ast
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -70,12 +77,29 @@ def statements(path: Path) -> list[tuple[int, set[int]]]:
     return sorted(out, key=lambda s: s[0])
 
 
+def run_reports(sources: list[str]) -> int:
+    """Run each source's report in process: 1 if any check failed, else 0."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import run_builtins  # these import qrf, so only once the tracer runs
+    from qrf import cli
+    from qrf.builtins_config import builtin_names
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sources = sources or builtin_names() + run_builtins.bench_configs(Path(tmp))
+        failed = sum(cli.run(cli.load_config(s))["summary"]["checks_failed"] for s in sources)
+    return int(failed > 0)
+
+
 def main() -> int:
+    args = sys.argv[1:]
     sys.path.insert(0, str(ROOT / "src"))
     threading.settrace(_global)
     sys.settrace(_global)
     try:
-        code = pytest.main(sys.argv[1:] or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"])
+        if args[:1] == ["--reports"]:
+            code = run_reports(args[1:])
+        else:
+            code = pytest.main(args or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"])
     finally:
         sys.settrace(None)
         threading.settrace(None)

@@ -140,8 +140,8 @@ def reorientation_check(
 
 def _distance(moved: RelObs, direct: RelObs) -> float:
     """||F_moved - F_direct||_F.  Two sets of orbit means are subtracted and the difference gathered once; a held
-    ``direct`` is densified into the array that takes the difference, so no third kin x kin array is formed.
-    y - x = -(x - y) exactly, so the norm has the bits of the plain difference."""
+    ``direct`` beside a dense ``moved`` is gathered into the array that takes the difference, so no third kin x kin
+    array is formed.  y - x = -(x - y) exactly, so the norm has the bits of the plain difference."""
     if isinstance(direct.op, np.ndarray):
         return float(np.linalg.norm(moved.matrix - direct.op))
     if isinstance(moved.op, reps.OrbitMeans) and isinstance(direct.op, reps.OrbitMeans):
@@ -190,13 +190,13 @@ def _right_conjugate(dims: list[int], slot: int, v_rep, g, m: np.ndarray | reps.
     When V_R is a permutation rep (the regular frames), this permutes the slot's
     index on both sides of m: one gather, m[q][:, q] with q the inverse permutation.
     V_R commutes with the frame's left action, so q maps pair orbits to pair orbits, and orbit means are
-    relabelled, one read per orbit; otherwise they are densified.
+    relabelled, each orbit read at the image of its leader pair; otherwise they are densified.
     """
     sigma = reps.permutation_table(v_rep)
     if sigma is None:
         return _conjugate_slot(dims, slot, v_rep.evaluate(g), m if isinstance(m, np.ndarray) else m.dense())
     q = slot_view(np.arange(math.prod(dims)), dims, slot)[:, np.argsort(sigma[v_rep.element(g).index])].reshape(-1)
-    return m.conjugated(q) if isinstance(m, reps.OrbitMeans) else m[np.ix_(q, q)]
+    return m[np.ix_(q, q)] if isinstance(m, np.ndarray) else m.read(*(q[k] for k in m.leaders()))
 
 
 def relation_conditional_reorient(

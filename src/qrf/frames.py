@@ -227,8 +227,8 @@ def lr_classify(f: Frame, tol: Tolerance = DEFAULT_TOL) -> tuple[UnitaryRep | No
     """Decide whether the frame admits a commuting right action V_R; cached per tolerance, so treat as read-only.
 
     Exists iff every isotypic block has multiplicity equal to its irrep
-    dimension and the seed is block-wise maximally entangled in the aligned
-    grid basis.  V_R(g)|phi(h)> = |phi(h g^-1)> and the resolution of
+    dimension; the seed of a valid frame is then block-wise maximally entangled
+    (reported per block).  V_R(g)|phi(h)> = |phi(h g^-1)> and the resolution of
     identity then give V_R(g) = Vol twirl(U(g)^-1 |phi><phi|), and its
     derivative at the identity the generators -Vol twirl(K_a |phi><phi|).
     """
@@ -251,9 +251,6 @@ def lr_classify(f: Frame, tol: Tolerance = DEFAULT_TOL) -> tuple[UnitaryRep | No
         target = abs(np.trace(dagger(s) @ s)) / d
         dev = float(np.linalg.norm(dagger(s) @ s - target * np.eye(d)))
         entry["max_entangled_deviation"] = dev
-        if dev > _input_gate(tol, d):
-            report["lr_exists"] = False
-            report["reason"] = f"block {block.label}: seed is not maximally entangled (dev {dev:.3e})"
     f._cache[key] = (_right_action(f, tol) if report["lr_exists"] else None, report)
     return f._cache[key]
 

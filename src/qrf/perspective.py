@@ -43,9 +43,9 @@ regularly, every pair orbit has one member whose first index sits at frame index
 r0, so the means are |G| gathers of f_S and one group matmul, with no kinematical
 operand or twirl; other table-held frames take the means of the formed operand.
 Their Dirac defect is 0 by construction, the check's scale is the largest mean, a
-reorientation relabels them, and ``restrict`` and the homomorphism check densify
-them one at a time, so no two are kin x kin arrays at once.  A Lie relational
-observable is built and kept on its weight
+reorientation relabels them, and ``restrict``, the homomorphism check and the
+probabilities apply them as held, ``@`` in row blocks of the gathered matrix.  A
+Lie relational observable is built and kept on its weight
 blocks, read from |phi><phi| and f_S: checks and probabilities apply them to
 vectors, restrict them on the weight-0 block, where every physical vector lies,
 and read a charge-held U(1) rep's blocks as commuting with its charges by
@@ -99,7 +99,6 @@ __all__ = [
 ]
 Operator = np.ndarray | reps.OrbitMeans | reps.WeightBlocks  # a kinematical operator, as relational observables hold it
 PHYSICAL_GATE = Tolerance(1e-7)  # an input gate for states, not a user tolerance
-DIRAC_BLOCK = 2**14  # entries per row block of the permutation Dirac defect
 
 
 @dataclass
@@ -248,13 +247,12 @@ class PhysicalSpace:
         return tol.check("physical_basis_invariance", worst, 1.0, self.scenario.kin_dim)
 
     def restrict(self, op: Operator) -> np.ndarray:
-        """Matrix B^dag op B of an operator in the physical basis; orbit means are densified once.  Physical
-        vectors have weight 0, so weight blocks are read on their weight-0 block alone: x^dag op_0 x, with
+        """Matrix B^dag (op B) of an operator in the physical basis, an array or orbit means applied as held.
+        Physical vectors have weight 0, so weight blocks are read on their weight-0 block alone: x^dag op_0 x, with
         x = (W^dag B)[sector 0].  A rep with no weight-0 sector has an empty physical space, and the matrix is 0 x 0."""
         b = self.basis.basis
-        if not isinstance(op, reps.WeightBlocks):  # F B first, so that gathered means are freed before B^dag is formed
-            fb = (op.dense() if isinstance(op, reps.OrbitMeans) else as_cmatrix(op)) @ b
-            return dagger(b) @ fb
+        if not isinstance(op, reps.WeightBlocks):
+            return dagger(b) @ (op @ b)
         wb = op.basis
         x = (b if wb.vectors is None else dagger(wb.vectors) @ b)[wb.sectors.get(0, [])]
         return dagger(x) @ op.blocks.get(0, np.zeros((0, 0))) @ x
@@ -265,8 +263,8 @@ class RelObs:
     """Relational Dirac observable: frame-orientation-conditional twirl of f_S.  ``op`` is ``reps.OrbitMeans``
     on a table-held finite rep (one mean per orbit of index pairs), a dense array on any other finite rep, and
     ``reps.WeightBlocks`` for a Lie frame; ``dirac_check`` reads the held forms as they are, ``op @ v`` applies
-    them and ``PhysicalSpace.restrict`` restricts them.  The dense kin x kin ``matrix`` is built on first access
-    (``op`` itself if dense)."""
+    them and ``PhysicalSpace.restrict`` restricts them.  The dense kin x kin ``matrix`` is built on first access,
+    and is ``op`` itself only on a finite rep without a permutation table."""
 
     op: Operator
     frame_name: str
@@ -338,40 +336,24 @@ def schrodinger_map(ps: PhysicalSpace, frame_name: str, g, tol: Tolerance = DEFA
 def strong_dirac_defect(s: Scenario, op: Operator) -> float:
     """Largest ||D op - op D|| over the constraint operators D of the total rep.
 
-    [U_s - 1, op] = [U_s, op], so for a finite group this is the commutator
-    with each generator; with a permutation table it is
-    ||op[sigma_s][:, sigma_s] - op||, by unitary invariance of the Frobenius norm, summed over row blocks.
-    Orbit means on the total rep read exactly 0: their labels are invariant under sigma_s.
-    An exactly diagonal Cartan generator K is commuted entrywise, read from the
-    charges of a charge-held U(1) rep.  Weight blocks of such a rep read exactly 0:
-    each block lies in one charge sector, where K is a multiple of 1.  Other Lie
-    reps' weight blocks are densified.
+    Operators invariant by construction read exactly 0: orbit means on the total rep, whose labels are invariant
+    under the action, and weight blocks of a charge-held U(1) rep, each in one charge sector, where K is a multiple
+    of 1.  A Lie rep with W = 1 commutes its diagonal Cartan generator K entrywise, [K, op]_ij = (k_i - k_j) op_ij
+    with k its weights (a charge-held rep's charges, so no dense generator is built), and any other SU(2)
+    generator by matmul.  Everything else is densified and commuted with ``reps.constraints(rep)``: for a finite
+    group [U_s - 1, op] = [U_s, op] for each generator s.
     """
     rep = s.total_rep
-    if rep.charges is not None:  # [K, op]_ij = (q_i - q_j) op_ij
-        if isinstance(op, reps.WeightBlocks):
-            return 0.0
-        q = rep.charges
-        return float(np.linalg.norm((q[:, None] - q[None, :]) * op))
-    if isinstance(op, reps.OrbitMeans) and op.rep is rep:
+    if isinstance(op, reps.OrbitMeans) and op.rep is rep \
+            or isinstance(op, reps.WeightBlocks) and rep.charges is not None:
         return 0.0
-    op = op if isinstance(op, np.ndarray) else op.dense()
-    sigma = reps.permutation_table(rep)
-    if sigma is not None:  # row blocks of op[sigma_s][:, sigma_s] - op, each a cache-sized gather
-        step, worst = max(1, DIRAC_BLOCK // rep.dim), 0.0
-        for p in sigma[list(rep.group.generators)]:
-            sq = 0.0
-            for r in range(0, rep.dim, step):
-                moved = op[p[r:r + step]].take(p, 1)
-                moved -= op[r:r + step]
-                sq += np.vdot(moved, moved).real
-            worst = max(worst, math.sqrt(sq))
-        return worst
-    gens, worst = reps.constraints(rep), 0.0
-    if not rep.is_finite and reps.weight_basis(rep).vectors is None:  # K = gens[-1] is exactly diagonal
-        k = np.diagonal(gens[-1])  # [K, op]_ij = (k_i - k_j) op_ij
-        gens, worst = gens[:-1], float(np.linalg.norm((k[:, None] - k[None, :]) * op))
-    return max([worst] + [float(np.linalg.norm(d @ op - op @ d)) for d in gens])
+    op, defects = op if isinstance(op, np.ndarray) else op.dense(), []
+    if rep.is_finite or (wb := reps.weight_basis(rep)).vectors is not None:
+        gens = reps.constraints(rep)
+    else:  # W = 1: K, the last generator, is diagonal
+        k, gens = wb.weights, rep.generators[:-1] if rep.group.kind == "SU2" else []
+        defects.append(float(np.linalg.norm((k[:, None] - k[None, :]) * op)))
+    return max(defects + [float(np.linalg.norm(d @ op - op @ d)) for d in gens], default=0.0)
 
 
 def dirac_check(s: Scenario, op: Operator, tol: Tolerance = DEFAULT_TOL) -> Check:
@@ -569,24 +551,16 @@ def check_weak_homomorphism(
     c_a = dagger(c) @ a @ c  # what the definition clause ties B^dag F_a B to
     a_p, b_p = c @ c_a @ dagger(c), c @ (dagger(c) @ b @ c) @ dagger(c)  # no complement-sized Pi = C C^dag
 
-    def rel(f):  # held as built
+    def rel(f):  # held as built, and restricted and applied as held
         return _twirled(s, frame_name, g, f, tol)
-
-    def dense(op):  # orbit means gathered, so that at most one relational observable is a kin x kin array
-        return op.dense() if isinstance(op, reps.OrbitMeans) else op
 
     rng = np.random.default_rng(11)
     v = rng.standard_normal(s.kin_dim) + 1j * rng.standard_normal(s.kin_dim)
     v /= np.linalg.norm(v)
-    held_a, held_b = rel(a_p), rel(b_p)
-    f = dense(held_a)
-    r_a, fa_v = ps.restrict(f), f @ v
-    del f  # F_b's matrix is then formed without F_a's alive
-    f = dense(held_b)
-    r_b, fb_v, fba_v = ps.restrict(f), f @ v, f @ fa_v
-    del f
-    fab_v = dense(held_a) @ fb_v  # F_a gathered a second time
-    del held_a, held_b  # weight blocks, or dense arrays off the table path, are not kept through the clause loop
+    f_a, f_b = rel(a_p), rel(b_p)
+    r_a, fa_v, r_b, fb_v = ps.restrict(f_a), f_a @ v, ps.restrict(f_b), f_b @ v
+    fba_v, fab_v = f_b @ fa_v, f_a @ fb_v
+    del f_a, f_b  # weight blocks, or dense arrays off the table path, are not kept through the clause loop
     clauses = (  # name, source of the left side (built when its clause runs), right side on B, right side on v
         ("addition", lambda: a_p + b_p, r_a + r_b, fa_v + fb_v),
         ("multiplication", lambda: a_p @ b_p, r_a @ r_b, fab_v),
@@ -595,7 +569,7 @@ def check_weak_homomorphism(
     )
     report: dict = {"frame": frame_name, "weak": {}, "strong": {}}
     for name, source, weak_rhs, strong_rhs in clauses:
-        f = dense(rel(source()))
+        f = rel(source())
         report["weak"][name] = float(np.max(np.linalg.norm(ps.restrict(f) - weak_rhs, axis=0), initial=0.0))
         report["strong"][name] = float(np.linalg.norm(f @ v - strong_rhs))
         del f  # the next clause builds its observable without this one alive

@@ -176,8 +176,6 @@ def multi_event_probability(
     s = ps.scenario
     f_e = relational_observable(s, frame_name, g, e, tol, check=False).op
     f_c = relational_observable(s, frame_name, g_cond, e_cond, tol, check=False).op
-    # orbit means are gathered once each: f_c is applied three times
-    f_e, f_c = (f.dense() if isinstance(f, reps.OrbitMeans) else f for f in (f_e, f_c))
     denom = float(np.real(np.vdot(v, f_c @ v)))
     if denom <= 1e4 * tol.weighted(1.0):
         raise ValueError("conditioning event has (numerically) zero probability")

@@ -191,6 +191,31 @@ def test_reorientation_check_on_a_frame_without_a_permutation_table():
     assert check.residual == np.linalg.norm(moved.matrix - direct.matrix)
 
 
+def test_distance_gathers_a_held_direct_beside_a_dense_moved():
+    # R1's seed U e_e, U a random unitary of the right-regular algebra, makes V_R no permutation: both checks then
+    # compare a dense moved observable with a held direct one
+    group = groups.symmetric_3()
+    reg, rng = reps.regular_rep(group), np.random.default_rng(65)
+    h = np.tensordot(rng.standard_normal(6) + 1j * rng.standard_normal(6), reps.regular_rep(group, "right").matrices, 1)
+    vals, vecs = np.linalg.eigh(h + dagger(h))
+    seed = (vecs * np.exp(1j * vals)) @ dagger(vecs)[:, group.identity_index]
+    ket = np.eye(6, dtype=complex)[group.identity_index]
+    s = perspective.make_scenario(group, [("R1", reg), ("R2", reg), ("S", reg)],
+                                  {"R1": ("R1", frames.make_frame(reg, seed, name="R1")),
+                                   "R2": ("R2", frames.make_frame(reg, ket, name="R2"))})
+    f_s, small = random_hermitian(rng, 36), random_hermitian(rng, 6)
+    moved, check = framechange.reorientation_check(s, "R1", 1, 2, f_s)
+    direct = relational_observable(s, "R1", moved.orientation, f_s)
+    assert isinstance(moved.op, np.ndarray) and isinstance(direct.op, reps.OrbitMeans) and check.passed
+    assert check.residual == np.linalg.norm(moved.matrix - direct.matrix)
+    check = framechange.relation_conditional_check(s, "R1", 1, "R2", 2, small)
+    obs1 = relational_observable(s, "R1", 1, framechange._identity_on(s, "R1", "R2", small))
+    moved = framechange.relation_conditional_reorient(s, "R1", 1, "R2", 2, obs1)
+    direct = relational_observable(s, "R2", 2, framechange._identity_on(s, "R2", "R1", small))
+    assert isinstance(moved.op, np.ndarray) and isinstance(direct.op, reps.OrbitMeans) and check.passed
+    assert check.residual == np.linalg.norm(moved.matrix - direct.matrix)
+
+
 def test_reorient_requires_lr(three_spin_scenario):
     rng = np.random.default_rng(24)
     f_s = random_hermitian(rng, 9)

@@ -209,7 +209,8 @@ def test_regular_frame_right_action_is_right_regular():
 @pytest.mark.parametrize("name", ["S3", "D4"])
 def test_covariant_regular_frames_pass_the_maximal_entanglement_gate(name):
     # seed U e_e with U a random unitary of the right-regular algebra: the frame is valid, and every block of its
-    # seed stays below the gate whose failure is lr_classify's "not maximally entangled" branch
+    # seed is maximally entangled to within the input gate, which make_frame's resolution check implies, so
+    # lr_classify decides a right action by multiplicities alone
     group, tol = groups.builtin_group(name), Tolerance()
     right = reps.regular_rep(group, "right").matrices
     rng = np.random.default_rng(48)

@@ -903,3 +903,27 @@ def test_ideal_frame_queries_form_no_kinematical_operand(source, monkeypatch):
         assert isinstance(moved.op, reps.OrbitMeans)
         direct = relational_observable(s, name, moved.orientation, f_s)
         assert np.array_equal(moved.op.means, direct.op.means)
+
+
+@pytest.mark.parametrize("source", ["finite-regular:S3", "finite-regular:D4"])
+def test_held_observables_are_restricted_and_applied_without_a_full_gather(source, monkeypatch):
+    # every library reader applies orbit means through the row-blocked ``@``, never through ``dense()``
+    s = cli.build_scenario(cli.load_config(source))
+    ps = physical_space(s)
+    rng = np.random.default_rng(64)
+
+    def forbidden(self):
+        raise AssertionError("orbit means were densified")
+
+    monkeypatch.setattr(reps.OrbitMeans, "dense", forbidden)
+    psi = ps.basis.basis @ np.ones(ps.dim) / math.sqrt(ps.dim)
+    for name in s.frames:
+        comp = s.complement_dim(name)
+        a, b, f_s = (random_hermitian(rng, comp) for _ in range(3))
+        assert check_weak_homomorphism(s, name, 1, a, b)["weak_check"].passed
+        obs = relational_observable(s, name, 1, f_s, check=True)
+        assert isinstance(obs.op, reps.OrbitMeans) and ps.restrict(obs.op).shape == (ps.dim, ps.dim)
+        e, e_cond = (q @ dagger(q) for q in (np.linalg.qr(rng.standard_normal((comp, comp // 2)))[0]
+                                             for _ in range(2)))
+        assert 0.0 <= reductions.conditional_probability(ps, name, 2, e, psi) <= 1.0
+        assert 0.0 <= reductions.multi_event_probability(ps, name, (e, 2), (e_cond, 3), psi) <= 1.0 + 1e-12

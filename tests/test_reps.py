@@ -383,6 +383,25 @@ def test_pair_orbits_match_the_one_pass_image_formula():
     assert np.unique(reps._pair_orbits(cases["points^2"])[1]).size > 1  # orbits of unequal sizes: not free
 
 
+@pytest.mark.parametrize("case", ["S3^3", "D4^3", "points x regular"])
+def test_row_blocked_orbit_means_apply_equals_the_dense_product(case, monkeypatch):
+    # three rows per block: many blocks, none of one row (a one-row block is a BLAS dot, not bit-equal)
+    points = _points_rep()
+    rep = {"S3^3": reps.tensor([reps.regular_rep(groups.symmetric_3())] * 3),
+           "D4^3": reps.tensor([reps.regular_rep(groups.dihedral_4())] * 3),
+           "points x regular": reps.tensor([points, reps.regular_rep(points.group, "right")])}[case]
+    d, step = rep.dim, 3
+    assert d // step >= 3 and d % step != 1
+    sizes = reps._pair_orbits(rep)[1]
+    monkeypatch.setattr(reps, "PAIR_BLOCK", step * d)
+    rng = np.random.default_rng(63)
+    held = reps.OrbitMeans(rep, rng.standard_normal(sizes.size) + 1j * rng.standard_normal(sizes.size))
+    n_phys = reps.fixed_subspace(rep).dim
+    for x in (rng.standard_normal(d) + 1j * rng.standard_normal(d),
+              rng.standard_normal((d, n_phys)) + 1j * rng.standard_normal((d, n_phys))):
+        assert np.array_equal(held @ x, held.dense() @ x), x.shape
+
+
 def test_group_average_rejects_bad_inputs():
     rep = reps.regular_rep(groups.cyclic(3))
     with pytest.raises(ValueError, match="measure_scale must be positive"):

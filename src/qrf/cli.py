@@ -125,8 +125,6 @@ def _validate_raw(raw: dict) -> ScenarioConfig:
         if not isinstance(sub["rep"], dict):
             raise ConfigError(f"subsystems[{i}].rep: expected an object, got {sub['rep']!r}")
         sub_names.append(sub["name"])
-    if len(set(sub_names)) != len(sub_names):
-        raise ConfigError("subsystem names must be unique")
     for i, fr in enumerate(raw["frames"]):
         if "name" not in fr or "subsystem" not in fr or "seed" not in fr:
             raise ConfigError(f"frames[{i}]: needs 'name', 'subsystem' and 'seed'")
@@ -136,6 +134,9 @@ def _validate_raw(raw: dict) -> ScenarioConfig:
                 f"{fr['subsystem']!r} (have: {', '.join(sub_names)})"
             )
     frame_names = [fr["name"] for fr in raw["frames"]]
+    for kind, names in (("subsystem", sub_names), ("frame", frame_names)):
+        if len(set(names)) != len(names):
+            raise ConfigError(f"{kind} names must be unique")
     for i, task in enumerate(raw["tasks"]):
         if "task" not in task or task["task"] not in _KNOWN_TASKS:
             raise ConfigError(
@@ -170,8 +171,8 @@ def _number(raw: dict, key: str, default, kind):
 def _seed(raw: dict) -> int:
     """The config's PRNG seed: an integral number (a string that reads as one too), never truncated."""
     value = _number(raw, "seed", 0, float)
-    if not value.is_integer():
-        raise ConfigError(f"seed: expected an integer, got {raw['seed']!r}")
+    if not value.is_integer() or value < 0:
+        raise ConfigError(f"seed: expected an integer >= 0, got {raw['seed']!r}")
     return raw["seed"] if type(raw.get("seed")) is int else int(value)
 
 
@@ -289,7 +290,11 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     subsystems = []
     for i, sub in enumerate(cfg.subsystems):
         with _config_errors(f"subsystems[{i}].rep"):
-            subsystems.append((sub["name"], _build_rep(group, sub["rep"], f"subsystems[{i}].rep")))
+            rep = _build_rep(group, sub["rep"], f"subsystems[{i}].rep")
+            # a total weight sums one weight per subsystem: within 2^53 / n each, every sum is an exact float64 integer
+            if not rep.is_finite and np.abs(w := reps.weight_basis(rep).weights).max() > reps.MAX_WEIGHT // len(dims):
+                raise ValueError(f"weights must lie within +-2^53 / {len(dims)} subsystems, got {w}")
+            subsystems.append((sub["name"], rep))
     by_name = dict(subsystems)
     frame_map = {}
     for i, fr in enumerate(cfg.frames):
@@ -604,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config ok: {cfg.name}")
             return 0
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _seed({"seed": args.seed})
         report = run(cfg)
         text = emit(report, args.format)
         if args.out:

@@ -116,12 +116,10 @@ def reorient(s: Scenario, frame_name: str, g, obs: RelObs, tol: Tolerance = DEFA
         raise ValueError("observable was built relative to another frame")
     v_rep = ensure_lr(frame, tol)
     el = frame.rep.element(g)
-    new_orientation = groups.compose(obs.orientation, groups.inverse(el))
     return RelObs(
-        op=_right_conjugate(s.dims, s.frame_slot(frame_name), v_rep, el,
-                            obs.op if isinstance(obs.op, reps.OrbitMeans) else obs.matrix),
+        op=_right_conjugate(s.dims, s.frame_slot(frame_name), v_rep, el, obs.op),
         frame_name=frame_name,
-        orientation=new_orientation,
+        orientation=groups.compose(obs.orientation, groups.inverse(el)),
         source=obs.source,
         scenario=s,
     )
@@ -131,22 +129,21 @@ def reorientation_check(
     s: Scenario, frame_name: str, g1, g, f_s: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[RelObs, Check]:
     """Reorient F_{f_S}(g1) by g; return it and the check that it is F_{f_S} built at the new orientation."""
-    obs = relational_observable(s, frame_name, g1, f_s, tol)
-    moved = reorient(s, frame_name, g, obs, tol)
+    moved = reorient(s, frame_name, g, relational_observable(s, frame_name, g1, f_s, tol), tol)
     direct = relational_observable(s, frame_name, moved.orientation, f_s, tol)
-    resid = _distance(moved, direct)
-    return moved, tol.check("reorientation_orbit", resid, float(np.abs(f_s).max(initial=0.0)), s.kin_dim)
+    return moved, tol.check("reorientation_orbit", _distance(moved, direct), float(np.abs(f_s).max(initial=0.0)),
+                            s.kin_dim)
 
 
 def _distance(moved: RelObs, direct: RelObs) -> float:
-    """||F_moved - F_direct||_F.  Two sets of orbit means are subtracted and the difference gathered once; a held
+    """||F_moved - F_direct||_F.  Two held observables are subtracted as held and the difference gathered once; a held
     ``direct`` beside a dense ``moved`` is gathered into the array that takes the difference, so no third kin x kin
     array is formed.  y - x = -(x - y) exactly, so the norm has the bits of the plain difference."""
     if isinstance(direct.op, np.ndarray):
         return float(np.linalg.norm(moved.matrix - direct.op))
-    if isinstance(moved.op, reps.OrbitMeans) and isinstance(direct.op, reps.OrbitMeans):
-        return float(np.linalg.norm(reps.OrbitMeans(direct.op.rep, direct.op.means - moved.op.means).dense()))
-    diff = direct.op.dense()
+    if not isinstance(moved.op, np.ndarray):
+        return float(np.linalg.norm(densify(direct.op - moved.op)))
+    diff = densify(direct.op)
     diff -= moved.matrix
     return float(np.linalg.norm(diff))
 
@@ -194,7 +191,7 @@ def _right_conjugate(dims: list[int], slot: int, v_rep, g, m: np.ndarray | reps.
     """
     sigma = reps.permutation_table(v_rep)
     if sigma is None:
-        return _conjugate_slot(dims, slot, v_rep.evaluate(g), m if isinstance(m, np.ndarray) else m.dense())
+        return _conjugate_slot(dims, slot, v_rep.evaluate(g), densify(m))
     q = slot_view(np.arange(math.prod(dims)), dims, slot)[:, np.argsort(sigma[v_rep.element(g).index])].reshape(-1)
     return m[np.ix_(q, q)] if isinstance(m, np.ndarray) else m.read(*(q[k] for k in m.leaders()))
 
@@ -245,9 +242,9 @@ def relation_conditional_reorient(
     shift = group.mult(group.inverse(g2_el.index), anchor)  # a target's k is g' shift
     family = obs.family if modified else None
     perms = [reps._exact_permutation(orbit) for orbit in (orbit1, orbit2)]
-    if family is None and isinstance(obs.op, reps.OrbitMeans) and all(p is not None for p in perms):
-        op = _held_targets(s.dims, (slot1, slot2), perms, group, shift, obs.op)
-        return RelObs(op=op, frame_name=frame2, orientation=g2_el, source=obs.source, scenario=s)
+    if family is None and not isinstance(obs.op, np.ndarray) and all(p is not None for p in perms):
+        return RelObs(op=_held_targets(s.dims, (slot1, slot2), perms, group, shift, obs.op), frame_name=frame2,
+                      orientation=g2_el, source=obs.source, scenario=s)
 
     def to_orbits(a):  # (O1 x O2)^dag a (O1 x O2), one slot and side at a time; rebinding a frees each step's input
         for slot, orbit in ((slot1, orbit1), (slot2, orbit2)):
@@ -256,7 +253,7 @@ def relation_conditional_reorient(
             a = (orbit.T @ slot_view(a, [s.kin_dim] + s.dims, slot + 1)).reshape(a.shape)
         return a
 
-    m = None if family is not None else to_orbits(obs.op if isinstance(obs.op, np.ndarray) else obs.op.dense())
+    m = None if family is not None else to_orbits(densify(obs.op))
     labels = np.unravel_index(np.arange(s.kin_dim), s.dims)  # each row's index on every slot: its orbit labels
     out = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
     for gp in group.elements():
@@ -310,14 +307,15 @@ def relation_conditional_check(
     """The modified relation-conditional reorientation maps F_{f,R1}(g1) to F_{f,R2}(g2).
 
     f is ``small`` on the systems besides the two frames, with the identity on
-    the other frame, so it is the same system observable relative to either.
+    the other frame, so it is the same system observable relative to either.  The operand lives only through the
+    reorientation, so the direct observable's construction holds ``moved`` beside it, not the operand too.
     """
-    obs1 = relational_observable(s, frame1, g1, _identity_on(s, frame1, frame2, small), tol)
-    moved = relation_conditional_reorient(s, frame1, g1, frame2, g2, obs1, True, tol)
-    del obs1  # the direct observable's construction then holds ``moved`` beside it, not the operand too
+    moved = relation_conditional_reorient(
+        s, frame1, g1, frame2, g2, relational_observable(s, frame1, g1, _identity_on(s, frame1, frame2, small), tol),
+        True, tol)
     direct = relational_observable(s, frame2, g2, _identity_on(s, frame2, frame1, small), tol)
-    resid = _distance(moved, direct)
-    return tol.check("relation_conditional_reorient", resid, float(np.abs(small).max(initial=0.0)), s.kin_dim)
+    return tol.check("relation_conditional_reorient", _distance(moved, direct), float(np.abs(small).max(initial=0.0)),
+                     s.kin_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,7 @@ def as_cvector(v: np.ndarray) -> np.ndarray:
 
 
 def dagger(m):
-    if isinstance(m, Monomial):
-        return m.dagger()
-    return np.conj(np.asarray(m)).T
+    return m.dagger() if isinstance(m, Monomial) else np.conj(np.asarray(m)).T
 
 
 def random_hermitian(rng, dim: int) -> np.ndarray:
@@ -112,8 +110,9 @@ def random_hermitian(rng, dim: int) -> np.ndarray:
 
 
 def densify(m) -> np.ndarray:
-    """``m`` as a dense array: a ``Monomial`` is scattered into one, an array is returned as it is."""
-    return m.dense() if isinstance(m, Monomial) else m
+    """``m`` as a dense array: an array is returned as it is, and any held form (a ``Monomial``, or a held
+    relational observable of ``reps``) is built by its own ``dense()``."""
+    return m if isinstance(m, np.ndarray) else m.dense()
 
 
 @dataclass(frozen=True, eq=False)

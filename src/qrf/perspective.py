@@ -37,19 +37,12 @@ contraction; ``physical_system_span``, ``product_form_check`` and the
 relativity step's target blocks densify C_e.
 ``PhysicalSpace.restrict`` is the one restriction, B^dag F B;
 the homomorphism check reads every clause through it and ties it to
-C_g^dag f_S C_g.  A finite relational observable on a table-held rep is held by
-its pair-orbit means (``reps.OrbitMeans``).  On an ideal frame, whose rep acts
+C_g^dag f_S C_g.  Relational observables are held as ``reps`` describes, and
+every reader here asks the held form itself.  On an ideal frame, whose rep acts
 regularly, every pair orbit has one member whose first index sits at frame index
-r0, so the means are |G| gathers of f_S and one group matmul, with no kinematical
-operand or twirl; other table-held frames take the means of the formed operand.
-Their Dirac defect is 0 by construction, the check's scale is the largest mean, a
-reorientation relabels them, and ``restrict``, the homomorphism check and the
-probabilities apply them as held, ``@`` in row blocks of the gathered matrix.  A
-Lie relational observable is built and kept on its weight
-blocks, read from |phi><phi| and f_S: checks and probabilities apply them to
-vectors, restrict them on the weight-0 block, where every physical vector lies,
-and read a charge-held U(1) rep's blocks as commuting with its charges by
-construction; ``RelObs.matrix`` densifies them.
+r0, so the orbit means are |G| gathers of f_S and one group matmul, with no
+kinematical operand or twirl; a Lie observable's weight blocks are read from
+|phi><phi| and f_S.
 """
 
 from __future__ import annotations
@@ -247,24 +240,15 @@ class PhysicalSpace:
         return tol.check("physical_basis_invariance", worst, 1.0, self.scenario.kin_dim)
 
     def restrict(self, op: Operator) -> np.ndarray:
-        """Matrix B^dag (op B) of an operator in the physical basis, an array or orbit means applied as held.
-        Physical vectors have weight 0, so weight blocks are read on their weight-0 block alone: x^dag op_0 x, with
-        x = (W^dag B)[sector 0].  A rep with no weight-0 sector has an empty physical space, and the matrix is 0 x 0."""
+        """Matrix B^dag (op B) of an operator in the physical basis; a held operator restricts itself."""
         b = self.basis.basis
-        if not isinstance(op, reps.WeightBlocks):
-            return dagger(b) @ (op @ b)
-        wb = op.basis
-        x = (b if wb.vectors is None else dagger(wb.vectors) @ b)[wb.sectors.get(0, [])]
-        return dagger(x) @ op.blocks.get(0, np.zeros((0, 0))) @ x
+        return dagger(b) @ (op @ b) if isinstance(op, np.ndarray) else op.restrict(b)
 
 
 @dataclass
 class RelObs:
-    """Relational Dirac observable: frame-orientation-conditional twirl of f_S.  ``op`` is ``reps.OrbitMeans``
-    on a table-held finite rep (one mean per orbit of index pairs), a dense array on any other finite rep, and
-    ``reps.WeightBlocks`` for a Lie frame; ``dirac_check`` reads the held forms as they are, ``op @ v`` applies
-    them and ``PhysicalSpace.restrict`` restricts them.  The dense kin x kin ``matrix`` is built on first access,
-    and is ``op`` itself only on a finite rep without a permutation table."""
+    """Relational Dirac observable: frame-orientation-conditional twirl of f_S.  ``op`` is held as ``reps``
+    describes; the dense kin x kin ``matrix`` is built on first access, and is ``op`` itself when it is an array."""
 
     op: Operator
     frame_name: str
@@ -275,7 +259,7 @@ class RelObs:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return self.op if isinstance(self.op, np.ndarray) else self.op.dense()
+        return densify(self.op)
 
 
 def physical_space(s: Scenario, tol: Tolerance = DEFAULT_TOL) -> PhysicalSpace:
@@ -336,18 +320,15 @@ def schrodinger_map(ps: PhysicalSpace, frame_name: str, g, tol: Tolerance = DEFA
 def strong_dirac_defect(s: Scenario, op: Operator) -> float:
     """Largest ||D op - op D|| over the constraint operators D of the total rep.
 
-    Operators invariant by construction read exactly 0: orbit means on the total rep, whose labels are invariant
-    under the action, and weight blocks of a charge-held U(1) rep, each in one charge sector, where K is a multiple
-    of 1.  A Lie rep with W = 1 commutes its diagonal Cartan generator K entrywise, [K, op]_ij = (k_i - k_j) op_ij
-    with k its weights (a charge-held rep's charges, so no dense generator is built), and any other SU(2)
-    generator by matmul.  Everything else is densified and commuted with ``reps.constraints(rep)``: for a finite
-    group [U_s - 1, op] = [U_s, op] for each generator s.
+    A held form that is invariant on the rep by construction reads exactly 0.  A Lie rep with W = 1 commutes its
+    diagonal Cartan generator K entrywise, [K, op]_ij = (k_i - k_j) op_ij with k its weights (a charge-held rep's
+    charges, so no dense generator is built), and any other SU(2) generator by matmul.  Everything else is
+    densified and commuted with ``reps.constraints(rep)``: for a finite group [U_s - 1, op] = [U_s, op].
     """
     rep = s.total_rep
-    if isinstance(op, reps.OrbitMeans) and op.rep is rep \
-            or isinstance(op, reps.WeightBlocks) and rep.charges is not None:
+    if not isinstance(op, np.ndarray) and op.invariant_on(rep):
         return 0.0
-    op, defects = op if isinstance(op, np.ndarray) else op.dense(), []
+    op, defects = densify(op), []
     if rep.is_finite or (wb := reps.weight_basis(rep)).vectors is not None:
         gens = reps.constraints(rep)
     else:  # W = 1: K, the last generator, is diagonal
@@ -357,13 +338,9 @@ def strong_dirac_defect(s: Scenario, op: Operator) -> float:
 
 
 def dirac_check(s: Scenario, op: Operator, tol: Tolerance = DEFAULT_TOL) -> Check:
-    """The strong Dirac defect of a kinematical operator, at the scale of its largest entry.  Orbit means give
-    the scale from the means, every one an entry, and weight blocks of a charge-held U(1) rep block by block;
-    both read the defect 0.  Weight blocks of any other Lie rep are densified first."""
-    op = op.dense() if isinstance(op, reps.WeightBlocks) and s.total_rep.charges is None else op
-    blocks = (op.blocks.values() if isinstance(op, reps.WeightBlocks)
-              else [op.means] if isinstance(op, reps.OrbitMeans) else [op])
-    scale = max(float(np.abs(b).max(initial=0.0)) for b in blocks)
+    """The strong Dirac defect of a kinematical operator, at the scale of its largest entry, which a held
+    operator reads itself (``reps``)."""
+    scale = float(np.abs(op).max(initial=0.0)) if isinstance(op, np.ndarray) else op.largest_entry()
     return tol.check("dirac_commutation", strong_dirac_defect(s, op), scale, s.kin_dim)
 
 

@@ -39,15 +39,19 @@ other finite rep (sign reps, higher-dimensional irreps, tables off by
 rounding) takes the dense paths, the joint kernel and the batched-matmul
 twirl, which are also the tests' oracles for the permutation paths.
 
-A G-invariant operator on a table-held rep is fixed by one number per orbit
-of index pairs, and ``OrbitMeans`` holds it so, the finite counterpart of
-``WeightBlocks``: entry (i, j) is ``means[label(i, j)]`` with the labels of
-``_pair_orbits``.  Under a free action (a regular factor) that is dim^2/|G|
-numbers.  ``@ v`` applies it from row blocks of the gathered matrix, and
-``dense()`` gathers all of it.  ``read`` takes any invariant operator whose
-leader entries are known entries of this one, one read per orbit: a
-conjugation by an index permutation that commutes with the action reads each
-orbit at the image of its leader pair.
+A relational observable is held in the form its rep's path gives: on a
+table-held rep by one mean per orbit of index pairs (``OrbitMeans``: entry
+(i, j) is ``means[label(i, j)]``, dim^2/|G| numbers under a free action), on
+a Lie rep by its weight blocks (``WeightBlocks``), else as a dense array,
+every reader's default.  A held form answers its readers itself, so none
+names it: ``dense()`` builds the matrix (for ``linalg.densify``), ``@ v``
+applies it, ``restrict(B)`` is B^dag op B for physical columns B,
+``largest_entry()`` is the Dirac check's scale, and ``invariant_on(rep)``
+says it commutes with rep's constraints by construction: orbit means on
+their own rep, weight blocks on a charge-held rep (each block lies in one
+charge sector).  Orbit means on one rep subtract as orbit means, and
+``OrbitMeans.read`` relabels them by an index permutation that commutes with
+the action, one read per orbit at the image of its leader pair.
 """
 
 from __future__ import annotations
@@ -162,6 +166,11 @@ class UnitaryRep:
         return identity_of(self.group)
 
 
+# Integers beyond 2^53 are not all float64 numbers, so a weight past it is not exact in a dense generator, nor is
+# its integrality; casting a much larger one to int would wrap.
+MAX_WEIGHT = 2**53
+
+
 def _check_unitary(m: np.ndarray, tol: Tolerance, what: str) -> None:
     d = m.shape[0]
     if np.linalg.norm(dagger(m) @ m - np.eye(d)) > 1e3 * tol.weighted(1.0) * d:
@@ -227,7 +236,7 @@ def lie_rep(desc: LieDescriptor, generators, tol: Tolerance = DEFAULT_TOL) -> Un
             if np.linalg.norm(comm - want) > 1e-6 * scale * scale * dim:
                 raise ValueError(f"bracket relation violated for generators ({a}, {b})")
     q = np.diagonal(gens[-1])
-    if desc.kind == "U1" and _is_diagonal(gens[-1]) and np.array_equal(q, np.round(q.real)):
+    if desc.kind == "U1" and _is_diagonal(gens[-1]) and np.array_equal(q, np.round(q.real)) and scale <= MAX_WEIGHT:
         return UnitaryRep(group=desc, dim=dim, charges=q.real.astype(int))
     rep = UnitaryRep(group=desc, dim=dim, generators=gens)
     weight_basis(rep)  # compact groups need integral weights; fail early
@@ -278,6 +287,8 @@ def weight_basis(rep: UnitaryRep) -> WeightBasis:
         weights = np.round(vals)
         if np.max(np.abs(vals - weights), initial=0.0) > 1e-6:
             raise ValueError(f"{rep.group.kind} weight spectrum must be integral, got {vals}")
+        if np.max(np.abs(weights), initial=0.0) > MAX_WEIGHT:
+            raise ValueError(f"{rep.group.kind} weights must lie within +-2^53, got {vals}")
         weights = weights.astype(int)
         sectors = {int(w): np.flatnonzero(weights == w) for w in np.unique(weights)}
         rep._iso_cache["weights"] = WeightBasis(weights, vecs, sectors)
@@ -286,8 +297,7 @@ def weight_basis(rep: UnitaryRep) -> WeightBasis:
 
 def u1_rep(charges) -> UnitaryRep:
     """Diagonal U(1) representation with the given integer charges."""
-    q = np.asarray(charges, dtype=float)
-    return lie_rep(u1(), np.diag(q)[None, :, :])
+    return lie_rep(u1(), np.diag(np.asarray(charges, dtype=float))[None])
 
 
 def _spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -632,11 +642,9 @@ def _finite_twirl(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OrbitMeans:
-    """A G-invariant operator on a table-held finite rep, held by one mean per orbit of index pairs: its entry
-    (i, j) is ``means[label(i, j)]``, with the labels of ``_pair_orbits``.  ``dense()`` gathers the matrix, and
-    ``@ v`` applies it to a vector or to each column of a matrix, gathered in row blocks of at most ``PAIR_BLOCK``
-    entries or one row: bit-equal to ``dense() @ v`` when every block has two rows or more (one block up to dim
-    512), while a one-row block is a BLAS dot, which may differ in the last bit."""
+    """A G-invariant operator on a table-held finite rep by its pair-orbit means (the module's held protocol).
+    ``@ v`` gathers the matrix in row blocks of at most ``PAIR_BLOCK`` entries or one row: bit-equal to
+    ``dense() @ v`` when every block has two rows or more (one block up to dim 512); a one-row block is a BLAS dot."""
 
     rep: UnitaryRep
     means: np.ndarray
@@ -652,6 +660,18 @@ class OrbitMeans:
             out[r:r + step] = self.means[labels[r * d:(r + step) * d]].reshape(-1, d) @ v
         return out
 
+    def __sub__(self, other: OrbitMeans) -> OrbitMeans:
+        return OrbitMeans(self.rep, self.means - other.means)  # both on self.rep: the same labels
+
+    def restrict(self, b: np.ndarray) -> np.ndarray:
+        return dagger(b) @ (self @ b)
+
+    def largest_entry(self) -> float:
+        return float(np.abs(self.means).max(initial=0.0))  # every mean is an entry
+
+    def invariant_on(self, rep: UnitaryRep) -> bool:
+        return self.rep is rep  # the labels are orbits of this rep's action
+
     def leaders(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column of each orbit's leader pair, its smallest flat pair, in label order."""
         _pair_orbits(self.rep)
@@ -666,8 +686,8 @@ class OrbitMeans:
 
 @dataclass(frozen=True, eq=False)
 class WeightBlocks:
-    """An operator block-diagonal in a Lie rep's weights: ``blocks[w]`` acts on ``basis.sectors[w]`` in weight
-    coordinates.  ``@ v`` applies W (+)_w B_w W^dag v without building it; ``dense()`` builds it."""
+    """An operator block-diagonal in a Lie rep's weights (the module's held protocol): ``blocks[w]`` acts on
+    ``basis.sectors[w]`` in weight coordinates, and ``@ v`` applies W (+)_w B_w W^dag v without building it."""
 
     basis: WeightBasis
     blocks: dict
@@ -685,6 +705,18 @@ class WeightBlocks:
         for w, idx in self.basis.sectors.items():
             out[np.ix_(idx, idx)] = self.blocks[w]
         return self.basis.back(out)
+
+    def restrict(self, b: np.ndarray) -> np.ndarray:
+        """Physical columns b have weight 0 and see the weight-0 block alone: x^dag B_0 x, x = (W^dag b)[sector 0]."""
+        x = (b if self.basis.vectors is None else dagger(self.basis.vectors) @ b)[self.basis.sectors.get(0, [])]
+        return dagger(x) @ self.blocks.get(0, np.zeros((0, 0))) @ x
+
+    def largest_entry(self) -> float:  # with W = 1 every entry off the blocks is 0
+        return max((float(np.abs(b).max(initial=0.0))
+                    for b in (self.blocks.values() if self.basis.vectors is None else [self.dense()])), default=0.0)
+
+    def invariant_on(self, rep: UnitaryRep) -> bool:
+        return rep.charges is not None  # each block is in one charge sector, where K is a multiple of 1
 
     @staticmethod
     def of(wb: WeightBasis, a: np.ndarray) -> WeightBlocks:

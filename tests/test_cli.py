@@ -12,7 +12,7 @@ import pytest
 from conftest import u1_qubits_config
 import qrf
 from qrf import cli, framechange, perspective
-from qrf.builtins_config import builtin_names
+from qrf.builtins_config import builtin_config, builtin_names
 from qrf.cli import ConfigError, emit, load_config, parse_config, parse_tasks, run
 from qrf.report import full_report
 
@@ -222,8 +222,6 @@ def test_reduce_and_probability_tasks():
 
 def test_spin1_builtin_configs_match_their_literals():
     from oracles import SU2_FOUR, SU2_THREE
-
-    from qrf.builtins_config import builtin_config
 
     assert builtin_config("su2-three-spin1") == SU2_THREE
     assert builtin_config("su2-four-spin1") == SU2_FOUR
@@ -573,6 +571,7 @@ def _seed_config(seed):
     return small_config(frames=[{"name": "A", "subsystem": "A", "seed": seed}])
 
 
+_U1_QQQ = builtin_config("u1-qubit-qubit-qutrit")
 _CONFIG_ERRORS = {  # case: (config text, message); every one is found by parse_config or build_scenario
     "not an object": ("[1]", "config must be a JSON object"),
     "no group": ("{}", "config is missing the 'group' field"),
@@ -617,6 +616,9 @@ _CONFIG_ERRORS = {  # case: (config text, message); every one is found by parse_
                           "subsystems[0].rep.matrices[0]: expected a matrix as a list of rows"),
     "unknown task": (small_config(tasks=[{"task": "nope"}]),
                      f"tasks[0]: unknown task 'nope' (known: {', '.join(cli._KNOWN_TASKS)})"),
+    "duplicate frames": (dict(_U1_QQQ, frames=_U1_QQQ["frames"] + _U1_QQQ["frames"][:1]),  # frame A twice
+                         "frame names must be unique"),
+    "negative seed": (small_config(seed=-1), "seed: expected an integer >= 0, got -1"),
 }
 
 
@@ -628,6 +630,29 @@ def test_config_mistakes_exit_2_with_their_message(case, command, tmp_path, caps
     cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
     assert cli.main([command, str(cfg_path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("charges, message", [
+    ([1e30, 1], "U1 weights must lie within +-2^53"),  # cast to int, it would wrap to -2^63
+    ([10**20, 1], "U1 weights must lie within +-2^53"),
+    ([2**62, -2**62], "U1 weights must lie within +-2^53"),  # exact in int64, but the sums of three overflow
+    ([2**52, 1], "weights must lie within +-2^53 / 3 subsystems"),  # each sum exact, but not in float64
+])
+def test_huge_charges_are_config_errors(charges, message, command, tmp_path, capsys):
+    raw = json.loads(json.dumps(_U1_QQQ))  # a copy: the builtin table is shared
+    raw["subsystems"][0]["rep"] = {"u1_charges": charges}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main([command, str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: subsystems[0].rep: {message}, got [")
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    assert cli.main(["run", str(cfg_path), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: seed: expected an integer >= 0, got -1\n"
 
 
 _HUGE_SPIN = small_config(group={"builtin": "su2"}, subsystems=[{"name": "A", "rep": {"spin_j": 1e9}}], frames=[])
@@ -737,8 +762,6 @@ def test_predicted_dims_match_the_built_reps():
 
 
 def _builtin_with_tasks(name, tasks):
-    from qrf.builtins_config import builtin_config
-
     return dict(builtin_config(name), tasks=tasks)
 
 

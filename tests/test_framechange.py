@@ -834,3 +834,40 @@ def test_overlap_dim_matches_union_rank_on_planted_subspaces(planted):
     q2 = orth(np.hstack([shared, rng.standard_normal((40, 6 - planted)) + 1j * rng.standard_normal((40, 6 - planted))]))
     for a, b in ((q1, q2), (q2, q1)):
         assert framechange._overlap_dim(a, b, DEFAULT_TOL) == _union_overlap(a, b) == planted
+
+
+def test_reorientations_reject_operands_of_another_frame(z3_regular_scenario):
+    s = z3_regular_scenario
+    obs = relational_observable(s, "R2", 0, random_hermitian(np.random.default_rng(66), s.complement_dim("R2")))
+    with pytest.raises(ValueError, match="observable was built relative to another frame"):
+        reorient(s, "R1", 1, obs)
+    with pytest.raises(ValueError, match="needs two distinct frames"):
+        relation_conditional_reorient(s, "R2", 0, "R2", 1, obs)
+    with pytest.raises(ValueError, match="operand must be a relational observable relative to the first frame"):
+        relation_conditional_reorient(s, "R1", 0, "R2", 1, obs)
+
+
+@pytest.mark.parametrize("fixture, frame", [("u1_scenario", "A"), ("z3_regular_scenario", "R1")])
+def test_tautological_observables_need_one_value_per_finite_element(fixture, frame, request):
+    with pytest.raises(ValueError, match="need one value per group element of a finite frame"):
+        tautological_relobs(request.getfixturevalue(fixture), frame, 0, [1.0, 2.0])
+
+
+def test_relativity_rejects_a_target_on_the_frame(z3_regular_scenario):
+    s = z3_regular_scenario
+    with pytest.raises(ValueError, match="target subsystem coincides with the frame"):
+        framechange.restricted_unit_family(s, physical_space(s), "R1", s.frame_slot("R1"))
+
+
+def test_relativity_needs_a_physical_space_and_a_system():
+    rep = reps.u1_rep([2, 1])  # equal positive charges on both: no invariant state
+    f = {n: frames.make_frame(rep, np.ones(2) / np.sqrt(2), name=n) for n in "AB"}
+    empty = perspective.make_scenario(groups.u1(), [("A", rep), ("B", rep)], {n: (n, f[n]) for n in "AB"})
+    with pytest.raises(ValueError, match="empty physical space"):
+        subsystem_relativity_report(empty, "A", "B")
+    z2 = groups.cyclic(2)
+    reg, seed = reps.regular_rep(z2), np.array([1.0, 0.0])
+    pair = perspective.make_scenario(z2, [("R1", reg), ("R2", reg)],
+                                     {n: (n, frames.make_frame(reg, seed, name=n)) for n in ("R1", "R2")})
+    with pytest.raises(ValueError, match="need a system subsystem besides the two frames"):
+        subsystem_relativity_report(pair, "R1", "R2")

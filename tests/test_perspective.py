@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -185,6 +187,13 @@ def test_charge_held_dirac_defect_and_h_average_equal_the_dense_oracles():
     h = groups.Subgroup(parent=groups.u1(), algebra_basis=((1.0,),))
     assert np.array_equal(h_average(f_s, h, comp), h_average(f_s, h, dense_comp))
     assert s.total_rep._generators is None and comp._generators is None
+
+
+def test_h_average_rejects_an_observable_of_another_dimension():
+    g = groups.cyclic(2)
+    h = groups.Subgroup(parent=g, element_indices=(0, 1))
+    with pytest.raises(ValueError, match="observable does not act on the system representation"):
+        h_average(np.eye(3), h, reps.regular_rep(g))
 
 
 def test_h_average_rejects_unsupported_type():
@@ -571,6 +580,10 @@ def test_scenario_validation_errors():
         perspective.make_scenario(groups.u1(), [("A", rep)], {"X": ("Nope", f)})
     with pytest.raises(ValueError, match="unique"):
         perspective.make_scenario(groups.u1(), [("A", rep), ("A", rep)])
+    with pytest.raises(ValueError, match="subsystem 'A' does not carry the scenario group"):
+        perspective.make_scenario(groups.su2(), [("A", rep)])
+    with pytest.raises(ValueError, match="frame 'X' dimension does not match subsystem 'A'"):
+        perspective.make_scenario(groups.u1(), [("A", reps.u1_rep([2, 0, -2]))], {"X": ("A", f)})
 
 
 def test_gathered_strong_dirac_defect_matches_dense_commutators(s3_regular_scenario):
@@ -927,3 +940,51 @@ def test_held_observables_are_restricted_and_applied_without_a_full_gather(sourc
                                              for _ in range(2)))
         assert 0.0 <= reductions.conditional_probability(ps, name, 2, e, psi) <= 1.0
         assert 0.0 <= reductions.multi_event_probability(ps, name, (e, 2), (e_cond, 3), psi) <= 1.0 + 1e-12
+
+
+def _held_isinstance_calls(src_dir):
+    """(file, line) of every isinstance call in ``src_dir`` that names a held class, outside the class bodies."""
+    held, found = {"OrbitMeans", "WeightBlocks"}, []
+    for path in sorted(pathlib.Path(src_dir).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name in held] \
+            if path.name == "reps.py" else []
+        inside = {id(n) for body in own for n in ast.walk(body)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
+                    and id(node) not in inside and len(node.args) == 2 \
+                    and {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])} & held:
+                found.append((path.name, node.lineno))
+    return found
+
+
+def test_no_reader_names_a_held_class():
+    # the held forms answer their readers themselves (the protocol of ``reps``), so no reader branches on them
+    assert _held_isinstance_calls(pathlib.Path(perspective.__file__).parent) == []
+
+
+@pytest.mark.parametrize("source", ["finite-regular:S3", "finite-regular:D4", "u1-qubit-qubit-qutrit",
+                                    "su2-three-spin1"])
+def test_held_forms_answer_as_their_dense_matrix(source):
+    from oracles import strong_dirac_defect
+
+    s = cli.build_scenario(cli.load_config(source))
+    b = physical_space(s).basis.basis
+    rng = np.random.default_rng(65)
+    for name in s.frames:
+        frame = s.frame(name)
+        for g in (frame.rep.identity_element(), _random_orientation(frame.rep, rng)):
+            op = relational_observable(s, name, g, random_hermitian(rng, s.complement_dim(name)), check=False).op
+            dense = op.dense()
+            want = dagger(b) @ (dense @ b)
+            if s.total_rep.is_finite:
+                assert isinstance(op, reps.OrbitMeans) and np.array_equal(op.restrict(b), want)
+            else:
+                assert isinstance(op, reps.WeightBlocks)
+                assert np.abs(op.restrict(b) - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(dense).max())
+            assert op.largest_entry() == np.abs(dense).max()
+            # today's rule: orbit means on their rep and charge-held blocks; SU(2) blocks are still commuted
+            assert op.invariant_on(s.total_rep) == (s.total_rep.charges is not None or s.total_rep.is_finite)
+            if op.invariant_on(s.total_rep):
+                assert strong_dirac_defect(s, dense) <= perspective.dirac_check(s, op).bound
+            assert perspective.dirac_check(s, op).passed

@@ -38,11 +38,14 @@ relativity step's target blocks densify C_e.
 ``PhysicalSpace.restrict`` is the one restriction, B^dag F B;
 the homomorphism check reads every clause through it and ties it to
 C_g^dag f_S C_g.  Relational observables are held as ``reps`` describes, and
-every reader here asks the held form itself.  On an ideal frame, whose rep acts
-regularly, every pair orbit has one member whose first index sits at frame index
-r0, so the orbit means are |G| gathers of f_S and one group matmul, with no
-kinematical operand or twirl; a Lie observable's weight blocks are read from
-|phi><phi| and f_S.
+every reader here asks the held form itself.  The operand |phi(g)><phi(g)| x f_S
+lives on the frame blocks (a, b) with a and b in the support of phi(g), so on a
+table-held finite rep one rule gives the orbit means, with no kinematical operand
+or twirl: for each support row a, each pair ((a, c~), (b, c')), b in the support,
+adds phi_a conj(phi_b) f_S[c~, c'] over its pair orbit's size to its orbit's mean.
+An identity-ket block on a regular frame meets each orbit once (a mean is one f_S
+entry over |G|), and on a frame with isotropy once per isotropy element.  A Lie
+observable's weight blocks are read from |phi><phi| and f_S.
 """
 
 from __future__ import annotations
@@ -338,8 +341,10 @@ def strong_dirac_defect(s: Scenario, op: Operator) -> float:
 
 
 def dirac_check(s: Scenario, op: Operator, tol: Tolerance = DEFAULT_TOL) -> Check:
-    """The strong Dirac defect of a kinematical operator, at the scale of its largest entry, which a held
-    operator reads itself (``reps``)."""
+    """The strong Dirac defect of a kinematical operator, at the scale of its largest entry.  A held operator
+    invariant on the total rep reads its scale itself (``reps``); any other is densified once, for both."""
+    if isinstance(op, np.ndarray) or not op.invariant_on(s.total_rep):
+        op = densify(op)
     scale = float(np.abs(op).max(initial=0.0)) if isinstance(op, np.ndarray) else op.largest_entry()
     return tol.check("dirac_commutation", strong_dirac_defect(s, op), scale, s.kin_dim)
 
@@ -370,34 +375,28 @@ def relational_observable(
 
 
 def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -> Operator:
-    """Vol twirl(E x f_S), E = |phi(g)><phi(g)|: orbit means on a table-held finite rep, dense on any other
-    finite rep, weight blocks for a Lie group.
+    """Vol twirl(E x f_S), E = |phi(g)><phi(g)|: orbit means on a table-held finite rep, accumulated over the
+    support of phi(g) by the module's one rule, dense on any other finite rep, weight blocks for a Lie group.
 
-    On an ideal frame (``_regular_index``) the group acts freely on index pairs, so each pair orbit has one member
-    ((r0, c~), (r', c')) with frame index r0, and its mean is
-    (1/|G|) sum_k E[sigma_k r0, sigma_k r'] f_S[sigma_k c~, sigma_k c']: |G| gathers of f_S and one
-    (d_R x |G|)(|G| x comp^2) matmul, scattered into label order.  Other table-held frames take the means of the
-    formed operand by bincount.  With W = 1 (an exactly diagonal Cartan generator) the aligned operand's blocks
+    With W = 1 (an exactly diagonal Cartan generator) the aligned operand's blocks
     are read entrywise, A_ww[i, j] = E[r_i, r_j] f_S[c_i, c_j], with r_i and c_i the frame and complement indices
     of i: each block is gathered by 1-D takes on index arrays cached per frame, O(kin) entries in all."""
     rep, frame = s.total_rep, s.frame(frame_name)
     phi = frame.orientation(frame.rep.element(g))
-    proj = np.outer(phi, np.conj(phi))
-    if rep.is_finite:
-        index = _regular_index(s, frame_name)
-        if index is not None:
-            sigma_r, f_take, scatter = index
-            moved = np.ascontiguousarray(f_s).reshape(-1).take(f_take)  # row k: f_S[sigma_k c~, sigma_k c']
-            m = (phi[sigma_r[:, :1]] * np.conj(phi[sigma_r])).T @ moved  # E[sigma_k r0, sigma_k r'] over (r', k)
-            m /= len(sigma_r)  # the orbit size |G|, then Vol: the bits of the bincount mean, scaled
-            means = np.empty(scatter.size, dtype=complex)
-            means[scatter] = m.reshape(-1)
-        elif reps.permutation_table(rep) is not None:
-            means = reps._orbit_means(rep, s.embed_frame_operator(frame_name, proj, f_s))
-        else:
-            return group_average(rep, s.embed_frame_operator(frame_name, proj, f_s), "twirl", frame.weight_scale, tol)
+    if reps.permutation_table(rep) is not None:
+        labels, sizes = reps._pair_orbits(rep)
+        at = slot_view(np.arange(s.kin_dim), s.dims, s.frame_slot(frame_name)).transpose(1, 0, 2).reshape(len(phi), -1)
+        support = np.flatnonzero(phi)
+        cols, means = at[support].reshape(-1), np.zeros(sizes.size, dtype=complex)
+        for a in support:  # the pairs ((a, c~), (b, c')), b over the support, one frame row at a time
+            pairs = labels[(at[a][:, None] * s.kin_dim + cols).reshape(-1)]
+            terms = (phi[a] * np.conj(phi[support]))[:, None] * f_s[:, None, :]  # over (c~, b, c')
+            np.add.at(means, pairs, terms.reshape(-1) / sizes[pairs])
         means *= frame.weight_scale
         return reps.OrbitMeans(rep, means)
+    proj = np.outer(phi, np.conj(phi))
+    if rep.is_finite:
+        return group_average(rep, s.embed_frame_operator(frame_name, proj, f_s), "twirl", frame.weight_scale, tol)
     wb = reps.weight_basis(rep)
     if wb.vectors is None:
         f_s = np.ascontiguousarray(f_s)  # a take on a strided array would copy all of it, block by block
@@ -412,31 +411,6 @@ def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -
     else:
         aligned = reps.WeightBlocks.of(wb, s.embed_frame_operator(frame_name, proj, f_s))
     return reps.lie_twirl(rep, aligned, tol, frame.weight_scale)
-
-
-def _regular_index(s: Scenario, frame_name: str) -> tuple[np.ndarray, ...] | None:
-    """Gather and scatter indices of the ideal-frame twirl, cached per frame, or None unless the frame's rep and
-    the complement's are permutation tables and the frame's acts regularly (dim = |G|, transitive on index 0).
-
-    With the frame on r and the complement on c, r0 = 0: the frame's table sigma_k(r') over (k, r'), ``f_take``,
-    the flat index of (sigma_k c~, sigma_k c') over (k, (c~, c')), and ``scatter``, the ``_pair_orbits`` label of
-    ((r0, c~), (r', c')) over (r', c~, c'): each orbit once."""
-    key = ("regular_index", frame_name)
-    if key not in s._cache:
-        index = None
-        sigma_r = reps.permutation_table(s.frame(frame_name).rep)
-        sigma_c = reps.permutation_table(s.complement_rep(frame_name))
-        order = s.total_rep.group.order
-        if sigma_r is not None and sigma_c is not None and sigma_r.shape[1] == order \
-                and np.array_equal(np.sort(sigma_r[:, 0]), np.arange(order)):
-            comp, kin = sigma_c.shape[1], s.kin_dim
-            f_take = (sigma_c[:, :, None] * comp + sigma_c[:, None, :]).reshape(order, comp * comp)
-            at = slot_view(np.arange(kin), s.dims, s.frame_slot(frame_name))  # (lead, r, rest): kin index of (r, c)
-            at = at.transpose(1, 0, 2).reshape(order, comp)
-            pairs = at[0][None, :, None] * kin + at[:, None, :]  # ((r0, c~), (r', c')) over (r', c~, c')
-            index = (sigma_r, f_take, reps._pair_orbits(s.total_rep)[0][pairs.reshape(-1)])
-        s._cache[key] = index
-    return s._cache[key]
 
 
 def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -284,20 +284,30 @@ def weight_basis(rep: UnitaryRep) -> WeightBasis:
             vals, vecs = np.diagonal(h).real, None
         else:
             vals, vecs = np.linalg.eigh(h)
-        weights = np.round(vals)
-        if np.max(np.abs(vals - weights), initial=0.0) > 1e-6:
-            raise ValueError(f"{rep.group.kind} weight spectrum must be integral, got {vals}")
-        if np.max(np.abs(weights), initial=0.0) > MAX_WEIGHT:
-            raise ValueError(f"{rep.group.kind} weights must lie within +-2^53, got {vals}")
-        weights = weights.astype(int)
+        weights = _integral_weights(rep.group.kind, vals)
         sectors = {int(w): np.flatnonzero(weights == w) for w in np.unique(weights)}
         rep._iso_cache["weights"] = WeightBasis(weights, vecs, sectors)
     return rep._iso_cache["weights"]
 
 
+def _integral_weights(kind: str, vals: np.ndarray) -> np.ndarray:
+    """``vals`` rounded to integers, validated integral (within 1e-6) and within ``MAX_WEIGHT``."""
+    weights = np.round(vals)
+    if np.max(np.abs(vals - weights), initial=0.0) > 1e-6:
+        raise ValueError(f"{kind} weight spectrum must be integral, got {vals}")
+    if np.max(np.abs(weights), initial=0.0) > MAX_WEIGHT:
+        raise ValueError(f"{kind} weights must lie within +-2^53, got {vals}")
+    return weights.astype(int)
+
+
 def u1_rep(charges) -> UnitaryRep:
-    """Diagonal U(1) representation with the given integer charges."""
-    return lie_rep(u1(), np.diag(np.asarray(charges, dtype=float))[None])
+    """Diagonal U(1) representation with the given integer charges, held by them: no generator is built."""
+    q = np.asarray(charges, dtype=float)
+    if q.ndim != 1 or q.size == 0:
+        raise ValueError("need a non-empty list of charges")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("generators have non-finite entries")
+    return UnitaryRep(group=u1(), dim=q.size, charges=_integral_weights("U1", q))
 
 
 def _spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -619,13 +629,6 @@ def _pair_orbits(rep: UnitaryRep) -> tuple[np.ndarray, np.ndarray]:
     return rep._iso_cache["pair_orbits"]
 
 
-def _orbit_means(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
-    """The mean of ``a`` over each orbit of index pairs of a table-held rep, in label order: two bincounts."""
-    labels, sizes = _pair_orbits(rep)
-    flat = a.reshape(-1)
-    return (np.bincount(labels, flat.real) + 1j * np.bincount(labels, flat.imag)) / sizes
-
-
 def _finite_twirl(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
     """Uniform average of U A U^dag over a finite rep.
 
@@ -633,11 +636,13 @@ def _finite_twirl(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
     so the average is the mean of A over each orbit of index pairs: two
     bincounts and a gather.  Otherwise batched dense matmuls over the table.
     """
-    sigma = permutation_table(rep)
-    if sigma is None:
+    if permutation_table(rep) is None:
         mats = rep.matrices
         return np.mean((mats @ a) @ np.conj(np.transpose(mats, (0, 2, 1))), axis=0)
-    return _orbit_means(rep, a)[_pair_orbits(rep)[0]].reshape(a.shape)
+    labels, sizes = _pair_orbits(rep)
+    flat = a.reshape(-1)
+    means = (np.bincount(labels, flat.real) + 1j * np.bincount(labels, flat.imag)) / sizes
+    return means[labels].reshape(a.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -711,9 +716,8 @@ class WeightBlocks:
         x = (b if self.basis.vectors is None else dagger(self.basis.vectors) @ b)[self.basis.sectors.get(0, [])]
         return dagger(x) @ self.blocks.get(0, np.zeros((0, 0))) @ x
 
-    def largest_entry(self) -> float:  # with W = 1 every entry off the blocks is 0
-        return max((float(np.abs(b).max(initial=0.0))
-                    for b in (self.blocks.values() if self.basis.vectors is None else [self.dense()])), default=0.0)
+    def largest_entry(self) -> float:  # with W = 1, as on a charge-held rep, every entry off the blocks is 0
+        return max((float(np.abs(b).max(initial=0.0)) for b in self.blocks.values()), default=0.0)
 
     def invariant_on(self, rep: UnitaryRep) -> bool:
         return rep.charges is not None  # each block is in one charge sector, where K is a multiple of 1

@@ -264,3 +264,33 @@ def test_light_test_rejects_one_swapped_intercalate_at_order_400():
     t[3, 5], t[3, 205], t[203, 5], t[203, 205] = 208, 8, 8, 208
     with pytest.raises(ValueError, match="associative"):
         groups.finite_group_from_table(t)
+
+
+_Z4 = groups.cyclic(4)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: groups.LieDescriptor("U1", 1, ("Z",), np.ones((1, 1, 1))), ValueError, "antisymmetric in the first pair"),
+    (lambda: groups.Subgroup(groups.u1(), algebra_basis=((1.0,),)).order, ValueError, "not a finite subgroup"),
+    (lambda: groups.compose(groups.FiniteElement(_Z4, 1), groups.FiniteElement(groups.cyclic(4), 1)), ValueError,
+     "elements from different groups"),
+    (lambda: groups.compose(groups.lie_element(groups.u1(), [0.1]), groups.lie_element(groups.su2(), [0, 0, 0.1])),
+     ValueError, "elements from different groups"),
+    (lambda: groups.compose(groups.FiniteElement(_Z4, 1), groups.lie_element(groups.u1(), [0.1])), TypeError,
+     "cannot compose elements of different kinds"),
+    (lambda: groups.inverse(3), TypeError, "not a group element: 3"),
+    (lambda: groups.identity_of("Z4"), TypeError, "not a group: 'Z4'"),
+    (lambda: groups.finite_group_from_table([[0, 1]]), ValueError, "product table must be square"),
+    (lambda: groups.finite_group_from_table([[0, 1], [1, 2]]), ValueError, "table entries must be element indices"),
+    (lambda: groups.cosets(_Z4, groups.Subgroup(_Z4, (0, 2)), side="middle"), ValueError,
+     "side must be 'left' or 'right'"),
+    (lambda: groups.cosets(_Z4, groups.Subgroup(_Z4, algebra_basis=((1.0,),))), ValueError,
+     "cosets need a finite subgroup"),
+    (lambda: groups.cosets(_Z4, groups.Subgroup(_Z4, (1, 3))), ValueError, "subgroup must contain the identity"),
+    (lambda: groups.cosets(_Z4, groups.Subgroup(_Z4, (0, 1, 3))), ValueError, "subgroup not closed under product"),
+    (lambda: groups.cyclic(0), ValueError, r"cyclic groups provided for 1 <= n <= 32"),
+    (lambda: groups.cyclic(33), ValueError, r"cyclic groups provided for 1 <= n <= 32"),
+])
+def test_group_inputs_are_checked(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import json
 import math
 import pathlib
@@ -877,7 +878,6 @@ def test_orbit_means_equal_the_dense_twirl_bit_for_bit(source):
     rng = np.random.default_rng(61)
     for name in s.frames:
         frame = s.frame(name)
-        assert perspective._regular_index(s, name) is not None
         f_s = random_hermitian(rng, s.complement_dim(name))
         for g in frame.group.elements():
             held = perspective._twirled(s, name, g, f_s, perspective.DEFAULT_TOL)
@@ -988,3 +988,72 @@ def test_held_forms_answer_as_their_dense_matrix(source):
             if op.invariant_on(s.total_rep):
                 assert strong_dirac_defect(s, dense) <= perspective.dirac_check(s, op).bound
             assert perspective.dirac_check(s, op).passed
+
+
+def test_dirac_check_densifies_a_non_invariant_held_form_once(rotated_u1_scenario, monkeypatch):
+    # rotated weight blocks do not commute with the total charge by construction: one dense form gives the scale
+    # and the defect, the same check as the dense operator's
+    s = rotated_u1_scenario
+    f_s = random_hermitian(np.random.default_rng(65), s.complement_dim("B"))
+    held = relational_observable(s, "B", 0.3, f_s, check=False).op
+    assert not held.invariant_on(s.total_rep)
+    calls, dense = [], reps.WeightBlocks.dense
+    monkeypatch.setattr(reps.WeightBlocks, "dense", lambda self: calls.append(1) or dense(self))
+    relational_observable(s, "B", 0.3, f_s, check=True)
+    assert len(calls) == 1
+    assert perspective.dirac_check(s, held) == perspective.dirac_check(s, dense(held))
+
+
+def _s3_on_three_points():
+    """S3 on three points with the frame's seed e_0 (isotropy of order 2) beside two regular S3 subsystems."""
+    g = groups.symmetric_3()
+    points = reps.finite_rep(g, [np.eye(3)[:, p] for p in sorted(itertools.permutations(range(3)))])
+    reg = reps.regular_rep(g)
+    frame = frames.make_frame(points, [1, 0, 0], name="P")
+    return perspective.make_scenario(g, [("P", points), ("S1", reg), ("S2", reg)], {"P": ("P", frame)})
+
+
+def _d4_with_a_full_support_frame():
+    """Three regular D4 parties, the frame on the first seeded by ``build_lr_seed``: every entry nonzero."""
+    reg = reps.regular_rep(groups.dihedral_4())
+    frame = frames.make_frame(reg, frames.build_lr_seed(reps.isotypic_decompose(reg)), name="R")
+    assert np.count_nonzero(frame.seed) == reg.dim
+    return perspective.make_scenario(reg.group, [("R", reg), ("S1", reg), ("S2", reg)], {"R": ("R", frame)})
+
+
+@pytest.mark.parametrize("build, meets", [(_s3_on_three_points, 2), (_d4_with_a_full_support_frame, None)])
+def test_support_rule_equals_the_dense_twirl_off_the_ideal_frames(build, meets):
+    # the one rule for table-held reps covers a frame with isotropy, whose identity-ket block meets each pair orbit
+    # once per isotropy element, and a seed with full support
+    from oracles import dense_relational_observable
+
+    s = build()
+    name = next(iter(s.frames))
+    frame, comp, kin = s.frame(name), s.complement_dim(name), s.kin_dim
+    if meets is not None:  # the frame sits in slot 0: (a, c) is kinematical index a comp + c
+        labels = reps._pair_orbits(s.total_rep)[0]
+        block = labels[(np.arange(comp)[:, None] * kin + np.arange(comp)).reshape(-1)]
+        assert set(np.bincount(block)) - {0} == {meets}
+    f_s = random_hermitian(np.random.default_rng(66), comp)
+    for g in frame.group.elements():
+        obs = relational_observable(s, name, g, f_s, check=True)
+        want = dense_relational_observable(s, name, g, f_s)
+        assert isinstance(obs.op, reps.OrbitMeans)
+        assert np.abs(obs.op.dense() - want).max() <= 1e-13 * np.abs(want).max(), g
+        assert perspective.dirac_check(s, obs.op).passed
+
+
+def test_finite_observables_trace_under_one_mib():
+    # eight checked observables of the D4 report, caches warm: no (|G|, comp^2) gather nor kin x kin array is formed
+    s = cli.build_scenario(cli.load_config("finite-regular:D4"))
+    name = next(iter(s.frames))
+    f_s = random_hermitian(np.random.default_rng(67), s.complement_dim(name))
+    relational_observable(s, name, 0, f_s, check=True)
+    tracemalloc.start()
+    try:
+        for g in s.frame(name).group.elements():
+            relational_observable(s, name, g, f_s, check=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak  # one kin x kin complex array is 4 MiB

@@ -797,3 +797,66 @@ def test_character_norm_equals_kronecker_commutant_dimension():
         assert dims[0] == total
         assert dims[len(blocks) + 1:2 * len(blocks) + 1] == [1] * len(blocks)
         assert dims[-1] == blocks[0].multiplicity ** 2 + blocks[-1].multiplicity ** 2
+
+
+def _su2_generators(*weights):
+    """SU(2) generators that the constructors would reject: zero J_x and J_y beside a diagonal J_z."""
+    z = np.diag(np.asarray(weights, dtype=complex))
+    return np.stack([np.zeros_like(z), np.zeros_like(z), z])
+
+
+_Z2, _PAULI = groups.cyclic(2), groups.PAULI
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: reps.finite_rep(_Z2, np.eye(2)), "need one square matrix per group element"),
+    (lambda: reps.finite_rep(_Z2, [np.diag([-1, 1]), np.eye(2)]), "identity element must map to the identity matrix"),
+    (lambda: reps.lie_rep(groups.su2(), [_PAULI["Z"]]), "need one square generator per algebra basis element"),
+    (lambda: reps.lie_rep(groups.u1(), [[[0, 1], [0, 0]]]), "generator 0 is not Hermitian"),
+    (lambda: reps.lie_rep(groups.su2(), [_PAULI["X"], _PAULI["Y"], _PAULI["X"]]),
+     re.escape("bracket relation violated for generators (0, 1)")),
+    (lambda: reps.u1_rep([]), "need a non-empty list of charges"),
+    (lambda: reps.u1_rep([[1, 0], [0, -1]]), "need a non-empty list of charges"),
+    (lambda: reps.spin_rep(-1), "spin must be a non-negative half-integer"),
+    (lambda: reps.spin_rep(0.3), "spin must be a non-negative half-integer"),
+    (lambda: reps.regular_rep(_Z2, "middle"), "side must be 'left' or 'right'"),
+    (lambda: reps.regular_rep(_Z2).evaluate(groups.FiniteElement(groups.cyclic(2), 1)),
+     "element does not belong to this representation's group"),
+    (lambda: reps.u1_rep([1, -1]).evaluate(groups.lie_element(groups.su2(), [0, 0, 0.1])),
+     "element does not belong to this representation's group"),
+    (lambda: reps.tensor([]), "need at least one representation"),
+    (lambda: reps.tensor([reps.regular_rep(_Z2), reps.u1_rep([1, -1])]), "cannot mix finite and Lie representations"),
+    (lambda: reps.invariant_closure(reps.regular_rep(_Z2), np.zeros(2)), "need a nonzero vector"),
+    (lambda: reps.invariant_closure(reps.u1_rep([1, -1]), np.zeros(2)), "need a nonzero vector"),
+    # inconsistent SU(2) generators, which ``lie_rep`` would refuse, reach the ladder construction's own checks
+    (lambda: reps.isotypic_decompose(reps.UnitaryRep(groups.su2(), 3, generators=_su2_generators(2, 0, -2))),
+     "ladder terminated early; generators inconsistent"),
+    (lambda: reps.isotypic_decompose(reps.UnitaryRep(groups.su2(), 1, generators=_su2_generators(-2))),
+     re.escape("isotypic decomposition incomplete: 0 of 1 dimensions")),
+])
+def test_rep_inputs_and_consistency_are_checked(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_finite_isotypic_refinement_stops_after_its_retries(monkeypatch):
+    calls = []
+    monkeypatch.setattr(reps, "_commutant_dim", lambda mats: calls.append(1) or 2)  # no block ever certifies
+    with pytest.raises(ValueError, match=re.escape("did not converge; achieved commutant dims [2]")):
+        reps.isotypic_decompose(reps.regular_rep(groups.cyclic(3)))
+    assert len(calls) == 8  # one uncertified block per retry
+
+
+def test_u1_rep_holds_its_charges_without_a_generator():
+    import tracemalloc
+
+    charges = np.resize([1, -1, 2, 0], 2048)
+    tracemalloc.start()
+    try:
+        rep = reps.u1_rep(charges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a dense 2048 x 2048 generator would be 64 MiB
+    assert rep._generators is None and np.array_equal(rep.charges, charges)
+    assert np.array_equal(rep.generators[0], np.diag(charges.astype(complex)))  # built only when asked for

@@ -32,8 +32,9 @@ __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config", "pars
 
 # Largest kinematical dimension a config may build; one dense operator of that size is 256 MiB.
 MAX_KIN_DIM = 4096
-# Largest total rep a finite-group config may build: |G| dense kin x kin complex matrices.  A Lie
-# config never binds it under MAX_KIN_DIM (16 * 3 * 4096^2 bytes is 768 MiB).
+# Largest dense rep stack a finite-group config may form: |G| n x n complex matrices, with n the kinematical
+# dimension when a subsystem rep has no permutation table (the total is then dense), else the largest subsystem
+# dimension (a frame's orbit and isotypic blocks read its stack).  A Lie config forms none.
 MAX_REP_BYTES = 2 * 2**30
 
 
@@ -281,12 +282,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         raise ConfigError(
             f"predicted kinematical dimension {kin_dim} (subsystems {dims}) exceeds MAX_KIN_DIM = {MAX_KIN_DIM}"
         )
-    rep_bytes = 16 * group.order * kin_dim**2 if isinstance(group, groups.FiniteGroup) else 0
-    if rep_bytes > MAX_REP_BYTES:
-        raise ConfigError(
-            f"predicted total representation of {group.order} x {kin_dim} x {kin_dim} complex entries "
-            f"({rep_bytes / 2**30:.2f} GiB) exceeds MAX_REP_BYTES = {MAX_REP_BYTES / 2**30:.0f} GiB"
-        )
     subsystems = []
     for i, sub in enumerate(cfg.subsystems):
         with _config_errors(f"subsystems[{i}].rep"):
@@ -295,6 +290,11 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             if not rep.is_finite and np.abs(w := reps.weight_basis(rep).weights).max() > reps.MAX_WEIGHT // len(dims):
                 raise ValueError(f"weights must lie within +-2^53 / {len(dims)} subsystems, got {w}")
             subsystems.append((sub["name"], rep))
+    if isinstance(group, groups.FiniteGroup):  # before any frame or tensor forms a dense stack
+        n = kin_dim if any(reps.permutation_table(rep) is None for _, rep in subsystems) else max(dims)
+        if (rep_bytes := 16 * group.order * n**2) > MAX_REP_BYTES:
+            raise ConfigError(f"predicted total representation of {group.order} x {n} x {n} complex entries "
+                              f"({rep_bytes / 2**30:.2f} GiB) exceeds MAX_REP_BYTES = {MAX_REP_BYTES / 2**30:.0f} GiB")
     by_name = dict(subsystems)
     frame_map = {}
     for i, fr in enumerate(cfg.frames):
@@ -302,7 +302,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         seed = _build_seed(rep, fr["seed"], f"frames[{i}].seed")
         with _config_errors(f"frames[{i}] ({fr['name']!r})"):
             frame_map[fr["name"]] = (fr["subsystem"], frames.make_frame(rep, seed, name=fr["name"], tol=cfg.tol()))
-    return perspective.make_scenario(group, subsystems, frame_map, cfg.tol())
+    return perspective.make_scenario(group, subsystems, frame_map)
 
 
 def _integral(value, path: str) -> int:

@@ -155,7 +155,7 @@ def _require_ideal(frame) -> np.ndarray:
         raise ValueError("relation-conditional reorientations need finite regular frames")
     if frame.dim != frame.rep.group.order:
         raise ValueError(f"frame {frame.name!r} is not a regular-representation frame")
-    return (frame.rep.matrices @ frame.seed).T
+    return frame.orbit.T
 
 
 def tautological_relobs(s: Scenario, frame_name: str, g, values) -> RelObs:

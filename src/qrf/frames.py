@@ -3,11 +3,17 @@
 A frame is a unitary representation plus a seed state whose orbit resolves
 the identity under the frame's own Haar normalization: the measure is scaled
 so the resolution constant is 1, which makes the total group volume equal
-dim(H_R) for a normalized seed (per-element weight dim/|G| for finite
-groups).  The frame operators that the paper writes as integrals over
-orientations are single group averages Vol twirl(X): the resolution residual
-||Vol twirl(|phi><phi|) - 1|| and, when it exists, the right action
-V_R(g) = Vol twirl(U(g)^-1 |phi><phi|).  Every frame, finite or Lie, is
+dim(H_R) for a normalized seed (per-element weight w = dim/|G| for finite
+groups).  A finite frame is its orientation orbit: ``Frame.orbit``, the
+(|G|, dim) array of the coherent states phi(g) = U(g) phi, formed once, is
+where every orientation state, isotropy test, POVM effect, theta search and
+orbit coordinate reads them.  The frame operators that the paper writes as
+integrals over orientations are the resolution residual
+||Vol twirl(|phi><phi|) - 1||, a single group average, and, when it exists,
+the right action V_R(g) with V_R(g)|phi(h)> = |phi(h g^-1)>: for a finite
+frame V_R(g) = w sum_h |phi(h g^-1)><phi(h)|, one contraction of the orbit
+with its right-shifted rows, and for a Lie frame the generators
+-Vol twirl(K_a |phi><phi|).  Every frame, finite or Lie, is
 validated by the residual against ``validity_bound``, which is never looser
 than the report's check of that residual; a Lie frame that fails it gets a
 per-block (multiplicity and Schmidt-uniformity) report naming the failing
@@ -16,6 +22,7 @@ block.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +90,14 @@ class Frame:
 
     def orientation(self, g) -> np.ndarray:
         return orientation_state(self, g)
+
+    @functools.cached_property
+    def orbit(self) -> np.ndarray:
+        """Row g is phi(g) = U(g) phi, for a finite frame: its (|G|, dim) orientation states, formed once.  Read-only,
+        since ``orientation_state`` hands out its rows as views."""
+        orbit = self.rep.matrices @ self.seed
+        orbit.flags.writeable = False
+        return orbit
 
 
 @dataclass(frozen=True)
@@ -172,8 +187,8 @@ def make_frame(
 
 
 def orientation_state(f: Frame, g) -> np.ndarray:
-    """|phi(g)> = U_R(g) |phi(e)>."""
-    return f.rep.evaluate(g) @ f.seed
+    """|phi(g)> = U_R(g) |phi(e)>: for a finite frame, row g of ``Frame.orbit``."""
+    return f.orbit[f.rep.element(g).index] if f.rep.is_finite else f.rep.evaluate(g) @ f.seed
 
 
 def isotropy_group(f: Frame, tol: Tolerance = DEFAULT_TOL) -> Subgroup:
@@ -184,11 +199,7 @@ def isotropy_group(f: Frame, tol: Tolerance = DEFAULT_TOL) -> Subgroup:
     """
     seed_proj = np.outer(f.seed, np.conj(f.seed))
     if f.rep.is_finite:
-        members = []
-        for g in f.rep.group.elements():
-            v = f.rep.matrices[g] @ f.seed
-            if np.linalg.norm(np.outer(v, np.conj(v)) - seed_proj) <= 1e-8:
-                members.append(g)
+        members = [g for g, v in enumerate(f.orbit) if np.linalg.norm(np.outer(v, np.conj(v)) - seed_proj) <= 1e-8]
         return Subgroup(parent=f.rep.group, element_indices=tuple(members))
     # kernel of c -> (1 - |phi><phi|) (sum_a c_a K_a) |phi>, over real coefficients
     comp = np.eye(f.dim) - seed_proj
@@ -199,19 +210,16 @@ def isotropy_group(f: Frame, tol: Tolerance = DEFAULT_TOL) -> Subgroup:
 
 
 def povm_effect(f: Frame, subset) -> PovmEffect:
-    """Covariant POVM effect E_Y = sum_{g in Y} w_g |phi(g)><phi(g)| (finite only)."""
+    """Covariant POVM effect E_Y = sum_{g in Y} w |phi(g)><phi(g)| = w O_Y^T conj(O_Y), O_Y the orbit rows in Y
+    (finite only)."""
     if not f.rep.is_finite:
         raise ValueError("POVM effects over subsets are defined for finite-group frames")
     order = f.rep.group.order
     members = tuple(sorted(int(g) for g in subset))
     if members and (members[0] < 0 or members[-1] >= order):
         raise ValueError("subset contains indices outside the group")
-    w = f.element_weight()
-    e = np.zeros((f.dim, f.dim), dtype=complex)
-    for g in members:
-        v = f.rep.matrices[g] @ f.seed
-        e += w * np.outer(v, np.conj(v))
-    return PovmEffect(subset=members, matrix=e)
+    rows = f.orbit[list(members)]
+    return PovmEffect(subset=members, matrix=f.element_weight() * (rows.T @ np.conj(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +237,9 @@ def lr_classify(f: Frame, tol: Tolerance = DEFAULT_TOL) -> tuple[UnitaryRep | No
     Exists iff every isotypic block has multiplicity equal to its irrep
     dimension; the seed of a valid frame is then block-wise maximally entangled
     (reported per block).  V_R(g)|phi(h)> = |phi(h g^-1)> and the resolution of
-    identity then give V_R(g) = Vol twirl(U(g)^-1 |phi><phi|), and its
-    derivative at the identity the generators -Vol twirl(K_a |phi><phi|).
+    identity then give V_R(g) = Vol twirl(U(g)^-1 |phi><phi|), for a finite frame
+    w sum_h |phi(h g^-1)><phi(h)|, and its derivative at the identity the
+    generators -Vol twirl(K_a |phi><phi|).
     """
     key = ("lr", tol)
     if key in f._cache:
@@ -256,14 +265,13 @@ def lr_classify(f: Frame, tol: Tolerance = DEFAULT_TOL) -> tuple[UnitaryRep | No
 
 
 def _right_action(f: Frame, tol: Tolerance) -> UnitaryRep:
+    if f.rep.is_finite:  # V_R(g) = w sum_h |phi(h g^-1)><phi(h)|, with shifted[h, g] = phi(h g^-1)
+        shifted = f.orbit[f.group.product_table[:, f.group.inverse_table]]
+        return reps.finite_rep(f.group, np.einsum("hgi,hj->gij", shifted, np.conj(f.orbit) * f.element_weight(),
+                                                  optimize=True), tol)
     proj = np.outer(f.seed, np.conj(f.seed))
-
-    def twirl(a: np.ndarray) -> np.ndarray:
-        return reps.group_average(f.rep, a, "twirl", f.weight_scale, tol)
-
-    if f.rep.is_finite:
-        return reps.finite_rep(f.group, np.stack([twirl(dagger(u) @ proj) for u in f.rep.matrices]), tol)
-    return reps.lie_rep(f.group, np.stack([-twirl(k @ proj) for k in f.rep.generators]), tol)
+    return reps.lie_rep(f.group, np.stack([-reps.group_average(f.rep, k @ proj, "twirl", f.weight_scale, tol)
+                                           for k in f.rep.generators]), tol)
 
 
 def build_lr_seed(deco: reps.IsotypicDecomposition, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -166,7 +166,6 @@ def make_scenario(
     group,
     subsystems: list[tuple[str, UnitaryRep]],
     frames: dict[str, tuple[str, Frame]] | None = None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> Scenario:
     """Assemble and validate a scenario (shared group, frames on real subsystems)."""
     names = [n for n, _ in subsystems]

@@ -214,7 +214,7 @@ def _solve_theta_finite(frame: Frame, tol: Tolerance) -> ThetaState | ThetaNotFo
     """N = 1, then each other one-dimensional character, if it reproduces K(g, h) = w <phi(g)|phi(h)>.  K is a
     convolution on G, so every character chi is an eigenvector of it, with eigenvalue w sum_u <phi|U(u) phi> chi(u),
     and reproduces K exactly when that is 1.  N = 1 is the fixed point N <- phase(K N) reaches from N = 1."""
-    orbit = np.einsum("gij,j->gi", frame.rep.matrices, frame.seed)
+    orbit = frame.orbit
     gram = np.einsum("gi,hi->gh", np.conj(orbit), orbit)  # <phi(g)|phi(h)>
     w = frame.element_weight()
     best = np.inf
@@ -245,21 +245,11 @@ def _solve_theta_u1(frame: Frame, tol: Tolerance) -> ThetaState | ThetaNotFound:
     )
 
 
-def reproducing_residual(frame: Frame, theta: ThetaState, count: int = 12) -> float:
-    """max_g |<phi(g)|theta> - N(g)| over a deterministic sample of orientations."""
-    worst = 0.0
-    for g in sample_elements(frame.group, count):
-        phi = frame.orientation(g)
-        worst = max(worst, abs(complex(np.vdot(phi, theta.vector)) - theta.phase_at(frame, g)))
-    return worst
-
-
 def disentangler(
     s: Scenario,
     frame_name: str,
     theta: ThetaState,
     m: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
     """T_R m for a kinematical vector or matrix m; T_R = Vol int dg N(g) |phi(g)><phi(g)| x U_S(g)^dag is never formed.
 
@@ -278,10 +268,9 @@ def disentangler(
     if frame.rep.is_finite:
         if theta.phases is None:
             raise ValueError("finite frame needs per-element phases")
-        orbit = frame.rep.matrices @ frame.seed  # (|G|, d): phi_g
         return sum(
             wn * s.inject_vector(frame_name, phi, dagger(comp.evaluate(g)) @ s.condition_vector(frame_name, phi, m))
-            for g, (wn, phi) in enumerate(zip(frame.element_weight() * theta.phases, orbit))
+            for g, (wn, phi) in enumerate(zip(frame.element_weight() * theta.phases, frame.orbit))
         )
     if frame.group.kind != "U1":
         raise ValueError("disentangler supports finite-group and U(1) frames")
@@ -313,7 +302,7 @@ def heisenberg_reduce(
     s = ps.scenario
     frame = s.frame(frame_name)
     v = ps.require(psi_phys)
-    tv = disentangler(s, frame_name, theta, v, tol)
+    tv = disentangler(s, frame_name, theta, v)
     candidates = [np.conj(theta.phase_at(frame, g)) * condition_on(s, frame_name, g, tv)
                   for g in sample_elements(frame.group, 8)]
     worst = max((float(np.linalg.norm(c - candidates[0])) for c in candidates[1:]), default=0.0)
@@ -349,6 +338,6 @@ def product_form_check(ps: PhysicalSpace, frame_name: str, theta: ThetaState, to
     frame = s.frame(frame_name)
     c_e = densify(conditioning_map(ps, frame_name, frame.rep.identity_element()))
     expect = s.inject_vector(frame_name, theta.vector, c_e / np.sqrt(frame.weight_scale))
-    applied = disentangler(s, frame_name, theta, ps.basis.basis, tol)
+    applied = disentangler(s, frame_name, theta, ps.basis.basis)
     resid = float(np.max(np.linalg.norm(applied - expect, axis=0), initial=0.0))
     return tol.check(f"{frame_name}:disentangler_product_form", resid, 1.0, s.kin_dim)

@@ -18,9 +18,11 @@ projection on the whole kinematical matrix, the relational observable as
 that twirl of the formed |phi><phi| x f_S, and the Dirac defect from
 commutator matmuls with every constraint operator.
 
-The library writes each frame operator as one group average.  Here are the
-constructions it replaced: the right action V_R lifted block by block from
-the isotypic grids, the resolution defect as an orbit sum (finite) or a
+The library writes the resolution residual as one group average and a finite
+frame's right action as one contraction of its orientation orbit.  Here are
+the constructions they replaced: the right action V_R lifted block by block
+from the isotypic grids, and for a finite frame as |G| twirls
+Vol twirl(U(g)^-1 |phi><phi|); the resolution defect as an orbit sum (finite) or a
 probability-normalised twirl (Lie), and the commutant dimension as a
 Kronecker nullspace.  The library applies the disentangler T_R term by term
 through the conditioning contraction and never forms it; here it is the
@@ -87,7 +89,7 @@ from qrf.linalg import (
     orthonormal_range,
 )
 from qrf.framechange import ensure_lr
-from qrf.perspective import RelObs, physical_space, relational_observable, slot_view
+from qrf.perspective import RelObs, physical_space, relational_observable, sample_elements, slot_view
 from qrf.reps import (
     IsotypicBlock,
     IsotypicDecomposition,
@@ -317,6 +319,13 @@ def right_action(frame, tol=DEFAULT_TOL):
     return np.stack(out)
 
 
+def twirl_right_action(frame, tol=DEFAULT_TOL):
+    """A finite frame's V_R(g) = Vol twirl(U(g)^-1 |phi><phi|), one group average per element."""
+    proj = np.outer(frame.seed, np.conj(frame.seed))
+    return np.stack([group_average(frame.rep, dagger(u) @ proj, "twirl", frame.weight_scale, tol)
+                     for u in frame.rep.matrices])
+
+
 def resolution_defect(rep, seed):
     """Finite: ||(dim/|G|) sum_g |phi(g)><phi(g)| - 1||.  Lie: dim ||twirl(|phi><phi|) - 1/dim||, Haar probability."""
     if rep.is_finite:
@@ -325,6 +334,15 @@ def resolution_defect(rep, seed):
         return float(np.linalg.norm(total - np.eye(rep.dim)))
     twirl = group_average(rep, np.outer(seed, np.conj(seed)), "twirl", 1.0)
     return rep.dim * float(np.linalg.norm(twirl - np.eye(rep.dim) / rep.dim))
+
+
+def reproducing_residual(frame, theta, count=12):
+    """max_g |<phi(g)|theta> - N(g)| over a deterministic sample of orientations."""
+    worst = 0.0
+    for g in sample_elements(frame.group, count):
+        phi = frame.orientation(g)
+        worst = max(worst, abs(complex(np.vdot(phi, theta.vector)) - theta.phase_at(frame, g)))
+    return worst
 
 
 def embed_pair(dims, slot, a, b):

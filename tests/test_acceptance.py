@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import ket3, random_hermitian, regular_three_party, u1_basis_index
+from oracles import reproducing_residual
 from qrf import cli, frames, framechange, groups, perspective, reductions, reps
 from qrf.frames import ResolutionFails
 from qrf.linalg import dagger
@@ -31,7 +32,6 @@ from qrf.perspective import (
 from qrf.reductions import (
     ThetaState,
     heisenberg_reduce,
-    reproducing_residual,
     schrodinger_reduce,
     solve_theta,
 )

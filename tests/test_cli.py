@@ -602,9 +602,10 @@ _CONFIG_ERRORS = {  # case: (config text, message); every one is found by parse_
     "seed not a list": (_seed_config(3), "frames[0].seed: expected a list of amplitudes"),
     "ragged matrix": (_rep_config({"builtin": "Z2"}, {"matrices": [[[1, 0], [0]], [[1, 0], [0, 1]]]}),
                       "subsystems[0].rep.matrices[0]: rows have inconsistent lengths"),
-    "rep bytes": (small_config(group={"builtin": "Z16"}, frames=[],
-                               subsystems=[{"name": n, "rep": {"regular": True}} for n in "ABC"]),
-                  "predicted total representation of 16 x 4096 x 4096 complex entries (4.00 GiB) "
+    "rep bytes": (small_config(group={"table": [[(i + j) % 600 for j in range(600)] for i in range(600)]}, frames=[],
+                               subsystems=[{"name": "A", "rep": {"regular": True}},  # x a +-1 character: no table
+                                           {"name": "B", "rep": {"matrices": [[[(-1) ** k]] for k in range(600)]}}]),
+                  "predicted total representation of 600 x 600 x 600 complex entries (3.22 GiB) "
                   f"exceeds MAX_REP_BYTES = {cli.MAX_REP_BYTES / 2**30:.0f} GiB"),
     "infinite charge": (json.dumps(small_config(subsystems=[{"name": "A", "rep": {"u1_charges": ["INF", -1]}}]))
                         .replace('"INF"', "1e400"), "subsystems[0].rep: generators have non-finite entries"),
@@ -699,6 +700,15 @@ def test_dense_rep_stack_above_the_byte_limit_is_rejected_before_anything_is_bui
         "config error: predicted total representation of 600 x 600 x 600 complex entries (3.22 GiB) "
         "exceeds MAX_REP_BYTES = 2 GiB\n"
     )
+
+
+def test_byte_limit_admits_a_table_held_total_it_never_densifies(tmp_path):
+    # three regular Z16 parties (kin 4096): the total is a permutation table, and the densest stacks are the frames'
+    raw = small_config(group={"builtin": "Z16"}, subsystems=[{"name": n, "rep": {"regular": True}} for n in "ABC"],
+                       frames=[{"name": n, "subsystem": n, "seed": "identity_ket"} for n in "AB"])
+    cfg_path = tmp_path / "z16.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main(["check", str(cfg_path)]) == 0
 
 
 def test_byte_limit_admits_every_builtin_and_su2_at_the_dimension_limit():

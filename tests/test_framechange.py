@@ -871,3 +871,20 @@ def test_relativity_needs_a_physical_space_and_a_system():
                                      {n: (n, frames.make_frame(reg, seed, name=n)) for n in ("R1", "R2")})
     with pytest.raises(ValueError, match="need a system subsystem besides the two frames"):
         subsystem_relativity_report(pair, "R1", "R2")
+
+
+def test_frame_change_refuses_maps_that_are_not_isometries(monkeypatch, z3_regular_scenario):
+    ps = physical_space(z3_regular_scenario)
+    exact = framechange.schrodinger_map
+    monkeypatch.setattr(framechange, "schrodinger_map", lambda *args: 2.0 * densify(exact(*args)))
+    assert ps.dim == 9  # 2C has the round trip G = 4, so the defect is sqrt(9 * (3 * 4)^2) = 36
+    with pytest.raises(ValueError, match=r"frame change failed the isometry check \(3\.600e\+01\)"):
+        frame_change(ps, "R1", 0, "R2", 1)
+
+
+def test_algebra_growth_stops_after_its_rounds():
+    shift = np.roll(np.eye(3), 1, axis=0).astype(complex)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    # span{1, X, Z} grows by X^2, XZ and Z^2 in one round (ZX is a multiple of XZ), and to all of M_3 in two
+    assert framechange._generate_algebra([shift, clock], DEFAULT_TOL, max_rounds=1).shape[1] == 6
+    assert framechange._generate_algebra([shift, clock], DEFAULT_TOL).shape[1] == 9

@@ -437,3 +437,77 @@ def test_block_report_runs_only_after_a_rejection(monkeypatch):
     with pytest.raises(ResolutionFails):
         frames.make_frame(reps.u1_rep([1, 1]), np.array([1, 0], dtype=complex))
     assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# the orientation orbit of a finite frame
+# ---------------------------------------------------------------------------
+
+
+def _s3_irrep_frame():
+    """A frame on the two-dimensional irrep of S3: dense matrices with no permutation table."""
+    group = groups.symmetric_3()
+    reg = reps.regular_rep(group)
+    ref = next(b for b in reps.isotypic_decompose(reg).blocks if b.irrep_dim == 2).grid[:, :, 0]
+    rep = reps.finite_rep(group, np.stack([dagger(ref) @ u @ ref for u in reg.matrices]))
+    assert reps.permutation_table(rep) is None
+    return frames.make_frame(rep, np.array([0.6, 0.8j]), name="E")
+
+
+def _full_support_frame(group):
+    reg = reps.regular_rep(group)
+    return frames.make_frame(reg, frames.build_lr_seed(reps.isotypic_decompose(reg)), name="F")
+
+
+def test_orbit_rows_are_the_orientation_states():
+    for f in (ideal_frame(groups.symmetric_3()), ideal_frame(groups.dihedral_4())):
+        assert f.orbit.shape == (f.group.order, f.dim)
+        for g in f.group.elements():
+            assert np.array_equal(f.orbit[g], f.rep.evaluate(g) @ f.seed)
+            assert np.array_equal(f.orientation(g), f.orbit[g])
+    f = _s3_irrep_frame()
+    for g in f.group.elements():
+        assert np.abs(f.orbit[g] - f.rep.evaluate(g) @ f.seed).max() <= 1e-15
+    assert f.orbit is f.orbit  # formed once, then read
+    with pytest.raises(ValueError, match="read-only"):
+        f.orientation(1)[0] = 2.0
+
+
+def test_right_action_matches_the_twirl_per_element():
+    from oracles import twirl_right_action
+
+    for f in (_full_support_frame(groups.dihedral_4()), _full_support_frame(groups.symmetric_3()), _s3_irrep_frame(),
+              ideal_frame(groups.quaternion_8())):
+        v_rep, report = frames.lr_classify(f)
+        assert (v_rep is None) == (f.dim == 2)  # the irrep frame has multiplicity 1 < irrep dim 2
+        if v_rep is not None:
+            assert np.abs(v_rep.matrices - twirl_right_action(f)).max() <= 1e-12
+
+
+def test_povm_effect_matches_the_per_element_sum():
+    for f in (_full_support_frame(groups.dihedral_4()), _s3_irrep_frame()):
+        for subset in ([], [0], [1, 3], list(f.group.elements())):
+            e = np.zeros((f.dim, f.dim), dtype=complex)
+            for g in subset:
+                v = f.rep.matrices[g] @ f.seed
+                e += f.element_weight() * np.outer(v, np.conj(v))
+            assert np.abs(frames.povm_effect(f, subset).matrix - e).max() <= 1e-12
+
+
+def test_finite_right_action_twirls_nothing_on_the_frame_rep(monkeypatch):
+    from qrf import cli
+
+    f = cli.build_scenario(cli.load_config("finite-regular:D4")).frame("R1")
+    calls = []
+    original = reps.group_average
+    monkeypatch.setattr(reps, "group_average", lambda rep, *a: calls.append(rep is f.rep) or original(rep, *a))
+    v_rep, _ = frames.lr_classify(f)
+    assert reps.permutation_table(v_rep) is not None
+    assert calls.count(True) == 0  # one twirl per element, 8, before the orbit
+
+
+def test_frame_inputs_are_checked():
+    with pytest.raises(ValueError, match="per-element weights only exist for finite groups"):
+        u1_qubit_frame().element_weight()
+    with pytest.raises(ValueError, match="seed dimension does not match the representation"):
+        frames.make_frame(reps.regular_rep(groups.cyclic(3)), [1, 0])

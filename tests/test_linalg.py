@@ -10,8 +10,12 @@ from qrf.linalg import (
     ROUNDING_FACTOR,
     Check,
     Monomial,
+    Subspace,
     Tolerance,
+    as_cmatrix,
+    as_cvector,
     dagger,
+    fix_phase,
     joint_fixed_subspace,
     nullspace,
     orthonormal_range,
@@ -216,3 +220,23 @@ def test_two_nonzeros_in_a_row_or_column_are_not_a_monomial(entries):
     for rc in entries:
         m[rc] = 1.0
     assert monomial_of(m) is None
+
+
+def test_linalg_input_gates_and_phase_fixing_edge_cases():
+    with pytest.raises(ValueError, match=r"expected a matrix, got array of shape \(3,\)"):
+        as_cmatrix(np.zeros(3))
+    with pytest.raises(ValueError, match="vector has non-finite entries"):
+        as_cvector([1.0, np.nan])
+    with pytest.raises(ValueError, match="basis rows do not match ambient dimension"):
+        Subspace(3, np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="basis is not orthonormal"):
+        Subspace(2, np.ones((2, 1)))
+    with pytest.raises(ValueError, match="operators must be square and of equal dimension"):
+        joint_fixed_subspace(np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="operators have non-finite entries"):
+        joint_fixed_subspace([[[np.inf]]])
+    zero = np.zeros(2, dtype=complex)
+    assert np.array_equal(fix_phase(zero), zero) and fix_phase(zero) is not zero
+    # no entry exceeds tol.weighted(top) = 2 at t = 1, so the pivot is entry 0, which is zero: the phase stays
+    v = np.array([0.0, 1j])
+    assert np.array_equal(fix_phase(v, Tolerance(1.0)), v)

@@ -1057,3 +1057,13 @@ def test_finite_observables_trace_under_one_mib():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak  # one kin x kin complex array is 4 MiB
+
+
+def test_relational_observable_refuses_an_operator_that_fails_the_dirac_check(monkeypatch):
+    s = cli.build_scenario(cli.load_config("finite-regular:Z3"))
+    moved = np.zeros((s.kin_dim, s.kin_dim), dtype=complex)
+    moved[0, 1] = 1.0  # |0><1| is moved by the Z3 action: not invariant
+    monkeypatch.setattr(perspective, "_twirled", lambda *args: moved)
+    with pytest.raises(ValueError, match=r"relational observable failed the Dirac commutation check \(1\.41e\+00\)"):
+        perspective.relational_observable(s, "R1", 0, np.eye(s.complement_dim("R1")))
+    assert perspective.relational_observable(s, "R1", 0, np.eye(s.complement_dim("R1")), check=False).op is moved

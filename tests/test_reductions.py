@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ket3, regular_three_party, u1_basis_index
+from oracles import reproducing_residual
 from qrf import frames, groups, perspective, reps
 from qrf.linalg import DEFAULT_TOL, Monomial, Tolerance, dagger, densify
 from qrf.perspective import physical_space, system_projector
@@ -14,7 +15,6 @@ from qrf.reductions import (
     disentangler,
     heisenberg_reduce,
     multi_event_probability,
-    reproducing_residual,
     schrodinger_inverse,
     schrodinger_map,
     schrodinger_reduce,
@@ -541,3 +541,66 @@ def test_probabilities_on_weight_blocks_match_the_dense_observable(fixture, fram
     num = float(np.real(np.vdot(v, f_c.matrix @ (f_e.matrix @ (f_c.matrix @ v)))))
     p = multi_event_probability(ps, frame, (e, g), (e_cond, [0.1] * len(g)), v)
     assert abs(p - num / float(np.real(np.vdot(v, f_c.matrix @ v)))) <= 1e-14
+
+
+def test_finite_reductions_read_the_orbit_without_evaluating_the_frame_rep(monkeypatch):
+    from qrf import cli
+
+    s = cli.build_scenario(cli.load_config("finite-regular:D4"))
+    ps, frame = physical_space(s), s.frame("R1")
+    psi = ps.basis.basis[:, 0]
+    expected = np.sqrt(frame.weight_scale) * s.condition_vector("R1", frame.rep.evaluate(3) @ frame.seed, psi)
+    calls = []
+    original = reps.UnitaryRep.evaluate
+    monkeypatch.setattr(reps.UnitaryRep, "evaluate", lambda rep, g: calls.append(rep is frame.rep) or original(rep, g))
+    assert np.array_equal(schrodinger_reduce(ps, "R1", 3, psi), expected)
+    perspective.relational_observable(s, "R1", 5, np.eye(s.complement_dim("R1")))
+    assert calls.count(True) == 0  # one evaluation of phi(g) per call before the orbit
+
+
+def test_conditional_probability_refuses_a_failed_gauge_invariance_cross_check(monkeypatch, z3_regular_scenario):
+    from types import SimpleNamespace
+
+    from qrf import reductions
+
+    s = z3_regular_scenario
+    ps = physical_space(s)
+    kin = s.kin_dim
+    monkeypatch.setattr(reductions, "relational_observable", lambda *a, **k: SimpleNamespace(op=np.zeros((kin, kin))))
+    with pytest.raises(ValueError, match=r"gauge-invariance cross-check failed: 1\.0\d* vs 0\.0"):
+        conditional_probability(ps, "R1", 0, np.eye(s.complement_dim("R1")), ps.basis.basis[:, 0])
+
+
+def test_u1_theta_search_reports_a_gap_just_above_its_bound():
+    # the seed passes make_frame (residual 5.1e-9 <= validity_bound(3) = 6e-9), but the best Fourier phase's
+    # gap |3 (1 + d) / 3 - 1| = d = 2.1e-9 lies above validity_bound(1) = 2e-9
+    d = 2.1e-9
+    f = frames.make_frame(reps.u1_rep([2, 0, -2]), np.sqrt(np.array([1 + d, 1 + d, 1 - 2 * d]) / 3), name="Q")
+    out = solve_theta(f)
+    assert isinstance(out, ThetaNotFound), out
+    assert out.reason == "no integer Fourier phase satisfies the reproducing equality"
+    assert out.residual == pytest.approx(d, rel=1e-3) and out.residual > frames.validity_bound(1)
+
+
+def test_disentangler_checks_the_theta_state_it_is_given(z3_regular_scenario, u1_scenario, three_spin_scenario):
+    z3, zv = z3_regular_scenario, np.zeros(z3_regular_scenario.kin_dim)
+    with pytest.raises(ValueError, match="theta state belongs to a different frame"):
+        disentangler(z3, "R1", ThetaState(frame_name="R2", vector=np.zeros(3), phases=np.ones(3)), zv)
+    with pytest.raises(ValueError, match="finite frame needs per-element phases"):
+        disentangler(z3, "R1", ThetaState(frame_name="R1", vector=np.zeros(3)), zv)
+    with pytest.raises(ValueError, match="disentangler supports finite-group and U\\(1\\) frames"):
+        disentangler(three_spin_scenario, "A", ThetaState(frame_name="A", vector=np.zeros(3)),
+                     np.zeros(three_spin_scenario.kin_dim))
+    with pytest.raises(ValueError, match="U\\(1\\) frame needs a Fourier phase label"):
+        disentangler(u1_scenario, "A", ThetaState(frame_name="A", vector=np.zeros(2)), np.zeros(u1_scenario.kin_dim))
+
+
+def test_heisenberg_reduction_refuses_a_theta_state_that_does_not_reproduce(z3_regular_scenario):
+    s = z3_regular_scenario
+    ps = physical_space(s)
+    theta = solve_theta(s.frame("R1"))
+    # on an ideal frame conditioning at h reads |N(h)|^2 times the Schroedinger reduction: unimodular phases all
+    # reproduce, a phase of modulus 2 does not
+    bent = ThetaState(frame_name="R1", vector=theta.vector, phases=np.array([1.0, 2.0, 1.0]))
+    with pytest.raises(ValueError, match="Heisenberg reduction depends on the conditioning orientation"):
+        heisenberg_reduce(ps, "R1", bent, ps.basis.basis[:, 0])

@@ -7,8 +7,8 @@ SCENARIO is what ``qrf run`` takes: a builtin name or a config file.  Each
 name in STAGES is rebound, in every loaded ``qrf`` module that holds it, to a
 wrapper that reads ``ru_maxrss`` before and after the call; the process's
 high-water mark only grows, so a stage shows growth only when it sets a new
-peak.  Stages nest (the pair-orbit labels inside the weak homomorphism
-check), so a line is one stage under one chain of enclosing stages, printed
+peak.  Stages nest (the held observables ``_twirled`` builds inside the weak
+homomorphism check), so a line is one stage under one chain of enclosing stages, printed
 as a tree under its enclosing stage, in the order of first calls.  ``--traced`` also runs
 ``tracemalloc`` and prints the largest traced size inside each stage, counted
 from the start of the run: the live Python allocations at the stage's peak,
@@ -39,7 +39,7 @@ STAGES = [
     "reductions.product_form_check",
     "perspective.check_weak_homomorphism",
     "perspective.relational_observable",
-    "reps._pair_orbits",
+    "perspective._twirled",
     "perspective.conditional_inner_product_check",
     "framechange.frame_change",
     "framechange.reorientation_check",

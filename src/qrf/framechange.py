@@ -6,11 +6,11 @@ physical system subspaces regardless of frame idealness.  V = C_j C_i^dag is a p
 both conditioning maps are held by index and weight (U(1) frames, identity-ket finite frames), and a
 dense product otherwise.  Symmetry-induced transformations --
 plain and relation-conditional reorientations -- act on relational observables instead (a plain
-reorientation relabels the pair-orbit means of a held finite observable); the
+reorientation rereads the leader rows of a held finite observable through a slot permutation); the
 relation-conditional construction is restricted to regular representations, as is its
 commuting-subalgebra structure, and runs in the frames' orbit coordinates, where a reorientation
-relabels orbits and a relative-orientation projector keeps rows; with basis-ket seeds it relabels
-held pair-orbit means, row by row.  Subsystem relativity reads the
+relabels orbits and a relative-orientation projector keeps rows; with basis-ket seeds it rereads
+held leader rows, entry by entry.  Subsystem relativity reads the
 relativized algebras of ideal frames as matrix-unit systems from the blocks of C_e and compares
 them by a cross Gram of those blocks; it grows them by product sweeps otherwise.
 """
@@ -110,7 +110,7 @@ def ensure_lr(frame, tol: Tolerance = DEFAULT_TOL):
 
 
 def reorient(s: Scenario, frame_name: str, g, obs: RelObs, tol: Tolerance = DEFAULT_TOL) -> RelObs:
-    """Frame reorientation by g: conjugation with V_R(g) x 1, shifting the orbit label; orbit means stay held."""
+    """Frame reorientation by g: conjugation with V_R(g) x 1, shifting the orbit label; leader rows stay held."""
     frame = s.frame(frame_name)
     if obs.frame_name != frame_name:
         raise ValueError("observable was built relative to another frame")
@@ -136,13 +136,13 @@ def reorientation_check(
 
 
 def _distance(moved: RelObs, direct: RelObs) -> float:
-    """||F_moved - F_direct||_F.  Two held observables are subtracted as held and the difference gathered once; a held
-    ``direct`` beside a dense ``moved`` is gathered into the array that takes the difference, so no third kin x kin
-    array is formed.  y - x = -(x - y) exactly, so the norm has the bits of the plain difference."""
+    """||F_moved - F_direct||_F.  Two held observables are subtracted as held and the difference measured as held; a
+    held ``direct`` beside a dense ``moved`` is gathered into the array that takes the difference, so no third
+    kin x kin array is formed.  y - x = -(x - y) exactly, so the norm has the bits of the plain difference."""
     if isinstance(direct.op, np.ndarray):
         return float(np.linalg.norm(moved.matrix - direct.op))
     if not isinstance(moved.op, np.ndarray):
-        return float(np.linalg.norm(densify(direct.op - moved.op)))
+        return (direct.op - moved.op).norm()
     diff = densify(direct.op)
     diff -= moved.matrix
     return float(np.linalg.norm(diff))
@@ -186,8 +186,8 @@ def _right_conjugate(dims: list[int], slot: int, v_rep, g, m: np.ndarray | reps.
 
     When V_R is a permutation rep (the regular frames), this permutes the slot's
     index on both sides of m: one gather, m[q][:, q] with q the inverse permutation.
-    V_R commutes with the frame's left action, so q maps pair orbits to pair orbits, and orbit means are
-    relabelled, each orbit read at the image of its leader pair; otherwise they are densified.
+    V_R commutes with the frame's left action, so q maps pair orbits to pair orbits, and leader rows are
+    reread, each held entry at its image under q; otherwise they are densified.
     """
     sigma = reps.permutation_table(v_rep)
     if sigma is None:
@@ -221,11 +221,11 @@ def relation_conditional_reorient(
     rotates an observable's own ``family`` where it has one, as tautological
     observables do.  The projector onto relative orientation g' keeps the rows
     with orbit labels b = a g'; these partition the rows, so the sum is rotated
-    back once.  When the operand is held as orbit means and has no family to
+    back once.  When the operand is held as leader rows and has no family to
     rotate, and both orbit matrices are exact permutations (identity-ket and
     other basis-ket seeds), the output is held too: it is invariant, every
-    entry is a copy of an operand entry, and each orbit's mean is read at its
-    leader pair through the relabelling of that pair's row (``_held_targets``).
+    entry is a copy of an operand entry, and each held entry is read at its
+    leader-row position through the relabelling of that row (``_held_targets``).
     """
     if frame1 == frame2:
         raise ValueError("relation-conditional reorientation needs two distinct frames")
@@ -274,11 +274,11 @@ def relation_conditional_reorient(
 
 def _held_targets(dims: list[int], slots: tuple[int, int], perms: list[np.ndarray], group, shift: int,
                   m: reps.OrbitMeans) -> reps.OrbitMeans:
-    """The relation-conditional sum as orbit means, when the orbit matrices are the permutations O e_h = e_{p[h]}.
+    """The relation-conditional sum as leader rows, when the orbit matrices are the permutations O e_h = e_{p[h]}.
 
     Entry (i, j) of the sum is m's entry at (r(i), r(j)), where r relabels frame 1's index c by p1[p1^-1[c] k],
     k = g' ``shift``, and g' = a^-1 b is row i's relative orientation, a and b its orbit labels on the two frames;
-    read at each leader pair, one read per orbit.
+    read at each held entry of the leader rows, one read per entry.
     """
     (slot1, slot2), (p1, p2), table = slots, perms, group.product_table
     inv1, inv2 = np.argsort(p1), np.argsort(p2)

@@ -93,9 +93,10 @@ class Frame:
 
     @functools.cached_property
     def orbit(self) -> np.ndarray:
-        """Row g is phi(g) = U(g) phi, for a finite frame: its (|G|, dim) orientation states, formed once.  Read-only,
-        since ``orientation_state`` hands out its rows as views."""
-        orbit = self.rep.matrices @ self.seed
+        """Row g is phi(g) = U(g) phi, for a finite frame: its (|G|, dim) orientation states, formed once, on a
+        table-held rep by scattering the seed with no dense matrix.  Read-only, since ``orientation_state`` hands
+        out its rows as views."""
+        orbit = reps._act(self.rep, np.arange(self.group.order), self.seed)
         orbit.flags.writeable = False
         return orbit
 

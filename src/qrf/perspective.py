@@ -40,12 +40,15 @@ the homomorphism check reads every clause through it and ties it to
 C_g^dag f_S C_g.  Relational observables are held as ``reps`` describes, and
 every reader here asks the held form itself.  The operand |phi(g)><phi(g)| x f_S
 lives on the frame blocks (a, b) with a and b in the support of phi(g), so on a
-table-held finite rep one rule gives the orbit means, with no kinematical operand
-or twirl: for each support row a, each pair ((a, c~), (b, c')), b in the support,
-adds phi_a conj(phi_b) f_S[c~, c'] over its pair orbit's size to its orbit's mean.
-An identity-ket block on a regular frame meets each orbit once (a mean is one f_S
-entry over |G|), and on a frame with isotropy once per isotropy element.  A Lie
-observable's weight blocks are read from |phi><phi| and f_S.
+table-held finite rep one rule gives the rows at the index-orbit leaders, with no
+kinematical operand or twirl: each pair (i, j) = ((a, c~), (b, c')), a and b in the
+support, adds phi_a conj(phi_b) f_S[c~, c'] / |G| to the held entry
+(orbit(i), sigma_g(j)) for each g that takes i to its orbit's leader, one g per
+row under a free action and one per stabiliser element otherwise; the (g, c~) of
+each frame row a are cached per frame, O(kin) indices.  An identity-ket block on a
+regular frame meets each held entry once (it is one f_S entry over |G|), and on a
+frame with isotropy once per isotropy element.  A Lie observable's weight blocks
+are read from |phi><phi| and f_S.
 """
 
 from __future__ import annotations
@@ -374,7 +377,7 @@ def relational_observable(
 
 
 def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -> Operator:
-    """Vol twirl(E x f_S), E = |phi(g)><phi(g)|: orbit means on a table-held finite rep, accumulated over the
+    """Vol twirl(E x f_S), E = |phi(g)><phi(g)|: leader rows on a table-held finite rep, accumulated over the
     support of phi(g) by the module's one rule, dense on any other finite rep, weight blocks for a Lie group.
 
     With W = 1 (an exactly diagonal Cartan generator) the aligned operand's blocks
@@ -383,16 +386,24 @@ def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -
     rep, frame = s.total_rep, s.frame(frame_name)
     phi = frame.orientation(frame.rep.element(g))
     if reps.permutation_table(rep) is not None:
-        labels, sizes = reps._pair_orbits(rep)
-        at = slot_view(np.arange(s.kin_dim), s.dims, s.frame_slot(frame_name)).transpose(1, 0, 2).reshape(len(phi), -1)
+        o, kin = reps._index_orbits(rep), s.kin_dim
+        key = ("leader_index", frame_name)
+        if key not in s._cache:  # per frame row a, each (g, c~) with sigma_g((a, c~)) a leader: c~, the offset g kin
+            # of sigma_g in the flat table and the offset orbit((a, c~)) kin of its leader row in the flat means
+            at = slot_view(np.arange(kin), s.dims, s.frame_slot(frame_name)).transpose(1, 0, 2).reshape(len(phi), -1)
+            hits = [np.nonzero(o.sigma[:, row] == o.leaders[o.orbit[row]]) for row in at]
+            s._cache[key] = (at, [(c, h * kin, o.orbit[row[c]] * kin) for row, (h, c) in zip(at, hits)])
+        at, hits = s._cache[key]
         support = np.flatnonzero(phi)
-        cols, means = at[support].reshape(-1), np.zeros(sizes.size, dtype=complex)
-        for a in support:  # the pairs ((a, c~), (b, c')), b over the support, one frame row at a time
-            pairs = labels[(at[a][:, None] * s.kin_dim + cols).reshape(-1)]
-            terms = (phi[a] * np.conj(phi[support]))[:, None] * f_s[:, None, :]  # over (c~, b, c')
-            np.add.at(means, pairs, terms.reshape(-1) / sizes[pairs])
+        cols, means, flat = at[support].reshape(-1), np.zeros(o.leaders.size * kin, dtype=complex), o.sigma.reshape(-1)
+        for a in support:  # rows (a, c~) against columns (b, c'), b over the support, one frame row at a time
+            c, table_at, lead = hits[a]
+            targets = flat.take(table_at[:, None] + cols)  # sigma_g(j) for each hit and column
+            targets += lead[:, None]
+            terms = (phi[a] * np.conj(phi[support]))[None, :, None] * f_s[c][:, None, :]  # over (g, c~), b, c'
+            np.add.at(means, targets.reshape(-1), terms.reshape(-1) / len(o.sigma))
         means *= frame.weight_scale
-        return reps.OrbitMeans(rep, means)
+        return reps.OrbitMeans(rep, means.reshape(-1, kin))
     proj = np.outer(phi, np.conj(phi))
     if rep.is_finite:
         return group_average(rep, s.embed_frame_operator(frame_name, proj, f_s), "twirl", frame.weight_scale, tol)
@@ -424,7 +435,8 @@ def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = 
     if h.element_indices is not None:
         if rep_s.dim != f_s.shape[0]:
             raise ValueError("observable does not act on the system representation")
-        return sum(u @ f_s @ dagger(u) for u in rep_s.matrices[list(h.element_indices)]) / len(h.element_indices)
+        members = reps._matrices_at(rep_s, list(h.element_indices))  # a table-held rep builds these alone
+        return sum(u @ f_s @ dagger(u) for u in members) / len(h.element_indices)
     basis = h.algebra_basis or ()
     if len(basis) == 0:
         return f_s.copy()

@@ -30,28 +30,32 @@ sigma_{a x b}(i d_b + j) = sigma_a(i) d_b + sigma_b(j), and a rep given by
 dense matrices gets its table from the observed entries.  The dense
 (|G|, dim, dim) stack of a table-held rep is built only when a dense
 consumer asks for it.  With a table, the fixed space is spanned by the
-normalised indicators of the index orbits (Burnside: one per orbit), the
-twirl is the mean of the operand over each orbit of index pairs, O(dim^2)
-and independent of |G| once the pair labels are cached, and the constraint
-operators act by gathers.  The labels are a running minimum over blocks of
-the table's rows, never a (|G|, dim^2) table of a large rep.  Every
-other finite rep (sign reps, higher-dimensional irreps, tables off by
-rounding) takes the dense paths, the joint kernel and the batched-matmul
-twirl, which are also the tests' oracles for the permutation paths.
+normalised indicators of the index orbits (Burnside: one per orbit), read
+from the table's index orbits: each orbit's leader (its smallest index), the
+orbit of every index and the smallest g taking it to its leader, O(|G| dim)
+numbers cached on the rep (``_index_orbits``).  The twirl's row at a leader
+l is the mean over g of A[sigma_g(l)][:, sigma_g], and the constraint
+operators act by gathers.  Every other finite rep (sign reps,
+higher-dimensional irreps, tables off by rounding) takes the dense paths,
+the joint kernel and the batched-matmul twirl, which are also the tests'
+oracles for the permutation paths.
 
 A relational observable is held in the form its rep's path gives: on a
-table-held rep by one mean per orbit of index pairs (``OrbitMeans``: entry
-(i, j) is ``means[label(i, j)]``, dim^2/|G| numbers under a free action), on
-a Lie rep by its weight blocks (``WeightBlocks``), else as a dense array,
-every reader's default.  A held form answers its readers itself, so none
-names it: ``dense()`` builds the matrix (for ``linalg.densify``), ``@ v``
-applies it, ``restrict(B)`` is B^dag op B for physical columns B,
-``largest_entry()`` is the Dirac check's scale, and ``invariant_on(rep)``
-says it commutes with rep's constraints by construction: orbit means on
-their own rep, weight blocks on a charge-held rep (each block lies in one
-charge sector).  Orbit means on one rep subtract as orbit means, and
-``OrbitMeans.read`` relabels them by an index permutation that commutes with
-the action, one read per orbit at the image of its leader pair.
+table-held rep by its rows at the index-orbit leaders (``OrbitMeans``: an
+invariant F is F[i, j] = means[orbit(i), sigma_{t(i)}(j)], dim^2/|G|
+numbers under a free action, each the mean of its pair orbit), on a Lie rep
+by its weight blocks (``WeightBlocks``), else as a dense array, every
+reader's default.  A held form answers its readers itself, so none names it:
+``dense()`` builds the matrix (for ``linalg.densify``), ``@ v`` applies it
+(leader rows: one product over the group), ``restrict(B)`` is B^dag op B
+for physical columns B (leader rows: S^dag (means B), S the sums of B's rows
+over each orbit), ``largest_entry()`` is the Dirac check's scale, and
+``invariant_on(rep)`` says it commutes with rep's constraints by
+construction: leader rows on their own rep, weight blocks on a charge-held
+rep (each block lies in one charge sector).  Leader rows on one rep
+subtract as leader rows and give their Frobenius norm, sum_o |o| ||means_o||^2
+under the root, and ``OrbitMeans.read`` rereads them through an index
+permutation that commutes with the action, one read per held entry.
 """
 
 from __future__ import annotations
@@ -575,12 +579,6 @@ def isotypic_decompose(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL, seed: int 
 # ---------------------------------------------------------------------------
 
 
-# Pair images per block of the ``_pair_orbits`` minimum: one row of a 512-dim table, most of a 216-dim one.  Not one
-# row throughout: freeing a small table's block raises glibc malloc's dynamic mmap and trim thresholds, without which
-# every kin^2 gather of a warm S3 query is mapped and faulted in afresh (a reorientation query: 0.79 ms, not 0.43).
-PAIR_BLOCK = 2**18
-
-
 def _exact_permutation(mats: np.ndarray) -> np.ndarray | None:
     """p with m e_j = e_{p[j]} for each matrix m of a stack (..., d, d) whose every entry is exactly 0 or 1 with
     a single 1 in each row and column, or None if any matrix is not such a permutation matrix."""
@@ -603,16 +601,62 @@ def permutation_table(rep: UnitaryRep) -> np.ndarray | None:
     return rep._iso_cache["perm"]
 
 
-def _pair_orbits(rep: UnitaryRep) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit label of every flat index pair (i, j) under the diagonal action, and orbit sizes.
+def _act(rep: UnitaryRep, idx, v: np.ndarray) -> np.ndarray:
+    """U_g v for each element index g in ``idx`` of a finite rep, shape (len(idx),) + v.shape: with a permutation
+    table a scatter, (U_g v)[sigma_g(j)] = v[j], exact; otherwise products with the matrices ``_matrices_at`` builds."""
+    sigma = permutation_table(rep)
+    if sigma is None:
+        return _matrices_at(rep, idx) @ v
+    rows = sigma[idx]
+    out = np.empty((len(rows),) + np.shape(v), dtype=np.result_type(v, complex))
+    out[np.arange(len(rows))[:, None], rows] = v
+    return out
 
-    Each pair is labelled by the smallest flat index sigma_g(i) dim + sigma_g(j) of its images, a running
-    minimum over blocks of the rep's table rows, at most ``PAIR_BLOCK`` images or one row at a time, and labels
-    are then renumbered 0..(#orbits - 1) in the order of their leaders, the smallest pair of each orbit.  Cached
-    on the rep: dim^2 ints.  Acting freely or not, a dim^2 >= ``PAIR_BLOCK`` table forms one row of images at a
-    time, never the (|G|, dim^2) table.
+
+@dataclass(frozen=True, eq=False)
+class _IndexOrbits:
+    """The orbits of a permutation table's indices, O(|G| dim) numbers in all.  ``leaders`` holds each orbit's
+    smallest index in increasing order, ``orbit[i]`` the orbit of index i, ``t[i]`` the smallest g with
+    sigma_g(i) = leaders[orbit[i]], ``sizes`` the orbit sizes and ``inverse[g]`` the table of g^-1, sigma_g^-1."""
+
+    sigma: np.ndarray
+    leaders: np.ndarray
+    orbit: np.ndarray
+    t: np.ndarray
+    sizes: np.ndarray
+    inverse: np.ndarray
+
+
+def _index_orbits(rep: UnitaryRep) -> _IndexOrbits:
+    """The ``_IndexOrbits`` of a table-held rep's table, cached on the rep; the orbit of j is {sigma_g(j)}."""
+    if "orbits" not in rep._iso_cache:
+        sigma = permutation_table(rep)
+        low = sigma.min(axis=0)
+        leaders, orbit = np.unique(low, return_inverse=True)
+        t = np.argmax(sigma == low, axis=0)
+        rep._iso_cache["orbits"] = _IndexOrbits(sigma, leaders, orbit, t, np.bincount(orbit),
+                                               sigma[rep.group.inverse_table])
+    return rep._iso_cache["orbits"]
+
+
+# The pair-orbit labels survive only as ``_dense_index``, the gather that densifies leader rows.  It is a running
+# minimum over blocks of at most PAIR_BLOCK pair images (one row of a 512-dim table, most of a 216-dim one), not an
+# O(dim^2) read of the index orbits, because freeing that block once raises glibc malloc's dynamic mmap and trim
+# thresholds: without it every kin^2 array of a warm S3 query (the densified observables a caller subtracts) is
+# mapped and faulted in afresh (a reorientation query: 0.80-1.02 ms, not 0.38).  It is built only when leader rows
+# are densified, by a caller's ``dense()`` or a table twirl, and no finite report densifies them on its total rep.
+PAIR_BLOCK = 2**18
+
+
+def _dense_index(rep: UnitaryRep) -> np.ndarray:
+    """(dim, dim) index into the flat leader rows of an ``OrbitMeans`` on rep: entry (i, j) is o dim + j', where
+    (l_o, j') is the smallest flat pair of the orbit of (i, j) under the diagonal action, whose row is the leader l_o.
+
+    The smallest pair is a running minimum over blocks of the rep's table rows, at most ``PAIR_BLOCK`` pair images
+    or one row at a time, never the (|G|, dim^2) table.  Under a free action o dim + j' is the pair orbit's rank
+    among the smallest pairs, its label.  Cached on the rep: dim^2 ints, built on the first densify.
     """
-    if "pair_orbits" not in rep._iso_cache:
+    if "dense_index" not in rep._iso_cache:
         sigma, d = permutation_table(rep), rep.dim
         step = max(1, PAIR_BLOCK // (d * d))
         low = np.full(d * d, d * d)
@@ -620,73 +664,80 @@ def _pair_orbits(rep: UnitaryRep) -> tuple[np.ndarray, np.ndarray]:
             rows = sigma[k:k + step]
             for image in (rows[:, :, None] * d + rows[:, None, :]).reshape(len(rows), -1):
                 np.minimum(low, image, out=low)
-        leaders = low == np.arange(low.size)
-        rank = np.cumsum(leaders)
-        rank -= 1
-        labels = rank[low]
-        rep._iso_cache["pair_orbits"] = (labels, np.bincount(labels))
-        rep._iso_cache["pair_leaders"] = np.flatnonzero(leaders)  # orbit k's smallest flat pair, in label order
-    return rep._iso_cache["pair_orbits"]
+        col = low % d
+        low //= d  # the leader's index, in place, then its orbit
+        np.take(_index_orbits(rep).orbit, low, out=low)
+        low *= d
+        low += col
+        rep._iso_cache["dense_index"] = low.reshape(d, d)
+    return rep._iso_cache["dense_index"]
 
 
 def _finite_twirl(rep: UnitaryRep, a: np.ndarray) -> np.ndarray:
     """Uniform average of U A U^dag over a finite rep.
 
-    With a permutation table, (U_g A U_g^dag)[i, j] = A[sigma_g^-1 i, sigma_g^-1 j],
-    so the average is the mean of A over each orbit of index pairs: two
-    bincounts and a gather.  Otherwise batched dense matmuls over the table.
+    With a permutation table, (U_g A U_g^dag)[i, j] = A[sigma_g^-1 i, sigma_g^-1 j], so the average's row at a
+    leader l is the mean over g of A[sigma_g(l)][:, sigma_g]: held as ``OrbitMeans`` and densified.  Otherwise
+    batched dense matmuls over the table.
     """
-    if permutation_table(rep) is None:
+    sigma = permutation_table(rep)
+    if sigma is None:
         mats = rep.matrices
         return np.mean((mats @ a) @ np.conj(np.transpose(mats, (0, 2, 1))), axis=0)
-    labels, sizes = _pair_orbits(rep)
-    flat = a.reshape(-1)
-    means = (np.bincount(labels, flat.real) + 1j * np.bincount(labels, flat.imag)) / sizes
-    return means[labels].reshape(a.shape)
+    rows = sigma[:, _index_orbits(rep).leaders]
+    return OrbitMeans(rep, sum(a[np.ix_(row, col)] for row, col in zip(rows, sigma)) / len(sigma)).dense()
 
 
 @dataclass(frozen=True, eq=False)
 class OrbitMeans:
-    """A G-invariant operator on a table-held finite rep by its pair-orbit means (the module's held protocol).
-    ``@ v`` gathers the matrix in row blocks of at most ``PAIR_BLOCK`` entries or one row: bit-equal to
-    ``dense() @ v`` when every block has two rows or more (one block up to dim 512); a one-row block is a BLAS dot."""
+    """A G-invariant operator F on a table-held finite rep by its rows at the index-orbit leaders (the module's held
+    protocol): ``means[o]`` is F's row at leader l_o, shape (n_orbits, dim), each entry the mean of its pair orbit.
+    Invariance gives the rest, F[i, j] = means[orbit(i), sigma_{t(i)}(j)] (``_index_orbits``)."""
 
     rep: UnitaryRep
     means: np.ndarray
 
     def dense(self) -> np.ndarray:
-        return self.means[_pair_orbits(self.rep)[0]].reshape(self.rep.dim, self.rep.dim)
+        return self.means.reshape(-1).take(_dense_index(self.rep))
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        labels, d = _pair_orbits(self.rep)[0], self.rep.dim
-        step = max(1, PAIR_BLOCK // d)
-        out = np.empty((d,) + np.shape(v)[1:], dtype=np.result_type(self.means, v))
-        for r in range(0, d, step):
-            out[r:r + step] = self.means[labels[r * d:(r + step) * d]].reshape(-1, d) @ v
-        return out
+        """(F v)[i] = sum_k means[orbit(i), k] v[sigma_{t(i)}^-1(k)] = Y[orbit(i), t(i)], Y = means @ v[sigma^-1]^T:
+        one product over the group, for a vector or each column of a matrix."""
+        o, v = _index_orbits(self.rep), np.asarray(v)
+        y = self.means @ v[o.inverse.T].reshape(self.rep.dim, -1)  # row o, then (g, column) in order
+        return y.reshape((-1,) + v.shape[1:]).take(o.orbit * len(o.inverse) + o.t, axis=0)
 
     def __sub__(self, other: OrbitMeans) -> OrbitMeans:
-        return OrbitMeans(self.rep, self.means - other.means)  # both on self.rep: the same labels
+        return OrbitMeans(self.rep, self.means - other.means)  # both on self.rep: the same leader rows
 
     def restrict(self, b: np.ndarray) -> np.ndarray:
-        return dagger(b) @ (self @ b)
+        """B^dag F B for invariant columns b: F b is invariant too, so (F b)[i] = (means b)[orbit(i)], and
+        B^dag F B = S^dag (means b) with S the sums of b's rows over each orbit, S[o] = |o| b[l_o]."""
+        o = _index_orbits(self.rep)
+        return dagger(o.sizes[:, None] * b[o.leaders]) @ (self.means @ b)
+
+    def norm(self) -> float:
+        """||F||_F: row o of means appears, permuted, once per index of its orbit."""
+        return float(np.sqrt(_index_orbits(self.rep).sizes @ np.sum(np.abs(self.means) ** 2, axis=1)))
 
     def largest_entry(self) -> float:
-        return float(np.abs(self.means).max(initial=0.0))  # every mean is an entry
+        return float(np.abs(self.means).max(initial=0.0))  # every held entry is an entry, and every entry is held
 
     def invariant_on(self, rep: UnitaryRep) -> bool:
-        return self.rep is rep  # the labels are orbits of this rep's action
+        return self.rep is rep  # the leader rows are read through this rep's action
 
     def leaders(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column of each orbit's leader pair, its smallest flat pair, in label order."""
-        _pair_orbits(self.rep)
-        return np.divmod(self.rep._iso_cache["pair_leaders"], self.rep.dim)
+        """Row and column of each held entry, as broadcastable (n_orbits, 1) and (1, dim) arrays: means[o, j] is
+        the entry at (leaders[o], j)."""
+        return _index_orbits(self.rep).leaders[:, None], np.arange(self.rep.dim)[None, :]
 
     def read(self, rows: np.ndarray, cols: np.ndarray) -> OrbitMeans:
-        """Orbit means whose orbit k is this operator's entry (rows[k], cols[k]): an invariant operator held so
-        when it is known to equal these entries at the ``leaders``, one read per orbit."""
-        labels, _ = _pair_orbits(self.rep)
-        return OrbitMeans(self.rep, self.means[labels[rows * self.rep.dim + cols]])
+        """The held operator whose entry (o, j) is this operator's entry (rows[o, j], cols[o, j]), broadcast: an
+        invariant operator held so when it is known to equal these entries at the ``leaders``."""
+        o, d = _index_orbits(self.rep), self.rep.dim
+        flat = o.sigma.reshape(-1).take(o.t[rows] * d + cols)  # sigma_{t(r)}(c)
+        flat += o.orbit[rows] * d
+        return OrbitMeans(self.rep, self.means.reshape(-1).take(flat))
 
 
 @dataclass(frozen=True, eq=False)
@@ -781,13 +832,9 @@ def apply_constraints(rep: UnitaryRep, v: np.ndarray) -> np.ndarray:
     with charges a row scaling, (K v)[j] = q_j v[j]."""
     if rep.charges is not None:
         return (rep.charges.reshape(-1, *[1] * (np.ndim(v) - 1)) * np.asarray(v, dtype=complex))[None]
-    sigma = permutation_table(rep)
-    if sigma is None:
+    if permutation_table(rep) is None:
         return constraints(rep) @ v
-    rows = sigma[list(rep.group.generators)]
-    moved = np.empty((rows.shape[0],) + v.shape, dtype=np.result_type(v, complex))
-    moved[np.arange(rows.shape[0])[:, None], rows] = v
-    return moved - v
+    return _act(rep, list(rep.group.generators), v) - v
 
 
 def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -799,12 +846,11 @@ def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     Lie: the top of the weight-0 ladder (U(1): the charge-0 columns, SU(2): spin 0).
     """
     if rep.is_finite:
-        sigma = permutation_table(rep)
-        if sigma is None:
+        if permutation_table(rep) is None:
             return joint_fixed_subspace(constraints(rep), tol)
-        leaders, orbit = np.unique(sigma.min(axis=0), return_inverse=True)  # the orbit of j is {sigma_g(j)}
-        basis = np.zeros((rep.dim, leaders.size), dtype=complex)
-        basis[np.arange(rep.dim), orbit] = 1.0 / np.sqrt(np.bincount(orbit))[orbit]
+        o = _index_orbits(rep)
+        basis = np.zeros((rep.dim, o.leaders.size), dtype=complex)
+        basis[np.arange(rep.dim), o.orbit] = 1.0 / np.sqrt(o.sizes)[o.orbit]
         return Subspace(rep.dim, basis)
     wb = weight_basis(rep)
     idx = wb.sectors.get(0, [])

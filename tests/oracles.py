@@ -46,7 +46,10 @@ Kronecker stack and the per-factor Kronecker-sum generators, each a loop
 over all factors; the pair images of a permutation rep in one formula; the
 permutation groups composed as index tuples; and Q8 from its literal
 multiplication rules.  The two spin-1 builtin configs are kept as the
-literals they were written as.  The library holds a U(1) rep whose
+literals they were written as.  The library holds a table-held invariant
+operator by its rows at the index-orbit leaders and twirls onto them; here
+are each index's leader found one index at a time, and the twirl as the mean
+over each pair orbit, labelled by the one-pass images.  The library holds a U(1) rep whose
 generator is exactly diagonal and integral by its charge vector; here is the
 same rep held by its dense generator, which takes the general Lie paths.
 
@@ -481,6 +484,22 @@ def pair_orbit_labels(sigma):
     low = (sigma[:, :, None] * d + sigma[:, None, :]).reshape(len(sigma), -1).min(axis=0)
     leaders, labels, sizes = np.unique(low, return_inverse=True, return_counts=True)
     return labels, sizes, leaders
+
+
+def pair_orbit_twirl(sigma, a):
+    """The table twirl as the mean of ``a`` over each pair orbit: two bincounts over the one-pass labels and a gather,
+    in place of the mean over the group of the operand's rows at the index-orbit leaders."""
+    labels, sizes, _ = pair_orbit_labels(sigma)
+    flat = a.reshape(-1)
+    means = (np.bincount(labels, flat.real) + 1j * np.bincount(labels, flat.imag)) / sizes
+    return means[labels].reshape(a.shape)
+
+
+def index_orbits(sigma):
+    """Each index's orbit leader (its smallest image) and the smallest g taking it there, one index at a time."""
+    leaders = np.array([min(sigma[:, i]) for i in range(sigma.shape[1])])
+    t = np.array([min(g for g in range(len(sigma)) if sigma[g, i] == leaders[i]) for i in range(sigma.shape[1])])
+    return leaders, t
 
 
 def perm_group(perms, name):

@@ -473,6 +473,17 @@ def test_orbit_rows_are_the_orientation_states():
         f.orientation(1)[0] = 2.0
 
 
+def test_table_held_orbit_is_the_seed_scattered_by_the_table():
+    # (U_g phi)[sigma_g(j)] = phi[j]: bit-equal to the dense product, and no dense stack is built for it
+    for f in (ideal_frame(groups.symmetric_3()), ideal_frame(groups.dihedral_4())):
+        assert f.rep._matrices is None
+        orbit = f.orbit
+        assert f.rep._matrices is None and np.array_equal(orbit, f.rep.matrices @ f.seed)
+    reg = reps.regular_rep(groups.cyclic(16))
+    frames.make_frame(reg, np.eye(16)[0])
+    assert reg._matrices is None
+
+
 def test_right_action_matches_the_twirl_per_element():
     from oracles import twirl_right_action
 

@@ -172,6 +172,20 @@ def test_h_average_full_su2_isotropy_is_the_commutant_projection():
     assert max(np.linalg.norm(k @ avg - avg @ k) for k in rep.generators) < 1e-12
 
 
+def test_h_average_on_a_table_held_rep_builds_only_the_isotropy_members():
+    # three regular Z16 parties: the frame's trivial isotropy on its 256-dim complement reads one permutation
+    # matrix, and the complement keeps no (16, 256, 256) stack
+    reg = reps.regular_rep(groups.cyclic(16))
+    frame = frames.make_frame(reg, np.eye(16)[0], name="A")
+    s = perspective.make_scenario(reg.group, [("A", reg), ("B", reg), ("C", reg)], {"A": ("A", frame)})
+    comp = s.complement_rep("A")
+    f_s = random_hermitian(np.random.default_rng(12), comp.dim)
+    avg = h_average(f_s, frame.isotropy, comp)
+    assert frame.isotropy.element_indices == (0,) and comp._matrices is None and reg._matrices is None
+    members = comp.matrices[list(frame.isotropy.element_indices)]  # the dense stack the average used to read
+    assert np.array_equal(avg, sum(u @ f_s @ dagger(u) for u in members) / len(members))
+
+
 def test_charge_held_dirac_defect_and_h_average_equal_the_dense_oracles():
     from oracles import dense_u1_twin
 
@@ -480,13 +494,13 @@ def test_homomorphism_check_builds_no_system_projector(fixture, frame, request, 
 
 
 def _affine(op, scale, shift):
-    """scale F + shift 1, on a dense operator, on each weight block, or on orbit means, where 1 is 1 on the orbits
-    of the diagonal pairs (i, i) and 0 elsewhere."""
+    """scale F + shift 1, on a dense operator, on each weight block, or on leader rows, where 1 has the entry 1 at
+    each leader (l_o, l_o) and 0 elsewhere."""
     if isinstance(op, reps.WeightBlocks):
         return reps.WeightBlocks(op.basis, {w: scale * b + shift * np.eye(len(b)) for w, b in op.blocks.items()})
     if isinstance(op, reps.OrbitMeans):
         means = scale * op.means
-        means[np.unique(reps._pair_orbits(op.rep)[0][:: op.rep.dim + 1])] += shift
+        means[np.arange(len(means)), op.leaders()[0][:, 0]] += shift
         return reps.OrbitMeans(op.rep, means)
     return scale * op + shift * np.eye(len(op))
 
@@ -977,11 +991,8 @@ def test_held_forms_answer_as_their_dense_matrix(source):
             op = relational_observable(s, name, g, random_hermitian(rng, s.complement_dim(name)), check=False).op
             dense = op.dense()
             want = dagger(b) @ (dense @ b)
-            if s.total_rep.is_finite:
-                assert isinstance(op, reps.OrbitMeans) and np.array_equal(op.restrict(b), want)
-            else:
-                assert isinstance(op, reps.WeightBlocks)
-                assert np.abs(op.restrict(b) - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(dense).max())
+            assert isinstance(op, reps.OrbitMeans if s.total_rep.is_finite else reps.WeightBlocks)
+            assert np.abs(op.restrict(b) - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(dense).max())
             assert op.largest_entry() == np.abs(dense).max()
             # today's rule: orbit means on their rep and charge-held blocks; SU(2) blocks are still commuted
             assert op.invariant_on(s.total_rep) == (s.total_rep.charges is not None or s.total_rep.is_finite)
@@ -1025,13 +1036,13 @@ def _d4_with_a_full_support_frame():
 def test_support_rule_equals_the_dense_twirl_off_the_ideal_frames(build, meets):
     # the one rule for table-held reps covers a frame with isotropy, whose identity-ket block meets each pair orbit
     # once per isotropy element, and a seed with full support
-    from oracles import dense_relational_observable
+    from oracles import dense_relational_observable, pair_orbit_labels
 
     s = build()
     name = next(iter(s.frames))
     frame, comp, kin = s.frame(name), s.complement_dim(name), s.kin_dim
     if meets is not None:  # the frame sits in slot 0: (a, c) is kinematical index a comp + c
-        labels = reps._pair_orbits(s.total_rep)[0]
+        labels = pair_orbit_labels(reps.permutation_table(s.total_rep))[0]
         block = labels[(np.arange(comp)[:, None] * kin + np.arange(comp)).reshape(-1)]
         assert set(np.bincount(block)) - {0} == {meets}
     f_s = random_hermitian(np.random.default_rng(66), comp)
@@ -1041,6 +1052,78 @@ def test_support_rule_equals_the_dense_twirl_off_the_ideal_frames(build, meets):
         assert isinstance(obs.op, reps.OrbitMeans)
         assert np.abs(obs.op.dense() - want).max() <= 1e-13 * np.abs(want).max(), g
         assert perspective.dirac_check(s, obs.op).passed
+
+
+def _points_cubed():
+    """S3 on three points, three parties, the frame on the first seeded e_0: every index has a stabiliser of order 2
+    or 6, so the total table does not act freely."""
+    g = groups.symmetric_3()
+    points = reps.finite_rep(g, [np.eye(3)[:, p] for p in sorted(itertools.permutations(range(3)))])
+    frame = frames.make_frame(points, [1, 0, 0], name="P")
+    return perspective.make_scenario(g, [("P", points), ("Q", points), ("S", points)], {"P": ("P", frame)})
+
+
+@pytest.mark.parametrize("source", ["finite-regular:S3", "finite-regular:D4", "points^3"])
+def test_leader_rows_answer_as_the_dense_relational_observable(source):
+    # free tables (S3^3, D4^3) and a table with stabilisers: every reader of a held observable against the formed
+    # operand's twirl, and a reorientation's read against the observable built at the new orientation
+    from oracles import dense_relational_observable
+
+    s = _points_cubed() if source == "points^3" else cli.build_scenario(cli.load_config(source))
+    kin, b = s.kin_dim, physical_space(s).basis.basis
+    assert np.all(reps._index_orbits(s.total_rep).sizes == s.group.order) == (source != "points^3")
+    rng = np.random.default_rng(68)
+    v, x = rng.standard_normal(kin) + 1j * rng.standard_normal(kin), rng.standard_normal((kin, 3)) + 0j
+    for name in s.frames:
+        frame = s.frame(name)
+        f_s = random_hermitian(rng, s.complement_dim(name))
+        held, other = (relational_observable(s, name, g, f_s).op for g in (1, frame.group.order - 1))
+        want, want_other = (dense_relational_observable(s, name, g, f_s) for g in (1, frame.group.order - 1))
+        bound = 1e-13 * kin * np.abs(want).max()
+
+        def close(got, ref):
+            return np.abs(got - ref).max() <= bound
+
+        assert isinstance(held, reps.OrbitMeans) and close(held.dense(), want)
+        assert close(held @ v, want @ v) and close(held @ x, want @ x)
+        assert close(held.restrict(b), dagger(b) @ want @ b)
+        assert close((held - other).dense(), want - want_other)
+        assert abs(held.largest_entry() - np.abs(want).max()) <= bound
+        assert abs(held.norm() - np.linalg.norm(want)) <= bound
+        if frame.dim == frame.group.order:  # a regular frame has a right action: reorient, read as held
+            obs = relational_observable(s, name, 1, f_s)
+            moved = framechange.reorient(s, name, 2, obs)
+            assert isinstance(moved.op, reps.OrbitMeans)
+            assert close(moved.op.dense(), dense_relational_observable(s, name, moved.orientation, f_s))
+
+
+def test_a_finite_report_keeps_no_kinematical_square_on_the_total_rep(monkeypatch):
+    # after the full D4 report the total rep holds its table, its index orbits and the inverse table, O(|G| kin)
+    # numbers, and no pair labels or other kin x kin array: no report densifies a held observable there
+    built, build = [], cli.build_scenario
+    monkeypatch.setattr(cli, "build_scenario", lambda cfg: built.append(build(cfg)) or built[-1])
+    assert cli.run(cli.load_config("finite-regular:D4"))["summary"]["checks_failed"] == 0
+    rep = built[0].total_rep
+    arrays = [a for v in rep._iso_cache.values()
+              for a in ([v] if isinstance(v, np.ndarray) else [getattr(v, f.name) for f in dataclasses.fields(v)])]
+    assert set(rep._iso_cache) == {"perm", "orbits"} and rep._matrices is None
+    assert max(a.size for a in arrays) == rep.group.order * rep.dim < rep.dim**2
+
+
+def test_weak_homomorphism_traces_under_two_mib():
+    # caches warm on the D4 report's scenario: seven leader-row observables, restricted and applied as held
+    s = cli.build_scenario(cli.load_config("finite-regular:D4"))
+    name = next(iter(s.frames))
+    rng = np.random.default_rng(69)
+    a, b = (random_hermitian(rng, s.complement_dim(name)) for _ in range(2))
+    check_weak_homomorphism(s, name, 0, a, b)
+    tracemalloc.start()
+    try:
+        assert check_weak_homomorphism(s, name, 0, a, b)["weak_check"].passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak  # 6.77 MiB with the kin^2 pair labels and row-blocked gathers
 
 
 def test_finite_observables_trace_under_one_mib():

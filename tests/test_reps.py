@@ -362,11 +362,9 @@ def _points_rep():
     return reps.finite_rep(symmetric_3(), np.stack([np.eye(3)[:, list(p)] for p in perms]))
 
 
-def test_pair_orbits_match_the_one_pass_image_formula():
-    from oracles import pair_orbit_labels
-
+def _orbit_cases():
     d4, z4, points = groups.dihedral_4(), groups.cyclic(4), _points_rep()
-    cases = {
+    return {
         "D4^3": reps.tensor([reps.regular_rep(d4)] * 3),
         "points": points,
         "points^2": reps.tensor([points, points]),
@@ -375,31 +373,60 @@ def test_pair_orbits_match_the_one_pass_image_formula():
         **{f"Z{n}^3": reps.tensor([reps.regular_rep(groups.cyclic(n))] * 3) for n in (2, 5, 7)},
         "Z4 left x right": reps.tensor([reps.regular_rep(z4, "left"), reps.regular_rep(z4, "right")]),
     }
+
+
+def test_index_orbits_and_the_dense_index_match_the_one_pass_image_formula():
+    from oracles import index_orbits, pair_orbit_labels
+
+    free, cases = 0, _orbit_cases()
     for name, rep in cases.items():
-        labels, sizes = reps._pair_orbits(rep)
-        want = pair_orbit_labels(reps.permutation_table(rep))
-        for got, ref in zip((labels, sizes, rep._iso_cache["pair_leaders"]), want):
-            assert np.array_equal(got, ref), name
-    assert np.unique(reps._pair_orbits(cases["points^2"])[1]).size > 1  # orbits of unequal sizes: not free
+        sigma, d = reps.permutation_table(rep), rep.dim
+        o = reps._index_orbits(rep)
+        leaders, t = index_orbits(sigma)
+        assert np.array_equal(o.leaders[o.orbit], leaders) and np.array_equal(o.t, t), name
+        assert np.array_equal(o.leaders, np.unique(leaders)) and np.array_equal(o.sizes, np.bincount(o.orbit)), name
+        assert np.array_equal(np.take_along_axis(o.inverse, sigma, axis=1), np.tile(np.arange(d), (len(sigma), 1)))
+        labels, sizes, low = pair_orbit_labels(sigma)
+        index = reps._dense_index(rep).reshape(-1)
+        # every pair reads the leader row of its orbit at the column of the orbit's smallest pair
+        assert np.array_equal(index, o.orbit[low[labels] // d] * d + low[labels] % d), name
+        if np.all(o.sizes == rep.group.order):  # a free action: the leader-row flat index is the pair-orbit label
+            free += 1
+            assert np.array_equal(index, labels) and np.all(sizes == rep.group.order), name
+    assert free == 7  # all but the two tables on points alone
+    assert np.unique(reps._index_orbits(cases["points^2"]).sizes).size > 1  # orbits of unequal sizes
 
 
-@pytest.mark.parametrize("case", ["S3^3", "D4^3", "points x regular"])
-def test_row_blocked_orbit_means_apply_equals_the_dense_product(case, monkeypatch):
-    # three rows per block: many blocks, none of one row (a one-row block is a BLAS dot, not bit-equal)
+@pytest.mark.parametrize("case", ["S3^3", "D4^3", "points^2", "points^3"])
+def test_leader_rows_answer_as_the_dense_twirl(case):
+    # a held operator is its rows at the index-orbit leaders, on a free table (S3^3, D4^3) and on tables whose
+    # indices have stabilisers (S3 on three points, tensored): every reader against the dense twirl
+    from oracles import pair_orbit_twirl
+
     points = _points_rep()
-    rep = {"S3^3": reps.tensor([reps.regular_rep(groups.symmetric_3())] * 3),
-           "D4^3": reps.tensor([reps.regular_rep(groups.dihedral_4())] * 3),
-           "points x regular": reps.tensor([points, reps.regular_rep(points.group, "right")])}[case]
-    d, step = rep.dim, 3
-    assert d // step >= 3 and d % step != 1
-    sizes = reps._pair_orbits(rep)[1]
-    monkeypatch.setattr(reps, "PAIR_BLOCK", step * d)
+    factor, k = {"S3^3": (reps.regular_rep(groups.symmetric_3()), 3), "D4^3": (reps.regular_rep(groups.dihedral_4()), 3),
+                 "points^2": (points, 2), "points^3": (points, 3)}[case]
+    rep, d = reps.tensor([factor] * k), factor.dim ** k
+    o, sigma = reps._index_orbits(rep), reps.permutation_table(rep)
+    assert np.all(o.sizes == rep.group.order) == case.startswith(("S3", "D4"))
     rng = np.random.default_rng(63)
-    held = reps.OrbitMeans(rep, rng.standard_normal(sizes.size) + 1j * rng.standard_normal(sizes.size))
-    n_phys = reps.fixed_subspace(rep).dim
-    for x in (rng.standard_normal(d) + 1j * rng.standard_normal(d),
-              rng.standard_normal((d, n_phys)) + 1j * rng.standard_normal((d, n_phys))):
-        assert np.array_equal(held @ x, held.dense() @ x), x.shape
+    a, b = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2))
+    fa, fb = _dense_twirl(rep, a), _dense_twirl(rep, b)
+    ha, hb = (reps.OrbitMeans(rep, f[o.leaders]) for f in (fa, fb))
+
+    def close(x, y):
+        return np.abs(x - y).max() <= 1e-12 * d
+
+    assert close(reps.group_average(rep, a), fa) and close(pair_orbit_twirl(sigma, a), fa)
+    assert close(ha.dense(), fa) and close((ha - hb).dense(), fa - fb)
+    for x in (rng.standard_normal(d) + 1j * rng.standard_normal(d), rng.standard_normal((d, 5)) + 0j):
+        assert (ha @ x).shape == x.shape and close(ha @ x, fa @ x), x.shape
+    basis = reps.fixed_subspace(rep).basis
+    assert close(ha.restrict(basis), dagger(basis) @ fa @ basis)
+    q = np.arange(d).reshape((factor.dim,) * k).swapaxes(0, 1).reshape(-1)  # swapping two factors commutes with G
+    assert close(ha.read(*(q[x] for x in ha.leaders())).dense(), fa[np.ix_(q, q)])
+    assert abs(ha.largest_entry() - np.abs(fa).max()) <= 1e-12 * d
+    assert abs(ha.norm() - np.linalg.norm(fa)) <= 1e-12 * d
 
 
 def test_group_average_rejects_bad_inputs():

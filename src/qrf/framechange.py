@@ -2,9 +2,9 @@
 
 Gauge-induced coordinate changes route one frame's conditional description through the
 perspective-neutral space into another frame's, and are isometries between the (possibly moving)
-physical system subspaces regardless of frame idealness.  V = C_j C_i^dag is a phased scatter when
-both conditioning maps are held by index and weight (U(1) frames, identity-ket finite frames), and a
-dense product otherwise.  Symmetry-induced transformations --
+physical system subspaces regardless of frame idealness.  V = C_j C_i^dag pairs two frames' plans
+column by column into a phased scatter when both maps are held by index and weight (U(1) frames,
+identity-ket finite frames), and is a dense product otherwise.  Symmetry-induced transformations --
 plain and relation-conditional reorientations -- act on relational observables instead (a plain
 reorientation rereads the leader rows of a held finite observable through a slot permutation); the
 relation-conditional construction is restricted to regular representations, as is its
@@ -77,17 +77,19 @@ def frame_change(
     With the n_phys-sized round trips G = C^dag C, ||V^dag V - C_i C_i^dag||^2
     = ||C_i (G_j - 1) C_i^dag||^2 = tr((G_j - 1) G_i (G_j - 1) G_i), and
     likewise with i and j swapped for V V^dag - C_j C_j^dag.  When both maps are
-    monomials, V is a phased scatter and the G are diagonal: the trace is
+    monomials, V is a phased scatter and the G are diagonal, the ones the gates formed: the trace is
     sum_k ((g_j,k - 1) g_i,k)^2.
     """
     if ps.dim == 0:
         raise ValueError("cannot change frames with an empty physical space")
+    fi, fj = ps.scenario.frame(frame_i), ps.scenario.frame(frame_j)
+    g_i, g_j = fi.rep.element(g_i), fj.rep.element(g_j)
     ci = schrodinger_map(ps, frame_i, g_i, tol)
     cj = schrodinger_map(ps, frame_j, g_j, tol)
     mat = cj @ dagger(ci)
     if isinstance(mat, Monomial):
-        gi, gj = ci.gram(), cj.gram()
-        worst = float(np.sqrt(max(np.sum(((gj - 1.0) * gi) ** 2), np.sum(((gi - 1.0) * gj) ** 2))))
+        gi, gj = ci.gram, cj.gram
+        worst = math.sqrt(max((((gj - 1.0) * gi) ** 2).sum(), (((gi - 1.0) * gj) ** 2).sum()))
         mat = mat.dense()
     else:  # a monomial's round trip is a monomial, densified here
         gi, gj = (densify(dagger(c) @ c) for c in (ci, cj))
@@ -96,9 +98,8 @@ def frame_change(
     check = tol.check("frame_change_isometry", worst, 1.0, max(mat.shape))
     if not check.passed:
         raise ValueError(f"frame change failed the isometry check ({worst:.3e})")
-    fi, fj = ps.scenario.frame(frame_i), ps.scenario.frame(frame_j)
     notes = {"from_volume": fi.weight_scale, "to_volume": fj.weight_scale, "isometry_defect": worst}
-    return FrameChange(frame_i, frame_j, fi.rep.element(g_i), fj.rep.element(g_j), mat, notes, check)
+    return FrameChange(frame_i, frame_j, g_i, g_j, mat, notes, check)
 
 
 def ensure_lr(frame, tol: Tolerance = DEFAULT_TOL):

@@ -189,6 +189,8 @@ def make_frame(
 
 def orientation_state(f: Frame, g) -> np.ndarray:
     """|phi(g)> = U_R(g) |phi(e)>: for a finite frame, row g of ``Frame.orbit``."""
+    if f.rep.charges is not None:  # U_R(theta) = diag(e^{i theta q}), applied entrywise
+        return np.exp(1j * (f.rep.element(g).coords[0] * f.rep.charges)) * f.seed
     return f.orbit[f.rep.element(g).index] if f.rep.is_finite else f.rep.evaluate(g) @ f.seed
 
 

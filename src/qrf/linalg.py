@@ -13,6 +13,7 @@ residual (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,10 +132,12 @@ class Monomial:
     def dagger(self) -> Monomial:
         return Monomial(self.cols, self.rows, np.conj(self.weights), self.shape[::-1])
 
+    @functools.cached_property
     def gram(self) -> np.ndarray:
-        """The diagonal of M^dag M, the only entries it can have."""
+        """The diagonal of M^dag M, the only entries it can have, formed once: read-only."""
         g = np.zeros(self.shape[1])
         g[self.cols] = (np.conj(self.weights) * self.weights).real
+        g.flags.writeable = False
         return g
 
     def dense(self) -> np.ndarray:

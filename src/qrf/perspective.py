@@ -25,15 +25,15 @@ restricted to the physical space is C_g^dag f_S C_g.
 ``PhysicalSpace.labels`` holds B's row labels (row, column, entry) when no
 kinematical row meets two columns of B, built on first use: B is
 one-hot for a charge-held U(1) rep, and its columns are orbit indicators for a
-table-held finite rep.  ``conditioning_map`` then reads C_g from the labels and
-phi(g) in O(nnz B), and returns it by index and weight (``linalg.Monomial``)
-when its nonzero terms meet no row and no column twice: every orientation of a
-frame on a charge-held U(1) rep, and of an identity-ket frame on a table-held
-finite rep.  There the gate reads the diagonal round trip |w|^2, and
-the projector and the homomorphism check's C^dag a C and C c C^dag are gathers
-and scatters; ``PhysicalSpace.require`` projects a state by a gather and a
-scatter on the labels.  SU(2) frames and other finite seeds keep the dense
-contraction; ``physical_system_span``, ``product_form_check`` and the
+table-held finite rep.  Each frame reads them once into a conditioning plan
+(``_plan``); ``conditioning_map`` forms only its weights sqrt(Vol)
+conj(phi(g)[a]) B[r], and returns C_g by index and weight (``linalg.Monomial``)
+when its terms meet no row and no column twice, which the plan's flags settle
+for U(1) and identity-ket finite frames.  There the gate reads the diagonal
+round trip |w|^2, and the projector and the homomorphism check's C^dag a C and
+C c C^dag are gathers and scatters; ``PhysicalSpace.require`` projects a state by
+a gather and a scatter on the labels.  SU(2) frames and other finite seeds keep
+the dense contraction; ``physical_system_span``, ``product_form_check`` and the
 relativity step's target blocks densify C_e.
 ``PhysicalSpace.restrict`` is the one restriction, B^dag F B;
 the homomorphism check reads every clause through it and ties it to
@@ -53,6 +53,7 @@ are read from |phi><phi| and f_S.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -97,6 +98,7 @@ __all__ = [
     "dirac_check",
 ]
 Operator = np.ndarray | reps.OrbitMeans | reps.WeightBlocks  # a kinematical operator, as relational observables hold it
+_Plan = collections.namedtuple("_Plan", "index rows cols vals starts distinct distinct_at shape")  # see ``_plan``
 PHYSICAL_GATE = Tolerance(1e-7)  # an input gate for states, not a user tolerance
 
 
@@ -204,6 +206,7 @@ class PhysicalSpace:
 
     scenario: Scenario
     basis: Subspace
+    _plans: dict = field(default_factory=dict, repr=False, compare=False)  # frame name -> its plan (``_plan``)
 
     @property
     def dim(self) -> int:
@@ -290,21 +293,36 @@ def conditioning_map(ps: PhysicalSpace, frame_name: str, g) -> np.ndarray | Mono
     """C_g = sqrt(Vol_frame) (<phi(g)| x 1) B, shape (complement_dim, n_phys).
 
     With B's row labels, labelled row r = (lead, a, rest) adds sqrt(Vol) conj(phi[a]) B[r] to the entry (complement
-    index of r, column of r).  When the nonzero terms meet no row and no column of C_g twice, C_g is those terms, a
-    ``Monomial`` read in O(nnz B); otherwise it is the dense contraction."""
-    s = ps.scenario
-    if ps.labels is not None:
-        rows, cols, vals = ps.labels
+    index of r, column of r), as ``_plan`` holds them.  When they meet no row and no column twice (the plan's flags
+    say so for a full or one-index support, else a call tests it), C_g is a ``Monomial``, else the dense contraction."""
+    s, plan = ps.scenario, _plan(ps, frame_name)
+    if plan is not None:
         scale, phi = _oriented(s, frame_name, g)
-        lead, d, rest = slot_view(np.empty(s.kin_dim), s.dims, s.frame_slot(frame_name)).shape
-        q, hi = np.divmod(rows, rest)
-        lo, a = np.divmod(q, d)
-        w = scale * (np.conj(phi)[a] * vals)
-        keep = np.flatnonzero(w)
-        out_rows, out_cols, shape = lo[keep] * rest + hi[keep], cols[keep], (lead * rest, ps.dim)
-        if _distinct(out_rows, shape[0]) and _distinct(out_cols, shape[1]):
-            return Monomial(out_rows, out_cols, w[keep], shape)
+        support = np.count_nonzero(phi)
+        a = phi.nonzero()[0][0] if support == 1 else None  # one frame index: a slice of the plan
+        index, rows, cols, vals = plan[:4] if a is None else (x[plan.starts[a]:plan.starts[a + 1]] for x in plan[:4])
+        w = scale * (np.conj(phi)[index] * vals)
+        if a is None and support < phi.size:  # the terms of the indices that phi(g) reaches
+            rows, cols, w = (x[w != 0] for x in (rows, cols, w))
+        held = plan.distinct if a is None else plan.distinct_at[a]
+        if held or _distinct(rows, plan.shape[0]) and _distinct(cols, plan.shape[1]):
+            return Monomial(rows, cols, w, plan.shape)
     return condition_on(s, frame_name, g, ps.basis.basis)
+
+
+def _plan(ps: PhysicalSpace, frame_name: str) -> _Plan | None:
+    """C_g's terms but phi, once per frame, O(nnz B), or None: per labelled row, by frame index a then column, a, its
+    complement row, column and entry; index a opens at ``starts[a]``; flags: no row or column twice (in all, in a)."""
+    if ps.labels is not None and frame_name not in ps._plans:
+        s, (rows, cols, vals), slot = ps.scenario, ps.labels, ps.scenario.frame_slot(frame_name)
+        d, rest, shape = s.dims[slot], math.prod(s.dims[slot + 1:]), (s.complement_dim(frame_name), ps.dim)
+        lo, a, hi = np.unravel_index(rows, (s.kin_dim // (d * rest), d, rest))
+        order = np.lexsort((cols, a))
+        a, rows, cols, vals = a[order], (lo * rest + hi)[order], cols[order], vals[order]
+        twice = (a[1:] == a[:-1]) & (cols[1:] == cols[:-1])  # one column met twice within an index: adjacent in order
+        ps._plans[frame_name] = _Plan(a, rows, cols, vals, np.searchsorted(a, np.arange(d + 1)), _distinct(
+            rows, shape[0]) and _distinct(cols, shape[1]), np.bincount(a[1:][twice], minlength=d) == 0, shape)
+    return ps._plans.get(frame_name)
 
 
 def _distinct(idx: np.ndarray, n: int) -> bool:
@@ -316,8 +334,8 @@ def schrodinger_map(ps: PhysicalSpace, frame_name: str, g, tol: Tolerance = DEFA
     the one round-trip gate.  It bounds Pi = C_g C_g^dag too: ||Pi^2 - Pi||_F = ||C (G - 1) C^dag||_F
     <= ||G||_2 ||G - 1||_F.  A monomial C_g has the diagonal G = |w|^2, read as its diagonal alone."""
     c = conditioning_map(ps, frame_name, g)
-    defect = float(np.linalg.norm(c.gram() - 1.0 if isinstance(c, Monomial) else dagger(c) @ c - np.eye(ps.dim)))
-    if not tol.check("round_trip", defect, 1.0, ps.dim).passed:
+    defect = float(np.linalg.norm(c.gram - 1.0 if isinstance(c, Monomial) else dagger(c) @ c - np.eye(ps.dim)))
+    if not defect <= tol.bound(1.0, ps.dim):  # a NaN defect fails too
         raise ValueError(f"reduction map failed its round trip C^dag C = 1 ({defect:.2e})")
     return c
 

@@ -117,9 +117,14 @@ def _check_projector(e: np.ndarray, tol: Tolerance) -> np.ndarray:
     bound of a dim-sized check as the frame input gates are, so a rounded projector passes at tolerance 0."""
     e = as_cmatrix(e)
     gate = max(1e4 * tol.weighted(1.0), tol.bound(1.0, e.shape[0]))
-    if np.linalg.norm(e - dagger(e)) > gate or np.linalg.norm(e @ e - e) > gate:
+    if _residual_norm(np.conj(e.T, order="C"), e) > gate or _residual_norm(e @ e, e) > gate:
         raise ValueError("expected a Hermitian idempotent projector")
     return e
+
+
+def _residual_norm(r: np.ndarray, e: np.ndarray) -> float:  # ||r - e||_F in place, r freed before the next
+    r -= e
+    return float(np.sqrt(np.vdot(r, r).real))
 
 
 def conditional_probability(

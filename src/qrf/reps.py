@@ -512,7 +512,7 @@ def _character_key(mats: list[np.ndarray]) -> tuple:
 def _finite_isotypic(rep: UnitaryRep, tol: Tolerance, seed: int) -> IsotypicDecomposition:
     """Eigen-decomposition of the twirl of a seeded generic Hermitian matrix,
     retried until every eigenblock is certifiably irreducible (1-dim commutant)."""
-    n = rep.dim
+    n, sigma = rep.dim, permutation_table(rep)
     rng = np.random.default_rng(seed)
     last_dims: list[int] = []
     for _ in range(8):
@@ -523,7 +523,8 @@ def _finite_isotypic(rep: UnitaryRep, tol: Tolerance, seed: int) -> IsotypicDeco
         copies, last_dims = [], []
         for lo, hi in zip(splits[:-1], splits[1:]):
             basis = canonicalize_basis(vecs[:, lo:hi], tol)
-            copies.append((basis, dagger(basis) @ rep.matrices @ basis))
+            left = dagger(basis) @ rep.matrices if sigma is None else np.conj(basis[sigma]).transpose(0, 2, 1)
+            copies.append((basis, left @ basis))  # (B^dag U_g) B: on a table B^dag U_g is the gather B^dag[:, sigma_g]
             last_dims.append(_commutant_dim(copies[-1][1]))
             if last_dims[-1] != 1:
                 break

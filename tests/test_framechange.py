@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from qrf.framechange import (
 )
 from qrf.builtins_config import builtin_names
 from qrf.cli import build_scenario, load_config, run
-from qrf.linalg import DEFAULT_TOL, Tolerance, dagger, densify, orthonormal_range
+from qrf.linalg import DEFAULT_TOL, Monomial, Tolerance, dagger, densify, orthonormal_range
 from qrf.perspective import physical_space, relational_observable, system_projector
 from qrf.reductions import schrodinger_map
 
@@ -888,3 +889,68 @@ def test_algebra_growth_stops_after_its_rounds():
     # span{1, X, Z} grows by X^2, XZ and Z^2 in one round (ZX is a multiple of XZ), and to all of M_3 in two
     assert framechange._generate_algebra([shift, clock], DEFAULT_TOL, max_rounds=1).shape[1] == 6
     assert framechange._generate_algebra([shift, clock], DEFAULT_TOL).shape[1] == 9
+
+
+def _frame_change_scenario(source):
+    from conftest import u1_qubits_config
+
+    return build_scenario(u1_qubits_config(8) if source == "u1-8-qubits" else load_config(source))
+
+
+def _orientation(frame, rng):
+    return frame.rep.element(int(rng.integers(frame.group.order)) if frame.rep.is_finite else rng.uniform(-3, 3, 1))
+
+
+@pytest.mark.parametrize("source", ["u1-8-qubits", "u1-qubit-qubit-qutrit", "finite-regular:Z5", "finite-regular:S3",
+                                    "finite-regular:D4"])
+def test_frame_change_pairs_the_plans_as_the_dense_product(source, monkeypatch):
+    # V = C_j C_i^dag of two plan maps, same-frame and cross-frame in both orders, is the dense product of the
+    # contractions; with the held weights perturbed column by column, the isometry defect read from the two gated
+    # round trips is the four-product oracle's
+    from oracles import frame_change_defect
+
+    s = _frame_change_scenario(source)
+    ps = physical_space(s)
+    rng = np.random.default_rng(97)
+    basis = ps.basis.basis
+    exact = perspective.conditioning_map
+
+    def perturbed(ps_, f, g):
+        m = exact(ps_, f, g)
+        return Monomial(m.rows, m.cols, m.weights * (1 + 1e-7 * (m.cols + 1) / m.shape[1]), m.shape)
+
+    for fi, fj in itertools.product(s.frames, repeat=2):
+        gi, gj = _orientation(s.frame(fi), rng), _orientation(s.frame(fj), rng)
+        ci, cj = (perspective.condition_on(s, f, g, basis) for f, g in ((fi, gi), (fj, gj)))
+        got = frame_change(ps, fi, gi, fj, gj).matrix
+        if s.total_rep.is_finite:  # real weights: the dense product's one nonzero term per entry, bit for bit
+            assert np.array_equal(got, cj @ dagger(ci)), (fi, fj)
+        else:
+            np.testing.assert_allclose(got, cj @ dagger(ci), rtol=1e-14, atol=1e-15, err_msg=f"{fi}->{fj}")
+        with monkeypatch.context() as m:
+            m.setattr(perspective, "conditioning_map", perturbed)
+            ch = frame_change(ps, fi, gi, fj, gj, Tolerance(1e-4))
+        want = frame_change_defect(*(perturbed(ps, f, g).dense() for f, g in ((fi, gi), (fj, gj))))
+        assert want > 1e-8
+        assert abs(ch.scale_notes["isometry_defect"] - want) <= 1e-6 * want, (fi, fj)
+
+
+def test_frame_change_oracle_catches_a_pairing_by_position(monkeypatch):
+    # two frames' plans hold their columns in different orders, so pairing C_j's entries with C_i's by position, as a
+    # pairing carried over from another pair of frames would, gives a wrong V that the dense oracle catches
+    s = _frame_change_scenario("u1-8-qubits")
+    ps = physical_space(s)
+    el = [s.frame(f).rep.element([t]) for f, t in (("Q0", 0.4), ("Q1", -1.3))]
+    ci, cj = (perspective.condition_on(s, f, g, ps.basis.basis) for f, g in zip(("Q0", "Q1"), el))
+    want = cj @ dagger(ci)
+    np.testing.assert_allclose(frame_change(ps, "Q0", el[0], "Q1", el[1]).matrix, want, rtol=1e-14, atol=1e-15)
+    assert not np.array_equal(ps._plans["Q0"].cols, ps._plans["Q1"].cols)
+    exact = Monomial.__matmul__
+
+    def by_position(self, x):
+        if isinstance(x, Monomial):
+            return Monomial(self.rows, x.cols, self.weights * x.weights, (self.shape[0], x.shape[1]))
+        return exact(self, x)
+
+    monkeypatch.setattr(Monomial, "__matmul__", by_position)
+    assert not np.allclose(frame_change(ps, "Q0", el[0], "Q1", el[1]).matrix, want, atol=1e-3)

@@ -1,9 +1,11 @@
 import ast
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
 import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from conftest import ket3, random_hermitian, u1_basis_index, u1_qubits_config
 from qrf import cli, framechange, frames, groups, perspective, reductions, reps
+from qrf.builtins_config import builtin_names
 from qrf.linalg import Monomial, Tolerance, dagger, densify
 from qrf.perspective import (
     check_weak_homomorphism,
@@ -743,7 +746,7 @@ def _random_orientation(rep, rng):
 
 def _round_trip(c):
     """C^dag C of a held map: the diagonal of a monomial, read without densifying it, else the dense product."""
-    return np.diag(c.gram()) if isinstance(c, Monomial) else dagger(c) @ c
+    return np.diag(c.gram) if isinstance(c, Monomial) else dagger(c) @ c
 
 
 def _map_readers(s, ps, f1, g1, f2, g2, a, b, psi_s):
@@ -1150,3 +1153,140 @@ def test_relational_observable_refuses_an_operator_that_fails_the_dirac_check(mo
     with pytest.raises(ValueError, match=r"relational observable failed the Dirac commutation check \(1\.41e\+00\)"):
         perspective.relational_observable(s, "R1", 0, np.eye(s.complement_dim("R1")))
     assert perspective.relational_observable(s, "R1", 0, np.eye(s.complement_dim("R1")), check=False).op is moved
+
+
+# ---------------------------------------------------------------------------
+# conditioning plans
+# ---------------------------------------------------------------------------
+
+
+def _generated_configs() -> dict:
+    """The benchmark's generated configs by name, read from perfbench/workloads.py (standard library only)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("plan_test_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve their annotations through it
+    spec.loader.exec_module(module)
+    found = [s for w in module.WORKLOADS.values() for s in w.reports + w.queries if s.config is not None]
+    return {s.name: s.config for s in found}
+
+
+_GENERATED = _generated_configs()
+
+
+def _any_scenario(source: str) -> perspective.Scenario:
+    """A builtin, or a generated benchmark config, as a built scenario."""
+    cfg = cli.parse_config(json.dumps(_GENERATED[source])) if source in _GENERATED else cli.load_config(source)
+    return cli.build_scenario(cfg)
+
+
+def _plan_orientations(frame) -> list:
+    """Every element of a finite frame's group; U(1) at 0, pi and two more angles; SU(2) at e and two draws."""
+    if frame.rep.is_finite:
+        return list(frame.group.elements())
+    if frame.group.kind == "U1":
+        return [frame.rep.element([t]) for t in (0.0, np.pi, 0.4, -2.3)]
+    rng = np.random.default_rng(8)
+    return [frame.rep.identity_element()] + [frame.rep.element(rng.uniform(-np.pi, np.pi, 3)) for _ in range(2)]
+
+
+def _plan_defects(ps, name, orientations) -> list:
+    """The orientations at which C_g read from the plan is not the dense contraction sqrt(Vol) (<phi(g)| x 1) B bit
+    for bit; a monomial is compared as its dense matrix."""
+    s = ps.scenario
+    return [g for g in orientations if not np.array_equal(
+        densify(perspective.conditioning_map(ps, name, g)), perspective.condition_on(s, name, g, ps.basis.basis))]
+
+
+@pytest.mark.parametrize("source", sorted(builtin_names()) + sorted(_GENERATED))
+def test_conditioning_plan_is_the_dense_contraction(source):
+    # a U(1) frame (every orientation has full support) and an identity-ket finite frame (every orientation is one
+    # frame index, a slice of the plan) read C_g as a monomial; SU(2) frames keep the dense contraction
+    s = _any_scenario(source)
+    ps = physical_space(s)
+    for name in s.frames:
+        frame = s.frame(name)
+        orientations = _plan_orientations(frame)
+        assert _plan_defects(ps, name, orientations) == [], name
+        held = frame.rep.is_finite or frame.rep.charges is not None
+        assert all(isinstance(perspective.conditioning_map(ps, name, g), Monomial) == held for g in orientations)
+    assert (set(ps._plans) == set(s.frames)) == (ps.labels is not None)
+
+
+@pytest.mark.parametrize("source", ["finite-regular:S3", "u1-8-qubits"])
+def test_plan_oracle_catches_a_plan_without_the_volume(source):
+    # a plan whose entries drop sqrt(Vol) is a map short of the contraction, and the round-trip gate refuses it
+    s = _any_scenario(source)
+    ps = physical_space(s)
+    name = next(iter(s.frames))
+    frame = s.frame(name)
+    orientations = _plan_orientations(frame)
+    assert _plan_defects(ps, name, orientations) == []
+    plan = ps._plans[name]
+    ps._plans[name] = plan._replace(vals=plan.vals / np.sqrt(frame.weight_scale))
+    assert _plan_defects(ps, name, orientations) == orientations
+    with pytest.raises(ValueError, match="round trip"):
+        perspective.schrodinger_map(ps, name, orientations[0])
+
+
+def test_isotropy_frame_keeps_the_per_call_test(monkeypatch):
+    # S3 on three points with the seed e_0: phi(g) is one frame index, but two of its entries meet one column (the
+    # point's stabiliser joins them in an orbit), so its flag fails, the per-call test runs and C_g stays dense
+    s = _points_cubed()
+    ps = physical_space(s)
+    frame = s.frame("P")
+    calls = []
+    exact = perspective._distinct
+    monkeypatch.setattr(perspective, "_distinct", lambda idx, n: calls.append(n) or exact(idx, n))
+    for g in frame.group.elements():
+        calls.clear()
+        c = perspective.conditioning_map(ps, "P", g)
+        assert calls and isinstance(c, np.ndarray)
+        assert np.count_nonzero(frame.orientation(g)) == 1
+    plan = ps._plans["P"]
+    assert not plan.distinct and not plan.distinct_at.any()
+    assert _plan_defects(ps, "P", list(frame.group.elements())) == []
+
+
+def test_warm_u1_frame_changes_read_the_plans_alone(monkeypatch):
+    # warm frame changes, same-frame and cross-frame, form their maps from the cached plans: no label arithmetic, no
+    # distinctness test, and no cache beyond one O(nnz B) plan per frame
+    s = cli.build_scenario(u1_qubits_config(8))
+    ps = physical_space(s)
+    rng = np.random.default_rng(71)
+    pairs = list(itertools.product(s.frames, repeat=2))
+
+    def changes():
+        for f1, f2 in pairs:
+            framechange.frame_change(ps, f1, rng.uniform(-np.pi, np.pi, 1), f2, rng.uniform(-np.pi, np.pi, 1))
+
+    changes()
+    cached = (set(s._cache), set(vars(ps)))
+    calls = []
+
+    def counting(name, f):
+        return lambda *args, **kwargs: calls.append(name) or f(*args, **kwargs)
+
+    monkeypatch.setattr(np, "divmod", counting("divmod", np.divmod))
+    monkeypatch.setattr(np, "bincount", counting("bincount", np.bincount))
+    monkeypatch.setattr(perspective, "_distinct", counting("_distinct", perspective._distinct))
+    changes()
+    assert calls == []
+    assert (set(s._cache), set(vars(ps))) == cached
+    nnz = ps.labels[0].size
+    assert set(ps._plans) == set(s.frames)
+    for name, plan in ps._plans.items():
+        assert plan.distinct and plan.distinct_at.all() and plan.starts.size == s.frame(name).dim + 1
+        assert plan.index.size == plan.rows.size == plan.cols.size == plan.vals.size == nnz == ps.dim
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["monomial", "dense"])
+def test_round_trip_gate_refuses_a_nan_map(held, monkeypatch):
+    # a NaN fails every comparison, so a map whose round trip reads NaN fails the gate rather than passing it
+    s = cli.build_scenario(u1_qubits_config(8))
+    ps = physical_space(s)
+    c = perspective.conditioning_map(ps, "Q0", [0.4])
+    bad = Monomial(c.rows, c.cols, np.where(np.arange(c.weights.size) == 3, np.nan, c.weights), c.shape)
+    monkeypatch.setattr(perspective, "conditioning_map", lambda *args: bad if held else bad.dense())
+    with pytest.raises(ValueError, match=r"reduction map failed its round trip C\^dag C = 1 \(nan\)"):
+        perspective.schrodinger_map(ps, "Q0", [0.4])

@@ -227,7 +227,7 @@ def check_config(raw) -> dict:
         a, x = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in (m, n))
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         dense = dense_map_products(want, a, x, v)
-        _close(np.diag(c.gram()), dense["round_trip"], "round_trip")
+        _close(np.diag(c.gram), dense["round_trip"], "round_trip")
         _close(c.dagger() @ a @ c, dense["sandwich"], "sandwich")
         _close(c @ x @ c.dagger(), dense["scatter"], "scatter")
         _close((c @ c.dagger()).dense(), dense["projector"], "projector")

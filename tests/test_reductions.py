@@ -114,7 +114,7 @@ def test_schrodinger_map_invariants(u1_scenario, s3_regular_scenario, three_spin
     assert isinstance(held, Monomial)  # its round trip is the diagonal G = |w|^2
     m = densify(held)
     np.testing.assert_allclose(dagger(m) @ m, np.eye(ps.dim), atol=1e-9)
-    np.testing.assert_allclose(np.diag(held.gram()), dagger(m) @ m, atol=1e-12)
+    np.testing.assert_allclose(np.diag(held.gram), dagger(m) @ m, atol=1e-12)
     pi = system_projector(u1_scenario, "A", [0.4])
     np.testing.assert_allclose(m @ dagger(m), pi, atol=1e-9)
     assert u1_scenario.frame("A").weight_scale == 2.0
@@ -604,3 +604,23 @@ def test_heisenberg_reduction_refuses_a_theta_state_that_does_not_reproduce(z3_r
     bent = ThetaState(frame_name="R1", vector=theta.vector, phases=np.array([1.0, 2.0, 1.0]))
     with pytest.raises(ValueError, match="Heisenberg reduction depends on the conditioning orientation"):
         heisenberg_reduce(ps, "R1", bent, ps.basis.basis[:, 0])
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(0.0)], ids=["default", "zero"])
+def test_projector_gate_refuses_each_clause_just_above_it(tol):
+    # E = P + e |0><1| is idempotent with ||E - E^dag||_F = sqrt(2) e; E = (1 + e) P is Hermitian with
+    # ||E E - E||_F = e (1 + e) for a rank-1 P: each clause alone refused 1% above the gate and passed 1% below it
+    from qrf.reductions import _check_projector
+
+    dim = 128
+    gate = max(1e4 * tol.weighted(1.0), tol.bound(1.0, dim))
+    p = np.zeros((dim, dim), dtype=complex)
+    p[0, 0] = 1.0
+    unit = np.zeros((dim, dim), dtype=complex)
+    unit[0, 1] = 1.0
+    hermitian_gap = [p + (factor * gate / np.sqrt(2.0)) * unit for factor in (0.99, 1.01)]
+    idempotent_gap = [(1.0 + eps) * p for eps in (0.99 * gate, 1.01 * gate)]
+    for below, above in (hermitian_gap, idempotent_gap):
+        np.testing.assert_array_equal(_check_projector(below, tol), below)
+        with pytest.raises(ValueError, match="expected a Hermitian idempotent projector"):
+            _check_projector(above, tol)

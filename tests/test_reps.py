@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -887,3 +888,57 @@ def test_u1_rep_holds_its_charges_without_a_generator():
     assert peak < 2**20  # a dense 2048 x 2048 generator would be 64 MiB
     assert rep._generators is None and np.array_equal(rep.charges, charges)
     assert np.array_equal(rep.generators[0], np.diag(charges.astype(complex)))  # built only when asked for
+
+
+def test_lr_classify_builds_no_dense_stack_of_a_table_held_frame():
+    # the isotypic blocks restrict the rep by gathers of its table, so the frame rep stays held by its table alone
+    z16 = groups.cyclic(16)
+    rep = reps.regular_rep(z16)
+    frame = frames.make_frame(rep, np.eye(16)[0], name="R")
+    v_rep, report = frames.lr_classify(frame)
+    assert v_rep is not None and report["lr_exists"] and len(report["blocks"]) == 16
+    assert rep._matrices is None
+
+
+def _restrictions(monkeypatch, rep):
+    """Each (basis, restricted stack) pair that ``_finite_isotypic`` forms, in order, with the blocks it returns."""
+    bases, stacks = [], []
+    basis_of, commutant_of = reps.canonicalize_basis, reps._commutant_dim
+    monkeypatch.setattr(reps, "canonicalize_basis", lambda b, tol: bases.append(basis_of(b, tol)) or bases[-1])
+    monkeypatch.setattr(reps, "_commutant_dim", lambda mats: stacks.append(mats) or commutant_of(mats))
+    deco = reps._finite_isotypic(rep, DEFAULT_TOL, 0)
+    monkeypatch.undo()
+    return list(zip(bases, stacks)), deco
+
+
+@pytest.mark.parametrize("group", [groups.symmetric_3(), groups.dihedral_4(), groups.quaternion_8()],
+                         ids=["S3", "D4", "Q8"])
+def test_finite_isotypic_restricts_by_the_table_as_the_dense_stack(group, monkeypatch):
+    # on a table the restricted matrices B^dag U_g B are gathers B^dag[:, sigma_g] times B, bit for bit the dense
+    # stack's (B^dag U_g) B, so the blocks and the lr report are the dense product's
+    rep = reps.regular_rep(group)
+    dense = reps._permutation_matrices(reps.permutation_table(rep))
+    pairs, deco = _restrictions(monkeypatch, rep)
+    assert pairs and rep._matrices is None
+    for basis, restricted in pairs:
+        assert np.array_equal(restricted, dagger(basis) @ dense @ basis)
+    frame = frames.make_frame(rep, np.eye(group.order)[0], name="R")
+    _, report = frames.lr_classify(frame)
+    assert [(b["irrep_dim"], b["multiplicity"]) for b in report["blocks"]] == [
+        (b.irrep_dim, b.multiplicity) for b in deco.blocks]
+    assert rep._matrices is None
+
+
+def test_finite_isotypic_keeps_the_dense_product_without_a_table(monkeypatch):
+    # the 2-dim irrep of S3 (and its square) has no permutation table: B^dag U_g B stays the dense stack's product
+    s3 = groups.symmetric_3()
+    perm = np.stack([np.eye(3)[:, p] for p in sorted(itertools.permutations(range(3)))])
+    q = np.linalg.qr(np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T)[0]
+    irrep = reps.finite_rep(s3, (q.T @ perm @ q).astype(complex))
+    square = reps.tensor([irrep, irrep])
+    assert reps.permutation_table(irrep) is None and reps.permutation_table(square) is None
+    for rep, dims in ((irrep, [(2, 1)]), (square, [(1, 1), (1, 1), (2, 1)])):
+        pairs, deco = _restrictions(monkeypatch, rep)
+        for basis, restricted in pairs:
+            assert np.array_equal(restricted, dagger(basis) @ rep.matrices @ basis)
+        assert [(b.irrep_dim, b.multiplicity) for b in deco.blocks] == dims

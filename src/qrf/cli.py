@@ -360,7 +360,7 @@ def _observable(s, tol, spec, path, args) -> np.ndarray:
 
 def _projector(s, tol, spec, path, args) -> np.ndarray:
     with _config_errors(path):
-        return reductions._check_projector(_observable(s, tol, spec, path, args), tol)
+        return reductions._check_projector(s, args["frame"], _observable(s, tol, spec, path, args), tol)
 
 
 def _state(s, tol, spec, path, args) -> np.ndarray:
@@ -451,7 +451,7 @@ def _task_probabilities(scenario, ps, tol, rng, frame, orientation, projector, s
 
 def _task_frame_change(scenario, ps, tol, rng, f_from, f_to, g_from, g_to):
     change = framechange.frame_change(ps, f_from, g_from, f_to, g_to, tol)
-    return {"from": f_from, "to": f_to, "shape": change.matrix.shape, "scale_notes": change.scale_notes}, [change.check]
+    return {"from": f_from, "to": f_to, "shape": change.op.shape, "scale_notes": change.scale_notes}, [change.check]
 
 
 def _task_reorient(scenario, ps, tol, rng, frame, orientation, g, observable):

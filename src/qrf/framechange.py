@@ -4,7 +4,8 @@ Gauge-induced coordinate changes route one frame's conditional description throu
 perspective-neutral space into another frame's, and are isometries between the (possibly moving)
 physical system subspaces regardless of frame idealness.  V = C_j C_i^dag pairs two frames' plans
 column by column into a phased scatter when both maps are held by index and weight (U(1) frames,
-identity-ket finite frames), and is a dense product otherwise.  Symmetry-induced transformations --
+identity-ket finite frames), and is a dense product otherwise; ``FrameChange`` holds it as formed and
+densifies it only when its ``matrix`` is read.  Symmetry-induced transformations --
 plain and relation-conditional reorientations -- act on relational observables instead (a plain
 reorientation rereads the leader rows of a held finite observable through a slot permutation); the
 relation-conditional construction is restricted to regular representations, as is its
@@ -17,6 +18,7 @@ them by a cross Gram of those blocks; it grows them by product sweeps otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,15 +55,21 @@ __all__ = [
 
 @dataclass
 class FrameChange:
-    """Map between two frames' physical system subspaces (through H_phys)."""
+    """Map between two frames' physical system subspaces (through H_phys).  ``op`` is V as the two maps' product
+    holds it, a ``Monomial`` or an array, whose shape reads without densifying; the dense ``matrix`` is built on
+    first access, as ``RelObs.matrix`` is."""
 
     from_frame: str
     to_frame: str
     g_from: object
     g_to: object
-    matrix: np.ndarray  # (complement_dim(to), complement_dim(from))
+    op: np.ndarray | Monomial  # (complement_dim(to), complement_dim(from))
     scale_notes: dict
     check: Check  # the isometry defect
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return densify(self.op)
 
 
 def frame_change(
@@ -77,8 +85,8 @@ def frame_change(
     With the n_phys-sized round trips G = C^dag C, ||V^dag V - C_i C_i^dag||^2
     = ||C_i (G_j - 1) C_i^dag||^2 = tr((G_j - 1) G_i (G_j - 1) G_i), and
     likewise with i and j swapped for V V^dag - C_j C_j^dag.  When both maps are
-    monomials, V is a phased scatter and the G are diagonal, the ones the gates formed: the trace is
-    sum_k ((g_j,k - 1) g_i,k)^2.
+    monomials, V is a phased scatter, held as a ``Monomial``, and the G are diagonal, the ones the gates formed:
+    the trace is sum_k ((g_j,k - 1) g_i,k)^2.
     """
     if ps.dim == 0:
         raise ValueError("cannot change frames with an empty physical space")
@@ -90,7 +98,6 @@ def frame_change(
     if isinstance(mat, Monomial):
         gi, gj = ci.gram, cj.gram
         worst = math.sqrt(max((((gj - 1.0) * gi) ** 2).sum(), (((gi - 1.0) * gj) ** 2).sum()))
-        mat = mat.dense()
     else:  # a monomial's round trip is a monomial, densified here
         gi, gj = (densify(dagger(c) @ c) for c in (ci, cj))
         xi, xj = gi - np.eye(ps.dim), gj - np.eye(ps.dim)
@@ -414,8 +421,9 @@ def _block_overlap_dim(c1: np.ndarray, c2: np.ndarray, tol: Tolerance) -> int:
     _, cos, vh = np.linalg.svd(gram)
     sines = np.sqrt(np.maximum(1.0 - cos**2, 0.0))
     near = np.flatnonzero(sines <= 1e-4)  # above it, sqrt(1 - c^2) errs by about eps / sine <= 2.2e-12
-    def rows_of(c, x, rows):  # rows of sum_kl x_kl C_k^dag C_l = C^dag (x x 1) C
-        return dagger(c[:, :, rows].reshape(-1, rows.size)) @ (x.reshape(d_t, d_t) @ c.reshape(d_t, -1)).reshape(-1, n)
+    def rows_of(c, x, rows):  # rows of sum_kl x_kl C_k^dag C_l = C^dag (x x 1) C: ((x^dag x 1) C[:, :, rows])^dag C
+        moved = dagger(x.reshape(d_t, d_t)) @ c[:, :, rows].reshape(d_t, -1)
+        return dagger(moved.reshape(-1, rows.size)) @ c.reshape(-1, n)
     r = np.zeros((0, near.size), dtype=complex)  # the residuals' R factor, stacked 2^18 entries at a time
     for rows in np.array_split(np.arange(n), -(-near.size * n * n // 2**18)) if near.size else ():
         block = [rows_of(c2, x, rows) - rows_of(c1, gram @ x, rows) for x in np.conj(vh[near])]

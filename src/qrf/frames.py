@@ -96,7 +96,7 @@ class Frame:
         """Row g is phi(g) = U(g) phi, for a finite frame: its (|G|, dim) orientation states, formed once, on a
         table-held rep by scattering the seed with no dense matrix.  Read-only, since ``orientation_state`` hands
         out its rows as views."""
-        orbit = reps._act(self.rep, np.arange(self.group.order), self.seed)
+        orbit = reps._act(self.rep, np.arange(self.group.order), self.seed[None])
         orbit.flags.writeable = False
         return orbit
 

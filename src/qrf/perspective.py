@@ -11,9 +11,10 @@ An operator on one subsystem slot is one batched matmul on ``slot_view``, the
 copy-free (lead, d_slot, rest) reshape of a kinematical axis; a on the slot and
 b on the rest is one broadcast product, ``embed_on_slot``.  The one conditioning
 primitive is the contraction (<phi| x 1) of ``Scenario.condition_vector``, on a
-kinematical vector or on each column of a matrix; its adjoint (|phi> x 1) is
-``inject_vector``.  A reduction scales it by sqrt(Vol) at an orientation g in
-``condition_on``, from the one evaluation of phi(g) and its scale.  On the
+kinematical vector or on each column of a matrix, and on one frame vector or a
+stack of them; its adjoint (|phi> x 1) is ``inject_vector``.  A reduction scales
+it by sqrt(Vol) at an orientation g in ``condition_on``, from the one evaluation
+of phi(g) and its scale, and at many orientations in ``condition_on_each``.  On the
 orthonormal physical basis B it gives
 ``conditioning_map``, C_g = sqrt(Vol) (<phi(g)| x 1) B, an isometry from
 physical-basis coefficients onto the physical system subspace.
@@ -84,6 +85,7 @@ __all__ = [
     "make_scenario",
     "physical_space",
     "condition_on",
+    "condition_on_each",
     "conditioning_map",
     "schrodinger_map",
     "relational_observable",
@@ -140,17 +142,22 @@ class Scenario:
         return embed_on_slot(self.dims, self.frame_slot(frame_name), as_cmatrix(a), as_cmatrix(b))
 
     def condition_vector(self, frame_name: str, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """(<phi|_frame x 1) psi for a kinematical vector, or for each column of a matrix; the complement
-        stays in subsystem order.  This contraction and its adjoint ``inject_vector`` carry every reduction."""
+        """(<phi|_frame x 1) psi for a kinematical vector, or for each column of a matrix, the complement in subsystem
+        order; on a stack phi (n, d), one per row, shape (n, complement_dim) + psi.shape[1:].  This contraction and
+        its adjoint ``inject_vector`` carry every reduction."""
         psi = np.asarray(psi, dtype=complex)
         c = np.conj(phi) @ slot_view(psi, self.dims, self.frame_slot(frame_name))
-        return c.reshape((self.complement_dim(frame_name),) + psi.shape[1:])
+        if np.ndim(phi) == 2:  # (lead, n, rest): the stack's axis first
+            c = c.transpose(1, 0, 2)
+        return c.reshape(np.shape(phi)[:-1] + (self.complement_dim(frame_name),) + psi.shape[1:])
 
     def inject_vector(self, frame_name: str, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
-        """(|phi>_frame x 1) chi: a frame vector tensored with a complement vector, or with each column of one."""
-        chi, slot = np.asarray(chi, dtype=complex), self.frame_slot(frame_name)  # the complement, a slot of size 1
-        full = np.asarray(phi, dtype=complex)[:, None] @ slot_view(chi, self.dims[:slot] + [1], slot)
-        return full.reshape((self.kin_dim,) + chi.shape[1:])
+        """(|phi>_frame x 1) chi: a frame vector tensored with a complement vector, or with each column of one; a
+        stack phi (n, d) with chi (n, complement_dim, ...) gives sum_n |phi_n> x chi_n."""
+        chi, slot, phi = np.asarray(chi, dtype=complex), self.frame_slot(frame_name), np.asarray(phi, dtype=complex)
+        stack = phi.reshape(-1, phi.shape[-1])  # (n, d), n = 1 for one vector: chi as (lead, n, rest), summed over n
+        full = stack.T @ slot_view(chi, [len(stack), math.prod(self.dims[:slot])], 1).transpose(1, 0, 2)
+        return full.reshape((self.kin_dim,) + chi.shape[phi.ndim:])
 
 
 def slot_view(m: np.ndarray, dims: list[int], slot: int) -> np.ndarray:
@@ -287,6 +294,14 @@ def condition_on(s: Scenario, frame_name: str, g, x: np.ndarray) -> np.ndarray:
     """sqrt(Vol_frame) (<phi(g)| x 1) x for a kinematical vector, or for each column of a matrix."""
     scale, phi = _oriented(s, frame_name, g)
     return scale * s.condition_vector(frame_name, phi, x)
+
+
+def condition_on_each(s: Scenario, frame_name: str, elements, x: np.ndarray) -> np.ndarray:
+    """``condition_on`` at each of ``elements``, one stacked conditioning on the phi(g) of one ``reps._act`` on the
+    seed: shape (n, complement_dim) + x.shape[1:]."""
+    frame = s.frame(frame_name)
+    phis = reps._act(frame.rep, elements, frame.seed[None])
+    return np.sqrt(frame.weight_scale) * s.condition_vector(frame_name, phis, x)
 
 
 def conditioning_map(ps: PhysicalSpace, frame_name: str, g) -> np.ndarray | Monomial:
@@ -453,7 +468,7 @@ def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = 
     if h.element_indices is not None:
         if rep_s.dim != f_s.shape[0]:
             raise ValueError("observable does not act on the system representation")
-        members = reps._matrices_at(rep_s, list(h.element_indices))  # a table-held rep builds these alone
+        members = reps._act(rep_s, list(h.element_indices), np.eye(rep_s.dim)[None])  # a table-held rep scatters
         return sum(u @ f_s @ dagger(u) for u in members) / len(h.element_indices)
     basis = h.algebra_basis or ()
     if len(basis) == 0:
@@ -566,26 +581,18 @@ def check_weak_homomorphism(
     return report
 
 
-def conditional_inner_product_check(
-    s: Scenario,
-    frame_name: str,
-    psi: np.ndarray,
-    chi: np.ndarray,
-    g_samples: list | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> dict:
-    """Check <psi|chi> = Vol_frame <psi| (|phi(g)><phi(g)| x 1) |chi> for sampled g."""
-    frame = s.frame(frame_name)
+def conditional_inner_product_check(s: Scenario, frame_name: str, psi: np.ndarray, chi: np.ndarray,
+                                    g_samples: list | None = None, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """Check <psi|chi> = Vol_frame <psi| (|phi(g)><phi(g)| x 1) |chi> for sampled g, all in one stacked
+    conditioning."""
     ps = physical_space(s, tol)
     psi, chi = ps.require(psi, "psi"), ps.require(chi, "chi")
     if g_samples is None:
-        g_samples = sample_elements(frame.group)
+        g_samples = sample_elements(s.frame(frame_name).group)
     expected = complex(np.vdot(psi, chi))
-    deviations = []
-    for g in g_samples:
-        c = condition_on(s, frame_name, g, np.column_stack([psi, chi]))
-        deviations.append(abs(complex(np.vdot(c[:, 0], c[:, 1])) - expected))
-    check = tol.check(f"{frame_name}:conditional_inner_product", max(deviations), 1.0, s.kin_dim)
+    c = condition_on_each(s, frame_name, g_samples, np.column_stack([psi, chi]))
+    deviations = np.abs(np.einsum("nr,nr->n", np.conj(c[:, :, 0]), c[:, :, 1]) - expected)
+    check = tol.check(f"{frame_name}:conditional_inner_product", float(np.max(deviations)), 1.0, s.kin_dim)
     return {
         "frame": frame_name,
         "expected": expected,

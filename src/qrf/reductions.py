@@ -1,21 +1,21 @@
 """Jumping into a frame perspective.
 
 Every reduction is built from the conditioning contraction (<phi| x 1),
-``Scenario.condition_vector``, and its adjoint, ``inject_vector``.
-Schroedinger reduction conditions gauge-invariant states on a frame
-orientation through ``perspective.condition_on``, which attaches the sqrt(Vol)
-scale; it is then an isometry from the physical space onto the
+``Scenario.condition_vector``, and its adjoint, ``inject_vector``, on one frame
+vector or on a stack of them.  Schroedinger reduction conditions gauge-invariant
+states on a frame orientation through ``perspective.condition_on``, which attaches
+the sqrt(Vol) scale; it is then an isometry from the physical space onto the
 physical system subspace.  ``schrodinger_map``, C_g as it is held behind the
 one round-trip gate ||C_g^dag C_g - 1||_F <= ``tol.bound(1, n_phys)``, is
-re-exported from ``perspective``.  C_g is read from the physical basis's
-row labels, by index and weight (``linalg.Monomial``), when it has at most one
-nonzero per row and per column; ``schrodinger_inverse`` then reads C_g^dag v
-and C_g x as a gather and a scatter, and the state gate of every reduction is
-a gather and a scatter on the same labels.  The Heisenberg route
-first disentangles the frame into a reproducing-phase state |theta>, applying
-T_R term by term through the same pair, and is available whenever such phases
-exist (N = 1 or another one-dimensional character for finite groups, by
-Fourier scan for U(1); SU(2) frames report NotFound).
+re-exported from ``perspective``; when C_g is held by index and weight
+(``linalg.Monomial``), ``schrodinger_inverse`` reads C_g^dag v and C_g x as a
+gather and a scatter.  The Heisenberg route first disentangles the frame into a
+reproducing-phase state |theta>, available whenever such phases exist (N = 1 or
+another one-dimensional character for finite groups, by Fourier scan for U(1);
+SU(2) frames report NotFound).  T_R and the trinity relation U_S(g)^dag C_g psi
+= psi_Heisenberg are each one contraction over the orientations: one stacked
+conditioning, U_S(g)^dag as the complement's own action at g^-1 (``reps._act``),
+and for T_R one stacked injection; no per-element term and no dense U_S(g).
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from .linalg import DEFAULT_TOL, Check, Tolerance, as_cmatrix, as_cvector, dagge
 from .perspective import (
     PhysicalSpace,
     Scenario,
+    _twirled,
     condition_on,
+    condition_on_each,
     conditioning_map,
-    relational_observable,
     sample_elements,
     schrodinger_map,
 )
@@ -64,11 +65,10 @@ class ThetaState:
     fourier_k: int | None = None      # U(1): N(theta) = exp(i k theta)
     residual: float = 0.0
 
-    def phase_at(self, frame: Frame, g) -> complex:
-        el = frame.rep.element(g)
-        if self.phases is not None:
-            return complex(self.phases[el.index])
-        return complex(np.exp(1j * self.fourier_k * el.coords[0]))
+    def phases_at(self, frame: Frame, elements) -> np.ndarray:
+        """N(g) at each of ``elements``."""
+        at = reps._elements(frame.rep, elements)
+        return self.phases[at] if self.phases is not None else np.exp(1j * self.fourier_k * at[:, 0])
 
 
 @dataclass
@@ -112,10 +112,13 @@ def schrodinger_inverse(
     return ps.basis.basis @ coeff
 
 
-def _check_projector(e: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """``e`` if its Hermiticity and idempotence residuals pass 1e4 tol.weighted(1), floored at the rounding
+def _check_projector(s: Scenario, frame_name: str, e: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """``e`` as a validated array, once: it must act on the frame's complement, as ``relational_observable`` says,
+    and its Hermiticity and idempotence residuals must pass 1e4 tol.weighted(1), floored at the rounding
     bound of a dim-sized check as the frame input gates are, so a rounded projector passes at tolerance 0."""
-    e = as_cmatrix(e)
+    e, comp_dim = as_cmatrix(e), s.complement_dim(frame_name)
+    if e.shape != (comp_dim, comp_dim):
+        raise ValueError(f"system observable must act on the {comp_dim}-dim complement of frame {frame_name!r}")
     gate = max(1e4 * tol.weighted(1.0), tol.bound(1.0, e.shape[0]))
     if _residual_norm(np.conj(e.T, order="C"), e) > gate or _residual_norm(e @ e, e) > gate:
         raise ValueError("expected a Hermitian idempotent projector")
@@ -127,31 +130,22 @@ def _residual_norm(r: np.ndarray, e: np.ndarray) -> float:  # ||r - e||_F in pla
     return float(np.sqrt(np.vdot(r, r).real))
 
 
-def conditional_probability(
-    ps: PhysicalSpace,
-    frame_name: str,
-    g,
-    projector_e: np.ndarray,
-    psi_phys,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+def conditional_probability(ps: PhysicalSpace, frame_name: str, g, projector_e: np.ndarray, psi_phys,
+                            tol: Tolerance = DEFAULT_TOL) -> float:
     """P(E when the frame is in orientation g), cross-checked gauge-invariantly.
 
     A value outside [0, 1] by more than rounding means a mis-scaled frame or
     state and raises; within that band it is clamped.
     """
-    e = _check_projector(projector_e, tol)
+    s = ps.scenario
+    e = _check_projector(s, frame_name, projector_e, tol)
     v = ps.require(psi_phys)
     v = v / np.linalg.norm(v)
-    s = ps.scenario
     reduced = condition_on(s, frame_name, g, v)
     p_reduced = float(np.real(np.vdot(reduced, e @ reduced)))
-    f = relational_observable(s, frame_name, g, e, tol, check=False)
-    p_invariant = float(np.real(np.vdot(v, f.op @ v)))
+    p_invariant = float(np.real(np.vdot(v, _twirled(s, frame_name, g, e, tol) @ v)))  # F_E(g), from the checked E
     if not tol.check("gauge_invariance", abs(p_reduced - p_invariant), 1.0, s.kin_dim).passed:
-        raise ValueError(
-            f"gauge-invariance cross-check failed: {p_reduced} vs {p_invariant}"
-        )
+        raise ValueError(f"gauge-invariance cross-check failed: {p_reduced} vs {p_invariant}")
     in_range = unit_interval_check(p_reduced, tol)
     if not in_range.passed:
         raise ValueError(f"conditional probability {p_reduced} lies outside [0, 1] by {in_range.residual:.3e}")
@@ -163,24 +157,14 @@ def unit_interval_check(p: float, tol: Tolerance = DEFAULT_TOL) -> Check:
     return tol.check("probability_in_unit_interval", max(0.0, -p, p - 1.0))
 
 
-def multi_event_probability(
-    ps: PhysicalSpace,
-    frame_name: str,
-    event: tuple[np.ndarray, object],
-    condition: tuple[np.ndarray, object],
-    psi_phys,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+def multi_event_probability(ps: PhysicalSpace, frame_name: str, event: tuple[np.ndarray, object],
+                            condition: tuple[np.ndarray, object], psi_phys, tol: Tolerance = DEFAULT_TOL) -> float:
     """P(E at g | E~ at g~) on physical states."""
-    e, g = event
-    e_cond, g_cond = condition
-    e = _check_projector(e, tol)
-    e_cond = _check_projector(e_cond, tol)
+    (e, g), (e_cond, g_cond), s = event, condition, ps.scenario
+    e, e_cond = (_check_projector(s, frame_name, x, tol) for x in (e, e_cond))
     v = ps.require(psi_phys)
     v = v / np.linalg.norm(v)
-    s = ps.scenario
-    f_e = relational_observable(s, frame_name, g, e, tol, check=False).op
-    f_c = relational_observable(s, frame_name, g_cond, e_cond, tol, check=False).op
+    f_e, f_c = (_twirled(s, frame_name, h, x, tol) for h, x in ((g, e), (g_cond, e_cond)))  # F_E, from the checked E
     denom = float(np.real(np.vdot(v, f_c @ v)))
     if denom <= 1e4 * tol.weighted(1.0):
         raise ValueError("conditioning event has (numerically) zero probability")
@@ -250,20 +234,15 @@ def _solve_theta_u1(frame: Frame, tol: Tolerance) -> ThetaState | ThetaNotFound:
     )
 
 
-def disentangler(
-    s: Scenario,
-    frame_name: str,
-    theta: ThetaState,
-    m: np.ndarray,
-) -> np.ndarray:
+def disentangler(s: Scenario, frame_name: str, theta: ThetaState, m: np.ndarray) -> np.ndarray:
     """T_R m for a kinematical vector or matrix m; T_R = Vol int dg N(g) |phi(g)><phi(g)| x U_S(g)^dag is never formed.
 
-    Each term acts as (|a><b| x X) m = inject(a, X condition(b, m)).  Finite
-    frames sum w N(g) |phi_g><phi_g| x U_S(g)^dag over g.  U(1) frames evaluate
-    the integral exactly through the charge algebra: in the frame's weight basis
-    (v_i, seed coefficients c_i, charges q_i) it is Vol sum_ij c_i conj(c_j)
-    |v_i><v_j| x P_{k + q_i - q_j}, with P_q the complement's charge-q
-    projector, a mask in its weight coordinates.
+    Finite frames condition m on the whole orbit at once, apply U_S(g)^dag to each conditioned stack by the
+    complement's own action (``reps._act`` at the inverse elements), and inject the stack against w N(g) phi(g):
+    three steps, no per-element term.  U(1) frames evaluate the integral exactly through the charge algebra: in the
+    frame's weight basis (v_i, seed coefficients c_i, charges q_i) it is Vol sum_ij c_i conj(c_j) |v_i><v_j| x
+    P_{k + q_i - q_j}, with P_q the complement's charge-q projector, a mask in its weight coordinates; m is
+    conditioned on every v_j at once, the masks contract the pairs in one product, and the v_i inject as a stack.
     """
     frame = s.frame(frame_name)
     if theta.frame_name != frame.name:
@@ -273,10 +252,8 @@ def disentangler(
     if frame.rep.is_finite:
         if theta.phases is None:
             raise ValueError("finite frame needs per-element phases")
-        return sum(
-            wn * s.inject_vector(frame_name, phi, dagger(comp.evaluate(g)) @ s.condition_vector(frame_name, phi, m))
-            for g, (wn, phi) in enumerate(zip(frame.element_weight() * theta.phases, frame.orbit))
-        )
+        moved = reps._act(comp, frame.group.inverse_table, s.condition_vector(frame_name, frame.orbit, m))
+        return s.inject_vector(frame_name, (frame.element_weight() * theta.phases)[:, None] * frame.orbit, moved)
     if frame.group.kind != "U1":
         raise ValueError("disentangler supports finite-group and U(1) frames")
     if theta.fourier_k is None:
@@ -284,40 +261,30 @@ def disentangler(
     charges, vecs, coeff = _u1_charge_data(frame)
     wb = reps.weight_basis(comp)
     w, cols = wb.vectors, m[:, None] if m.ndim == 1 else m
-    conditioned = [s.condition_vector(frame_name, v, cols) for v in vecs.T]  # to complement weight coordinates
-    conditioned = conditioned if w is None else [dagger(w) @ x for x in conditioned]
-    out = 0
-    for i, qi in enumerate(charges):
-        chi = sum(
-            coeff[i] * np.conj(coeff[j]) * (wb.weights == theta.fourier_k + qi - qj)[:, None] * x
-            for j, (qj, x) in enumerate(zip(charges, conditioned))
-        )
-        out = out + s.inject_vector(frame_name, vecs[:, i], chi if w is None else w @ chi)
+    x = s.condition_vector(frame_name, vecs.T, cols)  # (j, complement, column), to complement weight coordinates
+    x = x if w is None else dagger(w) @ x
+    mask = wb.weights == theta.fourier_k + charges[:, None, None] - charges[None, :, None]  # (i, j, weight)
+    chi = np.einsum("ijr,jrc->irc", (coeff[:, None] * np.conj(coeff))[:, :, None] * mask, x)
+    out = s.inject_vector(frame_name, vecs.T, chi if w is None else w @ chi)
     return (frame.weight_scale * out).reshape(m.shape)
 
 
-def heisenberg_reduce(
-    ps: PhysicalSpace,
-    frame_name: str,
-    theta: ThetaState,
-    psi_phys,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
-    """Disentangle, then condition on an arbitrary orientation (verified g-independent)."""
+def heisenberg_reduce(ps: PhysicalSpace, frame_name: str, theta: ThetaState, psi_phys,
+                      tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Disentangle, then condition on the identity; one stacked conditioning on the identity and the sampled
+    orientations verifies that the result is g-independent."""
     s = ps.scenario
     frame = s.frame(frame_name)
-    v = ps.require(psi_phys)
-    tv = disentangler(s, frame_name, theta, v)
-    candidates = [np.conj(theta.phase_at(frame, g)) * condition_on(s, frame_name, g, tv)
-                  for g in sample_elements(frame.group, 8)]
-    worst = max((float(np.linalg.norm(c - candidates[0])) for c in candidates[1:]), default=0.0)
+    elements = [frame.rep.identity_element()] + sample_elements(frame.group, 8)
+    tv = disentangler(s, frame_name, theta, ps.require(psi_phys))
+    candidates = np.conj(theta.phases_at(frame, elements))[:, None] * condition_on_each(s, frame_name, elements, tv)
+    worst = float(np.max(np.linalg.norm(candidates[1:] - candidates[0], axis=1)))
     if not _trinity(s, frame_name, worst, tol).passed:
         raise ValueError(
             f"Heisenberg reduction depends on the conditioning orientation ({worst:.3e}); "
             "theta state is not reproducing for this frame"
         )
-    identity = frame.rep.identity_element()
-    return np.conj(theta.phase_at(frame, identity)) * condition_on(s, frame_name, identity, tv)
+    return candidates[0]
 
 
 def _trinity(s: Scenario, frame_name: str, residual: float, tol: Tolerance) -> Check:
@@ -326,23 +293,21 @@ def _trinity(s: Scenario, frame_name: str, residual: float, tol: Tolerance) -> C
 
 
 def trinity_check(ps: PhysicalSpace, frame_name: str, theta: ThetaState, psi, tol: Tolerance = DEFAULT_TOL) -> Check:
-    """max_g ||U_S(g)^dag C_g psi - psi_Heisenberg|| for a unit physical state psi: the trinity of reductions."""
+    """max_g ||U_S(g)^dag C_g psi - psi_Heisenberg|| for a unit physical state psi: the trinity of reductions, with
+    every sampled C_g psi from one stacked conditioning and U_S(g)^dag the complement's action at g^-1."""
     s = ps.scenario
     heis = heisenberg_reduce(ps, frame_name, theta, psi, tol)
-    comp = s.complement_rep(frame_name)
-    worst = 0.0
-    for g in sample_elements(s.frame(frame_name).group, 8):
-        red = schrodinger_reduce(ps, frame_name, g, psi)
-        worst = max(worst, float(np.linalg.norm(dagger(comp.evaluate(g)) @ red - heis)))
-    return _trinity(s, frame_name, worst, tol)
+    comp, elements = s.complement_rep(frame_name), sample_elements(s.frame(frame_name).group, 8)
+    moved = reps._act(comp, reps._inverses(comp, elements), condition_on_each(s, frame_name, elements, ps.require(psi)))
+    return _trinity(s, frame_name, float(np.max(np.linalg.norm(moved - heis, axis=1))), tol)
 
 
 def product_form_check(ps: PhysicalSpace, frame_name: str, theta: ThetaState, tol: Tolerance = DEFAULT_TOL) -> Check:
     """max_k ||T_R B e_k - |theta> x C_e e_k / sqrt(Vol)|| over the physical basis columns."""
     s = ps.scenario
     frame = s.frame(frame_name)
+    diff = disentangler(s, frame_name, theta, ps.basis.basis)  # first, so its stacks are freed before the product
     c_e = densify(conditioning_map(ps, frame_name, frame.rep.identity_element()))
-    expect = s.inject_vector(frame_name, theta.vector, c_e / np.sqrt(frame.weight_scale))
-    applied = disentangler(s, frame_name, theta, ps.basis.basis)
-    resid = float(np.max(np.linalg.norm(applied - expect, axis=0), initial=0.0))
+    diff -= s.inject_vector(frame_name, theta.vector, c_e / np.sqrt(frame.weight_scale))
+    resid = float(np.max(np.linalg.norm(diff, axis=0), initial=0.0))
     return tol.check(f"{frame_name}:disentangler_product_form", resid, 1.0, s.kin_dim)

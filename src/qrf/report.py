@@ -92,7 +92,7 @@ def full_report(scenario: Scenario, ps: PhysicalSpace, tol: Tolerance, rng) -> t
             e_from, e_to = (scenario.frame(f).rep.identity_element() for f in (f_from, f_to))
             ch = framechange.frame_change(ps, f_from, e_from, f_to, e_to, tol)
             checks.append(replace(ch.check, name=f"frame_change:{f_from}->{f_to}"))
-            changes[f"{f_from}->{f_to}"] = {"shape": ch.matrix.shape, "isometry_defect": ch.check.residual}
+            changes[f"{f_from}->{f_to}"] = {"shape": ch.op.shape, "isometry_defect": ch.check.residual}
         out["frame_changes"] = changes
         ideal = [f for f, (_, fr) in scenario.frames.items() if fr.rep.is_finite and fr.dim == fr.rep.group.order]
         if len(ideal) >= 2 and len(scenario.subsystems) >= 3:

@@ -189,13 +189,6 @@ def _permutation_matrices(sigma: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _matrices_at(rep: UnitaryRep, idx: list[int]) -> np.ndarray:
-    """rep.matrices[idx] of a finite rep, built from sigma alone when the dense stack is not held."""
-    if rep._matrices is None:
-        return _permutation_matrices(rep._iso_cache["perm"][idx])
-    return rep._matrices[idx]
-
-
 def finite_rep(group: FiniteGroup, matrices, tol: Tolerance = DEFAULT_TOL) -> UnitaryRep:
     """Validate a per-element matrix table as a unitary representation.
 
@@ -357,16 +350,16 @@ def regular_rep(group: FiniteGroup, side: str = "left") -> UnitaryRep:
 
 
 def rep_evaluate(rep: UnitaryRep, g) -> np.ndarray:
-    """Matrix of the representation at a group element."""
+    """Matrix of the representation at a group element: ``_act`` on the identity matrix, or, on a Lie rep held by
+    its generators, the exponential of i sum_a c_a K_a."""
     el = rep.element(g)
     if rep.is_finite:
         if not isinstance(el, FiniteElement) or el.group is not rep.group:
             raise ValueError("element does not belong to this representation's group")
-        return _matrices_at(rep, [el.index])[0]
-    if not isinstance(el, LieElement) or el.descriptor.kind != rep.group.kind:
+    elif not isinstance(el, LieElement) or el.descriptor.kind != rep.group.kind:
         raise ValueError("element does not belong to this representation's group")
-    if rep.charges is not None:
-        return np.diag(np.exp(1j * (el.coords[0] * rep.charges)))
+    if rep.is_finite or rep.charges is not None:
+        return _act(rep, [el], np.eye(rep.dim)[None])[0]
     k = sum(c * rep.generators[a] for a, c in enumerate(el.coords))
     if _is_diagonal(k):
         return np.diag(np.exp(1j * np.diagonal(k)))
@@ -602,16 +595,38 @@ def permutation_table(rep: UnitaryRep) -> np.ndarray | None:
     return rep._iso_cache["perm"]
 
 
-def _act(rep: UnitaryRep, idx, v: np.ndarray) -> np.ndarray:
-    """U_g v for each element index g in ``idx`` of a finite rep, shape (len(idx),) + v.shape: with a permutation
-    table a scatter, (U_g v)[sigma_g(j)] = v[j], exact; otherwise products with the matrices ``_matrices_at`` builds."""
+def _elements(rep: UnitaryRep, elements) -> np.ndarray:
+    """Element indices (finite, shape (n,)) or exponential coordinates (Lie, (n, algebra_dim)) of a sequence of
+    elements, as ``rep.element`` reads each; an array is taken as such already."""
+    if isinstance(elements, np.ndarray):
+        return elements
+    if rep.is_finite:
+        return np.array([rep.element(g).index for g in elements], dtype=int)
+    return np.array([rep.element(g).coords for g in elements], dtype=float).reshape(len(elements), -1)
+
+
+def _inverses(rep: UnitaryRep, elements) -> np.ndarray:  # ``_elements`` of the inverses: negated coordinates on Lie
+    at = _elements(rep, elements)
+    return rep.group.inverse_table[at] if rep.is_finite else -at
+
+
+def _act(rep: UnitaryRep, elements, v: np.ndarray) -> np.ndarray:
+    """U_g v_g for each element g of ``elements`` (``_elements``), shape (n,) + v.shape[1:]: ``v`` stacks one vector
+    (n, dim) or matrix (n, dim, m) per element, or holds one, (1, dim[, m]), broadcast over the elements.  The
+    leading axis is always the stack's, so a stack of vectors is never read as a matrix.  U_g^dag v is ``_act`` at
+    ``_inverses``.  Each rep form acts its own way: a permutation table scatters, (U_g v)[sigma_g(j)] = v[j], exactly;
+    charges scale coordinate j by exp(i theta q_j); any other rep multiplies by its element matrices."""
+    at, v = _elements(rep, elements), np.asarray(v)
+    if rep.charges is not None:
+        phases = np.exp(1j * (at[:, :1] * rep.charges))
+        return phases.reshape(phases.shape + (1,) * (v.ndim - 2)) * v
     sigma = permutation_table(rep)
-    if sigma is None:
-        return _matrices_at(rep, idx) @ v
-    rows = sigma[idx]
-    out = np.empty((len(rows),) + np.shape(v), dtype=np.result_type(v, complex))
-    out[np.arange(len(rows))[:, None], rows] = v
-    return out
+    if sigma is not None:
+        out = np.empty((len(at),) + v.shape[1:], dtype=np.result_type(v, complex))
+        out[np.arange(len(at))[:, None], sigma[at]] = v
+        return out
+    mats = rep.matrices[at] if rep.is_finite else np.stack([rep_evaluate(rep, g) for g in at])
+    return (mats @ (v if v.ndim == 3 else v[..., None])).reshape((len(at),) + v.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -824,18 +839,18 @@ def group_average(
 def constraints(rep: UnitaryRep) -> np.ndarray:
     """(k, dim, dim) stack of U_s - 1 per finite generator s, or the Lie generators; dense, not cached."""
     if rep.is_finite:
-        return _matrices_at(rep, list(rep.group.generators)) - np.eye(rep.dim)
+        return _act(rep, np.asarray(rep.group.generators, dtype=int), np.eye(rep.dim)[None]) - np.eye(rep.dim)
     return rep.generators
 
 
 def apply_constraints(rep: UnitaryRep, v: np.ndarray) -> np.ndarray:
-    """``constraints(rep) @ v``, shape (k, dim, m); with a permutation table a scatter, (U_s v)[sigma_s(j)] = v[j],
-    with charges a row scaling, (K v)[j] = q_j v[j]."""
+    """``constraints(rep) @ v``, shape (k, dim, m): U_s v - v by ``_act`` (with a permutation table a scatter,
+    (U_s v)[sigma_s(j)] = v[j]), with charges a row scaling, (K v)[j] = q_j v[j]."""
     if rep.charges is not None:
         return (rep.charges.reshape(-1, *[1] * (np.ndim(v) - 1)) * np.asarray(v, dtype=complex))[None]
-    if permutation_table(rep) is None:
-        return constraints(rep) @ v
-    return _act(rep, list(rep.group.generators), v) - v
+    if not rep.is_finite:
+        return rep.generators @ v
+    return _act(rep, np.asarray(rep.group.generators, dtype=int), np.asarray(v)[None]) - v
 
 
 def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace:

@@ -24,9 +24,13 @@ the constructions they replaced: the right action V_R lifted block by block
 from the isotypic grids, and for a finite frame as |G| twirls
 Vol twirl(U(g)^-1 |phi><phi|); the resolution defect as an orbit sum (finite) or a
 probability-normalised twirl (Lie), and the commutant dimension as a
-Kronecker nullspace.  The library applies the disentangler T_R term by term
-through the conditioning contraction and never forms it; here it is the
-dense kinematical matrix, summed one Kronecker embedding at a time.  The
+Kronecker nullspace.  The library applies the disentangler T_R and reads the
+trinity residual as one stacked conditioning over the orientations, with
+U_S(g)^dag the complement's own action (a table scatter, a phase per charge),
+and never forms T_R; here T_R is the dense kinematical matrix, summed one
+Kronecker embedding per element, and the trinity residual takes one dense
+U_S(g) per sampled element, each rep's matrices read as a dense stack or
+exponentiated by scipy.  The
 library reads the overlap of two matrix-unit algebras span{1, F_ij} from a
 cross Gram of their target blocks; here each algebra's orthonormal basis is
 the stacked vec(F_ij) sqrt(d_t/n) that the block test certifies, or an SVD of
@@ -344,7 +348,7 @@ def reproducing_residual(frame, theta, count=12):
     worst = 0.0
     for g in sample_elements(frame.group, count):
         phi = frame.orientation(g)
-        worst = max(worst, abs(complex(np.vdot(phi, theta.vector)) - theta.phase_at(frame, g)))
+        worst = max(worst, abs(complex(np.vdot(phi, theta.vector)) - theta.phases_at(frame, [g])[0]))
     return worst
 
 
@@ -381,6 +385,44 @@ def disentangler(s, frame_name, theta):
                 part = coeff[i] * np.conj(coeff[j]) * np.outer(vecs[:, i], np.conj(vecs[:, j]))
                 total += frame.weight_scale * embed_pair(s.dims, slot, part, projectors[sq])
     return total
+
+
+def dense_element(rep, g):
+    """U(g) as a dense matrix, by no path of the library's action: a finite rep's dense stack, or scipy's
+    exponential of i sum_a c_a K_a."""
+    import scipy.linalg
+
+    el = rep.element(g)
+    if rep.is_finite:
+        return rep.matrices[el.index]
+    return scipy.linalg.expm(1j * sum(c * k for c, k in zip(el.coords, rep.generators)))
+
+
+def trinity_stack(ps, frame_name, psi, count=8):
+    """U_S(g)^dag C_g psi for each sampled g, one conditioning and one dense U_S(g) at a time."""
+    s = ps.scenario
+    frame, comp = s.frame(frame_name), s.complement_rep(frame_name)
+    out = []
+    for g in sample_elements(frame.group, count):
+        reduced = np.sqrt(frame.weight_scale) * condition(s, frame_name, frame.orientation(g), psi)
+        out.append(dagger(dense_element(comp, g)) @ reduced)
+    return np.stack(out)
+
+
+def heisenberg_state(ps, frame_name, theta, psi):
+    """conj(N(e)) C_e T_R psi, with T_R the dense ``disentangler``."""
+    s = ps.scenario
+    frame = s.frame(frame_name)
+    e = frame.rep.identity_element()
+    t_psi = disentangler(s, frame_name, theta) @ psi
+    return np.conj(theta.phases_at(frame, [e])[0]) * np.sqrt(frame.weight_scale) * condition(
+        s, frame_name, frame.orientation(e), t_psi)
+
+
+def trinity_residual(ps, frame_name, theta, psi):
+    """max_g ||U_S(g)^dag C_g psi - psi_Heisenberg|| over the sampled g, from the dense per-element forms."""
+    heis = heisenberg_state(ps, frame_name, theta, psi)
+    return float(max(np.linalg.norm(v - heis) for v in trinity_stack(ps, frame_name, psi)))
 
 
 def matrix_unit_stack(fam):

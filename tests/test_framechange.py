@@ -954,3 +954,42 @@ def test_frame_change_oracle_catches_a_pairing_by_position(monkeypatch):
 
     monkeypatch.setattr(Monomial, "__matmul__", by_position)
     assert not np.allclose(frame_change(ps, "Q0", el[0], "Q1", el[1]).matrix, want, atol=1e-3)
+
+
+@pytest.mark.parametrize("source", ["u1-8-qubits", "finite-regular:S3"])
+def test_frame_change_holds_v_as_the_maps_product(source):
+    # V = C_j C_i^dag stays a Monomial, its shape read as held; its matrix, built on first read, is bit-equal to the
+    # densified product that frame_change used to return, and the dense product of the dense maps within rounding
+    from conftest import u1_qubits_config
+    from oracles import dense_frame_change
+
+    s = build_scenario(u1_qubits_config(8) if source == "u1-8-qubits" else load_config(source))
+    ps = physical_space(s)
+    f1, f2 = list(s.frames)[:2]
+    g1, g2 = (s.frame(f).rep.element(x) for f, x in ((f1, [0.4] if s.frame(f1).rep.charges is not None else 1),
+                                                      (f2, [2.2] if s.frame(f2).rep.charges is not None else 4)))
+    ch = frame_change(ps, f1, g1, f2, g2)
+    ci, cj = schrodinger_map(ps, f1, g1), schrodinger_map(ps, f2, g2)
+    assert isinstance(ch.op, Monomial) and ch.op.shape == (s.complement_dim(f2), s.complement_dim(f1))
+    assert "matrix" not in vars(ch)  # not densified until read
+    np.testing.assert_array_equal(ch.matrix, (cj @ dagger(ci)).dense())
+    assert np.abs(ch.matrix - dense_frame_change(densify(ci), densify(cj))[0]).max() <= 1e-15
+    assert ch.matrix is ch.matrix
+
+
+def test_warm_u1_frame_change_densifies_nothing(monkeypatch):
+    from conftest import u1_qubits_config
+    from qrf import cli
+
+    s = build_scenario(u1_qubits_config(8))
+    ps = physical_space(s)
+    frame_change(ps, "Q0", [0.3], "Q1", [1.1])  # warm: plans and labels cached
+
+    def refuse(self):
+        raise AssertionError("V was densified")
+
+    monkeypatch.setattr(Monomial, "dense", refuse)
+    ch = frame_change(ps, "Q0", [0.7], "Q1", [0.2])
+    assert ch.check.passed and ch.op.shape == (128, 128)
+    results, _ = cli._task_frame_change(s, ps, DEFAULT_TOL, None, "Q0", "Q1", ch.g_from, ch.g_to)
+    assert results["shape"] == (128, 128)

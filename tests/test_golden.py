@@ -1,0 +1,104 @@
+"""Golden reports: the 12 builtins and the 7 benchmark configs, rerun in process against ``tests/golden``.
+
+Each golden file is the JSON report ``qrf run`` gives for its source, without
+its basis tables.  The comparison applies ``scripts/compare_reports.py``'s
+rules: exit status, check verdicts, every dimension field and
+``checks_total`` must match exactly, no other field may change, and every
+other float must lie within the report's ``tolerance``, taken as an absolute
+bound.
+
+To regenerate the files after an intended report change, run
+``PYTHONPATH=src python tests/test_golden.py`` from the repository root, and
+state the ``compare_reports`` output against the parent in CHANGES.md.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qrf import cli
+from qrf.builtins_config import builtin_names
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _module(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sources(config_dir: Path) -> dict:
+    """Golden file name -> what ``qrf run`` takes: each builtin, and each benchmark config written to config_dir."""
+    sys.path.insert(0, str(ROOT / "perfbench"))  # as scripts/run_builtins.py reads it
+    import workloads
+
+    for workload in workloads.WORKLOADS.values():
+        workloads.write_configs(workload, config_dir)
+    out = {f"{name.replace(':', '_')}.json": name for name in builtin_names()}
+    out.update({p.name: str(p) for p in sorted(config_dir.glob("*.json"))})
+    return out
+
+
+def without_bases(x):
+    """The report with every ``basis`` table left out."""
+    if isinstance(x, dict):
+        return {k: without_bases(v) for k, v in x.items() if k != "basis"}
+    if isinstance(x, list):
+        return [without_bases(v) for v in x]
+    return x
+
+
+def report(source: str) -> dict:
+    return without_bases(json.loads(cli.emit(cli.run(cli.load_config(source)), "json")))
+
+
+@pytest.fixture(scope="module")
+def golden_sources(tmp_path_factory):
+    return sources(tmp_path_factory.mktemp("configs"))
+
+
+@pytest.fixture(scope="module")
+def compare():
+    return _module(ROOT / "scripts" / "compare_reports.py")
+
+
+def test_every_source_has_a_golden_report(golden_sources):
+    assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(golden_sources)
+    assert len(golden_sources) == 19
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_report_matches_its_golden(name, golden_sources, compare):
+    old = json.loads((GOLDEN / name).read_text())
+    new = report(golden_sources[name])
+    assert compare.exit_status(new) == compare.exit_status(old)
+    assert compare.verdicts(new) == compare.verdicts(old)
+    assert compare.dim_fields(new) == compare.dim_fields(old)
+    assert new["summary"]["checks_total"] == old["summary"]["checks_total"]
+    state = {"max": 0.0, "where": "-", "differs": [], "bases": [], "tols": []}
+    compare.float_diff(old, new, "", state)
+    assert state["differs"] == []
+    bound = old["tolerance"]
+    assert state["max"] <= bound, state["where"]
+    assert all(gap <= bound for gap, _ in state["tols"]), state["tols"]
+
+
+def main() -> int:
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, source in sources(Path(tmp)).items():
+            (GOLDEN / name).write_text(json.dumps(report(source), indent=1, sort_keys=True) + "\n")
+            print(f"wrote {GOLDEN / name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1290,3 +1290,21 @@ def test_round_trip_gate_refuses_a_nan_map(held, monkeypatch):
     monkeypatch.setattr(perspective, "conditioning_map", lambda *args: bad if held else bad.dense())
     with pytest.raises(ValueError, match=r"reduction map failed its round trip C\^dag C = 1 \(nan\)"):
         perspective.schrodinger_map(ps, "Q0", [0.4])
+
+
+@pytest.mark.parametrize("fixture, frame", [("u1_scenario", "B"), ("s3_regular_scenario", "R2")])
+def test_stacked_conditioning_and_injection_equal_one_vector_at_a_time(fixture, frame, request):
+    # a stack of frame vectors conditions on each row, and injects as the sum of the rows' injections
+    s = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(71)
+    d, comp = s.frame(frame).dim, s.complement_dim(frame)
+    phis = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
+    for shape in ((s.kin_dim,), (s.kin_dim, 3), (s.kin_dim, 0)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stacked = s.condition_vector(frame, phis, x)
+        assert stacked.shape == (4, comp) + shape[1:]
+        for phi, row in zip(phis, stacked):
+            assert np.abs(row - s.condition_vector(frame, phi, x)).max(initial=0.0) <= 1e-14
+        chi = rng.standard_normal((4, comp) + shape[1:]) + 1j * rng.standard_normal((4, comp) + shape[1:])
+        summed = sum(s.inject_vector(frame, phi, c) for phi, c in zip(phis, chi))
+        assert np.abs(s.inject_vector(frame, phis, chi) - summed).max(initial=0.0) <= 1e-13

@@ -180,19 +180,19 @@ def test_conditional_probability_rejects_non_projector(u1_scenario):
         conditional_probability(ps, "A", [0.0], 0.5 * np.eye(6), kin)
 
 
-def test_projector_gate_passes_a_rounded_projector_at_tolerance_zero():
+def test_projector_gate_passes_a_rounded_projector_at_tolerance_zero(u1_scenario):
     # the projector onto (1, ..., 1)/sqrt(6) has ||e e - e||_F = 3.3e-16 in floating point; the gate is floored at
     # the rounding bound of a 6-dim check, 6 * 32 eps = 4.3e-14, so tolerance 0 does not reject it
     from qrf.reductions import _check_projector
 
-    v = np.ones(6) / np.sqrt(6)
+    v = np.ones(6) / np.sqrt(6)  # on the complement of frame A
     e = np.outer(v, v)
     assert np.linalg.norm(e @ e - e) > 0
-    np.testing.assert_array_equal(_check_projector(e, Tolerance(0.0)), e)
+    np.testing.assert_array_equal(_check_projector(u1_scenario, "A", e, Tolerance(0.0)), e)
     with pytest.raises(ValueError, match="projector"):
-        _check_projector(e + 1e-12 * np.eye(6), Tolerance(0.0))
+        _check_projector(u1_scenario, "A", e + 1e-12 * np.eye(6), Tolerance(0.0))
     assert Tolerance(0.0).bound(1.0, 6) < 1e-12 < 1e4 * DEFAULT_TOL.weighted(1.0)
-    _check_projector(e + 1e-12 * np.eye(6), DEFAULT_TOL)  # the default gate is unchanged
+    _check_projector(u1_scenario, "A", e + 1e-12 * np.eye(6), DEFAULT_TOL)  # the default gate is unchanged
 
 
 def test_conditional_probability_rejects_a_mis_scaled_frame():
@@ -559,14 +559,12 @@ def test_finite_reductions_read_the_orbit_without_evaluating_the_frame_rep(monke
 
 
 def test_conditional_probability_refuses_a_failed_gauge_invariance_cross_check(monkeypatch, z3_regular_scenario):
-    from types import SimpleNamespace
-
     from qrf import reductions
 
     s = z3_regular_scenario
     ps = physical_space(s)
     kin = s.kin_dim
-    monkeypatch.setattr(reductions, "relational_observable", lambda *a, **k: SimpleNamespace(op=np.zeros((kin, kin))))
+    monkeypatch.setattr(reductions, "_twirled", lambda *a, **k: np.zeros((kin, kin)))
     with pytest.raises(ValueError, match=r"gauge-invariance cross-check failed: 1\.0\d* vs 0\.0"):
         conditional_probability(ps, "R1", 0, np.eye(s.complement_dim("R1")), ps.basis.basis[:, 0])
 
@@ -612,7 +610,10 @@ def test_projector_gate_refuses_each_clause_just_above_it(tol):
     # ||E E - E||_F = e (1 + e) for a rank-1 P: each clause alone refused 1% above the gate and passed 1% below it
     from qrf.reductions import _check_projector
 
-    dim = 128
+    dim = 128  # the complement of one of eight charge +-1 qubits
+    qubit = reps.u1_rep([1, -1])
+    frame = frames.make_frame(qubit, np.ones(2) / np.sqrt(2.0), name="A")
+    s = perspective.make_scenario(groups.u1(), [(f"Q{k}", qubit) for k in range(8)], {"A": ("Q0", frame)})
     gate = max(1e4 * tol.weighted(1.0), tol.bound(1.0, dim))
     p = np.zeros((dim, dim), dtype=complex)
     p[0, 0] = 1.0
@@ -621,6 +622,148 @@ def test_projector_gate_refuses_each_clause_just_above_it(tol):
     hermitian_gap = [p + (factor * gate / np.sqrt(2.0)) * unit for factor in (0.99, 1.01)]
     idempotent_gap = [(1.0 + eps) * p for eps in (0.99 * gate, 1.01 * gate)]
     for below, above in (hermitian_gap, idempotent_gap):
-        np.testing.assert_array_equal(_check_projector(below, tol), below)
+        np.testing.assert_array_equal(_check_projector(s, "A", below, tol), below)
         with pytest.raises(ValueError, match="expected a Hermitian idempotent projector"):
-            _check_projector(above, tol)
+            _check_projector(s, "A", above, tol)
+
+
+def _z4_diagonal_scenario():
+    """A frame and a system on the Z4 rep diag(i^k, (-i)^k): a finite rep with no permutation table."""
+    g = groups.cyclic(4)
+    rep = reps.finite_rep(g, np.stack([np.diag([1j ** k, (-1j) ** k]) for k in range(4)]))
+    f = frames.make_frame(rep, np.array([1, 1]) / np.sqrt(2), name="R")
+    return perspective.make_scenario(g, [("R", rep), ("S", rep)], {"R": ("R", f)})
+
+
+def _stacked_case(source):
+    from conftest import u1_qubits_config
+    from qrf import cli
+
+    if source == "z4-diagonal":
+        return _z4_diagonal_scenario()
+    return cli.build_scenario(u1_qubits_config(8) if source == "u1-8-qubits" else cli.load_config(source))
+
+
+@pytest.mark.parametrize("source", ["finite-regular:S3", "finite-regular:D4", "u1-8-qubits", "u1-qubit-qubit-qutrit",
+                                    "z4-diagonal"])
+def test_stacked_reductions_match_the_dense_per_element_oracles(source):
+    # table-held (S3, D4), charge-held (U(1)) and a non-table finite rep: T_R, the Heisenberg state and the trinity
+    # stack U_S(g)^dag C_g psi agree with one dense U_S(g) and one Kronecker embedding per element
+    import oracles
+
+    s = _stacked_case(source)
+    if source == "z4-diagonal":
+        assert reps.permutation_table(s.complement_rep("R")) is None
+    ps = physical_space(s)
+    rng = np.random.default_rng(62)
+    for fname in s.frames:
+        theta = solve_theta(s.frame(fname))
+        assert isinstance(theta, ThetaState), fname
+        m = rng.standard_normal((s.kin_dim, 3)) + 1j * rng.standard_normal((s.kin_dim, 3))
+        assert np.abs(disentangler(s, fname, theta, m) - oracles.disentangler(s, fname, theta) @ m).max() <= 1e-13
+        c = rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim)
+        psi = ps.basis.basis @ (c / np.linalg.norm(c))
+        heis = heisenberg_reduce(ps, fname, theta, psi)
+        assert np.abs(heis - oracles.heisenberg_state(ps, fname, theta, psi)).max() <= 1e-13
+        comp, elements = s.complement_rep(fname), perspective.sample_elements(s.frame(fname).group, 8)
+        moved = reps._act(comp, reps._inverses(comp, elements), perspective.condition_on_each(s, fname, elements, psi))
+        assert np.abs(moved - oracles.trinity_stack(ps, fname, psi)).max() <= 1e-13
+        residual = trinity_check(ps, fname, theta, psi).residual
+        assert abs(residual - oracles.trinity_residual(ps, fname, theta, psi)) <= 1e-13
+
+
+def test_trinity_residual_of_an_almost_reproducing_theta_matches_the_oracle():
+    # the Z3 seed off by 4e-9 leaves a trinity residual of a few 1e-9, which the stacked check reads as the oracle does
+    import oracles
+
+    group = groups.cyclic(3)
+    reg = reps.regular_rep(group)
+    seed = np.eye(3)[group.identity_index] + 4e-9 * np.array([0.3, -1.0, 0.5])
+    f = frames.make_frame(reg, seed / np.linalg.norm(seed), name="R1")
+    s = perspective.make_scenario(group, [("R1", reg), ("S", reg)], {"R1": ("R1", f)})
+    loose = Tolerance(1e-6)
+    ps, theta = physical_space(s, loose), solve_theta(f, loose)
+    psi = ps.basis.basis[:, 0]
+    residual = trinity_check(ps, "R1", theta, psi, loose).residual
+    assert residual > 1e-9
+    assert abs(residual - oracles.trinity_residual(ps, "R1", theta, psi)) <= 1e-13
+
+
+@pytest.mark.parametrize("source", ["finite-regular:D4", "u1-8-qubits"])
+def test_reductions_build_no_dense_complement_element(source, monkeypatch):
+    # U_S(g)^dag is the complement's own action: no element matrix, dense stack or dense generator is formed
+    s = _stacked_case(source)
+    ps = physical_space(s)
+    fname = next(iter(s.frames))
+    theta = solve_theta(s.frame(fname))
+    psi, chi = ps.basis.basis[:, 0], ps.basis.basis[:, 1]
+
+    def refuse(*args):
+        raise AssertionError("a dense rep matrix was built")
+
+    monkeypatch.setattr(reps, "rep_evaluate", refuse)
+    monkeypatch.setattr(reps, "_permutation_matrices", refuse)
+    disentangler(s, fname, theta, psi)
+    disentangler(s, fname, theta, ps.basis.basis)
+    heisenberg_reduce(ps, fname, theta, psi)
+    assert trinity_check(ps, fname, theta, psi).passed
+    assert perspective.conditional_inner_product_check(s, fname, psi, chi)["check"].passed
+    comp = s.complement_rep(fname)
+    assert comp._matrices is None and comp._generators is None
+
+
+def test_reductions_hold_no_per_element_loop_or_dense_evaluation():
+    # the stacked forms are the only forms: no element matrix is read in reductions, and the reductions that
+    # contract over the orientations hold no Python loop or comprehension
+    import ast
+    import inspect
+
+    from qrf import reductions
+
+    tree = ast.parse(inspect.getsource(reductions))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not names & {"evaluate", "rep_evaluate", "_matrices_at", "matrices"}
+    loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.DictComp, ast.SetComp)
+    for fn in (reductions.disentangler, reductions.heisenberg_reduce, reductions.trinity_check,
+               reductions.product_form_check, perspective.conditional_inner_product_check):
+        assert not [n for n in ast.walk(ast.parse(inspect.getsource(fn))) if isinstance(n, loops)], fn.__name__
+
+
+def test_wrong_shaped_projectors_raise_the_observable_message(u1_scenario):
+    ps = physical_space(u1_scenario)
+    kin = ps.basis.basis[:, 0]
+    message = "system observable must act on the 6-dim complement of frame 'A'"
+    with pytest.raises(ValueError, match=message):
+        conditional_probability(ps, "A", [0.0], np.eye(4), kin)
+    for event, condition in (((np.eye(4), [0.0]), (np.eye(6), [0.0])), ((np.eye(6), [0.0]), (np.eye(12), [0.0]))):
+        with pytest.raises(ValueError, match=message):
+            multi_event_probability(ps, "A", event, condition, kin)
+
+
+@pytest.mark.parametrize("source", ["finite-regular:S3", "u1-8-qubits"])
+def test_probability_queries_validate_each_projector_once(source, monkeypatch):
+    from qrf import linalg, reductions
+
+    s = _stacked_case(source)
+    ps = physical_space(s)
+    fname = next(iter(s.frames))
+    g = s.frame(fname).rep.identity_element()
+    comp = s.complement_dim(fname)
+    e = np.diag((np.arange(comp) < comp // 2).astype(float))
+    psi = ps.basis.basis[:, 0]
+    conditional_probability(ps, fname, g, e, psi)  # warm: labels and twirl indices cached
+    calls = []
+    exact = linalg.as_cmatrix
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return exact(m)
+
+    for module in (linalg, reductions, perspective):
+        monkeypatch.setattr(module, "as_cmatrix", counting)
+    conditional_probability(ps, fname, g, e, psi)
+    assert len(calls) == 1
+    calls.clear()
+    multi_event_probability(ps, fname, (e, g), (np.eye(comp), g), psi)
+    assert len(calls) == 2

@@ -942,3 +942,35 @@ def test_finite_isotypic_keeps_the_dense_product_without_a_table(monkeypatch):
         for basis, restricted in pairs:
             assert np.array_equal(restricted, dagger(basis) @ rep.matrices @ basis)
         assert [(b.irrep_dim, b.multiplicity) for b in deco.blocks] == dims
+
+
+def _act_forms():
+    """One rep of each form ``_act`` tells apart, with a few of its elements."""
+    s3, z2, z4 = groups.symmetric_3(), groups.cyclic(2), groups.cyclic(4)
+    z2_sign = reps.finite_rep(z2, np.stack([np.eye(2), np.diag([1.0, -1.0])]))  # |G| = dim: a stack looks square
+    z4_phase = reps.finite_rep(z4, np.stack([np.diag([1j ** k, (-1j) ** k]) for k in range(4)]))
+    rotated = rotated_lie_rep(reps.u1_rep([1, -1, 2]), 3)
+    cases = [reps.regular_rep(s3), z2_sign, z4_phase, reps.u1_rep([2, 0, -2]), reps.spin_rep(1), rotated]
+    return [(rep, perspective.sample_elements(rep.group, 5)) for rep in cases]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_act_matches_the_dense_element_matrices_for_every_rep_form(k):
+    # a table scatter, a non-table finite rep (with |G| = dim too), charges, and generators: U_g v_g on a stack of
+    # vectors or matrices, one v broadcast, and U_g^dag at the inverse elements
+    from oracles import dense_element
+
+    rep, elements = _act_forms()[k]
+    rng = np.random.default_rng(70 + k)
+    n, d = len(elements), rep.dim
+    if rep.is_finite:
+        assert (reps.permutation_table(rep) is not None) == (k == 0)
+    mats = np.stack([dense_element(rep, g) for g in elements])
+    for shape in ((n, d), (n, d, 2), (1, d), (1, d, 2)):
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = mats @ (v if v.ndim == 3 else v[..., None])
+        got = reps._act(rep, elements, v)
+        assert got.shape == (n,) + shape[1:]
+        assert np.abs(got - want.reshape(got.shape)).max() <= 1e-13
+        adjoint = np.conj(mats.transpose(0, 2, 1)) @ (v if v.ndim == 3 else v[..., None])
+        assert np.abs(reps._act(rep, reps._inverses(rep, elements), v) - adjoint.reshape(got.shape)).max() <= 1e-13

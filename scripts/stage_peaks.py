@@ -29,6 +29,7 @@ from qrf import cli
 
 STAGES = [
     "cli.build_scenario",
+    "reps.tensor",
     "perspective.physical_space",
     "frames.lr_classify",
     "perspective.orientation_independent",
@@ -37,6 +38,7 @@ STAGES = [
     "reductions.solve_theta",
     "reductions.trinity_check",
     "reductions.product_form_check",
+    "linalg.random_hermitian",
     "perspective.check_weak_homomorphism",
     "perspective.relational_observable",
     "perspective._twirled",

@@ -32,9 +32,10 @@ __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config", "pars
 
 # Largest kinematical dimension a config may build; one dense operator of that size is 256 MiB.
 MAX_KIN_DIM = 4096
-# Largest dense rep stack a finite-group config may form: |G| n x n complex matrices, with n the kinematical
-# dimension when a subsystem rep has no permutation table (the total is then dense), else the largest subsystem
-# dimension (a frame's orbit and isotypic blocks read its stack).  A Lie config forms none.
+# Largest dense rep stack a finite-group config may form: |G| n x n complex matrices, n the kinematical dimension
+# when a subsystem rep has no permutation table (the total is then dense), else the largest subsystem dimension (a
+# frame's orbit and isotypic blocks read its stack).  A Lie config forms none: `spin_j` and `u1_charges` totals
+# are held by their factors and charges.
 MAX_REP_BYTES = 2 * 2**30
 
 

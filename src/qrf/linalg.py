@@ -100,14 +100,19 @@ def as_cvector(v: np.ndarray) -> np.ndarray:
     return a
 
 
-def dagger(m):
-    return m.dagger() if isinstance(m, Monomial) else np.conj(np.asarray(m)).T
+def dagger(m):  # a held form's conjugate transpose is its own ``dagger()``
+    return m.dagger() if hasattr(m, "dagger") else np.conj(np.asarray(m)).T
 
 
 def random_hermitian(rng, dim: int) -> np.ndarray:
-    """(h + h^dag) / 2 for h with standard normal real and imaginary parts, drawn from ``rng``."""
-    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (h + dagger(h)) / 2.0
+    """(h + h^dag) / 2 for h with standard normal real and imaginary parts drawn from ``rng`` into h in place; the
+    sum is formed in h^dag's copy, C-ordered, since a later product rounds by its operands' layout."""
+    h = np.empty((dim, dim), dtype=complex)
+    h.real, h.imag = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
+    out = np.conj(h.T, order="C")
+    out += h
+    out /= 2.0
+    return out
 
 
 def densify(m) -> np.ndarray:

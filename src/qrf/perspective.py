@@ -31,8 +31,9 @@ table-held finite rep.  Each frame reads them once into a conditioning plan
 conj(phi(g)[a]) B[r], and returns C_g by index and weight (``linalg.Monomial``)
 when its terms meet no row and no column twice, which the plan's flags settle
 for U(1) and identity-ket finite frames.  There the gate reads the diagonal
-round trip |w|^2, and the projector and the homomorphism check's C^dag a C and
-C c C^dag are gathers and scatters; ``PhysicalSpace.require`` projects a state by
+round trip |w|^2, the projector and the homomorphism check's C^dag a C are
+gathers and scatters, its sources C X C^dag are held by X (``_Sandwich``) on a
+charge-held rep, and ``PhysicalSpace.require`` projects a state by
 a gather and a scatter on the labels.  SU(2) frames and other finite seeds keep
 the dense contraction; ``physical_system_span``, ``product_form_check`` and the
 relativity step's target blocks densify C_e.
@@ -358,21 +359,20 @@ def schrodinger_map(ps: PhysicalSpace, frame_name: str, g, tol: Tolerance = DEFA
 def strong_dirac_defect(s: Scenario, op: Operator) -> float:
     """Largest ||D op - op D|| over the constraint operators D of the total rep.
 
-    A held form that is invariant on the rep by construction reads exactly 0.  A Lie rep with W = 1 commutes its
-    diagonal Cartan generator K entrywise, [K, op]_ij = (k_i - k_j) op_ij with k its weights (a charge-held rep's
-    charges, so no dense generator is built), and any other SU(2) generator by matmul.  Everything else is
-    densified and commuted with ``reps.constraints(rep)``: for a finite group [U_s - 1, op] = [U_s, op].
+    A held form that is invariant on the rep by construction reads exactly 0.  Everything else is densified.  A Lie
+    rep's generators are Hermitian, op K = (K op^dag)^dag, and both products apply one K at a time as the rep holds
+    it (``reps._apply_generator``), so a charge- or factor-held rep builds no dense generator.  A finite rep
+    commutes ``reps.constraints(rep)`` by matmul: [U_s - 1, op] = [U_s, op].
     """
     rep = s.total_rep
     if not isinstance(op, np.ndarray) and op.invariant_on(rep):
         return 0.0
-    op, defects = densify(op), []
-    if rep.is_finite or (wb := reps.weight_basis(rep)).vectors is not None:
-        gens = reps.constraints(rep)
-    else:  # W = 1: K, the last generator, is diagonal
-        k, gens = wb.weights, rep.generators[:-1] if rep.group.kind == "SU2" else []
-        defects.append(float(np.linalg.norm((k[:, None] - k[None, :]) * op)))
-    return max(defects + [float(np.linalg.norm(d @ op - op @ d)) for d in gens], default=0.0)
+    op = densify(op)
+    if rep.is_finite:
+        return max((float(np.linalg.norm(d @ op - op @ d)) for d in reps.constraints(rep)), default=0.0)
+    op_h = np.ascontiguousarray(dagger(op))  # C order: the factors reshape it without a copy
+    return max(float(np.linalg.norm(reps._apply_generator(rep, a, op) - dagger(reps._apply_generator(rep, a, op_h))))
+               for a in range(rep.group.algebra_dim))
 
 
 def dirac_check(s: Scenario, op: Operator, tol: Tolerance = DEFAULT_TOL) -> Check:
@@ -409,13 +409,39 @@ def relational_observable(
     return obs
 
 
-def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -> Operator:
+@dataclass(frozen=True, eq=False)
+class _Sandwich:
+    """C X C^dag on a frame's complement, held by a monomial C and the n_phys x n_phys X: sums, products and adjoints
+    stay n_phys-sized, C X C^dag C Y C^dag = C (X G Y) C^dag with G = C^dag C the diagonal ``gram``."""
+
+    c: Monomial
+    x: np.ndarray
+
+    def __add__(self, other: _Sandwich) -> _Sandwich:
+        return _Sandwich(self.c, self.x + other.x)
+
+    def __matmul__(self, other: _Sandwich) -> _Sandwich:
+        return _Sandwich(self.c, self.x @ (self.c.gram[:, None] * other.x))
+
+    def dagger(self) -> _Sandwich:
+        return _Sandwich(self.c, dagger(self.x))
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        """Entries (p, q) over idx, (w_p X[col_p, col_q]) conj(w_q) with (col_p, w_p) C's entry in row p, or w_p = 0:
+        read from X, each product in the dense product's order."""
+        at, w = np.zeros(self.c.shape[0], dtype=int), np.zeros(self.c.shape[0], dtype=complex)
+        at[self.c.rows], w[self.c.rows] = self.c.cols, self.c.weights
+        return w[idx, None] * self.x[at[idx, None], at[idx]] * np.conj(w[idx])
+
+
+def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray | _Sandwich, tol: Tolerance) -> Operator:
     """Vol twirl(E x f_S), E = |phi(g)><phi(g)|: leader rows on a table-held finite rep, accumulated over the
     support of phi(g) by the module's one rule, dense on any other finite rep, weight blocks for a Lie group.
 
     With W = 1 (an exactly diagonal Cartan generator) the aligned operand's blocks
     are read entrywise, A_ww[i, j] = E[r_i, r_j] f_S[c_i, c_j], with r_i and c_i the frame and complement indices
-    of i: each block is gathered by 1-D takes on index arrays cached per frame, O(kin) entries in all."""
+    of i: each f_S block is gathered by 1-D takes on index arrays cached per frame, O(kin) entries in all, or read
+    from X for f_S held as C X C^dag (``_Sandwich``)."""
     rep, frame = s.total_rep, s.frame(frame_name)
     phi = frame.orientation(frame.rep.element(g))
     if reps.permutation_table(rep) is not None:
@@ -442,15 +468,16 @@ def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray, tol: Tolerance) -
         return group_average(rep, s.embed_frame_operator(frame_name, proj, f_s), "twirl", frame.weight_scale, tol)
     wb = reps.weight_basis(rep)
     if wb.vectors is None:
-        f_s = np.ascontiguousarray(f_s)  # a take on a strided array would copy all of it, block by block
         key = ("twirl_index", frame_name)
         if key not in s._cache:
             shape = slot_view(np.arange(s.kin_dim), s.dims, s.frame_slot(frame_name)).shape
             lo, r, hi = np.unravel_index(np.arange(s.kin_dim), shape)
             c = lo * shape[2] + hi
             s._cache[key] = [(w, r[i], c[i]) for w, i in wb.sectors.items()]
-        aligned = reps.WeightBlocks(wb, {w: proj.take(r, 0).take(r, 1) * f_s.take(c, 0).take(c, 1)
-                                         for w, r, c in s._cache[key]})
+        held = isinstance(f_s, _Sandwich)
+        f_s = f_s if held else np.ascontiguousarray(f_s)  # a take on a strided array would copy all of it, per block
+        blocks = ((w, r, f_s.block(c) if held else f_s.take(c, 0).take(c, 1)) for w, r, c in s._cache[key])
+        aligned = reps.WeightBlocks(wb, {w: proj.take(r, 0).take(r, 1) * f for w, r, f in blocks})
     else:
         aligned = reps.WeightBlocks.of(wb, s.embed_frame_operator(frame_name, proj, f_s))
     return reps.lie_twirl(rep, aligned, tol, frame.weight_scale)
@@ -538,13 +565,15 @@ def check_weak_homomorphism(
     vector, which a Lie frame applies block by block without forming any F_f; strong
     equality is expected only for regular-representation frames.
     ``weak_check`` and ``strong_pass`` take them relative to max(1, max|a| max|b|).
+    On a charge-held rep the sources Pi a Pi = C (C^dag a C) C^dag are held by C^dag a C (``_Sandwich``).
     """
     a = as_cmatrix(a)
     b = as_cmatrix(b)
     ps = physical_space(s, tol)
     c = conditioning_map(ps, frame_name, g)  # a monomial makes the products below gathers and scatters
-    c_a = dagger(c) @ a @ c  # what the definition clause ties B^dag F_a B to
-    a_p, b_p = c @ c_a @ dagger(c), c @ (dagger(c) @ b @ c) @ dagger(c)  # no complement-sized Pi = C C^dag
+    c_a, c_b = dagger(c) @ a @ c, dagger(c) @ b @ c  # c_a is what the definition clause ties B^dag F_a B to
+    held = isinstance(c, Monomial) and s.total_rep.charges is not None  # no complement-sized Pi = C C^dag either way
+    a_p, b_p = (_Sandwich(c, c_a), _Sandwich(c, c_b)) if held else (c @ c_a @ dagger(c), c @ c_b @ dagger(c))
 
     def rel(f):  # held as built, and restricted and applied as held
         return _twirled(s, frame_name, g, f, tol)
@@ -556,19 +585,19 @@ def check_weak_homomorphism(
     r_a, fa_v, r_b, fb_v = ps.restrict(f_a), f_a @ v, ps.restrict(f_b), f_b @ v
     fba_v, fab_v = f_b @ fa_v, f_a @ fb_v
     del f_a, f_b  # weight blocks, or dense arrays off the table path, are not kept through the clause loop
-    clauses = (  # name, source of the left side (built when its clause runs), right side on B, right side on v
-        ("addition", lambda: a_p + b_p, r_a + r_b, fa_v + fb_v),
-        ("multiplication", lambda: a_p @ b_p, r_a @ r_b, fab_v),
-        ("combined", lambda: a_p + b_p @ a_p, r_a + r_b @ r_a, fa_v + fba_v),
-        ("projection_equivalence", lambda: a, r_a, fa_v),
+    clauses = (  # name, source of the left side and right side on B (both built when the clause runs), right side on v
+        ("addition", lambda: a_p + b_p, lambda: r_a + r_b, fa_v + fb_v),
+        ("multiplication", lambda: a_p @ b_p, lambda: r_a @ r_b, fab_v),
+        ("combined", lambda: a_p + b_p @ a_p, lambda: r_a + r_b @ r_a, fa_v + fba_v),
+        ("projection_equivalence", lambda: a, lambda: r_a, fa_v),
     )
     report: dict = {"frame": frame_name, "weak": {}, "strong": {}}
     for name, source, weak_rhs, strong_rhs in clauses:
         f = rel(source())
-        report["weak"][name] = float(np.max(np.linalg.norm(ps.restrict(f) - weak_rhs, axis=0), initial=0.0))
+        report["weak"][name] = float(np.max(np.linalg.norm(ps.restrict(f) - weak_rhs(), axis=0), initial=0.0))
         report["strong"][name] = float(np.linalg.norm(f @ v - strong_rhs))
         del f  # the next clause builds its observable without this one alive
-    del b_p  # and the adjoint clause reads a_p alone
+    del b_p, c_b  # and the adjoint clause reads a_p alone
     report["weak"]["adjoint"] = float(np.linalg.norm(ps.restrict(rel(dagger(a_p))) - dagger(r_a)))
     report["strong"]["adjoint"] = report["weak"]["adjoint"]
     report["weak"]["definition"] = float(np.max(np.linalg.norm(r_a - c_a, axis=0), initial=0.0))

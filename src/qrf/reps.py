@@ -4,11 +4,14 @@ Finite groups carry per-element matrix tables; U(1) and SU(2) carry
 Hermitian generators in the convention [K_a, K_b] = 2i f_abc K_c (so the
 spin-1/2 generators are the Pauli matrices themselves and weights are the
 integers 2m).  ``tensor`` folds one pair rule, ``_tensor2``, over the factors:
-composed tables, per-element Kronecker products, summed charges, or generators
-K x 1 + 1 x K'.  A U(1) rep whose generator is exactly diagonal and integral
-is held by its charge vector q alone, like a permutation rep by its table:
-its weights are q, U(theta) = diag(exp(i theta q)), K v = q v and
-[K, A]_ij = (q_i - q_j) A_ij, so no dense generator is built unless asked for.
+composed tables, per-element Kronecker products, summed charges, joined factor
+spins, or generators K x 1 + 1 x K'.  A U(1) rep whose generator is exactly
+diagonal and integral is held by its charge vector q alone, like a permutation
+rep by its table: its weights are q, U(theta) = diag(exp(i theta q)), K v = q v
+and [K, A]_ij = (q_i - q_j) A_ij.  An SU(2) product of reps with exactly
+diagonal J_z is held by its factors, J_a = sum_k 1 x J_a^(k) x 1: its weights,
+K_a v, U(g) v and the J_+ blocks between weight sectors are read one factor at
+a time.  Neither builds a dense generator unless asked.
 
 Lie layers work in the weight basis of the Cartan generator (``weight_basis``).
 There isotypic blocks are index sets: charge sectors, or SU(2) ladders
@@ -123,16 +126,18 @@ class UnitaryRep:
     rep only its table ``sigma`` (|G|, dim), from which ``matrices`` is built on
     first use and cached.  Lie: Hermitian ``generators`` (algebra_dim, dim, dim),
     or for a U(1) rep with an exactly diagonal, exactly integral generator only
-    its integer ``charges`` (dim,), from which ``generators`` is built on first
-    use and cached.
+    its integer ``charges`` (dim,), or for an SU(2) tensor product of reps with
+    exactly diagonal J_z only its ``factors``, from which ``generators`` (the
+    Kronecker sums) is built on first use and cached.
     """
 
     def __init__(self, group: FiniteGroup | LieDescriptor, dim: int, matrices: np.ndarray | None = None,
                  generators: np.ndarray | None = None, sigma: np.ndarray | None = None,
-                 charges: np.ndarray | None = None) -> None:
+                 charges: np.ndarray | None = None, factors: tuple[UnitaryRep, ...] | None = None) -> None:
         self.group = group
         self.dim = dim
         self.charges = charges
+        self.factors = factors
         self._generators = generators
         self._matrices = matrices
         self._iso_cache: dict = {} if sigma is None else {"perm": sigma}
@@ -147,6 +152,8 @@ class UnitaryRep:
     def generators(self) -> np.ndarray | None:
         if self._generators is None and self.charges is not None:
             self._generators = np.diag(self.charges.astype(complex))[None]
+        elif self._generators is None and self.factors is not None:
+            self._generators = functools.reduce(_kronecker_sum, (f.generators for f in self.factors))
         return self._generators
 
     @property
@@ -250,7 +257,8 @@ class WeightBasis:
 
     ``vectors`` is W, or None when H is exactly diagonal and W = 1, as for
     every ``u1_rep``/``spin_rep`` and their tensor products; otherwise it
-    comes from one ``eigh``.  A charge-held rep's weights are its charges.
+    comes from one ``eigh``.  A charge-held rep's weights are its charges, a
+    factor-held rep's the sums of its factors' weights.
     ``sectors`` maps each weight to its columns.
     """
 
@@ -277,6 +285,8 @@ def weight_basis(rep: UnitaryRep) -> WeightBasis:
     if "weights" not in rep._iso_cache:
         if rep.charges is not None:
             vals, vecs = rep.charges, None
+        elif rep.factors is not None:
+            vals, vecs = sum(np.ix_(*(weight_basis(f).weights for f in rep.factors))).reshape(-1), None
         elif _is_diagonal(h := rep.generators[-1]):
             vals, vecs = np.diagonal(h).real, None
         else:
@@ -350,26 +360,54 @@ def regular_rep(group: FiniteGroup, side: str = "left") -> UnitaryRep:
 
 
 def rep_evaluate(rep: UnitaryRep, g) -> np.ndarray:
-    """Matrix of the representation at a group element: ``_act`` on the identity matrix, or, on a Lie rep held by
-    its generators, the exponential of i sum_a c_a K_a."""
+    """Matrix of the representation at a group element: ``_act`` on the identity matrix."""
     el = rep.element(g)
     if rep.is_finite:
         if not isinstance(el, FiniteElement) or el.group is not rep.group:
             raise ValueError("element does not belong to this representation's group")
     elif not isinstance(el, LieElement) or el.descriptor.kind != rep.group.kind:
         raise ValueError("element does not belong to this representation's group")
-    if rep.is_finite or rep.charges is not None:
-        return _act(rep, [el], np.eye(rep.dim)[None])[0]
-    k = sum(c * rep.generators[a] for a, c in enumerate(el.coords))
-    if _is_diagonal(k):
-        return np.diag(np.exp(1j * np.diagonal(k)))
-    vals, vecs = np.linalg.eigh(k)
-    return (vecs * np.exp(1j * vals)) @ dagger(vecs)
+    return _act(rep, [el], np.eye(rep.dim)[None])[0]
+
+
+def _exponentials(rep: UnitaryRep, at: np.ndarray) -> np.ndarray:
+    """(n, dim, dim) exponentials exp(i sum_a c_{n,a} K_a) of a generator-held Lie rep at coordinates ``at``
+    (n, algebra_dim): exactly diagonal exponents entrywise, the others by one batched ``eigh``."""
+    k = sum(at[:, a, None, None] * gen for a, gen in enumerate(rep.generators))
+    diag, d, out = np.array([_is_diagonal(m) for m in k], dtype=bool), np.arange(rep.dim), np.zeros(k.shape, complex)
+    out[np.flatnonzero(diag)[:, None], d, d] = np.exp(1j * np.diagonal(k[diag], axis1=1, axis2=2))
+    vals, vecs = np.linalg.eigh(k[~diag])
+    out[~diag] = (vecs * np.exp(1j * vals)[:, None, :]) @ np.conj(vecs).transpose(0, 2, 1)
+    return out
+
+
+def _kronecker_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """K x 1 + 1 x K' per pair of generators, one pair at a time: 4 dim^2 arrays at the peak, not 6."""
+    out = np.empty((len(x), x.shape[1] * y.shape[1], x.shape[1] * y.shape[1]), dtype=complex)
+    for o, k, k2 in zip(out, x, y):
+        o[:] = np.kron(k, np.eye(len(k2)))
+        o += np.kron(np.eye(len(k)), k2)
+    return out
+
+
+def _apply_generator(rep: UnitaryRep, a: int, v: np.ndarray) -> np.ndarray:
+    """K_a v for v (dim, ...), as the rep holds K_a: a charge- or factor-held rep's Cartan generator scales row j by
+    weight w_j and its factors' K_x, K_y act on their own axes (v as (lead, d_k, rest)), else a dense matmul."""
+    v = np.asarray(v, dtype=complex)
+    if rep.charges is None and rep.factors is None:
+        return rep.generators[a] @ v
+    if a == rep.group.algebra_dim - 1:
+        return weight_basis(rep).weights.reshape(-1, *[1] * (v.ndim - 1)) * v
+    out, lead = np.zeros(v.shape, dtype=complex), 1
+    for f in rep.factors:
+        out += (f.generators[a] @ v.reshape(lead, f.dim, -1)).reshape(v.shape)
+        lead *= f.dim
+    return out
 
 
 def _tensor2(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
     """The pair rule: composed permutation tables, per-element Kronecker products, summed charges
-    q_{a x b}(i d_b + j) = q_a(i) + q_b(j), or K x 1 + 1 x K'."""
+    q_{a x b}(i d_b + j) = q_a(i) + q_b(j), joined factors of SU(2) reps with diagonal J_z, or K x 1 + 1 x K'."""
     d = a.dim * b.dim
     if a.is_finite:
         sa, sb = permutation_table(a), permutation_table(b)
@@ -379,11 +417,10 @@ def _tensor2(a: UnitaryRep, b: UnitaryRep) -> UnitaryRep:
         return UnitaryRep(group=a.group, dim=d, matrices=mats)
     if a.charges is not None and b.charges is not None:
         return UnitaryRep(group=a.group, dim=d, charges=(a.charges[:, None] + b.charges[None, :]).reshape(d))
-    gens = np.empty((a.group.algebra_dim, d, d), dtype=complex)
-    for g, x, y in zip(gens, a.generators, b.generators):
-        g[:] = np.kron(x, np.eye(b.dim))
-        g += np.kron(np.eye(a.dim), y)
-    return UnitaryRep(group=a.group, dim=d, generators=gens)
+    spins = [r.factors or (r,) for r in (a, b) if r.factors or r.group.kind == "SU2" and _is_diagonal(r.generators[-1])]
+    if len(spins) == 2:
+        return UnitaryRep(group=a.group, dim=d, factors=spins[0] + spins[1])
+    return UnitaryRep(group=a.group, dim=d, generators=_kronecker_sum(a.generators, b.generators))
 
 
 def tensor(reps: list[UnitaryRep]) -> UnitaryRep:
@@ -400,11 +437,13 @@ def tensor(reps: list[UnitaryRep]) -> UnitaryRep:
 
 
 def conjugate_rep(rep: UnitaryRep) -> UnitaryRep:
-    """Entrywise-conjugate representation (Lie: generators K -> -K^T, charges q -> -q)."""
+    """Entrywise-conjugate representation (Lie: generators K -> -K^T, charges q -> -q, factors conjugated)."""
     if rep.is_finite:
         return UnitaryRep(group=rep.group, dim=rep.dim, matrices=np.conj(rep.matrices))
     if rep.charges is not None:
         return UnitaryRep(group=rep.group, dim=rep.dim, charges=-rep.charges)
+    if rep.factors is not None:
+        return UnitaryRep(group=rep.group, dim=rep.dim, factors=tuple(conjugate_rep(f) for f in rep.factors))
     return UnitaryRep(group=rep.group, dim=rep.dim, generators=-np.transpose(rep.generators, (0, 2, 1)))
 
 
@@ -455,16 +494,15 @@ def _ladders(rep: UnitaryRep, tol: Tolerance) -> list[tuple[int, list[np.ndarray
     if key in rep._iso_cache:
         return rep._iso_cache[key]
     wb = weight_basis(rep)
-    gx, gy, _ = rep.generators
-    up = wb.into((gx + 1j * gy) / 2.0)  # maps weight w to w + 2
+    up = _raising_blocks(rep, wb)
     ladders = []
     for top in sorted((w for w in wb.sectors if w >= 0), reverse=True):
-        v = canonicalize_basis(nullspace(up[np.ix_(wb.sectors.get(top + 2, []), wb.sectors[top])], tol), tol)
+        v = canonicalize_basis(nullspace(up[top], tol), tol)
         if v.shape[1] == 0:
             continue
         slots = [v]
         for w in range(top, -top, -2):
-            v = dagger(up[np.ix_(wb.sectors[w], wb.sectors.get(w - 2, []))]) @ slots[-1]
+            v = dagger(up[w - 2]) @ slots[-1]
             nrm = np.linalg.norm(v, axis=0)
             if np.any(nrm < tol.t):
                 raise ValueError("ladder terminated early; generators inconsistent")
@@ -475,6 +513,29 @@ def _ladders(rep: UnitaryRep, tol: Tolerance) -> list[tuple[int, list[np.ndarray
         raise ValueError(f"isotypic decomposition incomplete: {total} of {rep.dim} dimensions")
     rep._iso_cache[key] = ladders
     return ladders
+
+
+def _raising_blocks(rep: UnitaryRep, wb: WeightBasis) -> dict:
+    """Block w of J_+ = (K_x + i K_y)/2 in weight coordinates maps sector w to w + 2, for w and w - 2 over the weights.
+    A factor-held rep scatters them, exactly the dense entries: column j with digit q on factor k (stride s_k) gets
+    the factor's J_+[p, q] at row j + (p - q) s_k for each p of weight w_q + 2.  Any other rep slices its dense J_+."""
+    sec, j, keys = wb.sectors, np.arange(rep.dim), set(wb.sectors) | {w - 2 for w in wb.sectors}
+    if rep.factors is None:
+        up = wb.into((rep.generators[0] + 1j * rep.generators[1]) / 2.0)
+        return {w: up[np.ix_(sec.get(w + 2, []), sec.get(w, []))] for w in keys}
+    blocks = {w: np.zeros((len(sec.get(w + 2, [])), len(sec.get(w, []))), dtype=complex) for w in keys}
+    pos, stride = np.zeros(rep.dim, dtype=int), rep.dim
+    for idx in sec.values():
+        pos[idx] = np.arange(idx.size)  # each index's place in its sector
+    for f in rep.factors:
+        stride //= f.dim
+        up, fw = (f.generators[0] + 1j * f.generators[1]) / 2.0, weight_basis(f).weights
+        for p, q in zip(*np.nonzero(up)):
+            cols = j[(j // stride % f.dim == q) & (fw[p] == fw[q] + 2)]
+            for w in np.unique(wb.weights[cols]):
+                at = cols[wb.weights[cols] == w]
+                blocks[w][pos[at + (p - q) * stride], pos[at]] = up[p, q]
+    return blocks
 
 
 def _commutant_dim(mats: np.ndarray) -> int:
@@ -615,7 +676,8 @@ def _act(rep: UnitaryRep, elements, v: np.ndarray) -> np.ndarray:
     (n, dim) or matrix (n, dim, m) per element, or holds one, (1, dim[, m]), broadcast over the elements.  The
     leading axis is always the stack's, so a stack of vectors is never read as a matrix.  U_g^dag v is ``_act`` at
     ``_inverses``.  Each rep form acts its own way: a permutation table scatters, (U_g v)[sigma_g(j)] = v[j], exactly;
-    charges scale coordinate j by exp(i theta q_j); any other rep multiplies by its element matrices."""
+    charges scale coordinate j by exp(i theta q_j); any other rep multiplies by its element matrices, on a Lie rep
+    ``_exponentials``, one factor at a time on a factor-held rep."""
     at, v = _elements(rep, elements), np.asarray(v)
     if rep.charges is not None:
         phases = np.exp(1j * (at[:, :1] * rep.charges))
@@ -625,8 +687,13 @@ def _act(rep: UnitaryRep, elements, v: np.ndarray) -> np.ndarray:
         out = np.empty((len(at),) + v.shape[1:], dtype=np.result_type(v, complex))
         out[np.arange(len(at))[:, None], sigma[at]] = v
         return out
-    mats = rep.matrices[at] if rep.is_finite else np.stack([rep_evaluate(rep, g) for g in at])
-    return (mats @ (v if v.ndim == 3 else v[..., None])).reshape((len(at),) + v.shape[1:])
+    if rep.is_finite:
+        return (rep.matrices[at] @ (v if v.ndim == 3 else v[..., None])).reshape((len(at),) + v.shape[1:])
+    out, lead = np.asarray(v, dtype=complex), 1
+    for f in rep.factors or (rep,):  # each factor's element matrices on its own axis, as (n, lead, d_k, rest)
+        out = _exponentials(f, at)[:, None] @ out.reshape(len(out), lead, f.dim, -1)
+        lead *= f.dim
+    return out.reshape((len(at),) + v.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -779,9 +846,13 @@ class WeightBlocks:
         return self.basis.back(out)
 
     def restrict(self, b: np.ndarray) -> np.ndarray:
-        """Physical columns b have weight 0 and see the weight-0 block alone: x^dag B_0 x, x = (W^dag b)[sector 0]."""
+        """Physical columns b have weight 0 and see the weight-0 block alone: x^dag B_0 x, x = (W^dag b)[sector 0];
+        when each column j of x is one exact 1, x[p_j, j], as on a charge-held rep, it is the gather B_0[p][:, p]."""
         x = (b if self.basis.vectors is None else dagger(self.basis.vectors) @ b)[self.basis.sectors.get(0, [])]
-        return dagger(x) @ self.blocks.get(0, np.zeros((0, 0))) @ x
+        block, p = self.blocks.get(0, np.zeros((0, 0))), np.argmax(x.real, axis=0) if x.size else np.zeros(0, int)
+        if np.count_nonzero(x.view(float)) == len(p) and np.all(x[p, np.arange(len(p))] == 1):  # no other nonzero
+            return block[np.ix_(p, p)]
+        return dagger(x) @ block @ x
 
     def largest_entry(self) -> float:  # with W = 1, as on a charge-held rep, every entry off the blocks is 0
         return max((float(np.abs(b).max(initial=0.0)) for b in self.blocks.values()), default=0.0)
@@ -845,11 +916,9 @@ def constraints(rep: UnitaryRep) -> np.ndarray:
 
 def apply_constraints(rep: UnitaryRep, v: np.ndarray) -> np.ndarray:
     """``constraints(rep) @ v``, shape (k, dim, m): U_s v - v by ``_act`` (with a permutation table a scatter,
-    (U_s v)[sigma_s(j)] = v[j]), with charges a row scaling, (K v)[j] = q_j v[j]."""
-    if rep.charges is not None:
-        return (rep.charges.reshape(-1, *[1] * (np.ndim(v) - 1)) * np.asarray(v, dtype=complex))[None]
+    (U_s v)[sigma_s(j)] = v[j]), or each K_a v as the rep holds K_a (``_apply_generator``)."""
     if not rep.is_finite:
-        return rep.generators @ v
+        return np.stack([_apply_generator(rep, a, v) for a in range(rep.group.algebra_dim)])
     return _act(rep, np.asarray(rep.group.generators, dtype=int), np.asarray(v)[None]) - v
 
 

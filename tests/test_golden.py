@@ -89,6 +89,17 @@ def test_report_matches_its_golden(name, golden_sources, compare):
     assert all(gap <= bound for gap, _ in state["tols"]), state["tols"]
 
 
+@pytest.mark.parametrize("name", ["su2-three-spin1.json", "su2-four-spin1.json", "su2-5-spin1.json",
+                                  "su2-6-spin1.json"])
+def test_su2_reports_build_no_dense_total_generator(name, golden_sources, monkeypatch):
+    # the totals and complements are held by their factor spins: every SU(2) report runs, to its golden bytes, with
+    # the lazy Kronecker-sum build of their dense generators raising
+    from qrf import reps
+
+    monkeypatch.setattr(reps, "_kronecker_sum", lambda *pair: pytest.fail("dense SU(2) generators built"))
+    assert report(golden_sources[name]) == json.loads((GOLDEN / name).read_text())
+
+
 def main() -> int:
     import tempfile
 

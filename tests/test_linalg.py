@@ -19,6 +19,7 @@ from qrf.linalg import (
     joint_fixed_subspace,
     nullspace,
     orthonormal_range,
+    random_hermitian,
 )
 
 TOL = Tolerance()
@@ -240,3 +241,17 @@ def test_linalg_input_gates_and_phase_fixing_edge_cases():
     # no entry exceeds tol.weighted(top) = 2 at t = 1, so the pivot is entry 0, which is zero: the phase stays
     v = np.array([0.0, 1j])
     assert np.array_equal(fix_phase(v, Tolerance(1.0)), v)
+
+
+def test_random_hermitian_keeps_the_bits_layout_and_stream_of_the_plain_formula():
+    # filled in place and summed in the conjugate transpose's copy: the same draw, in C order, and the generator's
+    # next draw unchanged
+    dims = [*range(1, 17), 31, 64, 100, 255, 256, 512]
+    for seed in range(5):
+        ours, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+        for dim in dims:
+            got = random_hermitian(ours, dim)
+            h = plain.standard_normal((dim, dim)) + 1j * plain.standard_normal((dim, dim))
+            want = (h + np.conj(h).T) / 2.0
+            assert np.array_equal(got, want) and got.flags.c_contiguous, (seed, dim)
+        assert ours.standard_normal() == plain.standard_normal()

@@ -796,9 +796,17 @@ def test_conditioning_map_readers_take_the_gathers(source, monkeypatch):
     oracle = dense_map_products(c1, a, np.eye(ps.dim), psi_s)
     want_change, want_defect = dense_frame_change(c1, c2)
     real_weights = s.total_rep.is_finite  # complex weights round differently under a fused multiply-add
+    # a held C keeps the U(1) clause sources in physical coordinates, so a homomorphism residual that is rounding alone
+    # (the dense one within n_phys eps max|a| max|b|, twice over) is rounded otherwise: it must be nonzero and within
+    # that bound; every other value matches the dense one
+    rounding = 2 * ps.dim * np.finfo(float).eps * max(1.0, float(np.abs(a).max() * np.abs(b).max()))
     for key, value in got.items():
         if real_weights:
             assert np.array_equal(value, dense[key]), key
+        elif key in ("weak", "strong"):
+            for held_r, dense_r in zip(value, dense[key], strict=True):
+                small = dense_r <= rounding
+                assert 0 < held_r <= rounding if small else held_r == pytest.approx(dense_r, rel=1e-14), key
         else:
             np.testing.assert_allclose(value, dense[key], rtol=1e-14, atol=1e-14, err_msg=key)
     assert got["weak"][-1]
@@ -1308,3 +1316,58 @@ def test_stacked_conditioning_and_injection_equal_one_vector_at_a_time(fixture, 
         chi = rng.standard_normal((4, comp) + shape[1:]) + 1j * rng.standard_normal((4, comp) + shape[1:])
         summed = sum(s.inject_vector(frame, phi, c) for phi, c in zip(phis, chi))
         assert np.abs(s.inject_vector(frame, phis, chi) - summed).max(initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("source", ["u1-10-qubits", "u1-qubit-qubit-qutrit"])
+def test_charge_held_restriction_is_a_gather_bit_equal_to_the_product(source, monkeypatch):
+    # B's weight-0 rows are an exact 0/1 permutation on a charge-held rep (one-hot, as its labels say): B^dag F B is
+    # a gather, found from B itself
+    s = cli.build_scenario(u1_qubits_config(10) if source == "u1-10-qubits" else cli.load_config(source))
+    ps, name = physical_space(s), next(iter(s.frames))
+    assert ps.labels is not None and np.all(ps.labels[2] == 1)
+    f_s = random_hermitian(np.random.default_rng(91), s.complement_dim(name))
+    held = perspective._twirled(s, name, [0.3], f_s, Tolerance())
+    x = ps.basis.basis[held.basis.sectors[0]]
+    product = dagger(x) @ held.blocks[0] @ x
+    with monkeypatch.context() as m:
+        m.setattr(reps, "dagger", lambda x: pytest.fail("restricted by a product"))
+        gathered = ps.restrict(held)
+    assert np.array_equal(gathered, product)
+
+
+def test_u1_weak_homomorphism_grows_the_traced_heap_by_under_14_mib():
+    # on U(1)-10 the clause sources stay n_phys x n_phys (252 x 252) and only the drawn a is twirled from the
+    # 512 x 512 complement: 23.6 MiB of growth when the sources were complement-sized
+    s = cli.build_scenario(u1_qubits_config(10))
+    name = next(iter(s.frames))
+    rng = np.random.default_rng(95)
+    a, b = (random_hermitian(rng, s.complement_dim(name)) for _ in range(2))
+    e = s.frame(name).rep.identity_element()
+    check_weak_homomorphism(s, name, e, a, b)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        assert check_weak_homomorphism(s, name, e, a, b)["weak_check"].passed
+        growth = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert growth <= 14 * 2**20, growth / 2**20
+
+
+def test_sandwich_algebra_and_blocks_match_the_complement_sized_products():
+    # C X C^dag held by X: sums, products X G Y and adjoints equal the complement-sized products, and each block is
+    # read from X bit-equal to the monomial products C X C^dag
+    s = cli.build_scenario(u1_qubits_config(6))
+    ps, name = physical_space(s), next(iter(s.frames))
+    c = perspective.conditioning_map(ps, name, [0.7])
+    assert isinstance(c, Monomial) and c.shape[0] > ps.dim
+    rng = np.random.default_rng(97)
+    x, y = (rng.standard_normal((ps.dim, ps.dim)) + 1j * rng.standard_normal((ps.dim, ps.dim)) for _ in range(2))
+    sx, sy = perspective._Sandwich(c, x), perspective._Sandwich(c, y)
+    cd = c.dense()
+    px, py = cd @ x @ dagger(cd), cd @ y @ dagger(cd)
+    for held, want in ((sx + sy, px + py), (sx @ sy, px @ py), (sx + sy @ sx, px + py @ px), (dagger(sx), dagger(px))):
+        assert isinstance(held, perspective._Sandwich)
+        np.testing.assert_allclose(cd @ held.x @ dagger(cd), want, rtol=0, atol=1e-13)
+    idx = np.sort(rng.permutation(c.shape[0])[: c.shape[0] // 2])
+    assert np.array_equal(sx.block(idx), (c @ x @ dagger(c))[np.ix_(idx, idx)])

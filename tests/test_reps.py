@@ -974,3 +974,94 @@ def test_act_matches_the_dense_element_matrices_for_every_rep_form(k):
         assert np.abs(got - want.reshape(got.shape)).max() <= 1e-13
         adjoint = np.conj(mats.transpose(0, 2, 1)) @ (v if v.ndim == 3 else v[..., None])
         assert np.abs(reps._act(rep, reps._inverses(rep, elements), v) - adjoint.reshape(got.shape)).max() <= 1e-13
+
+
+def _dense_twin(rep):
+    """A factor-held SU(2) total held instead by its dense Kronecker-sum generators, the oracle path."""
+    from oracles import kronecker_sum_generators
+
+    return reps.UnitaryRep(rep.group, rep.dim, generators=kronecker_sum_generators(list(rep.factors)))
+
+
+@pytest.mark.parametrize("spins", [(0.5, 1, 1.5), (1,) * 5])
+def test_factor_held_su2_total_equals_its_dense_kronecker_sum(spins, monkeypatch):
+    # the weights, the J_+ blocks between weight sectors, the ladders, K v, the element matrices and the conjugate
+    # of a factor-held total agree with the dense Kronecker-sum path; the weights and ladder blocks are bit-equal
+    import scipy.linalg
+
+    factors = [reps.spin_rep(j) for j in spins]
+    rep = reps.tensor(factors)
+    assert rep.factors == tuple(factors) and rep._generators is None
+    dense = _dense_twin(rep)
+    wb, wd = reps.weight_basis(rep), reps.weight_basis(dense)
+    assert wb.vectors is None and wd.vectors is None and np.array_equal(wb.weights, wd.weights)
+    held, want = reps._raising_blocks(rep, wb), reps._raising_blocks(dense, wd)
+    assert held.keys() == want.keys() and all(np.array_equal(held[w], want[w]) for w in want)
+    for (top, slots), (top_d, slots_d) in zip(reps._ladders(rep, DEFAULT_TOL), reps._ladders(dense, DEFAULT_TOL),
+                                              strict=True):
+        assert top == top_d and all(np.array_equal(v, u) for v, u in zip(slots, slots_d, strict=True))
+    rng = np.random.default_rng(83)
+    v = rng.standard_normal((rep.dim, 3)) + 1j * rng.standard_normal((rep.dim, 3))
+    np.testing.assert_allclose(reps.apply_constraints(rep, v), dense.generators @ v, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(reps.apply_constraints(rep, v[:, 0]), dense.generators @ v[:, 0], rtol=0, atol=1e-13)
+    elements = [groups.lie_element(groups.su2(), c) for c in rng.uniform(-2, 2, size=(3, 3))]
+    for g in elements:
+        u = scipy.linalg.expm(1j * sum(c * k for c, k in zip(g.coords, dense.generators)))
+        np.testing.assert_allclose(reps.rep_evaluate(rep, g), u, rtol=0, atol=1e-12)
+    stack = reps._act(rep, elements, v[None])
+    np.testing.assert_allclose(stack, np.stack([reps.rep_evaluate(dense, g) @ v for g in elements]), rtol=0, atol=1e-12)
+    conj = reps.conjugate_rep(rep)
+    assert conj.factors is not None and np.array_equal(conj.generators, reps.conjugate_rep(dense).generators)
+    monkeypatch.setattr(reps, "_kronecker_sum", lambda factors: pytest.fail("dense generators built"))
+    reps.fixed_subspace(reps.tensor(factors))  # the ladders, from the factors alone
+
+
+@pytest.mark.parametrize("spins", [(0.5, 1, 1.5), (1,) * 5])
+def test_factor_held_strong_dirac_defect_equals_the_dense_commutators(spins, monkeypatch):
+    from oracles import strong_dirac_defect
+
+    subsystems = [(f"S{k}", reps.spin_rep(j)) for k, j in enumerate(spins)]
+    s = perspective.make_scenario(groups.su2(), subsystems)
+    assert s.total_rep.factors is not None
+    rng = np.random.default_rng(87)
+    a = rng.standard_normal((s.kin_dim,) * 2) + 1j * rng.standard_normal((s.kin_dim,) * 2)
+    ops = (a, reps.group_average(s.total_rep, a, "twirl", 1.0))
+    with monkeypatch.context() as m:
+        m.setattr(reps, "_kronecker_sum", lambda factors: pytest.fail("dense generators built"))
+        held = [perspective.strong_dirac_defect(s, op) for op in ops]
+    for op, got in zip(ops, held):
+        want = strong_dirac_defect(s, op)
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+    assert held[1] <= 1e-11
+
+
+def test_rotated_su2_factors_keep_the_dense_path():
+    half, spin1 = reps.spin_rep(0.5), reps.spin_rep(1)
+    rotated = rotated_lie_rep(half, 5)
+    for factors in ([spin1, rotated], [rotated, spin1], [spin1, rotated, spin1], [rotated, rotated]):
+        rep = reps.tensor(factors)
+        assert rep.factors is None and rep._generators is not None
+    assert reps.tensor([half, spin1]).factors == (half, spin1)
+    assert reps.tensor([reps.tensor([half, spin1]), spin1]).factors == (half, spin1, spin1)
+    assert reps.tensor([reps.u1_rep([1, -1])] * 2).factors is None  # a U(1) total is held by its charges
+
+
+def test_batched_exponentials_equal_the_per_element_eigh():
+    # one batched eigh over the stacked sum_a c_a K_a, with each exactly diagonal sum exponentiated entrywise, is
+    # bit-equal to the per-element exponential
+    def one(rep, coords):
+        k = sum(c * rep.generators[a] for a, c in enumerate(coords))
+        if np.count_nonzero(k) == np.count_nonzero(np.diagonal(k)):
+            return np.diag(np.exp(1j * np.diagonal(k)))
+        vals, vecs = np.linalg.eigh(k)
+        return (vecs * np.exp(1j * vals)) @ dagger(vecs)
+
+    rng = np.random.default_rng(89)
+    for rep in (reps.spin_rep(0.5), reps.spin_rep(1), rotated_lie_rep(reps.spin_rep(1), 7)):
+        at = rng.uniform(-2, 2, size=(8, 3))
+        at[2] = [0.0, 0.0, 0.7]  # an exactly diagonal sum on the spin reps
+        at[5] = 0.0
+        got = reps._exponentials(rep, at)
+        assert all(np.array_equal(u, one(rep, c)) for u, c in zip(got, at, strict=True))
+        v = rng.standard_normal((rep.dim, 2)) + 1j * rng.standard_normal((rep.dim, 2))
+        assert np.array_equal(reps._act(rep, at, v[None]), got @ v)

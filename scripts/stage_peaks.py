@@ -31,6 +31,8 @@ STAGES = [
     "cli.build_scenario",
     "reps.tensor",
     "perspective.physical_space",
+    "reps.fixed_subspace",
+    "reps.invariant_closure",
     "frames.lr_classify",
     "perspective.orientation_independent",
     "perspective.physical_system_span",
@@ -38,6 +40,7 @@ STAGES = [
     "reductions.solve_theta",
     "reductions.trinity_check",
     "reductions.product_form_check",
+    "reductions.disentangler",
     "linalg.random_hermitian",
     "perspective.check_weak_homomorphism",
     "perspective.relational_observable",

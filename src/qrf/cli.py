@@ -373,12 +373,12 @@ def _state(s, tol, spec, path, args) -> np.ndarray:
         k = _integral(spec["basis_index"], f"{path}.basis_index")
         if not 0 <= k < ps.dim:
             raise ConfigError(f"{path}: basis_index {k} outside physical dimension {ps.dim}")
-        return ps.basis.basis[:, k]
+        return ps.basis.columns(k, k + 1)[:, 0]
     if "coefficients" in spec:
         v = _complex_vector(spec["coefficients"], f"{path}.coefficients")
         if v.size != ps.dim:
             raise ConfigError(f"{path}: need {ps.dim} physical coefficients")
-        v = ps.basis.basis @ v
+        v = ps.basis @ v
     else:
         v = _complex_vector(spec["amplitudes"], f"{path}.amplitudes")
         if v.size != s.kin_dim:

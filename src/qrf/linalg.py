@@ -32,6 +32,7 @@ __all__ = [
     "random_hermitian",
     "densify",
     "Monomial",
+    "RowLabels",
 ]
 
 
@@ -233,6 +234,77 @@ class Subspace:
         v = as_cvector(v)
         resid = v - self.basis @ (dagger(self.basis) @ v)
         return float(np.linalg.norm(resid)) <= tol.weighted(np.linalg.norm(v))
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        return self.basis[:, lo:hi]
+
+    def __matmul__(self, coeff: np.ndarray) -> np.ndarray:  # B coeff
+        return self.basis @ coeff
+
+
+@dataclass(frozen=True, eq=False)
+class RowLabels:
+    """An orthonormal basis B whose columns meet no row twice, held by its row labels: column cols[k] has the entry
+    vals[k] at row rows[k], every other entry 0, so its Gram matrix is the diagonal bincount(cols, |vals|^2).  It
+    reads as a ``Subspace``: the dense ``basis`` is built on first request, and its column blocks, B c, rows of B
+    (``b[rows]``) and x B are read from the labels."""
+
+    ambient_dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    dim: int
+    __array_ufunc__ = None  # ndarray @ RowLabels defers to __rmatmul__
+    projector = Subspace.projector
+
+    def __post_init__(self) -> None:
+        if not _distinct(self.rows, self.ambient_dim) or \
+                np.linalg.norm(np.bincount(self.cols, np.abs(self.vals) ** 2, self.dim) - 1.0) > 1e-7:
+            raise ValueError("basis is not orthonormal")
+
+    @staticmethod
+    def coordinates(ambient_dim: int, rows: np.ndarray) -> RowLabels:  # span{e_r}, a column per row, in order
+        return RowLabels(ambient_dim, rows, np.arange(rows.size), np.ones(rows.size, dtype=complex), rows.size)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:  # the dense B, on first request
+        return self.columns(0, self.dim)
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:  # B[:, lo:hi], dense
+        keep = (self.cols >= lo) & (self.cols < hi)
+        out = np.zeros((self.ambient_dim, min(hi, self.dim) - lo), dtype=complex)
+        out[self.rows[keep], self.cols[keep] - lo] = self.vals[keep]
+        return out
+
+    def contains(self, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:  # B B^dag v by a gather and a scatter
+        v = np.asarray(v, dtype=complex).reshape(-1)
+        x = np.conj(self.vals) * v[self.rows]
+        resid = v - self @ (np.bincount(self.cols, x.real, self.dim) + 1j * np.bincount(self.cols, x.imag, self.dim))
+        return float(np.linalg.norm(resid)) <= tol.weighted(np.linalg.norm(v))
+
+    def __matmul__(self, coeff: np.ndarray) -> np.ndarray:  # B coeff for a vector: a scatter
+        out = np.zeros(self.ambient_dim, dtype=complex)
+        out[self.rows] = self.vals * coeff[self.cols]
+        return out
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:  # x B: the r-th label of every column at a time, summed
+        order, counts = np.argsort(self.cols, kind="stable"), np.bincount(self.cols, minlength=self.dim)
+        starts, out = np.cumsum(counts) - counts, np.zeros(x.shape[:-1] + (self.dim,), dtype=complex)
+        for r in range(counts.max(initial=0)):
+            k = order[starts[counts > r] + r]
+            out[..., counts > r] += x[..., self.rows[k]] * self.vals[k]
+        return out
+
+    def __getitem__(self, rows: np.ndarray) -> np.ndarray:  # B[rows], dense
+        at = np.full(self.ambient_dim, -1)
+        at[self.rows] = np.arange(self.rows.size)
+        k, out = at[rows], np.zeros((len(rows), self.dim), dtype=complex)
+        out[np.flatnonzero(k >= 0), self.cols[k[k >= 0]]] = self.vals[k[k >= 0]]
+        return out
+
+
+def _distinct(idx: np.ndarray, n: int) -> bool:
+    return bool(np.bincount(idx, minlength=n).max(initial=0) <= 1)
 
 
 def _rank(shape: tuple, s: np.ndarray, tol: Tolerance) -> int:

@@ -23,20 +23,20 @@ physical-basis coefficients onto the physical system subspace.
 C_g C_g^dag of the gated map, the Schroedinger reduction is C_g, and, because
 B^dag U A U^dag B = B^dag A B on invariant vectors, a relational observable
 restricted to the physical space is C_g^dag f_S C_g.
-``PhysicalSpace.labels`` holds B's row labels (row, column, entry) when no
-kinematical row meets two columns of B, built on first use: B is
-one-hot for a charge-held U(1) rep, and its columns are orbit indicators for a
-table-held finite rep.  Each frame reads them once into a conditioning plan
-(``_plan``); ``conditioning_map`` forms only its weights sqrt(Vol)
+``PhysicalSpace`` holds B as ``reps.fixed_subspace`` builds it: by its row labels
+(row, column, entry) on the table and charge paths (``linalg.RowLabels``, one-hot
+charge-0 kets or orbit indicators), so the dense B is built only on request; every
+report-path reader takes the labels.  Each frame reads them once into a conditioning
+plan (``_plan``); ``conditioning_map`` forms only its weights sqrt(Vol)
 conj(phi(g)[a]) B[r], and returns C_g by index and weight (``linalg.Monomial``)
 when its terms meet no row and no column twice, which the plan's flags settle
 for U(1) and identity-ket finite frames.  There the gate reads the diagonal
 round trip |w|^2, the projector and the homomorphism check's C^dag a C are
 gathers and scatters, its sources C X C^dag are held by X (``_Sandwich``) on a
-charge-held rep, and ``PhysicalSpace.require`` projects a state by
-a gather and a scatter on the labels.  SU(2) frames and other finite seeds keep
-the dense contraction; ``physical_system_span``, ``product_form_check`` and the
-relativity step's target blocks densify C_e.
+charge-held rep, and a monomial C_e spans a coordinate subspace, so
+``physical_system_span`` needs no closure.  SU(2) frames and other finite seeds
+keep the dense contraction and the closure; the relativity step's target blocks
+densify C_e.
 ``PhysicalSpace.restrict`` is the one restriction, B^dag F B;
 the homomorphism check reads every clause through it and ties it to
 C_g^dag f_S C_g.  Relational observables are held as ``reps`` describes, and
@@ -69,8 +69,10 @@ from .linalg import (
     DEFAULT_TOL,
     Check,
     Monomial,
+    RowLabels,
     Subspace,
     Tolerance,
+    _distinct,
     as_cmatrix,
     as_cvector,
     dagger,
@@ -210,10 +212,12 @@ def make_scenario(
 
 @dataclass
 class PhysicalSpace:
-    """Orthonormal basis of the gauge-invariant subspace of the kinematical space."""
+    """Orthonormal basis B of the gauge-invariant subspace of the kinematical space, as ``reps.fixed_subspace``
+    builds it: held by its row labels (``linalg.RowLabels``) on the table and charge paths, so the dense
+    ``basis.basis`` is built only on request, else a dense ``Subspace``."""
 
     scenario: Scenario
-    basis: Subspace
+    basis: Subspace | RowLabels
     _plans: dict = field(default_factory=dict, repr=False, compare=False)  # frame name -> its plan (``_plan``)
 
     @property
@@ -223,42 +227,28 @@ class PhysicalSpace:
     def projector(self) -> np.ndarray:
         return self.basis.projector()
 
-    @functools.cached_property
-    def labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """B's row labels (row, column, entry) over its nonzero rows, when no kinematical row meets two columns of
-        B, else None; read from B's observed entries on first use.  B is one-hot for a charge-held U(1) rep, and
-        its columns are orbit indicators for a table-held finite rep."""
-        b = self.basis.basis
-        rows, cols = np.nonzero(b)  # in row-major order: a repeated row repeats its neighbour
-        return None if np.any(rows[1:] == rows[:-1]) else (rows, cols, b[rows, cols])
-
     def require(self, v: np.ndarray, label: str = "state") -> np.ndarray:
-        """``v`` as a vector if it passes ``PHYSICAL_GATE``, else a ValueError.  With row labels the projection
-        B B^dag v is a gather and a scatter."""
+        """``v`` as a vector if it passes ``PHYSICAL_GATE``, else a ValueError; labels project by gathers."""
         v = as_cvector(v)
-        if self.labels is None:
-            inside = self.basis.contains(v, PHYSICAL_GATE)
-        else:
-            rows, cols, vals = self.labels
-            x = np.conj(vals) * v[rows]
-            coeff = np.bincount(cols, x.real, self.dim) + 1j * np.bincount(cols, x.imag, self.dim)  # B^dag v
-            resid = v.copy()
-            resid[rows] -= vals * coeff[cols]
-            inside = float(np.linalg.norm(resid)) <= PHYSICAL_GATE.weighted(np.linalg.norm(v))
-        if not inside:
+        if not self.basis.contains(v, PHYSICAL_GATE):
             raise ValueError(f"{label} is not in the physical subspace")
         return v
 
     def invariance_check(self, tol: Tolerance = DEFAULT_TOL) -> Check:
-        """Largest ||D B|| over the constraint operators D: zero iff every basis vector is invariant."""
-        moved = reps.apply_constraints(self.scenario.total_rep, self.basis.basis)
-        worst = float(np.max(np.linalg.norm(moved, axis=(1, 2)), initial=0.0))
+        """Largest ||D B|| over the constraint operators D: zero iff every basis vector is invariant.  Each D acts
+        as the rep holds it (charges scale rows, a table scatters) on blocks of B's columns, 2^16 amplitudes each."""
+        rep, step = self.scenario.total_rep, 2**16 // self.scenario.kin_dim + 1
+        sq = sum(np.linalg.norm(reps.apply_constraints(rep, self.basis.columns(lo, lo + step)), axis=(1, 2)) ** 2
+                 for lo in range(0, max(self.dim, 1), step))
+        worst = float(np.sqrt(np.max(sq, initial=0.0)))
         return tol.check("physical_basis_invariance", worst, 1.0, self.scenario.kin_dim)
 
     def restrict(self, op: Operator) -> np.ndarray:
-        """Matrix B^dag (op B) of an operator in the physical basis; a held operator restricts itself."""
-        b = self.basis.basis
-        return dagger(b) @ (op @ b) if isinstance(op, np.ndarray) else op.restrict(b)
+        """Matrix B^dag (op B) of an operator in the physical basis; a held operator restricts itself, from B's
+        labels when it has them."""
+        if isinstance(op, np.ndarray):
+            return dagger(self.basis.basis) @ (op @ self.basis.basis)
+        return op.restrict(self.basis if isinstance(self.basis, RowLabels) else self.basis.basis)
 
 
 @dataclass
@@ -310,7 +300,8 @@ def conditioning_map(ps: PhysicalSpace, frame_name: str, g) -> np.ndarray | Mono
 
     With B's row labels, labelled row r = (lead, a, rest) adds sqrt(Vol) conj(phi[a]) B[r] to the entry (complement
     index of r, column of r), as ``_plan`` holds them.  When they meet no row and no column twice (the plan's flags
-    say so for a full or one-index support, else a call tests it), C_g is a ``Monomial``, else the dense contraction."""
+    say so for a full or one-index support, else a call tests it), C_g is a ``Monomial``, else the terms summed into a
+    dense C_g, so the dense B is never read.  Without labels C_g is the dense contraction."""
     s, plan = ps.scenario, _plan(ps, frame_name)
     if plan is not None:
         scale, phi = _oriented(s, frame_name, g)
@@ -323,14 +314,17 @@ def conditioning_map(ps: PhysicalSpace, frame_name: str, g) -> np.ndarray | Mono
         held = plan.distinct if a is None else plan.distinct_at[a]
         if held or _distinct(rows, plan.shape[0]) and _distinct(cols, plan.shape[1]):
             return Monomial(rows, cols, w, plan.shape)
+        c = np.zeros(plan.shape, dtype=complex)
+        np.add.at(c, (rows, cols), w)
+        return c
     return condition_on(s, frame_name, g, ps.basis.basis)
 
 
 def _plan(ps: PhysicalSpace, frame_name: str) -> _Plan | None:
     """C_g's terms but phi, once per frame, O(nnz B), or None: per labelled row, by frame index a then column, a, its
     complement row, column and entry; index a opens at ``starts[a]``; flags: no row or column twice (in all, in a)."""
-    if ps.labels is not None and frame_name not in ps._plans:
-        s, (rows, cols, vals), slot = ps.scenario, ps.labels, ps.scenario.frame_slot(frame_name)
+    if isinstance(b := ps.basis, RowLabels) and frame_name not in ps._plans:
+        s, (rows, cols, vals), slot = ps.scenario, (b.rows, b.cols, b.vals), ps.scenario.frame_slot(frame_name)
         d, rest, shape = s.dims[slot], math.prod(s.dims[slot + 1:]), (s.complement_dim(frame_name), ps.dim)
         lo, a, hi = np.unravel_index(rows, (s.kin_dim // (d * rest), d, rest))
         order = np.lexsort((cols, a))
@@ -339,10 +333,6 @@ def _plan(ps: PhysicalSpace, frame_name: str) -> _Plan | None:
         ps._plans[frame_name] = _Plan(a, rows, cols, vals, np.searchsorted(a, np.arange(d + 1)), _distinct(
             rows, shape[0]) and _distinct(cols, shape[1]), np.bincount(a[1:][twice], minlength=d) == 0, shape)
     return ps._plans.get(frame_name)
-
-
-def _distinct(idx: np.ndarray, n: int) -> bool:
-    return bool(np.bincount(idx, minlength=n).max(initial=0) <= 1)
 
 
 def schrodinger_map(ps: PhysicalSpace, frame_name: str, g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | Monomial:
@@ -359,14 +349,16 @@ def schrodinger_map(ps: PhysicalSpace, frame_name: str, g, tol: Tolerance = DEFA
 def strong_dirac_defect(s: Scenario, op: Operator) -> float:
     """Largest ||D op - op D|| over the constraint operators D of the total rep.
 
-    A held form that is invariant on the rep by construction reads exactly 0.  Everything else is densified.  A Lie
+    A held form reads it itself where it can (``dirac_defect``: 0 when invariant by construction, SU(2) weight blocks
+    from their ladder commutators).  Everything else is densified.  A Lie
     rep's generators are Hermitian, op K = (K op^dag)^dag, and both products apply one K at a time as the rep holds
     it (``reps._apply_generator``), so a charge- or factor-held rep builds no dense generator.  A finite rep
     commutes ``reps.constraints(rep)`` by matmul: [U_s - 1, op] = [U_s, op].
     """
     rep = s.total_rep
-    if not isinstance(op, np.ndarray) and op.invariant_on(rep):
-        return 0.0
+    held = None if isinstance(op, np.ndarray) else op.dirac_defect(rep)
+    if held is not None:
+        return held
     op = densify(op)
     if rep.is_finite:
         return max((float(np.linalg.norm(d @ op - op @ d)) for d in reps.constraints(rep)), default=0.0)
@@ -376,12 +368,14 @@ def strong_dirac_defect(s: Scenario, op: Operator) -> float:
 
 
 def dirac_check(s: Scenario, op: Operator, tol: Tolerance = DEFAULT_TOL) -> Check:
-    """The strong Dirac defect of a kinematical operator, at the scale of its largest entry.  A held operator
-    invariant on the total rep reads its scale itself (``reps``); any other is densified once, for both."""
-    if isinstance(op, np.ndarray) or not op.invariant_on(s.total_rep):
+    """The strong Dirac defect of a kinematical operator, at the scale of its largest entry.  A held operator that
+    reads its defect on the total rep reads its scale too (``reps``); any other is densified once, for both."""
+    defect = None if isinstance(op, np.ndarray) else op.dirac_defect(s.total_rep)
+    if defect is None:
         op = densify(op)
+        defect = strong_dirac_defect(s, op)
     scale = float(np.abs(op).max(initial=0.0)) if isinstance(op, np.ndarray) else op.largest_entry()
-    return tol.check("dirac_commutation", strong_dirac_defect(s, op), scale, s.kin_dim)
+    return tol.check("dirac_commutation", defect, scale, s.kin_dim)
 
 
 def relational_observable(
@@ -528,13 +522,21 @@ def orientation_independent(s: Scenario, frame_name: str, tol: Tolerance = DEFAU
     return physical_system_span(s, frame_name, tol).dim == physical_space(s, tol).dim
 
 
-def physical_system_span(s: Scenario, frame_name: str, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Span of the physical system subspaces over all orientations, the invariant closure of range(C_e); cached."""
+def physical_system_span(s: Scenario, frame_name: str, tol: Tolerance = DEFAULT_TOL) -> Subspace | RowLabels:
+    """Span of the physical system subspaces over all orientations, the invariant closure of range(C_e); cached.
+    A monomial C_e spans the coordinate kets of its rows, whose closure is exact and needs no SVD: on a charge-held
+    complement those kets, on a table-held one the kets of their index orbits.  Any other C_e is closed by SVDs."""
     key = ("span", frame_name, tol)
     if key not in s._cache:
-        c = densify(conditioning_map(physical_space(s, tol), frame_name, s.frame(frame_name).rep.identity_element()))
+        c = conditioning_map(physical_space(s, tol), frame_name, s.frame(frame_name).rep.identity_element())
         comp = s.complement_rep(frame_name)
-        s._cache[key] = reps.invariant_closure(comp, c, tol) if c.shape[1] else orthonormal_range(c, tol)
+        if isinstance(c, Monomial) and (comp.charges is not None or reps.permutation_table(comp) is not None):
+            # on charges each coordinate ket spans an invariant line: every index is its own orbit
+            orbit = np.arange(comp.dim) if comp.charges is not None else reps._index_orbits(comp).orbit
+            s._cache[key] = RowLabels.coordinates(comp.dim, np.flatnonzero(np.isin(orbit, orbit[c.rows])))
+        else:
+            c = densify(c)
+            s._cache[key] = reps.invariant_closure(comp, c, tol) if c.shape[1] else orthonormal_range(c, tol)
     return s._cache[key]
 
 

@@ -99,7 +99,7 @@ def schrodinger_inverse(
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
     """Map a physical system state back to the perspective-neutral space: B (C_g^dag psi_S); C_g^dag psi_S and
-    C_g x are a gather and a scatter when C_g is a monomial."""
+    C_g x are a gather and a scatter when C_g is a monomial, and B x one when B is held by its labels."""
     v = as_cvector(psi_s)
     c = conditioning_map(ps, frame_name, g)
     coeff = dagger(c) @ v
@@ -109,7 +109,7 @@ def schrodinger_inverse(
             f"state lies outside the physical system subspace of frame {frame_name!r} "
             f"(projection residual {resid:.3e})"
         )
-    return ps.basis.basis @ coeff
+    return ps.basis @ coeff
 
 
 def _check_projector(s: Scenario, frame_name: str, e: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -303,11 +303,14 @@ def trinity_check(ps: PhysicalSpace, frame_name: str, theta: ThetaState, psi, to
 
 
 def product_form_check(ps: PhysicalSpace, frame_name: str, theta: ThetaState, tol: Tolerance = DEFAULT_TOL) -> Check:
-    """max_k ||T_R B e_k - |theta> x C_e e_k / sqrt(Vol)|| over the physical basis columns."""
+    """max_k ||T_R B e_k - |theta> x C_e e_k / sqrt(Vol)|| over the physical basis columns, one block of about 2^16
+    kinematical amplitudes at a time, each read from B as it is held: no kin x n_phys stack is formed."""
     s = ps.scenario
     frame = s.frame(frame_name)
-    diff = disentangler(s, frame_name, theta, ps.basis.basis)  # first, so its stacks are freed before the product
-    c_e = densify(conditioning_map(ps, frame_name, frame.rep.identity_element()))
-    diff -= s.inject_vector(frame_name, theta.vector, c_e / np.sqrt(frame.weight_scale))
-    resid = float(np.max(np.linalg.norm(diff, axis=0), initial=0.0))
+    c_e = densify(conditioning_map(ps, frame_name, frame.rep.identity_element())) / np.sqrt(frame.weight_scale)
+    step, resid = max(1, 2**16 // s.kin_dim), 0.0
+    for lo in range(0, ps.dim, step):
+        diff = disentangler(s, frame_name, theta, ps.basis.columns(lo, lo + step))
+        diff -= s.inject_vector(frame_name, theta.vector, c_e[:, lo:lo + step])
+        resid = max(resid, float(np.max(np.linalg.norm(diff, axis=0), initial=0.0)))
     return tol.check(f"{frame_name}:disentangler_product_form", resid, 1.0, s.kin_dim)

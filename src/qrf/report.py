@@ -33,7 +33,7 @@ def basis_table(ps: PhysicalSpace, limit: int = 2048):
 
 def _random_state(ps: PhysicalSpace, rng) -> np.ndarray:
     coeff = rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim)
-    return ps.basis.basis @ (coeff / np.linalg.norm(coeff))
+    return ps.basis @ (coeff / np.linalg.norm(coeff))
 
 
 def full_report(scenario: Scenario, ps: PhysicalSpace, tol: Tolerance, rng) -> tuple[dict, list[Check]]:

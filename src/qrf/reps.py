@@ -33,7 +33,8 @@ sigma_{a x b}(i d_b + j) = sigma_a(i) d_b + sigma_b(j), and a rep given by
 dense matrices gets its table from the observed entries.  The dense
 (|G|, dim, dim) stack of a table-held rep is built only when a dense
 consumer asks for it.  With a table, the fixed space is spanned by the
-normalised indicators of the index orbits (Burnside: one per orbit), read
+normalised indicators of the index orbits (Burnside: one per orbit), held by
+their row labels, as a charge-held rep's charge-0 kets are, and read
 from the table's index orbits: each orbit's leader (its smallest index), the
 orbit of every index and the smallest g taking it to its leader, O(|G| dim)
 numbers cached on the rep (``_index_orbits``).  The twirl's row at a leader
@@ -55,7 +56,10 @@ for physical columns B (leader rows: S^dag (means B), S the sums of B's rows
 over each orbit), ``largest_entry()`` is the Dirac check's scale, and
 ``invariant_on(rep)`` says it commutes with rep's constraints by
 construction: leader rows on their own rep, weight blocks on a charge-held
-rep (each block lies in one charge sector).  Leader rows on one rep
+rep (each block lies in one charge sector), and ``dirac_defect(rep)`` is the
+strong Dirac defect where the form reads it: 0 when invariant, and weight
+blocks on a factor-held SU(2) rep by their ladder commutators between
+adjacent weight sectors.  Leader rows on one rep
 subtract as leader rows and give their Frobenius norm, sum_o |o| ||means_o||^2
 under the root, and ``OrbitMeans.read`` rereads them through an index
 permutation that commutes with the action, one read per held entry.
@@ -80,6 +84,7 @@ from .groups import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    RowLabels,
     Subspace,
     Tolerance,
     as_cmatrix,
@@ -809,6 +814,9 @@ class OrbitMeans:
     def invariant_on(self, rep: UnitaryRep) -> bool:
         return self.rep is rep  # the leader rows are read through this rep's action
 
+    def dirac_defect(self, rep: UnitaryRep) -> float | None:  # the strong Dirac defect, or None if not known
+        return 0.0 if self.invariant_on(rep) else None
+
     def leaders(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column of each held entry, as broadcastable (n_orbits, 1) and (1, dim) arrays: means[o, j] is
         the entry at (leaders[o], j)."""
@@ -845,13 +853,15 @@ class WeightBlocks:
             out[np.ix_(idx, idx)] = self.blocks[w]
         return self.basis.back(out)
 
-    def restrict(self, b: np.ndarray) -> np.ndarray:
-        """Physical columns b have weight 0 and see the weight-0 block alone: x^dag B_0 x, x = (W^dag b)[sector 0];
-        when each column j of x is one exact 1, x[p_j, j], as on a charge-held rep, it is the gather B_0[p][:, p]."""
-        x = (b if self.basis.vectors is None else dagger(self.basis.vectors) @ b)[self.basis.sectors.get(0, [])]
-        block, p = self.blocks.get(0, np.zeros((0, 0))), np.argmax(x.real, axis=0) if x.size else np.zeros(0, int)
-        if np.count_nonzero(x.view(float)) == len(p) and np.all(x[p, np.arange(len(p))] == 1):  # no other nonzero
+    def restrict(self, b: np.ndarray | RowLabels) -> np.ndarray:
+        """Physical columns b have weight 0 and see the weight-0 block alone: x^dag B_0 x, x = (W^dag b)[sector 0].
+        Labelled columns (``linalg.RowLabels``) that are each one exact 1, at row idx[p_j], as on a charge-held rep,
+        give the gather B_0[p][:, p] with W = 1, bit-equal to the product, and x is never formed."""
+        idx, block = self.basis.sectors.get(0, np.zeros(0, dtype=int)), self.blocks.get(0, np.zeros((0, 0)))
+        if isinstance(b, RowLabels) and self.basis.vectors is None and b.rows.size == b.dim and np.all(b.vals == 1):
+            p = np.searchsorted(idx, b.rows[np.argsort(b.cols)])  # one label per column, in sector 0: b is physical
             return block[np.ix_(p, p)]
+        x = (b if self.basis.vectors is None else dagger(self.basis.vectors) @ b)[idx]
         return dagger(x) @ block @ x
 
     def largest_entry(self) -> float:  # with W = 1, as on a charge-held rep, every entry off the blocks is 0
@@ -859,6 +869,18 @@ class WeightBlocks:
 
     def invariant_on(self, rep: UnitaryRep) -> bool:
         return rep.charges is not None  # each block is in one charge sector, where K is a multiple of 1
+
+    def dirac_defect(self, rep: UnitaryRep) -> float | None:
+        """max_a ||[K_a, A]||_F, or None off an SU(2) rep held by its factors (W = 1), where [K_z, A] = 0 and
+        K_x = J_+ + J_-, K_y = i (J_- - J_+) give one norm, from the blocks J_+ A_w - A_{w+2} J_+ and
+        A_w J_- - J_- A_{w+2} between adjacent sectors (J_+ from ``_raising_blocks``)."""
+        if self.invariant_on(rep):
+            return 0.0
+        if rep.factors is None:
+            return None
+        a, up = self.blocks, _raising_blocks(rep, self.basis)
+        return float(np.sqrt(sum(np.linalg.norm(j @ a[w] - a[w + 2] @ j) ** 2 + np.linalg.norm(
+            a[w] @ dagger(j) - dagger(j) @ a[w + 2]) ** 2 for w, j in up.items() if w in a and w + 2 in a)))
 
     @staticmethod
     def of(wb: WeightBasis, a: np.ndarray) -> WeightBlocks:
@@ -870,7 +892,8 @@ class WeightBlocks:
 def lie_twirl(rep: UnitaryRep, a: WeightBlocks, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0) -> WeightBlocks:
     """``scale`` times the Haar-probability twirl of a Lie rep, on weight blocks (Schur: it is block-diagonal).
 
-    U(1): each charge block as it is.  SU(2): the commutant projection; each
+    U(1): each charge block as it is, scaled in place, so ``a`` must be an operand
+    the caller does not keep.  SU(2): the commutant projection; each
     ladder keeps c = (1/(2j+1)) sum_k V_k^dag A_ww V_k and puts V_k c V_k^dag
     back on the weight block w = 2j - 2k.
     """
@@ -881,7 +904,9 @@ def lie_twirl(rep: UnitaryRep, a: WeightBlocks, tol: Tolerance = DEFAULT_TOL, sc
             c = sum(dagger(v) @ a.blocks[top - 2 * k] @ v for k, v in enumerate(slots)) / len(slots)
             for k, v in enumerate(slots):
                 out[top - 2 * k] += v @ c @ dagger(v)
-    return WeightBlocks(a.basis, {w: scale * b for w, b in out.items()})
+    for b in out.values():
+        b *= scale  # in place: on U(1) the operand's own blocks, which every caller passes as a temporary
+    return WeightBlocks(a.basis, out)
 
 
 def group_average(
@@ -922,23 +947,24 @@ def apply_constraints(rep: UnitaryRep, v: np.ndarray) -> np.ndarray:
     return _act(rep, np.asarray(rep.group.generators, dtype=int), np.asarray(v)[None]) - v
 
 
-def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace | RowLabels:
     """Joint fixed subspace of the representation: the kernel of its constraints.
 
-    With a permutation table: the normalised indicators of the index orbits,
-    B[j, orbit(j)] = 1/sqrt(|orbit|), one column per orbit in the order of its
-    smallest index (already ``canonicalize_basis`` order); exact, no SVD.
-    Lie: the top of the weight-0 ladder (U(1): the charge-0 columns, SU(2): spin 0).
+    Held by its row labels (``linalg.RowLabels``), exact, with no SVD: with a permutation table the normalised
+    orbit indicators, B[j, orbit(j)] = 1/sqrt(|orbit|), one column per orbit in the order of its smallest index;
+    on a charge-held rep the charge-0 kets in ket order.  Both are ``canonicalize_basis`` order already.
+    Any other Lie rep: the top of the weight-0 ladder (U(1): the charge-0 columns, SU(2): spin 0), dense.
     """
     if rep.is_finite:
         if permutation_table(rep) is None:
             return joint_fixed_subspace(constraints(rep), tol)
         o = _index_orbits(rep)
-        basis = np.zeros((rep.dim, o.leaders.size), dtype=complex)
-        basis[np.arange(rep.dim), o.orbit] = 1.0 / np.sqrt(o.sizes)[o.orbit]
-        return Subspace(rep.dim, basis)
+        return RowLabels(rep.dim, np.arange(rep.dim), o.orbit, (1.0 / np.sqrt(o.sizes)[o.orbit]).astype(complex),
+                         o.leaders.size)
     wb = weight_basis(rep)
-    idx = wb.sectors.get(0, [])
+    idx = wb.sectors.get(0, np.zeros(0, dtype=int))
+    if rep.charges is not None:
+        return RowLabels.coordinates(rep.dim, idx)
     coeff = (np.eye(len(idx), dtype=complex) if rep.group.kind == "U1"
              else next((slots[0] for top, slots in _ladders(rep, tol) if top == 0), np.zeros((len(idx), 0))))
     return Subspace(rep.dim, canonicalize_basis(wb.embed(idx, coeff), tol))
@@ -947,19 +973,10 @@ def fixed_subspace(rep: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 def invariant_closure(rep: UnitaryRep, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Smallest invariant subspace containing ``v``: a vector, or a matrix whose columns span the start.
 
-    U(1): the sum over charge sectors q of range(P_q V).  Otherwise grown by
-    the constraints, since span{v, U_s v} = span{v, (U_s - 1) v}.
+    Grown by the constraints, since span{v, U_s v} = span{v, (U_s - 1) v}.
     """
     start = np.asarray(v, dtype=complex)
-    start = start[:, None] if start.ndim == 1 else start
-    if not rep.is_finite and rep.group.kind == "U1":
-        wb = weight_basis(rep)
-        coeff = start if wb.vectors is None else dagger(wb.vectors) @ start
-        basis = np.hstack([wb.embed(idx, orthonormal_range(coeff[idx], tol).basis) for idx in wb.sectors.values()])
-        if basis.shape[1] == 0:
-            raise ValueError("need a nonzero vector")
-        return Subspace(rep.dim, basis)
-    basis = orthonormal_range(start, tol).basis
+    basis = orthonormal_range(start[:, None] if start.ndim == 1 else start, tol).basis
     if basis.shape[1] == 0:
         raise ValueError("need a nonzero vector")
     while True:

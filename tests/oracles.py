@@ -78,6 +78,16 @@ a dense matrix is read as a monomial from its observed entries, and C_g is
 the tensordot contraction of ``condition``.  The library gathers each
 weight block of a W = 1 twirl operand by 1-D takes; here each is one
 ``np.ix_`` grid gather.
+
+The library holds the physical basis B of a table-held or charge-held rep by
+its row labels, reads the conditional span of a monomial C_e as a coordinate
+subspace, forms T_R B one block of B's columns at a time, and reads the
+invariance of B from the labels.  Here are the dense forms they replaced:
+B as a kin x n_phys array (the orbit indicators, or the charge-0 kets through
+``canonicalize_basis``), the span as the invariant closure of the densified
+C_e by SVDs, the product form from the whole T_R B at once, and ||D B|| from
+the constraints applied to the dense B.  The library closes a U(1) span by its
+constraints, as any other; here it is the sum of its charge sectors' ranges.
 """
 
 import itertools
@@ -91,19 +101,31 @@ from qrf.linalg import (
     Subspace,
     canonicalize_basis,
     dagger,
+    densify,
     fix_phase,
     nullspace,
     orthonormal_range,
 )
 from qrf.framechange import ensure_lr
-from qrf.perspective import RelObs, physical_space, relational_observable, sample_elements, slot_view
+from qrf.perspective import (
+    RelObs,
+    conditioning_map,
+    physical_space,
+    relational_observable,
+    sample_elements,
+    slot_view,
+)
+from qrf.reductions import disentangler as library_disentangler
 from qrf.reps import (
     IsotypicBlock,
     IsotypicDecomposition,
     UnitaryRep,
     WeightBlocks,
+    _index_orbits,
     _ladders,
+    apply_constraints,
     constraints,
+    invariant_closure as library_closure,
     group_average,
     isotypic_decompose,
     lie_twirl,
@@ -435,6 +457,49 @@ def matrix_unit_basis(fam, tol=DEFAULT_TOL):
     """Orthonormal basis of span{1, F_ij} from an SVD of the vectorised operators."""
     seeds = [np.eye(fam[0].shape[0], dtype=complex)] + list(fam)
     return orthonormal_range(np.column_stack([m.reshape(-1) for m in seeds]), tol).basis
+
+
+def dense_fixed_subspace(rep, tol=DEFAULT_TOL):
+    """B as a dense kin x n_phys array: a table's normalised orbit indicators, or a charge-held rep's charge-0 kets
+    through ``canonicalize_basis``."""
+    if rep.is_finite:
+        o = _index_orbits(rep)
+        basis = np.zeros((rep.dim, o.leaders.size), dtype=complex)
+        basis[np.arange(rep.dim), o.orbit] = 1.0 / np.sqrt(o.sizes)[o.orbit]
+        return Subspace(rep.dim, basis)
+    wb = weight_basis(rep)
+    idx = wb.sectors.get(0, np.zeros(0, dtype=int))
+    return Subspace(rep.dim, canonicalize_basis(wb.embed(idx, np.eye(len(idx), dtype=complex)), tol))
+
+
+def charge_sector_closure(rep, v, tol=DEFAULT_TOL):
+    """The invariant closure of span(v) on a U(1) rep as the sum over charge sectors q of range(P_q v)."""
+    wb = weight_basis(rep)
+    v = np.asarray(v, dtype=complex).reshape(rep.dim, -1)
+    coeff = v if wb.vectors is None else dagger(wb.vectors) @ v
+    return Subspace(rep.dim, np.hstack([wb.embed(idx, orthonormal_range(coeff[idx], tol).basis)
+                                        for idx in wb.sectors.values()]))
+
+
+def closure_span(s, frame_name, tol=DEFAULT_TOL):
+    """The conditional span as the invariant closure of the densified C_e, by SVDs."""
+    c = densify(conditioning_map(physical_space(s, tol), frame_name, s.frame(frame_name).rep.identity_element()))
+    return library_closure(s.complement_rep(frame_name), c, tol) if c.shape[1] else orthonormal_range(c, tol)
+
+
+def dense_product_form(ps, frame_name, theta):
+    """max_k ||T_R B e_k - |theta> x C_e e_k / sqrt(Vol)|| from the whole kin x n_phys T_R B at once."""
+    s, frame = ps.scenario, ps.scenario.frame(frame_name)
+    diff = library_disentangler(s, frame_name, theta, ps.basis.basis)
+    c_e = densify(conditioning_map(ps, frame_name, frame.rep.identity_element()))
+    diff -= s.inject_vector(frame_name, theta.vector, c_e / np.sqrt(frame.weight_scale))
+    return float(np.max(np.linalg.norm(diff, axis=0), initial=0.0))
+
+
+def dense_invariance(ps):
+    """Largest ||D B|| over the constraint operators D, applied to the dense B."""
+    moved = apply_constraints(ps.scenario.total_rep, ps.basis.basis)
+    return float(np.max(np.linalg.norm(moved, axis=(1, 2)), initial=0.0))
 
 
 def commutant_dim(mats, tol=DEFAULT_TOL):

@@ -1196,3 +1196,25 @@ def test_symmetry_layer_with_a_one_dimensional_system_passes(frames_on, tmp_path
     task = json.loads(out)["tasks"][0]
     assert task["results"]["symmetry_layer"]["subsystem_relativity"]["algebra_dims"] == [1, 1]
     assert "distinct_system_subalgebras" not in [c["name"] for c in task["checks"]]
+
+
+def test_su2_seven_spin_rel_obs_run_peaks_under_150_mib(tmp_path):
+    # the relational observable's weight blocks answer its Dirac check and its restriction themselves: the kin^2
+    # (2187^2) dense operator and commutators took the run to 454 MiB
+    names = [chr(ord("A") + i) for i in range(7)]
+    raw = {"name": "su2-7-rel-obs", "group": {"builtin": "su2"},
+           "subsystems": [{"name": s, "rep": {"spin_j": 1}} for s in names],
+           "frames": [{"name": "A", "subsystem": "A", "seed": "uniform"}],
+           "tasks": [{"task": "rel_obs", "frame": "A", "observable": {"diag": [float(i % 5) for i in range(3**6)]}}]}
+    cfg_path = tmp_path / "su2-7.json"
+    cfg_path.write_text(json.dumps(raw))
+    code = (
+        "import resource, sys; from qrf.cli import main; code = main(['run', sys.argv[1]]); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, file=sys.stderr); sys.exit(code)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qrf.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg_path)], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["tasks"][0]["checks"][0]["pass"]
+    assert float(proc.stderr.split()[-1]) < 150, proc.stderr

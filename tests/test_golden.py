@@ -1,4 +1,5 @@
-"""Golden reports: the 12 builtins and the 7 benchmark configs, rerun in process against ``tests/golden``.
+"""Golden reports: the 12 builtins, the 7 benchmark configs and the physics configs of ``tests/golden/configs``,
+rerun in process against ``tests/golden``.
 
 Each golden file is the JSON report ``qrf run`` gives for its source, without
 its basis tables.  The comparison applies ``scripts/compare_reports.py``'s
@@ -24,6 +25,7 @@ from qrf.builtins_config import builtin_names
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PHYSICS = GOLDEN / "configs"  # configs that show what the builtins do not: a finite isotropy, a rotating perspective
 
 
 def _module(path: Path):
@@ -34,7 +36,8 @@ def _module(path: Path):
 
 
 def sources(config_dir: Path) -> dict:
-    """Golden file name -> what ``qrf run`` takes: each builtin, and each benchmark config written to config_dir."""
+    """Golden file name -> what ``qrf run`` takes: each builtin, each benchmark config written to config_dir, and
+    each physics config."""
     sys.path.insert(0, str(ROOT / "perfbench"))  # as scripts/run_builtins.py reads it
     import workloads
 
@@ -42,6 +45,7 @@ def sources(config_dir: Path) -> dict:
         workloads.write_configs(workload, config_dir)
     out = {f"{name.replace(':', '_')}.json": name for name in builtin_names()}
     out.update({p.name: str(p) for p in sorted(config_dir.glob("*.json"))})
+    out.update({p.name: str(p) for p in sorted(PHYSICS.glob("*.json"))})
     return out
 
 
@@ -70,13 +74,15 @@ def compare():
 
 def test_every_source_has_a_golden_report(golden_sources):
     assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(golden_sources)
-    assert len(golden_sources) == 19
+    assert len(golden_sources) == 19 + len(list(PHYSICS.glob("*.json")))
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
 def test_report_matches_its_golden(name, golden_sources, compare):
-    old = json.loads((GOLDEN / name).read_text())
-    new = report(golden_sources[name])
+    assert_matches(compare, json.loads((GOLDEN / name).read_text()), report(golden_sources[name]))
+
+
+def assert_matches(compare, old: dict, new: dict) -> None:
     assert compare.exit_status(new) == compare.exit_status(old)
     assert compare.verdicts(new) == compare.verdicts(old)
     assert compare.dim_fields(new) == compare.dim_fields(old)
@@ -98,6 +104,45 @@ def test_su2_reports_build_no_dense_total_generator(name, golden_sources, monkey
 
     monkeypatch.setattr(reps, "_kronecker_sum", lambda *pair: pytest.fail("dense SU(2) generators built"))
     assert report(golden_sources[name]) == json.loads((GOLDEN / name).read_text())
+
+
+def _omitted_basis(name: str) -> bool:  # a report of U(1) or regular finite frames whose basis table is left out
+    results = json.loads((GOLDEN / name).read_text())["tasks"][0]["results"]
+    return name.startswith(("u1-", "finite-regular", "regular-")) and results["phys_dim"] * results["kin_dim"] > 2048
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json") if _omitted_basis(p.name)))
+def test_reports_without_a_basis_table_form_no_dense_physical_basis(name, golden_sources, compare, monkeypatch):
+    # B is held by its row labels on the table and charge paths, and every reader of such a report takes them
+    from qrf import linalg
+
+    monkeypatch.setattr(linalg.RowLabels, "basis", property(lambda self: pytest.fail("dense B built")))
+    assert_matches(compare, json.loads((GOLDEN / name).read_text()), report(golden_sources[name]))
+
+
+def test_u1_10_report_traces_under_22_mib(golden_sources):
+    # 28.4 MiB with the dense B, its canonicalize pass, the SVD closure and the whole T_R B of the product form
+    import tracemalloc
+
+    cfg = cli.load_config(golden_sources["u1-10-qubits.json"])
+    tracemalloc.start()
+    try:
+        cli.run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * 2**20, peak / 2**20
+
+
+def test_s3_isotropy_report_shows_a_rotating_perspective():
+    # effect (ii): frame P (S3 on three points, seed e_0, isotropy {e, (12)}) has a dense C_e, whose closure grows
+    # to 30 dimensions against 18 physical ones; the identity-ket frame R has the coordinate span, n_phys
+    results = json.loads((GOLDEN / "s3-isotropy.json").read_text())["tasks"][0]["results"]
+    p, r = results["frames"]["P"], results["frames"]["R"]
+    assert results["phys_dim"] == 18
+    assert (p["orientation_independent"], p["conditional_span_dim"], p["isotropy_elements"], p["lr_exists"]) == (
+        False, 30, [0, 1], False)
+    assert (r["orientation_independent"], r["conditional_span_dim"], r["isotropy_elements"]) == (True, 18, [0])
 
 
 def main() -> int:

@@ -10,6 +10,7 @@ from qrf.linalg import (
     ROUNDING_FACTOR,
     Check,
     Monomial,
+    RowLabels,
     Subspace,
     Tolerance,
     as_cmatrix,
@@ -255,3 +256,33 @@ def test_random_hermitian_keeps_the_bits_layout_and_stream_of_the_plain_formula(
             want = (h + np.conj(h).T) / 2.0
             assert np.array_equal(got, want) and got.flags.c_contiguous, (seed, dim)
         assert ours.standard_normal() == plain.standard_normal()
+
+
+def test_row_labels_read_as_their_dense_basis():
+    # columns meeting no row twice, of unequal sizes, one of them complex: every read equals the dense basis's
+    rng = np.random.default_rng(3)
+    rows, cols = rng.permutation(12)[:9], np.array([0, 1, 1, 2, 2, 2, 3, 3, 3])
+    vals = np.concatenate([[1j], np.full(2, 2**-0.5), np.full(3, 3**-0.5), np.array([1, 1j, -1]) / np.sqrt(3)])
+    labels = RowLabels(12, rows, cols, vals, 4)
+    dense = np.zeros((12, 4), dtype=complex)
+    dense[rows, cols] = vals
+    assert np.array_equal(labels.basis, dense) and labels.basis is labels.basis
+    assert np.array_equal(labels.projector(), Subspace(12, dense).projector())
+    assert np.array_equal(labels.columns(1, 3), dense[:, 1:3]) and labels.columns(3, 9).shape == (12, 1)
+    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    x = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+    np.testing.assert_allclose(labels @ c, dense @ c, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(x @ labels, x @ dense, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(x[0] @ labels, x[0] @ dense, rtol=0, atol=1e-14)
+    at = np.array([rows[3], 11 if 11 not in rows else rows[0], rows[8]])
+    assert np.array_equal(labels[at], dense[at])
+    coords = RowLabels.coordinates(6, np.array([1, 4]))
+    assert np.array_equal(coords.basis, np.eye(6)[:, [1, 4]])
+    assert RowLabels.coordinates(3, np.zeros(0, dtype=int)).basis.shape == (3, 0)
+
+
+@pytest.mark.parametrize("rows, vals", [([0, 1], [1.0, 0.5]), ([2, 2], [1.0, 1.0])])
+def test_row_labels_gate_their_orthonormality(rows, vals):
+    # a column of norm other than 1, or a row met by two columns, is not an orthonormal basis held by its labels
+    with pytest.raises(ValueError, match="basis is not orthonormal"):
+        RowLabels(4, np.array(rows), np.array([0, 1]), np.array(vals, dtype=complex), 2)

@@ -770,7 +770,7 @@ def test_weight_physical_projectors_match_sequential_kernels():
 
 
 def test_u1_invariant_closure_is_the_sum_of_charge_sector_ranges():
-    from oracles import invariant_closure
+    from oracles import charge_sector_closure, invariant_closure
 
     rng = np.random.default_rng(22)
     for rep in _weight_test_reps():
@@ -779,8 +779,10 @@ def test_u1_invariant_closure_is_the_sum_of_charge_sector_ranges():
         for cols in (1, 3):
             v = rng.standard_normal((rep.dim, cols)) * (rng.random((rep.dim, 1)) < 0.4)
             fast, slow = reps.invariant_closure(rep, v), invariant_closure(rep, v)
-            assert fast.dim == slow.dim
+            sectors = charge_sector_closure(rep, v)
+            assert fast.dim == slow.dim == sectors.dim
             assert np.abs(fast.projector() - slow.projector()).max() <= 1e-12
+            assert np.abs(fast.projector() - sectors.projector()).max() <= 1e-12
 
 
 def test_rep_evaluate_matches_scipy_expm():
@@ -1033,6 +1035,20 @@ def test_factor_held_strong_dirac_defect_equals_the_dense_commutators(spins, mon
         want = strong_dirac_defect(s, op)
         assert abs(got - want) <= 1e-12 * max(1.0, want)
     assert held[1] <= 1e-11
+    # weight blocks read their ladder commutators between adjacent sectors, with no dense operator
+    wb = reps.weight_basis(s.total_rep)
+    blocks = (reps.WeightBlocks.of(wb, a), reps.lie_twirl(s.total_rep, reps.WeightBlocks.of(wb, a)))
+    dense = [op.dense() for op in blocks]
+    with monkeypatch.context() as m:
+        m.setattr(reps.WeightBlocks, "dense", lambda self: pytest.fail("weight blocks densified"))
+        m.setattr(reps, "_kronecker_sum", lambda factors: pytest.fail("dense generators built"))
+        held = [perspective.strong_dirac_defect(s, op) for op in blocks]
+        checks = [perspective.dirac_check(s, op) for op in blocks]
+    for op, got, check in zip(dense, held, checks):
+        want = strong_dirac_defect(s, op)
+        assert abs(got - want) <= 1e-12 * max(1.0, want) and check.residual == got
+        assert check.bound == perspective.dirac_check(s, op).bound
+    assert held[0] > 1.0 and held[1] <= 1e-11 and not checks[0].passed and checks[1].passed
 
 
 def test_rotated_su2_factors_keep_the_dense_path():

@@ -15,7 +15,8 @@ def test_stage_peaks_prints_every_stage_the_report_runs():
     header, columns, *rows = out.splitlines()
     assert header.startswith("finite-regular:Z3: 14 checks in") and "traced peak" in header
     names = [row.split()[0] for row in rows]
-    for stage in ("cli.build_scenario", "reps.tensor", "linalg.random_hermitian",
+    for stage in ("cli.build_scenario", "reps.tensor", "reps.fixed_subspace", "reductions.product_form_check",
+                  "reductions.disentangler", "linalg.random_hermitian",
                   "perspective.check_weak_homomorphism", "perspective._twirled",
                   "framechange.relation_conditional_reorient", "framechange.subsystem_relativity_report"):
         assert stage in names, stage

@@ -12,9 +12,12 @@ SCENARIO is a query scenario of `perfbench/workloads.py` (read from NEW),
 such as `u1-8-qubits` or `finite-regular:S3`; a generated config is written
 to a temporary directory, and nothing under `perfbench/` is written.
 
-For each side it prints every query kind's median and upper quartile, and the
-pooled p50, p90 and queries/s of all queries, computed as
-`perfbench/run.py` computes them, then the NEW/OLD ratio of each figure.
+For each side it prints every query kind's median, upper quartile and share
+of the pooled query time, and the pooled p50, p90 and queries/s of all
+queries, computed as `perfbench/run.py` computes them, with the kind of the
+query nearest the pooled p90: the kind that sets queries/s is the one with the
+largest share, and the one that sets p90 is named.  Then it prints the NEW/OLD
+ratio of each figure.
 """
 
 import argparse
@@ -28,8 +31,9 @@ from pathlib import Path
 
 
 def summarize(outputs: list[dict]) -> dict:
-    """Figures of the query children of one side: per kind (median, upper quartile) in ms, and pooled p50 and p90 in
-    ms and queries/s; each output is a child's JSON, {"queries": [[kind, seconds, ok], ...], ...}."""
+    """Figures of the query children of one side: per kind (median, upper quartile) in ms and its share of the pooled
+    query time, pooled p50 and p90 in ms and queries/s, and the kind of the query nearest the pooled p90; each output
+    is a child's JSON, {"queries": [[kind, seconds, ok], ...], ...}."""
     by_kind: dict[str, list[float]] = {}
     for out in outputs:
         for kind, seconds, _ in out["queries"]:
@@ -37,12 +41,16 @@ def summarize(outputs: list[dict]) -> dict:
     pooled = [t for times in by_kind.values() for t in times]
     kinds = {kind: (1e3 * statistics.median(times), 1e3 * _upper_quartile(times))
              for kind, times in sorted(by_kind.items())}
+    p90 = statistics.quantiles(pooled, n=10)[8] if len(pooled) > 1 else None
     return {
         "kinds": kinds,
+        "shares": {kind: sum(times) / sum(pooled) for kind, times in sorted(by_kind.items())},
         "count": len(pooled),
         "failed": sum(1 for out in outputs for _, _, ok in out["queries"] if not ok),
         "query_p50_ms": 1e3 * statistics.median(pooled) if pooled else None,
-        "query_p90_ms": 1e3 * statistics.quantiles(pooled, n=10)[8] if len(pooled) > 1 else None,
+        "query_p90_ms": None if p90 is None else 1e3 * p90,
+        "p90_kind": None if p90 is None else min(
+            ((abs(t - p90), kind) for kind, times in by_kind.items() for t in times))[1],
         "queries_per_s": len(pooled) / sum(pooled) if pooled else None,
     }
 
@@ -53,10 +61,10 @@ def _upper_quartile(times: list[float]) -> float:
 
 def format_summary(label: str, summary: dict) -> list[str]:
     lines = [f"{label}: {summary['count']} queries, {summary['failed']} failed"]
-    lines += [f"  {kind:20s} median {p50:8.4f} ms  upper quartile {q3:8.4f} ms"
+    lines += [f"  {kind:20s} median {p50:8.4f} ms  upper quartile {q3:8.4f} ms  share {summary['shares'][kind]:6.1%}"
               for kind, (p50, q3) in summary["kinds"].items()]
     lines.append(f"  pooled p50 {_ms(summary['query_p50_ms'])}  p90 {_ms(summary['query_p90_ms'])}  "
-                 f"queries/s {summary['queries_per_s'] or 0:.0f}")
+                 f"queries/s {summary['queries_per_s'] or 0:.0f}  p90 falls in {summary['p90_kind'] or 'n/a'}")
     return lines
 
 

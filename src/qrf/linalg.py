@@ -106,14 +106,18 @@ def dagger(m):  # a held form's conjugate transpose is its own ``dagger()``
 
 
 def random_hermitian(rng, dim: int) -> np.ndarray:
-    """(h + h^dag) / 2 for h with standard normal real and imaginary parts drawn from ``rng`` into h in place; the
-    sum is formed in h^dag's copy, C-ordered, since a later product rounds by its operands' layout."""
-    h = np.empty((dim, dim), dtype=complex)
-    h.real, h.imag = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
-    out = np.conj(h.T, order="C")
-    out += h
-    out /= 2.0
-    return out
+    """(h + h^dag) / 2 for h with standard normal real and imaginary parts drawn from ``rng`` through one reused
+    buffer.  h is symmetrised in place, n rows from the diagonal on and their mirror at a time, with the plain
+    formula's additions, so the result is C-ordered and no second dim x dim array is formed."""
+    h, buf, n = np.empty((dim, dim), dtype=complex), np.empty((dim, dim)), 64
+    h.real = rng.standard_normal(out=buf)
+    h.imag = rng.standard_normal(out=buf)
+    for lo in range(0, dim, n):
+        t = np.conj(h[lo:, lo:lo + n].T) + h[lo:lo + n, lo:]
+        t /= 2.0
+        h[lo:, lo:lo + n] = np.conj(t.T)
+        h[lo:lo + n, lo:] = t  # last, so the diagonal tile keeps the plain formula's bits, its zeros' signs too
+    return h
 
 
 def densify(m) -> np.ndarray:
@@ -149,6 +153,11 @@ class Monomial:
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.weights.dtype)
         out[self.rows, self.cols] = self.weights
+        return out
+
+    def sandwich(self, a: np.ndarray) -> np.ndarray:  # M^dag a M, one 2-D gather, rounded as (M^dag a) M
+        out, at = np.zeros((self.shape[1],) * 2, dtype=np.result_type(self.weights, a)), np.ix_(self.rows, self.rows)
+        out[np.ix_(self.cols, self.cols)] = np.conj(self.weights)[:, None] * a[at] * self.weights
         return out
 
     def __matmul__(self, x):
@@ -278,9 +287,11 @@ class RowLabels:
 
     def contains(self, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:  # B B^dag v by a gather and a scatter
         v = np.asarray(v, dtype=complex).reshape(-1)
+        return float(np.linalg.norm(v - self @ self.coefficients(v))) <= tol.weighted(np.linalg.norm(v))
+
+    def coefficients(self, v: np.ndarray) -> np.ndarray:  # B^dag v for a vector: a gather, summed per column
         x = np.conj(self.vals) * v[self.rows]
-        resid = v - self @ (np.bincount(self.cols, x.real, self.dim) + 1j * np.bincount(self.cols, x.imag, self.dim))
-        return float(np.linalg.norm(resid)) <= tol.weighted(np.linalg.norm(v))
+        return np.bincount(self.cols, x.real, self.dim) + 1j * np.bincount(self.cols, x.imag, self.dim)
 
     def __matmul__(self, coeff: np.ndarray) -> np.ndarray:  # B coeff for a vector: a scatter
         out = np.zeros(self.ambient_dim, dtype=complex)

@@ -39,7 +39,10 @@ keep the dense contraction and the closure; the relativity step's target blocks
 densify C_e.
 ``PhysicalSpace.restrict`` is the one restriction, B^dag F B;
 the homomorphism check reads every clause through it and ties it to
-C_g^dag f_S C_g.  Relational observables are held as ``reps`` describes, and
+C_g^dag f_S C_g; on a charge-held rep it builds each weight block on read, so it
+holds no whole F.  There a physical vector has weight 0, so B^dag F B is F's
+weight-0 block at B's rows (``physical_block``), all a probability reads.
+Relational observables are held as ``reps`` describes, and
 every reader here asks the held form itself.  The operand |phi(g)><phi(g)| x f_S
 lives on the frame blocks (a, b) with a and b in the support of phi(g), so on a
 table-held finite rep one rule gives the rows at the index-orbit leaders, with no
@@ -56,6 +59,7 @@ are read from |phi><phi| and f_S.
 from __future__ import annotations
 
 import collections
+import collections.abc
 import functools
 import math
 from dataclasses import dataclass, field
@@ -425,17 +429,22 @@ class _Sandwich:
         read from X, each product in the dense product's order."""
         at, w = np.zeros(self.c.shape[0], dtype=int), np.zeros(self.c.shape[0], dtype=complex)
         at[self.c.rows], w[self.c.rows] = self.c.cols, self.c.weights
-        return w[idx, None] * self.x[at[idx, None], at[idx]] * np.conj(w[idx])
+        k, w = at[idx], w[idx]
+        out = np.ascontiguousarray(self.x).take(k, 0).take(k, 1)  # 1-D takes, then the products in place
+        np.multiply(w[:, None], out, out=out)
+        return np.multiply(out, np.conj(w), out=out)
 
 
-def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray | _Sandwich, tol: Tolerance) -> Operator:
+def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray | _Sandwich, tol: Tolerance,
+             on_read: bool = False) -> Operator:
     """Vol twirl(E x f_S), E = |phi(g)><phi(g)|: leader rows on a table-held finite rep, accumulated over the
     support of phi(g) by the module's one rule, dense on any other finite rep, weight blocks for a Lie group.
 
     With W = 1 (an exactly diagonal Cartan generator) the aligned operand's blocks
     are read entrywise, A_ww[i, j] = E[r_i, r_j] f_S[c_i, c_j], with r_i and c_i the frame and complement indices
     of i: each f_S block is gathered by 1-D takes on index arrays cached per frame, O(kin) entries in all, or read
-    from X for f_S held as C X C^dag (``_Sandwich``)."""
+    from X for f_S held as C X C^dag (``_Sandwich``).  With ``on_read`` a charge-held rep's blocks, Vol times the
+    aligned ones, are built on each read (``_OnRead``), for a caller that applies and restricts F block by block."""
     rep, frame = s.total_rep, s.frame(frame_name)
     phi = frame.orientation(frame.rep.element(g))
     if reps.permutation_table(rep) is not None:
@@ -462,19 +471,65 @@ def _twirled(s: Scenario, frame_name: str, g, f_s: np.ndarray | _Sandwich, tol: 
         return group_average(rep, s.embed_frame_operator(frame_name, proj, f_s), "twirl", frame.weight_scale, tol)
     wb = reps.weight_basis(rep)
     if wb.vectors is None:
-        key = ("twirl_index", frame_name)
-        if key not in s._cache:
-            shape = slot_view(np.arange(s.kin_dim), s.dims, s.frame_slot(frame_name)).shape
-            lo, r, hi = np.unravel_index(np.arange(s.kin_dim), shape)
-            c = lo * shape[2] + hi
-            s._cache[key] = [(w, r[i], c[i]) for w, i in wb.sectors.items()]
-        held = isinstance(f_s, _Sandwich)
+        index, held = _sector_index(s, frame_name), isinstance(f_s, _Sandwich)
         f_s = f_s if held else np.ascontiguousarray(f_s)  # a take on a strided array would copy all of it, per block
-        blocks = ((w, r, f_s.block(c) if held else f_s.take(c, 0).take(c, 1)) for w, r, c in s._cache[key])
-        aligned = reps.WeightBlocks(wb, {w: proj.take(r, 0).take(r, 1) * f for w, r, f in blocks})
+
+        def block(w: int) -> np.ndarray:  # formed in its gathered f_S block
+            r, c = index[w]
+            f = f_s.block(c) if held else f_s.take(c, 0).take(c, 1)
+            return np.multiply(proj.take(r, 0).take(r, 1), f, out=f)
+
+        if on_read and rep.charges is not None:  # U(1)'s twirl is Vol times each block, so each is built on read
+            return reps.WeightBlocks(wb, _OnRead(lambda w: block(w) * frame.weight_scale, wb.sectors))
+        aligned = reps.WeightBlocks(wb, {w: block(w) for w in wb.sectors})
     else:
         aligned = reps.WeightBlocks.of(wb, s.embed_frame_operator(frame_name, proj, f_s))
     return reps.lie_twirl(rep, aligned, tol, frame.weight_scale)
+
+
+def _sector_index(s: Scenario, frame_name: str) -> dict:
+    """Weight w -> the frame and complement indices (r, c) of its kets, for a total rep with W = 1; cached per frame."""
+    if (key := ("twirl_index", frame_name)) not in s._cache:
+        shape = slot_view(np.arange(s.kin_dim), s.dims, s.frame_slot(frame_name)).shape
+        lo, r, hi = np.unravel_index(np.arange(s.kin_dim), shape)
+        c = lo * shape[2] + hi
+        s._cache[key] = {w: (r[i], c[i]) for w, i in reps.weight_basis(s.total_rep).sectors.items()}
+    return s._cache[key]
+
+
+@dataclass(frozen=True, eq=False)
+class _OnRead(collections.abc.Mapping):
+    """Weight blocks over the weights of ``sectors``, each built by ``block(w)`` on every read and never kept: a
+    ``WeightBlocks`` over them is applied and restricted one block at a time, and restricting it builds the weight-0
+    block alone."""
+
+    block: object
+    sectors: dict
+
+    def __getitem__(self, w: int) -> np.ndarray:
+        return self.block(w)
+
+    def __iter__(self):
+        return iter(self.sectors)
+
+    def __len__(self) -> int:
+        return len(self.sectors)
+
+
+def physical_block(ps: PhysicalSpace, frame_name: str, g, f_s: np.ndarray) -> np.ndarray:
+    """B^dag F B for F = ``_twirled`` of f_S on a charge-held rep, in B's column order.  A physical vector has weight
+    0, so this is F's weight-0 block, Vol (phi_r conj(phi_r')) f_S[c, c'], r and c each physical ket's frame and
+    complement indices in ``_sector_index``: one gather at B's rows, by an n_phys^2 index cached per frame."""
+    s, frame = ps.scenario, ps.scenario.frame(frame_name)
+    if (key := ("physical_block", frame_name)) not in s._cache:
+        (r, c), b = _sector_index(s, frame_name)[0], ps.basis
+        p = np.searchsorted(reps.weight_basis(s.total_rep).sectors[0], b.rows[np.argsort(b.cols)])
+        s._cache[key] = (r[p], c[p][:, None] * s.complement_dim(frame_name) + c[p])
+    r, flat = s._cache[key]
+    phi = frame.orientation(frame.rep.element(g))[r]
+    block = np.outer(phi, np.conj(phi)) * f_s.take(flat)
+    block *= frame.weight_scale  # as ``reps.lie_twirl`` scales a U(1) block
+    return block
 
 
 def h_average(f_s: np.ndarray, h: Subgroup, rep_s: UnitaryRep, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -573,12 +628,13 @@ def check_weak_homomorphism(
     b = as_cmatrix(b)
     ps = physical_space(s, tol)
     c = conditioning_map(ps, frame_name, g)  # a monomial makes the products below gathers and scatters
-    c_a, c_b = dagger(c) @ a @ c, dagger(c) @ b @ c  # c_a is what the definition clause ties B^dag F_a B to
+    # c_a is what the definition clause ties B^dag F_a B to; on a monomial C, C^dag a C is one gather
+    c_a, c_b = (c.sandwich(x) if isinstance(c, Monomial) else dagger(c) @ x @ c for x in (a, b))
     held = isinstance(c, Monomial) and s.total_rep.charges is not None  # no complement-sized Pi = C C^dag either way
     a_p, b_p = (_Sandwich(c, c_a), _Sandwich(c, c_b)) if held else (c @ c_a @ dagger(c), c @ c_b @ dagger(c))
 
-    def rel(f):  # held as built, and restricted and applied as held
-        return _twirled(s, frame_name, g, f, tol)
+    def rel(f):  # held as built, and restricted and applied as held: on charges one weight block at a time
+        return _twirled(s, frame_name, g, f, tol, True)
 
     rng = np.random.default_rng(11)
     v = rng.standard_normal(s.kin_dim) + 1j * rng.standard_normal(s.kin_dim)

@@ -16,6 +16,9 @@ SU(2) frames report NotFound).  T_R and the trinity relation U_S(g)^dag C_g psi
 = psi_Heisenberg are each one contraction over the orientations: one stacked
 conditioning, U_S(g)^dag as the complement's own action at g^-1 (``reps._act``),
 and for T_R one stacked injection; no per-element term and no dense U_S(g).
+Probabilities cross-check the reduced Born value against <v| F_E(g) |v> on H_phys: on a charge-held rep, whose
+physical vectors have weight 0, x^dag P x with x = B^dag v and P the physical block of F_E(g)
+(``perspective.physical_block``); finite and SU(2) reps apply their held twirl to v.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .perspective import (
     condition_on,
     condition_on_each,
     conditioning_map,
+    physical_block,
     sample_elements,
     schrodinger_map,
 )
@@ -132,7 +136,8 @@ def _residual_norm(r: np.ndarray, e: np.ndarray) -> float:  # ||r - e||_F in pla
 
 def conditional_probability(ps: PhysicalSpace, frame_name: str, g, projector_e: np.ndarray, psi_phys,
                             tol: Tolerance = DEFAULT_TOL) -> float:
-    """P(E when the frame is in orientation g), cross-checked gauge-invariantly.
+    """P(E when the frame is in orientation g), cross-checked gauge-invariantly against <v| F_E(g) |v>, read on
+    H_phys where the rep is charge-held (``_relational``).
 
     A value outside [0, 1] by more than rounding means a mis-scaled frame or
     state and raises; within that band it is clamped.
@@ -143,7 +148,8 @@ def conditional_probability(ps: PhysicalSpace, frame_name: str, g, projector_e: 
     v = v / np.linalg.norm(v)
     reduced = condition_on(s, frame_name, g, v)
     p_reduced = float(np.real(np.vdot(reduced, e @ reduced)))
-    p_invariant = float(np.real(np.vdot(v, _twirled(s, frame_name, g, e, tol) @ v)))  # F_E(g), from the checked E
+    x, rel = _relational(ps, frame_name, v, tol)
+    p_invariant = float(np.real(np.vdot(x, rel(g, e) @ x)))  # F_E(g), from the checked E
     if not tol.check("gauge_invariance", abs(p_reduced - p_invariant), 1.0, s.kin_dim).passed:
         raise ValueError(f"gauge-invariance cross-check failed: {p_reduced} vs {p_invariant}")
     in_range = unit_interval_check(p_reduced, tol)
@@ -159,17 +165,27 @@ def unit_interval_check(p: float, tol: Tolerance = DEFAULT_TOL) -> Check:
 
 def multi_event_probability(ps: PhysicalSpace, frame_name: str, event: tuple[np.ndarray, object],
                             condition: tuple[np.ndarray, object], psi_phys, tol: Tolerance = DEFAULT_TOL) -> float:
-    """P(E at g | E~ at g~) on physical states."""
+    """P(E at g | E~ at g~) = <v| F_c F_E F_c |v> / <v| F_c |v> on physical states, F_c = F_E~(g~): on a charge-held
+    rep x^dag P_c P_E P_c x / x^dag P_c x with n_phys-sized physical blocks (``_relational``)."""
     (e, g), (e_cond, g_cond), s = event, condition, ps.scenario
     e, e_cond = (_check_projector(s, frame_name, x, tol) for x in (e, e_cond))
     v = ps.require(psi_phys)
     v = v / np.linalg.norm(v)
-    f_e, f_c = (_twirled(s, frame_name, h, x, tol) for h, x in ((g, e), (g_cond, e_cond)))  # F_E, from the checked E
-    denom = float(np.real(np.vdot(v, f_c @ v)))
+    x, rel = _relational(ps, frame_name, v, tol)
+    f_e, f_c = rel(g, e), rel(g_cond, e_cond)  # F_E, from the checked E
+    denom = float(np.real(np.vdot(x, f_c @ x)))
     if denom <= 1e4 * tol.weighted(1.0):
         raise ValueError("conditioning event has (numerically) zero probability")
-    num = float(np.real(np.vdot(v, f_c @ (f_e @ (f_c @ v)))))
+    num = float(np.real(np.vdot(x, f_c @ (f_e @ (f_c @ x)))))
     return num / denom
+
+
+def _relational(ps: PhysicalSpace, frame_name: str, v: np.ndarray, tol: Tolerance):
+    """(x, F) with <v| F_E(g) |v> = <x| F(g, E) |x> for a physical v: on a charge-held rep, whose physical vectors
+    have weight 0, x = B^dag v and F(g, E) = ``physical_block``, n_phys-sized; else v and the held twirl."""
+    if ps.scenario.total_rep.charges is not None:
+        return ps.basis.coefficients(v), lambda g, e: physical_block(ps, frame_name, g, e)
+    return v, lambda g, e: _twirled(ps.scenario, frame_name, g, e, tol)
 
 
 # ---------------------------------------------------------------------------

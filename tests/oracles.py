@@ -88,6 +88,10 @@ B as a kin x n_phys array (the orbit indicators, or the charge-0 kets through
 C_e by SVDs, the product form from the whole T_R B at once, and ||D B|| from
 the constraints applied to the dense B.  The library closes a U(1) span by its
 constraints, as any other; here it is the sum of its charge sectors' ranges.
+
+The library's probability cross-check reads F_E(g) on a charge-held rep as its
+weight-0 block at B's rows, applied to B^dag v.  Here is the expression it
+replaced: the whole held twirl, every weight block, applied to v.
 """
 
 import itertools
@@ -109,6 +113,7 @@ from qrf.linalg import (
 from qrf.framechange import ensure_lr
 from qrf.perspective import (
     RelObs,
+    _twirled,
     conditioning_map,
     physical_space,
     relational_observable,
@@ -253,6 +258,11 @@ def grid_twirl(s, frame_name, g, f_s, tol=DEFAULT_TOL):
     c = lo * shape[2] + hi
     blocks = {w: proj[np.ix_(r[i], r[i])] * f_s[np.ix_(c[i], c[i])] for w, i in wb.sectors.items()}
     return lie_twirl(rep, WeightBlocks(wb, blocks), tol, frame.weight_scale)
+
+
+def twirled_probability(ps, frame_name, g, e, v, tol=DEFAULT_TOL):
+    """<v| F_E(g) |v> from the whole held twirl of E, every weight block applied to v."""
+    return float(np.real(np.vdot(v, _twirled(ps.scenario, frame_name, g, e, tol) @ v)))
 
 
 def dense_map_products(c, a, x, v):

@@ -53,3 +53,24 @@ def test_ratios_are_new_over_old_per_kind_and_pooled(replay):
     assert "query_p50_ms  0.667" in lines[3] and "queries_per_s  1.500" in lines[3]
     text = "\n".join(replay.format_summary("NEW", new))
     assert "frame_change" in text and "median   2.0000 ms" in text and "queries/s 500" in text
+
+
+def test_summary_gives_each_kind_its_share_and_names_the_kind_at_the_pooled_p90(replay):
+    # probability is a fifth of the queries but over half the time, and the pooled p90 lies among its latencies
+    queries = [(kind, 0.001, True) for kind in ("reduce", "rel_obs", "frame_change", "same_frame_change")] * 4
+    queries += [("probability", t, True) for t in (0.004, 0.005, 0.006, 0.007)]
+    summary = replay.summarize([_child(queries)])
+    assert summary["shares"] == pytest.approx({"frame_change": 0.004 / 0.038, "probability": 0.022 / 0.038,
+                                               "reduce": 0.004 / 0.038, "rel_obs": 0.004 / 0.038,
+                                               "same_frame_change": 0.004 / 0.038})
+    assert sum(summary["shares"].values()) == pytest.approx(1.0)
+    assert summary["p90_kind"] == "probability"
+    text = "\n".join(replay.format_summary("NEW", summary))
+    assert "share  57.9%" in text and "p90 falls in probability" in text
+
+
+def test_the_p90_kind_follows_the_slowest_tenth(replay):
+    fast = [("probability", 0.001, True)] * 18
+    slow = [("rel_obs", 0.009, True), ("rel_obs", 0.010, True)]
+    assert replay.summarize([_child(fast + slow)])["p90_kind"] == "rel_obs"
+    assert replay.summarize([_child(fast + slow[:1] + [("reduce", 0.001, True)])])["p90_kind"] == "probability"

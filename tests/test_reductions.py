@@ -569,6 +569,73 @@ def test_conditional_probability_refuses_a_failed_gauge_invariance_cross_check(m
         conditional_probability(ps, "R1", 0, np.eye(s.complement_dim("R1")), ps.basis.basis[:, 0])
 
 
+def _u1_golden_scenarios():
+    from conftest import u1_qubits_config
+    from qrf import cli
+
+    return [cli.build_scenario(u1_qubits_config(n)) for n in (4, 6, 8, 10)] + [
+        cli.build_scenario(cli.load_config("u1-qubit-qubit-qutrit"))]
+
+
+def _drawn_probability_inputs(rng, s, ps, frame):
+    comp = s.complement_dim(frame)
+    q = np.linalg.qr(rng.standard_normal((comp, comp)) + 1j * rng.standard_normal((comp, comp)))[0]
+    k = int(rng.integers(1, comp))
+    e = q[:, :k] @ dagger(q[:, :k])
+    c = rng.standard_normal(ps.dim) + 1j * rng.standard_normal(ps.dim)
+    return e, ps.basis @ (c / np.linalg.norm(c)), [float(rng.uniform(0, 2 * np.pi))]
+
+
+def test_physical_block_probability_is_the_whole_twirl():
+    # every frame of the U(1) goldens: <x| P |x>, x = B^dag v and P the weight-0 block at B's rows, against the
+    # whole held twirl applied to v, on drawn projectors, states and orientations
+    from oracles import twirled_probability
+    from qrf import reductions
+
+    rng = np.random.default_rng(41)
+    for s in _u1_golden_scenarios():
+        ps = physical_space(s)
+        for frame in s.frames:
+            for _ in range(2):
+                e, v, g = _drawn_probability_inputs(rng, s, ps, frame)
+                x, rel = reductions._relational(ps, frame, v, DEFAULT_TOL)
+                got = float(np.real(np.vdot(x, rel(g, e) @ x)))
+                assert x.shape == (ps.dim,) and rel(g, e).shape == (ps.dim, ps.dim)
+                assert abs(got - twirled_probability(ps, frame, g, e, v)) <= 1e-13, (s.kin_dim, frame)
+                assert abs(conditional_probability(ps, frame, g, e, v) - got) <= 1e-12
+
+
+def test_a_warm_u1_probability_builds_the_weight_zero_block_alone(monkeypatch):
+    from qrf import reductions
+
+    s = _stacked_case("u1-8-qubits")
+    ps, frame = physical_space(s), next(iter(s.frames))
+    e, v, g = _drawn_probability_inputs(np.random.default_rng(43), s, ps, frame)
+    e_cond = np.eye(s.complement_dim(frame)) - e
+    warm = conditional_probability(ps, frame, g, e, v), multi_event_probability(ps, frame, (e, g), (e_cond, g), v)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a whole-twirl weight block was built")
+
+    monkeypatch.setattr(perspective, "_twirled", refuse)
+    monkeypatch.setattr(reductions, "_twirled", refuse)
+    assert (conditional_probability(ps, frame, g, e, v),
+            multi_event_probability(ps, frame, (e, g), (e_cond, g), v)) == warm
+    r, flat = s._cache[("physical_block", frame)]
+    assert r.shape == (ps.dim,) and flat.shape == (ps.dim, ps.dim)
+
+
+def test_u1_conditional_probability_refuses_a_corrupted_physical_index(monkeypatch):
+    s = _stacked_case("u1-8-qubits")
+    ps, frame = physical_space(s), next(iter(s.frames))
+    e, v, g = _drawn_probability_inputs(np.random.default_rng(47), s, ps, frame)
+    conditional_probability(ps, frame, g, e, v)
+    r, flat = s._cache[("physical_block", frame)]
+    monkeypatch.setitem(s._cache, ("physical_block", frame), (r, np.roll(flat, 1)))
+    with pytest.raises(ValueError, match="gauge-invariance cross-check failed"):
+        conditional_probability(ps, frame, g, e, v)
+
+
 def test_u1_theta_search_reports_a_gap_just_above_its_bound():
     # the seed passes make_frame (residual 5.1e-9 <= validity_bound(3) = 6e-9), but the best Fourier phase's
     # gap |3 (1 + d) / 3 - 1| = d = 2.1e-9 lies above validity_bound(1) = 2e-9

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Replay the benchmark's warm queries on two source checkouts, alternating them.
 
-Usage: python scripts/query_replay.py OLD NEW SCENARIO [--seconds S] [--rounds N] [--seed K]
+Usage: python scripts/query_replay.py OLD NEW SCENARIO [--seconds S] [--rounds N] [--seed K] [--control DIR]
 
-OLD and NEW are the roots of two checkouts of this repository.  Each round
-runs one `perfbench/child.py query SCENARIO` child per checkout, each with its
-own `perfbench/child.py` and its own `src` on PYTHONPATH, for S seconds
-(default 3); the side that goes first alternates from round to round, and
-round r passes `--part r`, so both sides draw the same queries in a round.
+OLD and NEW are the roots of two checkouts of this repository, and DIR, if
+given, a second checkout of OLD.  Each round runs one `perfbench/child.py
+query SCENARIO` child per checkout, each with its own `perfbench/child.py`
+and its own `src` on PYTHONPATH, for S seconds (default 3); the order of the
+sides rotates from round to round, so each side takes each position equally
+often over a whole number of cycles, and round r passes `--part r`, so every
+side draws the same queries in a round.
 SCENARIO is a query scenario of `perfbench/workloads.py` (read from NEW),
 such as `u1-8-qubits` or `finite-regular:S3`; a generated config is written
 to a temporary directory, and nothing under `perfbench/` is written.
@@ -17,7 +19,9 @@ of the pooled query time, and the pooled p50, p90 and queries/s of all
 queries, computed as `perfbench/run.py` computes them, with the kind of the
 query nearest the pooled p90: the kind that sets queries/s is the one with the
 largest share, and the one that sets p90 is named.  Then it prints the NEW/OLD
-ratio of each figure.
+ratio of each figure, and with --control the CONTROL/OLD ratio beside it: OLD
+against a copy of itself, so a NEW/OLD move no larger than the control's is
+checkout and position bias, not a change.
 """
 
 import argparse
@@ -68,15 +72,29 @@ def format_summary(label: str, summary: dict) -> list[str]:
     return lines
 
 
-def format_ratios(old: dict, new: dict) -> list[str]:
-    """NEW/OLD for each kind's median and upper quartile and for the pooled figures."""
-    lines = ["NEW/OLD:"]
-    for kind in sorted(set(old["kinds"]) & set(new["kinds"])):
-        (o50, o75), (n50, n75) = old["kinds"][kind], new["kinds"][kind]
-        lines.append(f"  {kind:20s} median {n50 / o50:6.3f}  upper quartile {n75 / o75:6.3f}")
-    pooled = [(key, old[key], new[key]) for key in ("query_p50_ms", "query_p90_ms", "queries_per_s")]
-    lines.append("  " + "  ".join(f"{key} {n / o:6.3f}" for key, o, n in pooled if o and n))
+def format_ratios(old: dict, new: dict, control: dict | None = None) -> list[str]:
+    """NEW/OLD for each kind's median and upper quartile and for the pooled figures, and CONTROL/OLD after a bar."""
+    sides = [new] if control is None else [new, control]
+
+    def kind(side: dict, name: str) -> str:
+        (o50, o75), (n50, n75) = old["kinds"][name], side["kinds"][name]
+        return f"median {n50 / o50:6.3f}  upper quartile {n75 / o75:6.3f}"
+
+    def pooled(side: dict) -> str:
+        keys = ("query_p50_ms", "query_p90_ms", "queries_per_s")
+        return "  ".join(f"{key} {side[key] / old[key]:6.3f}" for key in keys if old[key] and side[key])
+
+    lines = ["NEW/OLD:" if control is None else "NEW/OLD  |  CONTROL/OLD:"]
+    for name in sorted(set(old["kinds"]).intersection(*(side["kinds"] for side in sides))):
+        lines.append(f"  {name:20s} " + "  |  ".join(kind(side, name) for side in sides))
+    lines.append("  " + "  |  ".join(pooled(side) for side in sides))
     return lines
+
+
+def round_order(labels: list[str], r: int) -> list[str]:
+    """The sides in the order round r runs them: ``labels`` rotated by r."""
+    k = r % len(labels)
+    return labels[k:] + labels[:k]
 
 
 def _ms(value: float | None) -> str:
@@ -115,18 +133,21 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seconds", type=float, default=3.0)
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--seed", type=int, default=301)
+    parser.add_argument("--control", type=Path, help="a second checkout of OLD, run as a third side")
     args = parser.parse_args(argv)
     sides = {"OLD": args.old.resolve(), "NEW": args.new.resolve()}
+    if args.control is not None:
+        sides["CONTROL"] = args.control.resolve()
     outputs: dict[str, list[dict]] = {label: [] for label in sides}
     with tempfile.TemporaryDirectory() as config_dir:
         source = _source(sides["NEW"], args.scenario, Path(config_dir))
         for r in range(args.rounds):
-            for label in ("OLD", "NEW") if r % 2 == 0 else ("NEW", "OLD"):
+            for label in round_order(list(sides), r):
                 outputs[label].append(_child(sides[label], source, args.seed, r, args.seconds))
     summaries = {label: summarize(outs) for label, outs in outputs.items()}
     for label, summary in summaries.items():
         print("\n".join(format_summary(f"{label} {sides[label]}", summary)))
-    print("\n".join(format_ratios(summaries["OLD"], summaries["NEW"])))
+    print("\n".join(format_ratios(summaries["OLD"], summaries["NEW"], summaries.get("CONTROL"))))
     return 0
 
 

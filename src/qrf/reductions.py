@@ -16,9 +16,9 @@ SU(2) frames report NotFound).  T_R and the trinity relation U_S(g)^dag C_g psi
 = psi_Heisenberg are each one contraction over the orientations: one stacked
 conditioning, U_S(g)^dag as the complement's own action at g^-1 (``reps._act``),
 and for T_R one stacked injection; no per-element term and no dense U_S(g).
-Probabilities cross-check the reduced Born value against <v| F_E(g) |v> on H_phys: on a charge-held rep, whose
-physical vectors have weight 0, x^dag P x with x = B^dag v and P the physical block of F_E(g)
-(``perspective.physical_block``); finite and SU(2) reps apply their held twirl to v.
+Probabilities cross-check the reduced Born value against <v| F_E(g) |v> on H_phys: on a charge-held rep x^dag P x,
+x = B^dag v and P = B^dag F_E(g) B the weight-0 block of the twirl the weak homomorphism check restricts
+(``perspective._twirled``), as physical vectors have weight 0; finite and SU(2) reps apply their held twirl to v.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .perspective import (
     condition_on,
     condition_on_each,
     conditioning_map,
-    physical_block,
     sample_elements,
     schrodinger_map,
 )
@@ -181,10 +180,10 @@ def multi_event_probability(ps: PhysicalSpace, frame_name: str, event: tuple[np.
 
 
 def _relational(ps: PhysicalSpace, frame_name: str, v: np.ndarray, tol: Tolerance):
-    """(x, F) with <v| F_E(g) |v> = <x| F(g, E) |x> for a physical v: on a charge-held rep, whose physical vectors
-    have weight 0, x = B^dag v and F(g, E) = ``physical_block``, n_phys-sized; else v and the held twirl."""
+    """(x, F) with <v| F_E(g) |v> = <x| F(g, E) |x> for a physical v: on a charge-held rep x = B^dag v and F(g, E)
+    the twirl's weight-0 block built alone, B^dag F_E(g) B (``perspective._sector_index``); else v and the twirl."""
     if ps.scenario.total_rep.charges is not None:
-        return ps.basis.coefficients(v), lambda g, e: physical_block(ps, frame_name, g, e)
+        return ps.basis.coefficients(v), lambda g, e: _twirled(ps.scenario, frame_name, g, e, tol, True).blocks[0]
     return v, lambda g, e: _twirled(ps.scenario, frame_name, g, e, tol)
 
 

@@ -54,12 +54,11 @@ reader's default.  A held form answers its readers itself, so none names it:
 (leader rows: one product over the group), ``restrict(B)`` is B^dag op B
 for physical columns B (leader rows: S^dag (means B), S the sums of B's rows
 over each orbit), ``largest_entry()`` is the Dirac check's scale, and
-``invariant_on(rep)`` says it commutes with rep's constraints by
-construction: leader rows on their own rep, weight blocks on a charge-held
-rep (each block lies in one charge sector), and ``dirac_defect(rep)`` is the
-strong Dirac defect where the form reads it: 0 when invariant, and weight
-blocks on a factor-held SU(2) rep by their ladder commutators between
-adjacent weight sectors.  Leader rows on one rep
+``dirac_defect(rep)`` is the strong Dirac defect where the form reads it, else
+None: 0 where the form commutes with rep's constraints by construction (leader
+rows on their own rep, weight blocks on a charge-held rep, each block in one
+charge sector), and weight blocks on a factor-held SU(2) rep by their ladder
+commutators between adjacent weight sectors.  Leader rows on one rep
 subtract as leader rows and give their Frobenius norm, sum_o |o| ||means_o||^2
 under the root, and ``OrbitMeans.read`` rereads them through an index
 permutation that commutes with the action, one read per held entry.
@@ -811,11 +810,8 @@ class OrbitMeans:
     def largest_entry(self) -> float:
         return float(np.abs(self.means).max(initial=0.0))  # every held entry is an entry, and every entry is held
 
-    def invariant_on(self, rep: UnitaryRep) -> bool:
-        return self.rep is rep  # the leader rows are read through this rep's action
-
     def dirac_defect(self, rep: UnitaryRep) -> float | None:  # the strong Dirac defect, or None if not known
-        return 0.0 if self.invariant_on(rep) else None
+        return 0.0 if self.rep is rep else None  # the leader rows are read through this rep's action
 
     def leaders(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column of each held entry, as broadcastable (n_orbits, 1) and (1, dim) arrays: means[o, j] is
@@ -867,14 +863,12 @@ class WeightBlocks:
     def largest_entry(self) -> float:  # with W = 1, as on a charge-held rep, every entry off the blocks is 0
         return max((float(np.abs(b).max(initial=0.0)) for b in self.blocks.values()), default=0.0)
 
-    def invariant_on(self, rep: UnitaryRep) -> bool:
-        return rep.charges is not None  # each block is in one charge sector, where K is a multiple of 1
-
     def dirac_defect(self, rep: UnitaryRep) -> float | None:
-        """max_a ||[K_a, A]||_F, or None off an SU(2) rep held by its factors (W = 1), where [K_z, A] = 0 and
+        """max_a ||[K_a, A]||_F: 0 on a charge-held rep, where each block is in one charge sector and K is a
+        multiple of 1 there; else None off an SU(2) rep held by its factors (W = 1), where [K_z, A] = 0 and
         K_x = J_+ + J_-, K_y = i (J_- - J_+) give one norm, from the blocks J_+ A_w - A_{w+2} J_+ and
         A_w J_- - J_- A_{w+2} between adjacent sectors (J_+ from ``_raising_blocks``)."""
-        if self.invariant_on(rep):
+        if rep.charges is not None:
             return 0.0
         if rep.factors is None:
             return None
@@ -933,10 +927,8 @@ def group_average(
 
 
 def constraints(rep: UnitaryRep) -> np.ndarray:
-    """(k, dim, dim) stack of U_s - 1 per finite generator s, or the Lie generators; dense, not cached."""
-    if rep.is_finite:
-        return _act(rep, np.asarray(rep.group.generators, dtype=int), np.eye(rep.dim)[None]) - np.eye(rep.dim)
-    return rep.generators
+    """``apply_constraints`` on 1: the dense (k, dim, dim) U_s - 1 per finite generator s, or Lie generators."""
+    return apply_constraints(rep, np.eye(rep.dim))
 
 
 def apply_constraints(rep: UnitaryRep, v: np.ndarray) -> np.ndarray:

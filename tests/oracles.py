@@ -89,9 +89,10 @@ C_e by SVDs, the product form from the whole T_R B at once, and ||D B|| from
 the constraints applied to the dense B.  The library closes a U(1) span by its
 constraints, as any other; here it is the sum of its charge sectors' ranges.
 
-The library's probability cross-check reads F_E(g) on a charge-held rep as its
-weight-0 block at B's rows, applied to B^dag v.  Here is the expression it
-replaced: the whole held twirl, every weight block, applied to v.
+The library's probability cross-check reads F_E(g) on a charge-held rep as the
+twirl builder's weight-0 block, applied to B^dag v.  Here are the expressions it
+replaced: the whole held twirl, every weight block, applied to v, and the block
+formed by its own formula at B's rows, in B's column order.
 """
 
 import itertools
@@ -258,6 +259,19 @@ def grid_twirl(s, frame_name, g, f_s, tol=DEFAULT_TOL):
     c = lo * shape[2] + hi
     blocks = {w: proj[np.ix_(r[i], r[i])] * f_s[np.ix_(c[i], c[i])] for w, i in wb.sectors.items()}
     return lie_twirl(rep, WeightBlocks(wb, blocks), tol, frame.weight_scale)
+
+
+def physical_block(ps, frame_name, g, e):
+    """B^dag F_E(g) B on a charge-held rep, Vol (phi_r conj(phi_r')) E[c][:, c] with r and c the frame and
+    complement indices of each column's ket, read from B's row labels in column order."""
+    s, frame, b = ps.scenario, ps.scenario.frame(frame_name), ps.basis
+    shape = slot_view(np.arange(s.kin_dim), s.dims, s.frame_slot(frame_name)).shape
+    lo, r, hi = np.unravel_index(b.rows[np.argsort(b.cols)], shape)
+    c = lo * shape[2] + hi
+    phi = frame.orientation(frame.rep.element(g))[r]
+    block = np.outer(phi, np.conj(phi)) * e.take(c[:, None] * s.complement_dim(frame_name) + c)
+    block *= frame.weight_scale
+    return block
 
 
 def twirled_probability(ps, frame_name, g, e, v, tol=DEFAULT_TOL):

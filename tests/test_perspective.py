@@ -1017,8 +1017,9 @@ def test_held_forms_answer_as_their_dense_matrix(source):
             assert np.abs(op.restrict(b) - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(dense).max())
             assert op.largest_entry() == np.abs(dense).max()
             # today's rule: orbit means on their rep and charge-held blocks; SU(2) blocks are still commuted
-            assert op.invariant_on(s.total_rep) == (s.total_rep.charges is not None or s.total_rep.is_finite)
-            if op.invariant_on(s.total_rep):
+            invariant = op.dirac_defect(s.total_rep) == 0.0
+            assert invariant == (s.total_rep.charges is not None or s.total_rep.is_finite)
+            if invariant:
                 assert strong_dirac_defect(s, dense) <= perspective.dirac_check(s, op).bound
             assert perspective.dirac_check(s, op).passed
 
@@ -1029,7 +1030,7 @@ def test_dirac_check_densifies_a_non_invariant_held_form_once(rotated_u1_scenari
     s = rotated_u1_scenario
     f_s = random_hermitian(np.random.default_rng(65), s.complement_dim("B"))
     held = relational_observable(s, "B", 0.3, f_s, check=False).op
-    assert not held.invariant_on(s.total_rep)
+    assert held.dirac_defect(s.total_rep) is None
     calls, dense = [], reps.WeightBlocks.dense
     monkeypatch.setattr(reps.WeightBlocks, "dense", lambda self: calls.append(1) or dense(self))
     relational_observable(s, "B", 0.3, f_s, check=True)

@@ -74,3 +74,25 @@ def test_the_p90_kind_follows_the_slowest_tenth(replay):
     slow = [("rel_obs", 0.009, True), ("rel_obs", 0.010, True)]
     assert replay.summarize([_child(fast + slow)])["p90_kind"] == "rel_obs"
     assert replay.summarize([_child(fast + slow[:1] + [("reduce", 0.001, True)])])["p90_kind"] == "probability"
+
+
+def test_a_control_prints_its_ratios_to_old_beside_new_over_old(replay):
+    old = replay.summarize([_child([("frame_change", 0.004, True), ("reduce", 0.002, True)])])
+    new = replay.summarize([_child([("frame_change", 0.002, True), ("reduce", 0.002, True)])])
+    control = replay.summarize([_child([("frame_change", 0.004, True), ("reduce", 0.001, True)])])
+    lines = replay.format_ratios(old, new, control)
+    assert lines[0] == "NEW/OLD  |  CONTROL/OLD:"
+    assert lines[1].split("|")[0] == replay.format_ratios(old, new)[1] + "  "
+    assert "frame_change" in lines[1] and lines[1].split("|")[1] == "  median  1.000  upper quartile  1.000"
+    assert lines[2].split("|")[1] == "  median  0.500  upper quartile  0.500"
+    new_pooled, control_pooled = lines[3].split("|")
+    assert "query_p50_ms  0.667" in new_pooled and "queries_per_s  1.500" in new_pooled
+    assert "query_p50_ms  0.833" in control_pooled and "queries_per_s  1.200" in control_pooled
+
+
+def test_each_side_takes_each_position_once_per_cycle(replay):
+    # two sides alternate which goes first, as before a control was added
+    assert [replay.round_order(["OLD", "NEW"], r) for r in range(3)] == [["OLD", "NEW"], ["NEW", "OLD"], ["OLD", "NEW"]]
+    cycle = [replay.round_order(["OLD", "NEW", "CONTROL"], r) for r in range(3)]
+    assert cycle == [["OLD", "NEW", "CONTROL"], ["NEW", "CONTROL", "OLD"], ["CONTROL", "OLD", "NEW"]]
+    assert all(sorted(column) == ["CONTROL", "NEW", "OLD"] for column in zip(*cycle))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -605,24 +606,39 @@ def test_physical_block_probability_is_the_whole_twirl():
                 assert abs(conditional_probability(ps, frame, g, e, v) - got) <= 1e-12
 
 
-def test_a_warm_u1_probability_builds_the_weight_zero_block_alone(monkeypatch):
-    from qrf import reductions
+def test_the_twirl_weight_zero_block_is_the_physical_block_bit_for_bit():
+    # every frame of the U(1) goldens: the probability's F_E(g) on H_phys is the twirl builder's own weight-0 block,
+    # equal to the reference formula read at B's rows, because B holds weight 0's kets in the twirl index's order
+    from oracles import physical_block
+    from qrf.perspective import _sector_index, _twirled
 
+    rng = np.random.default_rng(53)
+    for s in _u1_golden_scenarios():
+        ps = physical_space(s)
+        b, kets = ps.basis, reps.weight_basis(s.total_rep).sectors[0]
+        assert np.array_equal(b.rows, kets) and np.array_equal(b.cols, np.arange(ps.dim)) and np.all(b.vals == 1)
+        for frame in s.frames:
+            for _ in range(2):
+                e, _, g = _drawn_probability_inputs(rng, s, ps, frame)
+                got = _twirled(s, frame, g, e, DEFAULT_TOL, True).blocks[0]
+                assert np.array_equal(got, physical_block(ps, frame, g, e)), (s.kin_dim, frame)
+            r, c = _sector_index(s, frame)[0]
+            d, rest = s.dims[s.frame_slot(frame)], math.prod(s.dims[s.frame_slot(frame) + 1:])
+            assert np.array_equal((c // rest * d + r) * rest + c % rest, kets)  # (r, c) are the kets of B, in order
+
+
+def test_a_warm_u1_probability_builds_the_weight_zero_block_alone(monkeypatch):
     s = _stacked_case("u1-8-qubits")
     ps, frame = physical_space(s), next(iter(s.frames))
     e, v, g = _drawn_probability_inputs(np.random.default_rng(43), s, ps, frame)
     e_cond = np.eye(s.complement_dim(frame)) - e
     warm = conditional_probability(ps, frame, g, e, v), multi_event_probability(ps, frame, (e, g), (e_cond, g), v)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a whole-twirl weight block was built")
-
-    monkeypatch.setattr(perspective, "_twirled", refuse)
-    monkeypatch.setattr(reductions, "_twirled", refuse)
-    assert (conditional_probability(ps, frame, g, e, v),
-            multi_event_probability(ps, frame, (e, g), (e_cond, g), v)) == warm
-    r, flat = s._cache[("physical_block", frame)]
-    assert r.shape == (ps.dim,) and flat.shape == (ps.dim, ps.dim)
+    built, build = [], perspective._OnRead.__getitem__
+    monkeypatch.setattr(perspective._OnRead, "__getitem__", lambda self, w: built.append(w) or build(self, w))
+    assert conditional_probability(ps, frame, g, e, v) == warm[0]
+    assert built == [0]
+    assert multi_event_probability(ps, frame, (e, g), (e_cond, g), v) == warm[1]
+    assert built == [0, 0, 0]
 
 
 def test_u1_conditional_probability_refuses_a_corrupted_physical_index(monkeypatch):
@@ -630,8 +646,10 @@ def test_u1_conditional_probability_refuses_a_corrupted_physical_index(monkeypat
     ps, frame = physical_space(s), next(iter(s.frames))
     e, v, g = _drawn_probability_inputs(np.random.default_rng(47), s, ps, frame)
     conditional_probability(ps, frame, g, e, v)
-    r, flat = s._cache[("physical_block", frame)]
-    monkeypatch.setitem(s._cache, ("physical_block", frame), (r, np.roll(flat, 1)))
+    index = dict(s._cache[("twirl_index", frame)])
+    r, c = index[0]
+    index[0] = (r, np.roll(c, 1))
+    monkeypatch.setitem(s._cache, ("twirl_index", frame), index)
     with pytest.raises(ValueError, match="gauge-invariance cross-check failed"):
         conditional_probability(ps, frame, g, e, v)
 

@@ -652,7 +652,7 @@ def test_constraints_are_generator_defects_or_lie_generators():
     assert d.shape == (len(s3.generators), 6, 6)
     np.testing.assert_array_equal(d, reg.matrices[list(s3.generators)] - np.eye(6))
     spin = reps.spin_rep(1)
-    assert reps.constraints(spin) is spin.generators
+    assert np.array_equal(reps.constraints(spin), spin.generators)
     assert reps.constraints(reps.regular_rep(groups.cyclic(1))).shape == (0, 1, 1)
 
 
